@@ -13,6 +13,10 @@ Subcommands:
 * figure    -- reproduce the data behind one of the seven published plots
   from the frozen manifest (figures.json next to this module).
 
+evaluate, sweep and figure build a WaveSolution with the constructors of
+the solutions module, evaluate it on the whole grid in one evaluate_grid
+call, and write the table through one column writer (_render).
+
 Exit codes: 0 success, 1 verification failure, 2 usage or domain error.
 Output is deterministic: fixed grids, no timestamps, floats printed with 17
 significant digits in CSV, shortest round-trip form in JSON.  Values on a
@@ -27,7 +31,7 @@ import math
 import sys
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -37,51 +41,79 @@ from .params import PhysicalParams, ReducedParams
 from .solutions import (
     Family,
     PhaseSweep,
-    eval_compound,
-    eval_compound_physical,
-    eval_kdvb_physical,
-    eval_rational,
-    eval_rational_physical,
-    eval_universal,
+    SweepSurface,
+    WaveSolution,
+    compound_solution,
+    compound_solution_from_physical,
+    evaluate_grid,
+    kdvb_solution_from_physical,
+    rational_solution,
+    rational_solution_from_physical,
     sweep_rows,
+    universal_solution,
 )
 from .verify import SCOPES, verification_suite
 
 _KDVB = (Family.KDVB_REGULAR, Family.KDVB_SINGULAR)
 _COMPOUND = (Family.COMPOUND_TANH_PLUS, Family.COMPOUND_TANH_MINUS)
 
-Row = list[tuple[str, object]]
 
+def _render(names: list[str], columns: list[np.ndarray], pole: np.ndarray, fmt: str) -> str:
+    """CSV or JSON table of ``columns`` (coordinates ``names``, re_u, im_u) plus pole_flag.
 
-def _serialize(rows: list[Row], fmt: str) -> str:
-    header = [key for key, _ in rows[0]]
+    Byte for byte format(value, ".17g") per CSV cell, or json.dumps(rows, indent=2),
+    from one %-format over all cells; "%.0s" swallows the NaN values of pole rows.
+    """
+    keys = [*names, "re_u", "im_u", "pole_flag"]
+    data = np.column_stack(columns)
+    cells = data.ravel().tolist()
     if fmt == "json":
-        return json.dumps([dict(row) for row in rows], indent=2) + "\n"
-    lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for _, value in row:
-            if value is None:
-                cells.append("")
-            elif isinstance(value, int):
-                cells.append(str(value))
-            else:
-                cells.append(format(float(value), ".17g"))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+        for i in np.flatnonzero(~np.isfinite(data.ravel())):
+            cells[i] = json.dumps(cells[i])  # NaN and Infinity as json spells them
+        value, empty = "%s", "null%.0s"
+    else:
+        value, empty = "%.17g", "%.0s"
+    ok = [value] * (len(names) + 2) + ["0"]
+    bad = [value] * len(names) + [empty, empty, "1"]
+    if fmt == "json":
+        ok, bad = ("  {" + ",".join(f'\n    "{k}": {c}' for k, c in zip(keys, row)) + "\n  }"
+                   for row in (ok, bad))
+        head, sep, tail = "[\n", ",\n", "\n]\n"
+    else:
+        ok, bad = ",".join(ok), ",".join(bad)
+        head, sep, tail = ",".join(keys) + "\n", "\n", "\n"
+    rows = [ok] * len(data)
+    for i in np.flatnonzero(pole):
+        rows[i] = bad
+    return head + sep.join(rows) % tuple(cells) + tail
 
 
-def _emit(text: str, output: str | None) -> None:
+def _emit(text: str, output: str | Path | None) -> None:
     if output is None:
         sys.stdout.write(text)
     else:
         Path(output).write_text(text, encoding="utf-8")
 
 
-def _positive_steps(n: int | None, flag: str) -> int:
-    if n is None or n < 1:
-        raise ParameterDomainError(f"{flag} must request at least one grid point")
-    return n
+def _grid(lo: float, hi: float, steps: int | None, name: str) -> np.ndarray:
+    if steps is None or steps < 1:
+        raise ParameterDomainError(f"--{name}-steps must request at least one grid point")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ParameterDomainError(f"--{name}-min and --{name}-max must be finite")
+    return np.linspace(lo, hi, steps)
+
+
+def _emit_profile(names: list[str], coords: list[np.ndarray], sol: WaveSolution,
+                  t: float | None, fmt: str, output: str | Path | None) -> None:
+    """Evaluate ``sol`` on coords[0] (theta, or x at time t) and write the table."""
+    values, pole = evaluate_grid(sol, coords[0], t)
+    _emit(_render(names, [*coords, values.real, values.imag], pole, fmt), output)
+
+
+def _emit_sweep(surface: SweepSurface, fmt: str, output: str | Path | None) -> None:
+    a, theta = np.meshgrid(surface.a_values, surface.theta, indexing="ij")
+    columns = [a.ravel(), theta.ravel(), surface.re.ravel(), surface.im.ravel()]
+    _emit(_render(["a", "theta"], columns, surface.pole.ravel(), fmt), output)
 
 
 # ---------------------------------------------------------------------------
@@ -143,19 +175,17 @@ def cmd_factorize(args: argparse.Namespace) -> int:
 # evaluate
 
 
-def _reduced_evaluator(args: argparse.Namespace, fam: Family) -> Callable[[float], complex]:
+def _reduced_solution(args: argparse.Namespace, fam: Family) -> WaveSolution:
     theta0 = complex(0.0, args.phase_a * math.pi)
     if fam in _KDVB:
-        return lambda th: eval_universal(fam, th, theta0)
+        return universal_solution(fam, theta0=theta0)
     if fam in _COMPOUND:
         if args.p is None or args.q is None:
             raise ParameterDomainError("compound families need --p and --q")
-        rp = ReducedParams(p=args.p, q=args.q, theta0=theta0)
-        return lambda th: eval_compound(fam, th, rp)
+        return compound_solution(fam, args.p, args.q, theta0=theta0)
     if args.q is None:
         raise ParameterDomainError("rational families need --q")
-    sign = Sign(args.branch)
-    return lambda th: eval_rational(fam, th, args.q, args.k0, sign)
+    return rational_solution(fam, args.q, args.k0, sign=Sign(args.branch))
 
 
 def _physical_coefficients(args: argparse.Namespace) -> PhysicalParams:
@@ -168,49 +198,14 @@ def _physical_coefficients(args: argparse.Namespace) -> PhysicalParams:
     )
 
 
-def _physical_evaluator(
-    args: argparse.Namespace, fam: Family, params: PhysicalParams
-) -> Callable[[float, float], complex]:
+def _physical_solution(
+    fam: Family, params: PhysicalParams, k0: float = 0.0, sign: Sign = Sign.PLUS
+) -> WaveSolution:
     if fam in _KDVB:
-        return lambda x, t: eval_kdvb_physical(fam, x, t, params)
+        return kdvb_solution_from_physical(fam, params)
     if fam in _COMPOUND:
-        return lambda x, t: eval_compound_physical(fam, x, t, params)
-    sign = Sign(args.branch)
-    return lambda x, t: eval_rational_physical(fam, x, t, params, args.k0, sign)
-
-
-def _reduced_profile_rows(
-    evaluator: Callable[[float], complex], grid: np.ndarray
-) -> list[Row]:
-    rows: list[Row] = []
-    for th in grid:
-        th = float(th)
-        try:
-            u = evaluator(th)
-        except PoleError:
-            rows.append([("theta", th), ("re_u", None), ("im_u", None), ("pole_flag", 1)])
-        else:
-            rows.append([("theta", th), ("re_u", u.real), ("im_u", u.imag), ("pole_flag", 0)])
-    return rows
-
-
-def _physical_profile_rows(
-    evaluator: Callable[[float, float], complex], grid: np.ndarray, t: float
-) -> list[Row]:
-    rows: list[Row] = []
-    for x in grid:
-        x = float(x)
-        try:
-            u = evaluator(x, t)
-        except PoleError:
-            rows.append(
-                [("x", x), ("t", t), ("re_u", None), ("im_u", None), ("pole_flag", 1)]
-            )
-        else:
-            rows.append(
-                [("x", x), ("t", t), ("re_u", u.real), ("im_u", u.imag), ("pole_flag", 0)]
-            )
-    return rows
+        return compound_solution_from_physical(fam, params)
+    return rational_solution_from_physical(fam, params, k0, sign)
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
@@ -225,17 +220,16 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if has_theta:
         if args.theta_min is None or args.theta_max is None:
             raise ParameterDomainError("reduced mode needs --theta-min and --theta-max")
-        n = _positive_steps(args.theta_steps, "--theta-steps")
-        grid = np.linspace(args.theta_min, args.theta_max, n)
-        rows = _reduced_profile_rows(_reduced_evaluator(args, fam), grid)
+        grid = _grid(args.theta_min, args.theta_max, args.theta_steps, "theta")
+        sol = _reduced_solution(args, fam)
+        _emit_profile(["theta"], [grid], sol, None, args.format, args.output)
     else:
         if args.x_min is None or args.x_max is None:
             raise ParameterDomainError("physical mode needs --x-min and --x-max")
-        n = _positive_steps(args.x_steps, "--x-steps")
-        params = _physical_coefficients(args)
-        grid = np.linspace(args.x_min, args.x_max, n)
-        rows = _physical_profile_rows(_physical_evaluator(args, fam, params), grid, args.t)
-    _emit(_serialize(rows, args.format), args.output)
+        grid = _grid(args.x_min, args.x_max, args.x_steps, "x")
+        sol = _physical_solution(fam, _physical_coefficients(args), args.k0, Sign(args.branch))
+        coords = [grid, np.full(grid.size, args.t)]
+        _emit_profile(["x", "t"], coords, sol, args.t, args.format, args.output)
     return 0
 
 
@@ -247,31 +241,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     fam = Family(args.family)
     if fam not in _KDVB:
         raise ParameterDomainError("the phase sweep is defined for the kdvb families")
-    n_a = _positive_steps(args.a_steps, "--a-steps")
-    if n_a == 1:
-        if args.a_min != args.a_max:
-            raise ParameterDomainError("a single-row sweep needs --a-min == --a-max")
-        a_values = np.array([args.a_min], dtype=float)
-    else:
-        a_values = PhaseSweep(args.a_min, args.a_max, n_a).a_values()
-    n_t = _positive_steps(args.theta_steps, "--theta-steps")
-    theta_grid = np.linspace(args.theta_min, args.theta_max, n_t)
-    surface = sweep_rows(fam, a_values, theta_grid)
-    rows: list[Row] = []
-    for i, a in enumerate(surface.a_values):
-        for j, th in enumerate(surface.theta):
-            if surface.pole[i, j]:
-                rows.append(
-                    [("a", float(a)), ("theta", float(th)),
-                     ("re_u", None), ("im_u", None), ("pole_flag", 1)]
-                )
-            else:
-                rows.append(
-                    [("a", float(a)), ("theta", float(th)),
-                     ("re_u", float(surface.re[i, j])), ("im_u", float(surface.im[i, j])),
-                     ("pole_flag", 0)]
-                )
-    _emit(_serialize(rows, args.format), args.output)
+    a_values = _grid(args.a_min, args.a_max, args.a_steps, "a")
+    if a_values.size > 1:
+        PhaseSweep(args.a_min, args.a_max, a_values.size)  # checks a_min < a_max
+    elif args.a_min != args.a_max:
+        raise ParameterDomainError("a single-row sweep needs --a-min == --a-max")
+    theta_grid = _grid(args.theta_min, args.theta_max, args.theta_steps, "theta")
+    _emit_sweep(sweep_rows(fam, a_values, theta_grid), args.format, args.output)
     return 0
 
 
@@ -322,48 +298,25 @@ def cmd_figure(args: argparse.Namespace) -> int:
     if entry["command"] == "sweep":
         sweep = PhaseSweep(entry["a_min"], entry["a_max"], entry["a_steps"])
         theta_grid = np.linspace(entry["theta_min"], entry["theta_max"], entry["theta_steps"])
-        surface = sweep_rows(fam, sweep.a_values(), theta_grid)
-        rows: list[Row] = []
-        for i, a in enumerate(surface.a_values):
-            for j, th in enumerate(surface.theta):
-                if surface.pole[i, j]:
-                    rows.append(
-                        [("a", float(a)), ("theta", float(th)),
-                         ("re_u", None), ("im_u", None), ("pole_flag", 1)]
-                    )
-                else:
-                    rows.append(
-                        [("a", float(a)), ("theta", float(th)),
-                         ("re_u", float(surface.re[i, j])),
-                         ("im_u", float(surface.im[i, j])), ("pole_flag", 0)]
-                    )
-        path = outdir / entry["output"]
-        path.write_text(_serialize(rows, "csv"), encoding="utf-8")
-        written.append(path)
+        written.append(outdir / entry["output"])
+        _emit_sweep(sweep_rows(fam, sweep.a_values(), theta_grid), "csv", written[-1])
     elif "curves" in entry:
         coeff = entry["coefficients"]
         grid = np.linspace(entry["x_min"], entry["x_max"], entry["x_steps"])
+        coords = [grid, np.full(grid.size, entry["t"])]
         for curve in entry["curves"]:
             params = PhysicalParams(
                 s=coeff["s"], mu=coeff["mu"], alpha=coeff["alpha"], beta=coeff["beta"],
                 v=curve["v"], xi0=complex(coeff.get("xi0", 0.0)),
             )
-            evaluator = (
-                (lambda x, t, p=params: eval_compound_physical(fam, x, t, p))
-                if fam in _COMPOUND
-                else (lambda x, t, p=params: eval_kdvb_physical(fam, x, t, p))
-            )
-            rows = _physical_profile_rows(evaluator, grid, entry["t"])
-            path = outdir / entry["output"].replace("{label}", curve["label"])
-            path.write_text(_serialize(rows, "csv"), encoding="utf-8")
-            written.append(path)
+            written.append(outdir / entry["output"].replace("{label}", curve["label"]))
+            sol = _physical_solution(fam, params)
+            _emit_profile(["x", "t"], coords, sol, entry["t"], "csv", written[-1])
     else:
-        theta0 = complex(0.0, entry["phase_a"] * math.pi)
+        sol = universal_solution(fam, theta0=complex(0.0, entry["phase_a"] * math.pi))
         grid = np.linspace(entry["theta_min"], entry["theta_max"], entry["theta_steps"])
-        rows = _reduced_profile_rows(lambda th: eval_universal(fam, th, theta0), grid)
-        path = outdir / entry["output"]
-        path.write_text(_serialize(rows, "csv"), encoding="utf-8")
-        written.append(path)
+        written.append(outdir / entry["output"])
+        _emit_profile(["theta"], [grid], sol, None, "csv", written[-1])
 
     for path in written:
         print(f"wrote {path}")

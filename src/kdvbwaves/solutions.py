@@ -33,9 +33,9 @@ vice versa.  This is the unique pairing that makes the limit claim true; it
 is encoded in ``_paired_branch`` and asserted by tests.
 
 Pole policy.  Evaluating exactly on (or numerically within ~1e-9 of) a pole
-raises PoleError carrying the pole location; grid sweeps catch it and flag
-the cell instead of aborting, so singular families still produce plottable
-grids.
+raises PoleError carrying the pole location; the array kernels behind
+evaluate_grid flag those cells in a mask instead, so singular families still
+produce plottable grids.
 """
 
 from __future__ import annotations
@@ -294,8 +294,13 @@ def rational_solution(
     q: float,
     k0: float,
     physical: PhysicalParams | None = None,
+    sign: Sign = Sign.PLUS,
 ) -> WaveSolution:
-    """Build a degenerate rational solution; p is locked to (1 - 2/q)/6."""
+    """Build a degenerate rational solution; p is locked to (1 - 2/q)/6.
+
+    ``sign`` picks the A-branch of the constant family only; the rational
+    families carry their branch in the family tag.
+    """
     if family not in _RATIONAL_FAMILIES and family is not Family.CONSTANT:
         raise ParameterDomainError(f"not a rational-type family: {family}")
     if q == 0:
@@ -305,7 +310,8 @@ def rational_solution(
     if family is Family.CONSTANT and k0 != 0:
         raise ParameterDomainError("the constant family is the k0 = 0 member; got k0 != 0")
     p = (1.0 - 2.0 / q) / 6.0
-    sign = _paired_branch(family) if family is not Family.CONSTANT else Sign.PLUS
+    if family is not Family.CONSTANT:
+        sign = _paired_branch(family)
     fact = factorize_compound(ReducedParams(p=p, q=q), sign)
     reduced = ReducedParams(p=p, q=q, k=fact.k, theta0=0j)
     eps = _epsilon_of(physical) if physical is not None else None
@@ -322,24 +328,11 @@ def rational_solution(
 
 def constant_solution(sign: Sign, q: float, physical: PhysicalParams | None = None) -> WaveSolution:
     """The constant solution -(A+1)/(6A^2) on branch A = sign*sqrt(q/2)."""
-    sol = rational_solution(Family.CONSTANT, q, 0.0, physical=physical)
-    if sign is not sol.sign:
-        fact = factorize_compound(ReducedParams(p=sol.reduced.p, q=q), sign)
-        reduced = ReducedParams(p=sol.reduced.p, q=q, k=fact.k, theta0=0j)
-        sol = WaveSolution(
-            family=Family.CONSTANT,
-            reduced=reduced,
-            sign=sign,
-            physical=physical,
-            Delta=0.0,
-            k0=0.0,
-            epsilon=sol.epsilon,
-        )
-    return sol
+    return rational_solution(Family.CONSTANT, q, 0.0, physical=physical, sign=sign)
 
 
 def rational_solution_from_physical(
-    family: Family, params: PhysicalParams, k0: float
+    family: Family, params: PhysicalParams, k0: float, sign: Sign = Sign.PLUS
 ) -> WaveSolution:
     """Physical rational solution; rejects velocities off the degeneracy lock."""
     if not (params.beta > 0 and params.s > 0):
@@ -349,12 +342,10 @@ def rational_solution_from_physical(
     v_lock = locked_rational_velocity(params)
     if abs(params.v - v_lock) > 1e-12 * max(1.0, abs(v_lock)):
         raise ParameterDomainError(
-            f"rational family exists only at v = mu^2/(6s) - alpha^2/(4 beta) = {v_lock!r}; "
-            f"got v = {params.v!r}"
+            f"rational family exists only at the locked velocity "
+            f"v = mu^2/(6s) - alpha^2/(4 beta) = {v_lock!r}; got v = {params.v!r}"
         )
-    base = reduce(params)
-    sol = rational_solution(family, base.q, k0, physical=params)
-    return sol
+    return rational_solution(family, reduce(params).q, k0, physical=params, sign=sign)
 
 
 # ---------------------------------------------------------------------------
@@ -594,6 +585,82 @@ def eval_solution_physical(sol: WaveSolution, x: float, t: float) -> complex:
 
 
 # ---------------------------------------------------------------------------
+# array kernels
+#
+# One kernel per family, on shifted coordinates zeta = theta - theta0.
+# ``rate`` = |d zeta / dx| of the caller's coordinate widens the pole
+# tolerance as the scalar evaluators widen it.  Pole cells are computed at a
+# stand-in argument off every pole, then overwritten: nothing divides by 0.
+
+
+def _hyperbolic_poles(z: np.ndarray, offset: float, tol: float) -> np.ndarray:
+    """Mask of z within tol of a pole i*pi*(n + offset): offset 1/2 for tanh, 0 for coth."""
+    n = np.round(z.imag / math.pi - offset)
+    return np.hypot(z.real, z.imag - math.pi * (n + offset)) < tol
+
+
+def _kdvb_kernel(sol: WaveSolution, zeta: np.ndarray, rate: float):
+    z = zeta / 10.0
+    singular = sol.family is Family.KDVB_SINGULAR
+    pole = _hyperbolic_poles(z, 0.0 if singular else 0.5, POLE_TOL * max(1.0, rate / 10.0))
+    T = np.tanh(np.where(pole, 1.0, z))
+    if singular:
+        T = 1.0 / T
+    return (3.0 / 50.0) * (1.0 + T) ** 2, pole
+
+
+def _compound_kernel(sol: WaveSolution, zeta: np.ndarray, rate: float):
+    q, root = sol.reduced.q, sol.Delta
+    b = 1.0 / (3.0 * math.sqrt(2.0 * q))
+    if sol.family is Family.COMPOUND_TANH_MINUS:
+        b = -b
+    if root == 0.0:
+        return np.full(zeta.shape, complex(-1.0 / (3.0 * q) + b)), np.zeros(zeta.shape, bool)
+    z = root * zeta / 6.0
+    pole = _hyperbolic_poles(z, 0.5, POLE_TOL * max(1.0, root * rate / 6.0))
+    return -1.0 / (3.0 * q) + b * (1.0 + root * np.tanh(np.where(pole, 0.0, z))), pole
+
+
+def _rational_kernel(sol: WaveSolution, zeta: np.ndarray, rate: float):
+    A = _rational_branch_A(sol.family, sol.reduced.q, sol.sign)
+    const = -(A + 1.0) / (6.0 * A * A)
+    k0 = sol.k0 or 0.0
+    if k0 == 0:
+        return np.full(zeta.shape, complex(const)), np.zeros(zeta.shape, bool)
+    # absolute in theta whatever the coordinate, as in eval_rational_physical
+    pole = np.abs(zeta - (-A / k0)) < POLE_TOL
+    return -(k0 / A) / (A + k0 * np.where(pole, 0.0, zeta)) + const, pole
+
+
+def evaluate_grid(
+    sol: WaveSolution, grid: np.ndarray, t: float | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """(values, pole) of a solution on an array of coordinates, in one pass.
+
+    With ``t`` None, ``grid`` holds reduced coordinates theta and the values
+    are U(theta), as eval_solution gives them.  Otherwise it holds physical x
+    at time t, and the values are u = to_physical_amplitude(w) at
+    theta = to_reduced_coordinate(x, t), with w = U + delta the first-integral
+    unknown.  ``pole`` flags the cells where the scalar evaluators raise
+    PoleError; their values are NaN + NaN*i.
+    """
+    if t is None:
+        zeta, rate = np.asarray(grid) - sol.reduced.theta0, 1.0
+    else:
+        pp = sol.physical
+        if pp is None:
+            raise ParameterDomainError("solution carries no physical coefficients")
+        zeta, rate = to_reduced_coordinate(np.asarray(grid), t, pp), abs(pp.mu / pp.s)
+    f = sol.family
+    kernel = _kdvb_kernel if f in _KDVB_FAMILIES else (
+        _compound_kernel if f in _COMPOUND_FAMILIES else _rational_kernel)
+    values, pole = kernel(sol, np.asarray(zeta, dtype=complex), rate)
+    if t is not None:
+        values = to_physical_amplitude(values + (sol.reduced.delta or 0.0), pp)
+    return np.where(pole, complex(math.nan, math.nan), values), pole
+
+
+# ---------------------------------------------------------------------------
 # analytic jets (closed-form derivatives, hand-differentiated)
 #
 # Both tanh and coth satisfy T' = (1 - T^2) * (argument rate), which is why a
@@ -708,38 +775,17 @@ class SweepSurface:
 
 
 def sweep_rows(family: Family, a_values: np.ndarray, theta_grid: np.ndarray) -> SweepSurface:
-    """Sample U(theta; theta0 = i*a*pi) over an explicit list of a values."""
+    """Sample U(theta; theta0 = i*a*pi) over the (a, theta) grid, pole cells flagged.
+
+    At a = 0 the imaginary part vanishes; at a = -5 the regular family equals
+    the singular one at real phase (tanh(z - i*pi/2) = coth(z)).
+    """
     a_values = np.asarray(a_values, dtype=float)
     theta_grid = np.asarray(theta_grid, dtype=float)
     if theta_grid.size == 0 or a_values.size == 0:
         raise ParameterDomainError("sweep grid must be non-empty")
-    re = np.empty((a_values.size, theta_grid.size))
-    im = np.empty_like(re)
-    pole = np.zeros(re.shape, dtype=bool)
-    for i, a in enumerate(a_values):
-        theta0 = complex(0.0, a * math.pi)
-        for j, th in enumerate(theta_grid):
-            try:
-                val = eval_universal(family, th, theta0)
-            except PoleError:
-                pole[i, j] = True
-                re[i, j] = math.nan
-                im[i, j] = math.nan
-            else:
-                re[i, j] = val.real
-                im[i, j] = val.imag
-    return SweepSurface(a_values=a_values, theta=theta_grid, re=re, im=im, pole=pole)
-
-
-def phase_sweep_surface(
-    family: Family, sweep: PhaseSweep, theta_grid: np.ndarray
-) -> SweepSurface:
-    """Sample the complex-phase family over a rectangular (a, theta) grid.
-
-    At a = 0 the imaginary part vanishes identically; at a = -5 the regular
-    family's values coincide with the singular family at real phase (the
-    half-period shift identity tanh(z - i*pi/2) = coth(z)); intermediate rows
-    are complex kinks whose real part grows a pocket on the left tail and a
-    bump on the right tail.  Pole cells are flagged, not fatal.
-    """
-    return sweep_rows(family, sweep.a_values(), np.asarray(theta_grid, dtype=float))
+    theta0 = 1j * math.pi * a_values
+    values, pole = evaluate_grid(universal_solution(family), theta_grid - theta0[:, None])
+    return SweepSurface(
+        a_values=a_values, theta=theta_grid, re=values.real, im=values.imag, pole=pole
+    )

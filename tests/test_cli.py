@@ -6,8 +6,17 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from kdvbwaves import (
+    Family,
+    PhysicalParams,
+    evaluate_grid,
+    locked_rational_velocity,
+    rational_solution_from_physical,
+    universal_solution,
+)
 from kdvbwaves.cli import main
 
 
@@ -167,6 +176,61 @@ def test_evaluate_serializes_17_significant_digits(capsys):
     assert float(rows[0][1]) == exact.real
 
 
+def test_evaluate_rejects_non_finite_grid_bounds(capsys):
+    code, out, err = run(capsys, "evaluate", "--family", "kdvb-regular",
+                         "--theta-min", "nan", "--theta-max", "1", "--theta-steps", "3")
+    assert (code, out) == (2, "") and "must be finite" in err
+    code, out, err = run(capsys, "evaluate", "--family", "compound-tanh-plus",
+                         "--x-min", "0", "--x-max", "inf", "--x-steps", "3",
+                         "--s", "2", "--mu", "1", "--alpha", "3", "--beta", "2", "--v", "-0.04")
+    assert (code, out) == (2, "") and "must be finite" in err
+
+
+def _writer_case(case):
+    """(solution, grid, t, evaluate flags) for a 5-node grid whose middle node is a pole."""
+    if case == "reduced":
+        flags = ["--family", "kdvb-singular", "--theta-min", "-1", "--theta-max", "1",
+                 "--theta-steps", "5"]
+        return universal_solution(Family.KDVB_SINGULAR), np.linspace(-1.0, 1.0, 5), None, flags
+    coeffs = dict(s=2.0, mu=1.0, alpha=3.0, beta=2.0)
+    params = PhysicalParams(v=locked_rational_velocity(PhysicalParams(v=0.0, **coeffs)), **coeffs)
+    sol = rational_solution_from_physical(Family.RATIONAL_PLUS, params, 1.0)
+    t = 0.25
+    # x = (s/mu)*theta_pole + v*t, theta_pole = -A/k0 with A = sqrt(q/2)
+    x_pole = 2.0 * -math.sqrt(sol.reduced.q / 2.0) + params.v * t
+    lo, hi = x_pole - 0.5, x_pole + 0.5
+    flags = ["--family", "rational-plus", "--x-min", repr(lo), "--x-max", repr(hi),
+             "--x-steps", "5", "--s", "2", "--mu", "1", "--alpha", "3", "--beta", "2",
+             "--v", repr(params.v), "--k0", "1", "--t", repr(t)]
+    return sol, np.linspace(lo, hi, 5), t, flags
+
+
+@pytest.mark.parametrize("case", ["reduced", "physical"])
+def test_writer_matches_json_dumps_and_17g_cells(case, capsys):
+    sol, grid, t, flags = _writer_case(case)
+    values, pole = evaluate_grid(sol, grid, t)
+    assert pole.tolist() == [False, False, True, False, False]
+    rows = []
+    for coord, value, flagged in zip(grid.tolist(), values.tolist(), pole.tolist()):
+        row = {"theta": coord} if t is None else {"x": coord, "t": t}
+        row["re_u"] = None if flagged else value.real
+        row["im_u"] = None if flagged else value.imag
+        row["pole_flag"] = int(flagged)
+        rows.append(row)
+    code, out, _ = run(capsys, "evaluate", *flags, "--format", "json")
+    assert code == 0
+    assert out == json.dumps(rows, indent=2) + "\n"
+    code, out, _ = run(capsys, "evaluate", *flags, "--format", "csv")
+    assert code == 0
+    lines = out.split("\n")
+    assert lines[0] == ",".join(rows[0]) and lines[-1] == ""
+    for line, row in zip(lines[1:-1], rows):
+        cells = ["" if v is None else str(v) if k == "pole_flag" else format(v, ".17g")
+                 for k, v in row.items()]
+        assert line == ",".join(cells)
+    assert lines[3].endswith(",,,1") and len(lines) == len(rows) + 2
+
+
 # ---------------------------------------------------------------------------
 # sweep
 
@@ -190,6 +254,14 @@ def test_single_row_sweep_matches_evaluate(capsys):
     _, sweep_rows_ = parse_csv(sweep_out)
     _, eval_rows = parse_csv(eval_out)
     assert [r[1:] for r in sweep_rows_] == eval_rows
+
+
+def test_sweep_rejects_non_finite_grid_bounds(capsys):
+    for bounds in (["--a-min=-inf", "--a-max", "0", "--theta-min", "-1"],
+                   ["--a-min", "-5", "--a-max", "0", "--theta-min", "nan"]):
+        code, out, err = run(capsys, "sweep", *bounds, "--a-steps", "3",
+                             "--theta-max", "1", "--theta-steps", "3")
+        assert (code, out) == (2, "") and "must be finite" in err
 
 
 def test_sweep_rejects_bad_ranges(capsys):

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from kdvbwaves import (
     eval_solution,
     eval_solution_physical,
     eval_universal,
+    evaluate_grid,
     kdvb_solution_from_physical,
     locked_rational_velocity,
     physical_discriminant_root,
@@ -42,7 +44,7 @@ from kdvbwaves import (
     to_reduced_coordinate,
     universal_solution,
 )
-from kdvbwaves.solutions import compound_jet, rational_jet, universal_jet
+from kdvbwaves.solutions import POLE_TOL, compound_jet, rational_jet, universal_jet
 
 FIG7 = PhysicalParams(s=2.0, mu=1.0, alpha=3.0, beta=2.0, v=-0.04)
 
@@ -508,3 +510,139 @@ def test_sweep_rejects_empty_grids():
         sweep_rows(Family.KDVB_REGULAR, np.array([]), np.array([0.0]))
     with pytest.raises(ParameterDomainError):
         sweep_rows(Family.KDVB_REGULAR, np.array([0.0]), np.array([]))
+
+
+# ---------------------------------------------------------------------------
+# array kernel against the scalar evaluators
+#
+# numpy's complex tanh and cmath's differ in the last bit, and the physical
+# path rounds the coordinate map in another order than the direct formulas,
+# so values agree to a few ulp of their scale, not bit for bit.  The scale of
+# a point is the larger of its own magnitude and the tails' magnitude.
+
+ULPS = 16
+EPS = np.finfo(float).eps
+# tails at |coordinate| = 800; the cases below put a pole on a node of the
+# 0.1-step grid (theta = 0, 3, 2, -0.5; x = 0.5, -0.1, 2, 1, 1)
+KERNEL_GRID = np.concatenate([[-800.0], np.linspace(-40.0, 40.0, 801), [800.0]])
+
+
+def _reduced_kernel_cases():
+    root = compound_discriminant_root(1.0, 1.0)
+    return {
+        "regular": universal_solution(Family.KDVB_REGULAR),
+        "regular-2.5ipi": universal_solution(Family.KDVB_REGULAR, theta0=-2.5j * math.pi),
+        "regular+5ipi": universal_solution(Family.KDVB_REGULAR, theta0=5j * math.pi),
+        "singular": universal_solution(Family.KDVB_SINGULAR, theta0=3.0),
+        "compound-plus": compound_solution(
+            Family.COMPOUND_TANH_PLUS, 1.0, 1.0, theta0=2.0 - 3j * math.pi / root),
+        "compound-minus": compound_solution(
+            Family.COMPOUND_TANH_MINUS, 1.0, 1.0, theta0=-2.5j * math.pi),
+        "compound-degenerate": compound_solution(Family.COMPOUND_TANH_PLUS, -0.5, 0.5),
+        "rational-plus": rational_solution(Family.RATIONAL_PLUS, 0.5, 1.0),
+        "rational-minus": rational_solution(Family.RATIONAL_MINUS, 0.5, 2.0),
+        "constant": constant_solution(Sign.MINUS, 0.5),
+    }
+
+
+def _physical_kernel_cases():
+    kdvb = PhysicalParams(s=1.0, mu=6.0, alpha=1.0, beta=0.0, v=0.2, xi0=0.5)
+    steep = PhysicalParams(s=0.5, mu=30.0, alpha=2.0, beta=0.0, v=0.1, xi0=-0.1)
+    root = physical_discriminant_root(FIG7)
+    shifted = PhysicalParams(s=2.0, mu=1.0, alpha=3.0, beta=2.0, v=-0.04,
+                             xi0=2.0 - 3j * math.pi * 2.0 / root)
+    A = math.sqrt(reduce(FIG7).q / 2.0)
+    locked = PhysicalParams(s=2.0, mu=1.0, alpha=3.0, beta=2.0,
+                            v=locked_rational_velocity(FIG7), xi0=1.0 + 2.0 * A)
+    degenerate = PhysicalParams(s=2.0, mu=1.0, alpha=3.0, beta=2.0, v=-25.0 / 24.0)
+    coeffs = dict(s=0.5, mu=2.0, alpha=3.0, beta=2.0)  # mu/s = 4
+    A_steep = math.sqrt(reduce(PhysicalParams(v=0.0, **coeffs)).q / 2.0)
+    locked_steep = PhysicalParams(v=locked_rational_velocity(PhysicalParams(v=0.0, **coeffs)),
+                                  xi0=1.0 + 0.25 * A_steep, **coeffs)
+    return {
+        "regular": kdvb_solution_from_physical(Family.KDVB_REGULAR, kdvb),
+        "singular": kdvb_solution_from_physical(Family.KDVB_SINGULAR, kdvb),
+        "singular-steep": kdvb_solution_from_physical(Family.KDVB_SINGULAR, steep),
+        "compound-plus": compound_solution_from_physical(Family.COMPOUND_TANH_PLUS, shifted),
+        "compound-minus": compound_solution_from_physical(Family.COMPOUND_TANH_MINUS, FIG7),
+        "compound-degenerate": compound_solution_from_physical(
+            Family.COMPOUND_TANH_PLUS, degenerate),
+        "rational-plus": rational_solution_from_physical(Family.RATIONAL_PLUS, locked, 1.0),
+        "rational-minus": rational_solution_from_physical(Family.RATIONAL_MINUS, locked, -2.0),
+        "rational-steep": rational_solution_from_physical(Family.RATIONAL_PLUS, locked_steep, 1.0),
+        "constant": rational_solution_from_physical(Family.CONSTANT, locked, 0.0, Sign.MINUS),
+    }
+
+
+KERNEL_CASES = [("reduced", name) for name in _reduced_kernel_cases()] + [
+    ("physical", name) for name in _physical_kernel_cases()]
+
+
+def _kernel_and_reference(mode, name, grid):
+    """((values, pole) of evaluate_grid, (values, pole) of the scalar evaluator) on grid.
+
+    The scalar pole set is where the scalar call raises PoleError; the
+    kernel runs with every warning turned into an error.
+    """
+    if mode == "reduced":
+        sol = _reduced_kernel_cases()[name]
+        t, call = None, lambda c: eval_solution(sol, c)
+    else:
+        sol = _physical_kernel_cases()[name]
+        t, call = 0.0, lambda c: eval_solution_physical(sol, c, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = evaluate_grid(sol, grid, t)
+    values, pole = [], []
+    for c in grid.tolist():
+        try:
+            values.append(call(c))
+        except PoleError:
+            values.append(complex(math.nan, math.nan))
+            pole.append(True)
+        else:
+            pole.append(False)
+    return got, (np.array(values), np.array(pole))
+
+
+@pytest.mark.parametrize("mode, name", KERNEL_CASES)
+def test_array_kernel_matches_scalar(mode, name):
+    (values, pole), (want, want_pole) = _kernel_and_reference(mode, name, KERNEL_GRID)
+    assert np.array_equal(pole, want_pole)
+    assert np.all(np.isnan(values.real[pole])) and np.all(np.isnan(values.imag[pole]))
+    scale = np.maximum(np.abs(want[~pole]), max(abs(want[0]), abs(want[-1])))
+    assert np.all(np.abs(values[~pole] - want[~pole]) <= ULPS * EPS * scale)
+
+
+def test_array_kernel_cases_put_nodes_on_poles():
+    with_pole = {"regular+5ipi", "singular", "compound-plus", "rational-plus"}
+    for name, sol in _reduced_kernel_cases().items():
+        assert evaluate_grid(sol, KERNEL_GRID)[1].any() == (name in with_pole), name
+    with_pole = {"singular", "singular-steep", "compound-plus", "rational-plus", "rational-steep"}
+    for name, sol in _physical_kernel_cases().items():
+        assert evaluate_grid(sol, KERNEL_GRID, 0.0)[1].any() == (name in with_pole), name
+
+
+# (mode, case, pole location, POLE_TOL measured in the grid coordinate): the
+# tolerance is POLE_TOL * max(1, |dz/dx|) in the argument z of tanh/coth,
+# and POLE_TOL in theta for the rational family in either mode
+POLE_EDGES = [
+    ("reduced", "singular", 3.0, 10.0 * POLE_TOL),  # z = theta/10
+    ("reduced", "compound-plus", 2.0, 6.0 * POLE_TOL / math.sqrt(21.0)),  # z = D*theta/6
+    ("reduced", "rational-plus", -0.5, POLE_TOL),
+    ("physical", "singular-steep", -0.1, POLE_TOL),  # dz/dx = 6: x tol 6e-9 * 10s/mu
+    ("physical", "rational-plus", 1.0, 2.0 * POLE_TOL),  # theta = mu*x/s, s/mu = 2
+    ("physical", "rational-steep", 1.0, 0.25 * POLE_TOL),  # s/mu = 1/4, still unscaled
+]
+
+
+@pytest.mark.parametrize("mode, name, pole, tol", POLE_EDGES)
+def test_array_kernel_pole_tolerance_matches_scalar(mode, name, pole, tol):
+    grid = pole + tol * np.array([-2.0, -0.5, 0.5, 2.0])
+    (_, got), (_, want) = _kernel_and_reference(mode, name, grid)
+    assert got.tolist() == want.tolist() == [False, True, True, False]
+
+
+def test_array_kernel_physical_mode_requires_coefficients():
+    with pytest.raises(ParameterDomainError):
+        evaluate_grid(universal_solution(Family.KDVB_REGULAR), KERNEL_GRID, 0.0)
