@@ -65,10 +65,10 @@ def _render(names: list[str], columns: list[np.ndarray], pole: np.ndarray, fmt: 
     from one %-format over all cells; "%.0s" swallows the NaN values of pole rows.
     """
     keys = [*names, "re_u", "im_u", "pole_flag"]
-    data = np.column_stack(columns)
-    cells = data.ravel().tolist()
+    flat = np.column_stack(columns).ravel()
+    cells = flat.tolist()
     if fmt == "json":
-        for i in np.flatnonzero(~np.isfinite(data.ravel())):
+        for i in np.flatnonzero(~np.isfinite(flat)):
             cells[i] = json.dumps(cells[i])  # NaN and Infinity as json spells them
         value, empty = "%s", "null%.0s"
     else:
@@ -82,7 +82,7 @@ def _render(names: list[str], columns: list[np.ndarray], pole: np.ndarray, fmt: 
     else:
         ok, bad = ",".join(ok), ",".join(bad)
         head, sep, tail = ",".join(keys) + "\n", "\n", "\n"
-    rows = [ok] * len(data)
+    rows = [ok] * len(pole)
     for i in np.flatnonzero(pole):
         rows[i] = bad
     return head + sep.join(rows) % tuple(cells) + tail
