@@ -281,7 +281,31 @@ def _load_manifest(path: str | None) -> dict:
         text = Path(path).read_text(encoding="utf-8")
     else:
         text = resources.files("kdvbwaves").joinpath("figures.json").read_text(encoding="utf-8")
-    return json.loads(text)
+    try:
+        manifest = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParameterDomainError(f"the figure manifest is not valid JSON: {exc}") from exc
+    if type(manifest) is not dict:
+        raise ParameterDomainError("the figure manifest must be a JSON object")
+    return manifest
+
+
+_KINDS = {str: "a string", int: "an integer", float: "a finite number", dict: "an object",
+          list: "a list"}
+
+
+def _field(entry: object, key: str, kind: type, default: object = None):
+    """entry[key] as a ``kind`` (str, int, finite float, dict or list), else exit 2.
+
+    An int is accepted where a float is asked for; a bool is never a number.
+    An ``entry`` that is not a dict has no fields.
+    """
+    value = entry.get(key, default) if type(entry) is dict else None
+    if kind is float and type(value) is int:
+        value = float(value)
+    if type(value) is not kind or (kind is float and not math.isfinite(value)):
+        raise ParameterDomainError(f"manifest field {key!r} must be {_KINDS[kind]}; got {value!r}")
+    return value
 
 
 def cmd_figure(args: argparse.Namespace) -> int:
@@ -289,34 +313,41 @@ def cmd_figure(args: argparse.Namespace) -> int:
     key = str(args.figure)
     if key not in manifest:
         raise ParameterDomainError(f"figure {key!r} is not in the manifest")
-    entry = manifest[key]
-    fam = Family(entry["family"])
+    entry = _field(manifest, key, dict)
+    family = _field(entry, "family", str)
+    if family not in {fam.value for fam in Family}:
+        raise ParameterDomainError(f"manifest field 'family' names no family: {family!r}")
+    fam = Family(family)
+    output = _field(entry, "output", str)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
 
-    if entry["command"] == "sweep":
-        sweep = PhaseSweep(entry["a_min"], entry["a_max"], entry["a_steps"])
-        theta_grid = np.linspace(entry["theta_min"], entry["theta_max"], entry["theta_steps"])
-        written.append(outdir / entry["output"])
-        _emit_sweep(sweep_rows(fam, sweep.a_values(), theta_grid), "csv", written[-1])
+    def grid(name: str) -> np.ndarray:
+        return _grid(_field(entry, f"{name}_min", float), _field(entry, f"{name}_max", float),
+                     _field(entry, f"{name}_steps", int), name)
+
+    if _field(entry, "command", str) == "sweep":
+        sweep = PhaseSweep(_field(entry, "a_min", float), _field(entry, "a_max", float),
+                           _field(entry, "a_steps", int))
+        written.append(outdir / output)
+        _emit_sweep(sweep_rows(fam, sweep.a_values(), grid("theta")), "csv", written[-1])
     elif "curves" in entry:
-        coeff = entry["coefficients"]
-        grid = np.linspace(entry["x_min"], entry["x_max"], entry["x_steps"])
-        coords = [grid, np.full(grid.size, entry["t"])]
-        for curve in entry["curves"]:
-            params = PhysicalParams(
-                s=coeff["s"], mu=coeff["mu"], alpha=coeff["alpha"], beta=coeff["beta"],
-                v=curve["v"], xi0=complex(coeff.get("xi0", 0.0)),
-            )
-            written.append(outdir / entry["output"].replace("{label}", curve["label"]))
-            sol = _physical_solution(fam, params)
-            _emit_profile(["x", "t"], coords, sol, entry["t"], "csv", written[-1])
+        coeff = _field(entry, "coefficients", dict)
+        s, mu, alpha, beta = (_field(coeff, name, float) for name in ("s", "mu", "alpha", "beta"))
+        t = _field(entry, "t", float)
+        x = grid("x")
+        for curve in _field(entry, "curves", list):
+            params = PhysicalParams(s=s, mu=mu, alpha=alpha, beta=beta, v=_field(curve, "v", float),
+                                    xi0=complex(_field(coeff, "xi0", float, 0.0)))
+            written.append(outdir / output.replace("{label}", _field(curve, "label", str)))
+            _emit_profile(["x", "t"], [x, np.full(x.size, t)], _physical_solution(fam, params),
+                          t, "csv", written[-1])
     else:
-        sol = universal_solution(fam, theta0=complex(0.0, entry["phase_a"] * math.pi))
-        grid = np.linspace(entry["theta_min"], entry["theta_max"], entry["theta_steps"])
-        written.append(outdir / entry["output"])
-        _emit_profile(["theta"], [grid], sol, None, "csv", written[-1])
+        phase_a = _field(entry, "phase_a", float)
+        sol = universal_solution(fam, theta0=complex(0.0, phase_a * math.pi))
+        written.append(outdir / output)
+        _emit_profile(["theta"], [grid("theta")], sol, None, "csv", written[-1])
 
     for path in written:
         print(f"wrote {path}")

@@ -28,9 +28,17 @@ families, so restricting to real phases in the type would be wrong.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 from .errors import ParameterDomainError
+
+
+def require_finite(**values: complex | None) -> None:
+    """Raise ParameterDomainError naming every value that is NaN or infinite (None passes)."""
+    bad = [name for name, v in values.items() if v is not None and not cmath.isfinite(v)]
+    if bad:
+        raise ParameterDomainError(f"{', '.join(bad)} must be finite")
 
 
 @dataclass(frozen=True)
@@ -38,7 +46,7 @@ class PhysicalParams:
     """Coefficients of the physical PDE plus wave velocity and phase.
 
     beta == 0 selects the plain KdV-Burgers equation; s, mu and alpha must
-    be nonzero for the reduction to exist.
+    be nonzero for the reduction to exist.  Every field must be finite.
     """
 
     s: float
@@ -49,6 +57,8 @@ class PhysicalParams:
     xi0: complex = 0j
 
     def __post_init__(self) -> None:
+        require_finite(s=self.s, mu=self.mu, alpha=self.alpha, beta=self.beta, v=self.v,
+                       xi0=self.xi0)
         if self.s == 0:
             raise ParameterDomainError("dispersion coefficient s must be nonzero")
         if self.mu == 0:

@@ -36,6 +36,13 @@ Pole policy.  Evaluating exactly on (or numerically within ~1e-9 of) a pole
 raises PoleError carrying the pole location; the array kernels behind
 evaluate_grid flag those cells in a mask instead, so singular families still
 produce plottable grids.
+
+Two evaluation paths.  The scalar eval_* functions are the per-point API and
+hold the direct physical formulas, which verify's finite-difference residual
+samples.  The array path has one kernel per family (evaluate_grid) and, on
+the same argument and pole mask, one array jet: solution_jet gives
+(w, w', w'', w''') and physical_jet its chain-rule image, both with the
+(values, pole) contract of evaluate_grid.
 """
 
 from __future__ import annotations
@@ -53,6 +60,7 @@ from .params import (
     PhysicalParams,
     ReducedParams,
     reduce,
+    require_finite,
     to_physical_amplitude,
     to_reduced_coordinate,
 )
@@ -66,40 +74,6 @@ POLE_TOL = 1e-9
 # so that a velocity supplied through a lossy channel (CLI flag, JSON) still
 # lands on the degenerate family it was aimed at.
 _DISCRIMINANT_SNAP = 1e-13
-
-_SATURATE_RE = 20.0  # |tanh(20)| differs from 1 by ~8.5e-18: one ulp
-
-
-def stable_tanh(z: complex) -> complex:
-    """Complex tanh, saturating explicitly for large |Re z|.
-
-    For |Re z| > 20 the value is computed from exp(-2|Re z|...) directly so
-    that arguments with |Re z| > 700 cannot overflow; inside that band the
-    library implementation is already well conditioned.
-    """
-    x = z.real
-    if x > _SATURATE_RE:
-        e = cmath.exp(-2.0 * z)  # |e| <= exp(-40), no overflow possible
-        return (1.0 - e) / (1.0 + e)
-    if x < -_SATURATE_RE:
-        e = cmath.exp(2.0 * z)
-        return (e - 1.0) / (e + 1.0)
-    return cmath.tanh(z)
-
-
-def stable_coth(z: complex) -> complex:
-    """Complex coth with the same saturating tail treatment as stable_tanh."""
-    x = z.real
-    if x > _SATURATE_RE:
-        e = cmath.exp(-2.0 * z)
-        return (1.0 + e) / (1.0 - e)
-    if x < -_SATURATE_RE:
-        e = cmath.exp(2.0 * z)
-        return (e + 1.0) / (e - 1.0)
-    t = cmath.tanh(z)
-    if t == 0:  # only reachable if a pole slipped past the distance check
-        raise PoleError("coth evaluated exactly on a pole", z)
-    return 1.0 / t
 
 
 def _tanh_pole_distance(z: complex) -> tuple[float, complex]:
@@ -231,6 +205,7 @@ def universal_solution(
     """Build a KdVB universal kink (regular = tanh, singular = coth)."""
     if family not in _KDVB_FAMILIES:
         raise ParameterDomainError(f"not a KdVB universal family: {family}")
+    require_finite(delta=delta, theta0=theta0)
     fact = factorize_kdvb(delta, _paired_branch(family))
     reduced = ReducedParams(p=fact.p, q=0.0, delta=delta, k=fact.k, theta0=theta0)
     eps = _epsilon_of(physical) if physical is not None else None
@@ -257,6 +232,7 @@ def compound_solution(
     """Build a compound kink for explicit reduced coefficients (p, q)."""
     if family not in _COMPOUND_FAMILIES:
         raise ParameterDomainError(f"not a compound kink family: {family}")
+    require_finite(p=p, q=q, theta0=theta0)
     root = compound_discriminant_root(p, q)  # validates q and the regime
     if q < 0:
         raise UnsupportedDomainError("compound kinks require q > 0 for a real amplitude")
@@ -303,6 +279,7 @@ def rational_solution(
     """
     if family not in _RATIONAL_FAMILIES and family is not Family.CONSTANT:
         raise ParameterDomainError(f"not a rational-type family: {family}")
+    require_finite(q=q, k0=k0)
     if q == 0:
         raise ParameterDomainError("rational families require q != 0")
     if q < 0:
@@ -361,19 +338,18 @@ def eval_universal(family: Family, theta: complex, theta0: complex = 0j) -> comp
     """
     if family not in _KDVB_FAMILIES:
         raise ParameterDomainError(f"not a KdVB universal family: {family}")
-    z = (complex(theta) - complex(theta0)) / 10.0
-    if family is Family.KDVB_REGULAR:
-        dist, pole = _tanh_pole_distance(z)
-        hyp = stable_tanh
-    else:
-        dist, pole = _coth_pole_distance(z)
-        hyp = stable_coth
+    d = complex(theta) - complex(theta0)
+    if cmath.isnan(d):
+        raise ParameterDomainError("theta and theta0 must not be NaN")
+    z = complex(d.real / 10.0, d.imag / 10.0)  # by parts: a real infinite theta keeps Im z = 0
+    singular = family is Family.KDVB_SINGULAR
+    dist, pole = (_coth_pole_distance if singular else _tanh_pole_distance)(z)
     if dist < POLE_TOL:
         raise PoleError(
             f"universal {family.value} solution has a pole at theta = {theta0 + 10.0 * pole}",
             theta0 + 10.0 * pole,
         )
-    T = hyp(z)
+    T = 1.0 / cmath.tanh(z) if singular else cmath.tanh(z)
     return (3.0 / 50.0) * (1.0 + T) ** 2
 
 
@@ -391,16 +367,12 @@ def eval_kdvb_physical(
         raise ParameterDomainError(f"not a KdVB universal family: {family}")
     s, mu, alpha, v = params.s, params.mu, params.alpha, params.v
     z = mu * (x - v * t - params.xi0) / (10.0 * s)
-    if family is Family.KDVB_REGULAR:
-        dist, pole = _tanh_pole_distance(complex(z))
-        hyp = stable_tanh
-    else:
-        dist, pole = _coth_pole_distance(complex(z))
-        hyp = stable_coth
+    singular = family is Family.KDVB_SINGULAR
+    dist, pole = (_coth_pole_distance if singular else _tanh_pole_distance)(complex(z))
     if dist < POLE_TOL * max(1.0, abs(mu / (10.0 * s))):
         x_pole = (10.0 * s / mu) * pole + v * t + params.xi0
         raise PoleError(f"pole of the singular kink at x = {x_pole}", x_pole)
-    T = hyp(complex(z))
+    T = 1.0 / cmath.tanh(z) if singular else cmath.tanh(z)
     return v / alpha + (3.0 * mu**2 / (25.0 * alpha * s)) * ((1.0 + T) ** 2 - 2.0)
 
 
@@ -422,12 +394,15 @@ def eval_compound(family: Family, theta: complex, reduced: ReducedParams) -> com
         b = -b
     if root == 0.0:
         return -1.0 / (3.0 * q) + b
-    z = root * (complex(theta) - complex(reduced.theta0)) / 6.0
+    d = complex(theta) - complex(reduced.theta0)
+    if cmath.isnan(d):
+        raise ParameterDomainError("theta must not be NaN")
+    z = complex(root * d.real / 6.0, root * d.imag / 6.0)  # by parts, as in eval_universal
     dist, pole = _tanh_pole_distance(z)
     if dist < POLE_TOL * max(1.0, root / 6.0):
         theta_pole = reduced.theta0 + 6.0 * pole / root
         raise PoleError(f"compound kink pole at theta = {theta_pole}", theta_pole)
-    return -1.0 / (3.0 * q) + b * (1.0 + root * stable_tanh(z))
+    return -1.0 / (3.0 * q) + b * (1.0 + root * cmath.tanh(z))
 
 
 def physical_discriminant_root(params: PhysicalParams) -> float:
@@ -480,7 +455,7 @@ def eval_compound_physical(
     if dist < POLE_TOL * max(1.0, abs(mu * root / (6.0 * s))):
         x_pole = (6.0 * s / (mu * root)) * pole + v * t + params.xi0
         raise PoleError(f"compound kink pole at x = {x_pole}", x_pole)
-    return -alpha / (2.0 * beta) + amp * (1.0 + root * stable_tanh(complex(z)))
+    return -alpha / (2.0 * beta) + amp * (1.0 + root * cmath.tanh(z))
 
 
 def _rational_branch_A(family: Family, q: float, sign: Sign = Sign.PLUS) -> float:
@@ -585,12 +560,19 @@ def eval_solution_physical(sol: WaveSolution, x: float, t: float) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# array kernels
+# array kernels and jets
 #
-# One kernel per family, on shifted coordinates zeta = theta - theta0.
-# ``rate`` = |d zeta / dx| of the caller's coordinate widens the pole
-# tolerance as the scalar evaluators widen it.  Pole cells are computed at a
-# stand-in argument off every pole, then overwritten: nothing divides by 0.
+# One kernel per family, on shifted coordinates zeta = theta - theta0.  It
+# returns the values, the pole mask and the family's argument: T = tanh or
+# coth for the kinks, g = A + k0*zeta for the rational family.  The family's
+# slopes differentiate its value polynomial through that argument (tanh and
+# coth both satisfy dT/dz = 1 - T^2), so the jet shares the kernel's argument
+# and pole mask.  ``rate`` = |d zeta / dx| of the caller's coordinate widens
+# the pole tolerance as the scalar evaluators widen it.  Pole cells are
+# computed at a stand-in argument off every pole, then overwritten with NaN:
+# nothing divides by 0.
+
+_NAN = complex(math.nan, math.nan)
 
 
 def _hyperbolic_poles(z: np.ndarray, offset: float, tol: float) -> np.ndarray:
@@ -606,30 +588,80 @@ def _kdvb_kernel(sol: WaveSolution, zeta: np.ndarray, rate: float):
     T = np.tanh(np.where(pole, 1.0, z))
     if singular:
         T = 1.0 / T
-    return (3.0 / 50.0) * (1.0 + T) ** 2, pole
+    return (3.0 / 50.0) * (1.0 + T) ** 2, pole, T
+
+
+def _kdvb_slopes(sol: WaveSolution, T: np.ndarray):
+    """First three derivatives of (3/50)*(1 + T)^2, with dT/dzeta = (1 - T^2)/10."""
+    c, S = 3.0 / 50.0, 1.0 - T * T
+    return (
+        (c / 5.0) * (1.0 + T) * S,
+        (c / 50.0) * S * (1.0 - 2.0 * T - 3.0 * T * T),
+        (c / 250.0) * S * (6.0 * T**3 + 3.0 * T * T - 4.0 * T - 1.0),
+    )
+
+
+def _compound_b(sol: WaveSolution) -> float:
+    b = 1.0 / (3.0 * math.sqrt(2.0 * sol.reduced.q))
+    return -b if sol.family is Family.COMPOUND_TANH_MINUS else b
 
 
 def _compound_kernel(sol: WaveSolution, zeta: np.ndarray, rate: float):
-    q, root = sol.reduced.q, sol.Delta
-    b = 1.0 / (3.0 * math.sqrt(2.0 * q))
-    if sol.family is Family.COMPOUND_TANH_MINUS:
-        b = -b
-    if root == 0.0:
-        return np.full(zeta.shape, complex(-1.0 / (3.0 * q) + b)), np.zeros(zeta.shape, bool)
+    # at Delta = 0 the argument is 0 everywhere and the value the paired constant
+    root = sol.Delta
     z = root * zeta / 6.0
     pole = _hyperbolic_poles(z, 0.5, POLE_TOL * max(1.0, root * rate / 6.0))
-    return -1.0 / (3.0 * q) + b * (1.0 + root * np.tanh(np.where(pole, 0.0, z))), pole
+    T = np.tanh(np.where(pole, 0.0, z))
+    return -1.0 / (3.0 * sol.reduced.q) + _compound_b(sol) * (1.0 + root * T), pole, T
+
+
+def _compound_slopes(sol: WaveSolution, T: np.ndarray):
+    """First three derivatives of b*Delta*T, with T = tanh(Delta*zeta/6)."""
+    b, root, S = _compound_b(sol), sol.Delta, 1.0 - T * T
+    return (
+        b * root**2 * S / 6.0,
+        -b * root**3 * T * S / 18.0,
+        -b * root**4 * S * (1.0 - 3.0 * T * T) / 108.0,
+    )
 
 
 def _rational_kernel(sol: WaveSolution, zeta: np.ndarray, rate: float):
     A = _rational_branch_A(sol.family, sol.reduced.q, sol.sign)
-    const = -(A + 1.0) / (6.0 * A * A)
     k0 = sol.k0 or 0.0
-    if k0 == 0:
-        return np.full(zeta.shape, complex(const)), np.zeros(zeta.shape, bool)
     # absolute in theta whatever the coordinate, as in eval_rational_physical
-    pole = np.abs(zeta - (-A / k0)) < POLE_TOL
-    return -(k0 / A) / (A + k0 * np.where(pole, 0.0, zeta)) + const, pole
+    pole = np.abs(zeta - (-A / k0)) < POLE_TOL if k0 else np.zeros(zeta.shape, bool)
+    g = A + k0 * np.where(pole, 0.0, zeta)
+    const = -(A + 1.0) / (6.0 * A * A)  # added, not subtracted: Im stays +0 at k0 = 0
+    return -(k0 / A) / g + const, pole, g
+
+
+def _rational_slopes(sol: WaveSolution, g: np.ndarray):
+    """First three derivatives of -(k0/A)/g, with g = A + k0*zeta."""
+    A = _rational_branch_A(sol.family, sol.reduced.q, sol.sign)
+    k0 = sol.k0 or 0.0
+    return k0 * k0 / (A * g * g), -2.0 * k0**3 / (A * g**3), 6.0 * k0**4 / (A * g**4)
+
+
+def _family_kernel(sol: WaveSolution):
+    """(kernel, slopes) of the solution's family."""
+    if sol.family in _KDVB_FAMILIES:
+        return _kdvb_kernel, _kdvb_slopes
+    if sol.family in _COMPOUND_FAMILIES:
+        return _compound_kernel, _compound_slopes
+    return _rational_kernel, _rational_slopes
+
+
+def _shifted(sol: WaveSolution, grid, t) -> tuple[np.ndarray, float]:
+    """zeta = theta - theta0 on a grid of theta (t None) or of x at times t, and |d zeta/d grid|."""
+    if t is None:
+        return np.asarray(np.asarray(grid) - sol.reduced.theta0, dtype=complex), 1.0
+    pp = sol.physical
+    if pp is None:
+        raise ParameterDomainError("solution carries no physical coefficients")
+    if not np.isfinite(t).all():
+        raise ParameterDomainError("time t must be finite")
+    zeta = to_reduced_coordinate(np.asarray(grid), t, pp)
+    return np.asarray(zeta, dtype=complex), abs(pp.mu / pp.s)
 
 
 def evaluate_grid(
@@ -644,115 +676,45 @@ def evaluate_grid(
     unknown.  ``pole`` flags the cells where the scalar evaluators raise
     PoleError; their values are NaN + NaN*i.
     """
-    if t is None:
-        zeta, rate = np.asarray(grid) - sol.reduced.theta0, 1.0
-    else:
-        pp = sol.physical
-        if pp is None:
-            raise ParameterDomainError("solution carries no physical coefficients")
-        zeta, rate = to_reduced_coordinate(np.asarray(grid), t, pp), abs(pp.mu / pp.s)
-    f = sol.family
-    kernel = _kdvb_kernel if f in _KDVB_FAMILIES else (
-        _compound_kernel if f in _COMPOUND_FAMILIES else _rational_kernel)
-    values, pole = kernel(sol, np.asarray(zeta, dtype=complex), rate)
+    zeta, rate = _shifted(sol, grid, t)
+    values, pole, _ = _family_kernel(sol)[0](sol, zeta, rate)
     if t is not None:
-        values = to_physical_amplitude(values + (sol.reduced.delta or 0.0), pp)
-    return np.where(pole, complex(math.nan, math.nan), values), pole
+        values = to_physical_amplitude(values + (sol.reduced.delta or 0.0), sol.physical)
+    return np.where(pole, _NAN, values), pole
 
 
-# ---------------------------------------------------------------------------
-# analytic jets (closed-form derivatives, hand-differentiated)
-#
-# Both tanh and coth satisfy T' = (1 - T^2) * (argument rate), which is why a
-# single polynomial-in-T form covers the regular and singular families.
+def _jet(sol: WaveSolution, grid, t):
+    zeta, rate = _shifted(sol, grid, t)
+    kernel, slopes = _family_kernel(sol)
+    U, pole, argument = kernel(sol, zeta, rate)
+    jet = (U + (sol.reduced.delta or 0.0), *slopes(sol, argument))
+    return tuple(np.where(pole, _NAN, d) for d in jet), pole
 
 
-def universal_jet(
-    family: Family, theta: complex, theta0: complex = 0j
-) -> tuple[complex, complex, complex, complex]:
-    """(U, U', U'', U''') for the universal kinks, derivatives in theta."""
-    U = eval_universal(family, theta, theta0)  # reuses the pole check
-    z = (complex(theta) - complex(theta0)) / 10.0
-    T = stable_tanh(z) if family is Family.KDVB_REGULAR else stable_coth(z)
-    c = 3.0 / 50.0
-    S = 1.0 - T * T
-    U1 = (c / 5.0) * (1.0 + T) * S
-    U2 = (c / 50.0) * S * (1.0 - 2.0 * T - 3.0 * T * T)
-    U3 = (c / 250.0) * S * (6.0 * T**3 + 3.0 * T * T - 4.0 * T - 1.0)
-    return U, U1, U2, U3
+def solution_jet(sol: WaveSolution, theta) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """((w, w', w'', w'''), pole) of the first-integral unknown at reduced coordinates.
 
-
-def compound_jet(
-    family: Family, theta: complex, reduced: ReducedParams
-) -> tuple[complex, complex, complex, complex]:
-    """(U, U', U'', U''') for the compound kinks."""
-    U = eval_compound(family, theta, reduced)
-    q = reduced.q
-    root = compound_discriminant_root(reduced.p, q)
-    b = 1.0 / (3.0 * math.sqrt(2.0 * q))
-    if family is Family.COMPOUND_TANH_MINUS:
-        b = -b
-    if root == 0.0:
-        return U, 0j, 0j, 0j
-    T = stable_tanh(root * (complex(theta) - complex(reduced.theta0)) / 6.0)
-    S = 1.0 - T * T
-    U1 = b * root**2 * S / 6.0
-    U2 = -b * root**3 * T * S / 18.0
-    U3 = -b * root**4 * S * (1.0 - 3.0 * T * T) / 108.0
-    return U, U1, U2, U3
-
-
-def rational_jet(
-    family: Family, theta: complex, q: float, k0: float, sign: Sign = Sign.PLUS
-) -> tuple[complex, complex, complex, complex]:
-    """(U, U', U'', U''') for the rational/constant families."""
-    U = eval_rational(family, theta, q, k0, sign)
-    if k0 == 0:
-        return U, 0j, 0j, 0j
-    A = _rational_branch_A(family, q, sign)
-    g = A + k0 * complex(theta)
-    U1 = k0 * k0 / (A * g * g)
-    U2 = -2.0 * k0**3 / (A * g**3)
-    U3 = 6.0 * k0**4 / (A * g**4)
-    return U, U1, U2, U3
-
-
-def solution_jet(sol: WaveSolution, theta: complex) -> tuple[complex, complex, complex, complex]:
-    """(w, w', w'', w''') of the first-integral unknown for any family.
-
-    For the KdVB families the first-integral variable is the displaced
-    w = U + delta; elsewhere w = U.
+    w = U + delta for the KdVB families and w = U elsewhere; derivatives are
+    in theta.  ``theta`` is an array or a scalar (0-d results).  As in
+    evaluate_grid, ``pole`` flags the cells on a pole, and every component
+    is NaN + NaN*i there.
     """
-    f = sol.family
-    if f in _KDVB_FAMILIES:
-        U, U1, U2, U3 = universal_jet(f, theta, sol.reduced.theta0)
-        return U + (sol.reduced.delta or 0.0), U1, U2, U3
-    if f in _COMPOUND_FAMILIES:
-        return compound_jet(f, theta, sol.reduced)
-    return rational_jet(f, theta, sol.reduced.q, sol.k0 or 0.0, sol.sign)
+    return _jet(sol, theta, None)
 
 
-def physical_jet(
-    sol: WaveSolution, x: float, t: float
-) -> tuple[complex, complex, complex, complex, complex]:
-    """(u, u_x, u_xx, u_xxx, u_t) from the closed form, by the chain rule.
+def physical_jet(sol: WaveSolution, x, t) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """((u, u_x, u_xx, u_xxx, u_t), pole) at (x, t), by the chain rule on the jet.
 
-    u = (2*mu^2/(alpha*s)) * w(theta(x, t)) with theta linear in x and t, so
-    every x-derivative is a power of mu/s and u_t = -v * u_x (travelling wave).
+    u = to_physical_amplitude(w(theta)) with theta = to_reduced_coordinate(x, t)
+    linear in x and t, so the n-th x-derivative carries (mu/s)^n and
+    u_t = -v * u_x (travelling wave).  x and t broadcast; u and ``pole``
+    equal evaluate_grid's at time t.
     """
-    if sol.physical is None:
-        raise ParameterDomainError("solution carries no physical coefficients")
+    jet, pole = _jet(sol, x, t)  # raises for a solution without physical coefficients
     pp = sol.physical
-    theta = to_reduced_coordinate(x, t, pp)
-    w, w1, w2, w3 = solution_jet(sol, theta)
-    G = 2.0 * pp.mu**2 / (pp.alpha * pp.s)
     m = pp.mu / pp.s
-    u = G * w
-    ux = G * w1 * m
-    uxx = G * w2 * m * m
-    uxxx = G * w3 * m**3
-    ut = -pp.v * ux
-    return u, ux, uxx, uxxx, ut
+    u, ux, uxx, uxxx = (to_physical_amplitude(d * m**n, pp) for n, d in enumerate(jet))
+    return (u, ux, uxx, uxxx, -pp.v * ux), pole
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,14 @@
 
 Three mutually independent error channels:
 
-1. Residuals of the governing equations, evaluated with the closed form's
-   hand-differentiated derivatives (first integral, third-order form) or
-   with finite differences on the physical PDE.  Analytic and FD modes of
-   the PDE residual are separate code paths on purpose; their disagreement
-   is itself a test failure.
+1. Residuals of the governing equations, on arrays: the closed form's
+   array jet (first integral, third-order form, analytic PDE), or
+   finite-difference stencils over arrays sampled from the direct physical
+   formulas (eval_solution_physical, point by point, not the array kernels).
+   Analytic and FD modes of the PDE residual are separate code paths on
+   purpose; their disagreement is itself a test failure.  One reducer
+   (_report) turns every residual array and its pole mask into a
+   ResidualReport.
 
 2. A classical fixed-step Runge-Kutta oracle for the compatible first-order
    equations (Bernoulli and Riccati).  The oracle knows nothing about the
@@ -44,12 +47,11 @@ from .params import PhysicalParams, ReducedParams, reduce
 from .solutions import (
     Family,
     WaveSolution,
+    compound_solution,
     compound_solution_from_physical,
     constant_solution,
-    eval_compound,
-    eval_rational,
     eval_solution_physical,
-    eval_universal,
+    evaluate_grid,
     kdvb_solution_from_physical,
     locked_rational_velocity,
     physical_jet,
@@ -88,6 +90,37 @@ class ResidualReport:
             raise ValueError("residual statistics must satisfy max_abs >= mean_abs >= 0")
 
 
+def _report(
+    residual: np.ndarray,
+    points: np.ndarray,
+    pole: np.ndarray,
+    equation: EquationTag,
+    warning: str | None = None,
+) -> ResidualReport:
+    """Statistics of |residual| over the points off the pole mask.
+
+    The worst point is the first maximum.  The mean is capped at the maximum,
+    because the float mean of equal values can round above them.
+    """
+    keep = ~pole
+    n = int(np.count_nonzero(keep))
+    if n == 0:
+        raise ParameterDomainError("every grid point sat on a pole; nothing to verify")
+    r, points = np.abs(residual[keep]), points[keep]
+    i = int(np.argmax(r))
+    with np.errstate(over="ignore"):  # a sum past the float range still caps to max_abs
+        mean_abs = min(float(np.mean(r)), float(r[i]))
+    return ResidualReport(
+        max_abs=float(r[i]),
+        mean_abs=mean_abs,
+        worst_point=complex(points[i]),
+        n_samples=n,
+        equation=equation,
+        n_poles=pole.size - n,
+        warning=warning,
+    )
+
+
 def residual_first_integral(
     sol: WaveSolution, theta_grid: Sequence[complex], scale: float = 1.0
 ) -> ResidualReport:
@@ -101,39 +134,17 @@ def residual_first_integral(
     p, q, k = sol.reduced.p, sol.reduced.q, sol.reduced.k
     if k is None:
         raise ParameterDomainError("solution has no integration constant k")
-    max_abs = 0.0
-    total = 0.0
-    worst = 0j
-    n = 0
-    n_poles = 0
-    for theta in theta_grid:
-        try:
-            w, w1, w2, _ = solution_jet(sol, theta)
-        except PoleError:
-            n_poles += 1
-            continue
-        w, w1, w2 = scale * w, scale * w1, scale * w2
-        r = abs(w2 - w1 + (p * w - w * w - q * w**3) - k)
-        total += r
-        n += 1
-        if r > max_abs:
-            max_abs = r
-            worst = complex(theta)
-    if n == 0:
-        raise ParameterDomainError("every grid point sat on a pole; nothing to verify")
-    return ResidualReport(
-        max_abs=max_abs,
-        mean_abs=total / n,
-        worst_point=worst,
-        n_samples=n,
-        equation=EquationTag.ODE_FIRST_INTEGRAL,
-        n_poles=n_poles,
-    )
+    theta = np.asarray(theta_grid)
+    jet, pole = solution_jet(sol, theta)
+    w, w1, w2, _ = (scale * d for d in jet)
+    residual = w2 - w1 + (p * w - w * w - q * w**3) - k
+    return _report(residual, theta, pole, EquationTag.ODE_FIRST_INTEGRAL)
 
 
 def _pde_terms(
-    params: PhysicalParams, u: complex, ux: complex, uxx: complex, uxxx: complex, ut: complex
-) -> complex:
+    params: PhysicalParams,
+    u: np.ndarray, ux: np.ndarray, uxx: np.ndarray, uxxx: np.ndarray, ut: np.ndarray,
+) -> np.ndarray:
     return (
         ut
         - params.s * uxxx
@@ -154,6 +165,22 @@ def _kink_width(sol: WaveSolution) -> float | None:
     return None
 
 
+def _physical_samples(sol: WaveSolution, x: np.ndarray, t: np.ndarray):
+    """(values, pole) of the direct physical formulas (eval_solution_physical) at each (x, t).
+
+    Point by point on purpose: this keeps the finite-difference channel
+    independent of the array kernels.  A PoleError becomes a flag, its value NaN.
+    """
+    values = np.full(x.shape, complex(math.nan, math.nan))
+    pole = np.zeros(x.shape, bool)
+    for i, (xi, ti) in enumerate(zip(x.tolist(), t.tolist())):
+        try:
+            values[i] = eval_solution_physical(sol, xi, ti)
+        except PoleError:
+            pole[i] = True
+    return values, pole
+
+
 def residual_pde(
     sol: WaveSolution,
     xt_grid: Sequence[tuple[float, float]],
@@ -163,10 +190,12 @@ def residual_pde(
 ) -> ResidualReport:
     """PDE residual u_t - s*u_xxx + mu*u_xx + alpha*u*u_x + beta*u^2*u_x.
 
-    mode "fd": five-point central stencils of the evaluated closed form,
-    fourth-order in u_x/u_xx/u_t and second-order in u_xxx (so the observed
-    convergence is O(h^2)).  mode "analytic": the hand-differentiated jet.
-    A warning is attached when h under-resolves the kink width.
+    mode "fd": five-point central stencils over the direct physical formulas,
+    sampled at the nine nodes around each point; fourth-order in
+    u_x/u_xx/u_t and second-order in u_xxx (so the observed convergence is
+    O(h^2)).  A point counts as a pole when any of its nodes is one.
+    mode "analytic": the chain-rule jet (physical_jet).  A warning is
+    attached when h under-resolves the kink width.
     """
     pp = sol.physical
     if pp is None:
@@ -185,58 +214,25 @@ def residual_pde(
             "finite-difference truncation may dominate"
         )
 
-    def value(x: float, t: float) -> complex:
-        return scale * eval_solution_physical(sol, x, t)
-
-    max_abs = 0.0
-    total = 0.0
-    worst = 0j
-    n = 0
-    n_poles = 0
-    for x, t in xt_grid:
-        try:
-            if mode == "analytic":
-                u, ux, uxx, uxxx, ut = physical_jet(sol, x, t)
-                u, ux, uxx, uxxx, ut = (scale * u, scale * ux, scale * uxx, scale * uxxx, scale * ut)
-            else:
-                um2, um1, u0, up1, up2 = (
-                    value(x - 2 * h, t),
-                    value(x - h, t),
-                    value(x, t),
-                    value(x + h, t),
-                    value(x + 2 * h, t),
-                )
-                tm2, tm1, tp1, tp2 = (
-                    value(x, t - 2 * h),
-                    value(x, t - h),
-                    value(x, t + h),
-                    value(x, t + 2 * h),
-                )
-                u = u0
-                ux = (-up2 + 8 * up1 - 8 * um1 + um2) / (12 * h)
-                uxx = (-up2 + 16 * up1 - 30 * u0 + 16 * um1 - um2) / (12 * h * h)
-                uxxx = (up2 - 2 * up1 + 2 * um1 - um2) / (2 * h**3)
-                ut = (-tp2 + 8 * tp1 - 8 * tm1 + tm2) / (12 * h)
-        except PoleError:
-            n_poles += 1
-            continue
-        r = abs(_pde_terms(pp, u, ux, uxx, uxxx, ut))
-        total += r
-        n += 1
-        if r > max_abs:
-            max_abs = r
-            worst = complex(x, t)
-    if n == 0:
-        raise ParameterDomainError("every grid point sat on a pole; nothing to verify")
-    return ResidualReport(
-        max_abs=max_abs,
-        mean_abs=total / n,
-        worst_point=worst,
-        n_samples=n,
-        equation=tag,
-        n_poles=n_poles,
-        warning=warning,
-    )
+    xt = np.asarray(xt_grid, dtype=float).reshape(-1, 2)
+    x, t = xt[:, 0], xt[:, 1]
+    if mode == "analytic":
+        jet, pole = physical_jet(sol, x, t)
+        u, ux, uxx, uxxx, ut = (scale * d for d in jet)
+    else:
+        values, pole = _physical_samples(
+            sol,
+            np.concatenate([x - 2 * h, x - h, x, x + h, x + 2 * h, x, x, x, x]),
+            np.concatenate([t, t, t, t, t, t - 2 * h, t - h, t + h, t + 2 * h]),
+        )
+        um2, um1, u0, up1, up2, tm2, tm1, tp1, tp2 = scale * values.reshape(9, -1)
+        pole = pole.reshape(9, -1).any(axis=0)
+        u = u0
+        ux = (-up2 + 8 * up1 - 8 * um1 + um2) / (12 * h)
+        uxx = (-up2 + 16 * up1 - 30 * u0 + 16 * um1 - um2) / (12 * h * h)
+        uxxx = (up2 - 2 * up1 + 2 * um1 - um2) / (2 * h**3)
+        ut = (-tp2 + 8 * tp1 - 8 * tm1 + tm2) / (12 * h)
+    return _report(_pde_terms(pp, u, ux, uxx, uxxx, ut), x + 1j * t, pole, tag, warning)
 
 
 def check_first_integral_consistency(
@@ -253,36 +249,12 @@ def check_first_integral_consistency(
     coefficient structure, which is exactly what this check pins down.
     """
     p, q = sol.reduced.p, sol.reduced.q
-    max_abs = 0.0
-    total = 0.0
-    worst = 0j
-    n = 0
-    n_poles = 0
-    for theta in theta_grid:
-        try:
-            w, w1, w2, w3 = solution_jet(sol, theta)
-        except PoleError:
-            n_poles += 1
-            continue
-        w, w1, w2, w3 = scale * w, scale * w1, scale * w2, scale * w3
-        lhs = w3 - w2 + p * w1 - 2.0 * w * w1 - 3.0 * q * w * w * w1
-        rhs = w3 - w2 + (p - 2.0 * w - 3.0 * q * w * w) * w1
-        r = abs(lhs - rhs)
-        total += r
-        n += 1
-        if r > max_abs:
-            max_abs = r
-            worst = complex(theta)
-    if n == 0:
-        raise ParameterDomainError("every grid point sat on a pole; nothing to verify")
-    return ResidualReport(
-        max_abs=max_abs,
-        mean_abs=total / n,
-        worst_point=worst,
-        n_samples=n,
-        equation=EquationTag.ODE_THIRD_ORDER,
-        n_poles=n_poles,
-    )
+    theta = np.asarray(theta_grid)
+    jet, pole = solution_jet(sol, theta)
+    w, w1, w2, w3 = (scale * d for d in jet)
+    lhs = w3 - w2 + p * w1 - 2.0 * w * w1 - 3.0 * q * w * w * w1
+    rhs = w3 - w2 + (p - 2.0 * w - 3.0 * q * w * w) * w1
+    return _report(lhs - rhs, theta, pole, EquationTag.ODE_THIRD_ORDER)
 
 
 # ---------------------------------------------------------------------------
@@ -386,18 +358,17 @@ def _shifted_reciprocal_pde_residual(
     Every candidate spelling of the physical rational solution has this
     shape, so one exact derivative computation covers them all.
     """
-    worst = 0.0
-    for x in x_grid:
-        g = d + e * (x - params.v * t - params.xi0)
-        if abs(g) < 1e-6:
-            continue
-        u = offset + c / g
-        ux = -c * e / g**2
-        uxx = 2.0 * c * e**2 / g**3
-        uxxx = -6.0 * c * e**3 / g**4
-        ut = c * e * params.v / g**2
-        worst = max(worst, abs(_pde_terms(params, u, ux, uxx, uxxx, ut)))
-    return worst
+    x = np.asarray(x_grid)
+    g = d + e * (x - params.v * t - params.xi0)
+    near = np.abs(g) < 1e-6
+    g = np.where(near, 1.0, g)
+    u = offset + c / g
+    ux = -c * e / g**2
+    uxx = 2.0 * c * e**2 / g**3
+    uxxx = -6.0 * c * e**3 / g**4
+    ut = c * e * params.v / g**2
+    residual = _pde_terms(params, u, ux, uxx, uxxx, ut)
+    return _report(residual, x, near, EquationTag.PDE_COMPOUND_KDVB).max_abs
 
 
 def rational_form_audit(params: PhysicalParams, k0: float = 1.0) -> list[AuditFinding]:
@@ -430,84 +401,41 @@ def rational_form_audit(params: PhysicalParams, k0: float = 1.0) -> list[AuditFi
     root6 = math.sqrt(6.0 * s * beta * alpha**2)
 
     # sampling: to the right of the pole of the plus branch for k0 > 0
-    x_grid = list(np.linspace(2.0, 12.0, 41))
-    t = 0.7
-    findings: list[AuditFinding] = []
+    x, t = np.linspace(2.0, 12.0, 41), 0.7
 
-    r_exact = _shifted_reciprocal_pde_residual(
-        pp, offset, -6.0 * alpha * s * k0, 2.0 * beta * s, k0 * root6, x_grid, t
-    )
-    findings.append(
-        AuditFinding(
-            name="locked-velocity-form",
-            verdict="CONSISTENT" if r_exact < 1e-9 else "DISCREPANT",
-            measured=r_exact,
-            detail="exact image of the reduced rational solution; PDE residual should vanish",
-        )
-    )
+    def finding(name: str, measured: float, threshold: float, detail: str) -> AuditFinding:
+        verdict = "CONSISTENT" if measured < threshold else "DISCREPANT"
+        return AuditFinding(name=name, verdict=verdict, measured=measured, detail=detail)
 
-    r_mu = _shifted_reciprocal_pde_residual(
-        pp, offset, -6.0 * alpha * mu * k0, 2.0 * beta * mu, k0 * root6, x_grid, t
-    )
-    findings.append(
-        AuditFinding(
-            name="mu-weighted-variant",
-            verdict="CONSISTENT" if r_mu < 1e-9 else "DISCREPANT",
-            measured=r_mu,
-            detail=(
-                "rational term weighted by mu instead of s; algebraically equal to the "
-                "exact form only when mu == s or k0 == 0"
-            ),
-        )
-    )
-
-    # epsilon variant: -(alpha/(2 beta)) * 6 eps k0 / (eps + k0 X)
-    r_eps = _shifted_reciprocal_pde_residual(
-        pp, offset, -(alpha / (2.0 * beta)) * 6.0 * eps * k0, eps, k0, x_grid, t
-    )
-    findings.append(
-        AuditFinding(
-            name="epsilon-variant",
-            verdict="CONSISTENT" if r_eps < 1e-9 else "DISCREPANT",
-            measured=r_eps,
-            detail="epsilon-parameterized spelling; PDE residual measured directly",
-        )
-    )
+    def residual(c: float, d: float, e: float) -> float:
+        return _shifted_reciprocal_pde_residual(pp, offset, c, d, e, x, t)
 
     # mutual identity of the two non-exact spellings (they should coincide)
-    gap = 0.0
-    for x in x_grid:
-        X = x - pp.v * t
-        g_mu = 2.0 * beta * mu + k0 * root6 * X
-        g_eps = eps + k0 * X
-        if min(abs(g_mu), abs(g_eps)) < 1e-6:
-            continue
-        u_mu = offset - 6.0 * alpha * mu * k0 / g_mu
-        u_eps = offset - (alpha / (2.0 * beta)) * 6.0 * eps * k0 / g_eps
-        gap = max(gap, abs(u_mu - u_eps))
-    findings.append(
-        AuditFinding(
-            name="epsilon-equals-mu-weighted",
-            verdict="CONSISTENT" if gap < 1e-10 else "DISCREPANT",
-            measured=gap,
-            detail="the two alternate spellings are one and the same function",
-        )
-    )
-
+    X = x - pp.v * t
+    g_mu, g_eps = 2.0 * beta * mu + k0 * root6 * X, eps + k0 * X
+    near = np.minimum(np.abs(g_mu), np.abs(g_eps)) < 1e-6
+    u_mu = offset - 6.0 * alpha * mu * k0 / np.where(near, 1.0, g_mu)
+    u_eps = offset - (alpha / (2.0 * beta)) * 6.0 * eps * k0 / np.where(near, 1.0, g_eps)
+    gap = float(np.max(np.abs(u_mu - u_eps)[~near], initial=0.0))
     v_eps = (alpha / (2.0 * beta)) ** 2 * (eps**2 - 1.0)
-    v_gap = abs(v_eps - v_lock)
-    findings.append(
-        AuditFinding(
-            name="epsilon-variant-velocity",
-            verdict="CONSISTENT" if v_gap < 1e-12 * max(1.0, abs(v_lock)) else "DISCREPANT",
-            measured=v_gap,
-            detail=(
+    return [
+        finding("locked-velocity-form",
+                residual(-6.0 * alpha * s * k0, 2.0 * beta * s, k0 * root6), 1e-9,
+                "exact image of the reduced rational solution; PDE residual should vanish"),
+        finding("mu-weighted-variant",
+                residual(-6.0 * alpha * mu * k0, 2.0 * beta * mu, k0 * root6), 1e-9,
+                "rational term weighted by mu instead of s; algebraically equal to the "
+                "exact form only when mu == s or k0 == 0"),
+        # epsilon variant: -(alpha/(2 beta)) * 6 eps k0 / (eps + k0 X)
+        finding("epsilon-variant",
+                residual(-(alpha / (2.0 * beta)) * 6.0 * eps * k0, eps, k0), 1e-9,
+                "epsilon-parameterized spelling; PDE residual measured directly"),
+        finding("epsilon-equals-mu-weighted", gap, 1e-10,
+                "the two alternate spellings are one and the same function"),
+        finding("epsilon-variant-velocity", abs(v_eps - v_lock), 1e-12 * max(1.0, abs(v_lock)),
                 f"(alpha/(2 beta))^2*(eps^2 - 1) = {v_eps!r} vs locked velocity {v_lock!r}; "
-                "the two differ by the factor 1/beta, so they agree only at beta = 1"
-            ),
-        )
-    )
-    return findings
+                "the two differ by the factor 1/beta, so they agree only at beta = 1"),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -558,10 +486,12 @@ def _xt_grid(x_lo: float, x_hi: float, nx: int, times: Sequence[float]) -> list[
 
 
 def _outcome(name: str, value: float, tol: float, detail: str = "") -> CheckOutcome:
+    value = float(value)
     return CheckOutcome(name=name, max_abs=value, tol=tol, passed=value <= tol, detail=detail)
 
 
 def _ratio_outcome(name: str, ratio: float, lo: float, hi: float, detail: str = "") -> CheckOutcome:
+    ratio = float(ratio)
     ok = lo <= ratio <= hi
     return CheckOutcome(
         name=name,
@@ -584,9 +514,20 @@ def verification_suite(
     1 + perturb before the residual checks, turning them into negative
     controls.  The rational-form audit runs only under the
     compound-rational scope and ignores the perturbation.
+
+    Each family's repeated checks come from one loop over its row of the
+    probe table (first-integral, derivative-consistency, pde-fd,
+    pde-analytic, Riccati oracle endpoint, in the row's order); the checks
+    only one family has follow inline.  Closed-form values for the oracles,
+    the phase identity and the degenerate limit come from evaluate_grid;
+    the RK4 oracle itself knows nothing of the closed forms.
     """
     if scope not in SCOPES:
         raise ParameterDomainError(f"unknown scope {scope!r}; expected one of {SCOPES}")
+    if not math.isfinite(perturb):
+        raise ParameterDomainError(f"perturb must be finite; got {perturb!r}")
+    if tolerance is not None and not 0.0 <= tolerance < math.inf:
+        raise ParameterDomainError(f"tolerance must be finite and >= 0; got {tolerance!r}")
     tol_fact = tolerance if tolerance is not None else 1e-12
     tol_analytic = tolerance if tolerance is not None else 1e-9
     tol_fd = tolerance if tolerance is not None else 1e-5
@@ -600,6 +541,13 @@ def verification_suite(
 
     def want(*names: str) -> bool:
         return scope == "all" or scope in names
+
+    def fd_convergence(label: str, phys: WaveSolution, xt: list) -> list[CheckOutcome]:
+        seq = [residual_pde(phys, xt, h=hh, mode="fd").max_abs for hh in (1e-2, 5e-3, 2.5e-3)]
+        return [
+            _ratio_outcome(f"fd-convergence {label} (1e-2/5e-3)", seq[0] / seq[1], 3.5, 4.5),
+            _ratio_outcome(f"fd-convergence {label} (5e-3/2.5e-3)", seq[1] / seq[2], 3.5, 4.5),
+        ]
 
     if want("factorization"):
         rng = np.random.default_rng(2718)
@@ -626,257 +574,158 @@ def verification_suite(
                     worst = max(worst, res.max_product, res.max_closure)
         checks.append(_outcome("factorization-compound-conditions", worst, tol_fact))
 
-    if want("kdvb-regular"):
-        sol = universal_solution(Family.KDVB_REGULAR)
-        checks.append(
-            _outcome(
-                "first-integral kdvb-regular",
-                residual_first_integral(sol, grid, scale=scale).max_abs,
-                tol_analytic,
-            )
-        )
-        checks.append(
-            _outcome(
-                "derivative-consistency kdvb-regular",
-                check_first_integral_consistency(sol, grid, scale=scale).max_abs,
-                tol_analytic,
-            )
-        )
-        phys = kdvb_solution_from_physical(Family.KDVB_REGULAR, _KDVB_PROBE)
-        xt = _xt_grid(-3.0, 3.0, 21, [0.0, 0.3])
-        fd = residual_pde(phys, xt, h=1e-3, mode="fd", scale=scale)
-        an = residual_pde(phys, xt, mode="analytic", scale=scale)
-        checks.append(_outcome("pde-fd kdvb-regular", fd.max_abs, tol_fd))
-        checks.append(_outcome("pde-analytic kdvb-regular", an.max_abs, tol_analytic))
-        checks.append(
-            _outcome(
-                "pde-mode-agreement kdvb-regular",
-                abs(fd.max_abs - an.max_abs),
-                tol_fd,
-                "finite-difference and analytic residuals must agree to truncation level",
-            )
-        )
-        # oracle: closed form vs blind integration
-        traj = oracle_integrate_bernoulli(Sign.MINUS, 3.0 / 50.0, (0.0, 40.0), 0.01)
-        gap = abs(traj.endpoint - eval_universal(Family.KDVB_REGULAR, 40.0))
-        checks.append(_outcome("oracle bernoulli-minus endpoint", gap, tol_oracle))
-        errs = []
-        for hh in (0.5, 0.25):
-            tr = oracle_integrate_bernoulli(Sign.MINUS, 3.0 / 50.0, (0.0, 10.0), hh)
-            errs.append(abs(tr.endpoint - eval_universal(Family.KDVB_REGULAR, 10.0)))
-        checks.append(
-            _ratio_outcome(
-                "rk4-order bernoulli", errs[0] / errs[1], 12.0, 20.0,
-                "halving the step must cut the endpoint error ~16x",
-            )
-        )
-        # FD convergence order on the physical kink
-        seq = [
-            residual_pde(phys, xt, h=hh, mode="fd").max_abs for hh in (1e-2, 5e-3, 2.5e-3)
-        ]
-        checks.append(_ratio_outcome("fd-convergence kdvb (1e-2/5e-3)", seq[0] / seq[1], 3.5, 4.5))
-        checks.append(_ratio_outcome("fd-convergence kdvb (5e-3/2.5e-3)", seq[1] / seq[2], 3.5, 4.5))
-        # half-period phase identity between the two universal families
-        rng = np.random.default_rng(31)
-        pts = rng.uniform(-40.0, 40.0, 200)
-        pts = pts[np.abs(pts) > 0.5]  # keep clear of the shared pole at theta = 0
-        gap = max(
-            abs(
-                eval_universal(Family.KDVB_REGULAR, t, 5j * math.pi)
-                - eval_universal(Family.KDVB_SINGULAR, t, 0j)
-            )
-            for t in pts
-        )
-        checks.append(_outcome("phase-identity regular-to-singular", gap, 1e-10))
+    # the probe table, one row per family: the scopes that select it; the
+    # first-integral probes (name suffix, solution, theta grid), the first of
+    # which also feeds derivative-consistency and the Riccati oracle; the
+    # physical solution and its (x, t) grid; the repeated checks, in order
+    FI, DC, FD, AN, RICCATI, CONV = (
+        "first-integral", "derivative-consistency", "pde-fd", "pde-analytic",
+        "oracle riccati", "fd-convergence",
+    )
+    reg, sing = Family.KDVB_REGULAR, Family.KDVB_SINGULAR
+    kink_xt = _xt_grid(-3.0, 3.0, 21, [0.0, 0.3])
+    locked = PhysicalParams(
+        s=2.0, mu=1.0, alpha=3.0, beta=2.0, v=locked_rational_velocity(_COMPOUND_PROBE)
+    )
+    table = [
+        (("kdvb-regular",), [("", universal_solution(reg), grid)],
+         kdvb_solution_from_physical(reg, _KDVB_PROBE), kink_xt, (FI, DC, FD, AN)),
+        # the x grid stays on one side of the pole at x = v*t
+        (("kdvb-singular",), [("", universal_solution(sing), grid)],
+         kdvb_solution_from_physical(sing, _KDVB_PROBE), _xt_grid(1.0, 6.0, 21, [0.0]),
+         (FI, DC, AN)),
+        *(((fam.value,), [("", compound_solution_from_physical(fam, _FIG_COMPOUND), grid)],
+           compound_solution_from_physical(fam, _COMPOUND_PROBE), kink_xt, kinds)
+          for fam, kinds in ((Family.COMPOUND_TANH_PLUS, (FI, DC, FD, AN, CONV, RICCATI)),
+                             (Family.COMPOUND_TANH_MINUS, (FI, DC, FD, AN, RICCATI)))),
+        # the second probe samples the side of its pole away from the origin
+        *(((fam.value, "compound-rational"),
+           [(f" k0={k0:g}", rational_solution(fam, 0.5, k0), grid),
+            (f" k0={-2.0 * k0:g}", rational_solution(fam, 0.5, -2.0 * k0),
+             k0 * np.linspace(1.0, 10.0, 200))],
+           rational_solution_from_physical(fam, locked, k0), _xt_grid(3.0, 9.0, 31, [0.5]),
+           (FI, DC, RICCATI, AN))
+          for fam, k0 in ((Family.RATIONAL_PLUS, 1.0), (Family.RATIONAL_MINUS, -1.0))),
+        (("constant", "compound-rational"), [("", constant_solution(Sign.PLUS, 0.5), grid)],
+         constant_solution(Sign.PLUS, reduce(locked).q, physical=locked),
+         _xt_grid(-5.0, 5.0, 11, [0.0, 1.0]), (FI,)),
+    ]
 
-    if want("kdvb-singular"):
-        sol = universal_solution(Family.KDVB_SINGULAR)
-        checks.append(
-            _outcome(
-                "first-integral kdvb-singular",
-                residual_first_integral(sol, grid, scale=scale).max_abs,
-                tol_analytic,
-            )
-        )
-        checks.append(
-            _outcome(
-                "derivative-consistency kdvb-singular",
-                check_first_integral_consistency(sol, grid, scale=scale).max_abs,
-                tol_analytic,
-            )
-        )
-        phys = kdvb_solution_from_physical(Family.KDVB_SINGULAR, _KDVB_PROBE)
-        # stay on one side of the pole at x = v*t
-        xt = [(x, 0.0) for x in np.linspace(1.0, 6.0, 21)]
-        an = residual_pde(phys, xt, mode="analytic", scale=scale)
-        checks.append(_outcome("pde-analytic kdvb-singular", an.max_abs, tol_analytic))
-        traj = oracle_integrate_bernoulli(Sign.PLUS, 0.5, (0.0, 40.0), 0.01)
-        checks.append(
-            CheckOutcome(
-                name="oracle bernoulli-plus blow-up",
-                max_abs=0.0 if traj.blew_up else 1.0,
-                tol=0.5,
-                passed=traj.blew_up,
-                detail="the growing branch must reach the blow-up guard in finite theta",
-            )
-        )
-
-    for fam, scope_name in (
-        (Family.COMPOUND_TANH_PLUS, "compound-tanh-plus"),
-        (Family.COMPOUND_TANH_MINUS, "compound-tanh-minus"),
-    ):
-        if not want(scope_name):
+    for scopes, probes, phys, xt, kinds in table:
+        if not want(*scopes):
             continue
-        sol = compound_solution_from_physical(fam, _FIG_COMPOUND)
-        checks.append(
-            _outcome(
-                f"first-integral {scope_name}",
-                residual_first_integral(sol, grid, scale=scale).max_abs,
-                tol_analytic,
-            )
-        )
-        checks.append(
-            _outcome(
-                f"derivative-consistency {scope_name}",
-                check_first_integral_consistency(sol, grid, scale=scale).max_abs,
-                tol_analytic,
-            )
-        )
-        phys = compound_solution_from_physical(fam, _COMPOUND_PROBE)
-        xt = _xt_grid(-3.0, 3.0, 21, [0.0, 0.3])
-        fd = residual_pde(phys, xt, h=1e-3, mode="fd", scale=scale)
-        an = residual_pde(phys, xt, mode="analytic", scale=scale)
-        checks.append(_outcome(f"pde-fd {scope_name}", fd.max_abs, tol_fd))
-        checks.append(_outcome(f"pde-analytic {scope_name}", an.max_abs, tol_analytic))
-        if scope_name == "compound-tanh-plus":
-            seq = [
-                residual_pde(phys, xt, h=hh, mode="fd").max_abs for hh in (1e-2, 5e-3, 2.5e-3)
-            ]
+        name, (_, sol, theta) = scopes[0], probes[0]
+        pde: dict[str, ResidualReport] = {}
+        for kind in kinds:
+            if kind == FI:
+                for suffix, s, th in probes:
+                    r = residual_first_integral(s, th, scale=scale)
+                    checks.append(_outcome(f"{FI} {name}{suffix}", r.max_abs, tol_analytic))
+            elif kind == DC:
+                r = check_first_integral_consistency(sol, theta, scale=scale)
+                checks.append(_outcome(f"{DC} {name}", r.max_abs, tol_analytic))
+            elif kind == FD:
+                pde[kind] = residual_pde(phys, xt, h=1e-3, mode="fd", scale=scale)
+                checks.append(_outcome(f"{FD} {name}", pde[kind].max_abs, tol_fd))
+            elif kind == AN:
+                pde[kind] = residual_pde(phys, xt, mode="analytic", scale=scale)
+                checks.append(_outcome(f"{AN} {name}", pde[kind].max_abs, tol_analytic))
+            elif kind == RICCATI:
+                (u0, u10), _ = evaluate_grid(sol, np.array([0.0, 10.0]))
+                traj = oracle_integrate_riccati(
+                    factorize_compound(sol.reduced, sol.sign), u0, (0.0, 10.0), 0.005
+                )
+                checks.append(_outcome(f"{RICCATI} {name}", abs(traj.endpoint - u10), tol_oracle))
+            elif kind == CONV:
+                checks.extend(fd_convergence("compound", phys, xt))
+
+        if name == "kdvb-regular":
             checks.append(
-                _ratio_outcome("fd-convergence compound (1e-2/5e-3)", seq[0] / seq[1], 3.5, 4.5)
-            )
-            checks.append(
-                _ratio_outcome("fd-convergence compound (5e-3/2.5e-3)", seq[1] / seq[2], 3.5, 4.5)
-            )
-        fact = factorize_compound(sol.reduced, sol.sign)
-        U0 = eval_compound(fam, 0.0, sol.reduced)
-        traj = oracle_integrate_riccati(fact, U0, (0.0, 10.0), 0.005)
-        gap = abs(traj.endpoint - eval_compound(fam, 10.0, sol.reduced))
-        checks.append(_outcome(f"oracle riccati {scope_name}", gap, tol_oracle))
-        # the kink must collapse quadratically onto the branch-paired
-        # constant as the discriminant root goes to zero
-        q = sol.reduced.q
-        p0 = (1.0 - 2.0 / q) / 6.0
-        limit = eval_rational(Family.CONSTANT, 0.0, q, 0.0, sol.sign)
-        gaps = []
-        for root in (0.1, 0.05, 0.025):
-            rp = ReducedParams(p=p0 + root * root / 18.0, q=q)
-            gaps.append(
-                max(
-                    abs(eval_compound(fam, th, rp) - limit)
-                    for th in np.linspace(-10.0, 10.0, 101)
+                _outcome(
+                    "pde-mode-agreement kdvb-regular",
+                    abs(pde[FD].max_abs - pde[AN].max_abs),
+                    tol_fd,
+                    "finite-difference and analytic residuals must agree to truncation level",
                 )
             )
-        checks.append(
-            _ratio_outcome(
-                f"degenerate-limit {scope_name}", gaps[0] / gaps[1], 3.5, 4.5,
-                "gap to the paired constant must shrink quadratically in the root",
+            # oracle: closed form vs blind integration
+            (u40, u10), _ = evaluate_grid(sol, np.array([40.0, 10.0]))
+            traj = oracle_integrate_bernoulli(Sign.MINUS, 3.0 / 50.0, (0.0, 40.0), 0.01)
+            gap = abs(traj.endpoint - u40)
+            checks.append(_outcome("oracle bernoulli-minus endpoint", gap, tol_oracle))
+            errs = []
+            for hh in (0.5, 0.25):
+                tr = oracle_integrate_bernoulli(Sign.MINUS, 3.0 / 50.0, (0.0, 10.0), hh)
+                errs.append(abs(tr.endpoint - u10))
+            checks.append(
+                _ratio_outcome(
+                    "rk4-order bernoulli", errs[0] / errs[1], 12.0, 20.0,
+                    "halving the step must cut the endpoint error ~16x",
+                )
             )
-        )
-        checks.append(
-            _ratio_outcome(
-                f"degenerate-limit {scope_name} (second halving)",
-                gaps[1] / gaps[2], 3.5, 4.5,
+            # FD convergence order on the physical kink
+            checks.extend(fd_convergence("kdvb", phys, xt))
+            # half-period phase identity between the two universal families
+            rng = np.random.default_rng(31)
+            pts = rng.uniform(-40.0, 40.0, 200)
+            pts = pts[np.abs(pts) > 0.5]  # keep clear of the shared pole at theta = 0
+            shifted, _ = evaluate_grid(universal_solution(reg, theta0=5j * math.pi), pts)
+            singular, _ = evaluate_grid(universal_solution(sing), pts)
+            gap = float(np.max(np.abs(shifted - singular)))
+            checks.append(_outcome("phase-identity regular-to-singular", gap, 1e-10))
+        elif name == "kdvb-singular":
+            traj = oracle_integrate_bernoulli(Sign.PLUS, 0.5, (0.0, 40.0), 0.01)
+            checks.append(
+                CheckOutcome(
+                    name="oracle bernoulli-plus blow-up",
+                    max_abs=0.0 if traj.blew_up else 1.0,
+                    tol=0.5,
+                    passed=traj.blew_up,
+                    detail="the growing branch must reach the blow-up guard in finite theta",
+                )
             )
-        )
-
-    for fam, scope_name, kk in (
-        (Family.RATIONAL_PLUS, "rational-plus", 1.0),
-        (Family.RATIONAL_MINUS, "rational-minus", -1.0),
-    ):
-        if not want(scope_name, "compound-rational"):
-            continue
-        sol = rational_solution(fam, 0.5, kk)
-        checks.append(
-            _outcome(
-                f"first-integral {scope_name} k0={kk:g}",
-                residual_first_integral(sol, grid, scale=scale).max_abs,
-                tol_analytic,
+        elif name.startswith("compound"):
+            # the kink must collapse quadratically onto the branch-paired
+            # constant as the discriminant root goes to zero
+            q = sol.reduced.q
+            p0 = (1.0 - 2.0 / q) / 6.0
+            (limit,), _ = evaluate_grid(constant_solution(sol.sign, q), np.zeros(1))
+            thetas = np.linspace(-10.0, 10.0, 101)
+            gaps = []
+            for root in (0.1, 0.05, 0.025):
+                kink = compound_solution(sol.family, p0 + root * root / 18.0, q)
+                gaps.append(float(np.max(np.abs(evaluate_grid(kink, thetas)[0] - limit))))
+            checks.append(
+                _ratio_outcome(
+                    f"degenerate-limit {name}", gaps[0] / gaps[1], 3.5, 4.5,
+                    "gap to the paired constant must shrink quadratically in the root",
+                )
             )
-        )
-        sol2 = rational_solution(fam, 0.5, -2.0 * kk)
-        grid_right = np.linspace(1.0, 10.0, 200) * (1.0 if kk > 0 else -1.0)
-        checks.append(
-            _outcome(
-                f"first-integral {scope_name} k0={-2.0 * kk:g}",
-                residual_first_integral(sol2, grid_right, scale=scale).max_abs,
-                tol_analytic,
+            checks.append(
+                _ratio_outcome(
+                    f"degenerate-limit {name} (second halving)", gaps[1] / gaps[2], 3.5, 4.5
+                )
             )
-        )
-        checks.append(
-            _outcome(
-                f"derivative-consistency {scope_name}",
-                check_first_integral_consistency(sol, grid, scale=scale).max_abs,
-                tol_analytic,
+        elif name == "constant":
+            checks.append(
+                _outcome(
+                    "pde-fd constant",
+                    residual_pde(phys, xt, h=1e-2, mode="fd").max_abs,
+                    tol_analytic,
+                    "a constant solves the PDE at any mesh (stencil roundoff only)",
+                )
             )
-        )
-        fact = factorize_compound(sol.reduced, sol.sign)
-        U0 = eval_rational(fam, 0.0, 0.5, kk)
-        traj = oracle_integrate_riccati(fact, U0, (0.0, 10.0), 0.005)
-        gap = abs(traj.endpoint - eval_rational(fam, 10.0, 0.5, kk))
-        checks.append(_outcome(f"oracle riccati {scope_name}", gap, tol_oracle))
-        # physical form on the locked velocity
-        base = PhysicalParams(
-            s=2.0, mu=1.0, alpha=3.0, beta=2.0, v=locked_rational_velocity(_COMPOUND_PROBE)
-        )
-        physr = rational_solution_from_physical(fam, base, kk)
-        xt = [(x, 0.5) for x in np.linspace(3.0, 9.0, 31)]
-        checks.append(
-            _outcome(
-                f"pde-analytic {scope_name}",
-                residual_pde(physr, xt, mode="analytic", scale=scale).max_abs,
-                tol_analytic,
+            (u0,), _ = evaluate_grid(sol, np.zeros(1))
+            traj = oracle_integrate_riccati(
+                factorize_compound(sol.reduced, sol.sign), u0, (0.0, 20.0), 0.01
             )
-        )
-
-    if want("constant", "compound-rational"):
-        sol = constant_solution(Sign.PLUS, 0.5)
-        checks.append(
-            _outcome(
-                "first-integral constant",
-                residual_first_integral(sol, grid, scale=scale).max_abs,
-                tol_analytic,
+            drift = float(np.max(np.abs(traj.values - u0)))
+            checks.append(
+                _outcome("oracle riccati constant equilibrium", drift, tol_tight,
+                         "the constant is an equilibrium of the Riccati flow")
             )
-        )
-        base = PhysicalParams(
-            s=2.0, mu=1.0, alpha=3.0, beta=2.0, v=locked_rational_velocity(_COMPOUND_PROBE)
-        )
-        physc = constant_solution(Sign.PLUS, reduce(base).q, physical=base)
-        xt = _xt_grid(-5.0, 5.0, 11, [0.0, 1.0])
-        checks.append(
-            _outcome(
-                "pde-fd constant",
-                residual_pde(physc, xt, h=1e-2, mode="fd").max_abs,
-                tol_analytic,
-                "a constant solves the PDE at any mesh (stencil roundoff only)",
-            )
-        )
-        fact = factorize_compound(sol.reduced, sol.sign)
-        U0 = eval_rational(Family.CONSTANT, 0.0, 0.5, 0.0, Sign.PLUS)
-        traj = oracle_integrate_riccati(fact, U0, (0.0, 20.0), 0.01)
-        drift = float(np.max(np.abs(traj.values - U0)))
-        checks.append(
-            _outcome("oracle riccati constant equilibrium", drift, tol_tight,
-                     "the constant is an equilibrium of the Riccati flow")
-        )
 
     if scope == "compound-rational":
-        audit = rational_form_audit(
-            PhysicalParams(
-                s=2.0, mu=1.0, alpha=3.0, beta=2.0,
-                v=locked_rational_velocity(_COMPOUND_PROBE),
-            ),
-            k0=1.0,
-        )
+        audit = rational_form_audit(locked, k0=1.0)
 
     return SuiteResult(checks=checks, audit=audit)

@@ -186,6 +186,33 @@ def test_evaluate_rejects_non_finite_grid_bounds(capsys):
     assert (code, out) == (2, "") and "must be finite" in err
 
 
+_THETA = ["--theta-min", "-1", "--theta-max", "1", "--theta-steps", "3"]
+_X = ["--x-min", "-1", "--x-max", "1", "--x-steps", "3",
+      "--s", "2", "--mu", "1", "--alpha", "3", "--beta", "2", "--v", "-0.04"]
+
+
+@pytest.mark.parametrize("flags", [
+    ["--family", "kdvb-regular", *_THETA, "--phase-a", "nan"],
+    ["--family", "kdvb-singular", *_THETA, "--phase-a", "inf"],
+    ["--family", "compound-tanh-plus", *_THETA, "--p", "nan", "--q", "1"],
+    ["--family", "compound-tanh-minus", *_THETA, "--p", "1", "--q", "inf"],
+    ["--family", "rational-plus", *_THETA, "--q", "nan", "--k0", "1"],
+    ["--family", "rational-minus", *_THETA, "--q", "0.5", "--k0", "nan"],
+    ["--family", "compound-tanh-plus", *_X, "--t", "nan"],
+    ["--family", "kdvb-regular", *_X, "--t=-inf"],
+    ["--family", "compound-tanh-plus", *_X, "--v", "nan"],
+    ["--family", "kdvb-regular", *_X, "--xi0", "inf"],
+    ["--family", "kdvb-singular", *_X, "--s", "nan"],
+    ["--family", "compound-tanh-minus", *_X, "--mu=-inf"],
+    ["--family", "kdvb-regular", *_X, "--alpha", "nan"],
+    ["--family", "compound-tanh-plus", *_X, "--beta", "inf"],
+])
+def test_evaluate_rejects_non_finite_inputs(flags, capsys):
+    # a domain error (exit 2), never NaN cells with pole_flag 0 or a traceback
+    code, out, err = run(capsys, "evaluate", *flags)
+    assert (code, out) == (2, "") and "must be finite" in err
+
+
 def _writer_case(case):
     """(solution, grid, t, evaluate flags) for a 5-node grid whose middle node is a pole."""
     if case == "reduced":
@@ -294,6 +321,21 @@ def test_verify_perturbed_exits_one(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("flags", [
+    ["--perturb", "nan"], ["--perturb", "inf"], ["--perturb=-inf"],
+    ["--tolerance", "nan"], ["--tolerance", "inf"], ["--tolerance=-1e-9"],
+])
+def test_verify_rejects_non_finite_controls(flags, capsys):
+    code, out, err = run(capsys, "verify", "--scope", "constant", *flags)
+    assert (code, out) == (2, "") and err.startswith("error: ")
+
+
+def test_verify_accepts_zero_tolerance(capsys):
+    # 0 is a legal (if harsh) threshold: the exact constant checks still pass
+    code, out, _ = run(capsys, "verify", "--scope", "constant", "--tolerance", "0")
+    assert code == 0 and "FAIL" not in out
+
+
 def test_verify_audit_report_lines(capsys):
     code, out, _ = run(capsys, "verify", "--scope", "compound-rational")
     assert code == 0
@@ -340,6 +382,45 @@ def test_figure_accepts_custom_manifest(tmp_path, capsys):
     code, _, err = run(capsys, "figure", "2", "--manifest", str(manifest),
                        "--outdir", str(tmp_path))
     assert code == 2 and "not in the manifest" in err
+
+
+_TINY = {"command": "evaluate", "family": "kdvb-regular", "phase_a": 0.0,
+         "theta_min": -1.0, "theta_max": 1.0, "theta_steps": 3, "output": "tiny.csv"}
+
+
+@pytest.mark.parametrize("text", [
+    '{"1": ',                                            # not JSON
+    "[1, 2]",                                            # not an object
+    '{"1": 5}',                                          # entry not an object
+    json.dumps({"1": {k: v for k, v in _TINY.items() if k != "theta_max"}}),
+    json.dumps({"1": {k: v for k, v in _TINY.items() if k != "family"}}),
+    json.dumps({"1": {**_TINY, "family": "kdvb-bogus"}}),
+    json.dumps({"1": {**_TINY, "theta_steps": "3"}}),
+    json.dumps({"1": {**_TINY, "theta_steps": 2.5}}),
+    json.dumps({"1": {**_TINY, "phase_a": True}}),
+    json.dumps({"1": {**_TINY, "output": ["tiny.csv"]}}),
+    json.dumps({"1": {**_TINY, "theta_min": "-1"}}),
+    '{"1": {"command": "evaluate", "family": "kdvb-regular", "phase_a": NaN, '
+    '"theta_min": -1, "theta_max": 1, "theta_steps": 3, "output": "tiny.csv"}}',
+    json.dumps({"1": {**_TINY, "command": "sweep", "a_min": 0.0, "a_max": 1.0}}),
+    json.dumps({"1": {**_TINY, "family": "compound-tanh-plus", "t": 0.0, "x_min": -1.0,
+                      "x_max": 1.0, "x_steps": 3, "coefficients": {"s": 2.0, "mu": 1.0},
+                      "curves": [{"label": "a", "v": -0.04}]}}),
+    json.dumps({"1": {**_TINY, "family": "compound-tanh-plus", "t": 0.0, "x_min": -1.0,
+                      "x_max": 1.0, "x_steps": 3,
+                      "coefficients": {"s": 2.0, "mu": 1.0, "alpha": 3.0, "beta": 2.0},
+                      "curves": [{"label": "a"}]}}),
+    json.dumps({"1": {**_TINY, "family": "compound-tanh-plus", "t": 0.0, "x_min": -1.0,
+                      "x_max": 1.0, "x_steps": 3,
+                      "coefficients": {"s": 2.0, "mu": 1.0, "alpha": 3.0, "beta": 2.0},
+                      "curves": "a"}}),
+])
+def test_figure_rejects_malformed_manifest(text, tmp_path, capsys):
+    manifest = tmp_path / "m.json"
+    manifest.write_text(text)
+    code, out, err = run(capsys, "figure", "1", "--manifest", str(manifest),
+                         "--outdir", str(tmp_path))
+    assert (code, out) == (2, "") and err.startswith("error: ")
 
 
 def test_figure_rejects_out_of_range_id():

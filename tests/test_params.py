@@ -53,6 +53,15 @@ def test_zero_coefficients_rejected(bad):
         PhysicalParams(**kwargs)
 
 
+@pytest.mark.parametrize("bad", ["s", "mu", "alpha", "beta", "v", "xi0"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_physical_coefficients_rejected(bad, value):
+    kwargs = dict(s=1.0, mu=1.0, alpha=1.0, beta=0.0, v=0.0, xi0=0j)
+    kwargs[bad] = complex(0.0, value) if bad == "xi0" else value
+    with pytest.raises(ParameterDomainError, match=bad):
+        PhysicalParams(**kwargs)
+
+
 def test_beta_zero_is_legal():
     PhysicalParams(s=1.0, mu=1.0, alpha=1.0, beta=0.0, v=0.0)
 

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from kdvbwaves import (
     Family,
@@ -33,50 +33,19 @@ from kdvbwaves import (
     kdvb_solution_from_physical,
     locked_rational_velocity,
     physical_discriminant_root,
+    physical_jet,
     rational_solution,
     rational_solution_from_physical,
     reduce,
     solution_jet,
-    stable_coth,
-    stable_tanh,
     sweep_rows,
     to_physical_amplitude,
     to_reduced_coordinate,
     universal_solution,
 )
-from kdvbwaves.solutions import POLE_TOL, compound_jet, rational_jet, universal_jet
+from kdvbwaves.solutions import POLE_TOL
 
 FIG7 = PhysicalParams(s=2.0, mu=1.0, alpha=3.0, beta=2.0, v=-0.04)
-
-
-# ---------------------------------------------------------------------------
-# stable hyperbolics
-
-
-def test_stable_tanh_matches_library_in_band():
-    for z in (0.3, -2.0, 1.0 + 0.7j, -5.0 - 2.3j):
-        assert stable_tanh(complex(z)) == pytest.approx(cmath.tanh(complex(z)), abs=1e-15)
-
-
-def test_stable_tanh_saturates_without_overflow():
-    assert stable_tanh(complex(800.0, 0.3)) == pytest.approx(1.0, abs=1e-15)
-    assert stable_tanh(complex(-1e5, -2.0)) == pytest.approx(-1.0, abs=1e-15)
-
-
-def test_stable_coth_saturates_and_inverts():
-    assert stable_coth(complex(900.0, 0.0)) == pytest.approx(1.0, abs=1e-15)
-    z = 0.37 + 0.21j
-    assert stable_coth(z) == pytest.approx(1.0 / cmath.tanh(z), abs=1e-14)
-
-
-@given(
-    x=st.floats(min_value=-19.0, max_value=19.0),
-    y=st.floats(min_value=-20.0, max_value=20.0),
-)
-def test_stable_tanh_equals_library_inside_band(x, y):
-    z = complex(x, y)
-    assume(abs(cmath.cosh(z)) > 1e-3)
-    assert abs(stable_tanh(z) - cmath.tanh(z)) < 1e-12 * max(1.0, abs(cmath.tanh(z)))
 
 
 # ---------------------------------------------------------------------------
@@ -94,6 +63,45 @@ def test_regular_kink_tail_convergence_rate():
     # the right tail closes its last 1e-8 gap only around theta ~ 90
     assert abs(eval_universal(Family.KDVB_REGULAR, 50.0) - 0.24) < 1e-4
     assert abs(eval_universal(Family.KDVB_REGULAR, 90.0) - 0.24) < 1e-8
+
+
+def test_real_infinite_coordinates_give_the_asymptotes():
+    # the scalar evaluators used to die in round(nan) here
+    inf = math.inf
+    for fam in (Family.KDVB_REGULAR, Family.KDVB_SINGULAR):
+        for theta0 in (0j, 0.4j, 5j * math.pi):
+            assert eval_universal(fam, inf, theta0) == pytest.approx(6.0 / 25.0, abs=1e-15)
+            assert abs(eval_universal(fam, -inf, theta0)) < 1e-15
+    rp = ReducedParams(p=1.0, q=1.0, theta0=0.3j)
+    root, b = compound_discriminant_root(1.0, 1.0), 1.0 / (3.0 * math.sqrt(2.0))
+    for fam, sign in ((Family.COMPOUND_TANH_PLUS, 1.0), (Family.COMPOUND_TANH_MINUS, -1.0)):
+        for end in (1.0, -1.0):
+            value = eval_compound(fam, end * inf, rp)
+            assert value == pytest.approx(-1.0 / 3.0 + sign * b * (1.0 + end * root), abs=1e-15)
+    # NaN has no asymptote: a domain error, not a silent NaN
+    with pytest.raises(ParameterDomainError):
+        eval_universal(Family.KDVB_REGULAR, math.nan)
+    with pytest.raises(ParameterDomainError):
+        eval_compound(Family.COMPOUND_TANH_PLUS, math.nan, rp)
+
+
+def test_non_finite_constructor_inputs_are_domain_errors():
+    nan, inf = math.nan, math.inf
+    for build in (
+        lambda: universal_solution(Family.KDVB_REGULAR, theta0=complex(0.0, nan)),
+        lambda: universal_solution(Family.KDVB_SINGULAR, delta=inf),
+        lambda: compound_solution(Family.COMPOUND_TANH_PLUS, nan, 1.0),
+        lambda: compound_solution(Family.COMPOUND_TANH_MINUS, 1.0, inf),
+        lambda: compound_solution(Family.COMPOUND_TANH_PLUS, 1.0, 1.0, theta0=-inf),
+        lambda: rational_solution(Family.RATIONAL_PLUS, nan, 1.0),
+        lambda: rational_solution(Family.RATIONAL_MINUS, 0.5, inf),
+    ):
+        with pytest.raises(ParameterDomainError, match="must be finite"):
+            build()
+    sol = kdvb_solution_from_physical(
+        Family.KDVB_REGULAR, PhysicalParams(s=1.0, mu=6.0, alpha=1.0, beta=0.0, v=0.2))
+    with pytest.raises(ParameterDomainError, match="must be finite"):
+        evaluate_grid(sol, np.zeros(3), nan)
 
 
 def test_singular_solution_value_and_pole():
@@ -391,16 +399,24 @@ def _fd5(f, x, h):
     return (-f(x + 2 * h) + 8 * f(x + h) - 8 * f(x - h) + f(x - 2 * h)) / (12 * h)
 
 
+def _jet_at(sol, theta):
+    """solution_jet at one reduced coordinate, as four Python complexes."""
+    jet, pole = solution_jet(sol, theta)
+    assert not pole
+    return [complex(d) for d in jet]
+
+
 @pytest.mark.parametrize("family", [Family.KDVB_REGULAR, Family.KDVB_SINGULAR])
 def test_universal_jet_matches_finite_differences(family):
     theta0 = 0.4j
+    sol = universal_solution(family, theta0=theta0)
     h = 1e-3
     for theta in (-6.0, 1.0, 2.7, 11.0):
-        U, U1, U2, U3 = universal_jet(family, theta, theta0)
-        assert U == eval_universal(family, theta, theta0)
+        U, U1, U2, U3 = _jet_at(sol, theta)
+        assert abs(U - eval_universal(family, theta, theta0)) < ULPS * EPS * max(1.0, abs(U))
         fd1 = _fd5(lambda th: eval_universal(family, th, theta0), theta, h)
-        fd2 = _fd5(lambda th: universal_jet(family, th, theta0)[1], theta, h)
-        fd3 = _fd5(lambda th: universal_jet(family, th, theta0)[2], theta, h)
+        fd2 = _fd5(lambda th: _jet_at(sol, th)[1], theta, h)
+        fd3 = _fd5(lambda th: _jet_at(sol, th)[2], theta, h)
         assert abs(U1 - fd1) < 1e-9 * max(1.0, abs(U1))
         assert abs(U2 - fd2) < 1e-9 * max(1.0, abs(U2))
         assert abs(U3 - fd3) < 1e-9 * max(1.0, abs(U3))
@@ -409,12 +425,13 @@ def test_universal_jet_matches_finite_differences(family):
 def test_compound_jet_matches_finite_differences():
     rp = ReducedParams(p=1.0, q=1.0)
     fam = Family.COMPOUND_TANH_PLUS
+    sol = compound_solution(fam, rp.p, rp.q)
     h = 1e-3
     for theta in (-2.0, 0.3, 1.9):
-        U, U1, U2, U3 = compound_jet(fam, theta, rp)
+        U, U1, U2, U3 = _jet_at(sol, theta)
         fd1 = _fd5(lambda th: eval_compound(fam, th, rp), theta, h)
-        fd2 = _fd5(lambda th: compound_jet(fam, th, rp)[1], theta, h)
-        fd3 = _fd5(lambda th: compound_jet(fam, th, rp)[2], theta, h)
+        fd2 = _fd5(lambda th: _jet_at(sol, th)[1], theta, h)
+        fd3 = _fd5(lambda th: _jet_at(sol, th)[2], theta, h)
         assert abs(U1 - fd1) < 1e-8
         assert abs(U2 - fd2) < 1e-8
         assert abs(U3 - fd3) < 1e-7
@@ -422,20 +439,20 @@ def test_compound_jet_matches_finite_differences():
 
 def test_rational_jet_matches_finite_differences():
     fam, q, k0 = Family.RATIONAL_PLUS, 0.5, 1.0
+    sol = rational_solution(fam, q, k0)
     h = 1e-4
     for theta in (0.5, 2.0, 7.0):
-        U, U1, U2, U3 = rational_jet(fam, theta, q, k0)
+        U, U1, U2, U3 = _jet_at(sol, theta)
         fd1 = _fd5(lambda th: eval_rational(fam, th, q, k0), theta, h)
-        fd2 = _fd5(lambda th: rational_jet(fam, th, q, k0)[1], theta, h)
+        fd2 = _fd5(lambda th: _jet_at(sol, th)[1], theta, h)
         assert abs(U1 - fd1) < 1e-8 * max(1.0, abs(U1))
         assert abs(U2 - fd2) < 1e-8 * max(1.0, abs(U2))
         assert U3 == pytest.approx(6.0 * k0**4 / (0.5 * (0.5 + k0 * theta) ** 4))
 
 
 def test_solution_jet_displaces_kdvb_families():
-    sol = universal_solution(Family.KDVB_REGULAR, delta=2.0)
-    w, w1, _, _ = solution_jet(sol, 1.0)
-    U, U1, _, _ = universal_jet(Family.KDVB_REGULAR, 1.0)
+    w, w1, _, _ = _jet_at(universal_solution(Family.KDVB_REGULAR, delta=2.0), 1.0)
+    U, U1, _, _ = _jet_at(universal_solution(Family.KDVB_REGULAR), 1.0)
     assert w == pytest.approx(U + 2.0)
     assert w1 == U1
 
@@ -445,9 +462,70 @@ def test_solution_jet_displaces_kdvb_families():
 def test_regular_jet_derivative_property(theta):
     # U = (3/50)(1+T)^2 must satisfy U' = (1/5)(1+T)(1-T^2)*(3/50)... i.e.
     # d/dtheta with T' = (1-T^2)/10; checked against the stencil
-    _, U1, _, _ = universal_jet(Family.KDVB_REGULAR, theta)
+    _, U1, _, _ = _jet_at(universal_solution(Family.KDVB_REGULAR), theta)
     fd = _fd5(lambda th: eval_universal(Family.KDVB_REGULAR, th), theta, 1e-3)
     assert abs(U1 - fd) < 1e-9
+
+
+def _all_families():
+    """One reduced and one physical solution per family, each with a pole in range."""
+    locked = PhysicalParams(s=2.0, mu=1.0, alpha=3.0, beta=2.0, v=locked_rational_velocity(FIG7))
+    kdvb = PhysicalParams(s=1.0, mu=6.0, alpha=1.0, beta=0.0, v=0.2, xi0=0.3)
+    return [
+        (universal_solution(Family.KDVB_REGULAR, theta0=-5j * math.pi, delta=0.7),
+         kdvb_solution_from_physical(Family.KDVB_REGULAR, kdvb)),
+        (universal_solution(Family.KDVB_SINGULAR, theta0=0.2),
+         kdvb_solution_from_physical(Family.KDVB_SINGULAR, kdvb)),
+        (compound_solution(Family.COMPOUND_TANH_PLUS, 1.0, 1.0, theta0=1j * math.pi),
+         compound_solution_from_physical(Family.COMPOUND_TANH_PLUS, FIG7)),
+        (compound_solution(Family.COMPOUND_TANH_MINUS, 0.5, 2.0),
+         compound_solution_from_physical(Family.COMPOUND_TANH_MINUS, FIG7)),
+        (rational_solution(Family.RATIONAL_PLUS, 0.5, 1.0),
+         rational_solution_from_physical(Family.RATIONAL_PLUS, locked, 1.0)),
+        (rational_solution(Family.RATIONAL_MINUS, 0.5, -2.0),
+         rational_solution_from_physical(Family.RATIONAL_MINUS, locked, 0.5)),
+        (constant_solution(Sign.MINUS, 0.5),
+         rational_solution_from_physical(Family.CONSTANT, locked, 0.0, Sign.MINUS)),
+    ]
+
+
+@pytest.mark.parametrize("index", range(7))
+def test_jets_share_the_kernel_values_and_pole_masks(index):
+    # the jet's value channel and mask are evaluate_grid's, bit for bit: in
+    # reduced coordinates w = U + delta, in physical ones u itself
+    sol, phys = _all_families()[index]
+    theta = np.concatenate([np.linspace(-30.0, 30.0, 241), [-0.5, 0.0, 0.5, 1.0, -1.0]])
+    (w, *slopes), pole = solution_jet(sol, theta)
+    values, grid_pole = evaluate_grid(sol, theta)
+    assert np.array_equal(pole, grid_pole)
+    assert np.array_equal(w[~pole], values[~pole] + (sol.reduced.delta or 0.0))
+    assert all(np.isnan(d[pole]).all() for d in (w, *slopes))
+    x = np.linspace(-10.0, 10.0, 241)
+    for t in (0.0, 0.4):
+        (u, ux, uxx, uxxx, ut), pole = physical_jet(phys, x, t)
+        values, grid_pole = evaluate_grid(phys, x, t)
+        assert np.array_equal(pole, grid_pole)
+        assert np.array_equal(u[~pole], values[~pole])
+        assert np.array_equal(ut[~pole], -phys.physical.v * ux[~pole])
+
+
+@pytest.mark.parametrize("index", range(7))
+def test_physical_jet_is_the_chain_rule_image(index):
+    _, phys = _all_families()[index]
+    pp = phys.physical
+    x, t, h = np.linspace(-7.3, 7.9, 37), 0.3, 1e-4
+    (u, ux, uxx, uxxx, _), pole = physical_jet(phys, x, t)
+    ok = ~pole
+    shifted = [physical_jet(phys, x + k * h, t)[0] for k in (-2, -1, 1, 2)]
+    derivatives = (u, ux, uxx, uxxx)
+    for n, upper in enumerate(derivatives[1:]):
+        m2, m1, p1, p2 = (s[n] for s in shifted)
+        fd = (-p2 + 8 * p1 - 8 * m1 + m2) / (12 * h)
+        assert np.all(np.abs(upper - fd)[ok] < 1e-6 * np.maximum(1.0, np.abs(upper[ok])))
+    # scalar coordinates give 0-d results
+    (u0, *_), pole0 = physical_jet(phys, 0.11, 0.2)
+    assert u0.shape == () and pole0.shape == ()
+    assert np.isclose(u0, eval_solution_physical(phys, 0.11, 0.2), rtol=1e-13, atol=1e-13 * abs(pp.v))
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from kdvbwaves import (
     EquationTag,
@@ -28,7 +29,7 @@ from kdvbwaves import (
     universal_solution,
     verification_suite,
 )
-from kdvbwaves.verify import SCOPES
+from kdvbwaves.verify import SCOPES, _report
 
 GRID = np.linspace(-50.0, 50.0, 200)
 KDVB_PROBE = PhysicalParams(s=1.0, mu=6.0, alpha=1.0, beta=0.0, v=0.2)
@@ -79,6 +80,27 @@ def test_residual_report_validates_statistics():
             max_abs=1.0, mean_abs=2.0, worst_point=0j, n_samples=1,
             equation=EquationTag.ODE_FIRST_INTEGRAL,
         )
+
+
+@given(
+    value=st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+    n=st.integers(min_value=1, max_value=500),
+)
+def test_constant_residual_mean_never_exceeds_max(value, n):
+    # the float mean of n equal values can round above them; the reducer caps it
+    report = _report(np.full(n, value), np.arange(n, dtype=float), np.zeros(n, bool),
+                     EquationTag.ODE_FIRST_INTEGRAL)
+    assert report.mean_abs <= report.max_abs == value
+    assert (report.n_samples, report.worst_point) == (n, 0j)
+
+
+def test_reducer_skips_poles_and_reports_the_first_worst_point():
+    residual = np.array([1.0, -3.0, np.nan, 3.0, 2.0])
+    pole = np.array([False, False, True, False, False])
+    report = _report(residual, np.arange(5.0) + 1j, pole, EquationTag.ODE_THIRD_ORDER, "w")
+    assert (report.max_abs, report.mean_abs) == (3.0, 2.25)
+    assert (report.worst_point, report.n_samples, report.n_poles) == (1 + 1j, 4, 1)
+    assert report.warning == "w"
 
 
 def test_all_pole_grid_is_an_error():
@@ -151,7 +173,7 @@ def test_beta_zero_pde_residual_drops_the_cubic_term():
     sol = kdvb_solution_from_physical(Family.KDVB_REGULAR, KDVB_PROBE)
     from kdvbwaves import physical_jet
 
-    u, ux, uxx, uxxx, ut = physical_jet(sol, 0.7, 0.1)
+    (u, ux, uxx, uxxx, ut), _ = physical_jet(sol, 0.7, 0.1)
     manual = ut - KDVB_PROBE.s * uxxx + KDVB_PROBE.mu * uxx + KDVB_PROBE.alpha * u * ux
     report = residual_pde(sol, [(0.7, 0.1)], mode="analytic")
     assert report.max_abs == pytest.approx(abs(manual), abs=1e-18)
