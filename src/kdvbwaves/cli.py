@@ -15,7 +15,14 @@ Subcommands:
 
 evaluate, sweep and figure build a WaveSolution with the constructors of
 the solutions module, evaluate it on the whole grid in one evaluate_grid
-call, and write the table through one column writer (_render).
+call, and write the table through one column writer (_render).  The writer
+formats a repeated value once: a coordinate column made of few runs of one
+bit pattern (the physical t column, the sweep's a column) once per run, and
+a value column that holds one bit pattern on every non-pole row (im_u of a
+real profile) once.  Every other cell goes through one %-format.  The choice
+is made from the table itself and never changes the bytes written.  figure
+renders all of its files before it writes the first one, so a malformed
+manifest leaves no file behind.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or domain error.
 Output is deterministic: fixed grids, no timestamps, floats printed with 17
@@ -58,33 +65,66 @@ _KDVB = (Family.KDVB_REGULAR, Family.KDVB_SINGULAR)
 _COMPOUND = (Family.COMPOUND_TANH_PLUS, Family.COMPOUND_TANH_MINUS)
 
 
+def _run_starts(column: np.ndarray) -> np.ndarray:
+    """Index of the first row of each run of one bit pattern in ``column``."""
+    bits = column.view(np.uint64)
+    return np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
+
+
 def _render(names: list[str], columns: list[np.ndarray], pole: np.ndarray, fmt: str) -> str:
     """CSV or JSON table of ``columns`` (coordinates ``names``, re_u, im_u) plus pole_flag.
 
-    Byte for byte format(value, ".17g") per CSV cell, or json.dumps(rows, indent=2),
-    from one %-format over all cells; "%.0s" swallows the NaN values of pole rows.
+    Byte for byte format(value, ".17g") per CSV cell, or json.dumps(rows, indent=2).
+    A repeated value is formatted once and written into the row templates: a
+    coordinate column with fewer runs of one bit pattern than a quarter of the
+    rows (one template pair per run), and a value column that holds one bit
+    pattern on every non-pole row.  The other cells go through one %-format;
+    "%.0s" swallows the NaN values of pole rows.
     """
+    n, m = len(pole), len(names)
     keys = [*names, "re_u", "im_u", "pole_flag"]
-    flat = np.column_stack(columns).ravel()
-    cells = flat.tolist()
     if fmt == "json":
-        for i in np.flatnonzero(~np.isfinite(flat)):
-            cells[i] = json.dumps(cells[i])  # NaN and Infinity as json spells them
-        value, empty = "%s", "null%.0s"
+        text, value, empty, null = json.dumps, "%s", "null%.0s", "null"
     else:
-        value, empty = "%.17g", "%.0s"
-    ok = [value] * (len(names) + 2) + ["0"]
-    bad = [value] * len(names) + [empty, empty, "1"]
+        text, value, empty, null = (lambda v: format(v, ".17g")), "%.17g", "%.0s", ""
+    runs = {j: s for j, s in enumerate(map(_run_starts, columns[:m])) if 4 * s.size < n}
+    constant: dict[int, str] = {}
+    for j in (m, m + 1):
+        rest = columns[j][~pole]
+        bits = rest.view(np.uint64)
+        if bits.size and (bits == bits[0]).all():
+            constant[j] = text(float(rest[0]))
+
+    def template(cells: list[str]) -> str:
+        if fmt == "json":
+            return "  {" + ",".join(f'\n    "{k}": {c}' for k, c in zip(keys, cells)) + "\n  }"
+        return ",".join(cells)
+
+    starts = np.unique(np.concatenate([[0], *runs.values()])).tolist()
+    rows: list[str] = []
+    bad: list[str] = []
+    for b, e in zip(starts, [*starts[1:], n]):
+        coords = [text(float(columns[j][b])) if j in runs else value for j in range(m)]
+        ok = [constant.get(j, value) for j in (m, m + 1)]
+        flagged = [null if j in constant else empty for j in (m, m + 1)]
+        rows += [template([*coords, *ok, "0"])] * (e - b)
+        bad.append(template([*coords, *flagged, "1"]))
+    i = np.flatnonzero(pole)
+    for r, k in zip(i.tolist(), (np.searchsorted(starts, i, "right") - 1).tolist()):
+        rows[r] = bad[k]
+
+    formatted = [c for j, c in enumerate(columns) if j not in runs and j not in constant]
+    cells: list = []
+    if formatted:
+        flat = np.column_stack(formatted).ravel()
+        cells = flat.tolist()
+        if fmt == "json":
+            for k in np.flatnonzero(~np.isfinite(flat)):
+                cells[k] = json.dumps(cells[k])  # NaN and Infinity as json spells them
     if fmt == "json":
-        ok, bad = ("  {" + ",".join(f'\n    "{k}": {c}' for k, c in zip(keys, row)) + "\n  }"
-                   for row in (ok, bad))
         head, sep, tail = "[\n", ",\n", "\n]\n"
     else:
-        ok, bad = ",".join(ok), ",".join(bad)
         head, sep, tail = ",".join(keys) + "\n", "\n", "\n"
-    rows = [ok] * len(pole)
-    for i in np.flatnonzero(pole):
-        rows[i] = bad
     return head + sep.join(rows) % tuple(cells) + tail
 
 
@@ -103,17 +143,17 @@ def _grid(lo: float, hi: float, steps: int | None, name: str) -> np.ndarray:
     return np.linspace(lo, hi, steps)
 
 
-def _emit_profile(names: list[str], coords: list[np.ndarray], sol: WaveSolution,
-                  t: float | None, fmt: str, output: str | Path | None) -> None:
-    """Evaluate ``sol`` on coords[0] (theta, or x at time t) and write the table."""
+def _profile(names: list[str], coords: list[np.ndarray], sol: WaveSolution,
+             t: float | None, fmt: str) -> str:
+    """Evaluate ``sol`` on coords[0] (theta, or x at time t) and render the table."""
     values, pole = evaluate_grid(sol, coords[0], t)
-    _emit(_render(names, [*coords, values.real, values.imag], pole, fmt), output)
+    return _render(names, [*coords, values.real, values.imag], pole, fmt)
 
 
-def _emit_sweep(surface: SweepSurface, fmt: str, output: str | Path | None) -> None:
+def _sweep(surface: SweepSurface, fmt: str) -> str:
     a, theta = np.meshgrid(surface.a_values, surface.theta, indexing="ij")
     columns = [a.ravel(), theta.ravel(), surface.re.ravel(), surface.im.ravel()]
-    _emit(_render(["a", "theta"], columns, surface.pole.ravel(), fmt), output)
+    return _render(["a", "theta"], columns, surface.pole.ravel(), fmt)
 
 
 # ---------------------------------------------------------------------------
@@ -222,14 +262,14 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             raise ParameterDomainError("reduced mode needs --theta-min and --theta-max")
         grid = _grid(args.theta_min, args.theta_max, args.theta_steps, "theta")
         sol = _reduced_solution(args, fam)
-        _emit_profile(["theta"], [grid], sol, None, args.format, args.output)
+        _emit(_profile(["theta"], [grid], sol, None, args.format), args.output)
     else:
         if args.x_min is None or args.x_max is None:
             raise ParameterDomainError("physical mode needs --x-min and --x-max")
         grid = _grid(args.x_min, args.x_max, args.x_steps, "x")
         sol = _physical_solution(fam, _physical_coefficients(args), args.k0, Sign(args.branch))
         coords = [grid, np.full(grid.size, args.t)]
-        _emit_profile(["x", "t"], coords, sol, args.t, args.format, args.output)
+        _emit(_profile(["x", "t"], coords, sol, args.t, args.format), args.output)
     return 0
 
 
@@ -247,7 +287,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     elif args.a_min != args.a_max:
         raise ParameterDomainError("a single-row sweep needs --a-min == --a-max")
     theta_grid = _grid(args.theta_min, args.theta_max, args.theta_steps, "theta")
-    _emit_sweep(sweep_rows(fam, a_values, theta_grid), args.format, args.output)
+    _emit(_sweep(sweep_rows(fam, a_values, theta_grid), args.format), args.output)
     return 0
 
 
@@ -309,6 +349,7 @@ def _field(entry: object, key: str, kind: type, default: object = None):
 
 
 def cmd_figure(args: argparse.Namespace) -> int:
+    """Render every output of the figure, then write them: a bad manifest writes no file."""
     manifest = _load_manifest(args.manifest)
     key = str(args.figure)
     if key not in manifest:
@@ -319,9 +360,7 @@ def cmd_figure(args: argparse.Namespace) -> int:
         raise ParameterDomainError(f"manifest field 'family' names no family: {family!r}")
     fam = Family(family)
     output = _field(entry, "output", str)
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
+    tables: list[tuple[str, str]] = []  # (file name, text)
 
     def grid(name: str) -> np.ndarray:
         return _grid(_field(entry, f"{name}_min", float), _field(entry, f"{name}_max", float),
@@ -330,8 +369,7 @@ def cmd_figure(args: argparse.Namespace) -> int:
     if _field(entry, "command", str) == "sweep":
         sweep = PhaseSweep(_field(entry, "a_min", float), _field(entry, "a_max", float),
                            _field(entry, "a_steps", int))
-        written.append(outdir / output)
-        _emit_sweep(sweep_rows(fam, sweep.a_values(), grid("theta")), "csv", written[-1])
+        tables.append((output, _sweep(sweep_rows(fam, sweep.a_values(), grid("theta")), "csv")))
     elif "curves" in entry:
         coeff = _field(entry, "coefficients", dict)
         s, mu, alpha, beta = (_field(coeff, name, float) for name in ("s", "mu", "alpha", "beta"))
@@ -340,17 +378,20 @@ def cmd_figure(args: argparse.Namespace) -> int:
         for curve in _field(entry, "curves", list):
             params = PhysicalParams(s=s, mu=mu, alpha=alpha, beta=beta, v=_field(curve, "v", float),
                                     xi0=complex(_field(coeff, "xi0", float, 0.0)))
-            written.append(outdir / output.replace("{label}", _field(curve, "label", str)))
-            _emit_profile(["x", "t"], [x, np.full(x.size, t)], _physical_solution(fam, params),
-                          t, "csv", written[-1])
+            name = output.replace("{label}", _field(curve, "label", str))
+            tables.append((name, _profile(["x", "t"], [x, np.full(x.size, t)],
+                                          _physical_solution(fam, params), t, "csv")))
     else:
         phase_a = _field(entry, "phase_a", float)
         sol = universal_solution(fam, theta0=complex(0.0, phase_a * math.pi))
-        written.append(outdir / output)
-        _emit_profile(["theta"], [grid("theta")], sol, None, "csv", written[-1])
+        tables.append((output, _profile(["theta"], [grid("theta")], sol, None, "csv")))
 
-    for path in written:
-        print(f"wrote {path}")
+    outdir = Path(args.outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    for name, text in tables:
+        _emit(text, outdir / name)
+    for name, _ in tables:
+        print(f"wrote {outdir / name}")
     return 0
 
 

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .errors import ParameterDomainError, UnsupportedDomainError
-from .params import ReducedParams
+from .params import ReducedParams, require_finite
 
 
 class Sign(enum.Enum):
@@ -143,8 +143,10 @@ def factorize_kdvb(delta: float, sign: Sign) -> KdvbFactorization:
     """Factorize the displaced KdVB ODE for a given displacement.
 
     delta is a free real parameter; the factorization exists for every value
-    and fixes p = 2*delta + 6/25 and k = p*delta - delta^2.
+    and fixes p = 2*delta + 6/25 and k = p*delta - delta^2.  A NaN or
+    infinite delta is a ParameterDomainError.
     """
+    require_finite(delta=delta)
     A = sign.factor * math.sqrt(2.0 / 3.0)
     B = 2.0 / 5.0
     p = 2.0 * delta + 6.0 / 25.0
@@ -156,9 +158,11 @@ def factorize_compound(reduced: ReducedParams, sign: Sign) -> CompoundFactorizat
     """Factorize the compound ODE for given (p, q) and branch sign.
 
     q = 0 has no cubic term and is rejected; q < 0 would make A imaginary
-    and is outside the implemented theory.
+    and is outside the implemented theory.  A NaN or infinite p or q is a
+    ParameterDomainError.
     """
     p, q = reduced.p, reduced.q
+    require_finite(p=p, q=q)
     if q == 0:
         raise ParameterDomainError("compound factorization requires q != 0")
     if q < 0:
@@ -195,19 +199,22 @@ def verify_factorization(
     |f2(U) + d(f1(U)*U)/dU - 1|.  The derivative must be supplied as a
     closed-form callable (finite differencing is deliberately reserved for
     the independent checks in the verify module).  U = 0 is rejected: the
-    product condition divides by U.
+    product condition divides by U.  A NaN residual makes its maximum NaN,
+    so it can never pass a tolerance.
     """
-    max_product = 0.0
-    max_closure = 0.0
-    n = 0
+    products: list[float] = []
+    closures: list[float] = []
     for U in samples:
         if U == 0:
             raise ParameterDomainError("the product condition divides by U; U = 0 is not a legal sample")
-        r1 = abs(f1_at(U) * f2_at(U) - F_at(U) / U)
-        r2 = abs(f2_at(U) + f1U_prime_at(U) - 1.0)
-        max_product = max(max_product, r1)
-        max_closure = max(max_closure, r2)
-        n += 1
-    if n == 0:
+        products.append(abs(f1_at(U) * f2_at(U) - F_at(U) / U))
+        closures.append(abs(f2_at(U) + f1U_prime_at(U) - 1.0))
+    if not products:
         raise ParameterDomainError("empty sample set")
-    return FactorizationCheck(max_product=max_product, max_closure=max_closure, n_samples=n)
+    return FactorizationCheck(max_product=_max_residual(products),
+                              max_closure=_max_residual(closures), n_samples=len(products))
+
+
+def _max_residual(residuals: list[float]) -> float:
+    """Largest residual, or NaN if any residual is NaN (max() keeps a NaN only in front)."""
+    return math.nan if any(map(math.isnan, residuals)) else max(residuals)

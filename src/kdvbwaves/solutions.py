@@ -361,14 +361,18 @@ def eval_kdvb_physical(
     u = v/alpha + (3*mu^2/(25*alpha*s)) * {[1 + tanh(mu*(x - v*t - xi0)/(10*s))]^2 - 2}
     with coth for the singular family.  This is the direct formula; agreement
     with the transform of eval_universal is a test oracle, so do not collapse
-    the two code paths.
+    the two code paths.  A real x = +-inf gives the asymptote; a NaN x or t
+    is a ParameterDomainError.
     """
     if family not in _KDVB_FAMILIES:
         raise ParameterDomainError(f"not a KdVB universal family: {family}")
     s, mu, alpha, v = params.s, params.mu, params.alpha, params.v
-    z = mu * (x - v * t - params.xi0) / (10.0 * s)
+    d = x - v * t - params.xi0.real  # by parts, as in eval_universal: Im z stays finite
+    if math.isnan(d):
+        raise ParameterDomainError("x - v*t must not be NaN")
+    z = complex(mu * d / (10.0 * s), -mu * params.xi0.imag / (10.0 * s))
     singular = family is Family.KDVB_SINGULAR
-    dist, pole = (_coth_pole_distance if singular else _tanh_pole_distance)(complex(z))
+    dist, pole = (_coth_pole_distance if singular else _tanh_pole_distance)(z)
     if dist < POLE_TOL * max(1.0, abs(mu / (10.0 * s))):
         x_pole = (10.0 * s / mu) * pole + v * t + params.xi0
         raise PoleError(f"pole of the singular kink at x = {x_pole}", x_pole)
@@ -392,11 +396,11 @@ def eval_compound(family: Family, theta: complex, reduced: ReducedParams) -> com
     b = 1.0 / (3.0 * math.sqrt(2.0 * q))
     if family is Family.COMPOUND_TANH_MINUS:
         b = -b
-    if root == 0.0:
-        return -1.0 / (3.0 * q) + b
     d = complex(theta) - complex(reduced.theta0)
     if cmath.isnan(d):
         raise ParameterDomainError("theta must not be NaN")
+    if root == 0.0:
+        return -1.0 / (3.0 * q) + b
     z = complex(root * d.real / 6.0, root * d.imag / 6.0)  # by parts, as in eval_universal
     dist, pole = _tanh_pole_distance(z)
     if dist < POLE_TOL * max(1.0, root / 6.0):
@@ -436,6 +440,8 @@ def eval_compound_physical(
     """Compound kink in physical variables (direct formula).
 
     u = -alpha/(2*beta) +- (mu/sqrt(6*beta*s)) * [1 + D*tanh(mu*D*(x - v*t - xi0)/(6*s))]
+
+    A real x = +-inf gives the asymptote; a NaN x or t is a ParameterDomainError.
     """
     if family not in _COMPOUND_FAMILIES:
         raise ParameterDomainError(f"not a compound kink family: {family}")
@@ -448,10 +454,13 @@ def eval_compound_physical(
     amp = mu / math.sqrt(6.0 * beta * s)
     if family is Family.COMPOUND_TANH_MINUS:
         amp = -amp
+    d = x - v * t - params.xi0.real  # by parts, as in eval_universal: Im z stays finite
+    if math.isnan(d):
+        raise ParameterDomainError("x - v*t must not be NaN")
     if root == 0.0:
         return -alpha / (2.0 * beta) + amp
-    z = mu * root * (x - v * t - params.xi0) / (6.0 * s)
-    dist, pole = _tanh_pole_distance(complex(z))
+    z = complex(mu * root * d / (6.0 * s), -mu * root * params.xi0.imag / (6.0 * s))
+    dist, pole = _tanh_pole_distance(z)
     if dist < POLE_TOL * max(1.0, abs(mu * root / (6.0 * s))):
         x_pole = (6.0 * s / (mu * root)) * pole + v * t + params.xi0
         raise PoleError(f"compound kink pole at x = {x_pole}", x_pole)

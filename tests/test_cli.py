@@ -3,21 +3,27 @@
 import csv
 import json
 import math
+import struct
 import subprocess
 import sys
+from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from kdvbwaves import (
     Family,
+    PhaseSweep,
     PhysicalParams,
+    compound_solution_from_physical,
     evaluate_grid,
     locked_rational_velocity,
     rational_solution_from_physical,
+    sweep_rows,
     universal_solution,
 )
-from kdvbwaves.cli import main
+from kdvbwaves.cli import _render, main
 
 
 def run(capsys, *argv):
@@ -61,6 +67,18 @@ def test_factorize_rejects_zero_q(capsys):
     code, _, err = run(capsys, "factorize", "--eq", "compound", "--q", "0")
     assert code == 2
     assert "q != 0" in err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--eq", "compound", "--p", "nan", "--q", "2"],
+    ["--eq", "compound", "--q", "inf"],
+    ["--eq", "kdvb", "--delta", "inf"],
+    ["--eq", "kdvb", "--delta", "nan", "--format", "json"],
+])
+def test_factorize_rejects_non_finite_coefficients(flags, capsys):
+    # these printed NaN coefficients and 0.000e+00 residuals with exit 0
+    code, out, err = run(capsys, "factorize", *flags)
+    assert (code, out) == (2, "") and "must be finite" in err
 
 
 def test_factorize_text_report_mentions_conditions(capsys):
@@ -213,49 +231,166 @@ def test_evaluate_rejects_non_finite_inputs(flags, capsys):
     assert (code, out) == (2, "") and "must be finite" in err
 
 
+def _reference(names, columns, pole):
+    """(JSON, CSV) of a table, cell by cell: json.dumps of the row dicts, format(v, ".17g")."""
+    rows = []
+    for i, flagged in enumerate(pole.tolist()):
+        row = {k: float(c[i]) for k, c in zip(names, columns)}
+        row["re_u"] = None if flagged else float(columns[len(names)][i])
+        row["im_u"] = None if flagged else float(columns[len(names) + 1][i])
+        row["pole_flag"] = int(flagged)
+        rows.append(row)
+    lines = [",".join([*names, "re_u", "im_u", "pole_flag"])]
+    lines += [",".join("" if v is None else str(v) if k == "pole_flag" else format(v, ".17g")
+                       for k, v in row.items()) for row in rows]
+    return json.dumps(rows, indent=2) + "\n", "\n".join(lines) + "\n"
+
+
+def _profile_case(flags, sol, grid, t=None):
+    values, pole = evaluate_grid(sol, grid, t)
+    if t is None:
+        names, coords = ["theta"], [grid]
+    else:
+        names, coords = ["x", "t"], [grid, np.full(grid.size, t)]
+    return ["evaluate", *flags], names, [*coords, values.real, values.imag], pole
+
+
 def _writer_case(case):
-    """(solution, grid, t, evaluate flags) for a 5-node grid whose middle node is a pole."""
+    """(argv without --format, names, columns, pole) of one CLI table."""
+    theta = ["--theta-min", "-1", "--theta-max", "1", "--theta-steps", "5"]
     if case == "reduced":
-        flags = ["--family", "kdvb-singular", "--theta-min", "-1", "--theta-max", "1",
+        # im_u is one bit pattern off the pole in the middle
+        sol = universal_solution(Family.KDVB_SINGULAR)
+        return _profile_case(["--family", "kdvb-singular", *theta], sol, np.linspace(-1.0, 1.0, 5))
+    if case == "complex-phase":
+        # no column repeats
+        sol = universal_solution(Family.KDVB_REGULAR, theta0=0.3j * math.pi)
+        return _profile_case(["--family", "kdvb-regular", "--phase-a", "0.3", *theta], sol,
+                             np.linspace(-1.0, 1.0, 5))
+    if case == "all-pole":
+        # one theta run, every row on the pole
+        sol = universal_solution(Family.KDVB_SINGULAR)
+        flags = ["--family", "kdvb-singular", "--theta-min", "0", "--theta-max", "0",
                  "--theta-steps", "5"]
-        return universal_solution(Family.KDVB_SINGULAR), np.linspace(-1.0, 1.0, 5), None, flags
+        return _profile_case(flags, sol, np.zeros(5))
+    if case == "one-row":
+        flags = ["--family", "kdvb-regular", "--theta-min", "1", "--theta-max", "1",
+                 "--theta-steps", "1"]
+        return _profile_case(flags, universal_solution(Family.KDVB_REGULAR), np.ones(1))
+    if case == "sweep":
+        # three runs of a; (a, theta) = (-5, 0) is a pole of the regular kink
+        a, grid = np.linspace(-5.0, 0.0, 3), np.linspace(-1.0, 1.0, 5)
+        surface = sweep_rows(Family.KDVB_REGULAR, a, grid)
+        argv = ["sweep", "--a-min", "-5", "--a-max", "0", "--a-steps", "3", *theta]
+        a_col, theta_col = (c.ravel() for c in np.meshgrid(a, grid, indexing="ij"))
+        return argv, ["a", "theta"], [a_col, theta_col, surface.re.ravel(),
+                                      surface.im.ravel()], surface.pole.ravel()
     coeffs = dict(s=2.0, mu=1.0, alpha=3.0, beta=2.0)
     params = PhysicalParams(v=locked_rational_velocity(PhysicalParams(v=0.0, **coeffs)), **coeffs)
     sol = rational_solution_from_physical(Family.RATIONAL_PLUS, params, 1.0)
     t = 0.25
-    # x = (s/mu)*theta_pole + v*t, theta_pole = -A/k0 with A = sqrt(q/2)
+    # one t run; x = (s/mu)*theta_pole + v*t, theta_pole = -A/k0 with A = sqrt(q/2)
     x_pole = 2.0 * -math.sqrt(sol.reduced.q / 2.0) + params.v * t
     lo, hi = x_pole - 0.5, x_pole + 0.5
     flags = ["--family", "rational-plus", "--x-min", repr(lo), "--x-max", repr(hi),
              "--x-steps", "5", "--s", "2", "--mu", "1", "--alpha", "3", "--beta", "2",
              "--v", repr(params.v), "--k0", "1", "--t", repr(t)]
-    return sol, np.linspace(lo, hi, 5), t, flags
+    return _profile_case(flags, sol, np.linspace(lo, hi, 5), t)
 
 
-@pytest.mark.parametrize("case", ["reduced", "physical"])
+@pytest.mark.parametrize("case", ["reduced", "physical", "complex-phase", "all-pole", "one-row",
+                                  "sweep"])
 def test_writer_matches_json_dumps_and_17g_cells(case, capsys):
-    sol, grid, t, flags = _writer_case(case)
-    values, pole = evaluate_grid(sol, grid, t)
-    assert pole.tolist() == [False, False, True, False, False]
-    rows = []
-    for coord, value, flagged in zip(grid.tolist(), values.tolist(), pole.tolist()):
-        row = {"theta": coord} if t is None else {"x": coord, "t": t}
-        row["re_u"] = None if flagged else value.real
-        row["im_u"] = None if flagged else value.imag
-        row["pole_flag"] = int(flagged)
-        rows.append(row)
-    code, out, _ = run(capsys, "evaluate", *flags, "--format", "json")
+    argv, names, columns, pole = _writer_case(case)
+    middle = [False, False, True, False, False]
+    expected = {"all-pole": [True] * 5, "one-row": [False], "complex-phase": [False] * 5,
+                "sweep": middle + [False] * 10}.get(case, middle)
+    assert pole.tolist() == expected
+    reference_json, reference_csv = _reference(names, columns, pole)
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0 and out == reference_json
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    assert code == 0 and out == reference_csv
+
+
+_NAN_PAYLOAD = struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000001))[0]
+_POOL = [0.0, -0.0, 1.0, -2.5, 0.1, 1e-300, 5e-324, math.inf, -math.inf, math.nan, -math.nan,
+         _NAN_PAYLOAD]
+
+
+@st.composite
+def _tables(draw):
+    """A table whose columns are drawn from _POOL, so that runs and constant columns occur."""
+    names = draw(st.sampled_from([["theta"], ["x", "t"], ["a", "theta"]]))
+    n = draw(st.integers(1, 24))
+
+    def column():
+        kind = draw(st.sampled_from(["constant", "runs", "cells"]))
+        if kind == "constant":
+            return [draw(st.sampled_from(_POOL))] * n
+        width = draw(st.integers(1, n)) if kind == "runs" else 1
+        count = -(-n // width)
+        cells = draw(st.lists(st.sampled_from(_POOL), min_size=count, max_size=count))
+        return [v for v in cells for _ in range(width)][:n]
+
+    coords = [np.array(column()) for _ in names]
+    values = np.empty(n, complex)  # re_u, im_u are strided views, as evaluate_grid gives them
+    values.real, values.imag = column(), column()
+    pole = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    return names, [*coords, values.real, values.imag], pole
+
+
+_ZEROS = np.array([0.0, -0.0, 0.0, -0.0, 0.0, 0.0, 0.0, 0.0])  # one run by value, five by bits
+_FLAGS = np.array([False, True, False, False, True, False, False, False])
+
+
+@given(table=_tables())
+@example(table=(["theta"], [_ZEROS, _ZEROS, np.full(8, -0.0)], np.zeros(8, bool)))
+@example(table=(["x", "t"], [_ZEROS, np.full(8, math.nan), np.full(8, -math.nan), _ZEROS], _FLAGS))
+@example(table=(["a", "theta"], [np.repeat([math.inf, -math.inf], 4), _ZEROS, np.full(8, 0.1),
+                                 np.full(8, _NAN_PAYLOAD)], _FLAGS))
+@example(table=(["theta"], [np.zeros(6), np.ones(6), np.ones(6)], np.ones(6, bool)))  # all poles
+@example(table=(["x", "t"], [np.ones(1), np.ones(1), np.full(1, -0.0), np.zeros(1)],
+                np.zeros(1, bool)))  # one row
+@settings(max_examples=300, deadline=None)
+def test_writer_property_matches_per_cell_formatting(table):
+    names, columns, pole = table
+    reference_json, reference_csv = _reference(names, columns, pole)
+    assert _render(names, columns, pole, "json") == reference_json
+    assert _render(names, columns, pole, "csv") == reference_csv
+
+
+def _figure_files(number, outdir, capsys):
+    code, _, _ = run(capsys, "figure", str(number), "--outdir", str(outdir))
     assert code == 0
-    assert out == json.dumps(rows, indent=2) + "\n"
-    code, out, _ = run(capsys, "evaluate", *flags, "--format", "csv")
-    assert code == 0
-    lines = out.split("\n")
-    assert lines[0] == ",".join(rows[0]) and lines[-1] == ""
-    for line, row in zip(lines[1:-1], rows):
-        cells = ["" if v is None else str(v) if k == "pole_flag" else format(v, ".17g")
-                 for k, v in row.items()]
-        assert line == ",".join(cells)
-    assert lines[3].endswith(",,,1") and len(lines) == len(rows) + 2
+    manifest = json.loads((resources.files("kdvbwaves") / "figures.json").read_text())
+    return manifest[str(number)]
+
+
+def test_figure_5_matches_per_cell_formatting_of_sweep_rows(tmp_path, capsys):
+    entry = _figure_files(5, tmp_path, capsys)
+    a = PhaseSweep(entry["a_min"], entry["a_max"], entry["a_steps"]).a_values()
+    theta = np.linspace(entry["theta_min"], entry["theta_max"], entry["theta_steps"])
+    surface = sweep_rows(Family(entry["family"]), a, theta)
+    columns = [c.ravel() for c in np.meshgrid(a, theta, indexing="ij")]
+    _, reference = _reference(["a", "theta"], [*columns, surface.re.ravel(), surface.im.ravel()],
+                              surface.pole.ravel())
+    written = (tmp_path / entry["output"]).read_text()
+    assert written.splitlines() == reference.splitlines() and written == reference
+
+
+def test_figure_7_matches_per_cell_formatting_of_evaluate_grid(tmp_path, capsys):
+    entry = _figure_files(7, tmp_path, capsys)
+    x = np.linspace(entry["x_min"], entry["x_max"], entry["x_steps"])
+    coeffs = entry["coefficients"]
+    for curve in entry["curves"]:
+        params = PhysicalParams(s=coeffs["s"], mu=coeffs["mu"], alpha=coeffs["alpha"],
+                                beta=coeffs["beta"], v=curve["v"])
+        sol = compound_solution_from_physical(Family(entry["family"]), params)
+        _, names, columns, pole = _profile_case([], sol, x, float(entry["t"]))
+        _, reference = _reference(names, columns, pole)
+        written = (tmp_path / entry["output"].replace("{label}", curve["label"])).read_text()
+        assert written.splitlines() == reference.splitlines() and written == reference
 
 
 # ---------------------------------------------------------------------------
@@ -421,6 +556,30 @@ def test_figure_rejects_malformed_manifest(text, tmp_path, capsys):
     code, out, err = run(capsys, "figure", "1", "--manifest", str(manifest),
                          "--outdir", str(tmp_path))
     assert (code, out) == (2, "") and err.startswith("error: ")
+
+
+_CURVES = {"command": "evaluate", "family": "compound-tanh-plus", "t": 0.0, "x_min": -1.0,
+           "x_max": 1.0, "x_steps": 3, "output": "f7_{label}.csv",
+           "coefficients": {"s": 2.0, "mu": 1.0, "alpha": 3.0, "beta": 2.0}}
+
+
+@pytest.mark.parametrize("second", [
+    5,                                   # not an object
+    {"label": "b"},                      # no velocity
+    {"label": "b", "v": -9.0},           # negative discriminant: no kink at this velocity
+    {"v": -0.5},                         # no label
+])
+def test_figure_writes_nothing_when_a_later_curve_is_malformed(second, tmp_path, capsys):
+    # the first curve's file used to be written before the second curve failed
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({"7": {**_CURVES, "curves": [{"label": "a", "v": -0.04},
+                                                                second]}}))
+    outdir = tmp_path / "out"
+    outdir.mkdir()
+    code, out, err = run(capsys, "figure", "7", "--manifest", str(manifest),
+                         "--outdir", str(outdir))
+    assert (code, out) == (2, "") and err.startswith("error: ")
+    assert list(outdir.iterdir()) == []
 
 
 def test_figure_rejects_out_of_range_id():

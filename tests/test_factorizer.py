@@ -143,3 +143,29 @@ def test_verify_factorization_catches_a_broken_derivative():
         fact.f1_at, fact.f2_at, fact.F_at, lambda U: fact.f1U_prime_at(U) + 0.05, [1.0, 4.0]
     )
     assert check.max_closure == pytest.approx(0.05, abs=1e-12)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: factorize_kdvb(math.nan, Sign.MINUS),
+    lambda: factorize_kdvb(-math.inf, Sign.PLUS),
+    lambda: factorize_compound(ReducedParams(p=math.nan, q=2.0), Sign.PLUS),
+    lambda: factorize_compound(ReducedParams(p=0.0, q=math.inf), Sign.MINUS),
+    lambda: factorize_compound(ReducedParams(p=math.inf, q=math.nan), Sign.MINUS),
+])
+def test_non_finite_coefficients_are_domain_errors(build):
+    with pytest.raises(ParameterDomainError, match="must be finite"):
+        build()
+
+
+@pytest.mark.parametrize("nan_at", [0, 1, 2])
+def test_verify_factorization_keeps_a_nan_residual(nan_at):
+    # max(0.0, nan) is 0.0: a NaN residual must not read as an exact factorization
+    fact = factorize_kdvb(0.0, Sign.MINUS)
+    samples = [0.5, 1.0, 2.0]
+
+    def f1(U):
+        return math.nan if U == samples[nan_at] else fact.f1_at(U)
+
+    check = verify_factorization(f1, fact.f2_at, fact.F_at, fact.f1U_prime_at, samples)
+    assert math.isnan(check.max_product) and check.max_closure < 1e-14
+    assert check.n_samples == 3

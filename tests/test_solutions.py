@@ -85,6 +85,38 @@ def test_real_infinite_coordinates_give_the_asymptotes():
         eval_compound(Family.COMPOUND_TANH_PLUS, math.nan, rp)
 
 
+@pytest.mark.parametrize("xi0", [0j, 0.3j, complex(0.5, -0.7)])
+def test_physical_infinite_coordinates_give_the_asymptotes(xi0):
+    # the direct physical formulas used to die in round(nan) here: Im z became NaN
+    inf, nan = math.inf, math.nan
+    kdvb = PhysicalParams(s=1.0, mu=6.0, alpha=1.0, beta=0.0, v=0.2, xi0=xi0)
+    c = 3.0 * 6.0**2 / 25.0
+    for fam in (Family.KDVB_REGULAR, Family.KDVB_SINGULAR):
+        assert eval_kdvb_physical(fam, inf, 0.7, kdvb) == pytest.approx(0.2 + 2.0 * c, abs=1e-14)
+        assert eval_kdvb_physical(fam, -inf, 0.7, kdvb) == pytest.approx(0.2 - 2.0 * c, abs=1e-14)
+    compound = PhysicalParams(s=2.0, mu=1.0, alpha=3.0, beta=2.0, v=-0.04, xi0=xi0)
+    root, amp = physical_discriminant_root(compound), 1.0 / math.sqrt(6.0 * 2.0 * 2.0)
+    for fam, sign in ((Family.COMPOUND_TANH_PLUS, 1.0), (Family.COMPOUND_TANH_MINUS, -1.0)):
+        for end in (1.0, -1.0):
+            expected = -3.0 / 4.0 + sign * amp * (1.0 + end * root)
+            assert eval_compound_physical(fam, end * inf, 0.25, compound) == pytest.approx(
+                expected, abs=1e-14)
+    # NaN has no asymptote: a domain error, not a ValueError from round(nan)
+    for fam, params, evaluate in ((Family.KDVB_REGULAR, kdvb, eval_kdvb_physical),
+                                  (Family.KDVB_SINGULAR, kdvb, eval_kdvb_physical),
+                                  (Family.COMPOUND_TANH_MINUS, compound, eval_compound_physical)):
+        for x, t in ((nan, 0.0), (0.0, nan), (inf, inf if params.v > 0 else -inf)):
+            with pytest.raises(ParameterDomainError, match="must not be NaN"):
+                evaluate(fam, x, t, params)
+    # also where the degenerate kink (D = 0) is constant in the coordinate
+    flat = PhysicalParams(s=2.0, mu=1.0, alpha=3.0, beta=2.0, v=-25.0 / 24.0, xi0=xi0)
+    assert physical_discriminant_root(flat) == 0.0
+    with pytest.raises(ParameterDomainError, match="must not be NaN"):
+        eval_compound_physical(Family.COMPOUND_TANH_PLUS, nan, 0.0, flat)
+    with pytest.raises(ParameterDomainError, match="must not be NaN"):
+        eval_compound(Family.COMPOUND_TANH_PLUS, nan, ReducedParams(p=-1.0 / 6.0, q=1.0))
+
+
 def test_non_finite_constructor_inputs_are_domain_errors():
     nan, inf = math.nan, math.inf
     for build in (
