@@ -207,8 +207,9 @@ def verify_factorization(
     for U in samples:
         if U == 0:
             raise ParameterDomainError("the product condition divides by U; U = 0 is not a legal sample")
-        products.append(abs(f1_at(U) * f2_at(U) - F_at(U) / U))
-        closures.append(abs(f2_at(U) + f1U_prime_at(U) - 1.0))
+        f2 = f2_at(U)
+        products.append(abs(f1_at(U) * f2 - F_at(U) / U))
+        closures.append(abs(f2 + f1U_prime_at(U) - 1.0))
     if not products:
         raise ParameterDomainError("empty sample set")
     return FactorizationCheck(max_product=_max_residual(products),

@@ -37,12 +37,15 @@ raises PoleError carrying the pole location; the array kernels behind
 evaluate_grid flag those cells in a mask instead, so singular families still
 produce plottable grids.
 
-Two evaluation paths.  The scalar eval_* functions are the per-point API and
-hold the direct physical formulas, which verify's finite-difference residual
-samples.  The array path has one kernel per family (evaluate_grid) and, on
-the same argument and pole mask, one array jet: solution_jet gives
-(w, w', w'', w''') and physical_jet its chain-rule image, both with the
-(values, pole) contract of evaluate_grid.
+Two evaluation paths.  The scalar eval_* functions are the per-point API.
+The direct physical formulas are written once each, as functions
+(_physical_formula and its per-family parts) that do the per-solution work
+once and return u(x, t); eval_*_physical wrap them for one point, and
+verify's finite-difference residual samples the returned formula.  The array
+path has one kernel per family (evaluate_grid) and, on the same argument
+and pole mask, one array jet: solution_jet gives (w, w', w'', w''') and
+physical_jet its chain-rule image, both with the (values, pole) contract of
+evaluate_grid.
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ import cmath
 import enum
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -76,18 +80,13 @@ POLE_TOL = 1e-9
 _DISCRIMINANT_SNAP = 1e-13
 
 
-def _tanh_pole_distance(z: complex) -> tuple[float, complex]:
-    """Distance from z to the nearest pole of tanh (at i*pi*(n + 1/2))."""
-    n = round(z.imag / math.pi - 0.5)
-    pole = complex(0.0, math.pi * (n + 0.5))
-    return abs(z - pole), pole
+def _nearest_pole(im: float, offset: float) -> complex:
+    """Pole i*pi*(n + offset) nearest to a point of imaginary part im.
 
-
-def _coth_pole_distance(z: complex) -> tuple[float, complex]:
-    """Distance from z to the nearest pole of coth (at i*pi*n)."""
-    n = round(z.imag / math.pi)
-    pole = complex(0.0, math.pi * n)
-    return abs(z - pole), pole
+    offset 1/2 for tanh, 0 for coth.  It depends on Im z only, so a formula
+    whose Im z is fixed finds it once.
+    """
+    return complex(0.0, math.pi * (round(im / math.pi - offset) + offset))
 
 
 class Family(enum.Enum):
@@ -343,8 +342,8 @@ def eval_universal(family: Family, theta: complex, theta0: complex = 0j) -> comp
         raise ParameterDomainError("theta and theta0 must not be NaN")
     z = complex(d.real / 10.0, d.imag / 10.0)  # by parts: a real infinite theta keeps Im z = 0
     singular = family is Family.KDVB_SINGULAR
-    dist, pole = (_coth_pole_distance if singular else _tanh_pole_distance)(z)
-    if dist < POLE_TOL:
+    pole = _nearest_pole(z.imag, 0.0 if singular else 0.5)
+    if abs(z - pole) < POLE_TOL:
         raise PoleError(
             f"universal {family.value} solution has a pole at theta = {theta0 + 10.0 * pole}",
             theta0 + 10.0 * pole,
@@ -364,20 +363,32 @@ def eval_kdvb_physical(
     the two code paths.  A real x = +-inf gives the asymptote; a NaN x or t
     is a ParameterDomainError.
     """
+    return _kdvb_formula(family, params)(x, t)
+
+
+def _kdvb_formula(family: Family, params: PhysicalParams) -> Callable[[float, float], complex]:
     if family not in _KDVB_FAMILIES:
         raise ParameterDomainError(f"not a KdVB universal family: {family}")
-    s, mu, alpha, v = params.s, params.mu, params.alpha, params.v
-    d = x - v * t - params.xi0.real  # by parts, as in eval_universal: Im z stays finite
-    if math.isnan(d):
-        raise ParameterDomainError("x - v*t must not be NaN")
-    z = complex(mu * d / (10.0 * s), -mu * params.xi0.imag / (10.0 * s))
+    s, mu, alpha, v, xi0 = params.s, params.mu, params.alpha, params.v, params.xi0
+    xi0_re, ten_s = xi0.real, 10.0 * s
+    im_z = -mu * xi0.imag / ten_s
     singular = family is Family.KDVB_SINGULAR
-    dist, pole = (_coth_pole_distance if singular else _tanh_pole_distance)(z)
-    if dist < POLE_TOL * max(1.0, abs(mu / (10.0 * s))):
-        x_pole = (10.0 * s / mu) * pole + v * t + params.xi0
-        raise PoleError(f"pole of the singular kink at x = {x_pole}", x_pole)
-    T = 1.0 / cmath.tanh(z) if singular else cmath.tanh(z)
-    return v / alpha + (3.0 * mu**2 / (25.0 * alpha * s)) * ((1.0 + T) ** 2 - 2.0)
+    pole = _nearest_pole(im_z, 0.0 if singular else 0.5)
+    tol = POLE_TOL * max(1.0, abs(mu / ten_s))
+    base, amp = v / alpha, 3.0 * mu**2 / (25.0 * alpha * s)
+
+    def u(x: float, t: float) -> complex:
+        d = x - v * t - xi0_re  # by parts, as in eval_universal: Im z stays finite
+        if math.isnan(d):
+            raise ParameterDomainError("x - v*t must not be NaN")
+        z = complex(mu * d / ten_s, im_z)
+        if abs(z - pole) < tol:
+            x_pole = (ten_s / mu) * pole + v * t + xi0
+            raise PoleError(f"pole of the singular kink at x = {x_pole}", x_pole)
+        T = 1.0 / cmath.tanh(z) if singular else cmath.tanh(z)
+        return base + amp * ((1.0 + T) ** 2 - 2.0)
+
+    return u
 
 
 def eval_compound(family: Family, theta: complex, reduced: ReducedParams) -> complex:
@@ -402,8 +413,8 @@ def eval_compound(family: Family, theta: complex, reduced: ReducedParams) -> com
     if root == 0.0:
         return -1.0 / (3.0 * q) + b
     z = complex(root * d.real / 6.0, root * d.imag / 6.0)  # by parts, as in eval_universal
-    dist, pole = _tanh_pole_distance(z)
-    if dist < POLE_TOL * max(1.0, root / 6.0):
+    pole = _nearest_pole(z.imag, 0.5)
+    if abs(z - pole) < POLE_TOL * max(1.0, root / 6.0):
         theta_pole = reduced.theta0 + 6.0 * pole / root
         raise PoleError(f"compound kink pole at theta = {theta_pole}", theta_pole)
     return -1.0 / (3.0 * q) + b * (1.0 + root * cmath.tanh(z))
@@ -443,28 +454,42 @@ def eval_compound_physical(
 
     A real x = +-inf gives the asymptote; a NaN x or t is a ParameterDomainError.
     """
+    return _compound_formula(family, params)(x, t)
+
+
+def _compound_formula(family: Family, params: PhysicalParams) -> Callable[[float, float], complex]:
     if family not in _COMPOUND_FAMILIES:
         raise ParameterDomainError(f"not a compound kink family: {family}")
     if params.beta == 0:
         raise ParameterDomainError("compound families require beta != 0")
     if params.beta * params.s <= 0:
         raise UnsupportedDomainError("compound kinks require beta*s > 0 (q > 0)")
-    s, mu, alpha, beta, v = params.s, params.mu, params.alpha, params.beta, params.v
+    s, mu, alpha, beta, v, xi0 = (
+        params.s, params.mu, params.alpha, params.beta, params.v, params.xi0
+    )
     root = physical_discriminant_root(params)
     amp = mu / math.sqrt(6.0 * beta * s)
     if family is Family.COMPOUND_TANH_MINUS:
         amp = -amp
-    d = x - v * t - params.xi0.real  # by parts, as in eval_universal: Im z stays finite
-    if math.isnan(d):
-        raise ParameterDomainError("x - v*t must not be NaN")
-    if root == 0.0:
-        return -alpha / (2.0 * beta) + amp
-    z = complex(mu * root * d / (6.0 * s), -mu * root * params.xi0.imag / (6.0 * s))
-    dist, pole = _tanh_pole_distance(z)
-    if dist < POLE_TOL * max(1.0, abs(mu * root / (6.0 * s))):
-        x_pole = (6.0 * s / (mu * root)) * pole + v * t + params.xi0
-        raise PoleError(f"compound kink pole at x = {x_pole}", x_pole)
-    return -alpha / (2.0 * beta) + amp * (1.0 + root * cmath.tanh(z))
+    xi0_re, base = xi0.real, -alpha / (2.0 * beta)
+    mu_root, six_s = mu * root, 6.0 * s
+    im_z = -mu * root * xi0.imag / six_s
+    pole = _nearest_pole(im_z, 0.5)
+    tol = POLE_TOL * max(1.0, abs(mu_root / six_s))
+
+    def u(x: float, t: float) -> complex:
+        d = x - v * t - xi0_re  # by parts, as in eval_universal: Im z stays finite
+        if math.isnan(d):
+            raise ParameterDomainError("x - v*t must not be NaN")
+        if root == 0.0:
+            return base + amp
+        z = complex(mu_root * d / six_s, im_z)
+        if abs(z - pole) < tol:
+            x_pole = (six_s / mu_root) * pole + v * t + xi0
+            raise PoleError(f"compound kink pole at x = {x_pole}", x_pole)
+        return base + amp * (1.0 + root * cmath.tanh(z))
+
+    return u
 
 
 def _rational_branch_A(family: Family, q: float, sign: Sign = Sign.PLUS) -> float:
@@ -488,18 +513,23 @@ def eval_rational(
 
     U = -(k0/A)/(A + k0*theta) - (A+1)/(6A^2) with A = +-sqrt(q/2).  k0 = 0
     collapses to the constant -(A+1)/(6A^2); the ``sign`` argument picks the
-    branch only for the Constant family tag, which carries none itself.
+    branch only for the Constant family tag, which carries none itself.  An
+    infinite theta gives the constant (the asymptote); a NaN theta is a
+    ParameterDomainError.
     """
     if family is Family.CONSTANT and k0 != 0:
         raise ParameterDomainError("the constant family is the k0 = 0 member; got k0 != 0")
     A = _rational_branch_A(family, q, sign)
     const = -(A + 1.0) / (6.0 * A * A)
-    if k0 == 0:
+    theta = complex(theta)
+    if cmath.isnan(theta):
+        raise ParameterDomainError("theta must not be NaN")
+    if k0 == 0 or cmath.isinf(theta):
         return complex(const)
     theta_pole = -A / k0
-    if abs(complex(theta) - theta_pole) < POLE_TOL:
+    if abs(theta - theta_pole) < POLE_TOL:
         raise PoleError(f"rational solution pole at theta = {theta_pole}", theta_pole)
-    return -(k0 / A) / (A + k0 * complex(theta)) + const
+    return -(k0 / A) / (A + k0 * theta) + const
 
 
 def eval_rational_physical(
@@ -521,8 +551,15 @@ def eval_rational_physical(
     -(alpha/(2*beta))*(1 +- eps) minus a rational term weighted by s;
     alternate published-style spellings of that term are provided in the
     verify module's audit, where their consistency is measured rather than
-    assumed.
+    assumed.  An infinite x or t gives the constant -(alpha/(2*beta))*(A + 1)
+    (the asymptote); a NaN x or t is a ParameterDomainError.
     """
+    return _rational_formula(family, params, k0, sign)(x, t)
+
+
+def _rational_formula(
+    family: Family, params: PhysicalParams, k0: float, sign: Sign
+) -> Callable[[float, float], complex]:
     if family is Family.CONSTANT and k0 != 0:
         raise ParameterDomainError("the constant family is the k0 = 0 member; got k0 != 0")
     if not (params.beta > 0 and params.s > 0):
@@ -532,18 +569,25 @@ def eval_rational_physical(
         raise ParameterDomainError(
             f"rational family exists only at the locked velocity {v_lock!r}; got {params.v!r}"
         )
-    base = reduce(params)
-    A = _rational_branch_A(family, base.q, sign)
+    A = _rational_branch_A(family, reduce(params).q, sign)
     const = -(params.alpha / (2.0 * params.beta)) * (A + 1.0)
-    if k0 == 0:
-        return complex(const)
-    theta = to_reduced_coordinate(x, t, params)
-    theta_pole = -A / k0
-    if abs(theta - theta_pole) < POLE_TOL:
-        x_pole = (params.s / params.mu) * theta_pole + params.v * t + params.xi0
-        raise PoleError(f"rational solution pole at x = {x_pole}", x_pole)
-    rational_term = to_physical_amplitude(-(k0 / A) / (A + k0 * theta), params)
-    return const + rational_term
+    v, flat, weight = params.v, complex(const), -(k0 / A)
+    theta_pole = -A / k0 if k0 else math.nan  # the constant member has no pole
+
+    def u(x: float, t: float) -> complex:
+        if math.isnan(x - v * t):
+            raise ParameterDomainError("x - v*t must not be NaN")
+        if k0 == 0:
+            return flat
+        theta = to_reduced_coordinate(x, t, params)
+        if not cmath.isfinite(theta):  # an infinite x or t: the asymptote
+            return flat
+        if abs(theta - theta_pole) < POLE_TOL:
+            x_pole = (params.s / params.mu) * theta_pole + v * t + params.xi0
+            raise PoleError(f"rational solution pole at x = {x_pole}", x_pole)
+        return const + to_physical_amplitude(weight / (A + k0 * theta), params)
+
+    return u
 
 
 def eval_solution(sol: WaveSolution, theta: complex) -> complex:
@@ -558,14 +602,31 @@ def eval_solution(sol: WaveSolution, theta: complex) -> complex:
 
 def eval_solution_physical(sol: WaveSolution, x: float, t: float) -> complex:
     """Evaluate a physically-anchored WaveSolution at (x, t)."""
+    return _physical_formula(sol)(x, t)
+
+
+def _physical_formula(sol: WaveSolution) -> Callable[[float, float], complex]:
+    """The direct physical formula of a solution, as a scalar function u(x, t).
+
+    What depends on the solution alone is computed here, once: the family
+    and domain checks, the discriminant root, amplitudes and base value,
+    Im z, its nearest pole and the pole tolerance (for the rational
+    families, the locked-velocity check and the branch A).  Per point the
+    formula computes only x - v*t - Re xi0 and its NaN check, z, the pole
+    distance, tanh and the value.  Hoisted factors keep the order of
+    operations of the formula as written (mu*root*d/(6s) stays
+    (mu*root)*d/(6s), never d*(mu*root/(6s))), because the finite-difference
+    stencils magnify a one-ulp change.  The eval_*_physical functions
+    evaluate the returned formula at one point.
+    """
     if sol.physical is None:
         raise ParameterDomainError("solution carries no physical coefficients")
     f = sol.family
     if f in _KDVB_FAMILIES:
-        return eval_kdvb_physical(f, x, t, sol.physical)
+        return _kdvb_formula(f, sol.physical)
     if f in _COMPOUND_FAMILIES:
-        return eval_compound_physical(f, x, t, sol.physical)
-    return eval_rational_physical(f, x, t, sol.physical, sol.k0 or 0.0, sol.sign)
+        return _compound_formula(f, sol.physical)
+    return _rational_formula(f, sol.physical, sol.k0 or 0.0, sol.sign)
 
 
 # ---------------------------------------------------------------------------

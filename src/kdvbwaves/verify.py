@@ -5,15 +5,18 @@ Three mutually independent error channels:
 1. Residuals of the governing equations, on arrays: the closed form's
    array jet (first integral, third-order form, analytic PDE), or
    finite-difference stencils over arrays sampled from the direct physical
-   formulas (eval_solution_physical, point by point, not the array kernels).
-   Analytic and FD modes of the PDE residual are separate code paths on
-   purpose; their disagreement is itself a test failure.  One reducer
-   (_report) turns every residual array and its pole mask into a
-   ResidualReport.
+   formula of the solution, point by point, not from the array kernels.
+   That formula (solutions._physical_formula, which eval_solution_physical
+   wraps for one point) is built once per solution, so each sample pays
+   only for its own argument, pole distance, tanh and value.  Analytic and
+   FD modes of the PDE residual are separate code paths on purpose; their
+   disagreement is itself a test failure.  One reducer (_report) turns
+   every residual array and its pole mask into a ResidualReport.
 
 2. A classical fixed-step Runge-Kutta oracle for the compatible first-order
-   equations (Bernoulli and Riccati).  The oracle knows nothing about the
-   closed forms, so endpoint agreement is evidence, not tautology.
+   equations (Bernoulli and Riccati): one scalar loop whose step constants
+   are computed once.  The oracle knows nothing about the closed forms, so
+   endpoint agreement is evidence, not tautology.
 
 3. A structural identity: d/dtheta of the first-integral expression must
    reproduce the third-order form for ANY smooth w, solution or not.  The
@@ -47,10 +50,10 @@ from .params import PhysicalParams, ReducedParams, reduce
 from .solutions import (
     Family,
     WaveSolution,
+    _physical_formula,
     compound_solution,
     compound_solution_from_physical,
     constant_solution,
-    eval_solution_physical,
     evaluate_grid,
     kdvb_solution_from_physical,
     locked_rational_velocity,
@@ -166,19 +169,23 @@ def _kink_width(sol: WaveSolution) -> float | None:
 
 
 def _physical_samples(sol: WaveSolution, x: np.ndarray, t: np.ndarray):
-    """(values, pole) of the direct physical formulas (eval_solution_physical) at each (x, t).
+    """(values, pole) of the solution's direct physical formula at each (x, t).
 
-    Point by point on purpose: this keeps the finite-difference channel
-    independent of the array kernels.  A PoleError becomes a flag, its value NaN.
+    The formula is built once per call (solutions._physical_formula, the
+    formula behind eval_solution_physical) and evaluated point by point on
+    purpose: this keeps the finite-difference channel independent of the
+    array kernels.  A PoleError becomes a flag, its value NaN.
     """
-    values = np.full(x.shape, complex(math.nan, math.nan))
+    u, nan = _physical_formula(sol), complex(math.nan, math.nan)
+    values = []
     pole = np.zeros(x.shape, bool)
     for i, (xi, ti) in enumerate(zip(x.tolist(), t.tolist())):
         try:
-            values[i] = eval_solution_physical(sol, xi, ti)
+            values.append(u(xi, ti))
         except PoleError:
+            values.append(nan)
             pole[i] = True
-    return values, pole
+    return np.array(values, dtype=complex), pole
 
 
 def residual_pde(
@@ -285,22 +292,23 @@ def _rk4(
         raise ParameterDomainError("integration span must be increasing")
     n = max(1, round((t1 - t0) / step))
     h = (t1 - t0) / n
-    thetas = [t0]
-    values = [complex(y0)]
+    half, sixth = 0.5 * h, h / 6.0  # 0.5 * h * k1 is (0.5 * h) * k1
     y = complex(y0)
+    values = [y]
     blew_up = False
-    for i in range(n):
+    for _ in range(n):
         k1 = rhs(y)
-        k2 = rhs(y + 0.5 * h * k1)
-        k3 = rhs(y + 0.5 * h * k2)
+        k2 = rhs(y + half * k1)
+        k3 = rhs(y + half * k2)
         k4 = rhs(y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        thetas.append(t0 + (i + 1) * h)
+        y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         values.append(y)
-        if not (cmath.isfinite(y) and abs(y) <= BLOWUP_THRESHOLD):
+        if not abs(y) <= BLOWUP_THRESHOLD:  # also NaN, +-inf and complex(inf, nan)
             blew_up = True
             break
-    return Trajectory(np.array(thetas), np.array(values, dtype=complex), blew_up)
+    # theta_i = t0 + i*h, with theta_0 = t0 itself (t0 + 0.0 would turn -0.0 into 0.0)
+    thetas = np.concatenate(([t0], t0 + np.arange(1, len(values)) * h))
+    return Trajectory(thetas, np.array(values, dtype=complex), blew_up)
 
 
 def oracle_integrate_bernoulli(
@@ -329,7 +337,12 @@ def oracle_integrate_riccati(
     step: float,
 ) -> Trajectory:
     """RK4 trajectory of the compatible Riccati equation U' = A*U^2 + B*U + C."""
-    return _rk4(fact.riccati_rhs, U0, theta_span, step)
+    A, B, C = fact.A, fact.B, fact.C
+
+    def rhs(U: complex) -> complex:
+        return A * U * U + B * U + C  # fact.riccati_rhs, without its attribute lookups
+
+    return _rk4(rhs, U0, theta_span, step)
 
 
 # ---------------------------------------------------------------------------

@@ -375,6 +375,59 @@ def test_rational_physical_k0_zero_is_the_constant():
     assert val == pytest.approx(-(alpha / (2.0 * beta)) * (1.0 + eps), rel=1e-14)
 
 
+RATIONAL_K0 = ((Family.RATIONAL_PLUS, 1.0), (Family.RATIONAL_MINUS, -2.0))
+
+
+def test_rational_infinite_theta_gives_the_constant():
+    # the reduced rational evaluator used to return nan+nanj here
+    q, inf, nan = 0.5, math.inf, math.nan
+    for fam, k0 in RATIONAL_K0:
+        A = (1.0 if fam is Family.RATIONAL_PLUS else -1.0) * math.sqrt(q / 2.0)
+        const = -(A + 1.0) / (6.0 * A * A)
+        sol = rational_solution(fam, q, k0)
+        for theta in (inf, -inf, complex(inf, 1.0), complex(0.5, -inf)):
+            assert eval_rational(fam, theta, q, k0) == const
+            assert eval_solution(sol, theta) == const
+        for theta in (nan, complex(0.0, nan), complex(inf, nan)):
+            with pytest.raises(ParameterDomainError, match="must not be NaN"):
+                eval_rational(fam, theta, q, k0)
+            with pytest.raises(ParameterDomainError, match="must not be NaN"):
+                eval_solution(sol, theta)
+    # the constant member has no asymptote to reach, but NaN is still no coordinate
+    assert eval_rational(Family.CONSTANT, inf, q, 0.0) == -1.0
+    with pytest.raises(ParameterDomainError, match="must not be NaN"):
+        eval_rational(Family.CONSTANT, nan, q, 0.0)
+
+
+@pytest.mark.parametrize("xi0", [0j, 0.3j, complex(0.5, -0.7)])
+def test_rational_physical_infinite_coordinates_give_the_constant(xi0):
+    # eval_rational_physical used to return nan+nanj here: theta = mu*(x - v*t - xi0)/s
+    # is a complex product, so an infinite x made its imaginary part NaN
+    inf, nan = math.inf, math.nan
+    v = locked_rational_velocity(PhysicalParams(s=2.0, mu=1.0, alpha=3.0, beta=2.0, v=0.0))
+    params = PhysicalParams(s=2.0, mu=1.0, alpha=3.0, beta=2.0, v=v, xi0=xi0)
+    assert v < 0  # so x = t = +inf is x - v*t = +inf, and x = inf, t = -inf is NaN
+    q = reduce(params).q
+    for fam, k0 in RATIONAL_K0:
+        A = (1.0 if fam is Family.RATIONAL_PLUS else -1.0) * math.sqrt(q / 2.0)
+        const = -(3.0 / (2.0 * 2.0)) * (A + 1.0)
+        sol = rational_solution_from_physical(fam, params, k0)
+        for x, t in ((inf, 0.0), (-inf, 0.0), (0.0, inf), (0.0, -inf), (inf, inf), (1e308, 0.5)):
+            assert eval_rational_physical(fam, x, t, params, k0) == pytest.approx(const, abs=1e-15)
+            assert eval_solution_physical(sol, x, t) == pytest.approx(const, abs=1e-15)
+        # far out, but finite: the formula itself, approaching the constant
+        assert abs(eval_rational_physical(fam, 1e8, 0.0, params, k0) - const) < 1e-7
+        for x, t in ((nan, 0.0), (0.0, nan), (inf, -inf)):
+            with pytest.raises(ParameterDomainError, match="must not be NaN"):
+                eval_rational_physical(fam, x, t, params, k0)
+            with pytest.raises(ParameterDomainError, match="must not be NaN"):
+                eval_solution_physical(sol, x, t)
+    constant = constant_solution(Sign.MINUS, q, physical=params)
+    with pytest.raises(ParameterDomainError, match="must not be NaN"):
+        eval_solution_physical(constant, nan, 0.0)
+    assert eval_solution_physical(constant, -inf, 0.0) == eval_solution_physical(constant, 0.0, 0.0)
+
+
 def test_wave_solution_records_epsilon_and_k0():
     s, mu, alpha, beta = 2.0, 1.0, 3.0, 2.0
     v = mu**2 / (6.0 * s) - alpha**2 / (4.0 * beta)

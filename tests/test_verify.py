@@ -1,5 +1,6 @@
 """Tests for the residual, oracle, and audit machinery."""
 
+import cmath
 import math
 
 import numpy as np
@@ -29,7 +30,8 @@ from kdvbwaves import (
     universal_solution,
     verification_suite,
 )
-from kdvbwaves.verify import SCOPES, _report
+from kdvbwaves.factorizer import CompoundFactorization
+from kdvbwaves.verify import BLOWUP_THRESHOLD, SCOPES, _report
 
 GRID = np.linspace(-50.0, 50.0, 200)
 KDVB_PROBE = PhysicalParams(s=1.0, mu=6.0, alpha=1.0, beta=0.0, v=0.2)
@@ -262,6 +264,101 @@ def test_riccati_constant_is_an_equilibrium():
     U0 = -1.0  # the plus-branch constant at q = 1/2
     traj = oracle_integrate_riccati(fact, U0, (0.0, 20.0), 0.01)
     assert np.max(np.abs(traj.values - U0)) < 1e-12
+
+
+def _reference_rk4(rhs, y0, span, step):
+    """Textbook four-stage RK4, spelled as the oracle first was: the bits _rk4 must keep."""
+    t0, t1 = span
+    n = max(1, round((t1 - t0) / step))
+    h = (t1 - t0) / n
+    thetas, values, y = [t0], [complex(y0)], complex(y0)
+    blew_up = False
+    for i in range(n):
+        k1 = rhs(y)
+        k2 = rhs(y + 0.5 * h * k1)
+        k3 = rhs(y + 0.5 * h * k2)
+        k4 = rhs(y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        thetas.append(t0 + (i + 1) * h)
+        values.append(y)
+        if not (cmath.isfinite(y) and abs(y) <= BLOWUP_THRESHOLD):
+            blew_up = True
+            break
+    return np.array(thetas), np.array(values, dtype=complex), blew_up
+
+
+def _assert_same_bits(traj, reference):
+    thetas, values, blew_up = reference
+    assert traj.blew_up is blew_up
+    assert traj.thetas.dtype == thetas.dtype and traj.values.dtype == values.dtype
+    assert np.array_equal(traj.thetas.view(np.uint64), thetas.view(np.uint64))
+    assert np.array_equal(traj.values.view(np.uint64), values.view(np.uint64))
+
+
+_INF, _NAN = math.inf, math.nan
+# the kink, rational and constant branches of the suite, plus coefficients
+# large enough to overflow within one step
+_RICCATI = [
+    factorize_compound(compound_solution_from_physical(fam, PhysicalParams(
+        s=2.0, mu=1.0, alpha=3.0, beta=2.0, v=-0.04)).reduced, sign)
+    for fam in (Family.COMPOUND_TANH_PLUS, Family.COMPOUND_TANH_MINUS)
+    for sign in (Sign.MINUS, Sign.PLUS)
+] + [
+    factorize_compound(rational_solution(Family.RATIONAL_MINUS, 0.5, -1.0).reduced, Sign.MINUS),
+    factorize_compound(constant_solution(Sign.PLUS, 0.5).reduced, Sign.PLUS),
+    CompoundFactorization(A=1e200, B=1.0, C=0.0, p=0.0, q=1.0, k=0.0, sign=Sign.PLUS),
+    CompoundFactorization(A=0.0, B=1e308, C=-1.0, p=0.0, q=1.0, k=0.0, sign=Sign.PLUS),
+]
+_RICCATI_RUNS = [
+    (0.3, (0.0, 10.0), 0.005),
+    (complex(0.1, -0.7), (-0.0, 3.0), 0.013),  # theta_0 keeps its sign
+    (-1.2, (0, 10), 0.3),  # integer span
+    (5.0, (2.5, 2.6), 1.0),  # one step longer than the span asks
+    (1e6, (0.0, 20.0), 0.01),  # grows past the guard and truncates
+    (_INF, (0.0, 1.0), 0.25),
+    (_NAN, (0.0, 1.0), 0.25),
+    (complex(_INF, _NAN), (0.0, 1.0), 0.25),
+    (complex(1.0, _INF), (0.0, 1.0), 0.25),
+]
+
+
+@pytest.mark.parametrize("run", _RICCATI_RUNS, ids=repr)
+@pytest.mark.parametrize("which", range(len(_RICCATI)))
+def test_riccati_oracle_matches_textbook_rk4_bit_for_bit(which, run):
+    fact = _RICCATI[which]
+    U0, span, step = run
+    _assert_same_bits(
+        oracle_integrate_riccati(fact, U0, span, step),
+        _reference_rk4(fact.riccati_rhs, U0, span, step),
+    )
+
+
+@pytest.mark.parametrize("sign", [Sign.MINUS, Sign.PLUS])
+@pytest.mark.parametrize("run", [
+    (3.0 / 50.0, (0.0, 40.0), 0.01),
+    (0.5, (0.0, 40.0), 0.01),  # the plus branch truncates at blow-up
+    (3.0 / 50.0, (0.0, 10.0), 0.5),
+    (3.0 / 50.0, (-0.0, 10.0), 0.25),
+    (3.0, (-5.0, 7.0), 0.013),
+    (0.5, (0.0, 1e300), 1e300),  # one step overflows to NaN
+    (_INF, (0.0, 1.0), 0.5),
+], ids=repr)
+def test_bernoulli_oracle_matches_textbook_rk4_bit_for_bit(sign, run):
+    U0, span, step = run
+    a = sign.factor * math.sqrt(2.0 / 3.0)
+    reference = _reference_rk4(lambda U: a * U * cmath.sqrt(U) + 0.4 * U, U0, span, step)
+    _assert_same_bits(oracle_integrate_bernoulli(sign, U0, span, step), reference)
+
+
+def test_reference_runs_reach_blow_up_and_non_finite_states():
+    # the bit-for-bit cases above cover truncation and every non-finite state kind
+    runs = [_reference_rk4(fact.riccati_rhs, *run) for fact in _RICCATI for run in _RICCATI_RUNS]
+    assert any(blew and len(th) < 100 and np.isfinite(v[-1]) for th, v, blew in runs)
+    last = [v[-1] for _, v, blew in runs if blew]
+    assert any(np.isnan(u.real) and np.isnan(u.imag) for u in last)
+    states = [u for _, v, _ in runs for u in v]
+    assert any(np.isinf(u.real) and u.imag == 0 for u in states)
+    assert any(np.isinf(u.real) and np.isnan(u.imag) for u in states)
 
 
 # ---------------------------------------------------------------------------
