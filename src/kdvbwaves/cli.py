@@ -17,14 +17,18 @@ evaluate, sweep and figure build a WaveSolution with the constructors of
 the solutions module, evaluate it on the whole grid in one evaluate_grid
 call, and write the table through one column writer (_render).  The writer
 formats a repeated value once: a coordinate column made of few runs of one
-bit pattern (the physical t column, the sweep's a column) once per run, and
-a value column that holds one bit pattern on every non-pole row (im_u of a
-real profile) once.  Every other cell goes through one %-format.  The choice
-is made from the table itself and never changes the bytes written.  figure
+bit pattern (the physical t column, the sweep's a column) once per run, a
+tiled coordinate column (the sweep's theta column: its first p bit patterns
+repeat in every following block, 4 * p < n, p divides n) once per element of
+the block, and a value column that holds one bit pattern on every non-pole
+row (im_u of a real profile) once.  Every other cell goes through one
+%-format.  The choice is made from the table itself and never changes the
+bytes written.  figure
 renders all of its files before it writes the first one, so a malformed
 manifest leaves no file behind.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or domain error.
+Exit codes: 0 success, 1 verification failure, 2 usage or domain error, 141 when
+the reader closes stdout early (128 + SIGPIPE; nothing is printed).
 Output is deterministic: fixed grids, no timestamps, floats printed with 17
 significant digits in CSV, shortest round-trip form in JSON.  Values on a
 pole are emitted as empty cells (CSV) or nulls (JSON) with pole_flag=1.
@@ -35,6 +39,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from importlib import resources
 from pathlib import Path
@@ -71,15 +76,33 @@ def _run_starts(column: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
 
 
+def _tile(column: np.ndarray) -> int:
+    """Length p of the block that ``column`` repeats bit for bit, or 0.
+
+    p is the first row after row 0 with row 0's bit pattern; the column is
+    tiled when 4 * p < n, p divides n and every block of p rows equals the
+    first.  A column without a repeat of row 0 (a linspace) stops at the
+    first test.
+    """
+    bits = column.view(np.uint64)
+    n = bits.size
+    hit = np.flatnonzero(bits[1:] == bits[0])
+    p = int(hit[0]) + 1 if hit.size else n
+    if 4 * p >= n or n % p or not (bits.reshape(-1, p) == bits[:p]).all():
+        return 0
+    return p
+
+
 def _render(names: list[str], columns: list[np.ndarray], pole: np.ndarray, fmt: str) -> str:
     """CSV or JSON table of ``columns`` (coordinates ``names``, re_u, im_u) plus pole_flag.
 
     Byte for byte format(value, ".17g") per CSV cell, or json.dumps(rows, indent=2).
-    A repeated value is formatted once and written into the row templates: a
-    coordinate column with fewer runs of one bit pattern than a quarter of the
-    rows (one template pair per run), and a value column that holds one bit
-    pattern on every non-pole row.  The other cells go through one %-format;
-    "%.0s" swallows the NaN values of pole rows.
+    A repeated value is formatted once: a coordinate column with fewer runs of
+    one bit pattern than a quarter of the rows (written into the row templates,
+    one template pair per run), a tiled coordinate column (see _tile; its p
+    strings go in as %s cells), and a value column that holds one bit pattern
+    on every non-pole row (written into the templates).  The other cells go
+    through one %-format; "%.0s" swallows the NaN values of pole rows.
     """
     n, m = len(pole), len(names)
     keys = [*names, "re_u", "im_u", "pole_flag"]
@@ -88,6 +111,7 @@ def _render(names: list[str], columns: list[np.ndarray], pole: np.ndarray, fmt: 
     else:
         text, value, empty, null = (lambda v: format(v, ".17g")), "%.17g", "%.0s", ""
     runs = {j: s for j, s in enumerate(map(_run_starts, columns[:m])) if 4 * s.size < n}
+    tiles = {j: p for j in range(m) if j not in runs and (p := _tile(columns[j]))}
     constant: dict[int, str] = {}
     for j in (m, m + 1):
         rest = columns[j][~pole]
@@ -104,7 +128,8 @@ def _render(names: list[str], columns: list[np.ndarray], pole: np.ndarray, fmt: 
     rows: list[str] = []
     bad: list[str] = []
     for b, e in zip(starts, [*starts[1:], n]):
-        coords = [text(float(columns[j][b])) if j in runs else value for j in range(m)]
+        coords = [text(float(columns[j][b])) if j in runs else "%s" if j in tiles else value
+                  for j in range(m)]
         ok = [constant.get(j, value) for j in (m, m + 1)]
         flagged = [null if j in constant else empty for j in (m, m + 1)]
         rows += [template([*coords, *ok, "0"])] * (e - b)
@@ -113,14 +138,17 @@ def _render(names: list[str], columns: list[np.ndarray], pole: np.ndarray, fmt: 
     for r, k in zip(i.tolist(), (np.searchsorted(starts, i, "right") - 1).tolist()):
         rows[r] = bad[k]
 
-    formatted = [c for j, c in enumerate(columns) if j not in runs and j not in constant]
-    cells: list = []
-    if formatted:
-        flat = np.column_stack(formatted).ravel()
-        cells = flat.tolist()
-        if fmt == "json":
-            for k in np.flatnonzero(~np.isfinite(flat)):
-                cells[k] = json.dumps(cells[k])  # NaN and Infinity as json spells them
+    formatted = [j for j in range(m + 2) if j not in runs and j not in constant]
+    cells: list = [None] * (n * len(formatted))
+    for k, j in enumerate(formatted):
+        if j in tiles:
+            part = [text(v) for v in columns[j][:tiles[j]].tolist()] * (n // tiles[j])
+        else:
+            part = columns[j].tolist()
+            if fmt == "json":
+                for r in np.flatnonzero(~np.isfinite(columns[j])).tolist():
+                    part[r] = json.dumps(part[r])  # NaN and Infinity as json spells them
+        cells[k::len(formatted)] = part
     if fmt == "json":
         head, sep, tail = "[\n", ",\n", "\n]\n"
     else:
@@ -140,6 +168,9 @@ def _grid(lo: float, hi: float, steps: int | None, name: str) -> np.ndarray:
         raise ParameterDomainError(f"--{name}-steps must request at least one grid point")
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ParameterDomainError(f"--{name}-min and --{name}-max must be finite")
+    if not math.isfinite(hi - lo):
+        raise ParameterDomainError(
+            f"--{name}-max - --{name}-min overflows: the grid span must be finite")
     return np.linspace(lo, hi, steps)
 
 
@@ -474,7 +505,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        return 141  # 128 + SIGPIPE: the reader closed stdout, which is not an error to report
     except (ParameterDomainError, UnsupportedDomainError, PoleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -484,7 +519,11 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    code = main()
+    if code == 141:
+        # the text still buffered for the closed pipe goes to devnull, so exit reports nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

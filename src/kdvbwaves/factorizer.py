@@ -159,7 +159,8 @@ def factorize_compound(reduced: ReducedParams, sign: Sign) -> CompoundFactorizat
 
     q = 0 has no cubic term and is rejected; q < 0 would make A imaginary
     and is outside the implemented theory.  A NaN or infinite p or q is a
-    ParameterDomainError.
+    ParameterDomainError, and so is a (p, q) whose A**3 underflows to 0 or
+    overflows, or whose B, C or k is not finite.
     """
     p, q = reduced.p, reduced.q
     require_finite(p=p, q=q)
@@ -171,9 +172,20 @@ def factorize_compound(reduced: ReducedParams, sign: Sign) -> CompoundFactorizat
             "coefficient; q < 0 (beta*s < 0) is unsupported"
         )
     A = sign.factor * math.sqrt(q / 2.0)
+    out_of_range = ParameterDomainError(
+        f"p = {p!r}, q = {q!r} leave the float range: A**3 must be nonzero and finite, "
+        "and B, C, k finite")
+    try:
+        cube = A**3
+    except OverflowError:
+        raise out_of_range from None
+    if cube == 0:
+        raise out_of_range
     B = (A + 1.0) / (3.0 * A)
-    C = ((2.0 - 9.0 * p) / A + 1.0 / A**2 - 1.0 / A**3) / 18.0
+    C = ((2.0 - 9.0 * p) / A + 1.0 / A**2 - 1.0 / cube) / 18.0
     k = C * (1.0 - 2.0 * A) / (3.0 * A)
+    if not all(map(math.isfinite, (B, C, k))):
+        raise out_of_range
     return CompoundFactorization(A=A, B=B, C=C, p=p, q=q, k=k, sign=sign)
 
 

@@ -143,6 +143,9 @@ class PhaseSweep:
             raise ParameterDomainError("phase sweep needs at least 2 steps")
         if not self.a_min < self.a_max:
             raise ParameterDomainError("phase sweep needs a_min < a_max")
+        if not math.isfinite(self.a_max - self.a_min):
+            raise ParameterDomainError(
+                "a_max - a_min overflows: the phase sweep needs a finite span")
 
     def a_values(self) -> np.ndarray:
         return np.linspace(self.a_min, self.a_max, self.steps)

@@ -1,8 +1,10 @@
 """End-to-end tests of the command-line interface and its exit-code contract."""
 
 import csv
+import io
 import json
 import math
+import os
 import struct
 import subprocess
 import sys
@@ -231,6 +233,33 @@ def test_evaluate_rejects_non_finite_inputs(flags, capsys):
     assert (code, out) == (2, "") and "must be finite" in err
 
 
+_HUGE_THETA = ["--theta-min=-1e308", "--theta-max", "1e308"]
+
+
+@pytest.mark.filterwarnings("error")  # the NaN grid came with a RuntimeWarning from linspace
+@pytest.mark.parametrize("argv", [
+    ["evaluate", "--family", "kdvb-regular", *_HUGE_THETA, "--theta-steps", "3"],
+    ["evaluate", "--family", "kdvb-regular", *_HUGE_THETA, "--theta-steps", "1"],
+    ["evaluate", "--family", "compound-tanh-plus", "--x-min=-1e308", "--x-max", "1e308",
+     "--x-steps", "3", "--s", "2", "--mu", "1", "--alpha", "3", "--beta", "2", "--v", "-0.04"],
+    ["sweep", "--a-min=-1e308", "--a-max", "1e308", "--a-steps", "3",
+     "--theta-min", "-1", "--theta-max", "1", "--theta-steps", "3"],
+])
+def test_overflowing_grid_span_is_a_domain_error(argv, capsys):
+    # NaN rows with pole_flag 0 would be neither a value nor a flagged pole
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "") and err.startswith("error: ") and "overflows" in err
+
+
+@pytest.mark.parametrize("cmd", ["evaluate", "factorize"])
+def test_compound_coefficients_out_of_float_range_exit_2(cmd, capsys):
+    # A**3 underflows to 0; exit 1 is reserved for failed verification checks
+    flags = ["--eq", "compound"] if cmd == "factorize" else ["--family", "compound-tanh-plus",
+                                                               *_THETA]
+    code, out, err = run(capsys, cmd, *flags, "--p", "1e300", "--q", "1e-300")
+    assert (code, out) == (2, "") and err.startswith("error: ") and "float range" in err
+
+
 def _reference(names, columns, pole):
     """(JSON, CSV) of a table, cell by cell: json.dumps of the row dicts, format(v, ".17g")."""
     rows = []
@@ -320,14 +349,21 @@ _POOL = [0.0, -0.0, 1.0, -2.5, 0.1, 1e-300, 5e-324, math.inf, -math.inf, math.na
 
 @st.composite
 def _tables(draw):
-    """A table whose columns are drawn from _POOL, so that runs and constant columns occur."""
+    """A table with columns drawn from _POOL, so that runs, tiles and constant columns occur."""
     names = draw(st.sampled_from([["theta"], ["x", "t"], ["a", "theta"]]))
-    n = draw(st.integers(1, 24))
+    n = draw(st.integers(1, 48))
 
     def column():
-        kind = draw(st.sampled_from(["constant", "runs", "cells"]))
+        kind = draw(st.sampled_from(["constant", "runs", "tiles", "cells"]))
         if kind == "constant":
             return [draw(st.sampled_from(_POOL))] * n
+        if kind == "tiles":
+            # a drawn block repeated to length n; distinct bit patterns make the tile visible
+            width = draw(st.integers(1, min(n, len(_POOL))))
+            unique_by = (lambda v: struct.pack("<d", v)) if draw(st.booleans()) else None
+            block = draw(st.lists(st.sampled_from(_POOL), min_size=width, max_size=width,
+                                  unique_by=unique_by))
+            return (block * -(-n // width))[:n]
         width = draw(st.integers(1, n)) if kind == "runs" else 1
         count = -(-n // width)
         cells = draw(st.lists(st.sampled_from(_POOL), min_size=count, max_size=count))
@@ -342,6 +378,9 @@ def _tables(draw):
 
 _ZEROS = np.array([0.0, -0.0, 0.0, -0.0, 0.0, 0.0, 0.0, 0.0])  # one run by value, five by bits
 _FLAGS = np.array([False, True, False, False, True, False, False, False])
+_A_RUNS = np.repeat([-5.0, -4.0, -3.0, -2.0, -1.0], 3)  # a sweep's a column: 5 runs of 3
+_BLOCK = [0.0, 1.0, -2.5]
+_SWEEP_POLES = np.array([False, True, False] * 4 + [True, False, False])
 
 
 @given(table=_tables())
@@ -350,6 +389,18 @@ _FLAGS = np.array([False, True, False, False, True, False, False, False])
 @example(table=(["a", "theta"], [np.repeat([math.inf, -math.inf], 4), _ZEROS, np.full(8, 0.1),
                                  np.full(8, _NAN_PAYLOAD)], _FLAGS))
 @example(table=(["theta"], [np.zeros(6), np.ones(6), np.ones(6)], np.ones(6, bool)))  # all poles
+@example(table=(["a", "theta"], [_A_RUNS, np.array(_BLOCK * 4 + [-0.0, 1.0, -2.5]),
+                                 np.full(15, 0.1), np.full(15, -0.0)],
+                np.zeros(15, bool)))  # theta tiles by value, not by bits: the last block has -0
+@example(table=(["a", "theta"], [_A_RUNS,
+                                 np.array([1.0, math.nan, 0.0] * 4 + [1.0, _NAN_PAYLOAD, 0.0]),
+                                 np.arange(15.0), np.full(15, 2.0)],
+                np.zeros(15, bool)))  # the last block differs in a NaN payload
+@example(table=(["theta"], [np.array((_BLOCK * 6)[:17]), np.arange(17.0), np.zeros(17)],
+                np.zeros(17, bool)))  # p = 3 does not divide n = 17
+@example(table=(["a", "theta"], [_A_RUNS, np.array([math.inf, -0.0, math.nan] * 5),
+                                 np.where(_SWEEP_POLES, math.nan, 0.5), np.arange(15.0)],
+                _SWEEP_POLES))  # a tiled column with pole rows
 @example(table=(["x", "t"], [np.ones(1), np.ones(1), np.full(1, -0.0), np.zeros(1)],
                 np.zeros(1, bool)))  # one row
 @settings(max_examples=300, deadline=None)
@@ -367,8 +418,9 @@ def _figure_files(number, outdir, capsys):
     return manifest[str(number)]
 
 
-def test_figure_5_matches_per_cell_formatting_of_sweep_rows(tmp_path, capsys):
-    entry = _figure_files(5, tmp_path, capsys)
+@pytest.mark.parametrize("number", [5, 6])
+def test_phase_sweep_figure_matches_per_cell_formatting_of_sweep_rows(number, tmp_path, capsys):
+    entry = _figure_files(number, tmp_path, capsys)
     a = PhaseSweep(entry["a_min"], entry["a_max"], entry["a_steps"]).a_values()
     theta = np.linspace(entry["theta_min"], entry["theta_max"], entry["theta_steps"])
     surface = sweep_rows(Family(entry["family"]), a, theta)
@@ -582,6 +634,21 @@ def test_figure_writes_nothing_when_a_later_curve_is_malformed(second, tmp_path,
     assert list(outdir.iterdir()) == []
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("entry", [
+    {**_TINY, "theta_min": -1e308, "theta_max": 1e308},
+    {**_TINY, "command": "sweep", "a_min": -1e308, "a_max": 1e308, "a_steps": 3},
+    {**_CURVES, "x_min": -1e308, "x_max": 1e308, "curves": [{"label": "a", "v": -0.04}]},
+])
+def test_figure_rejects_overflowing_grid_span(entry, tmp_path, capsys):
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({"1": entry}))
+    outdir = tmp_path / "out"
+    code, out, err = run(capsys, "figure", "1", "--manifest", str(manifest),
+                         "--outdir", str(outdir))
+    assert (code, out) == (2, "") and "overflows" in err and not outdir.exists()
+
+
 def test_figure_rejects_out_of_range_id():
     with pytest.raises(SystemExit) as err:
         main(["figure", "9"])
@@ -600,6 +667,33 @@ def test_exit_code_contract(tmp_path, capsys):
     usage = main(["factorize", "--eq", "compound", "--q", "0"])
     capsys.readouterr()
     assert (ok, fail, usage) == (0, 1, 2)
+
+
+class _ClosedStdout(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("argv", [["verify", "--scope", "kdvb-regular"],
+                                  ["evaluate", "--family", "kdvb-regular", *_THETA]])
+def test_closed_stdout_exits_141_without_a_message(argv, monkeypatch, capsys):
+    # a reader that went away is not a domain error: no "error: ..." line, no exit 2
+    monkeypatch.setattr(sys, "stdout", _ClosedStdout())
+    code = main(argv)
+    assert (code, capsys.readouterr().err) == (141, "")
+
+
+def test_pipe_closed_before_the_first_write_ends_quietly():
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "kdvbwaves.cli", "verify", "--scope", "kdvb-regular"],
+            stdout=write, stderr=subprocess.PIPE, text=True, timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (141, "")
 
 
 def test_console_script_is_installed():

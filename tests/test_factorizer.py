@@ -80,6 +80,24 @@ def test_compound_rejects_q_zero_and_negative():
         factorize_compound(ReducedParams(p=0.0, q=-1.0), Sign.PLUS)
 
 
+@pytest.mark.parametrize("p, q", [
+    (1e300, 1e-300),  # A**3 underflows to 0 (a ZeroDivisionError before)
+    (1.0, 5e-324),    # q / 2 underflows: A = 0
+    (1.0, 1e250),     # A**3 overflows (an OverflowError before)
+    (1.0, 1e-200),    # k overflows
+    (1e300, 1e-100),  # (2 - 9p) / A overflows: C is infinite
+])
+@pytest.mark.parametrize("sign", [Sign.PLUS, Sign.MINUS])
+def test_compound_coefficients_out_of_float_range_are_domain_errors(p, q, sign):
+    with pytest.raises(ParameterDomainError, match="float range"):
+        factorize_compound(ReducedParams(p=p, q=q), sign)
+
+
+def test_compound_keeps_large_finite_coefficients():
+    fact = factorize_compound(ReducedParams(p=1e300, q=2.0), Sign.PLUS)
+    assert fact.A == 1.0 and all(map(math.isfinite, (fact.B, fact.C, fact.k)))
+
+
 @given(
     p=st.floats(min_value=-2.0, max_value=2.0),
     q=st.floats(min_value=0.1, max_value=4.0),

@@ -622,6 +622,9 @@ def test_phase_sweep_validates_inputs():
         PhaseSweep(0.0, 1.0, 1)
     with pytest.raises(ParameterDomainError):
         PhaseSweep(1.0, 0.0, 5)
+    for a_min, a_max in ((-1e308, 1e308), (-math.inf, 0.0), (0.0, math.inf)):
+        with pytest.raises(ParameterDomainError, match="finite span"):
+            PhaseSweep(a_min, a_max, 3)  # a_values() would be NaN
     sweep = PhaseSweep(-5.0, 0.0, 51)
     a = sweep.a_values()
     assert a[0] == -5.0 and a[-1] == 0.0 and len(a) == 51
