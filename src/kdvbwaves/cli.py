@@ -195,7 +195,7 @@ def cmd_factorize(args: argparse.Namespace) -> int:
     sign = Sign(args.sign)
     if args.eq == "kdvb":
         fact = factorize_kdvb(args.delta, sign)
-        samples: list[complex] = list(np.linspace(0.05, 9.95, 64))
+        samples: list[complex] = np.linspace(0.05, 9.95, 64).tolist()
         report: dict[str, object] = {
             "equation": "kdvb",
             "sign": sign.value,
@@ -246,8 +246,15 @@ def cmd_factorize(args: argparse.Namespace) -> int:
 # evaluate
 
 
+def _phase(fam: Family, a: float) -> complex:
+    """theta0 = i*a*pi.  A KdVB kink has period 10 in a: fmod reduces a exactly, never to -0.0."""
+    if fam in _KDVB and math.isfinite(a):
+        a = math.fmod(a, 10.0) + 0.0
+    return complex(0.0, a * math.pi)
+
+
 def _reduced_solution(args: argparse.Namespace, fam: Family) -> WaveSolution:
-    theta0 = complex(0.0, args.phase_a * math.pi)
+    theta0 = _phase(fam, args.phase_a)
     if fam in _KDVB:
         return universal_solution(fam, theta0=theta0)
     if fam in _COMPOUND:
@@ -414,7 +421,7 @@ def cmd_figure(args: argparse.Namespace) -> int:
                                           _physical_solution(fam, params), t, "csv")))
     else:
         phase_a = _field(entry, "phase_a", float)
-        sol = universal_solution(fam, theta0=complex(0.0, phase_a * math.pi))
+        sol = universal_solution(fam, theta0=_phase(fam, phase_a))
         tables.append((output, _profile(["theta"], [grid("theta")], sol, None, "csv")))
 
     outdir = Path(args.outdir)

@@ -74,6 +74,20 @@ from .params import (
 # numerically meaningless garbage, not legitimate large solution values.
 POLE_TOL = 1e-9
 
+
+def _require_resolvable_phase(im_z: float) -> None:
+    """Reject a phase that leaves Im z, the tanh argument's, coarser than POLE_TOL.
+
+    Beyond that the spacing of the floats near Im z is wider than the pole
+    tolerance, so neither the value nor the pole flag means anything.
+    """
+    if math.ulp(im_z) > POLE_TOL:
+        raise ParameterDomainError(
+            f"the imaginary phase puts |Im z| at {abs(im_z)!r}, where the float spacing "
+            f"{math.ulp(im_z):.3g} exceeds the pole tolerance {POLE_TOL:g}"
+        )
+
+
 # Relative threshold for snapping the compound discriminant to exactly zero,
 # so that a velocity supplied through a lossy channel (CLI flag, JSON) still
 # lands on the degenerate family it was aimed at.
@@ -208,6 +222,7 @@ def universal_solution(
     if family not in _KDVB_FAMILIES:
         raise ParameterDomainError(f"not a KdVB universal family: {family}")
     require_finite(delta=delta, theta0=theta0)
+    _require_resolvable_phase(complex(theta0).imag / 10.0)
     fact = factorize_kdvb(delta, _paired_branch(family))
     reduced = ReducedParams(p=fact.p, q=0.0, delta=delta, k=fact.k, theta0=theta0)
     eps = _epsilon_of(physical) if physical is not None else None
@@ -238,6 +253,7 @@ def compound_solution(
     root = compound_discriminant_root(p, q)  # validates q and the regime
     if q < 0:
         raise UnsupportedDomainError("compound kinks require q > 0 for a real amplitude")
+    _require_resolvable_phase(root * complex(theta0).imag / 6.0)
     fact = factorize_compound(ReducedParams(p=p, q=q), _paired_branch(family))
     reduced = ReducedParams(p=p, q=q, k=fact.k, theta0=theta0)
     eps = _epsilon_of(physical) if physical is not None else None

@@ -285,6 +285,20 @@ def _rk4(
     span: tuple[float, float],
     step: float,
 ) -> Trajectory:
+    """Classical fixed-step RK4 of y' = rhs(y) over span, stopped by the blow-up guard.
+
+    A start on the real axis (imaginary part exactly +0.0) runs in Python
+    float arithmetic, which is about 2x faster than complex; any other start
+    runs in complex.  While every stage stays finite, an all-complex run
+    keeps the imaginary part of its state at +0.0 and of its stages at +-0,
+    so its real parts are the float run's bit for bit, up to the sign of a
+    zero.  That sign reaches the state only through a step that lands on
+    zero.  So a float step that lands on zero, leaves the finite range, trips
+    the guard, or raises ValueError (rhs refusing a float stage, e.g. a
+    negative radicand) is redone in complex from complex(y), and the run
+    stays complex from there.  Every value is the all-complex run's, bit for
+    bit.
+    """
     t0, t1 = span
     if step <= 0:
         raise ParameterDomainError("integration step must be positive")
@@ -294,21 +308,32 @@ def _rk4(
     h = (t1 - t0) / n
     half, sixth = 0.5 * h, h / 6.0  # 0.5 * h * k1 is (0.5 * h) * k1
     y = complex(y0)
+    if y.imag == 0.0 and math.copysign(1.0, y.imag) > 0.0:
+        y = y.real  # a Python float: numpy scalar arithmetic is slower than complex
     values = [y]
-    blew_up = False
-    for _ in range(n):
-        k1 = rhs(y)
-        k2 = rhs(y + half * k1)
-        k3 = rhs(y + half * k2)
-        k4 = rhs(y + h * k3)
-        y = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    while len(values) <= n:
+        try:
+            k1 = rhs(y)
+            k2 = rhs(y + half * k1)
+            k3 = rhs(y + half * k2)
+            k4 = rhs(y + h * k3)
+            y_next = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            # False also for NaN, +-inf and complex(inf, nan)
+            bounded = abs(y_next) <= BLOWUP_THRESHOLD
+        except ValueError:
+            if type(y) is not float:
+                raise
+            bounded = False
+        if type(y) is float and (not bounded or y_next == 0.0):
+            y = complex(y)  # redo this step in complex, and stay there
+            continue
+        y = y_next
         values.append(y)
-        if not abs(y) <= BLOWUP_THRESHOLD:  # also NaN, +-inf and complex(inf, nan)
-            blew_up = True
+        if not bounded:
             break
     # theta_i = t0 + i*h, with theta_0 = t0 itself (t0 + 0.0 would turn -0.0 into 0.0)
     thetas = np.concatenate(([t0], t0 + np.arange(1, len(values)) * h))
-    return Trajectory(thetas, np.array(values, dtype=complex), blew_up)
+    return Trajectory(thetas, np.array(values, dtype=complex), not bounded)
 
 
 def oracle_integrate_bernoulli(
@@ -318,14 +343,17 @@ def oracle_integrate_bernoulli(
 
     Restricted to U0 > 0 real, where the kink families live; the fractional
     power uses the principal branch should the state wander off the positive
-    axis mid-integration.
+    axis mid-integration.  A float state takes math.sqrt, which gives
+    cmath.sqrt's bits from 8 times the smallest normal double up (below
+    that, U*sqrt(U) underflows to zero either way).  Below zero it raises
+    ValueError, and _rk4 redoes the step in complex, with cmath.sqrt.
     """
     if not (isinstance(U0, (int, float)) and U0 > 0):
         raise ParameterDomainError("Bernoulli oracle requires a real U0 > 0")
     a = sign.factor * math.sqrt(2.0 / 3.0)
 
     def rhs(U: complex) -> complex:
-        return a * U * cmath.sqrt(U) + 0.4 * U
+        return a * U * (math.sqrt(U) if type(U) is float else cmath.sqrt(U)) + 0.4 * U
 
     return _rk4(rhs, U0, theta_span, step)
 
@@ -564,7 +592,7 @@ def verification_suite(
 
     if want("factorization"):
         rng = np.random.default_rng(2718)
-        samples = list(rng.uniform(0.01, 10.0, 100))
+        samples = rng.uniform(0.01, 10.0, 100).tolist()
         worst = 0.0
         for delta in (-2.0, 0.0, 1.0, 3.7):
             for sign in (Sign.MINUS, Sign.PLUS):

@@ -260,6 +260,46 @@ def test_compound_coefficients_out_of_float_range_exit_2(cmd, capsys):
     assert (code, out) == (2, "") and err.startswith("error: ") and "float range" in err
 
 
+@pytest.mark.parametrize("family", ["kdvb-regular", "kdvb-singular"])
+@pytest.mark.parametrize("a", ["1e15", "1e300", "-1e300", "-20", "-0.0", "1.7976931348623157e308"])
+def test_kdvb_phase_is_reduced_by_its_exact_period(family, a, capsys):
+    # the period in a is exactly 10: 1e15 and 1e300 are the a = 0 kink (no
+    # complex part, no pole at theta = 0), and a phase that reduces to -0.0
+    # writes no -0 cell; fmod(1.797e308, 10) = 8 is a genuinely complex phase
+    expect = "8" if a.startswith("1.79") else "0"
+    for fmt in ("csv", "json"):
+        want = run(capsys, "evaluate", "--family", family, *_THETA, f"--phase-a={expect}",
+                   "--format", fmt)
+        assert run(capsys, "evaluate", "--family", family, *_THETA, f"--phase-a={a}",
+                   "--format", fmt) == want
+        assert want[0] == 0 and "-0," not in want[1] and "-0.0," not in want[1]
+
+
+def test_figure_manifest_phase_is_reduced_by_its_exact_period(tmp_path, capsys):
+    texts = []
+    for phase_a in (2.0, 1e16 + 2.0):  # both exact doubles, 2 apart mod 10
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps({"1": {**_TINY, "phase_a": phase_a}}))
+        assert run(capsys, "figure", "1", "--manifest", str(manifest),
+                   "--outdir", str(tmp_path))[0] == 0
+        texts.append((tmp_path / "tiny.csv").read_text())
+    code, out, _ = run(capsys, "evaluate", "--family", "kdvb-regular", *_THETA, "--phase-a=2")
+    assert texts == [out, out] and code == 0
+
+
+@pytest.mark.parametrize("family", ["compound-tanh-plus", "compound-tanh-minus"])
+def test_compound_phase_beyond_pole_resolution_exits_2(family, capsys):
+    # the period in a is 6/Delta, not a float: once the float spacing at Im z
+    # exceeds POLE_TOL, neither a value nor a pole flag is meaningful
+    for a in ("1e15", "-1e300"):
+        code, out, err = run(capsys, "evaluate", "--family", family, *_THETA,
+                             "--p", "1", "--q", "1", f"--phase-a={a}")
+        assert (code, out) == (2, "") and "pole tolerance" in err
+    code, out, _ = run(capsys, "evaluate", "--family", family, *_THETA,
+                       "--p", "1", "--q", "1", "--phase-a", "1e5")
+    assert code == 0 and out.count("\n") == 4
+
+
 def _reference(names, columns, pole):
     """(JSON, CSV) of a table, cell by cell: json.dumps of the row dicts, format(v, ".17g")."""
     rows = []

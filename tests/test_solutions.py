@@ -136,6 +136,25 @@ def test_non_finite_constructor_inputs_are_domain_errors():
         evaluate_grid(sol, np.zeros(3), nan)
 
 
+def test_phase_too_coarse_to_place_a_pole_is_a_domain_error():
+    # Im z = Im(theta0)/10 (KdVB) or Delta*Im(theta0)/6 (compound); past
+    # 2**23 the float spacing there, 2**-29, exceeds POLE_TOL = 1e-9
+    root = compound_solution(Family.COMPOUND_TANH_PLUS, 1.0, 1.0).Delta
+    for build, scale in (
+        (lambda th: universal_solution(Family.KDVB_REGULAR, theta0=th), 10.0),
+        (lambda th: universal_solution(Family.KDVB_SINGULAR, theta0=th), 10.0),
+        (lambda th: compound_solution(Family.COMPOUND_TANH_PLUS, 1.0, 1.0, theta0=th), 6.0 / root),
+        (lambda th: compound_solution(Family.COMPOUND_TANH_MINUS, 1.0, 1.0, theta0=th), 6.0 / root),
+    ):
+        build(complex(1e300, 2.0**22 * scale))  # Re theta0 does not move Im z
+        for im in (2.0**23 * scale * 1.0001, -1e300):
+            with pytest.raises(ParameterDomainError, match="pole tolerance"):
+                build(complex(0.0, im))
+    # the degenerate kink (Delta = 0) has no theta dependence to resolve
+    flat = compound_solution(Family.COMPOUND_TANH_PLUS, (1.0 - 2.0 / 1.0) / 6.0, 1.0, theta0=1e300j)
+    assert flat.Delta == 0.0
+
+
 def test_singular_solution_value_and_pole():
     assert eval_universal(Family.KDVB_SINGULAR, 1.0) == pytest.approx(7.3040372724671894)
     with pytest.raises(PoleError) as err:

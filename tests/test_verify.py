@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from kdvbwaves import (
     EquationTag,
@@ -31,7 +31,7 @@ from kdvbwaves import (
     verification_suite,
 )
 from kdvbwaves.factorizer import CompoundFactorization
-from kdvbwaves.verify import BLOWUP_THRESHOLD, SCOPES, _report
+from kdvbwaves.verify import BLOWUP_THRESHOLD, SCOPES, _report, _rk4
 
 GRID = np.linspace(-50.0, 50.0, 200)
 KDVB_PROBE = PhysicalParams(s=1.0, mu=6.0, alpha=1.0, beta=0.0, v=0.2)
@@ -359,6 +359,126 @@ def test_reference_runs_reach_blow_up_and_non_finite_states():
     states = [u for _, v, _ in runs for u in v]
     assert any(np.isinf(u.real) and u.imag == 0 for u in states)
     assert any(np.isinf(u.real) and np.isnan(u.imag) for u in states)
+
+
+# _rk4 runs a start whose imaginary part is exactly +0.0 in Python floats and
+# redoes in complex any float step that lands on zero, leaves the finite range
+# or raises ValueError.  The cases below pin that every such run still gives
+# the textbook complex run's bits.  A Riccati flow with C = -0.0 and A < 0 has
+# an equilibrium at zero whose sign a float step gets wrong from U0 = -0.0.
+_ZERO_EQUILIBRIA = [
+    CompoundFactorization(A=A, B=B, C=-0.0, p=0.0, q=1.0, k=0.0, sign=Sign.MINUS)
+    for A, B in ((-1.0, 0.5), (-4.75, 1e-147))
+]
+_SMALLEST_NORMAL = 2.2250738585072014e-308
+_REAL_STARTS = [
+    np.float64(0.3), np.complex128(-1.2), np.complex128(complex(0.4, 0.0)), 0.0, -0.0,
+    5e-324, -5e-324, 3.3 * _SMALLEST_NORMAL, -1e-310, 1,
+]
+
+
+def _state_types(y0):
+    """The types of every state _rk4 hands its right-hand side, on a linear flow."""
+    seen = set()
+
+    def rhs(U):
+        seen.add(type(U))
+        return 0.5 * U + 0.25
+
+    _rk4(rhs, y0, (0.0, 1.0), 0.125)
+    return seen
+
+
+@pytest.mark.parametrize("y0", [np.float64(0.3), np.complex128(0.3), 0.3, 3, complex(0.3, 0.0),
+                                np.complex128(complex(-2.0, 0.0)), -0.0], ids=repr)
+def test_real_start_runs_on_python_floats(y0):
+    # a numpy scalar state would be slower than complex: the float path must be float
+    assert _state_types(y0) == {float}
+
+
+@pytest.mark.parametrize("y0", [complex(0.3, -0.0), np.complex128(complex(0.3, -0.0)),
+                                complex(0.3, 1e-300), complex(0.0, -0.0)], ids=repr)
+def test_start_off_the_real_axis_stays_complex(y0):
+    # an imaginary part of -0.0 is not +0.0: the reference keeps it in values[0]
+    assert _state_types(y0) == {complex}
+
+
+@pytest.mark.parametrize("run", [((0.0, 10.0), 0.005), ((-0.0, 3.0), 0.013), ((0.0, 1.0), 0.25)],
+                         ids=repr)
+@pytest.mark.parametrize("U0", _REAL_STARTS + [complex(0.3, -0.0), complex(-0.0, -0.0)], ids=repr)
+@pytest.mark.parametrize("which", range(len(_RICCATI) + len(_ZERO_EQUILIBRIA)))
+def test_riccati_real_starts_match_textbook_rk4_bit_for_bit(which, U0, run):
+    fact = (_RICCATI + _ZERO_EQUILIBRIA)[which]
+    span, step = run
+    _assert_same_bits(
+        oracle_integrate_riccati(fact, U0, span, step),
+        _reference_rk4(fact.riccati_rhs, U0, span, step),
+    )
+
+
+def test_zero_equilibrium_keeps_the_complex_sign_of_zero():
+    # float steps from -0.0 stay at -0.0, the complex reference moves to +0.0:
+    # the first step lands on zero, so it is redone in complex
+    fact = _ZERO_EQUILIBRIA[0]
+    traj = oracle_integrate_riccati(fact, -0.0, (0.0, 1.0), 0.5)
+    assert not traj.blew_up and np.all(traj.values == 0.0)
+    assert [math.copysign(1.0, u.real) for u in traj.values] == [-1.0, 1.0, 1.0]
+    _assert_same_bits(traj, _reference_rk4(fact.riccati_rhs, -0.0, (0.0, 1.0), 0.5))
+
+
+def _bernoulli_reference(sign, U0, span, step):
+    a = sign.factor * math.sqrt(2.0 / 3.0)
+    return _reference_rk4(lambda U: a * U * cmath.sqrt(U) + 0.4 * U, U0, span, step)
+
+
+@pytest.mark.parametrize("sign", [Sign.MINUS, Sign.PLUS])
+@pytest.mark.parametrize("U0", [np.float64(3.0 / 50.0), 5e-324, 1e-310, _SMALLEST_NORMAL,
+                                3.3 * _SMALLEST_NORMAL, 1e300], ids=repr)
+def test_bernoulli_real_starts_match_textbook_rk4_bit_for_bit(sign, U0):
+    # the tiny starts grow through the subnormals and the smallest normals
+    for span, step in (((0.0, 40.0), 0.01), ((0.0, 200.0), 0.5)):
+        _assert_same_bits(oracle_integrate_bernoulli(sign, U0, span, step),
+                          _bernoulli_reference(sign, U0, span, step))
+
+
+def test_bernoulli_negative_stage_switches_to_complex_mid_run():
+    # step 8's stages go negative while every state stays positive: math.sqrt
+    # raises, the step is redone with cmath.sqrt, and the run goes on in complex
+    span, step = (0.0, 277.5), 23.125
+    traj = oracle_integrate_bernoulli(Sign.MINUS, 1e-5, span, step)
+    _assert_same_bits(traj, _bernoulli_reference(Sign.MINUS, 1e-5, span, step))
+    first_complex = int(np.flatnonzero(traj.values.imag)[0])
+    assert first_complex == 8 and len(traj.values) == 13 and not traj.blew_up
+    assert np.all(np.isfinite(traj.values)) and np.all(traj.values.real > 0)
+
+
+_SPANS = st.tuples(
+    st.floats(-10.0, 10.0), st.floats(1e-3, 50.0), st.integers(1, 300)
+).map(lambda t: ((t[0], t[0] + t[1]), t[1] / t[2])).filter(lambda r: r[0][1] > r[0][0])
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    fact=st.sampled_from(_RICCATI + _ZERO_EQUILIBRIA),
+    U0=st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from([0.0, -0.0, 5e-324]),
+    run=_SPANS,
+)
+def test_riccati_real_starts_match_textbook_rk4_property(fact, U0, run):
+    span, step = run
+    _assert_same_bits(oracle_integrate_riccati(fact, U0, span, step),
+                      _reference_rk4(fact.riccati_rhs, U0, span, step))
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    sign=st.sampled_from([Sign.MINUS, Sign.PLUS]),
+    U0=st.floats(min_value=0.0, exclude_min=True, allow_infinity=True),
+    run=_SPANS,
+)
+def test_bernoulli_real_starts_match_textbook_rk4_property(sign, U0, run):
+    span, step = run
+    _assert_same_bits(oracle_integrate_bernoulli(sign, U0, span, step),
+                      _bernoulli_reference(sign, U0, span, step))
 
 
 # ---------------------------------------------------------------------------
