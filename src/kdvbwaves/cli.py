@@ -61,6 +61,7 @@ from .solutions import (
     kdvb_solution_from_physical,
     rational_solution,
     rational_solution_from_physical,
+    reduce_kdvb_phase,
     sweep_rows,
     universal_solution,
 )
@@ -247,9 +248,9 @@ def cmd_factorize(args: argparse.Namespace) -> int:
 
 
 def _phase(fam: Family, a: float) -> complex:
-    """theta0 = i*a*pi.  A KdVB kink has period 10 in a: fmod reduces a exactly, never to -0.0."""
-    if fam in _KDVB and math.isfinite(a):
-        a = math.fmod(a, 10.0) + 0.0
+    """theta0 = i*a*pi, with a reduced by its period 10 for the KdVB families."""
+    if fam in _KDVB:
+        a = float(reduce_kdvb_phase(a))
     return complex(0.0, a * math.pi)
 
 

@@ -28,8 +28,10 @@ class PoleError(ArithmeticError):
     Attributes
     ----------
     location : complex
-        Coordinate of the nearest pole, in the same variable the caller
-        used (reduced theta or physical x).
+        In the variable the caller used (reduced theta or physical x): for
+        eval_solution and eval_solution_physical, the coordinate evaluated,
+        which lies within the pole tolerance of the pole; for verify's
+        direct physical formulas, the pole itself.
     """
 
     def __init__(self, message: str, location: complex):

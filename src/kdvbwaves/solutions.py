@@ -32,29 +32,26 @@ limit of the plus kink equals the constant built from A = -sqrt(q/2), and
 vice versa.  This is the unique pairing that makes the limit claim true; it
 is encoded in ``_paired_branch`` and asserted by tests.
 
-Pole policy.  Evaluating exactly on (or numerically within ~1e-9 of) a pole
-raises PoleError carrying the pole location; the array kernels behind
-evaluate_grid flag those cells in a mask instead, so singular families still
-produce plottable grids.
+Pole policy.  Cells within ~1e-9 of a pole (POLE_TOL, in the argument of
+tanh/coth or in theta for the rational pole) are flagged in a mask with a
+NaN value, so singular families still produce plottable grids; the two
+scalar entry points raise PoleError there instead.  A coordinate whose
+shifted value theta - theta0 is not finite is a ParameterDomainError.
 
-Two evaluation paths.  The scalar eval_* functions are the per-point API.
-The direct physical formulas are written once each, as functions
-(_physical_formula and its per-family parts) that do the per-solution work
-once and return u(x, t); eval_*_physical wrap them for one point, and
-verify's finite-difference residual samples the returned formula.  The array
-path has one kernel per family (evaluate_grid) and, on the same argument
-and pole mask, one array jet: solution_jet gives (w, w', w'', w''') and
-physical_jet its chain-rule image, both with the (values, pole) contract of
-evaluate_grid.
+One evaluation path.  Each family's closed form is written once, as its
+array kernel.  evaluate_grid gives the values and the pole mask; on the same
+argument and mask, solution_jet gives (w, w', w'', w''') and physical_jet
+its chain-rule image.  eval_solution and eval_solution_physical are
+evaluate_grid at one point.  The independent second spelling, the direct
+physical formulas, lives in verify as the oracle its finite-difference
+residual samples.
 """
 
 from __future__ import annotations
 
-import cmath
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -92,15 +89,6 @@ def _require_resolvable_phase(im_z: float) -> None:
 # so that a velocity supplied through a lossy channel (CLI flag, JSON) still
 # lands on the degenerate family it was aimed at.
 _DISCRIMINANT_SNAP = 1e-13
-
-
-def _nearest_pole(im: float, offset: float) -> complex:
-    """Pole i*pi*(n + offset) nearest to a point of imaginary part im.
-
-    offset 1/2 for tanh, 0 for coth.  It depends on Im z only, so a formula
-    whose Im z is fixed finds it once.
-    """
-    return complex(0.0, math.pi * (round(im / math.pi - offset) + offset))
 
 
 class Family(enum.Enum):
@@ -181,6 +169,31 @@ def compound_discriminant_root(p: float, q: float) -> float:
         raise UnsupportedDomainError(
             "18p + 6/q - 3 < 0: oscillatory regime, no real-discriminant solution family"
         )
+    return math.sqrt(square)
+
+
+def physical_discriminant_root(params: PhysicalParams) -> float:
+    """sqrt(18*v*s/mu^2 + 9*s*alpha^2/(2*beta*mu^2) - 3) with zero-snap.
+
+    Spelled in physical coefficients on purpose: it gives a second route to
+    the same number as compound_discriminant_root(reduce(params)).
+    """
+    if params.beta == 0:
+        raise ParameterDomainError("compound families require beta != 0")
+    square = (
+        18.0 * params.v * params.s / params.mu**2
+        + 9.0 * params.s * params.alpha**2 / (2.0 * params.beta * params.mu**2)
+        - 3.0
+    )
+    scale = (
+        abs(18.0 * params.v * params.s / params.mu**2)
+        + abs(9.0 * params.s * params.alpha**2 / (2.0 * params.beta * params.mu**2))
+        + 3.0
+    )
+    if abs(square) <= _DISCRIMINANT_SNAP * scale:
+        return 0.0
+    if square < 0:
+        raise UnsupportedDomainError("negative discriminant: no real compound kink at this velocity")
     return math.sqrt(square)
 
 
@@ -344,311 +357,6 @@ def rational_solution_from_physical(
 
 
 # ---------------------------------------------------------------------------
-# evaluators
-
-
-def eval_universal(family: Family, theta: complex, theta0: complex = 0j) -> complex:
-    """Evaluate a KdVB universal kink at a (possibly complex) coordinate.
-
-    Regular family: (3/50)*(1 + tanh(z))^2 with z = (theta - theta0)/10.
-    Singular family: same with coth.  Raises PoleError within POLE_TOL of a
-    pole of the hyperbolic function, reporting the pole's theta-location.
-    """
-    if family not in _KDVB_FAMILIES:
-        raise ParameterDomainError(f"not a KdVB universal family: {family}")
-    d = complex(theta) - complex(theta0)
-    if cmath.isnan(d):
-        raise ParameterDomainError("theta and theta0 must not be NaN")
-    z = complex(d.real / 10.0, d.imag / 10.0)  # by parts: a real infinite theta keeps Im z = 0
-    singular = family is Family.KDVB_SINGULAR
-    pole = _nearest_pole(z.imag, 0.0 if singular else 0.5)
-    if abs(z - pole) < POLE_TOL:
-        raise PoleError(
-            f"universal {family.value} solution has a pole at theta = {theta0 + 10.0 * pole}",
-            theta0 + 10.0 * pole,
-        )
-    T = 1.0 / cmath.tanh(z) if singular else cmath.tanh(z)
-    return (3.0 / 50.0) * (1.0 + T) ** 2
-
-
-def eval_kdvb_physical(
-    family: Family, x: float, t: float, params: PhysicalParams
-) -> complex:
-    """KdVB kink in physical variables.
-
-    u = v/alpha + (3*mu^2/(25*alpha*s)) * {[1 + tanh(mu*(x - v*t - xi0)/(10*s))]^2 - 2}
-    with coth for the singular family.  This is the direct formula; agreement
-    with the transform of eval_universal is a test oracle, so do not collapse
-    the two code paths.  A real x = +-inf gives the asymptote; a NaN x or t
-    is a ParameterDomainError.
-    """
-    return _kdvb_formula(family, params)(x, t)
-
-
-def _kdvb_formula(family: Family, params: PhysicalParams) -> Callable[[float, float], complex]:
-    if family not in _KDVB_FAMILIES:
-        raise ParameterDomainError(f"not a KdVB universal family: {family}")
-    s, mu, alpha, v, xi0 = params.s, params.mu, params.alpha, params.v, params.xi0
-    xi0_re, ten_s = xi0.real, 10.0 * s
-    im_z = -mu * xi0.imag / ten_s
-    singular = family is Family.KDVB_SINGULAR
-    pole = _nearest_pole(im_z, 0.0 if singular else 0.5)
-    tol = POLE_TOL * max(1.0, abs(mu / ten_s))
-    base, amp = v / alpha, 3.0 * mu**2 / (25.0 * alpha * s)
-
-    def u(x: float, t: float) -> complex:
-        d = x - v * t - xi0_re  # by parts, as in eval_universal: Im z stays finite
-        if math.isnan(d):
-            raise ParameterDomainError("x - v*t must not be NaN")
-        z = complex(mu * d / ten_s, im_z)
-        if abs(z - pole) < tol:
-            x_pole = (ten_s / mu) * pole + v * t + xi0
-            raise PoleError(f"pole of the singular kink at x = {x_pole}", x_pole)
-        T = 1.0 / cmath.tanh(z) if singular else cmath.tanh(z)
-        return base + amp * ((1.0 + T) ** 2 - 2.0)
-
-    return u
-
-
-def eval_compound(family: Family, theta: complex, reduced: ReducedParams) -> complex:
-    """Compound kink at reduced coordinates.
-
-    U = -1/(3q) +- b*[1 + D*tanh(D*(theta - theta0)/6)], b = 1/(3*sqrt(2q)).
-    At D = 0 the tanh term vanishes identically and the value is the
-    branch-paired constant at every theta.
-    """
-    if family not in _COMPOUND_FAMILIES:
-        raise ParameterDomainError(f"not a compound kink family: {family}")
-    q = reduced.q
-    root = compound_discriminant_root(reduced.p, q)
-    if q < 0:
-        raise UnsupportedDomainError("compound kinks require q > 0 for a real amplitude")
-    b = 1.0 / (3.0 * math.sqrt(2.0 * q))
-    if family is Family.COMPOUND_TANH_MINUS:
-        b = -b
-    d = complex(theta) - complex(reduced.theta0)
-    if cmath.isnan(d):
-        raise ParameterDomainError("theta must not be NaN")
-    if root == 0.0:
-        return -1.0 / (3.0 * q) + b
-    z = complex(root * d.real / 6.0, root * d.imag / 6.0)  # by parts, as in eval_universal
-    pole = _nearest_pole(z.imag, 0.5)
-    if abs(z - pole) < POLE_TOL * max(1.0, root / 6.0):
-        theta_pole = reduced.theta0 + 6.0 * pole / root
-        raise PoleError(f"compound kink pole at theta = {theta_pole}", theta_pole)
-    return -1.0 / (3.0 * q) + b * (1.0 + root * cmath.tanh(z))
-
-
-def physical_discriminant_root(params: PhysicalParams) -> float:
-    """sqrt(18*v*s/mu^2 + 9*s*alpha^2/(2*beta*mu^2) - 3) with zero-snap.
-
-    Spelled in physical coefficients on purpose: it gives a second route to
-    the same number as compound_discriminant_root(reduce(params)).
-    """
-    if params.beta == 0:
-        raise ParameterDomainError("compound families require beta != 0")
-    square = (
-        18.0 * params.v * params.s / params.mu**2
-        + 9.0 * params.s * params.alpha**2 / (2.0 * params.beta * params.mu**2)
-        - 3.0
-    )
-    scale = (
-        abs(18.0 * params.v * params.s / params.mu**2)
-        + abs(9.0 * params.s * params.alpha**2 / (2.0 * params.beta * params.mu**2))
-        + 3.0
-    )
-    if abs(square) <= _DISCRIMINANT_SNAP * scale:
-        return 0.0
-    if square < 0:
-        raise UnsupportedDomainError("negative discriminant: no real compound kink at this velocity")
-    return math.sqrt(square)
-
-
-def eval_compound_physical(
-    family: Family, x: float, t: float, params: PhysicalParams
-) -> complex:
-    """Compound kink in physical variables (direct formula).
-
-    u = -alpha/(2*beta) +- (mu/sqrt(6*beta*s)) * [1 + D*tanh(mu*D*(x - v*t - xi0)/(6*s))]
-
-    A real x = +-inf gives the asymptote; a NaN x or t is a ParameterDomainError.
-    """
-    return _compound_formula(family, params)(x, t)
-
-
-def _compound_formula(family: Family, params: PhysicalParams) -> Callable[[float, float], complex]:
-    if family not in _COMPOUND_FAMILIES:
-        raise ParameterDomainError(f"not a compound kink family: {family}")
-    if params.beta == 0:
-        raise ParameterDomainError("compound families require beta != 0")
-    if params.beta * params.s <= 0:
-        raise UnsupportedDomainError("compound kinks require beta*s > 0 (q > 0)")
-    s, mu, alpha, beta, v, xi0 = (
-        params.s, params.mu, params.alpha, params.beta, params.v, params.xi0
-    )
-    root = physical_discriminant_root(params)
-    amp = mu / math.sqrt(6.0 * beta * s)
-    if family is Family.COMPOUND_TANH_MINUS:
-        amp = -amp
-    xi0_re, base = xi0.real, -alpha / (2.0 * beta)
-    mu_root, six_s = mu * root, 6.0 * s
-    im_z = -mu * root * xi0.imag / six_s
-    pole = _nearest_pole(im_z, 0.5)
-    tol = POLE_TOL * max(1.0, abs(mu_root / six_s))
-
-    def u(x: float, t: float) -> complex:
-        d = x - v * t - xi0_re  # by parts, as in eval_universal: Im z stays finite
-        if math.isnan(d):
-            raise ParameterDomainError("x - v*t must not be NaN")
-        if root == 0.0:
-            return base + amp
-        z = complex(mu_root * d / six_s, im_z)
-        if abs(z - pole) < tol:
-            x_pole = (six_s / mu_root) * pole + v * t + xi0
-            raise PoleError(f"compound kink pole at x = {x_pole}", x_pole)
-        return base + amp * (1.0 + root * cmath.tanh(z))
-
-    return u
-
-
-def _rational_branch_A(family: Family, q: float, sign: Sign = Sign.PLUS) -> float:
-    if q == 0:
-        raise ParameterDomainError("rational families require q != 0")
-    if q < 0:
-        raise UnsupportedDomainError("rational families require q > 0 for a real branch")
-    if family is Family.RATIONAL_PLUS:
-        return math.sqrt(q / 2.0)
-    if family is Family.RATIONAL_MINUS:
-        return -math.sqrt(q / 2.0)
-    if family is Family.CONSTANT:
-        return sign.factor * math.sqrt(q / 2.0)
-    raise ParameterDomainError(f"not a rational-type family: {family}")
-
-
-def eval_rational(
-    family: Family, theta: complex, q: float, k0: float, sign: Sign = Sign.PLUS
-) -> complex:
-    """Degenerate rational solution at reduced coordinates.
-
-    U = -(k0/A)/(A + k0*theta) - (A+1)/(6A^2) with A = +-sqrt(q/2).  k0 = 0
-    collapses to the constant -(A+1)/(6A^2); the ``sign`` argument picks the
-    branch only for the Constant family tag, which carries none itself.  An
-    infinite theta gives the constant (the asymptote); a NaN theta is a
-    ParameterDomainError.
-    """
-    if family is Family.CONSTANT and k0 != 0:
-        raise ParameterDomainError("the constant family is the k0 = 0 member; got k0 != 0")
-    A = _rational_branch_A(family, q, sign)
-    const = -(A + 1.0) / (6.0 * A * A)
-    theta = complex(theta)
-    if cmath.isnan(theta):
-        raise ParameterDomainError("theta must not be NaN")
-    if k0 == 0 or cmath.isinf(theta):
-        return complex(const)
-    theta_pole = -A / k0
-    if abs(theta - theta_pole) < POLE_TOL:
-        raise PoleError(f"rational solution pole at theta = {theta_pole}", theta_pole)
-    return -(k0 / A) / (A + k0 * theta) + const
-
-
-def eval_rational_physical(
-    family: Family,
-    x: float,
-    t: float,
-    params: PhysicalParams,
-    k0: float,
-    sign: Sign = Sign.PLUS,
-) -> complex:
-    """Physical rational solution on the locked velocity.
-
-    Computed as the exact image of the reduced rational solution under the
-    amplitude/coordinate maps, which simplifies to
-
-        u = -(alpha/(2*beta))*(A + 1) - (2*mu^2/(alpha*s)) * (k0/A)/(A + k0*theta),
-
-    theta = mu*(x - v*t - xi0)/s and A = +-sqrt(q/2).  For mu > 0 this equals
-    -(alpha/(2*beta))*(1 +- eps) minus a rational term weighted by s;
-    alternate published-style spellings of that term are provided in the
-    verify module's audit, where their consistency is measured rather than
-    assumed.  An infinite x or t gives the constant -(alpha/(2*beta))*(A + 1)
-    (the asymptote); a NaN x or t is a ParameterDomainError.
-    """
-    return _rational_formula(family, params, k0, sign)(x, t)
-
-
-def _rational_formula(
-    family: Family, params: PhysicalParams, k0: float, sign: Sign
-) -> Callable[[float, float], complex]:
-    if family is Family.CONSTANT and k0 != 0:
-        raise ParameterDomainError("the constant family is the k0 = 0 member; got k0 != 0")
-    if not (params.beta > 0 and params.s > 0):
-        raise ParameterDomainError("the physical rational family requires beta > 0 and s > 0")
-    v_lock = locked_rational_velocity(params)
-    if abs(params.v - v_lock) > 1e-12 * max(1.0, abs(v_lock)):
-        raise ParameterDomainError(
-            f"rational family exists only at the locked velocity {v_lock!r}; got {params.v!r}"
-        )
-    A = _rational_branch_A(family, reduce(params).q, sign)
-    const = -(params.alpha / (2.0 * params.beta)) * (A + 1.0)
-    v, flat, weight = params.v, complex(const), -(k0 / A)
-    theta_pole = -A / k0 if k0 else math.nan  # the constant member has no pole
-
-    def u(x: float, t: float) -> complex:
-        if math.isnan(x - v * t):
-            raise ParameterDomainError("x - v*t must not be NaN")
-        if k0 == 0:
-            return flat
-        theta = to_reduced_coordinate(x, t, params)
-        if not cmath.isfinite(theta):  # an infinite x or t: the asymptote
-            return flat
-        if abs(theta - theta_pole) < POLE_TOL:
-            x_pole = (params.s / params.mu) * theta_pole + v * t + params.xi0
-            raise PoleError(f"rational solution pole at x = {x_pole}", x_pole)
-        return const + to_physical_amplitude(weight / (A + k0 * theta), params)
-
-    return u
-
-
-def eval_solution(sol: WaveSolution, theta: complex) -> complex:
-    """Evaluate any WaveSolution at a reduced coordinate."""
-    f = sol.family
-    if f in _KDVB_FAMILIES:
-        return eval_universal(f, theta, sol.reduced.theta0)
-    if f in _COMPOUND_FAMILIES:
-        return eval_compound(f, theta, sol.reduced)
-    return eval_rational(f, theta, sol.reduced.q, sol.k0 or 0.0, sol.sign)
-
-
-def eval_solution_physical(sol: WaveSolution, x: float, t: float) -> complex:
-    """Evaluate a physically-anchored WaveSolution at (x, t)."""
-    return _physical_formula(sol)(x, t)
-
-
-def _physical_formula(sol: WaveSolution) -> Callable[[float, float], complex]:
-    """The direct physical formula of a solution, as a scalar function u(x, t).
-
-    What depends on the solution alone is computed here, once: the family
-    and domain checks, the discriminant root, amplitudes and base value,
-    Im z, its nearest pole and the pole tolerance (for the rational
-    families, the locked-velocity check and the branch A).  Per point the
-    formula computes only x - v*t - Re xi0 and its NaN check, z, the pole
-    distance, tanh and the value.  Hoisted factors keep the order of
-    operations of the formula as written (mu*root*d/(6s) stays
-    (mu*root)*d/(6s), never d*(mu*root/(6s))), because the finite-difference
-    stencils magnify a one-ulp change.  The eval_*_physical functions
-    evaluate the returned formula at one point.
-    """
-    if sol.physical is None:
-        raise ParameterDomainError("solution carries no physical coefficients")
-    f = sol.family
-    if f in _KDVB_FAMILIES:
-        return _kdvb_formula(f, sol.physical)
-    if f in _COMPOUND_FAMILIES:
-        return _compound_formula(f, sol.physical)
-    return _rational_formula(f, sol.physical, sol.k0 or 0.0, sol.sign)
-
-
-# ---------------------------------------------------------------------------
 # array kernels and jets
 #
 # One kernel per family, on shifted coordinates zeta = theta - theta0.  It
@@ -657,7 +365,8 @@ def _physical_formula(sol: WaveSolution) -> Callable[[float, float], complex]:
 # slopes differentiate its value polynomial through that argument (tanh and
 # coth both satisfy dT/dz = 1 - T^2), so the jet shares the kernel's argument
 # and pole mask.  ``rate`` = |d zeta / dx| of the caller's coordinate widens
-# the pole tolerance as the scalar evaluators widen it.  Pole cells are
+# the pole tolerance in the argument z of tanh/coth to POLE_TOL * max(1,
+# |dz/dx|); the rational pole's stays POLE_TOL in theta.  Pole cells are
 # computed at a stand-in argument off every pole, then overwritten with NaN:
 # nothing divides by 0.
 
@@ -714,10 +423,24 @@ def _compound_slopes(sol: WaveSolution, T: np.ndarray):
     )
 
 
+def _rational_branch_A(family: Family, q: float, sign: Sign = Sign.PLUS) -> float:
+    if q == 0:
+        raise ParameterDomainError("rational families require q != 0")
+    if q < 0:
+        raise UnsupportedDomainError("rational families require q > 0 for a real branch")
+    if family is Family.RATIONAL_PLUS:
+        return math.sqrt(q / 2.0)
+    if family is Family.RATIONAL_MINUS:
+        return -math.sqrt(q / 2.0)
+    if family is Family.CONSTANT:
+        return sign.factor * math.sqrt(q / 2.0)
+    raise ParameterDomainError(f"not a rational-type family: {family}")
+
+
 def _rational_kernel(sol: WaveSolution, zeta: np.ndarray, rate: float):
     A = _rational_branch_A(sol.family, sol.reduced.q, sol.sign)
     k0 = sol.k0 or 0.0
-    # absolute in theta whatever the coordinate, as in eval_rational_physical
+    # absolute in theta whatever the coordinate
     pole = np.abs(zeta - (-A / k0)) < POLE_TOL if k0 else np.zeros(zeta.shape, bool)
     g = A + k0 * np.where(pole, 0.0, zeta)
     const = -(A + 1.0) / (6.0 * A * A)  # added, not subtracted: Im stays +0 at k0 = 0
@@ -741,16 +464,25 @@ def _family_kernel(sol: WaveSolution):
 
 
 def _shifted(sol: WaveSolution, grid, t) -> tuple[np.ndarray, float]:
-    """zeta = theta - theta0 on a grid of theta (t None) or of x at times t, and |d zeta/d grid|."""
-    if t is None:
-        return np.asarray(np.asarray(grid) - sol.reduced.theta0, dtype=complex), 1.0
+    """zeta = theta - theta0 on a grid of theta (t None) or of x at times t, and |d zeta/d grid|.
+
+    A zeta that is not finite (a coordinate or time that is infinite or NaN,
+    or a map that overflows) is a ParameterDomainError: there is no value
+    and no pole flag to give.
+    """
     pp = sol.physical
-    if pp is None:
+    if t is not None and pp is None:
         raise ParameterDomainError("solution carries no physical coefficients")
-    if not np.isfinite(t).all():
-        raise ParameterDomainError("time t must be finite")
-    zeta = to_reduced_coordinate(np.asarray(grid), t, pp)
-    return np.asarray(zeta, dtype=complex), abs(pp.mu / pp.s)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        if t is None:
+            zeta, rate, what = np.asarray(grid) - sol.reduced.theta0, 1.0, "theta - theta0"
+        else:
+            zeta = to_reduced_coordinate(np.asarray(grid), t, pp)
+            rate, what = abs(pp.mu / pp.s), "theta = mu*(x - v*t - xi0)/s"
+    zeta = np.asarray(zeta, dtype=complex)
+    if not np.isfinite(zeta).all():
+        raise ParameterDomainError(f"{what} must be finite at every point")
+    return zeta, rate
 
 
 def evaluate_grid(
@@ -759,17 +491,43 @@ def evaluate_grid(
     """(values, pole) of a solution on an array of coordinates, in one pass.
 
     With ``t`` None, ``grid`` holds reduced coordinates theta and the values
-    are U(theta), as eval_solution gives them.  Otherwise it holds physical x
-    at time t, and the values are u = to_physical_amplitude(w) at
-    theta = to_reduced_coordinate(x, t), with w = U + delta the first-integral
-    unknown.  ``pole`` flags the cells where the scalar evaluators raise
-    PoleError; their values are NaN + NaN*i.
+    are U(theta).  Otherwise it holds physical x at time t, and the values
+    are u = to_physical_amplitude(w) at theta = to_reduced_coordinate(x, t),
+    with w = U + delta the first-integral unknown.  ``pole`` flags the cells
+    within the pole tolerance of a pole; their values are NaN + NaN*i.
     """
     zeta, rate = _shifted(sol, grid, t)
     values, pole, _ = _family_kernel(sol)[0](sol, zeta, rate)
     if t is not None:
         values = to_physical_amplitude(values + (sol.reduced.delta or 0.0), sol.physical)
     return np.where(pole, _NAN, values), pole
+
+
+def _at_point(sol: WaveSolution, coordinate, t) -> complex:
+    # a one-cell grid, not a 0-d array: numpy arithmetic on the 0-d results
+    # would take its scalar complex division, a last bit off the grid's
+    (value,), (pole,) = evaluate_grid(sol, np.array([coordinate]), t)
+    if pole:
+        raise PoleError(
+            f"{sol.family.value} solution: {coordinate!r} lies within the pole tolerance "
+            "of a pole", coordinate)
+    return complex(value)
+
+
+def eval_solution(sol: WaveSolution, theta: complex) -> complex:
+    """U(theta) at one reduced coordinate: evaluate_grid's cell, bit for bit.
+
+    Raises PoleError, located at theta, where evaluate_grid flags the cell.
+    """
+    return _at_point(sol, theta, None)
+
+
+def eval_solution_physical(sol: WaveSolution, x: float, t: float) -> complex:
+    """u(x, t) of a physically-anchored solution: evaluate_grid's cell, bit for bit.
+
+    Raises PoleError, located at x, where evaluate_grid flags the cell.
+    """
+    return _at_point(sol, x, t)
 
 
 def _jet(sol: WaveSolution, grid, t):
@@ -825,17 +583,29 @@ class SweepSurface:
     pole: np.ndarray
 
 
+def reduce_kdvb_phase(a):
+    """a modulo 10, the period of a KdVB kink in a, where theta0 = i*a*pi.
+
+    fmod is exact, and + 0.0 turns a -0.0 remainder into 0.0; a non-finite a
+    passes through.  Takes a float or an array and returns an array.
+    """
+    with np.errstate(invalid="ignore"):  # fmod(inf, 10), discarded by the where
+        return np.where(np.isfinite(a), np.fmod(a, 10.0) + 0.0, a)
+
+
 def sweep_rows(family: Family, a_values: np.ndarray, theta_grid: np.ndarray) -> SweepSurface:
     """Sample U(theta; theta0 = i*a*pi) over the (a, theta) grid, pole cells flagged.
 
     At a = 0 the imaginary part vanishes; at a = -5 the regular family equals
-    the singular one at real phase (tanh(z - i*pi/2) = coth(z)).
+    the singular one at real phase (tanh(z - i*pi/2) = coth(z)).  a is reduced
+    by its period (reduce_kdvb_phase) before it enters theta0; the surface
+    keeps the a values as given.
     """
     a_values = np.asarray(a_values, dtype=float)
     theta_grid = np.asarray(theta_grid, dtype=float)
     if theta_grid.size == 0 or a_values.size == 0:
         raise ParameterDomainError("sweep grid must be non-empty")
-    theta0 = 1j * math.pi * a_values
+    theta0 = 1j * math.pi * reduce_kdvb_phase(a_values)
     values, pole = evaluate_grid(universal_solution(family), theta_grid - theta0[:, None])
     return SweepSurface(
         a_values=a_values, theta=theta_grid, re=values.real, im=values.imag, pole=pole

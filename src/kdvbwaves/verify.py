@@ -6,8 +6,10 @@ Three mutually independent error channels:
    array jet (first integral, third-order form, analytic PDE), or
    finite-difference stencils over arrays sampled from the direct physical
    formula of the solution, point by point, not from the array kernels.
-   That formula (solutions._physical_formula, which eval_solution_physical
-   wraps for one point) is built once per solution, so each sample pays
+   The direct formulas (_physical_formula and its per-family parts) are the
+   second spelling of the closed forms, kept here as the oracle: scalar
+   cmath code with its own pole search, independent of the kernels in
+   solutions.  A formula is built once per solution, so each sample pays
    only for its own argument, pole distance, tanh and value.  Analytic and
    FD modes of the PDE residual are separate code paths on purpose; their
    disagreement is itself a test failure.  One reducer (_report) turns
@@ -38,7 +40,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ParameterDomainError, PoleError
+from .errors import ParameterDomainError, PoleError, UnsupportedDomainError
 from .factorizer import (
     CompoundFactorization,
     Sign,
@@ -46,17 +48,27 @@ from .factorizer import (
     factorize_kdvb,
     verify_factorization,
 )
-from .params import PhysicalParams, ReducedParams, reduce
+from .params import (
+    PhysicalParams,
+    ReducedParams,
+    reduce,
+    to_physical_amplitude,
+    to_reduced_coordinate,
+)
 from .solutions import (
+    _COMPOUND_FAMILIES,
+    _KDVB_FAMILIES,
+    POLE_TOL,
     Family,
     WaveSolution,
-    _physical_formula,
+    _rational_branch_A,
     compound_solution,
     compound_solution_from_physical,
     constant_solution,
     evaluate_grid,
     kdvb_solution_from_physical,
     locked_rational_velocity,
+    physical_discriminant_root,
     physical_jet,
     rational_solution,
     rational_solution_from_physical,
@@ -168,13 +180,156 @@ def _kink_width(sol: WaveSolution) -> float | None:
     return None
 
 
+# ---------------------------------------------------------------------------
+# direct physical formulas: the finite-difference oracle
+#
+# A second spelling of each closed form, independent of the array kernels
+# in solutions: scalar cmath arithmetic on the physical coordinates, with
+# its own pole search.  An infinite x (for the rational family, x or t)
+# gives the asymptote; a NaN x - v*t is a ParameterDomainError.
+
+
+def _nearest_pole(im: float, offset: float) -> complex:
+    """Pole i*pi*(n + offset) nearest to a point of imaginary part im.
+
+    offset 1/2 for tanh, 0 for coth.  It depends on Im z only, so a formula
+    whose Im z is fixed finds it once.
+    """
+    return complex(0.0, math.pi * (round(im / math.pi - offset) + offset))
+
+
+def _kdvb_formula(family: Family, params: PhysicalParams) -> Callable[[float, float], complex]:
+    """u = v/alpha + (3*mu^2/(25*alpha*s)) * {[1 + T(mu*(x - v*t - xi0)/(10*s))]^2 - 2}.
+
+    T = tanh, or coth for the singular family.
+    """
+    if family not in _KDVB_FAMILIES:
+        raise ParameterDomainError(f"not a KdVB universal family: {family}")
+    s, mu, alpha, v, xi0 = params.s, params.mu, params.alpha, params.v, params.xi0
+    xi0_re, ten_s = xi0.real, 10.0 * s
+    im_z = -mu * xi0.imag / ten_s
+    singular = family is Family.KDVB_SINGULAR
+    pole = _nearest_pole(im_z, 0.0 if singular else 0.5)
+    tol = POLE_TOL * max(1.0, abs(mu / ten_s))
+    base, amp = v / alpha, 3.0 * mu**2 / (25.0 * alpha * s)
+
+    def u(x: float, t: float) -> complex:
+        d = x - v * t - xi0_re  # by parts: a real infinite x keeps Im z finite
+        if math.isnan(d):
+            raise ParameterDomainError("x - v*t must not be NaN")
+        z = complex(mu * d / ten_s, im_z)
+        if abs(z - pole) < tol:
+            x_pole = (ten_s / mu) * pole + v * t + xi0
+            raise PoleError(f"pole of the singular kink at x = {x_pole}", x_pole)
+        T = 1.0 / cmath.tanh(z) if singular else cmath.tanh(z)
+        return base + amp * ((1.0 + T) ** 2 - 2.0)
+
+    return u
+
+
+def _compound_formula(family: Family, params: PhysicalParams) -> Callable[[float, float], complex]:
+    """u = -alpha/(2*beta) +- (mu/sqrt(6*beta*s)) * [1 + D*tanh(mu*D*(x - v*t - xi0)/(6*s))]."""
+    if family not in _COMPOUND_FAMILIES:
+        raise ParameterDomainError(f"not a compound kink family: {family}")
+    if params.beta == 0:
+        raise ParameterDomainError("compound families require beta != 0")
+    if params.beta * params.s <= 0:
+        raise UnsupportedDomainError("compound kinks require beta*s > 0 (q > 0)")
+    s, mu, alpha, beta, v, xi0 = (
+        params.s, params.mu, params.alpha, params.beta, params.v, params.xi0
+    )
+    root = physical_discriminant_root(params)
+    amp = mu / math.sqrt(6.0 * beta * s)
+    if family is Family.COMPOUND_TANH_MINUS:
+        amp = -amp
+    xi0_re, base = xi0.real, -alpha / (2.0 * beta)
+    mu_root, six_s = mu * root, 6.0 * s
+    im_z = -mu * root * xi0.imag / six_s
+    pole = _nearest_pole(im_z, 0.5)
+    tol = POLE_TOL * max(1.0, abs(mu_root / six_s))
+
+    def u(x: float, t: float) -> complex:
+        d = x - v * t - xi0_re  # by parts: a real infinite x keeps Im z finite
+        if math.isnan(d):
+            raise ParameterDomainError("x - v*t must not be NaN")
+        if root == 0.0:
+            return base + amp
+        z = complex(mu_root * d / six_s, im_z)
+        if abs(z - pole) < tol:
+            x_pole = (six_s / mu_root) * pole + v * t + xi0
+            raise PoleError(f"compound kink pole at x = {x_pole}", x_pole)
+        return base + amp * (1.0 + root * cmath.tanh(z))
+
+    return u
+
+
+def _rational_formula(
+    family: Family, params: PhysicalParams, k0: float, sign: Sign
+) -> Callable[[float, float], complex]:
+    """u = -(alpha/(2*beta))*(A + 1) - (2*mu^2/(alpha*s)) * (k0/A)/(A + k0*theta).
+
+    theta = mu*(x - v*t - xi0)/s and A = +-sqrt(q/2).
+    """
+    if family is Family.CONSTANT and k0 != 0:
+        raise ParameterDomainError("the constant family is the k0 = 0 member; got k0 != 0")
+    if not (params.beta > 0 and params.s > 0):
+        raise ParameterDomainError("the physical rational family requires beta > 0 and s > 0")
+    v_lock = locked_rational_velocity(params)
+    if abs(params.v - v_lock) > 1e-12 * max(1.0, abs(v_lock)):
+        raise ParameterDomainError(
+            f"rational family exists only at the locked velocity {v_lock!r}; got {params.v!r}"
+        )
+    A = _rational_branch_A(family, reduce(params).q, sign)
+    const = -(params.alpha / (2.0 * params.beta)) * (A + 1.0)
+    v, flat, weight = params.v, complex(const), -(k0 / A)
+    theta_pole = -A / k0 if k0 else math.nan  # the constant member has no pole
+
+    def u(x: float, t: float) -> complex:
+        if math.isnan(x - v * t):
+            raise ParameterDomainError("x - v*t must not be NaN")
+        if k0 == 0:
+            return flat
+        theta = to_reduced_coordinate(x, t, params)
+        if not cmath.isfinite(theta):  # an infinite x or t: the asymptote
+            return flat
+        if abs(theta - theta_pole) < POLE_TOL:
+            x_pole = (params.s / params.mu) * theta_pole + v * t + params.xi0
+            raise PoleError(f"rational solution pole at x = {x_pole}", x_pole)
+        return const + to_physical_amplitude(weight / (A + k0 * theta), params)
+
+    return u
+
+
+def _physical_formula(sol: WaveSolution) -> Callable[[float, float], complex]:
+    """The direct physical formula of a solution, as a scalar function u(x, t).
+
+    What depends on the solution alone is computed here, once: the family
+    and domain checks, the discriminant root, amplitudes and base value,
+    Im z, its nearest pole and the pole tolerance (for the rational
+    families, the locked-velocity check and the branch A).  Per point the
+    formula computes only x - v*t - Re xi0 and its NaN check, z, the pole
+    distance, tanh and the value.  Hoisted factors keep the order of
+    operations of the formula as written (mu*root*d/(6s) stays
+    (mu*root)*d/(6s), never d*(mu*root/(6s))), because the finite-difference
+    stencils magnify a one-ulp change.
+    """
+    if sol.physical is None:
+        raise ParameterDomainError("solution carries no physical coefficients")
+    f = sol.family
+    if f in _KDVB_FAMILIES:
+        return _kdvb_formula(f, sol.physical)
+    if f in _COMPOUND_FAMILIES:
+        return _compound_formula(f, sol.physical)
+    return _rational_formula(f, sol.physical, sol.k0 or 0.0, sol.sign)
+
+
 def _physical_samples(sol: WaveSolution, x: np.ndarray, t: np.ndarray):
     """(values, pole) of the solution's direct physical formula at each (x, t).
 
-    The formula is built once per call (solutions._physical_formula, the
-    formula behind eval_solution_physical) and evaluated point by point on
-    purpose: this keeps the finite-difference channel independent of the
-    array kernels.  A PoleError becomes a flag, its value NaN.
+    The formula is built once per call (_physical_formula) and evaluated
+    point by point on purpose: this keeps the finite-difference channel
+    independent of the array kernels.  A PoleError becomes a flag, its value
+    NaN.
     """
     u, nan = _physical_formula(sol), complex(math.nan, math.nan)
     values = []

@@ -20,9 +20,7 @@ from kdvbwaves import (
     compound_solution,
     compound_solution_from_physical,
     constant_solution,
-    eval_compound,
-    eval_rational,
-    eval_universal,
+    eval_solution,
     factorize_compound,
     factorize_kdvb,
     kdvb_solution_from_physical,
@@ -130,13 +128,13 @@ def test_criterion_3_pde_finite_difference_exactness():
 
 def test_criterion_4_runge_kutta_oracle_agreement():
     bern = oracle_integrate_bernoulli(Sign.MINUS, 3.0 / 50.0, (0.0, 40.0), 0.01)
-    bern_gap = abs(bern.endpoint - eval_universal(Family.KDVB_REGULAR, 40.0))
+    regular = universal_solution(Family.KDVB_REGULAR)
+    bern_gap = abs(bern.endpoint - eval_solution(regular, 40.0))
     sol = compound_solution(Family.COMPOUND_TANH_PLUS, 1.0, 1.0)
     fact = factorize_compound(sol.reduced, sol.sign)
-    U0 = eval_compound(Family.COMPOUND_TANH_PLUS, 0.0, sol.reduced)
-    ricc = oracle_integrate_riccati(fact, U0, (0.0, 10.0), 0.005)
-    ricc_gap = abs(ricc.endpoint - eval_compound(Family.COMPOUND_TANH_PLUS, 10.0, sol.reduced))
-    target = eval_universal(Family.KDVB_REGULAR, 10.0)
+    ricc = oracle_integrate_riccati(fact, eval_solution(sol, 0.0), (0.0, 10.0), 0.005)
+    ricc_gap = abs(ricc.endpoint - eval_solution(sol, 10.0))
+    target = eval_solution(regular, 10.0)
     errs = [
         abs(oracle_integrate_bernoulli(Sign.MINUS, 3.0 / 50.0, (0.0, 10.0), h).endpoint - target)
         for h in (0.5, 0.25)
@@ -151,13 +149,9 @@ def test_criterion_5_phase_shift_identity():
     rng = np.random.default_rng(777)
     pts = [t for t in rng.uniform(-40.0, 40.0, 400) if abs(t) > 0.5][:200]
     assert len(pts) == 200
-    worst = max(
-        abs(
-            eval_universal(Family.KDVB_REGULAR, t, 5j * math.pi)
-            - eval_universal(Family.KDVB_SINGULAR, t, 0j)
-        )
-        for t in pts
-    )
+    shifted = universal_solution(Family.KDVB_REGULAR, theta0=5j * math.pi)
+    singular = universal_solution(Family.KDVB_SINGULAR)
+    worst = max(abs(eval_solution(shifted, t) - eval_solution(singular, t)) for t in pts)
     ok = worst < 1e-10
     report(5, ok, f"|regular(theta0+5i*pi) - singular(theta0)| over 200 points: "
                   f"worst {worst:.2e} < 1e-10")
@@ -175,11 +169,11 @@ def test_criterion_6_degenerate_limit_and_branch_pairing():
         (Family.COMPOUND_TANH_PLUS, Sign.MINUS),
         (Family.COMPOUND_TANH_MINUS, Sign.PLUS),
     ):
-        limit = eval_rational(Family.CONSTANT, 0.0, q, 0.0, paired)
+        limit = eval_solution(constant_solution(paired, q), 0.0)
         gaps = []
         for root in (0.1, 0.05, 0.025):
-            rp = ReducedParams(p=p0 + root * root / 18.0, q=q)
-            gaps.append(max(abs(eval_compound(fam, t, rp) - limit) for t in theta))
+            kink = compound_solution(fam, p0 + root * root / 18.0, q)
+            gaps.append(max(abs(eval_solution(kink, t) - limit) for t in theta))
         ratios.extend([gaps[0] / gaps[1], gaps[1] / gaps[2]])
         terminal = max(terminal, gaps[-1])
     ok = (
@@ -228,7 +222,7 @@ def test_criterion_7_figure_reproduction(tmp_path):
         for r in slice_rows:
             if r[4] == "1":
                 continue
-            expect = eval_universal(fam, float(r[1]))
+            expect = eval_solution(universal_solution(fam), float(r[1]))
             if abs(complex(float(r[2]), float(r[3])) - expect) > 1e-9:
                 problems.append(f"fig5 a={a_want} mismatch at theta={r[1]}")
                 break

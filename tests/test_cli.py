@@ -8,6 +8,7 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
 from importlib import resources
 
 import numpy as np
@@ -19,6 +20,7 @@ from kdvbwaves import (
     PhaseSweep,
     PhysicalParams,
     compound_solution_from_physical,
+    eval_solution,
     evaluate_grid,
     locked_rational_velocity,
     rational_solution_from_physical,
@@ -190,10 +192,20 @@ def test_evaluate_serializes_17_significant_digits(capsys):
     assert code == 0
     _, rows = parse_csv(out)
     # round-trip: the printed value parses back to the exact double
-    from kdvbwaves import Family, eval_universal
-
-    exact = eval_universal(Family.KDVB_REGULAR, 1.0)
+    exact = eval_solution(universal_solution(Family.KDVB_REGULAR), 1.0)
     assert float(rows[0][1]) == exact.real
+
+
+def test_evaluate_with_an_overflowing_coordinate_map_exits_2(capsys):
+    # mu/s = 600 takes x = 1e306 past the float range: this used to write
+    # three NaN rows with pole_flag 0, after a RuntimeWarning, and exit 0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "evaluate", "--family", "kdvb-regular", "--s", "1",
+                             "--mu", "600", "--alpha", "1", "--v", "0.2",
+                             "--x-min", "1e306", "--x-max", "2e306", "--x-steps", "3")
+    assert (code, out) == (2, "") and "must be finite" in err
+    assert caught == []
 
 
 def test_evaluate_rejects_non_finite_grid_bounds(capsys):
@@ -516,6 +528,20 @@ def test_sweep_rejects_non_finite_grid_bounds(capsys):
         code, out, err = run(capsys, "sweep", *bounds, "--a-steps", "3",
                              "--theta-max", "1", "--theta-steps", "3")
         assert (code, out) == (2, "") and "must be finite" in err
+
+
+def test_sweep_reduces_a_by_its_exact_period(capsys):
+    # the sweep used to multiply the raw a by pi, so a = 1e15 printed
+    # 0.048626918401672568,0.0012137047728994457 at theta = -1
+    def sweep(a):
+        code, out, _ = run(capsys, "sweep", "--a-min", a, "--a-max", a, "--a-steps", "1",
+                           "--theta-min=-1", "--theta-max", "1", "--theta-steps", "3")
+        assert code == 0
+        return parse_csv(out)[1]
+
+    rows = sweep("1e15")
+    assert rows[0] == ["1000000000000000", "-1", "0.048635863194158913", "0", "0"]
+    assert [r[1:] for r in rows] == [r[1:] for r in sweep("0")]
 
 
 def test_sweep_rejects_bad_ranges(capsys):

@@ -10,7 +10,7 @@ The cases cover all seven families, real and complex xi0, negative s and
 mu, grid nodes on a pole and next to it, huge finite x, x or t = +-inf
 (the asymptotes) and NaN coordinates (a domain error).  The rational
 families are sampled at finite coordinates only: their infinite and NaN
-coordinates are covered by the dedicated tests in tests/test_solutions.py.
+coordinates are covered by the dedicated tests in tests/test_verify.py.
 
 ``python tests/test_fd_samples_golden.py`` rewrites the fixture from the
 code on the import path; do that only for an intended change of the direct

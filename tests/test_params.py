@@ -10,11 +10,10 @@ from kdvbwaves import (
     PhysicalParams,
     ReducedParams,
     reduce,
-    reduced_amplitude,
     to_physical_amplitude,
-    to_physical_coordinate,
     to_reduced_coordinate,
 )
+from kdvbwaves.params import reduced_amplitude, to_physical_coordinate
 
 
 def test_reduce_known_values():

@@ -1,9 +1,9 @@
 """Tests for the closed-form families, their jets, and the phase sweep."""
 
-import cmath
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,21 +14,14 @@ from kdvbwaves import (
     PhaseSweep,
     PhysicalParams,
     PoleError,
-    ReducedParams,
     Sign,
     UnsupportedDomainError,
     compound_discriminant_root,
     compound_solution,
     compound_solution_from_physical,
     constant_solution,
-    eval_compound,
-    eval_compound_physical,
-    eval_kdvb_physical,
-    eval_rational,
-    eval_rational_physical,
     eval_solution,
     eval_solution_physical,
-    eval_universal,
     evaluate_grid,
     kdvb_solution_from_physical,
     locked_rational_velocity,
@@ -43,9 +36,59 @@ from kdvbwaves import (
     to_reduced_coordinate,
     universal_solution,
 )
-from kdvbwaves.solutions import POLE_TOL
+from kdvbwaves.solutions import POLE_TOL, reduce_kdvb_phase
+from kdvbwaves.verify import _compound_formula, _kdvb_formula, _physical_formula, _rational_formula
 
 FIG7 = PhysicalParams(s=2.0, mu=1.0, alpha=3.0, beta=2.0, v=-0.04)
+
+
+# ---------------------------------------------------------------------------
+# 50-digit reference
+#
+# A third spelling of the reduced closed forms, in mpmath at 50 digits, for
+# the tests that hold the array kernels to a reference in reduced
+# coordinates.  Its pole set applies evaluate_grid's tolerance to the exact
+# distance from the pole.  (Physical coordinates are held to verify's direct
+# physical formulas, the finite-difference oracle.)
+
+
+def _near_hyperbolic_pole(z, offset, tol):
+    n = mpmath.nint(z.imag / mpmath.pi - offset)
+    return abs(z - 1j * mpmath.pi * (n + offset)) < tol
+
+
+def _reference(sol, theta):
+    """(U(theta) rounded to a complex, on_pole) of a reduced solution; U is None on a pole."""
+    fam = sol.family
+    with mpmath.workdps(50):
+        d = mpmath.mpc(theta) - mpmath.mpc(sol.reduced.theta0)
+        if fam in (Family.KDVB_REGULAR, Family.KDVB_SINGULAR):
+            singular = fam is Family.KDVB_SINGULAR
+            z = d / 10
+            if _near_hyperbolic_pole(z, 0 if singular else 0.5, POLE_TOL):
+                return None, True
+            T = mpmath.coth(z) if singular else mpmath.tanh(z)
+            U = mpmath.mpf(3) / 50 * (1 + T) ** 2
+        elif fam in (Family.COMPOUND_TANH_PLUS, Family.COMPOUND_TANH_MINUS):
+            q, D = mpmath.mpf(sol.reduced.q), mpmath.mpf(sol.Delta)
+            b = (1 if fam is Family.COMPOUND_TANH_PLUS else -1) / (3 * mpmath.sqrt(2 * q))
+            z = D * d / 6
+            if _near_hyperbolic_pole(z, 0.5, POLE_TOL * max(1, D / 6)):
+                return None, True
+            U = -1 / (3 * q) + b * (1 + D * mpmath.tanh(z))
+        else:
+            sign = {Family.RATIONAL_PLUS: 1, Family.RATIONAL_MINUS: -1}.get(fam, sol.sign.factor)
+            A, k0 = sign * mpmath.sqrt(mpmath.mpf(sol.reduced.q) / 2), mpmath.mpf(sol.k0 or 0.0)
+            if k0 and abs(d + A / k0) < POLE_TOL:
+                return None, True
+            U = -(k0 / A) / (A + k0 * d) - (A + 1) / (6 * A**2)
+        return complex(U), False
+
+
+def _reference_value(sol, theta):
+    value, on_pole = _reference(sol, theta)
+    assert not on_pole
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -53,68 +96,56 @@ FIG7 = PhysicalParams(s=2.0, mu=1.0, alpha=3.0, beta=2.0, v=-0.04)
 
 
 def test_regular_kink_reference_values():
-    assert eval_universal(Family.KDVB_REGULAR, 0.0) == pytest.approx(3.0 / 50.0)
+    regular = universal_solution(Family.KDVB_REGULAR)
+    assert eval_solution(regular, 0.0) == pytest.approx(3.0 / 50.0)
     # tails: 0 on the left, (3/50)*4 = 6/25 on the right
-    assert abs(eval_universal(Family.KDVB_REGULAR, -200.0)) < 1e-15
-    assert eval_universal(Family.KDVB_REGULAR, 200.0) == pytest.approx(0.24, abs=1e-15)
+    assert abs(eval_solution(regular, -200.0)) < 1e-15
+    assert eval_solution(regular, 200.0) == pytest.approx(0.24, abs=1e-15)
 
 
 def test_regular_kink_tail_convergence_rate():
     # the right tail closes its last 1e-8 gap only around theta ~ 90
-    assert abs(eval_universal(Family.KDVB_REGULAR, 50.0) - 0.24) < 1e-4
-    assert abs(eval_universal(Family.KDVB_REGULAR, 90.0) - 0.24) < 1e-8
+    regular = universal_solution(Family.KDVB_REGULAR)
+    assert abs(eval_solution(regular, 50.0) - 0.24) < 1e-4
+    assert abs(eval_solution(regular, 90.0) - 0.24) < 1e-8
 
 
-def test_real_infinite_coordinates_give_the_asymptotes():
-    # the scalar evaluators used to die in round(nan) here
-    inf = math.inf
-    for fam in (Family.KDVB_REGULAR, Family.KDVB_SINGULAR):
-        for theta0 in (0j, 0.4j, 5j * math.pi):
-            assert eval_universal(fam, inf, theta0) == pytest.approx(6.0 / 25.0, abs=1e-15)
-            assert abs(eval_universal(fam, -inf, theta0)) < 1e-15
-    rp = ReducedParams(p=1.0, q=1.0, theta0=0.3j)
-    root, b = compound_discriminant_root(1.0, 1.0), 1.0 / (3.0 * math.sqrt(2.0))
-    for fam, sign in ((Family.COMPOUND_TANH_PLUS, 1.0), (Family.COMPOUND_TANH_MINUS, -1.0)):
-        for end in (1.0, -1.0):
-            value = eval_compound(fam, end * inf, rp)
-            assert value == pytest.approx(-1.0 / 3.0 + sign * b * (1.0 + end * root), abs=1e-15)
-    # NaN has no asymptote: a domain error, not a silent NaN
-    with pytest.raises(ParameterDomainError):
-        eval_universal(Family.KDVB_REGULAR, math.nan)
-    with pytest.raises(ParameterDomainError):
-        eval_compound(Family.COMPOUND_TANH_PLUS, math.nan, rp)
-
-
-@pytest.mark.parametrize("xi0", [0j, 0.3j, complex(0.5, -0.7)])
-def test_physical_infinite_coordinates_give_the_asymptotes(xi0):
-    # the direct physical formulas used to die in round(nan) here: Im z became NaN
+@pytest.mark.parametrize("index", range(7))
+def test_non_finite_coordinates_are_domain_errors(index):
+    # an infinite or NaN coordinate has neither a value nor a pole flag: every
+    # entry point raises, and none emits a RuntimeWarning on the way
+    sol, phys = _all_families()[index]
     inf, nan = math.inf, math.nan
-    kdvb = PhysicalParams(s=1.0, mu=6.0, alpha=1.0, beta=0.0, v=0.2, xi0=xi0)
-    c = 3.0 * 6.0**2 / 25.0
-    for fam in (Family.KDVB_REGULAR, Family.KDVB_SINGULAR):
-        assert eval_kdvb_physical(fam, inf, 0.7, kdvb) == pytest.approx(0.2 + 2.0 * c, abs=1e-14)
-        assert eval_kdvb_physical(fam, -inf, 0.7, kdvb) == pytest.approx(0.2 - 2.0 * c, abs=1e-14)
-    compound = PhysicalParams(s=2.0, mu=1.0, alpha=3.0, beta=2.0, v=-0.04, xi0=xi0)
-    root, amp = physical_discriminant_root(compound), 1.0 / math.sqrt(6.0 * 2.0 * 2.0)
-    for fam, sign in ((Family.COMPOUND_TANH_PLUS, 1.0), (Family.COMPOUND_TANH_MINUS, -1.0)):
-        for end in (1.0, -1.0):
-            expected = -3.0 / 4.0 + sign * amp * (1.0 + end * root)
-            assert eval_compound_physical(fam, end * inf, 0.25, compound) == pytest.approx(
-                expected, abs=1e-14)
-    # NaN has no asymptote: a domain error, not a ValueError from round(nan)
-    for fam, params, evaluate in ((Family.KDVB_REGULAR, kdvb, eval_kdvb_physical),
-                                  (Family.KDVB_SINGULAR, kdvb, eval_kdvb_physical),
-                                  (Family.COMPOUND_TANH_MINUS, compound, eval_compound_physical)):
-        for x, t in ((nan, 0.0), (0.0, nan), (inf, inf if params.v > 0 else -inf)):
-            with pytest.raises(ParameterDomainError, match="must not be NaN"):
-                evaluate(fam, x, t, params)
-    # also where the degenerate kink (D = 0) is constant in the coordinate
-    flat = PhysicalParams(s=2.0, mu=1.0, alpha=3.0, beta=2.0, v=-25.0 / 24.0, xi0=xi0)
-    assert physical_discriminant_root(flat) == 0.0
-    with pytest.raises(ParameterDomainError, match="must not be NaN"):
-        eval_compound_physical(Family.COMPOUND_TANH_PLUS, nan, 0.0, flat)
-    with pytest.raises(ParameterDomainError, match="must not be NaN"):
-        eval_compound(Family.COMPOUND_TANH_PLUS, nan, ReducedParams(p=-1.0 / 6.0, q=1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for theta in (inf, -inf, nan, complex(0.5, inf), complex(0.5, nan), complex(inf, nan)):
+            for call in (lambda: eval_solution(sol, theta),
+                         lambda: evaluate_grid(sol, np.array([0.0, theta])),
+                         lambda: solution_jet(sol, np.array([theta, 1.0]))):
+                with pytest.raises(ParameterDomainError, match="theta - theta0 must be finite"):
+                    call()
+        for x, t in ((inf, 0.0), (-inf, 0.4), (nan, 0.0), (0.0, inf), (0.0, nan), (inf, -inf)):
+            for call in (lambda: eval_solution_physical(phys, x, t),
+                         lambda: evaluate_grid(phys, np.array([0.0, x]), t),
+                         lambda: physical_jet(phys, np.array([x, 1.0]), t)):
+                with pytest.raises(ParameterDomainError, match="must be finite"):
+                    call()
+
+
+def test_overflowing_coordinate_map_is_a_domain_error():
+    # mu/s = 600 takes x = 1e306 past the float range: this used to give NaN
+    # values with pole flag 0 and a RuntimeWarning
+    sol = kdvb_solution_from_physical(
+        Family.KDVB_REGULAR, PhysicalParams(s=1.0, mu=600.0, alpha=1.0, beta=0.0, v=0.2))
+    x = np.linspace(1e306, 2e306, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterDomainError, match="must be finite"):
+            evaluate_grid(sol, x, 0.0)
+        with pytest.raises(ParameterDomainError, match="must be finite"):
+            physical_jet(sol, x, 0.0)
+        (u,), pole = evaluate_grid(sol, x[:1] / 1e4, 0.0)  # 6e304 still maps
+        assert not pole and u == pytest.approx(0.2 + 2.0 * 3.0 * 600.0**2 / 25.0)
 
 
 def test_non_finite_constructor_inputs_are_domain_errors():
@@ -156,42 +187,52 @@ def test_phase_too_coarse_to_place_a_pole_is_a_domain_error():
 
 
 def test_singular_solution_value_and_pole():
-    assert eval_universal(Family.KDVB_SINGULAR, 1.0) == pytest.approx(7.3040372724671894)
+    singular = universal_solution(Family.KDVB_SINGULAR)
+    assert eval_solution(singular, 1.0) == pytest.approx(7.3040372724671894)
     with pytest.raises(PoleError) as err:
-        eval_universal(Family.KDVB_SINGULAR, 0.0)
-    assert err.value.location == pytest.approx(0.0)
+        eval_solution(singular, 0.0)
+    assert err.value.location == 0.0
 
 
 def test_pole_location_respects_phase_shift():
-    with pytest.raises(PoleError) as err:
-        eval_universal(Family.KDVB_SINGULAR, 3.0, 3.0)
-    assert err.value.location == pytest.approx(3.0)
+    # the location is the coordinate evaluated, within the tolerance of the pole
+    sol = universal_solution(Family.KDVB_SINGULAR, theta0=3.0)
+    for theta in (3.0, 3.0 + 5.0 * POLE_TOL, 3.0 - 5.0 * POLE_TOL):  # z = (theta - 3)/10
+        with pytest.raises(PoleError) as err:
+            eval_solution(sol, theta)
+        assert err.value.location == theta
+    phys = kdvb_solution_from_physical(
+        Family.KDVB_SINGULAR, PhysicalParams(s=1.0, mu=6.0, alpha=1.0, beta=0.0, v=0.2, xi0=0.3))
+    for x in (0.38, 0.38 + POLE_TOL):  # pole at x = v*t + xi0; z = 0.6*(x - 0.38)
+        with pytest.raises(PoleError) as err:
+            eval_solution_physical(phys, x, 0.4)
+        assert err.value.location == x
 
 
 def test_phase_shift_identity_tanh_to_coth():
     # shifting the phase constant by 5*i*pi turns the regular kink singular
+    shifted = universal_solution(Family.KDVB_REGULAR, theta0=5j * math.pi)
+    singular = universal_solution(Family.KDVB_SINGULAR)
     for theta in (-7.3, -1.0, 0.9, 4.0, 26.0):
-        lhs = eval_universal(Family.KDVB_REGULAR, theta, 5j * math.pi)
-        rhs = eval_universal(Family.KDVB_SINGULAR, theta, 0j)
-        assert abs(lhs - rhs) < 1e-13
+        assert abs(eval_solution(shifted, theta) - eval_solution(singular, theta)) < 1e-13
 
 
 def test_complex_phase_midpoint_value():
     # theta0 = -2.5*i*pi: U(0) = (3/50)*(1 + tanh(i*pi/4))^2 = (3/50)*(1+i)^2 = 0.12i
-    val = eval_universal(Family.KDVB_REGULAR, 0.0, -2.5j * math.pi)
+    val = eval_solution(universal_solution(Family.KDVB_REGULAR, theta0=-2.5j * math.pi), 0.0)
     assert val == pytest.approx(0.12j, abs=1e-14)
 
 
 def test_kdvb_physical_equals_transformed_reduced():
-    # independent spellings: direct physical formula vs amplitude-mapped U
+    # independent spellings: verify's direct physical formula vs amplitude-mapped U
     params = PhysicalParams(s=1.0, mu=6.0, alpha=1.0, beta=0.0, v=0.2, xi0=0.35)
     for fam in (Family.KDVB_REGULAR, Family.KDVB_SINGULAR):
         for x in (-2.0, -0.5, 1.1, 3.0):
             theta = to_reduced_coordinate(x, 0.7, params)
             expected = params.v / params.alpha + to_physical_amplitude(
-                eval_universal(fam, theta) - 3.0 / 25.0, params
+                eval_solution(universal_solution(fam), theta) - 3.0 / 25.0, params
             )
-            assert eval_kdvb_physical(fam, x, 0.7, params) == pytest.approx(expected, abs=1e-12)
+            assert _kdvb_formula(fam, params)(x, 0.7) == pytest.approx(expected, abs=1e-12)
 
 
 def test_universal_solution_constructor_locks_k():
@@ -251,43 +292,39 @@ def test_compound_kink_midpoint_and_tails():
     sol = compound_solution(Family.COMPOUND_TANH_PLUS, 1.0, 1.0)
     D = sol.Delta
     b = 1.0 / (3.0 * math.sqrt(2.0))
-    mid = eval_compound(Family.COMPOUND_TANH_PLUS, 0.0, sol.reduced)
-    assert mid == pytest.approx(-1.0 / 3.0 + b)
-    left = eval_compound(Family.COMPOUND_TANH_PLUS, -400.0, sol.reduced)
-    right = eval_compound(Family.COMPOUND_TANH_PLUS, 400.0, sol.reduced)
+    assert eval_solution(sol, 0.0) == pytest.approx(-1.0 / 3.0 + b)
+    left, right = eval_solution(sol, -400.0), eval_solution(sol, 400.0)
     assert left == pytest.approx(-1.0 / 3.0 + b * (1.0 - D), abs=1e-14)
     assert right == pytest.approx(-1.0 / 3.0 + b * (1.0 + D), abs=1e-14)
 
 
 def test_compound_minus_is_mirror_of_plus():
-    rp = ReducedParams(p=0.5, q=2.0)
+    plus = compound_solution(Family.COMPOUND_TANH_PLUS, 0.5, 2.0)
+    minus = compound_solution(Family.COMPOUND_TANH_MINUS, 0.5, 2.0)
     for theta in (-3.0, 0.0, 2.5):
-        plus = eval_compound(Family.COMPOUND_TANH_PLUS, theta, rp)
-        minus = eval_compound(Family.COMPOUND_TANH_MINUS, theta, rp)
-        assert (plus + minus) == pytest.approx(-2.0 / (3.0 * rp.q), abs=1e-14)
+        total = eval_solution(plus, theta) + eval_solution(minus, theta)
+        assert total == pytest.approx(-2.0 / (3.0 * 2.0), abs=1e-14)
 
 
 def test_compound_theta0_is_a_translation():
-    rp0 = ReducedParams(p=1.0, q=1.0)
-    rp2 = ReducedParams(p=1.0, q=1.0, theta0=2.0)
+    at0 = compound_solution(Family.COMPOUND_TANH_PLUS, 1.0, 1.0)
+    at2 = compound_solution(Family.COMPOUND_TANH_PLUS, 1.0, 1.0, theta0=2.0)
     for theta in (-1.0, 0.4, 3.3):
-        assert eval_compound(Family.COMPOUND_TANH_PLUS, theta + 2.0, rp2) == pytest.approx(
-            eval_compound(Family.COMPOUND_TANH_PLUS, theta, rp0), abs=1e-14
-        )
+        want = eval_solution(at0, theta)
+        assert eval_solution(at2, theta + 2.0) == pytest.approx(want, abs=1e-14)
 
 
 def test_compound_physical_equals_transformed_reduced():
+    # independent spellings: verify's direct physical formula vs amplitude-mapped U
     params = PhysicalParams(s=2.0, mu=1.0, alpha=3.0, beta=2.0, v=1.0, xi0=-0.6)
     red = reduce(params)
     for fam in (Family.COMPOUND_TANH_PLUS, Family.COMPOUND_TANH_MINUS):
         for x in (-4.0, 0.0, 2.2):
             theta = to_reduced_coordinate(x, 0.25, params)
             expected = to_physical_amplitude(
-                eval_compound(fam, theta, ReducedParams(p=red.p, q=red.q)), params
+                eval_solution(compound_solution(fam, red.p, red.q), theta), params
             )
-            assert eval_compound_physical(fam, x, 0.25, params) == pytest.approx(
-                expected, abs=1e-12
-            )
+            assert _compound_formula(fam, params)(x, 0.25) == pytest.approx(expected, abs=1e-12)
 
 
 def test_compound_rejects_bad_domains():
@@ -297,11 +334,11 @@ def test_compound_rejects_bad_domains():
         compound_solution(Family.COMPOUND_TANH_PLUS, -10.0, 1.0)  # oscillatory
     with pytest.raises(ParameterDomainError):
         compound_solution(Family.KDVB_REGULAR, 1.0, 1.0)
+    negative_q = PhysicalParams(s=-2.0, mu=1.0, alpha=3.0, beta=2.0, v=-10.0)
     with pytest.raises(UnsupportedDomainError):
-        eval_compound_physical(
-            Family.COMPOUND_TANH_PLUS, 0.0, 0.0,
-            PhysicalParams(s=-2.0, mu=1.0, alpha=3.0, beta=2.0, v=-10.0),
-        )
+        compound_solution_from_physical(Family.COMPOUND_TANH_PLUS, negative_q)
+    with pytest.raises(UnsupportedDomainError):
+        _compound_formula(Family.COMPOUND_TANH_PLUS, negative_q)
 
 
 # ---------------------------------------------------------------------------
@@ -310,14 +347,14 @@ def test_compound_rejects_bad_domains():
 
 def test_rational_reference_value():
     # q = 1/2: A = 1/2, constant part -(3/2)/(3/2) = -1
-    val = eval_rational(Family.RATIONAL_PLUS, 1.0, 0.5, 1.0)
+    val = eval_solution(rational_solution(Family.RATIONAL_PLUS, 0.5, 1.0), 1.0)
     assert val == pytest.approx(-(1.0 / 0.5) / (0.5 + 1.0) - 1.0)
 
 
 def test_rational_pole_raises_with_location():
     with pytest.raises(PoleError) as err:
-        eval_rational(Family.RATIONAL_PLUS, -0.5, 0.5, 1.0)
-    assert err.value.location == pytest.approx(-0.5)
+        eval_solution(rational_solution(Family.RATIONAL_PLUS, 0.5, 1.0), -0.5)
+    assert err.value.location == -0.5
 
 
 def test_constant_family_values_by_branch():
@@ -331,8 +368,9 @@ def test_constant_family_values_by_branch():
 def test_constant_family_rejects_nonzero_k0():
     with pytest.raises(ParameterDomainError):
         rational_solution(Family.CONSTANT, 0.5, 1.0)
+    locked = PhysicalParams(s=2.0, mu=1.0, alpha=3.0, beta=2.0, v=locked_rational_velocity(FIG7))
     with pytest.raises(ParameterDomainError):
-        eval_rational(Family.CONSTANT, 0.0, 0.5, 1.0)
+        _rational_formula(Family.CONSTANT, locked, 1.0, Sign.PLUS)
 
 
 def test_rational_locks_p_to_q():
@@ -346,18 +384,17 @@ def test_degenerate_limit_pairing_is_opposite_signed():
     # A = +sqrt(q/2) one; quadratic in the discriminant root
     q = 0.5
     p0 = (1.0 - 2.0 / q) / 6.0
-    paired = eval_rational(Family.CONSTANT, 0.0, q, 0.0, Sign.MINUS)
-    unpaired = eval_rational(Family.CONSTANT, 0.0, q, 0.0, Sign.PLUS)
+    paired = eval_solution(constant_solution(Sign.MINUS, q), 0.0)
+    unpaired = eval_solution(constant_solution(Sign.PLUS, q), 0.0)
     for root in (0.1, 0.02):
-        rp = ReducedParams(p=p0 + root * root / 18.0, q=q)
-        val = eval_compound(Family.COMPOUND_TANH_PLUS, 1.0, rp)
+        kink = compound_solution(Family.COMPOUND_TANH_PLUS, p0 + root * root / 18.0, q)
+        val = eval_solution(kink, 1.0)
         assert abs(val - paired) < 1.0 * root**2
         assert abs(val - unpaired) > 0.1
-    minus_paired = eval_rational(Family.CONSTANT, 0.0, q, 0.0, Sign.PLUS)
+    minus_paired = eval_solution(constant_solution(Sign.PLUS, q), 0.0)
     for root in (0.1, 0.02):
-        rp = ReducedParams(p=p0 + root * root / 18.0, q=q)
-        val = eval_compound(Family.COMPOUND_TANH_MINUS, 1.0, rp)
-        assert abs(val - minus_paired) < 1.0 * root**2
+        kink = compound_solution(Family.COMPOUND_TANH_MINUS, p0 + root * root / 18.0, q)
+        assert abs(eval_solution(kink, 1.0) - minus_paired) < 1.0 * root**2
 
 
 def test_rational_physical_requires_locked_velocity():
@@ -365,24 +402,27 @@ def test_rational_physical_requires_locked_velocity():
     with pytest.raises(ParameterDomainError):
         rational_solution_from_physical(Family.RATIONAL_PLUS, params, 1.0)
     with pytest.raises(ParameterDomainError):
-        eval_rational_physical(Family.RATIONAL_PLUS, 0.0, 0.0, params, 1.0)
+        _rational_formula(Family.RATIONAL_PLUS, params, 1.0, Sign.PLUS)
 
 
 def test_rational_physical_matches_manual_exact_spelling():
     # hand-spelled closed form with the rational term weighted by s:
     #   u = -(alpha/(2 beta))*(1 + eps) - 6*alpha*s*k0/(2*beta*s + k0*sqrt(6*s*beta*alpha^2)*X)
+    # against the product and verify's direct formula
     s, mu, alpha, beta = 2.0, 1.0, 3.0, 2.0
     v = mu**2 / (6.0 * s) - alpha**2 / (4.0 * beta)
     params = PhysicalParams(s=s, mu=mu, alpha=alpha, beta=beta, v=v)
     eps = mu * math.sqrt(2.0 * beta / (3.0 * s * alpha**2))
     k0 = 1.0
+    sol = rational_solution_from_physical(Family.RATIONAL_PLUS, params, k0)
+    oracle = _physical_formula(sol)
     for x, t in ((3.0, 0.0), (5.5, 0.4), (9.0, -1.0)):
         X = x - v * t
         manual = -(alpha / (2.0 * beta)) * (1.0 + eps) - 6.0 * alpha * s * k0 / (
             2.0 * beta * s + k0 * math.sqrt(6.0 * s * beta * alpha**2) * X
         )
-        got = eval_rational_physical(Family.RATIONAL_PLUS, x, t, params, k0)
-        assert got == pytest.approx(manual, rel=1e-12)
+        assert eval_solution_physical(sol, x, t) == pytest.approx(manual, rel=1e-12)
+        assert oracle(x, t) == pytest.approx(manual, rel=1e-12)
 
 
 def test_rational_physical_k0_zero_is_the_constant():
@@ -390,61 +430,10 @@ def test_rational_physical_k0_zero_is_the_constant():
     v = mu**2 / (6.0 * s) - alpha**2 / (4.0 * beta)
     params = PhysicalParams(s=s, mu=mu, alpha=alpha, beta=beta, v=v)
     eps = mu * math.sqrt(2.0 * beta / (3.0 * s * alpha**2))
-    val = eval_rational_physical(Family.RATIONAL_PLUS, 7.0, 2.0, params, 0.0)
-    assert val == pytest.approx(-(alpha / (2.0 * beta)) * (1.0 + eps), rel=1e-14)
-
-
-RATIONAL_K0 = ((Family.RATIONAL_PLUS, 1.0), (Family.RATIONAL_MINUS, -2.0))
-
-
-def test_rational_infinite_theta_gives_the_constant():
-    # the reduced rational evaluator used to return nan+nanj here
-    q, inf, nan = 0.5, math.inf, math.nan
-    for fam, k0 in RATIONAL_K0:
-        A = (1.0 if fam is Family.RATIONAL_PLUS else -1.0) * math.sqrt(q / 2.0)
-        const = -(A + 1.0) / (6.0 * A * A)
-        sol = rational_solution(fam, q, k0)
-        for theta in (inf, -inf, complex(inf, 1.0), complex(0.5, -inf)):
-            assert eval_rational(fam, theta, q, k0) == const
-            assert eval_solution(sol, theta) == const
-        for theta in (nan, complex(0.0, nan), complex(inf, nan)):
-            with pytest.raises(ParameterDomainError, match="must not be NaN"):
-                eval_rational(fam, theta, q, k0)
-            with pytest.raises(ParameterDomainError, match="must not be NaN"):
-                eval_solution(sol, theta)
-    # the constant member has no asymptote to reach, but NaN is still no coordinate
-    assert eval_rational(Family.CONSTANT, inf, q, 0.0) == -1.0
-    with pytest.raises(ParameterDomainError, match="must not be NaN"):
-        eval_rational(Family.CONSTANT, nan, q, 0.0)
-
-
-@pytest.mark.parametrize("xi0", [0j, 0.3j, complex(0.5, -0.7)])
-def test_rational_physical_infinite_coordinates_give_the_constant(xi0):
-    # eval_rational_physical used to return nan+nanj here: theta = mu*(x - v*t - xi0)/s
-    # is a complex product, so an infinite x made its imaginary part NaN
-    inf, nan = math.inf, math.nan
-    v = locked_rational_velocity(PhysicalParams(s=2.0, mu=1.0, alpha=3.0, beta=2.0, v=0.0))
-    params = PhysicalParams(s=2.0, mu=1.0, alpha=3.0, beta=2.0, v=v, xi0=xi0)
-    assert v < 0  # so x = t = +inf is x - v*t = +inf, and x = inf, t = -inf is NaN
-    q = reduce(params).q
-    for fam, k0 in RATIONAL_K0:
-        A = (1.0 if fam is Family.RATIONAL_PLUS else -1.0) * math.sqrt(q / 2.0)
-        const = -(3.0 / (2.0 * 2.0)) * (A + 1.0)
-        sol = rational_solution_from_physical(fam, params, k0)
-        for x, t in ((inf, 0.0), (-inf, 0.0), (0.0, inf), (0.0, -inf), (inf, inf), (1e308, 0.5)):
-            assert eval_rational_physical(fam, x, t, params, k0) == pytest.approx(const, abs=1e-15)
-            assert eval_solution_physical(sol, x, t) == pytest.approx(const, abs=1e-15)
-        # far out, but finite: the formula itself, approaching the constant
-        assert abs(eval_rational_physical(fam, 1e8, 0.0, params, k0) - const) < 1e-7
-        for x, t in ((nan, 0.0), (0.0, nan), (inf, -inf)):
-            with pytest.raises(ParameterDomainError, match="must not be NaN"):
-                eval_rational_physical(fam, x, t, params, k0)
-            with pytest.raises(ParameterDomainError, match="must not be NaN"):
-                eval_solution_physical(sol, x, t)
-    constant = constant_solution(Sign.MINUS, q, physical=params)
-    with pytest.raises(ParameterDomainError, match="must not be NaN"):
-        eval_solution_physical(constant, nan, 0.0)
-    assert eval_solution_physical(constant, -inf, 0.0) == eval_solution_physical(constant, 0.0, 0.0)
+    const = -(alpha / (2.0 * beta)) * (1.0 + eps)
+    sol = rational_solution_from_physical(Family.RATIONAL_PLUS, params, 0.0)
+    assert eval_solution_physical(sol, 7.0, 2.0) == pytest.approx(const, rel=1e-14)
+    assert _physical_formula(sol)(7.0, 2.0) == pytest.approx(const, rel=1e-14)
 
 
 def test_wave_solution_records_epsilon_and_k0():
@@ -461,35 +450,24 @@ def test_wave_solution_records_epsilon_and_k0():
 
 
 # ---------------------------------------------------------------------------
-# dispatchers
+# scalar entry points
 
 
-def test_eval_solution_dispatch_agrees_with_family_evaluators():
-    cases = [
-        (universal_solution(Family.KDVB_REGULAR), 1.3),
-        (universal_solution(Family.KDVB_SINGULAR), 2.0),
-        (compound_solution(Family.COMPOUND_TANH_MINUS, 1.0, 1.0), -0.7),
-        (rational_solution(Family.RATIONAL_PLUS, 0.5, 1.0), 2.0),
-        (constant_solution(Sign.MINUS, 2.0), 5.0),
-    ]
-    for sol, theta in cases:
-        direct = eval_solution(sol, theta)
-        assert cmath.isfinite(direct)
-    reg = universal_solution(Family.KDVB_REGULAR, theta0=1j)
-    assert eval_solution(reg, 0.5) == eval_universal(Family.KDVB_REGULAR, 0.5, 1j)
+@pytest.mark.parametrize("index", range(7))
+def test_scalar_entry_points_are_evaluate_grid_at_one_point(index):
+    sol, phys = _all_families()[index]
+    for theta in (1.3, -0.7, 2.0 + 0.25j):
+        (want,), pole = evaluate_grid(sol, np.array([theta]))
+        assert not pole and eval_solution(sol, theta) == want
+    for x, t in ((1.1, 0.0), (-2.5, 0.4)):
+        (want,), pole = evaluate_grid(phys, np.array([x]), t)
+        assert not pole and eval_solution_physical(phys, x, t) == want
 
 
 def test_eval_solution_physical_requires_coefficients():
     sol = universal_solution(Family.KDVB_REGULAR)
     with pytest.raises(ParameterDomainError):
         eval_solution_physical(sol, 0.0, 0.0)
-
-
-def test_physical_dispatch_agrees_with_direct_formulas():
-    sol = compound_solution_from_physical(Family.COMPOUND_TANH_PLUS, FIG7)
-    assert eval_solution_physical(sol, 1.0, 0.5) == eval_compound_physical(
-        Family.COMPOUND_TANH_PLUS, 1.0, 0.5, FIG7
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -517,8 +495,8 @@ def test_universal_jet_matches_finite_differences(family):
     h = 1e-3
     for theta in (-6.0, 1.0, 2.7, 11.0):
         U, U1, U2, U3 = _jet_at(sol, theta)
-        assert abs(U - eval_universal(family, theta, theta0)) < ULPS * EPS * max(1.0, abs(U))
-        fd1 = _fd5(lambda th: eval_universal(family, th, theta0), theta, h)
+        assert abs(U - _reference_value(sol, theta)) < ULPS * EPS * max(1.0, abs(U))
+        fd1 = _fd5(lambda th: _reference_value(sol, th), theta, h)
         fd2 = _fd5(lambda th: _jet_at(sol, th)[1], theta, h)
         fd3 = _fd5(lambda th: _jet_at(sol, th)[2], theta, h)
         assert abs(U1 - fd1) < 1e-9 * max(1.0, abs(U1))
@@ -527,13 +505,11 @@ def test_universal_jet_matches_finite_differences(family):
 
 
 def test_compound_jet_matches_finite_differences():
-    rp = ReducedParams(p=1.0, q=1.0)
-    fam = Family.COMPOUND_TANH_PLUS
-    sol = compound_solution(fam, rp.p, rp.q)
+    sol = compound_solution(Family.COMPOUND_TANH_PLUS, 1.0, 1.0)
     h = 1e-3
     for theta in (-2.0, 0.3, 1.9):
         U, U1, U2, U3 = _jet_at(sol, theta)
-        fd1 = _fd5(lambda th: eval_compound(fam, th, rp), theta, h)
+        fd1 = _fd5(lambda th: _reference_value(sol, th), theta, h)
         fd2 = _fd5(lambda th: _jet_at(sol, th)[1], theta, h)
         fd3 = _fd5(lambda th: _jet_at(sol, th)[2], theta, h)
         assert abs(U1 - fd1) < 1e-8
@@ -547,7 +523,7 @@ def test_rational_jet_matches_finite_differences():
     h = 1e-4
     for theta in (0.5, 2.0, 7.0):
         U, U1, U2, U3 = _jet_at(sol, theta)
-        fd1 = _fd5(lambda th: eval_rational(fam, th, q, k0), theta, h)
+        fd1 = _fd5(lambda th: _reference_value(sol, th), theta, h)
         fd2 = _fd5(lambda th: _jet_at(sol, th)[1], theta, h)
         assert abs(U1 - fd1) < 1e-8 * max(1.0, abs(U1))
         assert abs(U2 - fd2) < 1e-8 * max(1.0, abs(U2))
@@ -566,8 +542,9 @@ def test_solution_jet_displaces_kdvb_families():
 def test_regular_jet_derivative_property(theta):
     # U = (3/50)(1+T)^2 must satisfy U' = (1/5)(1+T)(1-T^2)*(3/50)... i.e.
     # d/dtheta with T' = (1-T^2)/10; checked against the stencil
-    _, U1, _, _ = _jet_at(universal_solution(Family.KDVB_REGULAR), theta)
-    fd = _fd5(lambda th: eval_universal(Family.KDVB_REGULAR, th), theta, 1e-3)
+    regular = universal_solution(Family.KDVB_REGULAR)
+    _, U1, _, _ = _jet_at(regular, theta)
+    fd = _fd5(lambda th: _reference_value(regular, th), theta, 1e-3)
     assert abs(U1 - fd) < 1e-9
 
 
@@ -629,7 +606,8 @@ def test_physical_jet_is_the_chain_rule_image(index):
     # scalar coordinates give 0-d results
     (u0, *_), pole0 = physical_jet(phys, 0.11, 0.2)
     assert u0.shape == () and pole0.shape == ()
-    assert np.isclose(u0, eval_solution_physical(phys, 0.11, 0.2), rtol=1e-13, atol=1e-13 * abs(pp.v))
+    oracle = _physical_formula(phys)(0.11, 0.2)
+    assert np.isclose(u0, oracle, rtol=1e-13, atol=1e-13 * abs(pp.v))
 
 
 # ---------------------------------------------------------------------------
@@ -663,17 +641,19 @@ def test_sweep_a0_slice_is_real_and_matches_regular():
     theta = np.linspace(-40.0, 40.0, 81)
     surface = sweep_rows(Family.KDVB_REGULAR, np.array([0.0]), theta)
     assert np.all(surface.im[0] == 0.0)
-    expected = [eval_universal(Family.KDVB_REGULAR, th).real for th in theta]
+    regular = universal_solution(Family.KDVB_REGULAR)
+    expected = [_reference_value(regular, th).real for th in theta]
     assert np.allclose(surface.re[0], expected, atol=1e-15)
 
 
 def test_sweep_a_minus5_slice_matches_singular_family():
     theta = np.linspace(-40.0, 40.0, 81)  # even spacing, no exact 0
     surface = sweep_rows(Family.KDVB_REGULAR, np.array([-5.0]), theta)
+    singular = universal_solution(Family.KDVB_SINGULAR)
     for j, th in enumerate(theta):
         if surface.pole[0, j]:
             continue
-        expected = eval_universal(Family.KDVB_SINGULAR, th)
+        expected = eval_solution(singular, th)
         assert surface.re[0, j] == pytest.approx(expected.real, abs=1e-10)
         assert abs(surface.im[0, j] - expected.imag) < 1e-10
 
@@ -690,6 +670,30 @@ def test_intermediate_phase_grows_a_pocket():
     assert np.any(d_pocket > 1e-12) and np.any(d_pocket < -1e-12)
 
 
+def test_kdvb_phase_is_reduced_by_its_exact_period():
+    inf, nan = math.inf, math.nan
+    a = np.array([1e15, -20.0, 1e16 + 2.0, -7.5, 1.7976931348623157e308, -0.0, inf, -inf, nan])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        reduced = reduce_kdvb_phase(a)
+    assert reduced[:6].tolist() == [0.0, 0.0, 2.0, -7.5, 8.0, 0.0]
+    assert all(math.copysign(1.0, r) == 1.0 for r in reduced[[0, 1, 5]])  # never -0.0
+    assert reduced[6] == inf and reduced[7] == -inf and math.isnan(reduced[8])  # passed through
+    assert float(reduce_kdvb_phase(-20.0)) == 0.0
+
+
+def test_sweep_reduces_a_by_its_period():
+    # theta0 = i*a*pi: the sweep used to multiply the raw a by pi, so a = 1e15
+    # gave a complex profile where the a = 0 kink is real
+    theta = np.linspace(-40.0, 40.0, 81)
+    for a, period_rep in ((1e15, 0.0), (-20.0, 0.0), (1e16 + 2.0, 2.0), (-1e300, 0.0)):
+        got = sweep_rows(Family.KDVB_SINGULAR, np.array([a, 0.5]), theta)
+        want = sweep_rows(Family.KDVB_SINGULAR, np.array([period_rep, 0.5]), theta)
+        assert got.a_values.tolist() == [a, 0.5]  # the surface keeps a as given
+        for field in ("re", "im", "pole"):
+            assert np.array_equal(getattr(got, field), getattr(want, field), equal_nan=True)
+
+
 def test_sweep_rejects_empty_grids():
     with pytest.raises(ParameterDomainError):
         sweep_rows(Family.KDVB_REGULAR, np.array([]), np.array([0.0]))
@@ -698,12 +702,14 @@ def test_sweep_rejects_empty_grids():
 
 
 # ---------------------------------------------------------------------------
-# array kernel against the scalar evaluators
+# array kernel against the scalar references
 #
-# numpy's complex tanh and cmath's differ in the last bit, and the physical
-# path rounds the coordinate map in another order than the direct formulas,
-# so values agree to a few ulp of their scale, not bit for bit.  The scale of
-# a point is the larger of its own magnitude and the tails' magnitude.
+# In reduced coordinates the reference is the 50-digit spelling above.  In
+# physical coordinates it is verify's direct physical formula: cmath's
+# complex tanh and numpy's differ in the last bit, and the formula rounds the
+# coordinate map in another order than the kernel path.  So values agree to a
+# few ulp of their scale, not bit for bit.  The scale of a point is the
+# larger of its own magnitude and the tails' magnitude.
 
 ULPS = 16
 EPS = np.finfo(float).eps
@@ -764,29 +770,33 @@ KERNEL_CASES = [("reduced", name) for name in _reduced_kernel_cases()] + [
 
 
 def _kernel_and_reference(mode, name, grid):
-    """((values, pole) of evaluate_grid, (values, pole) of the scalar evaluator) on grid.
+    """((values, pole) of evaluate_grid, (values, pole) of the reference) on grid.
 
-    The scalar pole set is where the scalar call raises PoleError; the
-    kernel runs with every warning turned into an error.
+    The reference pole set is where the 50-digit spelling finds a pole
+    (reduced) or where verify's direct formula raises PoleError (physical);
+    the kernel runs with every warning turned into an error.
     """
     if mode == "reduced":
         sol = _reduced_kernel_cases()[name]
-        t, call = None, lambda c: eval_solution(sol, c)
+        t, call = None, lambda c: _reference(sol, c)
     else:
         sol = _physical_kernel_cases()[name]
-        t, call = 0.0, lambda c: eval_solution_physical(sol, c, 0.0)
+        t, formula = 0.0, _physical_formula(sol)
+
+        def call(c):
+            try:
+                return formula(c, 0.0), False
+            except PoleError:
+                return None, True
+
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = evaluate_grid(sol, grid, t)
     values, pole = [], []
     for c in grid.tolist():
-        try:
-            values.append(call(c))
-        except PoleError:
-            values.append(complex(math.nan, math.nan))
-            pole.append(True)
-        else:
-            pole.append(False)
+        value, on_pole = call(c)
+        values.append(complex(math.nan, math.nan) if on_pole else value)
+        pole.append(on_pole)
     return got, (np.array(values), np.array(pole))
 
 

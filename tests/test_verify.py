@@ -18,20 +18,33 @@ from kdvbwaves import (
     compound_solution,
     compound_solution_from_physical,
     constant_solution,
+    eval_solution,
     factorize_compound,
     kdvb_solution_from_physical,
     locked_rational_velocity,
     oracle_integrate_bernoulli,
     oracle_integrate_riccati,
+    physical_discriminant_root,
     rational_form_audit,
     rational_solution,
+    rational_solution_from_physical,
+    reduce,
     residual_first_integral,
     residual_pde,
     universal_solution,
     verification_suite,
 )
 from kdvbwaves.factorizer import CompoundFactorization
-from kdvbwaves.verify import BLOWUP_THRESHOLD, SCOPES, _report, _rk4
+from kdvbwaves.verify import (
+    BLOWUP_THRESHOLD,
+    SCOPES,
+    _compound_formula,
+    _kdvb_formula,
+    _physical_formula,
+    _rational_formula,
+    _report,
+    _rk4,
+)
 
 GRID = np.linspace(-50.0, 50.0, 200)
 KDVB_PROBE = PhysicalParams(s=1.0, mu=6.0, alpha=1.0, beta=0.0, v=0.2)
@@ -109,6 +122,81 @@ def test_all_pole_grid_is_an_error():
     sol = universal_solution(Family.KDVB_SINGULAR)
     with pytest.raises(ParameterDomainError):
         residual_first_integral(sol, [0.0])
+
+
+# ---------------------------------------------------------------------------
+# direct physical formulas (the finite-difference oracle)
+
+
+@pytest.mark.parametrize("xi0", [0j, 0.3j, complex(0.5, -0.7)])
+def test_physical_infinite_coordinates_give_the_asymptotes(xi0):
+    # the direct physical formulas used to die in round(nan) here: Im z became NaN
+    inf, nan = math.inf, math.nan
+    kdvb = PhysicalParams(s=1.0, mu=6.0, alpha=1.0, beta=0.0, v=0.2, xi0=xi0)
+    c = 3.0 * 6.0**2 / 25.0
+    for fam in (Family.KDVB_REGULAR, Family.KDVB_SINGULAR):
+        assert _kdvb_formula(fam, kdvb)(inf, 0.7) == pytest.approx(0.2 + 2.0 * c, abs=1e-14)
+        assert _kdvb_formula(fam, kdvb)(-inf, 0.7) == pytest.approx(0.2 - 2.0 * c, abs=1e-14)
+    compound = PhysicalParams(s=2.0, mu=1.0, alpha=3.0, beta=2.0, v=-0.04, xi0=xi0)
+    root, amp = physical_discriminant_root(compound), 1.0 / math.sqrt(6.0 * 2.0 * 2.0)
+    for fam, sign in ((Family.COMPOUND_TANH_PLUS, 1.0), (Family.COMPOUND_TANH_MINUS, -1.0)):
+        for end in (1.0, -1.0):
+            expected = -3.0 / 4.0 + sign * amp * (1.0 + end * root)
+            assert _compound_formula(fam, compound)(end * inf, 0.25) == pytest.approx(
+                expected, abs=1e-14)
+    # NaN has no asymptote: a domain error, not a ValueError from round(nan)
+    for fam, params, formula in ((Family.KDVB_REGULAR, kdvb, _kdvb_formula),
+                                 (Family.KDVB_SINGULAR, kdvb, _kdvb_formula),
+                                 (Family.COMPOUND_TANH_MINUS, compound, _compound_formula)):
+        for x, t in ((nan, 0.0), (0.0, nan), (inf, inf if params.v > 0 else -inf)):
+            with pytest.raises(ParameterDomainError, match="must not be NaN"):
+                formula(fam, params)(x, t)
+    # also where the degenerate kink (D = 0) is constant in the coordinate
+    flat = PhysicalParams(s=2.0, mu=1.0, alpha=3.0, beta=2.0, v=-25.0 / 24.0, xi0=xi0)
+    assert physical_discriminant_root(flat) == 0.0
+    with pytest.raises(ParameterDomainError, match="must not be NaN"):
+        _compound_formula(Family.COMPOUND_TANH_PLUS, flat)(nan, 0.0)
+
+
+RATIONAL_K0 = ((Family.RATIONAL_PLUS, 1.0), (Family.RATIONAL_MINUS, -2.0))
+
+
+@pytest.mark.parametrize("xi0", [0j, 0.3j, complex(0.5, -0.7)])
+def test_rational_physical_infinite_coordinates_give_the_constant(xi0):
+    # the direct formula used to return nan+nanj here: theta = mu*(x - v*t - xi0)/s
+    # is a complex product, so an infinite x made its imaginary part NaN
+    inf, nan = math.inf, math.nan
+    v = locked_rational_velocity(PhysicalParams(s=2.0, mu=1.0, alpha=3.0, beta=2.0, v=0.0))
+    params = PhysicalParams(s=2.0, mu=1.0, alpha=3.0, beta=2.0, v=v, xi0=xi0)
+    assert v < 0  # so x = t = +inf is x - v*t = +inf, and x = inf, t = -inf is NaN
+    q = reduce(params).q
+    for fam, k0 in RATIONAL_K0:
+        A = (1.0 if fam is Family.RATIONAL_PLUS else -1.0) * math.sqrt(q / 2.0)
+        const = -(3.0 / (2.0 * 2.0)) * (A + 1.0)
+        direct = _rational_formula(fam, params, k0, Sign.PLUS)
+        dispatched = _physical_formula(rational_solution_from_physical(fam, params, k0))
+        for x, t in ((inf, 0.0), (-inf, 0.0), (0.0, inf), (0.0, -inf), (inf, inf), (1e308, 0.5)):
+            assert direct(x, t) == pytest.approx(const, abs=1e-15)
+            assert dispatched(x, t) == pytest.approx(const, abs=1e-15)
+        # far out, but finite: the formula itself, approaching the constant
+        assert abs(direct(1e8, 0.0) - const) < 1e-7
+        for x, t in ((nan, 0.0), (0.0, nan), (inf, -inf)):
+            for u in (direct, dispatched):
+                with pytest.raises(ParameterDomainError, match="must not be NaN"):
+                    u(x, t)
+    constant = _physical_formula(constant_solution(Sign.MINUS, q, physical=params))
+    with pytest.raises(ParameterDomainError, match="must not be NaN"):
+        constant(nan, 0.0)
+    assert constant(-inf, 0.0) == constant(0.0, 0.0)
+
+
+def test_physical_dispatch_agrees_with_direct_formulas():
+    fig7 = PhysicalParams(s=2.0, mu=1.0, alpha=3.0, beta=2.0, v=-0.04)
+    sol = compound_solution_from_physical(Family.COMPOUND_TANH_PLUS, fig7)
+    assert _physical_formula(sol)(1.0, 0.5) == _compound_formula(
+        Family.COMPOUND_TANH_PLUS, fig7)(1.0, 0.5)
+    with pytest.raises(ParameterDomainError):
+        _physical_formula(universal_solution(Family.KDVB_REGULAR))  # no physical coefficients
 
 
 # ---------------------------------------------------------------------------
@@ -200,17 +288,13 @@ def test_consistency_holds_for_solutions_and_non_solutions():
 
 
 def test_bernoulli_oracle_reproduces_regular_kink():
-    from kdvbwaves import eval_universal
-
     traj = oracle_integrate_bernoulli(Sign.MINUS, 3.0 / 50.0, (0.0, 40.0), 0.01)
     assert not traj.blew_up
-    assert abs(traj.endpoint - eval_universal(Family.KDVB_REGULAR, 40.0)) < 1e-6
+    assert abs(traj.endpoint - eval_solution(universal_solution(Family.KDVB_REGULAR), 40.0)) < 1e-6
 
 
 def test_bernoulli_oracle_order_is_four():
-    from kdvbwaves import eval_universal
-
-    target = eval_universal(Family.KDVB_REGULAR, 10.0)
+    target = eval_solution(universal_solution(Family.KDVB_REGULAR), 10.0)
     errs = [
         abs(oracle_integrate_bernoulli(Sign.MINUS, 3.0 / 50.0, (0.0, 10.0), h).endpoint - target)
         for h in (0.5, 0.25)
@@ -235,26 +319,20 @@ def test_bernoulli_oracle_validates_inputs():
 
 
 def test_riccati_oracle_reproduces_compound_kink():
-    from kdvbwaves import eval_compound
-
     sol = compound_solution(Family.COMPOUND_TANH_PLUS, 1.0, 1.0)
     fact = factorize_compound(sol.reduced, sol.sign)
-    U0 = eval_compound(Family.COMPOUND_TANH_PLUS, 0.0, sol.reduced)
-    traj = oracle_integrate_riccati(fact, U0, (0.0, 10.0), 0.005)
-    assert abs(traj.endpoint - eval_compound(Family.COMPOUND_TANH_PLUS, 10.0, sol.reduced)) < 1e-6
+    traj = oracle_integrate_riccati(fact, eval_solution(sol, 0.0), (0.0, 10.0), 0.005)
+    assert abs(traj.endpoint - eval_solution(sol, 10.0)) < 1e-6
 
 
 def test_riccati_oracle_diverges_off_the_paired_branch():
     # integrating the kink's initial value with the WRONG branch coefficients
     # must not track the closed form: the pairing is load-bearing
-    from kdvbwaves import eval_compound
-
     sol = compound_solution(Family.COMPOUND_TANH_PLUS, 1.0, 1.0)
     wrong_sign = Sign.PLUS if sol.sign is Sign.MINUS else Sign.MINUS
     fact = factorize_compound(sol.reduced, wrong_sign)
-    U0 = eval_compound(Family.COMPOUND_TANH_PLUS, 0.0, sol.reduced)
-    traj = oracle_integrate_riccati(fact, U0, (0.0, 10.0), 0.005)
-    gap = abs(traj.endpoint - eval_compound(Family.COMPOUND_TANH_PLUS, 10.0, sol.reduced))
+    traj = oracle_integrate_riccati(fact, eval_solution(sol, 0.0), (0.0, 10.0), 0.005)
+    gap = abs(traj.endpoint - eval_solution(sol, 10.0))
     assert traj.blew_up or gap > 1e-2
 
 
