@@ -438,14 +438,7 @@ def cmd_figure(args: argparse.Namespace) -> int:
 # parser
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="kdvbwaves",
-        description="closed-form travelling waves of the (compound) KdV-Burgers equation",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    f = sub.add_parser("factorize", help="coefficient report for a factorization")
+def _factorize_arguments(f: argparse.ArgumentParser) -> None:
     f.add_argument("--eq", choices=("kdvb", "compound"), required=True)
     f.add_argument("--sign", choices=("plus", "minus"), default="minus")
     f.add_argument("--delta", type=float, default=0.0, help="displacement (kdvb only)")
@@ -454,7 +447,8 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--format", choices=("text", "json"), default="text")
     f.set_defaults(func=cmd_factorize)
 
-    e = sub.add_parser("evaluate", help="sample a solution family onto a grid")
+
+def _evaluate_arguments(e: argparse.ArgumentParser) -> None:
     e.add_argument("--family", choices=[fam.value for fam in Family], required=True)
     e.add_argument("--theta-min", type=float, default=None)
     e.add_argument("--theta-max", type=float, default=None)
@@ -480,7 +474,8 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--output", default=None, help="output path (default: stdout)")
     e.set_defaults(func=cmd_evaluate)
 
-    s = sub.add_parser("sweep", help="sample the complex-phase surface")
+
+def _sweep_arguments(s: argparse.ArgumentParser) -> None:
     s.add_argument("--family", choices=[fam.value for fam in _KDVB], default="kdvb-regular")
     s.add_argument("--a-min", type=float, required=True)
     s.add_argument("--a-max", type=float, required=True)
@@ -492,7 +487,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--output", default=None)
     s.set_defaults(func=cmd_sweep)
 
-    v = sub.add_parser("verify", help="run the verification suite")
+
+def _verify_arguments(v: argparse.ArgumentParser) -> None:
     v.add_argument("--scope", choices=SCOPES, default="all")
     v.add_argument("--tolerance", type=float, default=None,
                    help="override every check threshold at once")
@@ -500,12 +496,59 @@ def build_parser() -> argparse.ArgumentParser:
                    help="scale closed forms by 1+perturb (negative control)")
     v.set_defaults(func=cmd_verify)
 
-    g = sub.add_parser("figure", help="reproduce the data behind a published figure")
+
+def _figure_arguments(g: argparse.ArgumentParser) -> None:
     g.add_argument("figure", type=int, choices=range(1, 8), metavar="N",
                    help="figure id, 1-7")
     g.add_argument("--manifest", default=None, help="override the packaged manifest")
     g.add_argument("--outdir", default=".", help="directory for the output files")
     g.set_defaults(func=cmd_figure)
+
+
+# subcommand -> (its --help line, the function that adds its arguments), in --help order
+_SUBCOMMANDS = {
+    "factorize": ("coefficient report for a factorization", _factorize_arguments),
+    "evaluate": ("sample a solution family onto a grid", _evaluate_arguments),
+    "sweep": ("sample the complex-phase surface", _sweep_arguments),
+    "verify": ("run the verification suite", _verify_arguments),
+    "figure": ("reproduce the data behind a published figure", _figure_arguments),
+}
+
+
+class _Subcommands(argparse._SubParsersAction):
+    """The subcommand action: a subparser gets its arguments when the command line selects it."""
+
+    def fill(self, name: str) -> None:
+        """Add subcommand ``name``'s arguments to its parser, unless it has them already."""
+        sub = self.choices[name]
+        if sub.get_default("func") is None:
+            _SUBCOMMANDS[name][1](sub)
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        self.fill(values[0])  # argparse has already checked values[0] against the choices
+        super().__call__(parser, namespace, values, option_string)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The kdvbwaves parser: five subcommands, each adding its arguments when selected.
+
+    Every subcommand is registered with its help line up front, which is all
+    that the top-level help, usage and "invalid choice" messages read.  A
+    subcommand's own arguments are added when the command line selects it,
+    before its parser reads anything, so a command pays for one subcommand's
+    arguments, not for all five.  Help, usage, error messages and parse
+    results are byte for byte those of a parser built with every argument.
+    Filling on selection, rather than taking the command as an argument,
+    keeps build_parser a zero-argument call, which perfbench/tracing.py
+    wraps as such.
+    """
+    parser = argparse.ArgumentParser(
+        prog="kdvbwaves",
+        description="closed-form travelling waves of the (compound) KdV-Burgers equation",
+    )
+    sub = parser.add_subparsers(dest="command", required=True, action=_Subcommands)
+    for name, (text, _) in _SUBCOMMANDS.items():
+        sub.add_parser(name, help=text)
     return parser
 
 

@@ -144,13 +144,18 @@ def factorize_kdvb(delta: float, sign: Sign) -> KdvbFactorization:
 
     delta is a free real parameter; the factorization exists for every value
     and fixes p = 2*delta + 6/25 and k = p*delta - delta^2.  A NaN or
-    infinite delta is a ParameterDomainError.
+    infinite delta is a ParameterDomainError, and so is a delta whose p or
+    k is not finite.
     """
     require_finite(delta=delta)
     A = sign.factor * math.sqrt(2.0 / 3.0)
     B = 2.0 / 5.0
     p = 2.0 * delta + 6.0 / 25.0
     k = p * delta - delta * delta
+    if not (math.isfinite(p) and math.isfinite(k)):
+        raise ParameterDomainError(
+            f"delta = {delta!r} leaves the float range: p = 2*delta + 6/25 and "
+            "k = p*delta - delta^2 must be finite")
     return KdvbFactorization(A=A, B=B, delta=delta, p=p, k=k, sign=sign)
 
 

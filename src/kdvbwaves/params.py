@@ -29,6 +29,7 @@ families, so restricting to real phases in the type would be wrong.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 from .errors import ParameterDomainError
@@ -87,11 +88,21 @@ def reduce(params: PhysicalParams) -> ReducedParams:
     """Map physical coefficients to reduced ODE coefficients.
 
     p = v*s/mu^2, q = 4*beta*mu^2/(3*s*alpha^2), theta0 = mu*xi0/s.
-    delta and k are left unset.
+    delta and k are left unset.  Coefficients whose p, q or theta0 leaves
+    the float range (a square that overflows, or mu^2 or s*alpha^2 that
+    underflows to 0) are a ParameterDomainError.
     """
-    p = params.v * params.s / params.mu**2
-    q = 4.0 * params.beta * params.mu**2 / (3.0 * params.s * params.alpha**2)
+    try:
+        p = params.v * params.s / params.mu**2
+        q = 4.0 * params.beta * params.mu**2 / (3.0 * params.s * params.alpha**2)
+    except (OverflowError, ZeroDivisionError):
+        p = q = math.nan
     theta0 = params.mu * params.xi0 / params.s
+    if not (math.isfinite(p) and math.isfinite(q) and cmath.isfinite(theta0)):
+        raise ParameterDomainError(
+            f"s = {params.s!r}, mu = {params.mu!r}, alpha = {params.alpha!r} leave the float "
+            "range: p = v*s/mu^2, q = 4*beta*mu^2/(3*s*alpha^2) and theta0 = mu*xi0/s "
+            "must be finite")
     return ReducedParams(p=p, q=q, theta0=theta0)
 
 

@@ -101,8 +101,10 @@ class ResidualReport:
     warning: str | None = None
 
     def __post_init__(self) -> None:
-        if not (self.max_abs >= self.mean_abs >= 0.0):
-            raise ValueError("residual statistics must satisfy max_abs >= mean_abs >= 0")
+        nan = math.isnan(self.max_abs) and math.isnan(self.mean_abs)  # a NaN residual
+        if not (nan or self.max_abs >= self.mean_abs >= 0.0):
+            raise ValueError(
+                "residual statistics must satisfy max_abs >= mean_abs >= 0, or both be NaN")
 
 
 def _report(
@@ -115,7 +117,9 @@ def _report(
     """Statistics of |residual| over the points off the pole mask.
 
     The worst point is the first maximum.  The mean is capped at the maximum,
-    because the float mean of equal values can round above them.
+    because the float mean of equal values can round above them.  A NaN
+    residual counts as the maximum: the worst point is the first NaN, and
+    max_abs and mean_abs are NaN, which passes no tolerance.
     """
     keep = ~pole
     n = int(np.count_nonzero(keep))
@@ -453,6 +457,14 @@ def _rk4(
     negative radicand) is redone in complex from complex(y), and the run
     stays complex from there.  Every value is the all-complex run's, bit for
     bit.
+
+    A float step that passes those checks and returns its own state
+    (y_next == y, so y is nonzero, finite and bounded, and the two have the
+    same bits) has reached a fixed point of the step map, which depends on
+    the state alone (rhs must be a pure function).  Every later step would
+    return y again, so the run fills the remaining values with y and stops:
+    an exact equilibrium costs one step, and the values, thetas and blew_up
+    are those of the full run.  A complex run never stops early.
     """
     t0, t1 = span
     if step <= 0:
@@ -479,9 +491,13 @@ def _rk4(
             if type(y) is not float:
                 raise
             bounded = False
-        if type(y) is float and (not bounded or y_next == 0.0):
-            y = complex(y)  # redo this step in complex, and stay there
-            continue
+        if type(y) is float:
+            if not bounded or y_next == 0.0:
+                y = complex(y)  # redo this step in complex, and stay there
+                continue
+            if y_next == y:  # a fixed point: every later state is y
+                values += [y] * (n + 1 - len(values))
+                break
         y = y_next
         values.append(y)
         if not bounded:

@@ -272,6 +272,21 @@ def test_compound_coefficients_out_of_float_range_exit_2(cmd, capsys):
     assert (code, out) == (2, "") and err.startswith("error: ") and "float range" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["evaluate", "--family", "kdvb-regular", "--s", "1", "--mu", "1e-300", "--alpha", "1",
+     "--v", "0", "--x-min", "0", "--x-max", "1", "--x-steps", "2"],
+    ["evaluate", "--family", "kdvb-regular", "--s", "1e-300", "--mu", "1e300", "--alpha", "1",
+     "--v", "0", "--x-min", "0", "--x-max", "1", "--x-steps", "2"],
+    ["factorize", "--eq", "kdvb", "--delta", "1e200"],
+    ["factorize", "--eq", "kdvb", "--delta", "1e308"],
+], ids=repr)
+def test_coefficients_whose_reduction_leaves_the_float_range_exit_2(argv, capsys):
+    # mu**2 underflowed to a ZeroDivisionError or overflowed to an OverflowError
+    # (exit 1, traceback); factorize printed k = nan or a nan residual and exited 0
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "") and err.startswith("error: ") and "float range" in err
+
+
 @pytest.mark.parametrize("family", ["kdvb-regular", "kdvb-singular"])
 @pytest.mark.parametrize("a", ["1e15", "1e300", "-1e300", "-20", "-0.0", "1.7976931348623157e308"])
 def test_kdvb_phase_is_reduced_by_its_exact_period(family, a, capsys):
@@ -572,6 +587,16 @@ def test_verify_impossible_tolerance_exits_one(capsys):
 def test_verify_perturbed_exits_one(capsys):
     code, out, _ = run(capsys, "verify", "--scope", "kdvb-regular", "--perturb", "0.01")
     assert code == 1
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the scaled jets overflow
+@pytest.mark.parametrize("flags", [["--perturb", "1e300", "--scope", "kdvb-regular"],
+                                   ["--perturb", "1e308", "--scope", "constant"]])
+def test_verify_with_a_nan_residual_fails_its_check(flags, capsys):
+    # the residual report used to refuse a NaN maximum with a ValueError traceback
+    code, out, err = run(capsys, "verify", *flags)
+    assert (code, err) == (1, "")
+    assert "max_abs=nan  tol=1.0e-09  FAIL" in out and out.endswith(" failed\n")
 
 
 @pytest.mark.parametrize("flags", [

@@ -175,6 +175,19 @@ def test_non_finite_coefficients_are_domain_errors(build):
         build()
 
 
+@pytest.mark.parametrize("delta", [1e200, -1e200, 1e308, -1.7976931348623157e308])
+@pytest.mark.parametrize("sign", [Sign.PLUS, Sign.MINUS])
+def test_kdvb_delta_whose_p_or_k_overflows_is_a_domain_error(delta, sign):
+    # k = p*delta - delta**2 is inf - inf = nan at |delta| = 1e200; p = inf at 1e308
+    with pytest.raises(ParameterDomainError, match="float range"):
+        factorize_kdvb(delta, sign)
+
+
+def test_kdvb_keeps_large_finite_coefficients():
+    fact = factorize_kdvb(1e150, Sign.MINUS)
+    assert math.isfinite(fact.p) and math.isfinite(fact.k)
+
+
 @pytest.mark.parametrize("nan_at", [0, 1, 2])
 def test_verify_factorization_keeps_a_nan_residual(nan_at):
     # max(0.0, nan) is 0.0: a NaN residual must not read as an exact factorization

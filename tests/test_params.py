@@ -61,6 +61,19 @@ def test_non_finite_physical_coefficients_rejected(bad, value):
         PhysicalParams(**kwargs)
 
 
+@pytest.mark.parametrize("coefficients", [
+    dict(s=1.0, mu=1e-300, alpha=1.0, beta=0.0, v=0.0),  # mu**2 underflows to 0
+    dict(s=1e-300, mu=1e300, alpha=1.0, beta=0.0, v=0.0),  # mu**2 overflows
+    dict(s=1.0, mu=1.0, alpha=1e200, beta=1.0, v=0.0),  # alpha**2 overflows
+    dict(s=1e-300, mu=1.0, alpha=1e-100, beta=1.0, v=0.0),  # s*alpha**2 underflows to 0
+    dict(s=1e10, mu=1.0, alpha=1.0, beta=0.0, v=1e300),  # p overflows to inf
+    dict(s=1e-300, mu=1e10, alpha=1.0, beta=0.0, v=0.0, xi0=1e300),  # theta0 overflows
+], ids=repr)
+def test_reduction_leaving_the_float_range_is_a_domain_error(coefficients):
+    with pytest.raises(ParameterDomainError, match="float range"):
+        reduce(PhysicalParams(**coefficients))
+
+
 def test_beta_zero_is_legal():
     PhysicalParams(s=1.0, mu=1.0, alpha=1.0, beta=0.0, v=0.0)
 

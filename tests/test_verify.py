@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from kdvbwaves import (
     EquationTag,
@@ -34,6 +34,7 @@ from kdvbwaves import (
     universal_solution,
     verification_suite,
 )
+from kdvbwaves import verify as verify_module
 from kdvbwaves.factorizer import CompoundFactorization
 from kdvbwaves.verify import (
     BLOWUP_THRESHOLD,
@@ -89,10 +90,12 @@ def test_first_integral_detects_perturbation():
     assert dirty > 1e3 * max(clean, 1e-300)
 
 
-def test_residual_report_validates_statistics():
+@pytest.mark.parametrize("max_abs, mean_abs", [(1.0, 2.0), (math.nan, 1.0)])
+def test_residual_report_validates_statistics(max_abs, mean_abs):
+    # a NaN maximum is legal only with a NaN mean, as _report makes it
     with pytest.raises(ValueError):
         ResidualReport(
-            max_abs=1.0, mean_abs=2.0, worst_point=0j, n_samples=1,
+            max_abs=max_abs, mean_abs=mean_abs, worst_point=0j, n_samples=1,
             equation=EquationTag.ODE_FIRST_INTEGRAL,
         )
 
@@ -116,6 +119,14 @@ def test_reducer_skips_poles_and_reports_the_first_worst_point():
     assert (report.max_abs, report.mean_abs) == (3.0, 2.25)
     assert (report.worst_point, report.n_samples, report.n_poles) == (1 + 1j, 4, 1)
     assert report.warning == "w"
+
+
+def test_reducer_reports_a_nan_residual_as_the_maximum():
+    # like verify_factorization: a NaN residual can never pass a tolerance
+    residual = np.array([1.0, np.nan, 5.0, np.nan])
+    report = _report(residual, np.arange(4.0) + 1j, np.zeros(4, bool), EquationTag.PDE_KDVB)
+    assert math.isnan(report.max_abs) and math.isnan(report.mean_abs)
+    assert (report.worst_point, report.n_samples) == (1 + 1j, 4)
 
 
 def test_all_pole_grid_is_an_error():
@@ -557,6 +568,58 @@ def test_bernoulli_real_starts_match_textbook_rk4_property(sign, U0, run):
     span, step = run
     _assert_same_bits(oracle_integrate_bernoulli(sign, U0, span, step),
                       _bernoulli_reference(sign, U0, span, step))
+
+
+# A float step that returns its own state is a fixed point of the step map,
+# and _rk4 fills the rest of the run with that state.  On an exact equilibrium
+# of a Riccati flow, C = -(A*U0*U0 + B*U0) so that rhs(U0) is exactly 0, that
+# happens at the first step; the run must still be the textbook run.
+_EXTREME = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300,
+                            -1e-300, 1e-154, 1e154, -1e154, 1e300, -1e300, 1.7976931348623157e308])
+
+
+@settings(deadline=None, max_examples=200)
+@given(A=st.floats(allow_nan=False, allow_infinity=False) | _EXTREME,
+       B=st.floats(allow_nan=False, allow_infinity=False) | _EXTREME,
+       U0=st.floats(allow_nan=False, allow_infinity=False) | _EXTREME,
+       run=_SPANS)
+def test_riccati_equilibria_match_textbook_rk4_property(A, B, U0, run):
+    C = -(A * U0 * U0 + B * U0)
+    assume(math.isfinite(C))
+    fact = CompoundFactorization(A=A, B=B, C=C, p=0.0, q=1.0, k=0.0, sign=Sign.PLUS)
+    assert fact.riccati_rhs(U0) == 0.0
+    span, step = run
+    _assert_same_bits(oracle_integrate_riccati(fact, U0, span, step),
+                      _reference_rk4(fact.riccati_rhs, U0, span, step))
+
+
+def _counting_rk4(calls):
+    """_rk4 whose right-hand side appends every state it is called at to ``calls``."""
+    def rk4(rhs, *args):
+        def counted(U):
+            calls.append(U)
+            return rhs(U)
+        return _rk4(counted, *args)
+    return rk4
+
+
+def test_constant_equilibrium_check_computes_one_step(monkeypatch):
+    # 2,000 steps of 4 stages each, of which the first returns the start
+    calls = []
+    monkeypatch.setattr(verify_module, "_rk4", _counting_rk4(calls))
+    (check,) = [c for c in verification_suite(scope="constant").checks if "equilibrium" in c.name]
+    assert check.passed and check.max_abs == 0.0
+    assert len(calls) == 4 and len(set(calls)) == 1
+
+
+def test_run_that_converges_onto_a_float_fixed_point_stops_there():
+    # U' = 1 - U from 0.3 settles on a float next to 1 after 73 of its 400 steps
+    fact = CompoundFactorization(A=0.0, B=-1.0, C=1.0, p=0.0, q=1.0, k=0.0, sign=Sign.PLUS)
+    calls = []
+    traj = _counting_rk4(calls)(fact.riccati_rhs, 0.3, (0.0, 200.0), 0.5)
+    assert len(traj.values) == 401 and abs(traj.values[-1] - 1.0) <= 2.0**-52
+    assert len(calls) == 4 * 73
+    _assert_same_bits(traj, _reference_rk4(fact.riccati_rhs, 0.3, (0.0, 200.0), 0.5))
 
 
 # ---------------------------------------------------------------------------
