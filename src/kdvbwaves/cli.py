@@ -51,9 +51,10 @@ from .errors import ParameterDomainError, PoleError, UnsupportedDomainError
 from .factorizer import Sign, factorize_compound, factorize_kdvb, verify_factorization
 from .params import PhysicalParams, ReducedParams
 from .solutions import (
+    _COMPOUND_FAMILIES,
+    _KDVB_FAMILIES,
     Family,
     PhaseSweep,
-    SweepSurface,
     WaveSolution,
     compound_solution,
     compound_solution_from_physical,
@@ -66,9 +67,6 @@ from .solutions import (
     universal_solution,
 )
 from .verify import SCOPES, verification_suite
-
-_KDVB = (Family.KDVB_REGULAR, Family.KDVB_SINGULAR)
-_COMPOUND = (Family.COMPOUND_TANH_PLUS, Family.COMPOUND_TANH_MINUS)
 
 
 def _run_starts(column: np.ndarray) -> np.ndarray:
@@ -182,10 +180,12 @@ def _profile(names: list[str], coords: list[np.ndarray], sol: WaveSolution,
     return _render(names, [*coords, values.real, values.imag], pole, fmt)
 
 
-def _sweep(surface: SweepSurface, fmt: str) -> str:
-    a, theta = np.meshgrid(surface.a_values, surface.theta, indexing="ij")
-    columns = [a.ravel(), theta.ravel(), surface.re.ravel(), surface.im.ravel()]
-    return _render(["a", "theta"], columns, surface.pole.ravel(), fmt)
+def _sweep(fam: Family, a_values: np.ndarray, theta_grid: np.ndarray, fmt: str) -> str:
+    """Evaluate the phase sweep of ``fam`` over (a, theta) and render the table."""
+    values, pole = sweep_rows(fam, a_values, theta_grid)
+    a, theta = np.meshgrid(a_values, theta_grid, indexing="ij")
+    columns = [a.ravel(), theta.ravel(), values.real.ravel(), values.imag.ravel()]
+    return _render(["a", "theta"], columns, pole.ravel(), fmt)
 
 
 # ---------------------------------------------------------------------------
@@ -249,16 +249,16 @@ def cmd_factorize(args: argparse.Namespace) -> int:
 
 def _phase(fam: Family, a: float) -> complex:
     """theta0 = i*a*pi, with a reduced by its period 10 for the KdVB families."""
-    if fam in _KDVB:
+    if fam in _KDVB_FAMILIES:
         a = float(reduce_kdvb_phase(a))
     return complex(0.0, a * math.pi)
 
 
 def _reduced_solution(args: argparse.Namespace, fam: Family) -> WaveSolution:
     theta0 = _phase(fam, args.phase_a)
-    if fam in _KDVB:
+    if fam in _KDVB_FAMILIES:
         return universal_solution(fam, theta0=theta0)
-    if fam in _COMPOUND:
+    if fam in _COMPOUND_FAMILIES:
         if args.p is None or args.q is None:
             raise ParameterDomainError("compound families need --p and --q")
         return compound_solution(fam, args.p, args.q, theta0=theta0)
@@ -280,9 +280,9 @@ def _physical_coefficients(args: argparse.Namespace) -> PhysicalParams:
 def _physical_solution(
     fam: Family, params: PhysicalParams, k0: float = 0.0, sign: Sign = Sign.PLUS
 ) -> WaveSolution:
-    if fam in _KDVB:
+    if fam in _KDVB_FAMILIES:
         return kdvb_solution_from_physical(fam, params)
-    if fam in _COMPOUND:
+    if fam in _COMPOUND_FAMILIES:
         return compound_solution_from_physical(fam, params)
     return rational_solution_from_physical(fam, params, k0, sign)
 
@@ -318,7 +318,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     fam = Family(args.family)
-    if fam not in _KDVB:
+    if fam not in _KDVB_FAMILIES:
         raise ParameterDomainError("the phase sweep is defined for the kdvb families")
     a_values = _grid(args.a_min, args.a_max, args.a_steps, "a")
     if a_values.size > 1:
@@ -326,7 +326,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     elif args.a_min != args.a_max:
         raise ParameterDomainError("a single-row sweep needs --a-min == --a-max")
     theta_grid = _grid(args.theta_min, args.theta_max, args.theta_steps, "theta")
-    _emit(_sweep(sweep_rows(fam, a_values, theta_grid), args.format), args.output)
+    _emit(_sweep(fam, a_values, theta_grid, args.format), args.output)
     return 0
 
 
@@ -408,7 +408,7 @@ def cmd_figure(args: argparse.Namespace) -> int:
     if _field(entry, "command", str) == "sweep":
         sweep = PhaseSweep(_field(entry, "a_min", float), _field(entry, "a_max", float),
                            _field(entry, "a_steps", int))
-        tables.append((output, _sweep(sweep_rows(fam, sweep.a_values(), grid("theta")), "csv")))
+        tables.append((output, _sweep(fam, sweep.a_values(), grid("theta"), "csv")))
     elif "curves" in entry:
         coeff = _field(entry, "coefficients", dict)
         s, mu, alpha, beta = (_field(coeff, name, float) for name in ("s", "mu", "alpha", "beta"))
@@ -476,7 +476,8 @@ def _evaluate_arguments(e: argparse.ArgumentParser) -> None:
 
 
 def _sweep_arguments(s: argparse.ArgumentParser) -> None:
-    s.add_argument("--family", choices=[fam.value for fam in _KDVB], default="kdvb-regular")
+    s.add_argument("--family", choices=[fam.value for fam in _KDVB_FAMILIES],
+                   default="kdvb-regular")
     s.add_argument("--a-min", type=float, required=True)
     s.add_argument("--a-max", type=float, required=True)
     s.add_argument("--a-steps", type=int, required=True)

@@ -88,15 +88,6 @@ class KdvbFactorization:
         """
         return (self.p - 2.0 * self.delta) * U - U * U
 
-    def displaced_residual(self, U: complex, dU: complex, d2U: complex) -> complex:
-        """Residual of the displaced second-order ODE at given jet values.
-
-        With p = 2*delta + 6/25 the coefficient p - 2*delta is universal
-        (delta-independent), which is what makes the solution family
-        universal.
-        """
-        return d2U - dU + self.F_at(U)
-
 
 @dataclass(frozen=True)
 class CompoundFactorization:
@@ -120,9 +111,6 @@ class CompoundFactorization:
         if U == 0:
             raise ParameterDomainError("f1 = (A*U^2 + B*U + C)/U is undefined at U = 0")
         return (self.A * U * U + self.B * U + self.C) / U
-
-    def f1_times_U_at(self, U: complex) -> complex:
-        return self.A * U * U + self.B * U + self.C
 
     def f2_at(self, U: complex) -> complex:
         return -2.0 * self.A * U + (1.0 - self.B)

@@ -88,32 +88,29 @@ def reduce(params: PhysicalParams) -> ReducedParams:
     """Map physical coefficients to reduced ODE coefficients.
 
     p = v*s/mu^2, q = 4*beta*mu^2/(3*s*alpha^2), theta0 = mu*xi0/s.
-    delta and k are left unset.  Coefficients whose p, q or theta0 leaves
-    the float range (a square that overflows, or mu^2 or s*alpha^2 that
+    delta and k are left unset.  Coefficients whose p, q, theta0 or
+    amplitude factor 2*mu^2/(alpha*s) (to_physical_amplitude's) leaves the
+    float range (a square that overflows, or mu^2 or s*alpha^2 that
     underflows to 0) are a ParameterDomainError.
     """
     try:
         p = params.v * params.s / params.mu**2
         q = 4.0 * params.beta * params.mu**2 / (3.0 * params.s * params.alpha**2)
+        amplitude = 2.0 * params.mu**2 / (params.alpha * params.s)
     except (OverflowError, ZeroDivisionError):
-        p = q = math.nan
+        p = q = amplitude = math.nan
     theta0 = params.mu * params.xi0 / params.s
-    if not (math.isfinite(p) and math.isfinite(q) and cmath.isfinite(theta0)):
+    if not all(map(cmath.isfinite, (p, q, amplitude, theta0))):
         raise ParameterDomainError(
             f"s = {params.s!r}, mu = {params.mu!r}, alpha = {params.alpha!r} leave the float "
-            "range: p = v*s/mu^2, q = 4*beta*mu^2/(3*s*alpha^2) and theta0 = mu*xi0/s "
-            "must be finite")
+            "range: p = v*s/mu^2, q = 4*beta*mu^2/(3*s*alpha^2), theta0 = mu*xi0/s and "
+            "the amplitude 2*mu^2/(alpha*s) must be finite")
     return ReducedParams(p=p, q=q, theta0=theta0)
 
 
 def to_physical_amplitude(w: complex, params: PhysicalParams) -> complex:
     """Amplitude map reduced -> physical: phi = (2*mu^2/(alpha*s)) * w."""
     return (2.0 * params.mu**2 / (params.alpha * params.s)) * w
-
-
-def reduced_amplitude(u: complex, params: PhysicalParams) -> complex:
-    """Inverse amplitude map physical -> reduced: w = (alpha*s/(2*mu^2)) * u."""
-    return (params.alpha * params.s / (2.0 * params.mu**2)) * u
 
 
 def to_reduced_coordinate(x: float, t: float, params: PhysicalParams) -> complex:
@@ -123,8 +120,3 @@ def to_reduced_coordinate(x: float, t: float, params: PhysicalParams) -> complex
     imaginary phase passes through linearly.
     """
     return params.mu * (x - params.v * t - params.xi0) / params.s
-
-
-def to_physical_coordinate(theta: complex, t: float, params: PhysicalParams) -> complex:
-    """Inverse coordinate map: x = (s/mu)*theta + v*t + xi0."""
-    return (params.s / params.mu) * theta + params.v * t + params.xi0

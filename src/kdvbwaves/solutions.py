@@ -38,20 +38,26 @@ NaN value, so singular families still produce plottable grids; the two
 scalar entry points raise PoleError there instead.  A coordinate whose
 shifted value theta - theta0 is not finite is a ParameterDomainError.
 
+Construction.  Every constructor fixes the dependent quantities (k, delta,
+the discriminant root, the branch) from the coefficients.  Only the three
+*_from_physical constructors attach physical coefficients, after reducing
+them, so a WaveSolution never carries coefficients it does not solve.
+
 One evaluation path.  Each family's closed form is written once, as its
-array kernel.  evaluate_grid gives the values and the pole mask; on the same
-argument and mask, solution_jet gives (w, w', w'', w''') and physical_jet
-its chain-rule image.  eval_solution and eval_solution_physical are
-evaluate_grid at one point.  The independent second spelling, the direct
-physical formulas, lives in verify as the oracle its finite-difference
-residual samples.
+array kernel.  evaluate_grid gives the values and the pole mask, and
+sweep_rows the same pair over a phase sweep; on the same argument and mask,
+solution_jet gives (w, w', w'', w''') and physical_jet its chain-rule image.
+eval_solution and eval_solution_physical are evaluate_grid at one point.
+The independent second spelling, the direct physical formulas with their
+own discriminant root (physical_discriminant_root), lives in verify as the
+oracle its finite-difference residual samples.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -118,9 +124,10 @@ class WaveSolution:
     on the branch while its family tag does not carry one.
 
     ``Delta`` is the square root of the compound discriminant (None for the
-    KdVB families), ``k0`` the rational integration constant (None except for
-    rational/constant), and ``epsilon`` the convenience mu*sqrt(2*beta/(3*s*alpha^2))
-    available whenever physical coefficients with beta*s > 0 are attached.
+    KdVB families) and ``k0`` the rational integration constant (None except
+    for rational/constant).  ``physical`` holds the coefficients the solution
+    was built from; only the *_from_physical constructors set it, after
+    deriving every reduced field from them.
     """
 
     family: Family
@@ -129,7 +136,6 @@ class WaveSolution:
     physical: PhysicalParams | None = None
     Delta: float | None = None
     k0: float | None = None
-    epsilon: float | None = None
 
 
 @dataclass(frozen=True)
@@ -172,31 +178,6 @@ def compound_discriminant_root(p: float, q: float) -> float:
     return math.sqrt(square)
 
 
-def physical_discriminant_root(params: PhysicalParams) -> float:
-    """sqrt(18*v*s/mu^2 + 9*s*alpha^2/(2*beta*mu^2) - 3) with zero-snap.
-
-    Spelled in physical coefficients on purpose: it gives a second route to
-    the same number as compound_discriminant_root(reduce(params)).
-    """
-    if params.beta == 0:
-        raise ParameterDomainError("compound families require beta != 0")
-    square = (
-        18.0 * params.v * params.s / params.mu**2
-        + 9.0 * params.s * params.alpha**2 / (2.0 * params.beta * params.mu**2)
-        - 3.0
-    )
-    scale = (
-        abs(18.0 * params.v * params.s / params.mu**2)
-        + abs(9.0 * params.s * params.alpha**2 / (2.0 * params.beta * params.mu**2))
-        + 3.0
-    )
-    if abs(square) <= _DISCRIMINANT_SNAP * scale:
-        return 0.0
-    if square < 0:
-        raise UnsupportedDomainError("negative discriminant: no real compound kink at this velocity")
-    return math.sqrt(square)
-
-
 def _paired_branch(family: Family) -> Sign:
     """Factorization branch that generates a given family.
 
@@ -215,22 +196,11 @@ def _paired_branch(family: Family) -> Sign:
     }[family]
 
 
-def _epsilon_of(params: PhysicalParams) -> float | None:
-    if params.beta * params.s <= 0:
-        return None
-    return params.mu * math.sqrt(2.0 * params.beta / (3.0 * params.s * params.alpha**2))
-
-
 # ---------------------------------------------------------------------------
 # constructors
 
 
-def universal_solution(
-    family: Family,
-    theta0: complex = 0j,
-    delta: float = 0.0,
-    physical: PhysicalParams | None = None,
-) -> WaveSolution:
+def universal_solution(family: Family, theta0: complex = 0j, delta: float = 0.0) -> WaveSolution:
     """Build a KdVB universal kink (regular = tanh, singular = coth)."""
     if family not in _KDVB_FAMILIES:
         raise ParameterDomainError(f"not a KdVB universal family: {family}")
@@ -238,10 +208,7 @@ def universal_solution(
     _require_resolvable_phase(complex(theta0).imag / 10.0)
     fact = factorize_kdvb(delta, _paired_branch(family))
     reduced = ReducedParams(p=fact.p, q=0.0, delta=delta, k=fact.k, theta0=theta0)
-    eps = _epsilon_of(physical) if physical is not None else None
-    return WaveSolution(
-        family=family, reduced=reduced, sign=fact.sign, physical=physical, epsilon=eps
-    )
+    return WaveSolution(family=family, reduced=reduced, sign=fact.sign)
 
 
 def kdvb_solution_from_physical(family: Family, params: PhysicalParams) -> WaveSolution:
@@ -249,16 +216,11 @@ def kdvb_solution_from_physical(family: Family, params: PhysicalParams) -> WaveS
     base = reduce(params)
     # p = 2*delta + 6/25 inverts to the displacement the velocity demands
     delta = (base.p - 6.0 / 25.0) / 2.0
-    return universal_solution(family, theta0=base.theta0, delta=delta, physical=params)
+    sol = universal_solution(family, theta0=base.theta0, delta=delta)
+    return replace(sol, physical=params)
 
 
-def compound_solution(
-    family: Family,
-    p: float,
-    q: float,
-    theta0: complex = 0j,
-    physical: PhysicalParams | None = None,
-) -> WaveSolution:
+def compound_solution(family: Family, p: float, q: float, theta0: complex = 0j) -> WaveSolution:
     """Build a compound kink for explicit reduced coefficients (p, q)."""
     if family not in _COMPOUND_FAMILIES:
         raise ParameterDomainError(f"not a compound kink family: {family}")
@@ -269,20 +231,13 @@ def compound_solution(
     _require_resolvable_phase(root * complex(theta0).imag / 6.0)
     fact = factorize_compound(ReducedParams(p=p, q=q), _paired_branch(family))
     reduced = ReducedParams(p=p, q=q, k=fact.k, theta0=theta0)
-    eps = _epsilon_of(physical) if physical is not None else None
-    return WaveSolution(
-        family=family,
-        reduced=reduced,
-        sign=fact.sign,
-        physical=physical,
-        Delta=root,
-        epsilon=eps,
-    )
+    return WaveSolution(family=family, reduced=reduced, sign=fact.sign, Delta=root)
 
 
 def compound_solution_from_physical(family: Family, params: PhysicalParams) -> WaveSolution:
     base = reduce(params)
-    return compound_solution(family, base.p, base.q, theta0=base.theta0, physical=params)
+    sol = compound_solution(family, base.p, base.q, theta0=base.theta0)
+    return replace(sol, physical=params)
 
 
 def locked_rational_velocity(params: PhysicalParams) -> float:
@@ -296,13 +251,7 @@ def locked_rational_velocity(params: PhysicalParams) -> float:
     return params.mu**2 / (6.0 * params.s) - params.alpha**2 / (4.0 * params.beta)
 
 
-def rational_solution(
-    family: Family,
-    q: float,
-    k0: float,
-    physical: PhysicalParams | None = None,
-    sign: Sign = Sign.PLUS,
-) -> WaveSolution:
+def rational_solution(family: Family, q: float, k0: float, sign: Sign = Sign.PLUS) -> WaveSolution:
     """Build a degenerate rational solution; p is locked to (1 - 2/q)/6.
 
     ``sign`` picks the A-branch of the constant family only; the rational
@@ -322,21 +271,12 @@ def rational_solution(
         sign = _paired_branch(family)
     fact = factorize_compound(ReducedParams(p=p, q=q), sign)
     reduced = ReducedParams(p=p, q=q, k=fact.k, theta0=0j)
-    eps = _epsilon_of(physical) if physical is not None else None
-    return WaveSolution(
-        family=family,
-        reduced=reduced,
-        sign=sign,
-        physical=physical,
-        Delta=0.0,
-        k0=k0,
-        epsilon=eps,
-    )
+    return WaveSolution(family=family, reduced=reduced, sign=sign, Delta=0.0, k0=k0)
 
 
-def constant_solution(sign: Sign, q: float, physical: PhysicalParams | None = None) -> WaveSolution:
+def constant_solution(sign: Sign, q: float) -> WaveSolution:
     """The constant solution -(A+1)/(6A^2) on branch A = sign*sqrt(q/2)."""
-    return rational_solution(Family.CONSTANT, q, 0.0, physical=physical, sign=sign)
+    return rational_solution(Family.CONSTANT, q, 0.0, sign=sign)
 
 
 def rational_solution_from_physical(
@@ -353,7 +293,11 @@ def rational_solution_from_physical(
             f"rational family exists only at the locked velocity "
             f"v = mu^2/(6s) - alpha^2/(4 beta) = {v_lock!r}; got v = {params.v!r}"
         )
-    return rational_solution(family, reduce(params).q, k0, physical=params, sign=sign)
+    base = reduce(params)
+    sol = rational_solution(family, base.q, k0, sign=sign)
+    # theta0 = mu*xi0/s, as for the kinks: reduced mode then agrees with the physical map
+    reduced = replace(sol.reduced, theta0=base.theta0)
+    return replace(sol, reduced=reduced, physical=params)
 
 
 # ---------------------------------------------------------------------------
@@ -423,22 +367,8 @@ def _compound_slopes(sol: WaveSolution, T: np.ndarray):
     )
 
 
-def _rational_branch_A(family: Family, q: float, sign: Sign = Sign.PLUS) -> float:
-    if q == 0:
-        raise ParameterDomainError("rational families require q != 0")
-    if q < 0:
-        raise UnsupportedDomainError("rational families require q > 0 for a real branch")
-    if family is Family.RATIONAL_PLUS:
-        return math.sqrt(q / 2.0)
-    if family is Family.RATIONAL_MINUS:
-        return -math.sqrt(q / 2.0)
-    if family is Family.CONSTANT:
-        return sign.factor * math.sqrt(q / 2.0)
-    raise ParameterDomainError(f"not a rational-type family: {family}")
-
-
 def _rational_kernel(sol: WaveSolution, zeta: np.ndarray, rate: float):
-    A = _rational_branch_A(sol.family, sol.reduced.q, sol.sign)
+    A = sol.sign.factor * math.sqrt(sol.reduced.q / 2.0)
     k0 = sol.k0 or 0.0
     # absolute in theta whatever the coordinate
     pole = np.abs(zeta - (-A / k0)) < POLE_TOL if k0 else np.zeros(zeta.shape, bool)
@@ -449,7 +379,7 @@ def _rational_kernel(sol: WaveSolution, zeta: np.ndarray, rate: float):
 
 def _rational_slopes(sol: WaveSolution, g: np.ndarray):
     """First three derivatives of -(k0/A)/g, with g = A + k0*zeta."""
-    A = _rational_branch_A(sol.family, sol.reduced.q, sol.sign)
+    A = sol.sign.factor * math.sqrt(sol.reduced.q / 2.0)
     k0 = sol.k0 or 0.0
     return k0 * k0 / (A * g * g), -2.0 * k0**3 / (A * g**3), 6.0 * k0**4 / (A * g**4)
 
@@ -568,21 +498,6 @@ def physical_jet(sol: WaveSolution, x, t) -> tuple[tuple[np.ndarray, ...], np.nd
 # phase sweep
 
 
-@dataclass(frozen=True)
-class SweepSurface:
-    """Sampled U(theta, a) surface with per-cell pole flags.
-
-    re/im hold NaN where pole is True; consumers must check the flag before
-    trusting the numbers.
-    """
-
-    a_values: np.ndarray
-    theta: np.ndarray
-    re: np.ndarray
-    im: np.ndarray
-    pole: np.ndarray
-
-
 def reduce_kdvb_phase(a):
     """a modulo 10, the period of a KdVB kink in a, where theta0 = i*a*pi.
 
@@ -593,20 +508,20 @@ def reduce_kdvb_phase(a):
         return np.where(np.isfinite(a), np.fmod(a, 10.0) + 0.0, a)
 
 
-def sweep_rows(family: Family, a_values: np.ndarray, theta_grid: np.ndarray) -> SweepSurface:
-    """Sample U(theta; theta0 = i*a*pi) over the (a, theta) grid, pole cells flagged.
+def sweep_rows(
+    family: Family, a_values: np.ndarray, theta_grid: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(values, pole) of U(theta; theta0 = i*a*pi) over the (a, theta) grid.
 
-    At a = 0 the imaginary part vanishes; at a = -5 the regular family equals
-    the singular one at real phase (tanh(z - i*pi/2) = coth(z)).  a is reduced
-    by its period (reduce_kdvb_phase) before it enters theta0; the surface
-    keeps the a values as given.
+    Both arrays have shape (len(a_values), len(theta_grid)), with evaluate_grid's
+    contract: pole cells are flagged and hold NaN + NaN*i.  At a = 0 the
+    imaginary part vanishes; at a = -5 the regular family equals the singular
+    one at real phase (tanh(z - i*pi/2) = coth(z)).  a is reduced by its
+    period (reduce_kdvb_phase) before it enters theta0.
     """
     a_values = np.asarray(a_values, dtype=float)
     theta_grid = np.asarray(theta_grid, dtype=float)
     if theta_grid.size == 0 or a_values.size == 0:
         raise ParameterDomainError("sweep grid must be non-empty")
     theta0 = 1j * math.pi * reduce_kdvb_phase(a_values)
-    values, pole = evaluate_grid(universal_solution(family), theta_grid - theta0[:, None])
-    return SweepSurface(
-        a_values=a_values, theta=theta_grid, re=values.real, im=values.imag, pole=pole
-    )
+    return evaluate_grid(universal_solution(family), theta_grid - theta0[:, None])

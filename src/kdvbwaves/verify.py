@@ -8,12 +8,15 @@ Three mutually independent error channels:
    formula of the solution, point by point, not from the array kernels.
    The direct formulas (_physical_formula and its per-family parts) are the
    second spelling of the closed forms, kept here as the oracle: scalar
-   cmath code with its own pole search, independent of the kernels in
-   solutions.  A formula is built once per solution, so each sample pays
-   only for its own argument, pole distance, tanh and value.  Analytic and
-   FD modes of the PDE residual are separate code paths on purpose; their
-   disagreement is itself a test failure.  One reducer (_report) turns
-   every residual array and its pole mask into a ResidualReport.
+   cmath code with its own pole search, its own branch A and its own
+   discriminant root (physical_discriminant_root, spelled in physical
+   coefficients), independent of the kernels in solutions.  A formula is
+   built once per solution, so each sample pays only for its own argument,
+   pole distance, tanh and value.  Analytic and FD modes of the PDE residual
+   are separate code paths on purpose; their disagreement is itself a test
+   failure.  One reducer (_report) turns every residual array and its pole
+   mask into a ResidualReport; the residuals are computed with numpy's
+   overflow and invalid warnings off, since a non-finite residual is a FAIL.
 
 2. A classical fixed-step Runge-Kutta oracle for the compatible first-order
    equations (Bernoulli and Riccati): one scalar loop whose step constants
@@ -57,18 +60,17 @@ from .params import (
 )
 from .solutions import (
     _COMPOUND_FAMILIES,
+    _DISCRIMINANT_SNAP,
     _KDVB_FAMILIES,
     POLE_TOL,
     Family,
     WaveSolution,
-    _rational_branch_A,
     compound_solution,
     compound_solution_from_physical,
     constant_solution,
     evaluate_grid,
     kdvb_solution_from_physical,
     locked_rational_velocity,
-    physical_discriminant_root,
     physical_jet,
     rational_solution,
     rational_solution_from_physical,
@@ -86,8 +88,6 @@ class EquationTag(enum.Enum):
     PDE_COMPOUND_KDVB = "pde-compound-kdvb"
     ODE_THIRD_ORDER = "ode-third-order"
     ODE_FIRST_INTEGRAL = "ode-first-integral"
-    ODE_BERNOULLI = "ode-bernoulli"
-    ODE_RICCATI = "ode-riccati"
 
 
 @dataclass(frozen=True)
@@ -155,8 +155,9 @@ def residual_first_integral(
         raise ParameterDomainError("solution has no integration constant k")
     theta = np.asarray(theta_grid)
     jet, pole = solution_jet(sol, theta)
-    w, w1, w2, _ = (scale * d for d in jet)
-    residual = w2 - w1 + (p * w - w * w - q * w**3) - k
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite residual is a FAIL
+        w, w1, w2, _ = (scale * d for d in jet)
+        residual = w2 - w1 + (p * w - w * w - q * w**3) - k
     return _report(residual, theta, pole, EquationTag.ODE_FIRST_INTEGRAL)
 
 
@@ -175,8 +176,6 @@ def _pde_terms(
 
 def _kink_width(sol: WaveSolution) -> float | None:
     pp = sol.physical
-    if pp is None:
-        return None
     if sol.family in (Family.KDVB_REGULAR, Family.KDVB_SINGULAR):
         return abs(10.0 * pp.s / pp.mu)
     if sol.Delta:  # compound kink; Delta == 0 or None has no width scale
@@ -200,6 +199,31 @@ def _nearest_pole(im: float, offset: float) -> complex:
     whose Im z is fixed finds it once.
     """
     return complex(0.0, math.pi * (round(im / math.pi - offset) + offset))
+
+
+def physical_discriminant_root(params: PhysicalParams) -> float:
+    """sqrt(18*v*s/mu^2 + 9*s*alpha^2/(2*beta*mu^2) - 3) with zero-snap.
+
+    Spelled in physical coefficients on purpose: it gives a second route to
+    the same number as compound_discriminant_root(reduce(params)).
+    """
+    if params.beta == 0:
+        raise ParameterDomainError("compound families require beta != 0")
+    square = (
+        18.0 * params.v * params.s / params.mu**2
+        + 9.0 * params.s * params.alpha**2 / (2.0 * params.beta * params.mu**2)
+        - 3.0
+    )
+    scale = (
+        abs(18.0 * params.v * params.s / params.mu**2)
+        + abs(9.0 * params.s * params.alpha**2 / (2.0 * params.beta * params.mu**2))
+        + 3.0
+    )
+    if abs(square) <= _DISCRIMINANT_SNAP * scale:
+        return 0.0
+    if square < 0:
+        raise UnsupportedDomainError("negative discriminant: no real compound kink at this velocity")
+    return math.sqrt(square)
 
 
 def _kdvb_formula(family: Family, params: PhysicalParams) -> Callable[[float, float], complex]:
@@ -272,7 +296,8 @@ def _rational_formula(
 ) -> Callable[[float, float], complex]:
     """u = -(alpha/(2*beta))*(A + 1) - (2*mu^2/(alpha*s)) * (k0/A)/(A + k0*theta).
 
-    theta = mu*(x - v*t - xi0)/s and A = +-sqrt(q/2).
+    theta = mu*(x - v*t - xi0)/s and A = +-sqrt(q/2), the branch taken from
+    the family for rational-plus/minus and from ``sign`` for the constant.
     """
     if family is Family.CONSTANT and k0 != 0:
         raise ParameterDomainError("the constant family is the k0 = 0 member; got k0 != 0")
@@ -283,7 +308,9 @@ def _rational_formula(
         raise ParameterDomainError(
             f"rational family exists only at the locked velocity {v_lock!r}; got {params.v!r}"
         )
-    A = _rational_branch_A(family, reduce(params).q, sign)
+    if family is not Family.CONSTANT:
+        sign = Sign.PLUS if family is Family.RATIONAL_PLUS else Sign.MINUS
+    A = sign.factor * math.sqrt(reduce(params).q / 2.0)
     const = -(params.alpha / (2.0 * params.beta)) * (A + 1.0)
     v, flat, weight = params.v, complex(const), -(k0 / A)
     theta_pole = -A / k0 if k0 else math.nan  # the constant member has no pole
@@ -382,23 +409,25 @@ def residual_pde(
 
     xt = np.asarray(xt_grid, dtype=float).reshape(-1, 2)
     x, t = xt[:, 0], xt[:, 1]
-    if mode == "analytic":
-        jet, pole = physical_jet(sol, x, t)
-        u, ux, uxx, uxxx, ut = (scale * d for d in jet)
-    else:
-        values, pole = _physical_samples(
-            sol,
-            np.concatenate([x - 2 * h, x - h, x, x + h, x + 2 * h, x, x, x, x]),
-            np.concatenate([t, t, t, t, t, t - 2 * h, t - h, t + h, t + 2 * h]),
-        )
-        um2, um1, u0, up1, up2, tm2, tm1, tp1, tp2 = scale * values.reshape(9, -1)
-        pole = pole.reshape(9, -1).any(axis=0)
-        u = u0
-        ux = (-up2 + 8 * up1 - 8 * um1 + um2) / (12 * h)
-        uxx = (-up2 + 16 * up1 - 30 * u0 + 16 * um1 - um2) / (12 * h * h)
-        uxxx = (up2 - 2 * up1 + 2 * um1 - um2) / (2 * h**3)
-        ut = (-tp2 + 8 * tp1 - 8 * tm1 + tm2) / (12 * h)
-    return _report(_pde_terms(pp, u, ux, uxx, uxxx, ut), x + 1j * t, pole, tag, warning)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite residual is a FAIL
+        if mode == "analytic":
+            jet, pole = physical_jet(sol, x, t)
+            u, ux, uxx, uxxx, ut = (scale * d for d in jet)
+        else:
+            values, pole = _physical_samples(
+                sol,
+                np.concatenate([x - 2 * h, x - h, x, x + h, x + 2 * h, x, x, x, x]),
+                np.concatenate([t, t, t, t, t, t - 2 * h, t - h, t + h, t + 2 * h]),
+            )
+            um2, um1, u0, up1, up2, tm2, tm1, tp1, tp2 = scale * values.reshape(9, -1)
+            pole = pole.reshape(9, -1).any(axis=0)
+            u = u0
+            ux = (-up2 + 8 * up1 - 8 * um1 + um2) / (12 * h)
+            uxx = (-up2 + 16 * up1 - 30 * u0 + 16 * um1 - um2) / (12 * h * h)
+            uxxx = (up2 - 2 * up1 + 2 * um1 - um2) / (2 * h**3)
+            ut = (-tp2 + 8 * tp1 - 8 * tm1 + tm2) / (12 * h)
+        residual = _pde_terms(pp, u, ux, uxx, uxxx, ut)
+    return _report(residual, x + 1j * t, pole, tag, warning)
 
 
 def check_first_integral_consistency(
@@ -417,10 +446,12 @@ def check_first_integral_consistency(
     p, q = sol.reduced.p, sol.reduced.q
     theta = np.asarray(theta_grid)
     jet, pole = solution_jet(sol, theta)
-    w, w1, w2, w3 = (scale * d for d in jet)
-    lhs = w3 - w2 + p * w1 - 2.0 * w * w1 - 3.0 * q * w * w * w1
-    rhs = w3 - w2 + (p - 2.0 * w - 3.0 * q * w * w) * w1
-    return _report(lhs - rhs, theta, pole, EquationTag.ODE_THIRD_ORDER)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite residual is a FAIL
+        w, w1, w2, w3 = (scale * d for d in jet)
+        lhs = w3 - w2 + p * w1 - 2.0 * w * w1 - 3.0 * q * w * w * w1
+        rhs = w3 - w2 + (p - 2.0 * w - 3.0 * q * w * w) * w1
+        residual = lhs - rhs
+    return _report(residual, theta, pole, EquationTag.ODE_THIRD_ORDER)
 
 
 # ---------------------------------------------------------------------------
@@ -819,7 +850,7 @@ def verification_suite(
            (FI, DC, RICCATI, AN))
           for fam, k0 in ((Family.RATIONAL_PLUS, 1.0), (Family.RATIONAL_MINUS, -1.0))),
         (("constant", "compound-rational"), [("", constant_solution(Sign.PLUS, 0.5), grid)],
-         constant_solution(Sign.PLUS, reduce(locked).q, physical=locked),
+         rational_solution_from_physical(Family.CONSTANT, locked, 0.0, Sign.PLUS),
          _xt_grid(-5.0, 5.0, 11, [0.0, 1.0]), (FI,)),
     ]
 

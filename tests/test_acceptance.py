@@ -27,7 +27,6 @@ from kdvbwaves import (
     locked_rational_velocity,
     oracle_integrate_bernoulli,
     oracle_integrate_riccati,
-    physical_discriminant_root,
     rational_solution,
     residual_first_integral,
     residual_pde,
@@ -36,6 +35,7 @@ from kdvbwaves import (
     verify_factorization,
 )
 from kdvbwaves.cli import main
+from kdvbwaves.verify import physical_discriminant_root
 
 GRID200 = np.linspace(-50.0, 50.0, 200)
 

@@ -277,12 +277,16 @@ def test_compound_coefficients_out_of_float_range_exit_2(cmd, capsys):
      "--v", "0", "--x-min", "0", "--x-max", "1", "--x-steps", "2"],
     ["evaluate", "--family", "kdvb-regular", "--s", "1e-300", "--mu", "1e300", "--alpha", "1",
      "--v", "0", "--x-min", "0", "--x-max", "1", "--x-steps", "2"],
+    ["evaluate", "--family", "kdvb-regular", "--s", "1", "--mu", "1e154", "--alpha", "1e-10",
+     "--v", "0", "--x-min", "0", "--x-max", "1e-150", "--x-steps", "2"],
     ["factorize", "--eq", "kdvb", "--delta", "1e200"],
     ["factorize", "--eq", "kdvb", "--delta", "1e308"],
 ], ids=repr)
 def test_coefficients_whose_reduction_leaves_the_float_range_exit_2(argv, capsys):
     # mu**2 underflowed to a ZeroDivisionError or overflowed to an OverflowError
-    # (exit 1, traceback); factorize printed k = nan or a nan residual and exited 0
+    # (exit 1, traceback); the amplitude 2*mu**2/(alpha*s) overflowed to inf with a
+    # RuntimeWarning and flagged pole rows where there is no pole (exit 0);
+    # factorize printed k = nan or a nan residual and exited 0
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "") and err.startswith("error: ") and "float range" in err
 
@@ -376,11 +380,11 @@ def _writer_case(case):
     if case == "sweep":
         # three runs of a; (a, theta) = (-5, 0) is a pole of the regular kink
         a, grid = np.linspace(-5.0, 0.0, 3), np.linspace(-1.0, 1.0, 5)
-        surface = sweep_rows(Family.KDVB_REGULAR, a, grid)
+        values, pole = sweep_rows(Family.KDVB_REGULAR, a, grid)
         argv = ["sweep", "--a-min", "-5", "--a-max", "0", "--a-steps", "3", *theta]
         a_col, theta_col = (c.ravel() for c in np.meshgrid(a, grid, indexing="ij"))
-        return argv, ["a", "theta"], [a_col, theta_col, surface.re.ravel(),
-                                      surface.im.ravel()], surface.pole.ravel()
+        return argv, ["a", "theta"], [a_col, theta_col, values.real.ravel(),
+                                      values.imag.ravel()], pole.ravel()
     coeffs = dict(s=2.0, mu=1.0, alpha=3.0, beta=2.0)
     params = PhysicalParams(v=locked_rational_velocity(PhysicalParams(v=0.0, **coeffs)), **coeffs)
     sol = rational_solution_from_physical(Family.RATIONAL_PLUS, params, 1.0)
@@ -490,10 +494,10 @@ def test_phase_sweep_figure_matches_per_cell_formatting_of_sweep_rows(number, tm
     entry = _figure_files(number, tmp_path, capsys)
     a = PhaseSweep(entry["a_min"], entry["a_max"], entry["a_steps"]).a_values()
     theta = np.linspace(entry["theta_min"], entry["theta_max"], entry["theta_steps"])
-    surface = sweep_rows(Family(entry["family"]), a, theta)
+    values, pole = sweep_rows(Family(entry["family"]), a, theta)
     columns = [c.ravel() for c in np.meshgrid(a, theta, indexing="ij")]
-    _, reference = _reference(["a", "theta"], [*columns, surface.re.ravel(), surface.im.ravel()],
-                              surface.pole.ravel())
+    _, reference = _reference(["a", "theta"], [*columns, values.real.ravel(),
+                                               values.imag.ravel()], pole.ravel())
     written = (tmp_path / entry["output"]).read_text()
     assert written.splitlines() == reference.splitlines() and written == reference
 
@@ -589,7 +593,6 @@ def test_verify_perturbed_exits_one(capsys):
     assert code == 1
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the scaled jets overflow
 @pytest.mark.parametrize("flags", [["--perturb", "1e300", "--scope", "kdvb-regular"],
                                    ["--perturb", "1e308", "--scope", "constant"]])
 def test_verify_with_a_nan_residual_fails_its_check(flags, capsys):

@@ -32,14 +32,11 @@ from kdvbwaves import (
     PhysicalParams,
     Sign,
     compound_solution_from_physical,
-    constant_solution,
     kdvb_solution_from_physical,
     locked_rational_velocity,
-    physical_discriminant_root,
     rational_solution_from_physical,
 )
-from kdvbwaves.params import reduce
-from kdvbwaves.verify import _physical_samples
+from kdvbwaves.verify import _physical_samples, physical_discriminant_root
 
 FIXTURE = Path(__file__).parent / "data" / "fd_samples_golden.json"
 INF = math.inf
@@ -143,11 +140,11 @@ def _cases() -> dict:
             *_cross(base + [1e3, -1e3], ts),
         ),
         "constant plus": (
-            lambda: constant_solution(Sign.PLUS, reduce(_locked()).q, physical=_locked(0.1j)),
+            lambda: rational_solution_from_physical(Family.CONSTANT, _locked(0.1j), 0.0, Sign.PLUS),
             *_cross(base + X_FAR, ts),
         ),
         "constant minus": (
-            lambda: constant_solution(Sign.MINUS, reduce(_locked()).q, physical=_locked()),
+            lambda: rational_solution_from_physical(Family.CONSTANT, _locked(), 0.0, Sign.MINUS),
             *_cross(base + X_FAR, ts),
         ),
     }

@@ -25,7 +25,6 @@ from kdvbwaves import (
     evaluate_grid,
     kdvb_solution_from_physical,
     locked_rational_velocity,
-    physical_discriminant_root,
     physical_jet,
     rational_solution,
     rational_solution_from_physical,
@@ -37,7 +36,13 @@ from kdvbwaves import (
     universal_solution,
 )
 from kdvbwaves.solutions import POLE_TOL, reduce_kdvb_phase
-from kdvbwaves.verify import _compound_formula, _kdvb_formula, _physical_formula, _rational_formula
+from kdvbwaves.verify import (
+    _compound_formula,
+    _kdvb_formula,
+    _physical_formula,
+    _rational_formula,
+    physical_discriminant_root,
+)
 
 FIG7 = PhysicalParams(s=2.0, mu=1.0, alpha=3.0, beta=2.0, v=-0.04)
 
@@ -436,17 +441,62 @@ def test_rational_physical_k0_zero_is_the_constant():
     assert _physical_formula(sol)(7.0, 2.0) == pytest.approx(const, rel=1e-14)
 
 
-def test_wave_solution_records_epsilon_and_k0():
+def test_wave_solution_records_k0_and_its_physical_coefficients():
     s, mu, alpha, beta = 2.0, 1.0, 3.0, 2.0
     v = mu**2 / (6.0 * s) - alpha**2 / (4.0 * beta)
     params = PhysicalParams(s=s, mu=mu, alpha=alpha, beta=beta, v=v)
     sol = rational_solution_from_physical(Family.RATIONAL_MINUS, params, -2.0)
-    assert sol.k0 == -2.0
-    assert sol.epsilon == pytest.approx(mu * math.sqrt(2.0 * beta / (3.0 * s * alpha**2)))
-    kdvb = universal_solution(
-        Family.KDVB_REGULAR, physical=PhysicalParams(s=1.0, mu=1.0, alpha=1.0, beta=0.0, v=0.24)
-    )
-    assert kdvb.epsilon is None  # beta*s = 0 has no epsilon
+    assert sol.k0 == -2.0 and sol.physical is params
+    kdvb = kdvb_solution_from_physical(
+        Family.KDVB_REGULAR, PhysicalParams(s=1.0, mu=1.0, alpha=1.0, beta=0.0, v=0.24))
+    assert kdvb.k0 is None and kdvb.physical.v == 0.24
+    assert universal_solution(Family.KDVB_REGULAR).physical is None
+
+
+_OFF_LOCK = PhysicalParams(s=1.0, mu=1.0, alpha=1.0, beta=1.0, v=5.0)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: universal_solution(Family.KDVB_REGULAR, 0j, 3.0, physical=_OFF_LOCK),
+    lambda: compound_solution(Family.COMPOUND_TANH_PLUS, -0.08, 4.0 / 27.0, physical=FIG7),
+    lambda: rational_solution(Family.RATIONAL_PLUS, 0.5, 1.0, physical=_OFF_LOCK),
+    lambda: constant_solution(Sign.PLUS, 0.5, physical=_OFF_LOCK),
+], ids=["universal", "compound", "rational", "constant"])
+def test_reduced_constructors_take_no_physical_coefficients(build):
+    # physical= attached coefficients unchecked: the rational solution above
+    # had an analytic PDE residual of 4.5 under _OFF_LOCK, which is off its
+    # locked velocity; rational_solution_from_physical rejects the same input
+    with pytest.raises(TypeError):
+        build()
+
+
+_LOCKED_XI0 = PhysicalParams(s=2.0, mu=1.0, alpha=3.0, beta=2.0, v=locked_rational_velocity(FIG7),
+                             xi0=0.2 + 0.3j)
+
+
+@pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+def test_from_physical_solution_is_the_reduction_of_its_coefficients(family):
+    # every reduced field a *_from_physical constructor fixes comes from reduce()
+    # of the coefficients it attaches; a rational solution used to keep theta0 = 0
+    # whatever xi0, so its reduced mode disagreed with its physical map
+    if family in (Family.KDVB_REGULAR, Family.KDVB_SINGULAR):
+        params = PhysicalParams(s=1.0, mu=6.0, alpha=1.0, beta=0.0, v=0.2, xi0=0.3 - 0.1j)
+        sol = kdvb_solution_from_physical(family, params)
+    elif family in (Family.COMPOUND_TANH_PLUS, Family.COMPOUND_TANH_MINUS):
+        params = PhysicalParams(s=2.0, mu=1.0, alpha=3.0, beta=2.0, v=-0.04, xi0=0.4 + 0.2j)
+        sol = compound_solution_from_physical(family, params)
+    else:
+        k0 = 0.0 if family is Family.CONSTANT else 1.5
+        sol = rational_solution_from_physical(family, _LOCKED_XI0, k0, Sign.MINUS)
+    red = reduce(sol.physical)
+    assert sol.reduced.p == pytest.approx(red.p, rel=1e-12, abs=1e-15)
+    assert (sol.reduced.q, sol.reduced.theta0) == (red.q, red.theta0)
+    # so reduced mode at theta = mu*(x - v*t)/s is the physical map at (x, t)
+    pp, x, t = sol.physical, np.array([-1.3, 0.7, 2.9]), 0.25
+    u, _ = evaluate_grid(sol, x, t)
+    w, _ = evaluate_grid(sol, pp.mu * (x - pp.v * t) / pp.s)
+    want = to_physical_amplitude(w + (sol.reduced.delta or 0.0), pp)
+    assert np.allclose(u, want, rtol=1e-12, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -629,43 +679,43 @@ def test_phase_sweep_validates_inputs():
 
 def test_sweep_surface_shapes_and_flags():
     theta = np.linspace(-10.0, 10.0, 21)  # includes 0
-    surface = sweep_rows(Family.KDVB_SINGULAR, np.array([0.0]), theta)
-    assert surface.re.shape == (1, 21)
+    values, pole = sweep_rows(Family.KDVB_SINGULAR, np.array([0.0]), theta)
+    assert values.shape == pole.shape == (1, 21)
     mid = 10  # theta == 0 is a pole of the singular family
-    assert surface.pole[0, mid]
-    assert math.isnan(surface.re[0, mid]) and math.isnan(surface.im[0, mid])
-    assert not surface.pole[0, 0]
+    assert pole[0, mid]
+    assert math.isnan(values[0, mid].real) and math.isnan(values[0, mid].imag)
+    assert not pole[0, 0]
 
 
 def test_sweep_a0_slice_is_real_and_matches_regular():
     theta = np.linspace(-40.0, 40.0, 81)
-    surface = sweep_rows(Family.KDVB_REGULAR, np.array([0.0]), theta)
-    assert np.all(surface.im[0] == 0.0)
+    values, _ = sweep_rows(Family.KDVB_REGULAR, np.array([0.0]), theta)
+    assert np.all(values[0].imag == 0.0)
     regular = universal_solution(Family.KDVB_REGULAR)
     expected = [_reference_value(regular, th).real for th in theta]
-    assert np.allclose(surface.re[0], expected, atol=1e-15)
+    assert np.allclose(values[0].real, expected, atol=1e-15)
 
 
 def test_sweep_a_minus5_slice_matches_singular_family():
     theta = np.linspace(-40.0, 40.0, 81)  # even spacing, no exact 0
-    surface = sweep_rows(Family.KDVB_REGULAR, np.array([-5.0]), theta)
+    values, pole = sweep_rows(Family.KDVB_REGULAR, np.array([-5.0]), theta)
     singular = universal_solution(Family.KDVB_SINGULAR)
     for j, th in enumerate(theta):
-        if surface.pole[0, j]:
+        if pole[0, j]:
             continue
         expected = eval_solution(singular, th)
-        assert surface.re[0, j] == pytest.approx(expected.real, abs=1e-10)
-        assert abs(surface.im[0, j] - expected.imag) < 1e-10
+        assert values[0, j].real == pytest.approx(expected.real, abs=1e-10)
+        assert abs(values[0, j].imag - expected.imag) < 1e-10
 
 
 def test_intermediate_phase_grows_a_pocket():
     # left tail of the a = -2.5 slice dips below its asymptote and comes
     # back: the spatial derivative changes sign there, unlike at a = 0
     theta = np.linspace(-40.0, 0.0, 201)
-    flat = sweep_rows(Family.KDVB_REGULAR, np.array([0.0]), theta)
-    pocket = sweep_rows(Family.KDVB_REGULAR, np.array([-2.5]), theta)
-    d_flat = np.diff(flat.re[0])
-    d_pocket = np.diff(pocket.re[0])
+    flat, _ = sweep_rows(Family.KDVB_REGULAR, np.array([0.0]), theta)
+    pocket, _ = sweep_rows(Family.KDVB_REGULAR, np.array([-2.5]), theta)
+    d_flat = np.diff(flat[0].real)
+    d_pocket = np.diff(pocket[0].real)
     assert np.all(d_flat > -1e-15)
     assert np.any(d_pocket > 1e-12) and np.any(d_pocket < -1e-12)
 
@@ -689,9 +739,8 @@ def test_sweep_reduces_a_by_its_period():
     for a, period_rep in ((1e15, 0.0), (-20.0, 0.0), (1e16 + 2.0, 2.0), (-1e300, 0.0)):
         got = sweep_rows(Family.KDVB_SINGULAR, np.array([a, 0.5]), theta)
         want = sweep_rows(Family.KDVB_SINGULAR, np.array([period_rep, 0.5]), theta)
-        assert got.a_values.tolist() == [a, 0.5]  # the surface keeps a as given
-        for field in ("re", "im", "pole"):
-            assert np.array_equal(getattr(got, field), getattr(want, field), equal_nan=True)
+        for g, w in zip(got, want):  # values, then pole
+            assert np.array_equal(g, w, equal_nan=True)
 
 
 def test_sweep_rejects_empty_grids():

@@ -24,7 +24,6 @@ from kdvbwaves import (
     locked_rational_velocity,
     oracle_integrate_bernoulli,
     oracle_integrate_riccati,
-    physical_discriminant_root,
     rational_form_audit,
     rational_solution,
     rational_solution_from_physical,
@@ -45,6 +44,7 @@ from kdvbwaves.verify import (
     _rational_formula,
     _report,
     _rk4,
+    physical_discriminant_root,
 )
 
 GRID = np.linspace(-50.0, 50.0, 200)
@@ -195,7 +195,8 @@ def test_rational_physical_infinite_coordinates_give_the_constant(xi0):
             for u in (direct, dispatched):
                 with pytest.raises(ParameterDomainError, match="must not be NaN"):
                     u(x, t)
-    constant = _physical_formula(constant_solution(Sign.MINUS, q, physical=params))
+    constant = _physical_formula(
+        rational_solution_from_physical(Family.CONSTANT, params, 0.0, Sign.MINUS))
     with pytest.raises(ParameterDomainError, match="must not be NaN"):
         constant(nan, 0.0)
     assert constant(-inf, 0.0) == constant(0.0, 0.0)
