@@ -244,11 +244,21 @@ def locked_rational_velocity(params: PhysicalParams) -> float:
     """The unique velocity for which the physical rational family exists.
 
     Follows from the degeneracy condition 6p = 1 - 2/q:
-    v = mu^2/(6s) - alpha^2/(4*beta).
+    v = mu^2/(6s) - alpha^2/(4*beta).  A velocity that leaves the float
+    range (a square or quotient that overflows) is a ParameterDomainError.
     """
     if params.beta == 0:
         raise ParameterDomainError("rational families require beta != 0")
-    return params.mu**2 / (6.0 * params.s) - params.alpha**2 / (4.0 * params.beta)
+    try:
+        v = params.mu**2 / (6.0 * params.s) - params.alpha**2 / (4.0 * params.beta)
+    except OverflowError:
+        v = math.inf
+    if not math.isfinite(v):
+        raise ParameterDomainError(
+            f"s = {params.s!r}, mu = {params.mu!r}, alpha = {params.alpha!r}, "
+            f"beta = {params.beta!r} leave the float range: the locked velocity "
+            "mu^2/(6s) - alpha^2/(4*beta) must be finite")
+    return v
 
 
 def rational_solution(family: Family, q: float, k0: float, sign: Sign = Sign.PLUS) -> WaveSolution:
@@ -270,6 +280,9 @@ def rational_solution(family: Family, q: float, k0: float, sign: Sign = Sign.PLU
     if family is not Family.CONSTANT:
         sign = _paired_branch(family)
     fact = factorize_compound(ReducedParams(p=p, q=q), sign)
+    if not math.isfinite(k0 / fact.A):  # the kernel's weight
+        raise ParameterDomainError(
+            f"k0 = {k0!r} leaves the float range: k0/A with A = {fact.A!r} must be finite")
     reduced = ReducedParams(p=p, q=q, k=fact.k, theta0=0j)
     return WaveSolution(family=family, reduced=reduced, sign=sign, Delta=0.0, k0=k0)
 

@@ -30,7 +30,8 @@ Three mutually independent error channels:
 
 The module also hosts the rational-form audit: the physical rational family
 admits several published-style algebraic spellings whose mutual consistency
-is measured here rather than assumed (see rational_form_audit).
+is measured here rather than assumed (see rational_form_audit).  The named
+check suite (verification_suite) is one ordered table of per-family blocks.
 """
 
 from __future__ import annotations
@@ -38,7 +39,8 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -722,27 +724,187 @@ SCOPES = (
 _KDVB_PROBE = PhysicalParams(s=1.0, mu=6.0, alpha=1.0, beta=0.0, v=0.2)
 _COMPOUND_PROBE = PhysicalParams(s=2.0, mu=1.0, alpha=3.0, beta=2.0, v=1.0)
 _FIG_COMPOUND = PhysicalParams(s=2.0, mu=1.0, alpha=3.0, beta=2.0, v=-0.04)
+_LOCKED = replace(_COMPOUND_PROBE, v=locked_rational_velocity(_COMPOUND_PROBE))
+# the range of the ratio of successive errors of an O(h^2) quantity as h halves
+_QUADRATIC, _QUADRATIC_DETAIL = (3.5, 4.5), "ratio must lie in [3.5, 4.5]"
 
 
-def _xt_grid(x_lo: float, x_hi: float, nx: int, times: Sequence[float]) -> list[tuple[float, float]]:
+def _xt_grid(x_lo: float, x_hi: float, nx: int, times: Sequence[float]) -> list:
     return [(float(x), float(t)) for t in times for x in np.linspace(x_lo, x_hi, nx)]
 
 
-def _outcome(name: str, value: float, tol: float, detail: str = "") -> CheckOutcome:
-    value = float(value)
-    return CheckOutcome(name=name, max_abs=value, tol=tol, passed=value <= tol, detail=detail)
+_GRID = np.linspace(-50.0, 50.0, 200)
+_KINK_XT = _xt_grid(-3.0, 3.0, 21, [0.0, 0.3])
 
 
-def _ratio_outcome(name: str, ratio: float, lo: float, hi: float, detail: str = "") -> CheckOutcome:
-    ratio = float(ratio)
-    ok = lo <= ratio <= hi
-    return CheckOutcome(
-        name=name,
-        max_abs=ratio,
-        tol=hi,
-        passed=ok,
-        detail=detail or f"ratio must lie in [{lo}, {hi}]",
+def _first_integral(name: str, sol: WaveSolution, scale: float, theta=_GRID) -> tuple:
+    return f"first-integral {name}", residual_first_integral(sol, theta, scale).max_abs, 1e-9
+
+
+def _consistency(name: str, sol: WaveSolution, scale: float) -> tuple:
+    report = check_first_integral_consistency(sol, _GRID, scale)
+    return f"derivative-consistency {name}", report.max_abs, 1e-9
+
+
+def _pde(mode: str, name: str, phys: WaveSolution, xt: list, scale: float) -> tuple:
+    report = residual_pde(phys, xt, mode=mode, scale=scale)  # fd at h = 1e-3
+    return f"pde-{mode} {name}", report.max_abs, 1e-5 if mode == "fd" else 1e-9
+
+
+def _riccati(name: str, sol: WaveSolution) -> tuple:
+    (u0, u10), _ = evaluate_grid(sol, np.array([0.0, 10.0]))
+    fact = factorize_compound(sol.reduced, sol.sign)
+    traj = oracle_integrate_riccati(fact, u0, (0.0, 10.0), 0.005)
+    return f"oracle riccati {name}", abs(traj.endpoint - u10), 1e-6
+
+
+def _fd_convergence(label: str, phys: WaveSolution, xt: list) -> list[tuple]:
+    steps = ("1e-2", "5e-3", "2.5e-3")  # as the check names spell them
+    seq = [residual_pde(phys, xt, h=float(h), mode="fd").max_abs for h in steps]
+    return [(f"fd-convergence {label} ({steps[i]}/{steps[i + 1]})", seq[i] / seq[i + 1],
+             _QUADRATIC, _QUADRATIC_DETAIL) for i in (0, 1)]
+
+
+def _factorization(scale: float) -> list[tuple]:
+    rng = np.random.default_rng(2718)
+    real = rng.uniform(0.01, 10.0, 100).tolist()
+    z = [complex(a, b) for a, b in zip(*rng.uniform(-10.0, 10.0, (2, 100)))]
+    signs = (Sign.MINUS, Sign.PLUS)
+    cases = (
+        ("kdvb", real, [factorize_kdvb(d, sign) for d in (-2.0, 0.0, 1.0, 3.7) for sign in signs]),
+        ("compound", [c for c in z if 0.01 <= abs(c) <= 10.0],
+         [factorize_compound(ReducedParams(p=float(p), q=float(q)), sign)
+          for p in np.linspace(-2.0, 2.0, 5) for q in np.linspace(0.1, 4.0, 5) for sign in signs]),
     )
+    rows = []
+    for label, samples, facts in cases:
+        worst = 0.0
+        for f in facts:
+            res = verify_factorization(f.f1_at, f.f2_at, f.F_at, f.f1U_prime_at, samples)
+            worst = max(worst, res.max_product, res.max_closure)
+        rows.append((f"factorization-{label}-conditions", worst, 1e-12))
+    return rows
+
+
+def _kdvb_regular(scale: float) -> list[tuple]:
+    name, reg = "kdvb-regular", Family.KDVB_REGULAR
+    sol, phys = universal_solution(reg), kdvb_solution_from_physical(reg, _KDVB_PROBE)
+    fd, analytic = (_pde(mode, name, phys, _KINK_XT, scale) for mode in ("fd", "analytic"))
+    # oracle: closed form vs blind integration
+    (u40, u10), _ = evaluate_grid(sol, np.array([40.0, 10.0]))
+    ends = [oracle_integrate_bernoulli(Sign.MINUS, 3.0 / 50.0, (0.0, end), h).endpoint
+            for end, h in ((40.0, 0.01), (10.0, 0.5), (10.0, 0.25))]
+    # half-period phase identity between the two universal families
+    pts = np.random.default_rng(31).uniform(-40.0, 40.0, 200)
+    pts = pts[np.abs(pts) > 0.5]  # keep clear of the shared pole at theta = 0
+    shifted, _ = evaluate_grid(universal_solution(reg, theta0=5j * math.pi), pts)
+    singular, _ = evaluate_grid(universal_solution(Family.KDVB_SINGULAR), pts)
+    return [
+        _first_integral(name, sol, scale),
+        _consistency(name, sol, scale),
+        fd,
+        analytic,
+        ("pde-mode-agreement kdvb-regular", abs(fd[1] - analytic[1]), 1e-5,
+         "finite-difference and analytic residuals must agree to truncation level"),
+        ("oracle bernoulli-minus endpoint", abs(ends[0] - u40), 1e-6),
+        ("rk4-order bernoulli", abs(ends[1] - u10) / abs(ends[2] - u10), (12.0, 20.0),
+         "halving the step must cut the endpoint error ~16x"),
+        *_fd_convergence("kdvb", phys, _KINK_XT),
+        ("phase-identity regular-to-singular", np.max(np.abs(shifted - singular)), (0.0, 1e-10)),
+    ]
+
+
+def _kdvb_singular(scale: float) -> list[tuple]:
+    name, sing = "kdvb-singular", Family.KDVB_SINGULAR
+    sol, phys = universal_solution(sing), kdvb_solution_from_physical(sing, _KDVB_PROBE)
+    traj = oracle_integrate_bernoulli(Sign.PLUS, 0.5, (0.0, 40.0), 0.01)
+    return [
+        _first_integral(name, sol, scale),
+        _consistency(name, sol, scale),
+        # the x grid stays on one side of the pole at x = v*t
+        _pde("analytic", name, phys, _xt_grid(1.0, 6.0, 21, [0.0]), scale),
+        ("oracle bernoulli-plus blow-up", 0.0 if traj.blew_up else 1.0, (0.0, 0.5),
+         "the growing branch must reach the blow-up guard in finite theta"),
+    ]
+
+
+def _compound(family: Family, fd_convergence: bool, scale: float) -> list[tuple]:
+    name = family.value
+    sol = compound_solution_from_physical(family, _FIG_COMPOUND)
+    phys = compound_solution_from_physical(family, _COMPOUND_PROBE)
+    # the kink must collapse quadratically onto the branch-paired constant as
+    # the discriminant root goes to zero
+    q = sol.reduced.q
+    p0 = (1.0 - 2.0 / q) / 6.0
+    (limit,), _ = evaluate_grid(constant_solution(sol.sign, q), np.zeros(1))
+    thetas = np.linspace(-10.0, 10.0, 101)
+    kinks = [compound_solution(family, p0 + r * r / 18.0, q) for r in (0.1, 0.05, 0.025)]
+    g1, g2, g3 = (np.max(np.abs(evaluate_grid(kink, thetas)[0] - limit)) for kink in kinks)
+    return [
+        _first_integral(name, sol, scale),
+        _consistency(name, sol, scale),
+        *(_pde(mode, name, phys, _KINK_XT, scale) for mode in ("fd", "analytic")),
+        *(_fd_convergence("compound", phys, _KINK_XT) if fd_convergence else ()),
+        _riccati(name, sol),
+        (f"degenerate-limit {name}", g1 / g2, _QUADRATIC,
+         "gap to the paired constant must shrink quadratically in the root"),
+        (f"degenerate-limit {name} (second halving)", g2 / g3, _QUADRATIC, _QUADRATIC_DETAIL),
+    ]
+
+
+def _rational(family: Family, k0: float, scale: float) -> list[tuple]:
+    name = family.value
+    sol = rational_solution(family, 0.5, k0)
+    phys = rational_solution_from_physical(family, _LOCKED, k0)
+    return [
+        _first_integral(f"{name} k0={k0:g}", sol, scale),
+        # the second probe samples the side of its pole away from the origin
+        _first_integral(f"{name} k0={-2.0 * k0:g}", rational_solution(family, 0.5, -2.0 * k0),
+                        scale, k0 * np.linspace(1.0, 10.0, 200)),
+        _consistency(name, sol, scale),
+        _riccati(name, sol),
+        _pde("analytic", name, phys, _xt_grid(3.0, 9.0, 31, [0.5]), scale),
+    ]
+
+
+def _constant(scale: float) -> list[tuple]:
+    sol = constant_solution(Sign.PLUS, 0.5)
+    phys = rational_solution_from_physical(Family.CONSTANT, _LOCKED, 0.0, Sign.PLUS)
+    fd = residual_pde(phys, _xt_grid(-5.0, 5.0, 11, [0.0, 1.0]), h=1e-2, mode="fd")
+    (u0,), _ = evaluate_grid(sol, np.zeros(1))
+    fact = factorize_compound(sol.reduced, sol.sign)
+    traj = oracle_integrate_riccati(fact, u0, (0.0, 20.0), 0.01)
+    return [
+        _first_integral("constant", sol, scale),
+        ("pde-fd constant", fd.max_abs, 1e-9,
+         "a constant solves the PDE at any mesh (stencil roundoff only)"),
+        ("oracle riccati constant equilibrium", np.max(np.abs(traj.values - u0)), 1e-12,
+         "the constant is an equilibrium of the Riccati flow"),
+    ]
+
+
+# The suite in transcript order: the scopes that select a block, and the block.
+# A block is a function of the scale 1 + perturb that builds its own solutions
+# and returns its checks as rows (name, measured, bound[, detail]).  A float
+# bound is a tolerance, which --tolerance replaces; a (lo, hi) bound is a fixed
+# range, reported as tol = hi.
+_BLOCKS = (
+    (("factorization",), _factorization),
+    (("kdvb-regular",), _kdvb_regular),
+    (("kdvb-singular",), _kdvb_singular),
+    (("compound-tanh-plus",), partial(_compound, Family.COMPOUND_TANH_PLUS, True)),
+    (("compound-tanh-minus",), partial(_compound, Family.COMPOUND_TANH_MINUS, False)),
+    (("rational-plus", "compound-rational"), partial(_rational, Family.RATIONAL_PLUS, 1.0)),
+    (("rational-minus", "compound-rational"), partial(_rational, Family.RATIONAL_MINUS, -1.0)),
+    (("constant", "compound-rational"), _constant),
+)
+
+
+def _outcome(tolerance, name: str, measured: float, bound, detail: str = "") -> CheckOutcome:
+    if not isinstance(bound, tuple):  # a tolerance: no lower end
+        bound = (-math.inf, bound if tolerance is None else tolerance)
+    (lo, tol), measured = bound, float(measured)
+    return CheckOutcome(name, measured, tol, lo <= measured <= tol, detail)
 
 
 def verification_suite(
@@ -750,20 +912,15 @@ def verification_suite(
     tolerance: float | None = None,
     perturb: float = 0.0,
 ) -> SuiteResult:
-    """Run the named verification checks for a scope.
+    """Run the checks of the blocks of _BLOCKS that the scope selects, in order.
 
-    ``tolerance`` overrides every threshold at once (an unattainable value
-    like 1e-20 must fail); ``perturb`` scales the closed forms by
+    ``tolerance`` replaces every tolerance at once (an unattainable value
+    like 1e-20 must fail): the residual, oracle-endpoint, factorization and
+    equilibrium bounds.  The fixed ranges stay: the ratio checks, the phase
+    identity and the blow-up check.  ``perturb`` scales the closed forms by
     1 + perturb before the residual checks, turning them into negative
-    controls.  The rational-form audit runs only under the
-    compound-rational scope and ignores the perturbation.
-
-    Each family's repeated checks come from one loop over its row of the
-    probe table (first-integral, derivative-consistency, pde-fd,
-    pde-analytic, Riccati oracle endpoint, in the row's order); the checks
-    only one family has follow inline.  Closed-form values for the oracles,
-    the phase identity and the degenerate limit come from evaluate_grid;
-    the RK4 oracle itself knows nothing of the closed forms.
+    controls.  The rational-form audit runs only under the compound-rational
+    scope and ignores the perturbation.
     """
     if scope not in SCOPES:
         raise ParameterDomainError(f"unknown scope {scope!r}; expected one of {SCOPES}")
@@ -771,204 +928,11 @@ def verification_suite(
         raise ParameterDomainError(f"perturb must be finite; got {perturb!r}")
     if tolerance is not None and not 0.0 <= tolerance < math.inf:
         raise ParameterDomainError(f"tolerance must be finite and >= 0; got {tolerance!r}")
-    tol_fact = tolerance if tolerance is not None else 1e-12
-    tol_analytic = tolerance if tolerance is not None else 1e-9
-    tol_fd = tolerance if tolerance is not None else 1e-5
-    tol_oracle = tolerance if tolerance is not None else 1e-6
-    tol_tight = tolerance if tolerance is not None else 1e-12
-    scale = 1.0 + perturb
-
-    checks: list[CheckOutcome] = []
-    audit: list[AuditFinding] = []
-    grid = np.linspace(-50.0, 50.0, 200)
-
-    def want(*names: str) -> bool:
-        return scope == "all" or scope in names
-
-    def fd_convergence(label: str, phys: WaveSolution, xt: list) -> list[CheckOutcome]:
-        seq = [residual_pde(phys, xt, h=hh, mode="fd").max_abs for hh in (1e-2, 5e-3, 2.5e-3)]
-        return [
-            _ratio_outcome(f"fd-convergence {label} (1e-2/5e-3)", seq[0] / seq[1], 3.5, 4.5),
-            _ratio_outcome(f"fd-convergence {label} (5e-3/2.5e-3)", seq[1] / seq[2], 3.5, 4.5),
-        ]
-
-    if want("factorization"):
-        rng = np.random.default_rng(2718)
-        samples = rng.uniform(0.01, 10.0, 100).tolist()
-        worst = 0.0
-        for delta in (-2.0, 0.0, 1.0, 3.7):
-            for sign in (Sign.MINUS, Sign.PLUS):
-                f = factorize_kdvb(delta, sign)
-                res = verify_factorization(f.f1_at, f.f2_at, f.F_at, f.f1U_prime_at, samples)
-                worst = max(worst, res.max_product, res.max_closure)
-        checks.append(_outcome("factorization-kdvb-conditions", worst, tol_fact))
-
-        zre = rng.uniform(-10.0, 10.0, 100)
-        zim = rng.uniform(-10.0, 10.0, 100)
-        csamples = [complex(a, b) for a, b in zip(zre, zim) if 0.01 <= abs(complex(a, b)) <= 10.0]
-        worst = 0.0
-        for p in np.linspace(-2.0, 2.0, 5):
-            for q in np.linspace(0.1, 4.0, 5):
-                for sign in (Sign.MINUS, Sign.PLUS):
-                    f = factorize_compound(ReducedParams(p=float(p), q=float(q)), sign)
-                    res = verify_factorization(
-                        f.f1_at, f.f2_at, f.F_at, f.f1U_prime_at, csamples
-                    )
-                    worst = max(worst, res.max_product, res.max_closure)
-        checks.append(_outcome("factorization-compound-conditions", worst, tol_fact))
-
-    # the probe table, one row per family: the scopes that select it; the
-    # first-integral probes (name suffix, solution, theta grid), the first of
-    # which also feeds derivative-consistency and the Riccati oracle; the
-    # physical solution and its (x, t) grid; the repeated checks, in order
-    FI, DC, FD, AN, RICCATI, CONV = (
-        "first-integral", "derivative-consistency", "pde-fd", "pde-analytic",
-        "oracle riccati", "fd-convergence",
-    )
-    reg, sing = Family.KDVB_REGULAR, Family.KDVB_SINGULAR
-    kink_xt = _xt_grid(-3.0, 3.0, 21, [0.0, 0.3])
-    locked = PhysicalParams(
-        s=2.0, mu=1.0, alpha=3.0, beta=2.0, v=locked_rational_velocity(_COMPOUND_PROBE)
-    )
-    table = [
-        (("kdvb-regular",), [("", universal_solution(reg), grid)],
-         kdvb_solution_from_physical(reg, _KDVB_PROBE), kink_xt, (FI, DC, FD, AN)),
-        # the x grid stays on one side of the pole at x = v*t
-        (("kdvb-singular",), [("", universal_solution(sing), grid)],
-         kdvb_solution_from_physical(sing, _KDVB_PROBE), _xt_grid(1.0, 6.0, 21, [0.0]),
-         (FI, DC, AN)),
-        *(((fam.value,), [("", compound_solution_from_physical(fam, _FIG_COMPOUND), grid)],
-           compound_solution_from_physical(fam, _COMPOUND_PROBE), kink_xt, kinds)
-          for fam, kinds in ((Family.COMPOUND_TANH_PLUS, (FI, DC, FD, AN, CONV, RICCATI)),
-                             (Family.COMPOUND_TANH_MINUS, (FI, DC, FD, AN, RICCATI)))),
-        # the second probe samples the side of its pole away from the origin
-        *(((fam.value, "compound-rational"),
-           [(f" k0={k0:g}", rational_solution(fam, 0.5, k0), grid),
-            (f" k0={-2.0 * k0:g}", rational_solution(fam, 0.5, -2.0 * k0),
-             k0 * np.linspace(1.0, 10.0, 200))],
-           rational_solution_from_physical(fam, locked, k0), _xt_grid(3.0, 9.0, 31, [0.5]),
-           (FI, DC, RICCATI, AN))
-          for fam, k0 in ((Family.RATIONAL_PLUS, 1.0), (Family.RATIONAL_MINUS, -1.0))),
-        (("constant", "compound-rational"), [("", constant_solution(Sign.PLUS, 0.5), grid)],
-         rational_solution_from_physical(Family.CONSTANT, locked, 0.0, Sign.PLUS),
-         _xt_grid(-5.0, 5.0, 11, [0.0, 1.0]), (FI,)),
+    checks = [
+        _outcome(tolerance, *row)
+        for scopes, block in _BLOCKS
+        if scope == "all" or scope in scopes
+        for row in block(1.0 + perturb)
     ]
-
-    for scopes, probes, phys, xt, kinds in table:
-        if not want(*scopes):
-            continue
-        name, (_, sol, theta) = scopes[0], probes[0]
-        pde: dict[str, ResidualReport] = {}
-        for kind in kinds:
-            if kind == FI:
-                for suffix, s, th in probes:
-                    r = residual_first_integral(s, th, scale=scale)
-                    checks.append(_outcome(f"{FI} {name}{suffix}", r.max_abs, tol_analytic))
-            elif kind == DC:
-                r = check_first_integral_consistency(sol, theta, scale=scale)
-                checks.append(_outcome(f"{DC} {name}", r.max_abs, tol_analytic))
-            elif kind == FD:
-                pde[kind] = residual_pde(phys, xt, h=1e-3, mode="fd", scale=scale)
-                checks.append(_outcome(f"{FD} {name}", pde[kind].max_abs, tol_fd))
-            elif kind == AN:
-                pde[kind] = residual_pde(phys, xt, mode="analytic", scale=scale)
-                checks.append(_outcome(f"{AN} {name}", pde[kind].max_abs, tol_analytic))
-            elif kind == RICCATI:
-                (u0, u10), _ = evaluate_grid(sol, np.array([0.0, 10.0]))
-                traj = oracle_integrate_riccati(
-                    factorize_compound(sol.reduced, sol.sign), u0, (0.0, 10.0), 0.005
-                )
-                checks.append(_outcome(f"{RICCATI} {name}", abs(traj.endpoint - u10), tol_oracle))
-            elif kind == CONV:
-                checks.extend(fd_convergence("compound", phys, xt))
-
-        if name == "kdvb-regular":
-            checks.append(
-                _outcome(
-                    "pde-mode-agreement kdvb-regular",
-                    abs(pde[FD].max_abs - pde[AN].max_abs),
-                    tol_fd,
-                    "finite-difference and analytic residuals must agree to truncation level",
-                )
-            )
-            # oracle: closed form vs blind integration
-            (u40, u10), _ = evaluate_grid(sol, np.array([40.0, 10.0]))
-            traj = oracle_integrate_bernoulli(Sign.MINUS, 3.0 / 50.0, (0.0, 40.0), 0.01)
-            gap = abs(traj.endpoint - u40)
-            checks.append(_outcome("oracle bernoulli-minus endpoint", gap, tol_oracle))
-            errs = []
-            for hh in (0.5, 0.25):
-                tr = oracle_integrate_bernoulli(Sign.MINUS, 3.0 / 50.0, (0.0, 10.0), hh)
-                errs.append(abs(tr.endpoint - u10))
-            checks.append(
-                _ratio_outcome(
-                    "rk4-order bernoulli", errs[0] / errs[1], 12.0, 20.0,
-                    "halving the step must cut the endpoint error ~16x",
-                )
-            )
-            # FD convergence order on the physical kink
-            checks.extend(fd_convergence("kdvb", phys, xt))
-            # half-period phase identity between the two universal families
-            rng = np.random.default_rng(31)
-            pts = rng.uniform(-40.0, 40.0, 200)
-            pts = pts[np.abs(pts) > 0.5]  # keep clear of the shared pole at theta = 0
-            shifted, _ = evaluate_grid(universal_solution(reg, theta0=5j * math.pi), pts)
-            singular, _ = evaluate_grid(universal_solution(sing), pts)
-            gap = float(np.max(np.abs(shifted - singular)))
-            checks.append(_outcome("phase-identity regular-to-singular", gap, 1e-10))
-        elif name == "kdvb-singular":
-            traj = oracle_integrate_bernoulli(Sign.PLUS, 0.5, (0.0, 40.0), 0.01)
-            checks.append(
-                CheckOutcome(
-                    name="oracle bernoulli-plus blow-up",
-                    max_abs=0.0 if traj.blew_up else 1.0,
-                    tol=0.5,
-                    passed=traj.blew_up,
-                    detail="the growing branch must reach the blow-up guard in finite theta",
-                )
-            )
-        elif name.startswith("compound"):
-            # the kink must collapse quadratically onto the branch-paired
-            # constant as the discriminant root goes to zero
-            q = sol.reduced.q
-            p0 = (1.0 - 2.0 / q) / 6.0
-            (limit,), _ = evaluate_grid(constant_solution(sol.sign, q), np.zeros(1))
-            thetas = np.linspace(-10.0, 10.0, 101)
-            gaps = []
-            for root in (0.1, 0.05, 0.025):
-                kink = compound_solution(sol.family, p0 + root * root / 18.0, q)
-                gaps.append(float(np.max(np.abs(evaluate_grid(kink, thetas)[0] - limit))))
-            checks.append(
-                _ratio_outcome(
-                    f"degenerate-limit {name}", gaps[0] / gaps[1], 3.5, 4.5,
-                    "gap to the paired constant must shrink quadratically in the root",
-                )
-            )
-            checks.append(
-                _ratio_outcome(
-                    f"degenerate-limit {name} (second halving)", gaps[1] / gaps[2], 3.5, 4.5
-                )
-            )
-        elif name == "constant":
-            checks.append(
-                _outcome(
-                    "pde-fd constant",
-                    residual_pde(phys, xt, h=1e-2, mode="fd").max_abs,
-                    tol_analytic,
-                    "a constant solves the PDE at any mesh (stencil roundoff only)",
-                )
-            )
-            (u0,), _ = evaluate_grid(sol, np.zeros(1))
-            traj = oracle_integrate_riccati(
-                factorize_compound(sol.reduced, sol.sign), u0, (0.0, 20.0), 0.01
-            )
-            drift = float(np.max(np.abs(traj.values - u0)))
-            checks.append(
-                _outcome("oracle riccati constant equilibrium", drift, tol_tight,
-                         "the constant is an equilibrium of the Riccati flow")
-            )
-
-    if scope == "compound-rational":
-        audit = rational_form_audit(locked, k0=1.0)
-
+    audit = rational_form_audit(_LOCKED, k0=1.0) if scope == "compound-rational" else []
     return SuiteResult(checks=checks, audit=audit)

@@ -281,12 +281,23 @@ def test_compound_coefficients_out_of_float_range_exit_2(cmd, capsys):
      "--v", "0", "--x-min", "0", "--x-max", "1e-150", "--x-steps", "2"],
     ["factorize", "--eq", "kdvb", "--delta", "1e200"],
     ["factorize", "--eq", "kdvb", "--delta", "1e308"],
+    ["evaluate", "--family", "rational-plus", "--s", "2", "--mu", "1", "--alpha", "1e300",
+     "--beta", "1", "--v", "0", "--x-min", "0", "--x-max", "1", "--x-steps", "2"],
+    ["evaluate", "--family", "constant", "--s", "1e-154", "--mu", "1e300", "--alpha", "1",
+     "--beta", "1", "--v", "0", "--x-min", "0", "--x-max", "1", "--x-steps", "2"],
+    *(["evaluate", "--family", family, "--q", "0.5", f"--k0={k0}", "--theta-min=-1",
+       "--theta-max", "0.5", "--theta-steps", "4", "--format", fmt]
+      for family, k0 in (("rational-plus", "1e308"), ("rational-minus", "-1e308"))
+      for fmt in ("csv", "json")),
 ], ids=repr)
 def test_coefficients_whose_reduction_leaves_the_float_range_exit_2(argv, capsys):
     # mu**2 underflowed to a ZeroDivisionError or overflowed to an OverflowError
     # (exit 1, traceback); the amplitude 2*mu**2/(alpha*s) overflowed to inf with a
     # RuntimeWarning and flagged pole rows where there is no pole (exit 0);
-    # factorize printed k = nan or a nan residual and exited 0
+    # factorize printed k = nan or a nan residual and exited 0; alpha**2 or mu**2
+    # in the rational family's locked velocity raised OverflowError (exit 1,
+    # traceback); k0/A overflowed to a RuntimeWarning and rows inf,nan with
+    # pole_flag 0 (Infinity and NaN literals in JSON), exit 0
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "") and err.startswith("error: ") and "float range" in err
 

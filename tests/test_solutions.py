@@ -378,6 +378,28 @@ def test_constant_family_rejects_nonzero_k0():
         _rational_formula(Family.CONSTANT, locked, 1.0, Sign.PLUS)
 
 
+@pytest.mark.parametrize("s, mu, alpha, beta", [
+    (2.0, 1.0, 1e300, 1.0),  # alpha**2 overflows
+    (1e-154, 1e300, 1.0, 1.0),  # mu**2 overflows
+    (1e-10, 1e154, 1.0, 1.0),  # mu**2/(6s) overflows to inf
+    (1e-10, 1e154, 1e154, 1e-10),  # inf - inf is NaN
+], ids=repr)
+def test_locked_velocity_out_of_float_range_is_a_domain_error(s, mu, alpha, beta):
+    params = PhysicalParams(s=s, mu=mu, alpha=alpha, beta=beta, v=0.0)
+    with pytest.raises(ParameterDomainError, match="float range"):
+        locked_rational_velocity(params)
+
+
+@pytest.mark.parametrize("family, k0", [(Family.RATIONAL_PLUS, 1e308),
+                                        (Family.RATIONAL_MINUS, -1e308),
+                                        (Family.RATIONAL_PLUS, -1e308)])
+def test_rational_k0_whose_weight_overflows_is_a_domain_error(family, k0):
+    # A = +-sqrt(q/2) = +-0.5, so k0/A overflows
+    with pytest.raises(ParameterDomainError, match="float range"):
+        rational_solution(family, 0.5, k0)
+    assert rational_solution(family, 0.5, k0 / 4.0).k0 == k0 / 4.0
+
+
 def test_rational_locks_p_to_q():
     sol = rational_solution(Family.RATIONAL_PLUS, 0.5, 1.0)
     assert sol.reduced.p == pytest.approx((1.0 - 4.0) / 6.0)

@@ -710,3 +710,36 @@ def test_suite_perturbation_fails_residual_checks():
     assert "pde-analytic kdvb-regular" in failed
     # the structural identity holds for any smooth function, perturbed or not
     assert "derivative-consistency kdvb-regular" not in failed
+
+
+_CONSTRUCTORS = (
+    "universal_solution", "kdvb_solution_from_physical", "compound_solution",
+    "compound_solution_from_physical", "constant_solution", "rational_solution",
+    "rational_solution_from_physical",
+)
+
+
+def test_factorization_scope_builds_no_solution(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the factorization scope built a solution")
+
+    for name in _CONSTRUCTORS:
+        monkeypatch.setattr(verify_module, name, refuse)
+    result = verification_suite(scope="factorization")
+    assert result.all_passed and len(result.checks) == 2
+
+
+def test_family_scope_builds_only_its_own_solutions(monkeypatch):
+    families = []
+
+    def recording(constructor):
+        def build(family, *args, **kwargs):
+            families.append(family)
+            return constructor(family, *args, **kwargs)
+        return build
+
+    for name in _CONSTRUCTORS:
+        monkeypatch.setattr(verify_module, name, recording(getattr(verify_module, name)))
+    assert verification_suite(scope="kdvb-singular").all_passed
+    # constant_solution takes a Sign first, which would fail this as well
+    assert families and set(families) == {Family.KDVB_SINGULAR}
