@@ -391,10 +391,19 @@ def _rational_kernel(sol: WaveSolution, zeta: np.ndarray, rate: float):
 
 
 def _rational_slopes(sol: WaveSolution, g: np.ndarray):
-    """First three derivatives of -(k0/A)/g, with g = A + k0*zeta."""
+    """First three derivatives of -(k0/A)/g, with g = A + k0*zeta.
+
+    A k0 whose fourth power leaves the float range (|k0| above about 1.2e77)
+    has no finite third derivative anywhere: a ParameterDomainError.
+    """
     A = sol.sign.factor * math.sqrt(sol.reduced.q / 2.0)
     k0 = sol.k0 or 0.0
-    return k0 * k0 / (A * g * g), -2.0 * k0**3 / (A * g**3), 6.0 * k0**4 / (A * g**4)
+    try:
+        k0_cubed, k0_fourth = k0**3, k0**4
+    except OverflowError:
+        raise ParameterDomainError(
+            f"k0 = {k0!r} leaves the float range of the jet: k0**4 must be finite") from None
+    return k0 * k0 / (A * g * g), -2.0 * k0_cubed / (A * g**3), 6.0 * k0_fourth / (A * g**4)
 
 
 def _family_kernel(sol: WaveSolution):

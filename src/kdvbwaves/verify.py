@@ -19,9 +19,11 @@ Three mutually independent error channels:
    overflow and invalid warnings off, since a non-finite residual is a FAIL.
 
 2. A classical fixed-step Runge-Kutta oracle for the compatible first-order
-   equations (Bernoulli and Riccati): one scalar loop whose step constants
-   are computed once.  The oracle knows nothing about the closed forms, so
-   endpoint agreement is evidence, not tautology.
+   equations (Bernoulli and Riccati): one scalar driver (_rk4) that calls,
+   once per step, a whole RK4 step (advance) built by each equation's
+   oracle with its right-hand side inline and its step constants computed
+   once.  The oracle knows nothing about the closed forms, so endpoint
+   agreement is evidence, not tautology.
 
 3. A structural identity: d/dtheta of the first-integral expression must
    reproduce the third-order form for ANY smooth w, solution or not.  The
@@ -471,13 +473,25 @@ class Trajectory:
         return complex(self.values[-1])
 
 
+def _mesh(span: tuple[float, float], step: float) -> tuple[float, int, float]:
+    """(t0, n, h) of a run over span: its start, its step count and the step that fits."""
+    t0, t1 = span
+    if step <= 0:
+        raise ParameterDomainError("integration step must be positive")
+    if not t1 > t0:
+        raise ParameterDomainError("integration span must be increasing")
+    n = max(1, round((t1 - t0) / step))
+    return t0, n, (t1 - t0) / n
+
+
 def _rk4(
-    rhs: Callable[[complex], complex],
-    y0: complex,
-    span: tuple[float, float],
-    step: float,
+    advance: Callable[[complex], complex], y0: complex, t0: float, n: int, h: float
 ) -> Trajectory:
-    """Classical fixed-step RK4 of y' = rhs(y) over span, stopped by the blow-up guard.
+    """n RK4 steps of size h from y0 at t0, one advance call each, stopped by the blow-up guard.
+
+    advance(y) is one whole classical RK4 step of the oracle's equation,
+    built by the oracle with the right-hand side inline.  It must be a pure
+    function of the state and take float arithmetic on a float state.
 
     A start on the real axis (imaginary part exactly +0.0) runs in Python
     float arithmetic, which is about 2x faster than complex; any other start
@@ -486,57 +500,48 @@ def _rk4(
     so its real parts are the float run's bit for bit, up to the sign of a
     zero.  That sign reaches the state only through a step that lands on
     zero.  So a float step that lands on zero, leaves the finite range, trips
-    the guard, or raises ValueError (rhs refusing a float stage, e.g. a
-    negative radicand) is redone in complex from complex(y), and the run
-    stays complex from there.  Every value is the all-complex run's, bit for
-    bit.
+    the guard, or raises ValueError (a float stage the equation refuses,
+    e.g. a negative radicand) is redone in complex from complex(y), and the
+    run stays complex from there.  Every value is the all-complex run's, bit
+    for bit.
 
     A float step that passes those checks and returns its own state
-    (y_next == y, so y is nonzero, finite and bounded, and the two have the
-    same bits) has reached a fixed point of the step map, which depends on
-    the state alone (rhs must be a pure function).  Every later step would
-    return y again, so the run fills the remaining values with y and stops:
-    an exact equilibrium costs one step, and the values, thetas and blew_up
-    are those of the full run.  A complex run never stops early.
+    (advance(y) == y, so y is nonzero, finite and bounded, and the two have
+    the same bits) has reached a fixed point of the step map.  Every later
+    step would return y again, so the run fills the remaining values with y
+    and stops: an exact equilibrium costs one call, and the values, thetas
+    and blew_up are those of the full run.  A complex run never stops early.
     """
-    t0, t1 = span
-    if step <= 0:
-        raise ParameterDomainError("integration step must be positive")
-    if not t1 > t0:
-        raise ParameterDomainError("integration span must be increasing")
-    n = max(1, round((t1 - t0) / step))
-    h = (t1 - t0) / n
-    half, sixth = 0.5 * h, h / 6.0  # 0.5 * h * k1 is (0.5 * h) * k1
+    limit = BLOWUP_THRESHOLD
     y = complex(y0)
-    if y.imag == 0.0 and math.copysign(1.0, y.imag) > 0.0:
-        y = y.real  # a Python float: numpy scalar arithmetic is slower than complex
     values = [y]
-    while len(values) <= n:
-        try:
-            k1 = rhs(y)
-            k2 = rhs(y + half * k1)
-            k3 = rhs(y + half * k2)
-            k4 = rhs(y + h * k3)
-            y_next = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            # False also for NaN, +-inf and complex(inf, nan)
-            bounded = abs(y_next) <= BLOWUP_THRESHOLD
-        except ValueError:
-            if type(y) is not float:
-                raise
-            bounded = False
-        if type(y) is float:
-            if not bounded or y_next == 0.0:
-                y = complex(y)  # redo this step in complex, and stay there
-                continue
+    append = values.append
+    if y.imag == 0.0 and math.copysign(1.0, y.imag) > 0.0:
+        y = values[0] = y.real  # a Python float: numpy scalar arithmetic is slower than complex
+        for _ in range(n):
+            try:
+                y_next = advance(y)
+            except ValueError:
+                break
+            if not abs(y_next) <= limit or y_next == 0.0:  # NaN and +-inf are unbounded
+                break
             if y_next == y:  # a fixed point: every later state is y
                 values += [y] * (n + 1 - len(values))
                 break
-        y = y_next
-        values.append(y)
-        if not bounded:
+            y = y_next
+            append(y)
+        y = complex(y)  # a float step that broke off is redone in complex
+    bounded = True
+    for _ in range(n + 1 - len(values)):
+        y = advance(y)
+        append(y)
+        if not abs(y) <= limit:  # False also for NaN, +-inf and complex(inf, nan)
+            bounded = False
             break
     # theta_i = t0 + i*h, with theta_0 = t0 itself (t0 + 0.0 would turn -0.0 into 0.0)
     thetas = np.concatenate(([t0], t0 + np.arange(1, len(values)) * h))
+    if type(values[-1]) is float:  # a float run: widening the float array is exact and quicker
+        return Trajectory(thetas, np.array(values, float).astype(complex), False)
     return Trajectory(thetas, np.array(values, dtype=complex), not bounded)
 
 
@@ -547,19 +552,30 @@ def oracle_integrate_bernoulli(
 
     Restricted to U0 > 0 real, where the kink families live; the fractional
     power uses the principal branch should the state wander off the positive
-    axis mid-integration.  A float state takes math.sqrt, which gives
-    cmath.sqrt's bits from 8 times the smallest normal double up (below
-    that, U*sqrt(U) underflows to zero either way).  Below zero it raises
-    ValueError, and _rk4 redoes the step in complex, with cmath.sqrt.
+    axis mid-integration.  Each step takes math.sqrt on a float state, which
+    gives cmath.sqrt's bits from 8 times the smallest normal double up
+    (below that, U*sqrt(U) underflows to zero either way), and cmath.sqrt on
+    a complex one.  A negative float stage makes math.sqrt raise ValueError,
+    and _rk4 redoes the step in complex.
     """
     if not (isinstance(U0, (int, float)) and U0 > 0):
         raise ParameterDomainError("Bernoulli oracle requires a real U0 > 0")
     a = sign.factor * math.sqrt(2.0 / 3.0)
+    t0, n, h = _mesh(theta_span, step)
+    half, sixth = 0.5 * h, h / 6.0  # 0.5 * h * k1 is (0.5 * h) * k1
 
-    def rhs(U: complex) -> complex:
-        return a * U * (math.sqrt(U) if type(U) is float else cmath.sqrt(U)) + 0.4 * U
+    def advance(U: complex) -> complex:
+        sqrt = math.sqrt if type(U) is float else cmath.sqrt
+        k1 = a * U * sqrt(U) + 0.4 * U
+        V = U + half * k1
+        k2 = a * V * sqrt(V) + 0.4 * V
+        V = U + half * k2
+        k3 = a * V * sqrt(V) + 0.4 * V
+        V = U + h * k3
+        k4 = a * V * sqrt(V) + 0.4 * V
+        return U + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
-    return _rk4(rhs, U0, theta_span, step)
+    return _rk4(advance, U0, t0, n, h)
 
 
 def oracle_integrate_riccati(
@@ -568,13 +584,25 @@ def oracle_integrate_riccati(
     theta_span: tuple[float, float],
     step: float,
 ) -> Trajectory:
-    """RK4 trajectory of the compatible Riccati equation U' = A*U^2 + B*U + C."""
+    """RK4 trajectory of the compatible Riccati equation U' = A*U^2 + B*U + C.
+
+    Each step spells fact.riccati_rhs inline, without its attribute lookups.
+    """
     A, B, C = fact.A, fact.B, fact.C
+    t0, n, h = _mesh(theta_span, step)
+    half, sixth = 0.5 * h, h / 6.0  # 0.5 * h * k1 is (0.5 * h) * k1
 
-    def rhs(U: complex) -> complex:
-        return A * U * U + B * U + C  # fact.riccati_rhs, without its attribute lookups
+    def advance(U: complex) -> complex:
+        k1 = A * U * U + B * U + C
+        V = U + half * k1
+        k2 = A * V * V + B * V + C
+        V = U + half * k2
+        k3 = A * V * V + B * V + C
+        V = U + h * k3
+        k4 = A * V * V + B * V + C
+        return U + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
-    return _rk4(rhs, U0, theta_span, step)
+    return _rk4(advance, U0, t0, n, h)
 
 
 # ---------------------------------------------------------------------------

@@ -400,6 +400,26 @@ def test_rational_k0_whose_weight_overflows_is_a_domain_error(family, k0):
     assert rational_solution(family, 0.5, k0 / 4.0).k0 == k0 / 4.0
 
 
+@pytest.mark.parametrize("k0", [1.2e77, -2e77, 1e200, -1e308 / 4.0])
+def test_rational_jet_whose_k0_to_the_fourth_overflows_is_a_domain_error(k0):
+    # k0**4 leaves the float range above |k0| ~ 1.16e77; it used to raise OverflowError
+    locked = PhysicalParams(s=2.0, mu=1.0, alpha=3.0, beta=2.0, v=locked_rational_velocity(FIG7))
+    sol = rational_solution(Family.RATIONAL_PLUS, 0.5, k0)
+    phys = rational_solution_from_physical(Family.RATIONAL_PLUS, locked, k0)
+    with pytest.raises(ParameterDomainError, match=r"k0\*\*4 must be finite"):
+        solution_jet(sol, np.array([1.0]))
+    with pytest.raises(ParameterDomainError, match=r"k0\*\*4 must be finite"):
+        physical_jet(phys, np.array([1.0]), 0.0)
+    # below the bound the jet keeps its bits: with A = 1/2, g = A + k0*theta
+    # rounds to k0 at theta = 1, and the jet is (-1/A - 1, 1/A, -2/A, 6/A) to rounding
+    (w, *slopes), pole = solution_jet(rational_solution(Family.RATIONAL_PLUS, 0.5, 1e76), 1.0)
+    assert not pole and [complex(d) for d in (w, *slopes)] == [
+        -3.0, 1.9999999999999998, -4.0, 12.000000000000004]
+    jet, pole = physical_jet(rational_solution_from_physical(Family.RATIONAL_PLUS, locked, 1e76),
+                             np.array([1.0]), 0.0)
+    assert not pole.any() and all(np.isfinite(d).all() for d in jet)
+
+
 def test_rational_locks_p_to_q():
     sol = rational_solution(Family.RATIONAL_PLUS, 0.5, 1.0)
     assert sol.reduced.p == pytest.approx((1.0 - 4.0) / 6.0)

@@ -2,10 +2,11 @@
 
 import cmath
 import math
+import struct
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from kdvbwaves import (
     EquationTag,
@@ -468,14 +469,14 @@ _REAL_STARTS = [
 
 
 def _state_types(y0):
-    """The types of every state _rk4 hands its right-hand side, on a linear flow."""
+    """The types of every state _rk4 hands its step map, on a linear flow."""
     seen = set()
 
-    def rhs(U):
+    def advance(U):  # one Euler step of U' = 0.5*U + 0.25
         seen.add(type(U))
-        return 0.5 * U + 0.25
+        return U + 0.125 * (0.5 * U + 0.25)
 
-    _rk4(rhs, y0, (0.0, 1.0), 0.125)
+    _rk4(advance, y0, 0.0, 8, 0.125)
     return seen
 
 
@@ -594,32 +595,115 @@ def test_riccati_equilibria_match_textbook_rk4_property(A, B, U0, run):
                       _reference_rk4(fact.riccati_rhs, U0, span, step))
 
 
+# Each oracle hands _rk4 one whole RK4 step, its right-hand side inline.  At
+# any state that step must be one textbook four-call step of the equation,
+# bit for bit: at a float state in float arithmetic (the Bernoulli step with
+# math.sqrt, raising ValueError where a stage goes negative), at complex(U)
+# with cmath.sqrt.  A float step that _rk4 keeps (nonzero and bounded) must
+# also be the complex step's real part, with an imaginary part of +0.0.
+def _one_step(rhs, y, h):
+    """One textbook four-call RK4 step, spelled as _reference_rk4's."""
+    k1 = rhs(y)
+    k2 = rhs(y + 0.5 * h * k1)
+    k3 = rhs(y + 0.5 * h * k2)
+    k4 = rhs(y + h * k3)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _advance(integrate, *args):
+    """(advance, h): the step map an oracle call hands _rk4, and its step size."""
+    built = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify_module, "_rk4", lambda advance, y0, t0, n, h: built.append((advance, h)))
+        integrate(*args)
+    return built[0]
+
+
+def _bits(z):
+    return type(z), struct.pack("<dd", z.real, z.imag)
+
+
+def _assert_textbook_step(advance, h, U, float_rhs, complex_rhs):
+    if type(U) is float:
+        try:
+            got = advance(U)
+        except ValueError:
+            with pytest.raises(ValueError):
+                _one_step(float_rhs, U, h)
+        else:
+            assert _bits(got) == _bits(_one_step(float_rhs, U, h))
+            if got != 0.0 and abs(got) <= BLOWUP_THRESHOLD:
+                assert _bits(complex(got)) == _bits(_one_step(complex_rhs, complex(U), h))
+        U = complex(U)
+    assert _bits(advance(U)) == _bits(_one_step(complex_rhs, U, h))
+
+
+def _bernoulli_rhs(sign, sqrt):
+    a = sign.factor * math.sqrt(2.0 / 3.0)
+    return lambda U: a * U * sqrt(U) + 0.4 * U
+
+
+_STATE_PARTS = st.floats() | _EXTREME
+_STATES = _STATE_PARTS | st.builds(complex, _STATE_PARTS, _STATE_PARTS)
+# the state before step 8 of test_bernoulli_negative_stage_switches_to_complex_mid_run
+_NEGATIVE_STAGE_RUN = (Sign.MINUS, 1e-5, (0.0, 277.5), 23.125)
+_NEGATIVE_STAGE_STATE = float(_bernoulli_reference(*_NEGATIVE_STAGE_RUN)[1][7].real)
+
+
+@settings(deadline=None, max_examples=300)
+@given(fact=st.sampled_from(_RICCATI + _ZERO_EQUILIBRIA), U=_STATES, run=_SPANS)
+def test_riccati_step_is_one_textbook_rk4_step_property(fact, U, run):
+    advance, h = _advance(oracle_integrate_riccati, fact, 0.3, *run)
+    _assert_textbook_step(advance, h, U, fact.riccati_rhs, fact.riccati_rhs)
+
+
+@settings(deadline=None, max_examples=300)
+@given(sign=st.sampled_from([Sign.MINUS, Sign.PLUS]), U=_STATES, run=_SPANS)
+@example(sign=Sign.MINUS, U=_NEGATIVE_STAGE_STATE, run=_NEGATIVE_STAGE_RUN[2:])
+def test_bernoulli_step_is_one_textbook_rk4_step_property(sign, U, run):
+    advance, h = _advance(oracle_integrate_bernoulli, sign, 1.0, *run)
+    _assert_textbook_step(advance, h, U, _bernoulli_rhs(sign, math.sqrt),
+                          _bernoulli_rhs(sign, cmath.sqrt))
+
+
+def test_bernoulli_float_step_with_a_negative_stage_raises():
+    # every state of that run is positive, but this step's stages are not; the
+    # property's explicit example holds the complex step to the textbook's
+    sign, _, span, step = _NEGATIVE_STAGE_RUN
+    advance, _ = _advance(oracle_integrate_bernoulli, sign, 1.0, span, step)
+    assert _NEGATIVE_STAGE_STATE > 0.0
+    with pytest.raises(ValueError):
+        advance(_NEGATIVE_STAGE_STATE)
+
+
 def _counting_rk4(calls):
-    """_rk4 whose right-hand side appends every state it is called at to ``calls``."""
-    def rk4(rhs, *args):
+    """_rk4 whose step map appends (state, next state) to ``calls`` at every call."""
+    def rk4(advance, *args):
         def counted(U):
-            calls.append(U)
-            return rhs(U)
+            y = advance(U)
+            calls.append((U, y))
+            return y
         return _rk4(counted, *args)
     return rk4
 
 
 def test_constant_equilibrium_check_computes_one_step(monkeypatch):
-    # 2,000 steps of 4 stages each, of which the first returns the start
+    # 2,000 steps, of which the first returns the start
     calls = []
     monkeypatch.setattr(verify_module, "_rk4", _counting_rk4(calls))
     (check,) = [c for c in verification_suite(scope="constant").checks if "equilibrium" in c.name]
     assert check.passed and check.max_abs == 0.0
-    assert len(calls) == 4 and len(set(calls)) == 1
+    assert len(calls) == 1 and calls[0][0] == calls[0][1]
 
 
-def test_run_that_converges_onto_a_float_fixed_point_stops_there():
+def test_run_that_converges_onto_a_float_fixed_point_stops_there(monkeypatch):
     # U' = 1 - U from 0.3 settles on a float next to 1 after 73 of its 400 steps
     fact = CompoundFactorization(A=0.0, B=-1.0, C=1.0, p=0.0, q=1.0, k=0.0, sign=Sign.PLUS)
     calls = []
-    traj = _counting_rk4(calls)(fact.riccati_rhs, 0.3, (0.0, 200.0), 0.5)
+    monkeypatch.setattr(verify_module, "_rk4", _counting_rk4(calls))
+    traj = oracle_integrate_riccati(fact, 0.3, (0.0, 200.0), 0.5)
     assert len(traj.values) == 401 and abs(traj.values[-1] - 1.0) <= 2.0**-52
-    assert len(calls) == 4 * 73
+    assert len(calls) == 73
     _assert_same_bits(traj, _reference_rk4(fact.riccati_rhs, 0.3, (0.0, 200.0), 0.5))
 
 
