@@ -23,9 +23,16 @@ repeat in every following block, 4 * p < n, p divides n) once per element of
 the block, and a value column that holds one bit pattern on every non-pole
 row (im_u of a real profile) once.  Every other cell goes through one
 %-format.  The choice is made from the table itself and never changes the
-bytes written.  figure
-renders all of its files before it writes the first one, so a malformed
-manifest leaves no file behind.
+bytes written.  A table with at least 2 * 2**15 cells left to format, in a
+process allowed on two or more CPUs, is filled in contiguous row blocks: one
+block per CPU and at most one per 2**15 cells, the first formatted by the
+process itself and each other by a forked child that sends its text back
+through a pipe (_fill).  Every row template takes the same number of cells,
+so the blocks joined by the row separator are the one-call text; a block
+whose child fails or cannot start is formatted by the parent, and every
+child is reaped before the table is returned.  figure renders all of its
+files before it writes the first one, so a malformed manifest leaves no
+file behind.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or domain error, 141 when
 the reader closes stdout early (128 + SIGPIPE; nothing is printed).
@@ -41,6 +48,8 @@ import json
 import math
 import os
 import sys
+import warnings
+from functools import partial
 from importlib import resources
 from pathlib import Path
 from typing import Sequence
@@ -152,7 +161,87 @@ def _render(names: list[str], columns: list[np.ndarray], pole: np.ndarray, fmt: 
         head, sep, tail = "[\n", ",\n", "\n]\n"
     else:
         head, sep, tail = ",".join(keys) + "\n", "\n", "\n"
-    return head + sep.join(rows) % tuple(cells) + tail
+    return head + _fill(rows, cells, len(formatted), sep) + tail
+
+
+_CELLS_PER_PROCESS = 2**15  # a table needs this many cells per process to format in parallel
+
+
+def _fill_block(rows: list[str], cells: list, width: int, sep: str, a: int, b: int) -> str:
+    """Rows a..b-1 of sep.join(rows) % tuple(cells): each row template takes ``width`` cells."""
+    return sep.join(rows[a:b]) % tuple(cells[a * width:b * width])
+
+
+def _fork_block(block):
+    """(pid, read end of its pipe) of a child that writes block()'s UTF-8 text, or None.
+
+    The child touches only the table's Python lists: it runs no numpy code
+    and writes nothing to stdout.  It leaves by os._exit, 0 when the whole
+    text went into the pipe and 1 on any exception, so it never returns into
+    the caller.  None when the process cannot fork.
+    """
+    r, w = os.pipe()
+    try:
+        with warnings.catch_warnings():
+            # Python 3.12 warns on fork in a multi-threaded process (numpy's
+            # BLAS pool makes the CLI one) because a lock held by another
+            # thread stays held in the child.  This child runs no numpy or
+            # BLAS code and takes no lock another thread can hold.
+            warnings.filterwarnings("ignore", r"This process (\(pid=\d+\) )?is multi-threaded",
+                                    DeprecationWarning)
+            pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        return None
+    if pid == 0:
+        code = 1
+        try:
+            os.close(r)
+            with open(w, "wb") as pipe:
+                pipe.write(block().encode())
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    return pid, open(r, "rb")
+
+
+def _fill(rows: list[str], cells: list, width: int, sep: str) -> str:
+    """sep.join(rows) % tuple(cells), in contiguous row blocks on up to one process per CPU.
+
+    Every row template takes ``width`` cells (a pole row's "%.0s" takes its
+    NaN), so block [a, b) is rows[a:b] filled with cells[a*width:b*width],
+    and the blocks joined by ``sep`` are the one-call text by construction.
+    A table of fewer than 2 * _CELLS_PER_PROCESS cells, a single CPU, or a
+    platform without os.fork or os.sched_getaffinity runs the one call.  Otherwise the parent forks
+    one child per block after the first, formats the first block, reads each
+    child's pipe to EOF and reaps every child.  A block whose child could
+    not start or exited nonzero is formatted by the parent.
+    """
+    workers = 1
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        workers = min(len(os.sched_getaffinity(0)), len(cells) // _CELLS_PER_PROCESS)
+    if workers < 2:
+        return sep.join(rows) % tuple(cells)
+    ends = [len(rows) * k // workers for k in range(workers + 1)]
+    blocks = [partial(_fill_block, rows, cells, width, sep, a, b) for a, b in zip(ends, ends[1:])]
+    children = {}  # block -> (pid, read end of its pipe) of the child formatting it
+    texts: dict[int, str] = {}
+    statuses: dict[int, int] = {}
+    try:
+        for k in range(1, workers):
+            if (child := _fork_block(blocks[k])) is not None:
+                children[k] = child
+        texts[0] = blocks[0]()
+        for k, (_, pipe) in children.items():
+            texts[k] = pipe.read().decode()
+    finally:
+        for k, (pid, pipe) in children.items():
+            pipe.close()
+            statuses[k] = os.waitpid(pid, 0)[1]
+    return sep.join(texts[k] if k in texts and not statuses.get(k) else blocks[k]()
+                    for k in range(workers))
 
 
 def _emit(text: str, output: str | Path | None) -> None:

@@ -385,7 +385,8 @@ def _rational_kernel(sol: WaveSolution, zeta: np.ndarray, rate: float):
     k0 = sol.k0 or 0.0
     # absolute in theta whatever the coordinate
     pole = np.abs(zeta - (-A / k0)) < POLE_TOL if k0 else np.zeros(zeta.shape, bool)
-    g = A + k0 * np.where(pole, 0.0, zeta)
+    with np.errstate(over="ignore"):  # |g| = inf far out, where the value is const
+        g = A + k0 * np.where(pole, 0.0, zeta)
     const = -(A + 1.0) / (6.0 * A * A)  # added, not subtracted: Im stays +0 at k0 = 0
     return -(k0 / A) / g + const, pole, g
 
@@ -486,8 +487,18 @@ def _jet(sol: WaveSolution, grid, t):
     zeta, rate = _shifted(sol, grid, t)
     kernel, slopes = _family_kernel(sol)
     U, pole, argument = kernel(sol, zeta, rate)
-    jet = (U + (sol.reduced.delta or 0.0), *slopes(sol, argument))
-    return tuple(np.where(pole, _NAN, d) for d in jet), pole
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        jet = tuple(np.where(pole, _NAN, d)
+                    for d in (U + (sol.reduced.delta or 0.0), *slopes(sol, argument)))
+    return _finite_off_poles(sol, jet, pole), pole
+
+
+def _finite_off_poles(sol: WaveSolution, jet: tuple, pole: np.ndarray) -> tuple:
+    """``jet``, or a ParameterDomainError where a component is not finite off the poles."""
+    if not all((np.isfinite(d) | pole).all() for d in jet):
+        raise ParameterDomainError(
+            f"the {sol.family.value} jet leaves the float range at a point off the poles")
+    return jet
 
 
 def solution_jet(sol: WaveSolution, theta) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
@@ -496,7 +507,8 @@ def solution_jet(sol: WaveSolution, theta) -> tuple[tuple[np.ndarray, ...], np.n
     w = U + delta for the KdVB families and w = U elsewhere; derivatives are
     in theta.  ``theta`` is an array or a scalar (0-d results).  As in
     evaluate_grid, ``pole`` flags the cells on a pole, and every component
-    is NaN + NaN*i there.
+    is NaN + NaN*i there.  A component that leaves the float range at a cell
+    off the poles is a ParameterDomainError.
     """
     return _jet(sol, theta, None)
 
@@ -507,13 +519,21 @@ def physical_jet(sol: WaveSolution, x, t) -> tuple[tuple[np.ndarray, ...], np.nd
     u = to_physical_amplitude(w(theta)) with theta = to_reduced_coordinate(x, t)
     linear in x and t, so the n-th x-derivative carries (mu/s)^n and
     u_t = -v * u_x (travelling wave).  x and t broadcast; u and ``pole``
-    equal evaluate_grid's at time t.
+    equal evaluate_grid's at time t.  As in solution_jet, a component that
+    leaves the float range at a cell off the poles is a ParameterDomainError.
     """
     jet, pole = _jet(sol, x, t)  # raises for a solution without physical coefficients
     pp = sol.physical
     m = pp.mu / pp.s
-    u, ux, uxx, uxxx = (to_physical_amplitude(d * m**n, pp) for n, d in enumerate(jet))
-    return (u, ux, uxx, uxxx, -pp.v * ux), pole
+    try:
+        scales = [m**n for n in range(4)]
+    except OverflowError:
+        raise ParameterDomainError(
+            f"mu/s = {m!r} leaves the float range of the jet: (mu/s)**3 must be finite") from None
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        u, ux, uxx, uxxx = (to_physical_amplitude(d * k, pp) for d, k in zip(jet, scales))
+        jet = (u, ux, uxx, uxxx, -pp.v * ux)
+    return _finite_off_poles(sol, jet, pole), pole
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """End-to-end tests of the command-line interface and its exit-code contract."""
 
 import csv
+import functools
 import io
 import json
 import math
 import os
+import signal
 import struct
 import subprocess
 import sys
@@ -27,6 +29,7 @@ from kdvbwaves import (
     sweep_rows,
     universal_solution,
 )
+from kdvbwaves import cli
 from kdvbwaves.cli import _render, main
 
 
@@ -525,6 +528,152 @@ def test_figure_7_matches_per_cell_formatting_of_evaluate_grid(tmp_path, capsys)
         _, reference = _reference(names, columns, pole)
         written = (tmp_path / entry["output"].replace("{label}", curve["label"])).read_text()
         assert written.splitlines() == reference.splitlines() and written == reference
+
+
+# ---------------------------------------------------------------------------
+# the parallel fill: row blocks formatted in forked children
+
+
+def _counting_forks(mp):
+    """Replace os.fork by a wrapper that counts the forks; returns the count list."""
+    forks, real_fork = [], os.fork
+
+    def fork():
+        forks.append(1)
+        return real_fork()
+
+    mp.setattr(os, "fork", fork)
+    return forks
+
+
+def _assert_no_children_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@given(table=_tables(), cpus=st.integers(2, 4))
+@settings(max_examples=60, deadline=None)
+def test_fill_in_row_blocks_matches_per_cell_formatting_property(table, cpus):
+    # with 4 cells per process as the cutoff (a row takes at most 4, so no block
+    # is empty), a drawn table of 8 or more cells is split into up to cpus blocks
+    names, columns, pole = table
+    reference_json, reference_csv = _reference(names, columns, pole)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_CELLS_PER_PROCESS", 4)
+        mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        assert _render(names, columns, pole, "json") == reference_json
+        assert _render(names, columns, pole, "csv") == reference_csv
+    _assert_no_children_left()
+
+
+@functools.lru_cache(maxsize=None)
+def _big_table(case):
+    """(names, columns, pole, JSON, CSV) of a table with more than 3 * 2**15 formatted cells."""
+    rng = np.random.default_rng(7)
+    n = 40_000
+    values = np.empty(n, complex)
+    values.real = rng.standard_normal(n)
+    values.imag = rng.standard_normal(n)
+    pole = np.zeros(n, bool)
+    pole[rng.choice(n, 50, replace=False)] = True
+    if case == "sweep":
+        # a column of 5 runs, theta tiled, poles in the values
+        a = np.repeat(np.linspace(-5.0, 0.0, 5), n // 5)
+        theta = np.tile(np.linspace(-40.0, 40.0, n // 5), 5)
+        coords, names = [a, theta], ["a", "theta"]
+    elif case == "physical":
+        # one t run, im_u one bit pattern off the poles
+        coords, names = [np.linspace(-20.0, 20.0, n), np.full(n, 0.25)], ["x", "t"]
+        values.imag = 0.0
+    else:
+        # non-finite values off the poles: Infinity and NaN in JSON, inf and nan in CSV
+        coords, names = [np.linspace(-1.0, 1.0, n)], ["theta"]
+        values.real[[3, 20_001, n - 1]] = [math.inf, -math.inf, math.nan]
+        values.imag[[4, 30_000]] = [math.nan, -math.inf]
+    values[pole] = complex(math.nan, math.nan)
+    columns = [*coords, values.real, values.imag]
+    return (names, columns, pole, *_reference(names, columns, pole))
+
+
+@pytest.mark.parametrize("case, cpus, children", [
+    ("sweep", 2, 1), ("sweep", 3, 2), ("non-finite", 2, 1), ("non-finite", 3, 2),
+    ("physical", 3, 1),  # x and re_u only: 80,000 cells make 2 blocks at most
+])
+def test_big_table_formats_in_blocks_on_every_cpu(case, cpus, children, monkeypatch):
+    names, columns, pole, reference_json, reference_csv = _big_table(case)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    forks = _counting_forks(monkeypatch)
+    assert _render(names, columns, pole, "json") == reference_json
+    assert _render(names, columns, pole, "csv") == reference_csv
+    assert len(forks) == 2 * children
+    _assert_no_children_left()
+
+
+@pytest.mark.parametrize("failure", ["raises", "killed", "cannot-fork"])
+def test_a_block_whose_child_fails_is_formatted_by_the_parent(failure, monkeypatch):
+    names, columns, pole, reference_json, reference_csv = _big_table("sweep")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    forks = _counting_forks(monkeypatch)
+    parent, fill_block = os.getpid(), cli._fill_block
+
+    def child_fails(*args):
+        if os.getpid() != parent:
+            if failure == "killed":
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise RuntimeError("the block fails in the child only")
+        return fill_block(*args)
+
+    def no_fork():
+        forks.append(1)
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(cli, "_fill_block", child_fails)
+    if failure == "cannot-fork":
+        monkeypatch.setattr(os, "fork", no_fork)
+    assert _render(names, columns, pole, "json") == reference_json
+    assert _render(names, columns, pole, "csv") == reference_csv
+    assert len(forks) == 4
+    _assert_no_children_left()
+
+
+def test_fork_warning_of_a_multi_threaded_process_is_ignored_around_the_fork(monkeypatch):
+    # Python 3.12 warns on os.fork in a process with threads (numpy's BLAS pool),
+    # with this category and text; the child runs no numpy, so the fill ignores it
+    real_fork = os.fork
+
+    def warning_fork():
+        warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, use of fork() may "
+                      "lead to deadlocks in the child.", DeprecationWarning, stacklevel=2)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", warning_fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    names, columns, pole, _, reference_csv = _big_table("physical")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert _render(names, columns, pole, "csv") == reference_csv
+    assert caught == []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DeprecationWarning):  # ignored around the fill's fork only
+            warning_fork()
+    _assert_no_children_left()
+
+
+def test_no_fork_below_the_cutoff_or_on_one_cpu(tmp_path, monkeypatch, capsys):
+    def no_fork():
+        pytest.fail("the fill forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+    # the largest table of the figures: the 51 x 401 sweep, 40,902 formatted cells
+    _figure_files(5, tmp_path, capsys)
+    names, columns, pole, _, reference_csv = _big_table("sweep")
+    n = (2 * cli._CELLS_PER_PROCESS - 1) // 3  # one cell short of two blocks: 3 cells a row
+    _, reference_short = _reference(names, [c[:n] for c in columns], pole[:n])
+    assert _render(names, [c[:n] for c in columns], pole[:n], "csv") == reference_short
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert _render(names, columns, pole, "csv") == reference_csv
 
 
 # ---------------------------------------------------------------------------

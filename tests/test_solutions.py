@@ -420,6 +420,32 @@ def test_rational_jet_whose_k0_to_the_fourth_overflows_is_a_domain_error(k0):
     assert not pole.any() and all(np.isfinite(d).all() for d in jet)
 
 
+@pytest.mark.parametrize("k0, theta", [(1e77, 1.0), (-1e77, 1.0), (1e70, 1e300), (1e70, -1e300)])
+def test_rational_jet_that_leaves_the_float_range_off_the_poles_is_a_domain_error(k0, theta):
+    # 6*k0**4 overflows at k0 = 1e77 (g**4 too: inf/inf), and g = A + k0*theta overflows at
+    # theta = 1e300; both used to give NaN cells with pole False and numpy RuntimeWarnings
+    locked = PhysicalParams(s=2.0, mu=1.0, alpha=3.0, beta=2.0, v=locked_rational_velocity(FIG7))
+    sol = rational_solution(Family.RATIONAL_PLUS, 0.5, k0)
+    phys = rational_solution_from_physical(Family.RATIONAL_PLUS, locked, k0)
+    x = 2.0 * theta  # theta = mu*(x - v*t)/s at t = 0
+    with pytest.raises(ParameterDomainError, match="float range at a point off the poles"):
+        solution_jet(sol, np.array([theta]))
+    with pytest.raises(ParameterDomainError, match="float range at a point off the poles"):
+        physical_jet(phys, np.array([x]), 0.0)
+    # the values stay finite: const = -(A + 1)/(6*A*A) = -1 far out, -3 at theta = 1
+    values, pole = evaluate_grid(sol, np.array([theta]))
+    assert not pole.any() and np.isfinite(values).all()
+
+
+@pytest.mark.parametrize("s, mu", [(1.0, 1e110), (1e-110, 1.0)])
+def test_physical_jet_whose_chain_rule_scale_overflows_is_a_domain_error(s, mu):
+    # (mu/s)**3 leaves the float range: this raised OverflowError from a Python float power
+    sol = kdvb_solution_from_physical(
+        Family.KDVB_REGULAR, PhysicalParams(s=s, mu=mu, alpha=1.0, beta=0.0, v=0.2))
+    with pytest.raises(ParameterDomainError, match=r"\(mu/s\)\*\*3 must be finite"):
+        physical_jet(sol, np.array([0.0]), 0.0)
+
+
 def test_rational_locks_p_to_q():
     sol = rational_solution(Family.RATIONAL_PLUS, 0.5, 1.0)
     assert sol.reduced.p == pytest.approx((1.0 - 4.0) / 6.0)
