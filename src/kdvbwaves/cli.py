@@ -26,13 +26,18 @@ row (im_u of a real profile) once.  Every other cell goes through one
 bytes written.  A table with at least 2 * 2**15 cells left to format, in a
 process allowed on two or more CPUs, is filled in contiguous row blocks: one
 block per CPU and at most one per 2**15 cells, the first formatted by the
-process itself and each other by a forked child that sends its text back
+process itself and each other by a forked child that sends its UTF-8 back
 through a pipe (_fill).  Every row template takes the same number of cells,
 so the blocks joined by the row separator are the one-call text; a block
 whose child fails or cannot start is formatted by the parent, and every
-child is reaped before the table is returned.  figure renders all of its
-files before it writes the first one, so a malformed manifest leaves no
-file behind.
+child is reaped before the table is returned.  The table travels as those
+UTF-8 blocks, with the header, the separators and the tail between them: a
+child's block stays as read from its pipe, the parent encodes its own once,
+and no whole-table string or bytes is built (_emit writes the blocks in
+order).  At its peak the parent holds the table's cells, its own block as a
+string and as bytes, and the other blocks as bytes: about twice the size of
+the output.  figure renders all of its files before it writes the first
+one, so a malformed manifest leaves no file behind.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or domain error, 141 when
 the reader closes stdout early (128 + SIGPIPE; nothing is printed).
@@ -101,10 +106,13 @@ def _tile(column: np.ndarray) -> int:
     return p
 
 
-def _render(names: list[str], columns: list[np.ndarray], pole: np.ndarray, fmt: str) -> str:
+def _render(names: list[str], columns: list[np.ndarray], pole: np.ndarray,
+            fmt: str) -> list[bytes]:
     """CSV or JSON table of ``columns`` (coordinates ``names``, re_u, im_u) plus pole_flag.
 
-    Byte for byte format(value, ".17g") per CSV cell, or json.dumps(rows, indent=2).
+    Returned as UTF-8 blocks [head, block, sep, block, ..., tail] (see _fill)
+    that joined are byte for byte format(value, ".17g") per CSV cell, or
+    json.dumps(rows, indent=2).
     A repeated value is formatted once: a coordinate column with fewer runs of
     one bit pattern than a quarter of the rows (written into the row templates,
     one template pair per run), a tiled coordinate column (see _tile; its p
@@ -161,23 +169,27 @@ def _render(names: list[str], columns: list[np.ndarray], pole: np.ndarray, fmt: 
         head, sep, tail = "[\n", ",\n", "\n]\n"
     else:
         head, sep, tail = ",".join(keys) + "\n", "\n", "\n"
-    return head + _fill(rows, cells, len(formatted), sep) + tail
+    table = [head.encode()]
+    for block in _fill(rows, cells, len(formatted), sep):
+        table += [block, sep.encode()]
+    table[-1] = tail.encode()
+    return table
 
 
 _CELLS_PER_PROCESS = 2**15  # a table needs this many cells per process to format in parallel
 
 
-def _fill_block(rows: list[str], cells: list, width: int, sep: str, a: int, b: int) -> str:
-    """Rows a..b-1 of sep.join(rows) % tuple(cells): each row template takes ``width`` cells."""
-    return sep.join(rows[a:b]) % tuple(cells[a * width:b * width])
+def _fill_block(rows: list[str], cells: list, width: int, sep: str, a: int, b: int) -> bytes:
+    """UTF-8 of rows a..b-1 of sep.join(rows) % tuple(cells); a row takes ``width`` cells."""
+    return (sep.join(rows[a:b]) % tuple(cells[a * width:b * width])).encode()
 
 
 def _fork_block(block):
-    """(pid, read end of its pipe) of a child that writes block()'s UTF-8 text, or None.
+    """(pid, read end of its pipe) of a child that writes the bytes block() returns, or None.
 
     The child touches only the table's Python lists: it runs no numpy code
     and writes nothing to stdout.  It leaves by os._exit, 0 when the whole
-    text went into the pipe and 1 on any exception, so it never returns into
+    block went into the pipe and 1 on any exception, so it never returns into
     the caller.  None when the process cannot fork.
     """
     r, w = os.pipe()
@@ -199,7 +211,7 @@ def _fork_block(block):
         try:
             os.close(r)
             with open(w, "wb") as pipe:
-                pipe.write(block().encode())
+                pipe.write(block())
             code = 0
         finally:
             os._exit(code)
@@ -207,48 +219,56 @@ def _fork_block(block):
     return pid, open(r, "rb")
 
 
-def _fill(rows: list[str], cells: list, width: int, sep: str) -> str:
-    """sep.join(rows) % tuple(cells), in contiguous row blocks on up to one process per CPU.
+def _fill(rows: list[str], cells: list, width: int, sep: str) -> list[bytes]:
+    """UTF-8 of sep.join(rows) % tuple(cells) in row blocks, one process per CPU at most.
 
     Every row template takes ``width`` cells (a pole row's "%.0s" takes its
     NaN), so block [a, b) is rows[a:b] filled with cells[a*width:b*width],
     and the blocks joined by ``sep`` are the one-call text by construction.
     A table of fewer than 2 * _CELLS_PER_PROCESS cells, a single CPU, or a
-    platform without os.fork or os.sched_getaffinity runs the one call.  Otherwise the parent forks
-    one child per block after the first, formats the first block, reads each
-    child's pipe to EOF and reaps every child.  A block whose child could
-    not start or exited nonzero is formatted by the parent.
+    platform without os.fork or os.sched_getaffinity is one block, from one
+    call.  Otherwise the parent forks one child per block after the first,
+    formats the first block, reads each child's block from its pipe to EOF,
+    as bytes, and reaps every child.  A block whose child could not start or
+    exited nonzero is formatted by the parent.
     """
     workers = 1
     if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
         workers = min(len(os.sched_getaffinity(0)), len(cells) // _CELLS_PER_PROCESS)
     if workers < 2:
-        return sep.join(rows) % tuple(cells)
+        return [(sep.join(rows) % tuple(cells)).encode()]
     ends = [len(rows) * k // workers for k in range(workers + 1)]
     blocks = [partial(_fill_block, rows, cells, width, sep, a, b) for a, b in zip(ends, ends[1:])]
     children = {}  # block -> (pid, read end of its pipe) of the child formatting it
-    texts: dict[int, str] = {}
+    done: dict[int, bytes] = {}
     statuses: dict[int, int] = {}
     try:
         for k in range(1, workers):
             if (child := _fork_block(blocks[k])) is not None:
                 children[k] = child
-        texts[0] = blocks[0]()
+        done[0] = blocks[0]()
         for k, (_, pipe) in children.items():
-            texts[k] = pipe.read().decode()
+            done[k] = pipe.read()
     finally:
         for k, (pid, pipe) in children.items():
             pipe.close()
             statuses[k] = os.waitpid(pid, 0)[1]
-    return sep.join(texts[k] if k in texts and not statuses.get(k) else blocks[k]()
-                    for k in range(workers))
+    return [done[k] if k in done and not statuses.get(k) else blocks[k]() for k in range(workers)]
 
 
-def _emit(text: str, output: str | Path | None) -> None:
+def _emit(table: list[bytes], output: str | Path | None) -> None:
+    """Write the table's UTF-8 blocks in order, to the file ``output`` or to stdout.
+
+    The file is opened "wb" and gets the blocks as they are.  stdout gets
+    each block decoded, so a text stream put in place of sys.stdout (a
+    StringIO) takes it too.  No whole-table string or bytes is built.
+    """
     if output is None:
-        sys.stdout.write(text)
+        for block in table:
+            sys.stdout.write(block.decode())
     else:
-        Path(output).write_text(text, encoding="utf-8")
+        with open(output, "wb") as fh:
+            fh.writelines(table)
 
 
 def _grid(lo: float, hi: float, steps: int | None, name: str) -> np.ndarray:
@@ -263,13 +283,13 @@ def _grid(lo: float, hi: float, steps: int | None, name: str) -> np.ndarray:
 
 
 def _profile(names: list[str], coords: list[np.ndarray], sol: WaveSolution,
-             t: float | None, fmt: str) -> str:
+             t: float | None, fmt: str) -> list[bytes]:
     """Evaluate ``sol`` on coords[0] (theta, or x at time t) and render the table."""
     values, pole = evaluate_grid(sol, coords[0], t)
     return _render(names, [*coords, values.real, values.imag], pole, fmt)
 
 
-def _sweep(fam: Family, a_values: np.ndarray, theta_grid: np.ndarray, fmt: str) -> str:
+def _sweep(fam: Family, a_values: np.ndarray, theta_grid: np.ndarray, fmt: str) -> list[bytes]:
     """Evaluate the phase sweep of ``fam`` over (a, theta) and render the table."""
     values, pole = sweep_rows(fam, a_values, theta_grid)
     a, theta = np.meshgrid(a_values, theta_grid, indexing="ij")
@@ -488,7 +508,7 @@ def cmd_figure(args: argparse.Namespace) -> int:
         raise ParameterDomainError(f"manifest field 'family' names no family: {family!r}")
     fam = Family(family)
     output = _field(entry, "output", str)
-    tables: list[tuple[str, str]] = []  # (file name, text)
+    tables: list[tuple[str, list[bytes]]] = []  # (file name, its blocks)
 
     def grid(name: str) -> np.ndarray:
         return _grid(_field(entry, f"{name}_min", float), _field(entry, f"{name}_max", float),
@@ -516,8 +536,8 @@ def cmd_figure(args: argparse.Namespace) -> int:
 
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    for name, text in tables:
-        _emit(text, outdir / name)
+    for name, table in tables:
+        _emit(table, outdir / name)
     for name, _ in tables:
         print(f"wrote {outdir / name}")
     return 0

@@ -10,6 +10,7 @@ import signal
 import struct
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from importlib import resources
 
@@ -412,6 +413,18 @@ def _writer_case(case):
     return _profile_case(flags, sol, np.linspace(lo, hi, 5), t)
 
 
+def _table(names, columns, pole, fmt, blocks=None):
+    """The bytes of _render's table, after checking its shape: [head, block, sep, ..., tail].
+
+    ``blocks``, when given, is the number of row blocks the table must have.
+    """
+    table = _render(names, columns, pole, fmt)
+    assert all(type(part) is bytes for part in table) and len(table) % 2 == 1
+    assert blocks is None or len(table) == 2 * blocks + 1
+    assert len(set(table[2:-1:2])) <= 1  # one row separator between the blocks
+    return b"".join(table)
+
+
 @pytest.mark.parametrize("case", ["reduced", "physical", "complex-phase", "all-pole", "one-row",
                                   "sweep"])
 def test_writer_matches_json_dumps_and_17g_cells(case, capsys):
@@ -492,8 +505,8 @@ _SWEEP_POLES = np.array([False, True, False] * 4 + [True, False, False])
 def test_writer_property_matches_per_cell_formatting(table):
     names, columns, pole = table
     reference_json, reference_csv = _reference(names, columns, pole)
-    assert _render(names, columns, pole, "json") == reference_json
-    assert _render(names, columns, pole, "csv") == reference_csv
+    assert _table(names, columns, pole, "json") == reference_json.encode()
+    assert _table(names, columns, pole, "csv") == reference_csv.encode()
 
 
 def _figure_files(number, outdir, capsys):
@@ -561,8 +574,8 @@ def test_fill_in_row_blocks_matches_per_cell_formatting_property(table, cpus):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "_CELLS_PER_PROCESS", 4)
         mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-        assert _render(names, columns, pole, "json") == reference_json
-        assert _render(names, columns, pole, "csv") == reference_csv
+        assert _table(names, columns, pole, "json") == reference_json.encode()
+        assert _table(names, columns, pole, "csv") == reference_csv.encode()
     _assert_no_children_left()
 
 
@@ -603,17 +616,19 @@ def test_big_table_formats_in_blocks_on_every_cpu(case, cpus, children, monkeypa
     names, columns, pole, reference_json, reference_csv = _big_table(case)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     forks = _counting_forks(monkeypatch)
-    assert _render(names, columns, pole, "json") == reference_json
-    assert _render(names, columns, pole, "csv") == reference_csv
+    assert _table(names, columns, pole, "json", children + 1) == reference_json.encode()
+    assert _table(names, columns, pole, "csv", children + 1) == reference_csv.encode()
     assert len(forks) == 2 * children
     _assert_no_children_left()
 
 
-@pytest.mark.parametrize("failure", ["raises", "killed", "cannot-fork"])
-def test_a_block_whose_child_fails_is_formatted_by_the_parent(failure, monkeypatch):
-    names, columns, pole, reference_json, reference_csv = _big_table("sweep")
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-    forks = _counting_forks(monkeypatch)
+def _failing_children(failure, mp):
+    """Count the forks, and make every forked block fail; returns the count list.
+
+    ``failure`` is "raises" or "killed" (in the child only), "cannot-fork"
+    (os.fork raises BlockingIOError), or "none".
+    """
+    forks = _counting_forks(mp)
     parent, fill_block = os.getpid(), cli._fill_block
 
     def child_fails(*args):
@@ -627,11 +642,20 @@ def test_a_block_whose_child_fails_is_formatted_by_the_parent(failure, monkeypat
         forks.append(1)
         raise BlockingIOError(11, "Resource temporarily unavailable")
 
-    monkeypatch.setattr(cli, "_fill_block", child_fails)
+    if failure != "none":
+        mp.setattr(cli, "_fill_block", child_fails)
     if failure == "cannot-fork":
-        monkeypatch.setattr(os, "fork", no_fork)
-    assert _render(names, columns, pole, "json") == reference_json
-    assert _render(names, columns, pole, "csv") == reference_csv
+        mp.setattr(os, "fork", no_fork)
+    return forks
+
+
+@pytest.mark.parametrize("failure", ["raises", "killed", "cannot-fork"])
+def test_a_block_whose_child_fails_is_formatted_by_the_parent(failure, monkeypatch):
+    names, columns, pole, reference_json, reference_csv = _big_table("sweep")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    forks = _failing_children(failure, monkeypatch)
+    assert _table(names, columns, pole, "json", 3) == reference_json.encode()
+    assert _table(names, columns, pole, "csv", 3) == reference_csv.encode()
     assert len(forks) == 4
     _assert_no_children_left()
 
@@ -651,7 +675,7 @@ def test_fork_warning_of_a_multi_threaded_process_is_ignored_around_the_fork(mon
     names, columns, pole, _, reference_csv = _big_table("physical")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert _render(names, columns, pole, "csv") == reference_csv
+        assert _table(names, columns, pole, "csv", 2) == reference_csv.encode()
     assert caught == []
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -666,14 +690,96 @@ def test_no_fork_below_the_cutoff_or_on_one_cpu(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(os, "fork", no_fork)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
-    # the largest table of the figures: the 51 x 401 sweep, 40,902 formatted cells
+    # the largest table of the figures: the 51 x 401 sweep, 61,353 cells (theta tiled)
     _figure_files(5, tmp_path, capsys)
     names, columns, pole, _, reference_csv = _big_table("sweep")
     n = (2 * cli._CELLS_PER_PROCESS - 1) // 3  # one cell short of two blocks: 3 cells a row
     _, reference_short = _reference(names, [c[:n] for c in columns], pole[:n])
-    assert _render(names, [c[:n] for c in columns], pole[:n], "csv") == reference_short
+    assert _table(names, [c[:n] for c in columns], pole[:n], "csv", 1) == reference_short.encode()
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    assert _render(names, columns, pole, "csv") == reference_csv
+    assert _table(names, columns, pole, "csv", 1) == reference_csv.encode()
+
+
+# through the pole at theta = 0; theta and re_u are 80,002 cells, so 2 blocks on 2 CPUs
+_BIG = ["evaluate", "--family", "kdvb-singular", "--theta-min=-1", "--theta-max", "1",
+        "--theta-steps", "40001"]
+
+
+@pytest.mark.parametrize("failure", ["none", "raises", "killed", "cannot-fork"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_output_file_stdout_and_one_cpu_write_the_same_bytes(fmt, failure, tmp_path, monkeypatch,
+                                                             capsys):
+    argv = [*_BIG, "--format", fmt]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    one_cpu = run(capsys, *argv)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    forks = _failing_children(failure, monkeypatch)
+    stdout = run(capsys, *argv)
+    output = tmp_path / f"table.{fmt}"
+    to_file = run(capsys, *argv, "--output", str(output))
+    assert one_cpu[0] == stdout[0] == 0 and one_cpu[2] == stdout[2] == "" and to_file == (0, "", "")
+    assert output.read_bytes() == stdout[1].encode() == one_cpu[1].encode()
+    assert (",,1\n" if fmt == "csv" else '"pole_flag": 1') in one_cpu[1]
+    assert len(forks) == 2
+    _assert_no_children_left()
+
+
+def test_output_that_is_a_directory_exits_2_and_leaves_no_child(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    forks = _counting_forks(monkeypatch)
+    code, out, err = run(capsys, *_BIG, "--output", str(tmp_path))
+    assert (code, out, len(forks)) == (2, "", 1) and err.startswith("error: ")
+    _assert_no_children_left()
+
+
+class _PipeClosedAfter(io.StringIO):
+    """A stdout whose reader goes away after ``writes`` writes."""
+
+    def __init__(self, writes):
+        super().__init__()
+        self.writes = writes
+
+    def write(self, text):
+        if not self.writes:
+            raise BrokenPipeError(32, "Broken pipe")
+        self.writes -= 1
+        return super().write(text)
+
+
+def test_stdout_closed_between_blocks_exits_141_and_leaves_no_child(monkeypatch, capsys):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    forks = _counting_forks(monkeypatch)
+    stdout = _PipeClosedAfter(2)  # the header and the first block go through
+    monkeypatch.setattr(sys, "stdout", stdout)
+    code = main(_BIG)
+    assert (code, capsys.readouterr().err, len(forks)) == (141, "", 1)
+    written = stdout.getvalue()
+    assert written.startswith("theta,re_u,im_u,pole_flag\n-1,") and written.count("\n") == 20_000
+    _assert_no_children_left()
+
+
+def test_parent_peak_memory_of_a_big_export_is_about_twice_the_file(tmp_path, monkeypatch):
+    # the parent holds its block as one string and one UTF-8 copy, then every
+    # block as bytes, and never the whole table as one string: its traced peak
+    # is 2.06 times the file; a whole-table string, and its encoding, made it 3.01
+    coeffs = dict(s=2.0, mu=1.0, alpha=3.0, beta=2.0)
+    v = locked_rational_velocity(PhysicalParams(v=0.0, **coeffs))
+    output = tmp_path / "rational.json"
+    argv = ["evaluate", "--family", "rational-plus", "--x-min=-3", "--x-max", "3",
+            "--x-steps", "100000", "--s", "2", "--mu", "1", "--alpha", "3", "--beta", "2",
+            "--v", repr(v), "--k0", "1", "--format", "json", "--output", str(output)]
+    assert main([*argv[:7], "3", *argv[8:]]) == 0  # a 3-point run: the imports are done
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    forks = _counting_forks(monkeypatch)
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, len(forks)) == (0, 1)
+    assert peak < 2.3 * output.stat().st_size
+    _assert_no_children_left()
 
 
 # ---------------------------------------------------------------------------
