@@ -23,9 +23,9 @@ repeat in every following block, 4 * p < n, p divides n) once per element of
 the block, and a value column that holds one bit pattern on every non-pole
 row (im_u of a real profile) once.  Every other cell goes through one
 %-format.  The choice is made from the table itself and never changes the
-bytes written.  A table with at least 2 * 2**15 cells left to format, in a
+bytes written.  A table with at least 2 * 2**14 cells left to format, in a
 process allowed on two or more CPUs, is filled in contiguous row blocks: one
-block per CPU and at most one per 2**15 cells, the first formatted by the
+block per CPU and at most one per 2**14 cells, the first formatted by the
 process itself and each other by a forked child that sends its UTF-8 back
 through a pipe (_fill).  Every row template takes the same number of cells,
 so the blocks joined by the row separator are the one-call text; a block
@@ -176,7 +176,15 @@ def _render(names: list[str], columns: list[np.ndarray], pole: np.ndarray,
     return table
 
 
-_CELLS_PER_PROCESS = 2**15  # a table needs this many cells per process to format in parallel
+# A table needs this many cells per process to format in parallel.  Measured
+# on a 2-CPU Xeon: the %-fill costs 0.6-0.9 us a cell and one forked block
+# (fork, child start, pipe, reap) 2.4-3.6 ms, so a child's half pays from
+# about 8,000 cells; _render timed whole, with the copy-on-write faults the
+# fork costs both processes, breaks even at about 16,000.  At twice that,
+# 2 * 2**14 cells, two blocks take 18-20 ms against 22-27 ms for one.  This
+# assumes the second CPU runs beside the first: where a shared host
+# time-slices both on one core, a fork loses at any size.
+_CELLS_PER_PROCESS = 2**14
 
 
 def _fill_block(rows: list[str], cells: list, width: int, sep: str, a: int, b: int) -> bytes:
@@ -225,12 +233,13 @@ def _fill(rows: list[str], cells: list, width: int, sep: str) -> list[bytes]:
     Every row template takes ``width`` cells (a pole row's "%.0s" takes its
     NaN), so block [a, b) is rows[a:b] filled with cells[a*width:b*width],
     and the blocks joined by ``sep`` are the one-call text by construction.
-    A table of fewer than 2 * _CELLS_PER_PROCESS cells, a single CPU, or a
-    platform without os.fork or os.sched_getaffinity is one block, from one
-    call.  Otherwise the parent forks one child per block after the first,
-    formats the first block, reads each child's block from its pipe to EOF,
-    as bytes, and reaps every child.  A block whose child could not start or
-    exited nonzero is formatted by the parent.
+    A table of fewer than 2 * _CELLS_PER_PROCESS = 32,768 cells (every
+    figure table but the 51 x 401 phase sweep of figures 5 and 6), a single
+    CPU, or a platform without os.fork or os.sched_getaffinity is one block,
+    from one call.  Otherwise the parent forks one child per block after the
+    first, formats the first block, reads each child's block from its pipe to
+    EOF, as bytes, and reaps every child.  A block whose child could not
+    start or exited nonzero is formatted by the parent.
     """
     workers = 1
     if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):

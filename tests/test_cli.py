@@ -2,6 +2,7 @@
 
 import csv
 import functools
+import hashlib
 import io
 import json
 import math
@@ -13,6 +14,7 @@ import sys
 import tracemalloc
 import warnings
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -579,9 +581,25 @@ def test_fill_in_row_blocks_matches_per_cell_formatting_property(table, cpus):
     _assert_no_children_left()
 
 
+# cells the fill formats per row: the sweep's theta text and its two values, x
+# and re_u of the physical table (t is one run, im_u one bit pattern), and all
+# three columns of the non-finite one
+_CELLS_PER_ROW = {"sweep": 3, "non-finite": 3, "physical": 2, "boundary": 2}
+
+
 @functools.lru_cache(maxsize=None)
 def _big_table(case):
-    """(names, columns, pole, JSON, CSV) of a table with more than 3 * 2**15 formatted cells."""
+    """(names, columns, pole, JSON, CSV) of a table of 40,000 rows, or of the boundary table.
+
+    The 40,000 rows are 80,000 or 120,000 formatted cells (_CELLS_PER_ROW).
+    "boundary" is the first _CELLS_PER_PROCESS rows of the physical table:
+    exactly 2 * _CELLS_PER_PROCESS cells, the smallest table filled in blocks.
+    """
+    if case == "boundary":
+        names, columns, pole, _, _ = _big_table("physical")
+        n = cli._CELLS_PER_PROCESS
+        columns, pole = [c[:n] for c in columns], pole[:n]
+        return (names, columns, pole, *_reference(names, columns, pole))
     rng = np.random.default_rng(7)
     n = 40_000
     values = np.empty(n, complex)
@@ -608,17 +626,20 @@ def _big_table(case):
     return (names, columns, pole, *_reference(names, columns, pole))
 
 
-@pytest.mark.parametrize("case, cpus, children", [
-    ("sweep", 2, 1), ("sweep", 3, 2), ("non-finite", 2, 1), ("non-finite", 3, 2),
-    ("physical", 3, 1),  # x and re_u only: 80,000 cells make 2 blocks at most
+@pytest.mark.parametrize("case, cpus", [
+    ("sweep", 2), ("sweep", 3), ("non-finite", 2), ("non-finite", 3),
+    ("physical", 5),  # 80,000 cells: the cell count, not the CPU count, caps the blocks
+    ("boundary", 2),  # exactly 2 * _CELLS_PER_PROCESS cells
 ])
-def test_big_table_formats_in_blocks_on_every_cpu(case, cpus, children, monkeypatch):
+def test_big_table_formats_in_blocks_on_every_cpu(case, cpus, monkeypatch):
     names, columns, pole, reference_json, reference_csv = _big_table(case)
+    blocks = min(cpus, len(pole) * _CELLS_PER_ROW[case] // cli._CELLS_PER_PROCESS)
+    assert blocks >= 2
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     forks = _counting_forks(monkeypatch)
-    assert _table(names, columns, pole, "json", children + 1) == reference_json.encode()
-    assert _table(names, columns, pole, "csv", children + 1) == reference_csv.encode()
-    assert len(forks) == 2 * children
+    assert _table(names, columns, pole, "json", blocks) == reference_json.encode()
+    assert _table(names, columns, pole, "csv", blocks) == reference_csv.encode()
+    assert len(forks) == 2 * (blocks - 1)
     _assert_no_children_left()
 
 
@@ -690,14 +711,38 @@ def test_no_fork_below_the_cutoff_or_on_one_cpu(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(os, "fork", no_fork)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
-    # the largest table of the figures: the 51 x 401 sweep, 61,353 cells (theta tiled)
-    _figure_files(5, tmp_path, capsys)
+    # every figure table but the phase sweep: at most 2,403 cells (figures 1-4)
+    # and 1,202 (each curve of figure 7)
+    for number in (1, 2, 3, 4, 7):
+        _figure_files(number, tmp_path, capsys)
     names, columns, pole, _, reference_csv = _big_table("sweep")
     n = (2 * cli._CELLS_PER_PROCESS - 1) // 3  # one cell short of two blocks: 3 cells a row
     _, reference_short = _reference(names, [c[:n] for c in columns], pole[:n])
     assert _table(names, [c[:n] for c in columns], pole[:n], "csv", 1) == reference_short.encode()
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     assert _table(names, columns, pole, "csv", 1) == reference_csv.encode()
+
+
+_FIGURE_SHA256 = json.loads((Path(__file__).parent / "data" / "figure_sha256.json").read_text())
+
+
+@pytest.mark.parametrize("failure", ["none", "raises", "killed", "cannot-fork"])
+@pytest.mark.parametrize("number", [5, 6])
+def test_phase_sweep_figure_forks_once_on_two_cpus_and_writes_the_pinned_bytes(
+        number, failure, tmp_path, monkeypatch, capsys):
+    # the 51 x 401 sweep is 61,353 cells: two blocks on 2 CPUs, one on one CPU;
+    # a child that fails, or cannot start, costs only time
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    code, _, err = run(capsys, "figure", str(number), "--outdir", str(tmp_path / "one-cpu"))
+    assert (code, err) == (0, "")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    forks = _failing_children(failure, monkeypatch)
+    code, _, err = run(capsys, "figure", str(number), "--outdir", str(tmp_path / "two-cpus"))
+    assert (code, err, len(forks)) == (0, "", 1)
+    [one_cpu], [two_cpus] = (list((tmp_path / d).iterdir()) for d in ("one-cpu", "two-cpus"))
+    assert one_cpu.name == two_cpus.name and one_cpu.read_bytes() == two_cpus.read_bytes()
+    assert hashlib.sha256(two_cpus.read_bytes()).hexdigest() == _FIGURE_SHA256[two_cpus.name]
+    _assert_no_children_left()
 
 
 # through the pole at theta = 0; theta and re_u are 80,002 cells, so 2 blocks on 2 CPUs
