@@ -39,6 +39,10 @@ string and as bytes, and the other blocks as bytes: about twice the size of
 the output.  figure renders all of its files before it writes the first
 one, so a malformed manifest leaves no file behind.
 
+errors, factorizer and params (math and cmath only) are imported at the top,
+numpy, solutions and verify by each function that uses them: factorize and
+--help load none of the three, evaluate, sweep and figure numpy and solutions.
+
 Exit codes: 0 success, 1 verification failure, 2 usage or domain error, 141 when
 the reader closes stdout early (128 + SIGPIPE; nothing is printed).
 Output is deterministic: fixed grids, no timestamps, floats printed with 17
@@ -59,32 +63,14 @@ from importlib import resources
 from pathlib import Path
 from typing import Sequence
 
-import numpy as np
-
 from .errors import ParameterDomainError, PoleError, UnsupportedDomainError
 from .factorizer import Sign, factorize_compound, factorize_kdvb, verify_factorization
 from .params import PhysicalParams, ReducedParams
-from .solutions import (
-    _COMPOUND_FAMILIES,
-    _KDVB_FAMILIES,
-    Family,
-    PhaseSweep,
-    WaveSolution,
-    compound_solution,
-    compound_solution_from_physical,
-    evaluate_grid,
-    kdvb_solution_from_physical,
-    rational_solution,
-    rational_solution_from_physical,
-    reduce_kdvb_phase,
-    sweep_rows,
-    universal_solution,
-)
-from .verify import SCOPES, verification_suite
 
 
 def _run_starts(column: np.ndarray) -> np.ndarray:
     """Index of the first row of each run of one bit pattern in ``column``."""
+    import numpy as np
     bits = column.view(np.uint64)
     return np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
 
@@ -97,6 +83,7 @@ def _tile(column: np.ndarray) -> int:
     first.  A column without a repeat of row 0 (a linspace) stops at the
     first test.
     """
+    import numpy as np
     bits = column.view(np.uint64)
     n = bits.size
     hit = np.flatnonzero(bits[1:] == bits[0])
@@ -120,6 +107,7 @@ def _render(names: list[str], columns: list[np.ndarray], pole: np.ndarray,
     on every non-pole row (written into the templates).  The other cells go
     through one %-format; "%.0s" swallows the NaN values of pole rows.
     """
+    import numpy as np
     n, m = len(pole), len(names)
     keys = [*names, "re_u", "im_u", "pole_flag"]
     if fmt == "json":
@@ -281,6 +269,7 @@ def _emit(table: list[bytes], output: str | Path | None) -> None:
 
 
 def _grid(lo: float, hi: float, steps: int | None, name: str) -> np.ndarray:
+    import numpy as np
     if steps is None or steps < 1:
         raise ParameterDomainError(f"--{name}-steps must request at least one grid point")
     if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -294,12 +283,15 @@ def _grid(lo: float, hi: float, steps: int | None, name: str) -> np.ndarray:
 def _profile(names: list[str], coords: list[np.ndarray], sol: WaveSolution,
              t: float | None, fmt: str) -> list[bytes]:
     """Evaluate ``sol`` on coords[0] (theta, or x at time t) and render the table."""
+    from .solutions import evaluate_grid
     values, pole = evaluate_grid(sol, coords[0], t)
     return _render(names, [*coords, values.real, values.imag], pole, fmt)
 
 
 def _sweep(fam: Family, a_values: np.ndarray, theta_grid: np.ndarray, fmt: str) -> list[bytes]:
     """Evaluate the phase sweep of ``fam`` over (a, theta) and render the table."""
+    import numpy as np
+    from .solutions import sweep_rows
     values, pole = sweep_rows(fam, a_values, theta_grid)
     a, theta = np.meshgrid(a_values, theta_grid, indexing="ij")
     columns = [a.ravel(), theta.ravel(), values.real.ravel(), values.imag.ravel()]
@@ -310,11 +302,17 @@ def _sweep(fam: Family, a_values: np.ndarray, theta_grid: np.ndarray, fmt: str) 
 # factorize
 
 
+def _linspace(lo: float, hi: float, n: int) -> list[float]:
+    """np.linspace(lo, hi, n).tolist() for n >= 2, bit for bit, without numpy."""
+    step = (hi - lo) / (n - 1)
+    return [lo + i * step for i in range(n - 1)] + [hi]
+
+
 def cmd_factorize(args: argparse.Namespace) -> int:
     sign = Sign(args.sign)
     if args.eq == "kdvb":
         fact = factorize_kdvb(args.delta, sign)
-        samples: list[complex] = np.linspace(0.05, 9.95, 64).tolist()
+        samples: list[complex] = _linspace(0.05, 9.95, 64)
         report: dict[str, object] = {
             "equation": "kdvb",
             "sign": sign.value,
@@ -330,8 +328,8 @@ def cmd_factorize(args: argparse.Namespace) -> int:
         fact = factorize_compound(ReducedParams(p=args.p, q=args.q), sign)
         samples = [
             complex(a, b)
-            for a in np.linspace(-3.0, 3.0, 8)
-            for b in np.linspace(-3.0, 3.0, 8)
+            for a in _linspace(-3.0, 3.0, 8)
+            for b in _linspace(-3.0, 3.0, 8)
             if abs(complex(a, b)) > 1e-3
         ]
         report = {
@@ -367,12 +365,15 @@ def cmd_factorize(args: argparse.Namespace) -> int:
 
 def _phase(fam: Family, a: float) -> complex:
     """theta0 = i*a*pi, with a reduced by its period 10 for the KdVB families."""
+    from .solutions import _KDVB_FAMILIES, reduce_kdvb_phase
     if fam in _KDVB_FAMILIES:
         a = float(reduce_kdvb_phase(a))
     return complex(0.0, a * math.pi)
 
 
 def _reduced_solution(args: argparse.Namespace, fam: Family) -> WaveSolution:
+    from .solutions import (_COMPOUND_FAMILIES, _KDVB_FAMILIES, compound_solution,
+                            rational_solution, universal_solution)
     theta0 = _phase(fam, args.phase_a)
     if fam in _KDVB_FAMILIES:
         return universal_solution(fam, theta0=theta0)
@@ -398,6 +399,8 @@ def _physical_coefficients(args: argparse.Namespace) -> PhysicalParams:
 def _physical_solution(
     fam: Family, params: PhysicalParams, k0: float = 0.0, sign: Sign = Sign.PLUS
 ) -> WaveSolution:
+    from .solutions import (_COMPOUND_FAMILIES, _KDVB_FAMILIES, compound_solution_from_physical,
+                            kdvb_solution_from_physical, rational_solution_from_physical)
     if fam in _KDVB_FAMILIES:
         return kdvb_solution_from_physical(fam, params)
     if fam in _COMPOUND_FAMILIES:
@@ -406,6 +409,8 @@ def _physical_solution(
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    import numpy as np
+    from .solutions import Family
     fam = Family(args.family)
     has_theta = any(v is not None for v in (args.theta_min, args.theta_max, args.theta_steps))
     has_x = any(v is not None for v in (args.x_min, args.x_max, args.x_steps))
@@ -435,6 +440,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    from .solutions import _KDVB_FAMILIES, Family, PhaseSweep
     fam = Family(args.family)
     if fam not in _KDVB_FAMILIES:
         raise ParameterDomainError("the phase sweep is defined for the kdvb families")
@@ -453,6 +459,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .verify import verification_suite
     result = verification_suite(scope=args.scope, tolerance=args.tolerance, perturb=args.perturb)
     width = max(len(c.name) for c in result.checks) if result.checks else 0
     for c in result.checks:
@@ -507,6 +514,8 @@ def _field(entry: object, key: str, kind: type, default: object = None):
 
 def cmd_figure(args: argparse.Namespace) -> int:
     """Render every output of the figure, then write them: a bad manifest writes no file."""
+    import numpy as np
+    from .solutions import Family, PhaseSweep, universal_solution
     manifest = _load_manifest(args.manifest)
     key = str(args.figure)
     if key not in manifest:
@@ -567,6 +576,7 @@ def _factorize_arguments(f: argparse.ArgumentParser) -> None:
 
 
 def _evaluate_arguments(e: argparse.ArgumentParser) -> None:
+    from .solutions import Family
     e.add_argument("--family", choices=[fam.value for fam in Family], required=True)
     e.add_argument("--theta-min", type=float, default=None)
     e.add_argument("--theta-max", type=float, default=None)
@@ -594,6 +604,7 @@ def _evaluate_arguments(e: argparse.ArgumentParser) -> None:
 
 
 def _sweep_arguments(s: argparse.ArgumentParser) -> None:
+    from .solutions import _KDVB_FAMILIES
     s.add_argument("--family", choices=[fam.value for fam in _KDVB_FAMILIES],
                    default="kdvb-regular")
     s.add_argument("--a-min", type=float, required=True)
@@ -608,6 +619,7 @@ def _sweep_arguments(s: argparse.ArgumentParser) -> None:
 
 
 def _verify_arguments(v: argparse.ArgumentParser) -> None:
+    from .verify import SCOPES
     v.add_argument("--scope", choices=SCOPES, default="all")
     v.add_argument("--tolerance", type=float, default=None,
                    help="override every check threshold at once")

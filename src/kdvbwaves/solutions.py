@@ -364,7 +364,10 @@ def _compound_b(sol: WaveSolution) -> float:
 def _compound_kernel(sol: WaveSolution, zeta: np.ndarray, rate: float):
     # at Delta = 0 the argument is 0 everywhere and the value the paired constant
     root = sol.Delta
-    z = root * zeta / 6.0
+    # |Im z| is bounded (_require_resolvable_phase), so only Re z can overflow, to +-inf,
+    # and / 6.0 then makes Im z NaN: tanh(+-inf + NaN i) = +-1, the kink's asymptote
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = root * zeta / 6.0
     pole = _hyperbolic_poles(z, 0.5, POLE_TOL * max(1.0, root * rate / 6.0))
     T = np.tanh(np.where(pole, 0.0, z))
     return -1.0 / (3.0 * sol.reduced.q) + _compound_b(sol) * (1.0 + root * T), pole, T
@@ -385,10 +388,12 @@ def _rational_kernel(sol: WaveSolution, zeta: np.ndarray, rate: float):
     k0 = sol.k0 or 0.0
     # absolute in theta whatever the coordinate
     pole = np.abs(zeta - (-A / k0)) < POLE_TOL if k0 else np.zeros(zeta.shape, bool)
-    with np.errstate(over="ignore"):  # |g| = inf far out, where the value is const
-        g = A + k0 * np.where(pole, 0.0, zeta)
     const = -(A + 1.0) / (6.0 * A * A)  # added, not subtracted: Im stays +0 at k0 = 0
-    return -(k0 / A) / g + const, pole, g
+    # |g| = inf far out, where the value is const; (k0/A)/g overflows only on a pole
+    # cell's stand-in g = A (off the poles |g| is about |k0| * POLE_TOL or more): a NaN cell
+    with np.errstate(over="ignore"):
+        g = A + k0 * np.where(pole, 0.0, zeta)
+        return -(k0 / A) / g + const, pole, g
 
 
 def _rational_slopes(sol: WaveSolution, g: np.ndarray):

@@ -348,6 +348,25 @@ def test_compound_phase_beyond_pole_resolution_exits_2(family, capsys):
     assert code == 0 and out.count("\n") == 4
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv, rows", [
+    # Delta * zeta overflows to -inf in Re z, and the division by 6 makes Im z NaN:
+    # tanh(-inf + NaN i) = -1, so the far left row is the kink's asymptote -0.5
+    (["--family", "compound-tanh-plus", "--p", "0.5", "--q", "2", "--theta-min=-1e308",
+      "--theta-max", "1e154", "--theta-steps", "3"],
+     ["-1e+308,-0.5,0,0", "-5.0000000000000001e+307,-0.5,0,0", "1e+154,0.5,0,0"]),
+    # the pole row's stand-in value -(k0/A)/A overflows before the row is flagged
+    (["--family", "rational-plus", "--q", "1", "--k0=-1e308", "--theta-min=1e-310",
+      "--theta-max=-2.5", "--theta-steps", "2"],
+     ["9.9999999999999694e-311,,,1", "-2.5,-0.56903559372884904,0,0"]),
+], ids=["compound-kink-far-tail", "rational-pole-stand-in"])
+def test_overflow_inside_the_kernel_writes_the_right_rows_without_a_warning(argv, rows, capsys):
+    # both wrote these rows and exited 0, after numpy RuntimeWarnings on stderr
+    code, out, err = run(capsys, "evaluate", *argv)
+    assert (code, err) == (0, "")
+    assert out.splitlines() == ["theta,re_u,im_u,pole_flag", *rows]
+
+
 def _reference(names, columns, pole):
     """(JSON, CSV) of a table, cell by cell: json.dumps of the row dicts, format(v, ".17g")."""
     rows = []
@@ -769,6 +788,23 @@ def test_output_file_stdout_and_one_cpu_write_the_same_bytes(fmt, failure, tmp_p
     _assert_no_children_left()
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_stdout_bytes_of_a_table_in_blocks_are_the_output_file_bytes(fmt, tmp_path):
+    # in a fresh interpreter, where sys.stdout is a real text stream over a pipe:
+    # the decoded blocks re-encode to the file's bytes.  Two CPUs and _BIG's 80,002
+    # cells make two blocks, the second from a forked child
+    script = ("import os, sys; os.sched_getaffinity = lambda pid: {0, 1}; "
+              "from kdvbwaves.cli import main; sys.exit(main(sys.argv[1:]))")
+    argv = [sys.executable, "-c", script, *_BIG, "--format", fmt]
+    output = tmp_path / f"table.{fmt}"
+    to_file = subprocess.run([*argv, "--output", str(output)], capture_output=True, timeout=60)
+    stdout = subprocess.run(argv, capture_output=True, timeout=60)
+    assert (to_file.returncode, to_file.stdout, to_file.stderr) == (0, b"", b"")
+    assert (stdout.returncode, stdout.stderr) == (0, b"")
+    assert stdout.stdout == output.read_bytes()
+    assert stdout.stdout.count(b"\n") == (40_002 if fmt == "csv" else 6 * 40_001 + 2)
+
+
 def test_output_that_is_a_directory_exits_2_and_leaves_no_child(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     forks = _counting_forks(monkeypatch)
@@ -1096,6 +1132,21 @@ def test_pipe_closed_before_the_first_write_ends_quietly():
             [sys.executable, "-m", "kdvbwaves.cli", "verify", "--scope", "kdvb-regular"],
             stdout=write, stderr=subprocess.PIPE, text=True, timeout=60,
         )
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (141, "")
+
+
+@pytest.mark.parametrize("argv", [["evaluate", "--family", "kdvb-regular", *_THETA], _BIG],
+                         ids=["flushed-at-exit", "written-in-blocks"])
+def test_table_bytes_to_a_closed_pipe_end_quietly(argv):
+    # the closed pipe shows at the final flush of a small table (3 rows) or at
+    # the first block of a big one that overflows sys.stdout's buffer
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "kdvbwaves.cli", *argv],
+                              stdout=write, stderr=subprocess.PIPE, text=True, timeout=60)
     finally:
         os.close(write)
     assert (proc.returncode, proc.stderr) == (141, "")

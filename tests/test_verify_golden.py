@@ -26,7 +26,7 @@ from pathlib import Path
 
 import pytest
 
-from kdvbwaves import cli
+from kdvbwaves import cli, verify
 from kdvbwaves.verify import SCOPES
 
 FIXTURE = Path(__file__).parent / "data" / "verify_golden.json"
@@ -48,18 +48,19 @@ AUDIT_TOL = {
 
 def transcript(scope: str, extra: list[str]) -> dict:
     """Exit code, CHECK and AUDIT records of ``kdvbwaves verify --scope scope *extra``."""
-    results, saved = [], cli.verification_suite
+    # cmd_verify imports verification_suite from the verify module when it runs
+    results, saved = [], verify.verification_suite
 
     def recording_suite(**kwargs):
         results.append(saved(**kwargs))
         return results[-1]
 
-    cli.verification_suite = recording_suite
+    verify.verification_suite = recording_suite
     try:
         with contextlib.redirect_stdout(io.StringIO()):
             code = cli.main(["verify", "--scope", scope, *extra])
     finally:
-        cli.verification_suite = saved
+        verify.verification_suite = saved
     (result,) = results
     return {
         "exit": code,
