@@ -23,7 +23,7 @@ from .params import (
 # public name -> its module, for the two modules that import numpy: __getattr__
 # imports the module on the name's first use (PEP 562), so factorization alone loads neither
 _LAZY = dict.fromkeys((
-    "Family", "PhaseSweep", "WaveSolution", "compound_discriminant_root", "compound_solution",
+    "Family", "WaveSolution", "compound_discriminant_root", "compound_solution",
     "compound_solution_from_physical", "constant_solution", "eval_solution",
     "eval_solution_physical", "evaluate_grid", "kdvb_solution_from_physical",
     "locked_rational_velocity", "physical_jet", "rational_solution",
@@ -50,7 +50,6 @@ __all__ = [
     "EquationTag",
     "Family",
     "ParameterDomainError",
-    "PhaseSweep",
     "PhysicalParams",
     "PoleError",
     "ReducedParams",

@@ -15,15 +15,18 @@ Subcommands:
 
 evaluate, sweep and figure build a WaveSolution with the constructors of
 the solutions module, evaluate it on the whole grid in one evaluate_grid
-call, and write the table through one column writer (_render).  The writer
-formats a repeated value once: a coordinate column made of few runs of one
-bit pattern (the physical t column, the sweep's a column) once per run, a
-tiled coordinate column (the sweep's theta column: its first p bit patterns
-repeat in every following block, 4 * p < n, p divides n) once per element of
-the block, and a value column that holds one bit pattern on every non-pole
-row (im_u of a real profile) once.  Every other cell goes through one
-%-format.  The choice is made from the table itself and never changes the
-bytes written.  A table with at least 2 * 2**14 cells left to format, in a
+call, and write the table through one column writer (_render).  The caller
+hands the writer the grid's shape: re_u, im_u and the pole mask at the
+table's shape, whose cells in C order are the rows, and each coordinate at a
+shape that broadcasts to it (the physical t a scalar, the sweep's a an (m, 1)
+column against its (k,) theta).  The rows along the last axis form a group:
+a whole profile, or one a of a sweep.  A coordinate constant along that axis
+(t, a) is formatted once per group, into the group's row templates; one that
+varies along it in a table of several groups (the sweep's theta) once per
+element of a group; and a value column that holds one bit pattern on every
+non-pole row (im_u of a real profile) once.  Every other cell goes through
+one %-format.  The choice is made from the shapes alone and never changes
+the bytes written.  A table with at least 2 * 2**14 cells left to format, in a
 process allowed on two or more CPUs, is filled in contiguous row blocks: one
 block per CPU and at most one per 2**14 cells, the first formatted by the
 process itself and each other by a forked child that sends its UTF-8 back
@@ -68,54 +71,33 @@ from .factorizer import Sign, factorize_compound, factorize_kdvb, verify_factori
 from .params import PhysicalParams, ReducedParams
 
 
-def _run_starts(column: np.ndarray) -> np.ndarray:
-    """Index of the first row of each run of one bit pattern in ``column``."""
-    import numpy as np
-    bits = column.view(np.uint64)
-    return np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
-
-
-def _tile(column: np.ndarray) -> int:
-    """Length p of the block that ``column`` repeats bit for bit, or 0.
-
-    p is the first row after row 0 with row 0's bit pattern; the column is
-    tiled when 4 * p < n, p divides n and every block of p rows equals the
-    first.  A column without a repeat of row 0 (a linspace) stops at the
-    first test.
-    """
-    import numpy as np
-    bits = column.view(np.uint64)
-    n = bits.size
-    hit = np.flatnonzero(bits[1:] == bits[0])
-    p = int(hit[0]) + 1 if hit.size else n
-    if 4 * p >= n or n % p or not (bits.reshape(-1, p) == bits[:p]).all():
-        return 0
-    return p
-
-
-def _render(names: list[str], columns: list[np.ndarray], pole: np.ndarray,
-            fmt: str) -> list[bytes]:
+def _render(names: list[str], columns: list, pole: np.ndarray, fmt: str) -> list[bytes]:
     """CSV or JSON table of ``columns`` (coordinates ``names``, re_u, im_u) plus pole_flag.
 
-    Returned as UTF-8 blocks [head, block, sep, block, ..., tail] (see _fill)
-    that joined are byte for byte format(value, ".17g") per CSV cell, or
-    json.dumps(rows, indent=2).
-    A repeated value is formatted once: a coordinate column with fewer runs of
-    one bit pattern than a quarter of the rows (written into the row templates,
-    one template pair per run), a tiled coordinate column (see _tile; its p
-    strings go in as %s cells), and a value column that holds one bit pattern
-    on every non-pole row (written into the templates).  The other cells go
-    through one %-format; "%.0s" swallows the NaN values of pole rows.
+    The rows are the cells of ``pole`` in C order.  re_u and im_u have its
+    shape, each coordinate broadcasts to it, and the rows along its last axis
+    form a group.  Returned as UTF-8 blocks [head, block, sep, block, ..., tail]
+    (see _fill) that joined are byte for byte format(value, ".17g") per CSV
+    cell, or json.dumps(rows, indent=2).
+    A coordinate constant along the last axis is written into each group's
+    row templates, one that varies along it in a table of several groups is
+    formatted once per element (its strings go in as %s cells), and a value
+    column that holds one bit pattern on every non-pole row is written into
+    the templates.  The other cells go through one %-format; "%.0s" swallows
+    the NaN values of pole rows.
     """
     import numpy as np
-    n, m = len(pole), len(names)
+    m, width = len(names), pole.shape[-1]
+    groups = pole.size // width
     keys = [*names, "re_u", "im_u", "pole_flag"]
     if fmt == "json":
         text, value, empty, null = json.dumps, "%s", "null%.0s", "null"
     else:
         text, value, empty, null = (lambda v: format(v, ".17g")), "%.17g", "%.0s", ""
-    runs = {j: s for j, s in enumerate(map(_run_starts, columns[:m])) if 4 * s.size < n}
-    tiles = {j: p for j in range(m) if j not in runs and (p := _tile(columns[j]))}
+    fixed = {j: np.broadcast_to(c, pole.shape[:-1] + (1,)).reshape(-1).tolist()
+             for j, c in enumerate(columns[:m]) if np.shape(c)[-1:] in ((), (1,))}
+    repeated = {j for j in range(m)
+                if j not in fixed and groups > 1 and np.size(columns[j]) == width}
     constant: dict[int, str] = {}
     for j in (m, m + 1):
         rest = columns[j][~pole]
@@ -128,29 +110,28 @@ def _render(names: list[str], columns: list[np.ndarray], pole: np.ndarray,
             return "  {" + ",".join(f'\n    "{k}": {c}' for k, c in zip(keys, cells)) + "\n  }"
         return ",".join(cells)
 
-    starts = np.unique(np.concatenate([[0], *runs.values()])).tolist()
+    ok = [constant.get(j, value) for j in (m, m + 1)]
+    flagged = [null if j in constant else empty for j in (m, m + 1)]
     rows: list[str] = []
     bad: list[str] = []
-    for b, e in zip(starts, [*starts[1:], n]):
-        coords = [text(float(columns[j][b])) if j in runs else "%s" if j in tiles else value
+    for g in range(groups):
+        coords = [text(fixed[j][g]) if j in fixed else "%s" if j in repeated else value
                   for j in range(m)]
-        ok = [constant.get(j, value) for j in (m, m + 1)]
-        flagged = [null if j in constant else empty for j in (m, m + 1)]
-        rows += [template([*coords, *ok, "0"])] * (e - b)
+        rows += [template([*coords, *ok, "0"])] * width
         bad.append(template([*coords, *flagged, "1"]))
-    i = np.flatnonzero(pole)
-    for r, k in zip(i.tolist(), (np.searchsorted(starts, i, "right") - 1).tolist()):
-        rows[r] = bad[k]
+    for r in np.flatnonzero(pole).tolist():
+        rows[r] = bad[r // width]
 
-    formatted = [j for j in range(m + 2) if j not in runs and j not in constant]
-    cells: list = [None] * (n * len(formatted))
+    formatted = [j for j in range(m + 2) if j not in fixed and j not in constant]
+    cells: list = [None] * (pole.size * len(formatted))
     for k, j in enumerate(formatted):
-        if j in tiles:
-            part = [text(v) for v in columns[j][:tiles[j]].tolist()] * (n // tiles[j])
+        if j in repeated:
+            part = [text(v) for v in np.reshape(columns[j], -1).tolist()] * groups
         else:
-            part = columns[j].tolist()
+            column = np.broadcast_to(columns[j], pole.shape).reshape(-1)
+            part = column.tolist()
             if fmt == "json":
-                for r in np.flatnonzero(~np.isfinite(columns[j])).tolist():
+                for r in np.flatnonzero(~np.isfinite(column)).tolist():
                     part[r] = json.dumps(part[r])  # NaN and Infinity as json spells them
         cells[k::len(formatted)] = part
     if fmt == "json":
@@ -280,22 +261,34 @@ def _grid(lo: float, hi: float, steps: int | None, name: str) -> np.ndarray:
     return np.linspace(lo, hi, steps)
 
 
-def _profile(names: list[str], coords: list[np.ndarray], sol: WaveSolution,
-             t: float | None, fmt: str) -> list[bytes]:
-    """Evaluate ``sol`` on coords[0] (theta, or x at time t) and render the table."""
+def _profile(sol: WaveSolution, grid: np.ndarray, t: float | None, fmt: str) -> list[bytes]:
+    """Evaluate ``sol`` on ``grid`` (theta, or x at time t) and render the table."""
     from .solutions import evaluate_grid
-    values, pole = evaluate_grid(sol, coords[0], t)
+    values, pole = evaluate_grid(sol, grid, t)
+    names, coords = (["theta"], [grid]) if t is None else (["x", "t"], [grid, t])
     return _render(names, [*coords, values.real, values.imag], pole, fmt)
 
 
-def _sweep(fam: Family, a_values: np.ndarray, theta_grid: np.ndarray, fmt: str) -> list[bytes]:
-    """Evaluate the phase sweep of ``fam`` over (a, theta) and render the table."""
-    import numpy as np
-    from .solutions import sweep_rows
+def _sweep(fam: Family, a: tuple, theta: tuple, fmt: str) -> list[bytes]:
+    """Check the sweep, evaluate U(theta; i*a*pi) of ``fam`` over (a, theta) and render it.
+
+    ``a`` and ``theta`` are (min, max, steps) of each grid.  The phase sweep
+    is defined for the KdVB families, a grid of several a needs a_min < a_max
+    and a single a needs a_min == a_max.
+    """
+    from .solutions import _KDVB_FAMILIES, sweep_rows
+    if fam not in _KDVB_FAMILIES:
+        raise ParameterDomainError("the phase sweep is defined for the kdvb families")
+    a_min, a_max, _ = a
+    a_values = _grid(*a, "a")
+    if a_values.size > 1 and not a_min < a_max:
+        raise ParameterDomainError("phase sweep needs a_min < a_max")
+    if a_values.size == 1 and a_min != a_max:
+        raise ParameterDomainError("a single-row sweep needs --a-min == --a-max")
+    theta_grid = _grid(*theta, "theta")
     values, pole = sweep_rows(fam, a_values, theta_grid)
-    a, theta = np.meshgrid(a_values, theta_grid, indexing="ij")
-    columns = [a.ravel(), theta.ravel(), values.real.ravel(), values.imag.ravel()]
-    return _render(["a", "theta"], columns, pole.ravel(), fmt)
+    return _render(["a", "theta"], [a_values[:, None], theta_grid, values.real, values.imag],
+                   pole, fmt)
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +402,6 @@ def _physical_solution(
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    import numpy as np
     from .solutions import Family
     fam = Family(args.family)
     has_theta = any(v is not None for v in (args.theta_min, args.theta_max, args.theta_steps))
@@ -423,15 +415,13 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         if args.theta_min is None or args.theta_max is None:
             raise ParameterDomainError("reduced mode needs --theta-min and --theta-max")
         grid = _grid(args.theta_min, args.theta_max, args.theta_steps, "theta")
-        sol = _reduced_solution(args, fam)
-        _emit(_profile(["theta"], [grid], sol, None, args.format), args.output)
+        _emit(_profile(_reduced_solution(args, fam), grid, None, args.format), args.output)
     else:
         if args.x_min is None or args.x_max is None:
             raise ParameterDomainError("physical mode needs --x-min and --x-max")
         grid = _grid(args.x_min, args.x_max, args.x_steps, "x")
         sol = _physical_solution(fam, _physical_coefficients(args), args.k0, Sign(args.branch))
-        coords = [grid, np.full(grid.size, args.t)]
-        _emit(_profile(["x", "t"], coords, sol, args.t, args.format), args.output)
+        _emit(_profile(sol, grid, args.t, args.format), args.output)
     return 0
 
 
@@ -440,17 +430,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    from .solutions import _KDVB_FAMILIES, Family, PhaseSweep
-    fam = Family(args.family)
-    if fam not in _KDVB_FAMILIES:
-        raise ParameterDomainError("the phase sweep is defined for the kdvb families")
-    a_values = _grid(args.a_min, args.a_max, args.a_steps, "a")
-    if a_values.size > 1:
-        PhaseSweep(args.a_min, args.a_max, a_values.size)  # checks a_min < a_max
-    elif args.a_min != args.a_max:
-        raise ParameterDomainError("a single-row sweep needs --a-min == --a-max")
-    theta_grid = _grid(args.theta_min, args.theta_max, args.theta_steps, "theta")
-    _emit(_sweep(fam, a_values, theta_grid, args.format), args.output)
+    from .solutions import Family
+    a = (args.a_min, args.a_max, args.a_steps)
+    theta = (args.theta_min, args.theta_max, args.theta_steps)
+    _emit(_sweep(Family(args.family), a, theta, args.format), args.output)
     return 0
 
 
@@ -514,8 +497,7 @@ def _field(entry: object, key: str, kind: type, default: object = None):
 
 def cmd_figure(args: argparse.Namespace) -> int:
     """Render every output of the figure, then write them: a bad manifest writes no file."""
-    import numpy as np
-    from .solutions import Family, PhaseSweep, universal_solution
+    from .solutions import Family, universal_solution
     manifest = _load_manifest(args.manifest)
     key = str(args.figure)
     if key not in manifest:
@@ -528,29 +510,26 @@ def cmd_figure(args: argparse.Namespace) -> int:
     output = _field(entry, "output", str)
     tables: list[tuple[str, list[bytes]]] = []  # (file name, its blocks)
 
-    def grid(name: str) -> np.ndarray:
-        return _grid(_field(entry, f"{name}_min", float), _field(entry, f"{name}_max", float),
-                     _field(entry, f"{name}_steps", int), name)
+    def bounds(name: str) -> tuple[float, float, int]:
+        return (_field(entry, f"{name}_min", float), _field(entry, f"{name}_max", float),
+                _field(entry, f"{name}_steps", int))
 
     if _field(entry, "command", str) == "sweep":
-        sweep = PhaseSweep(_field(entry, "a_min", float), _field(entry, "a_max", float),
-                           _field(entry, "a_steps", int))
-        tables.append((output, _sweep(fam, sweep.a_values(), grid("theta"), "csv")))
+        tables.append((output, _sweep(fam, bounds("a"), bounds("theta"), "csv")))
     elif "curves" in entry:
         coeff = _field(entry, "coefficients", dict)
         s, mu, alpha, beta = (_field(coeff, name, float) for name in ("s", "mu", "alpha", "beta"))
         t = _field(entry, "t", float)
-        x = grid("x")
+        x = _grid(*bounds("x"), "x")
         for curve in _field(entry, "curves", list):
             params = PhysicalParams(s=s, mu=mu, alpha=alpha, beta=beta, v=_field(curve, "v", float),
                                     xi0=complex(_field(coeff, "xi0", float, 0.0)))
             name = output.replace("{label}", _field(curve, "label", str))
-            tables.append((name, _profile(["x", "t"], [x, np.full(x.size, t)],
-                                          _physical_solution(fam, params), t, "csv")))
+            tables.append((name, _profile(_physical_solution(fam, params), x, t, "csv")))
     else:
         phase_a = _field(entry, "phase_a", float)
         sol = universal_solution(fam, theta0=_phase(fam, phase_a))
-        tables.append((output, _profile(["theta"], [grid("theta")], sol, None, "csv")))
+        tables.append((output, _profile(sol, _grid(*bounds("theta"), "theta"), None, "csv")))
 
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -138,27 +138,6 @@ class WaveSolution:
     k0: float | None = None
 
 
-@dataclass(frozen=True)
-class PhaseSweep:
-    """Range of the imaginary-phase parameter a in theta0 = i*a*pi."""
-
-    a_min: float
-    a_max: float
-    steps: int
-
-    def __post_init__(self) -> None:
-        if self.steps < 2:
-            raise ParameterDomainError("phase sweep needs at least 2 steps")
-        if not self.a_min < self.a_max:
-            raise ParameterDomainError("phase sweep needs a_min < a_max")
-        if not math.isfinite(self.a_max - self.a_min):
-            raise ParameterDomainError(
-                "a_max - a_min overflows: the phase sweep needs a finite span")
-
-    def a_values(self) -> np.ndarray:
-        return np.linspace(self.a_min, self.a_max, self.steps)
-
-
 def compound_discriminant_root(p: float, q: float) -> float:
     """sqrt(18p + 6/q - 3), snapped to 0.0 when the square is float noise.
 

@@ -22,7 +22,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from kdvbwaves import (
     Family,
-    PhaseSweep,
     PhysicalParams,
     compound_solution_from_physical,
     eval_solution,
@@ -382,12 +381,14 @@ def _reference(names, columns, pole):
     return json.dumps(rows, indent=2) + "\n", "\n".join(lines) + "\n"
 
 
+def _flat(columns, pole):
+    """(columns, pole) of a shaped table as the writer's rows: broadcast to pole, in C order."""
+    return [np.broadcast_to(c, pole.shape).reshape(-1) for c in columns], pole.reshape(-1)
+
+
 def _profile_case(flags, sol, grid, t=None):
     values, pole = evaluate_grid(sol, grid, t)
-    if t is None:
-        names, coords = ["theta"], [grid]
-    else:
-        names, coords = ["x", "t"], [grid, np.full(grid.size, t)]
+    names, coords = (["theta"], [grid]) if t is None else (["x", "t"], [grid, t])
     return ["evaluate", *flags], names, [*coords, values.real, values.imag], pole
 
 
@@ -414,18 +415,16 @@ def _writer_case(case):
                  "--theta-steps", "1"]
         return _profile_case(flags, universal_solution(Family.KDVB_REGULAR), np.ones(1))
     if case == "sweep":
-        # three runs of a; (a, theta) = (-5, 0) is a pole of the regular kink
+        # three a against five theta; (a, theta) = (-5, 0) is a pole of the regular kink
         a, grid = np.linspace(-5.0, 0.0, 3), np.linspace(-1.0, 1.0, 5)
         values, pole = sweep_rows(Family.KDVB_REGULAR, a, grid)
         argv = ["sweep", "--a-min", "-5", "--a-max", "0", "--a-steps", "3", *theta]
-        a_col, theta_col = (c.ravel() for c in np.meshgrid(a, grid, indexing="ij"))
-        return argv, ["a", "theta"], [a_col, theta_col, values.real.ravel(),
-                                      values.imag.ravel()], pole.ravel()
+        return argv, ["a", "theta"], [a[:, None], grid, values.real, values.imag], pole
     coeffs = dict(s=2.0, mu=1.0, alpha=3.0, beta=2.0)
     params = PhysicalParams(v=locked_rational_velocity(PhysicalParams(v=0.0, **coeffs)), **coeffs)
     sol = rational_solution_from_physical(Family.RATIONAL_PLUS, params, 1.0)
     t = 0.25
-    # one t run; x = (s/mu)*theta_pole + v*t, theta_pole = -A/k0 with A = sqrt(q/2)
+    # t a scalar; x = (s/mu)*theta_pole + v*t, theta_pole = -A/k0 with A = sqrt(q/2)
     x_pole = 2.0 * -math.sqrt(sol.reduced.q / 2.0) + params.v * t
     lo, hi = x_pole - 0.5, x_pole + 0.5
     flags = ["--family", "rational-plus", "--x-min", repr(lo), "--x-max", repr(hi),
@@ -435,7 +434,7 @@ def _writer_case(case):
 
 
 def _table(names, columns, pole, fmt, blocks=None):
-    """The bytes of _render's table, after checking its shape: [head, block, sep, ..., tail].
+    """The bytes of _render's table, after checking its parts: [head, block, sep, ..., tail].
 
     ``blocks``, when given, is the number of row blocks the table must have.
     """
@@ -453,8 +452,8 @@ def test_writer_matches_json_dumps_and_17g_cells(case, capsys):
     middle = [False, False, True, False, False]
     expected = {"all-pole": [True] * 5, "one-row": [False], "complex-phase": [False] * 5,
                 "sweep": middle + [False] * 10}.get(case, middle)
-    assert pole.tolist() == expected
-    reference_json, reference_csv = _reference(names, columns, pole)
+    assert pole.reshape(-1).tolist() == expected
+    reference_json, reference_csv = _reference(names, *_flat(columns, pole))
     code, out, _ = run(capsys, *argv, "--format", "json")
     assert code == 0 and out == reference_json
     code, out, _ = run(capsys, *argv, "--format", "csv")
@@ -468,64 +467,63 @@ _POOL = [0.0, -0.0, 1.0, -2.5, 0.1, 1e-300, 5e-324, math.inf, -math.inf, math.na
 
 @st.composite
 def _tables(draw):
-    """A table with columns drawn from _POOL, so that runs, tiles and constant columns occur."""
+    """A profile (a vector, and maybe a scalar t) or an (m, 1) x (k,) sweep, cells from _POOL."""
     names = draw(st.sampled_from([["theta"], ["x", "t"], ["a", "theta"]]))
-    n = draw(st.integers(1, 48))
 
-    def column():
-        kind = draw(st.sampled_from(["constant", "runs", "tiles", "cells"]))
-        if kind == "constant":
-            return [draw(st.sampled_from(_POOL))] * n
-        if kind == "tiles":
-            # a drawn block repeated to length n; distinct bit patterns make the tile visible
-            width = draw(st.integers(1, min(n, len(_POOL))))
-            unique_by = (lambda v: struct.pack("<d", v)) if draw(st.booleans()) else None
-            block = draw(st.lists(st.sampled_from(_POOL), min_size=width, max_size=width,
-                                  unique_by=unique_by))
-            return (block * -(-n // width))[:n]
-        width = draw(st.integers(1, n)) if kind == "runs" else 1
-        count = -(-n // width)
-        cells = draw(st.lists(st.sampled_from(_POOL), min_size=count, max_size=count))
-        return [v for v in cells for _ in range(width)][:n]
+    def cells(shape):
+        # one drawn value throughout (a constant column), or a value per cell
+        if draw(st.booleans()):
+            return np.full(shape, draw(st.sampled_from(_POOL)))
+        count = math.prod(shape)
+        return np.reshape(draw(st.lists(st.sampled_from(_POOL), min_size=count,
+                                        max_size=count)), shape)
 
-    coords = [np.array(column()) for _ in names]
-    values = np.empty(n, complex)  # re_u, im_u are strided views, as evaluate_grid gives them
-    values.real, values.imag = column(), column()
-    pole = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    if names == ["a", "theta"]:
+        m, k = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+        shape, coords = (m, k), [cells((m, 1)), cells((k,))]
+    else:
+        n = draw(st.integers(1, 48))
+        shape, coords = (n,), [cells((n,))]
+        if names == ["x", "t"]:
+            coords.append(draw(st.sampled_from(_POOL)))
+    values = np.empty(shape, complex)  # re_u, im_u are strided views, as evaluate_grid gives them
+    values.real, values.imag = cells(shape), cells(shape)
+    pole = np.array(draw(st.lists(st.booleans(), min_size=values.size,
+                                  max_size=values.size))).reshape(shape)
     return names, [*coords, values.real, values.imag], pole
 
 
-_ZEROS = np.array([0.0, -0.0, 0.0, -0.0, 0.0, 0.0, 0.0, 0.0])  # one run by value, five by bits
+_ZEROS = np.array([0.0, -0.0, 0.0, -0.0, 0.0, 0.0, 0.0, 0.0])  # one value, two bit patterns
 _FLAGS = np.array([False, True, False, False, True, False, False, False])
-_A_RUNS = np.repeat([-5.0, -4.0, -3.0, -2.0, -1.0], 3)  # a sweep's a column: 5 runs of 3
-_BLOCK = [0.0, 1.0, -2.5]
-_SWEEP_POLES = np.array([False, True, False] * 4 + [True, False, False])
+_A = np.linspace(-5.0, -1.0, 5)[:, None]  # a sweep's a: five rows of three theta
+_SWEEP_POLES = np.array([False, True, False] * 4 + [True, False, False]).reshape(5, 3)
 
 
 @given(table=_tables())
 @example(table=(["theta"], [_ZEROS, _ZEROS, np.full(8, -0.0)], np.zeros(8, bool)))
-@example(table=(["x", "t"], [_ZEROS, np.full(8, math.nan), np.full(8, -math.nan), _ZEROS], _FLAGS))
-@example(table=(["a", "theta"], [np.repeat([math.inf, -math.inf], 4), _ZEROS, np.full(8, 0.1),
-                                 np.full(8, _NAN_PAYLOAD)], _FLAGS))
+@example(table=(["x", "t"], [_ZEROS, math.nan, np.full(8, -math.nan), _ZEROS], _FLAGS))
+@example(table=(["a", "theta"], [np.array([[math.inf], [-math.inf]]), _ZEROS[:4],
+                                 np.full((2, 4), 0.1), np.full((2, 4), _NAN_PAYLOAD)],
+                _FLAGS.reshape(2, 4)))
 @example(table=(["theta"], [np.zeros(6), np.ones(6), np.ones(6)], np.ones(6, bool)))  # all poles
-@example(table=(["a", "theta"], [_A_RUNS, np.array(_BLOCK * 4 + [-0.0, 1.0, -2.5]),
-                                 np.full(15, 0.1), np.full(15, -0.0)],
-                np.zeros(15, bool)))  # theta tiles by value, not by bits: the last block has -0
-@example(table=(["a", "theta"], [_A_RUNS,
-                                 np.array([1.0, math.nan, 0.0] * 4 + [1.0, _NAN_PAYLOAD, 0.0]),
-                                 np.arange(15.0), np.full(15, 2.0)],
-                np.zeros(15, bool)))  # the last block differs in a NaN payload
-@example(table=(["theta"], [np.array((_BLOCK * 6)[:17]), np.arange(17.0), np.zeros(17)],
-                np.zeros(17, bool)))  # p = 3 does not divide n = 17
-@example(table=(["a", "theta"], [_A_RUNS, np.array([math.inf, -0.0, math.nan] * 5),
-                                 np.where(_SWEEP_POLES, math.nan, 0.5), np.arange(15.0)],
-                _SWEEP_POLES))  # a tiled column with pole rows
-@example(table=(["x", "t"], [np.ones(1), np.ones(1), np.full(1, -0.0), np.zeros(1)],
+@example(table=(["a", "theta"], [_A, np.array([1.0, _NAN_PAYLOAD, -0.0]),
+                                 np.arange(15.0).reshape(5, 3), np.full((5, 3), 2.0)],
+                np.zeros((5, 3), bool)))  # theta with a NaN payload and -0
+@example(table=(["a", "theta"], [_A, np.array([math.inf, -0.0, math.nan]),
+                                 np.where(_SWEEP_POLES, math.nan, 0.5),
+                                 np.arange(15.0).reshape(5, 3)],
+                _SWEEP_POLES))  # a repeated theta with pole rows
+@example(table=(["a", "theta"], [_A, np.array([0.5]), np.arange(5.0).reshape(5, 1),
+                                 np.zeros((5, 1))], np.zeros((5, 1), bool)))  # one theta
+@example(table=(["a", "theta"], [np.array([[-0.0]]), np.linspace(-1.0, 1.0, 4),
+                                 np.full((1, 4), 0.1), np.zeros((1, 4))],
+                np.array([[False, True, False, False]])))  # one a
+@example(table=(["x", "t"], [np.ones(1), 1.0, np.full(1, -0.0), np.zeros(1)],
                 np.zeros(1, bool)))  # one row
 @settings(max_examples=300, deadline=None)
 def test_writer_property_matches_per_cell_formatting(table):
     names, columns, pole = table
-    reference_json, reference_csv = _reference(names, columns, pole)
+    reference_json, reference_csv = _reference(names, *_flat(columns, pole))
     assert _table(names, columns, pole, "json") == reference_json.encode()
     assert _table(names, columns, pole, "csv") == reference_csv.encode()
 
@@ -540,12 +538,11 @@ def _figure_files(number, outdir, capsys):
 @pytest.mark.parametrize("number", [5, 6])
 def test_phase_sweep_figure_matches_per_cell_formatting_of_sweep_rows(number, tmp_path, capsys):
     entry = _figure_files(number, tmp_path, capsys)
-    a = PhaseSweep(entry["a_min"], entry["a_max"], entry["a_steps"]).a_values()
+    a = np.linspace(entry["a_min"], entry["a_max"], entry["a_steps"])
     theta = np.linspace(entry["theta_min"], entry["theta_max"], entry["theta_steps"])
     values, pole = sweep_rows(Family(entry["family"]), a, theta)
-    columns = [c.ravel() for c in np.meshgrid(a, theta, indexing="ij")]
-    _, reference = _reference(["a", "theta"], [*columns, values.real.ravel(),
-                                               values.imag.ravel()], pole.ravel())
+    columns = [a[:, None], theta, values.real, values.imag]
+    _, reference = _reference(["a", "theta"], *_flat(columns, pole))
     written = (tmp_path / entry["output"]).read_text()
     assert written.splitlines() == reference.splitlines() and written == reference
 
@@ -559,7 +556,7 @@ def test_figure_7_matches_per_cell_formatting_of_evaluate_grid(tmp_path, capsys)
                                 beta=coeffs["beta"], v=curve["v"])
         sol = compound_solution_from_physical(Family(entry["family"]), params)
         _, names, columns, pole = _profile_case([], sol, x, float(entry["t"]))
-        _, reference = _reference(names, columns, pole)
+        _, reference = _reference(names, *_flat(columns, pole))
         written = (tmp_path / entry["output"].replace("{label}", curve["label"])).read_text()
         assert written.splitlines() == reference.splitlines() and written == reference
 
@@ -591,7 +588,7 @@ def test_fill_in_row_blocks_matches_per_cell_formatting_property(table, cpus):
     # with 4 cells per process as the cutoff (a row takes at most 4, so no block
     # is empty), a drawn table of 8 or more cells is split into up to cpus blocks
     names, columns, pole = table
-    reference_json, reference_csv = _reference(names, columns, pole)
+    reference_json, reference_csv = _reference(names, *_flat(columns, pole))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "_CELLS_PER_PROCESS", 4)
         mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
@@ -601,7 +598,7 @@ def test_fill_in_row_blocks_matches_per_cell_formatting_property(table, cpus):
 
 
 # cells the fill formats per row: the sweep's theta text and its two values, x
-# and re_u of the physical table (t is one run, im_u one bit pattern), and all
+# and re_u of the physical table (t is a scalar, im_u one bit pattern), and all
 # three columns of the non-finite one
 _CELLS_PER_ROW = {"sweep": 3, "non-finite": 3, "physical": 2, "boundary": 2}
 
@@ -615,25 +612,26 @@ def _big_table(case):
     exactly 2 * _CELLS_PER_PROCESS cells, the smallest table filled in blocks.
     """
     if case == "boundary":
-        names, columns, pole, _, _ = _big_table("physical")
+        names, (x, t, re_u, im_u), pole, _, _ = _big_table("physical")
         n = cli._CELLS_PER_PROCESS
-        columns, pole = [c[:n] for c in columns], pole[:n]
-        return (names, columns, pole, *_reference(names, columns, pole))
+        columns, pole = [x[:n], t, re_u[:n], im_u[:n]], pole[:n]
+        return (names, columns, pole, *_reference(names, *_flat(columns, pole)))
     rng = np.random.default_rng(7)
     n = 40_000
-    values = np.empty(n, complex)
-    values.real = rng.standard_normal(n)
-    values.imag = rng.standard_normal(n)
+    shape = (5, n // 5) if case == "sweep" else (n,)
+    values = np.empty(shape, complex)
+    values.real = rng.standard_normal(shape)
+    values.imag = rng.standard_normal(shape)
     pole = np.zeros(n, bool)
     pole[rng.choice(n, 50, replace=False)] = True
+    pole = pole.reshape(shape)
     if case == "sweep":
-        # a column of 5 runs, theta tiled, poles in the values
-        a = np.repeat(np.linspace(-5.0, 0.0, 5), n // 5)
-        theta = np.tile(np.linspace(-40.0, 40.0, n // 5), 5)
-        coords, names = [a, theta], ["a", "theta"]
+        # five a against 8,000 theta, poles in the values
+        names = ["a", "theta"]
+        coords = [np.linspace(-5.0, 0.0, 5)[:, None], np.linspace(-40.0, 40.0, n // 5)]
     elif case == "physical":
-        # one t run, im_u one bit pattern off the poles
-        coords, names = [np.linspace(-20.0, 20.0, n), np.full(n, 0.25)], ["x", "t"]
+        # a scalar t, im_u one bit pattern off the poles
+        coords, names = [np.linspace(-20.0, 20.0, n), 0.25], ["x", "t"]
         values.imag = 0.0
     else:
         # non-finite values off the poles: Infinity and NaN in JSON, inf and nan in CSV
@@ -642,7 +640,7 @@ def _big_table(case):
         values.imag[[4, 30_000]] = [math.nan, -math.inf]
     values[pole] = complex(math.nan, math.nan)
     columns = [*coords, values.real, values.imag]
-    return (names, columns, pole, *_reference(names, columns, pole))
+    return (names, columns, pole, *_reference(names, *_flat(columns, pole)))
 
 
 @pytest.mark.parametrize("case, cpus", [
@@ -652,7 +650,7 @@ def _big_table(case):
 ])
 def test_big_table_formats_in_blocks_on_every_cpu(case, cpus, monkeypatch):
     names, columns, pole, reference_json, reference_csv = _big_table(case)
-    blocks = min(cpus, len(pole) * _CELLS_PER_ROW[case] // cli._CELLS_PER_PROCESS)
+    blocks = min(cpus, pole.size * _CELLS_PER_ROW[case] // cli._CELLS_PER_PROCESS)
     assert blocks >= 2
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     forks = _counting_forks(monkeypatch)
@@ -734,12 +732,13 @@ def test_no_fork_below_the_cutoff_or_on_one_cpu(tmp_path, monkeypatch, capsys):
     # and 1,202 (each curve of figure 7)
     for number in (1, 2, 3, 4, 7):
         _figure_files(number, tmp_path, capsys)
-    names, columns, pole, _, reference_csv = _big_table("sweep")
-    n = (2 * cli._CELLS_PER_PROCESS - 1) // 3  # one cell short of two blocks: 3 cells a row
-    _, reference_short = _reference(names, [c[:n] for c in columns], pole[:n])
-    assert _table(names, [c[:n] for c in columns], pole[:n], "csv", 1) == reference_short.encode()
+    names, (a, theta, re_u, im_u), pole, _, reference_csv = _big_table("sweep")
+    k = (2 * cli._CELLS_PER_PROCESS - 1) // 6  # two a of k theta, 3 cells a row: 32,766 cells
+    short = [a[:2], theta[:k], re_u[:2, :k], im_u[:2, :k]], pole[:2, :k]
+    _, reference_short = _reference(names, *_flat(*short))
+    assert _table(names, *short, "csv", 1) == reference_short.encode()
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    assert _table(names, columns, pole, "csv", 1) == reference_csv.encode()
+    assert _table(names, [a, theta, re_u, im_u], pole, "csv", 1) == reference_csv.encode()
 
 
 _FIGURE_SHA256 = json.loads((Path(__file__).parent / "data" / "figure_sha256.json").read_text())
@@ -910,13 +909,52 @@ def test_sweep_reduces_a_by_its_exact_period(capsys):
     assert [r[1:] for r in rows] == [r[1:] for r in sweep("0")]
 
 
-def test_sweep_rejects_bad_ranges(capsys):
-    code, _, _ = run(capsys, "sweep", "--a-min", "0", "--a-max", "1", "--a-steps", "1",
-                     "--theta-min", "0", "--theta-max", "1", "--theta-steps", "3")
-    assert code == 2
-    code, _, _ = run(capsys, "sweep", "--a-min", "1", "--a-max", "0", "--a-steps", "5",
-                     "--theta-min", "0", "--theta-max", "1", "--theta-steps", "3")
-    assert code == 2
+_SWEEP = {"command": "sweep", "family": "kdvb-regular", "theta_min": 0.0, "theta_max": 1.0,
+          "theta_steps": 3, "output": "sweep.csv"}
+_SPAN = "--a-max - --a-min overflows: the grid span must be finite"
+
+
+def _manifest_sweep(tmp_path, capsys, **fields):
+    """(exit code, stdout, stderr) of figure 1 from a manifest whose entry is a sweep."""
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({"1": {**_SWEEP, **fields}}))
+    return run(capsys, "figure", "1", "--manifest", str(manifest), "--outdir", str(tmp_path))
+
+
+@pytest.mark.parametrize("a_min, a_max, a_steps, message", [
+    (1.0, 0.0, 5, "phase sweep needs a_min < a_max"),
+    (0.5, 0.5, 3, "phase sweep needs a_min < a_max"),
+    (0.0, 1.0, 1, "a single-row sweep needs --a-min == --a-max"),
+    (-1e308, 1e308, 3, _SPAN),
+    (-1e308, 1e308, 1, _SPAN),
+])
+def test_sweep_and_figure_reject_bad_a_ranges_with_one_message(a_min, a_max, a_steps, message,
+                                                              tmp_path, capsys):
+    # the sweep command and a manifest sweep share one check of the a range
+    flags = [f"--a-min={a_min!r}", f"--a-max={a_max!r}", f"--a-steps={a_steps}"]
+    code, out, err = run(capsys, "sweep", *flags, *_THETA)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    code, out, err = _manifest_sweep(tmp_path, capsys, a_min=a_min, a_max=a_max, a_steps=a_steps)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("family", ["compound-tanh-plus", "rational-minus", "constant"])
+def test_figure_sweep_of_a_family_without_a_phase_sweep_exits_2(family, tmp_path, capsys):
+    # it used to exit 2 with "not a KdVB universal family: Family.COMPOUND_TANH_PLUS"
+    code, out, err = _manifest_sweep(tmp_path, capsys, family=family, a_min=-5.0, a_max=0.0,
+                                     a_steps=3)
+    assert (code, out, err) == (2, "", "error: the phase sweep is defined for the kdvb families\n")
+
+
+def test_figure_sweep_of_one_a_writes_the_sweep_commands_rows(tmp_path, capsys):
+    # a_steps 1 with a_min == a_max used to exit 2 ("phase sweep needs at least 2 steps")
+    code, _, err = _manifest_sweep(tmp_path, capsys, a_min=-2.5, a_max=-2.5, a_steps=1)
+    assert (code, err) == (0, "")
+    code, out, _ = run(capsys, "sweep", "--a-min=-2.5", "--a-max=-2.5", "--a-steps", "1",
+                       "--theta-min", "0", "--theta-max", "1", "--theta-steps", "3")
+    assert code == 0 and (tmp_path / "sweep.csv").read_text() == out
+    assert len(parse_csv(out)[1]) == 3
 
 
 # ---------------------------------------------------------------------------

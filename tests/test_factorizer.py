@@ -1,5 +1,6 @@
 """Tests for the operator factorizations and their compatibility conditions."""
 
+import dataclasses
 import math
 
 import pytest
@@ -14,6 +15,7 @@ from kdvbwaves import (
     factorize_kdvb,
     verify_factorization,
 )
+from kdvbwaves.cli import _linspace
 
 
 # ---------------------------------------------------------------------------
@@ -96,6 +98,30 @@ def test_compound_coefficients_out_of_float_range_are_domain_errors(p, q, sign):
 def test_compound_keeps_large_finite_coefficients():
     fact = factorize_compound(ReducedParams(p=1e300, q=2.0), Sign.PLUS)
     assert fact.A == 1.0 and all(map(math.isfinite, (fact.B, fact.C, fact.k)))
+
+
+# factorize's compound sample grid: 8 x 8 points of the square [-3, 3]^2, none near 0
+_COMPOUND_SAMPLES = [complex(a, b) for a in _linspace(-3.0, 3.0, 8) for b in _linspace(-3.0, 3.0, 8)
+                     if abs(complex(a, b)) > 1e-3]
+
+
+@pytest.mark.parametrize("sign", [Sign.PLUS, Sign.MINUS])
+def test_compound_product_residual_at_huge_p_is_rounding(sign):
+    # factorize --eq compound --p 1e300 --q 1 reports a product residual of
+    # 4.598e+284: an absolute residual next to |F(U)/U| of about 1e300.  At
+    # each sample it is within 4 ulps of |F(U)/U| (3.1 at worst on the minus
+    # branch, 2.1 on the plus branch), while C off by a relative 1e-9 is far
+    # outside
+    fact = factorize_compound(ReducedParams(p=1e300, q=1.0), sign)
+    wrong = dataclasses.replace(fact, C=fact.C * (1.0 + 1e-9))
+
+    def ulps(f, U):
+        quotient = f.F_at(U) / U
+        return abs(f.f1_at(U) * f.f2_at(U) - quotient) / math.ulp(abs(quotient))
+
+    assert len(_COMPOUND_SAMPLES) == 64
+    assert max(ulps(fact, U) for U in _COMPOUND_SAMPLES) <= 4.0
+    assert min(ulps(wrong, U) for U in _COMPOUND_SAMPLES) > 1e3
 
 
 @given(

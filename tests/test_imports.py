@@ -93,13 +93,15 @@ print(json.dumps([before, sorted(namespace), kdvbwaves.__all__, sorted(same)]))
     proc = _fresh(script)
     assert (proc.returncode, proc.stderr) == (0, "")
     before, names, public, same = json.loads(proc.stdout)
-    assert before == [] and len(public) == 40
+    assert before == [] and len(public) == 39
     assert names == sorted(public) == same
 
 
 @pytest.mark.parametrize("call, printed", [
-    ("cli._render(['theta'], [np.arange(3.0), np.ones(3), np.zeros(3)], np.zeros(3, bool), 'csv')",
-     "[b'theta,re_u,im_u,pole_flag\\n', b'0,1,0,0\\n1,1,0,0\\n2,1,0,0', b'\\n']"),
+    ("cli._render(['a', 'theta'], [np.arange(2.0)[:, None], np.arange(2.0), np.ones((2, 2)), "
+     "np.zeros((2, 2))], np.zeros((2, 2), bool), 'csv')",
+     "[b'a,theta,re_u,im_u,pole_flag\\n', b'0,0,1,0,0\\n0,1,1,0,0\\n1,0,1,0,0\\n1,1,1,0,0', "
+     "b'\\n']"),
     ("cli._fill(['%s,%s', '%s,%s'], [1, 2, 3, 4], 2, '\\n')", "[b'1,2\\n3,4']"),
     ("cli._grid(0.0, 1.0, 3, 'theta')", "array([0. , 0.5, 1. ])"),
 ], ids=["_render", "_fill", "_grid"])

@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 from kdvbwaves import (
     Family,
     ParameterDomainError,
-    PhaseSweep,
     PhysicalParams,
     PoleError,
     Sign,
@@ -730,19 +729,6 @@ def test_physical_jet_is_the_chain_rule_image(index):
 
 # ---------------------------------------------------------------------------
 # phase sweep
-
-
-def test_phase_sweep_validates_inputs():
-    with pytest.raises(ParameterDomainError):
-        PhaseSweep(0.0, 1.0, 1)
-    with pytest.raises(ParameterDomainError):
-        PhaseSweep(1.0, 0.0, 5)
-    for a_min, a_max in ((-1e308, 1e308), (-math.inf, 0.0), (0.0, math.inf)):
-        with pytest.raises(ParameterDomainError, match="finite span"):
-            PhaseSweep(a_min, a_max, 3)  # a_values() would be NaN
-    sweep = PhaseSweep(-5.0, 0.0, 51)
-    a = sweep.a_values()
-    assert a[0] == -5.0 and a[-1] == 0.0 and len(a) == 51
 
 
 def test_sweep_surface_shapes_and_flags():
