@@ -26,21 +26,22 @@ varies along it in a table of several groups (the sweep's theta) once per
 element of a group; and a value column that holds one bit pattern on every
 non-pole row (im_u of a real profile) once.  Every other cell goes through
 one %-format.  The choice is made from the shapes alone and never changes
-the bytes written.  A table with at least 2 * 2**14 cells left to format, in a
-process allowed on two or more CPUs, is filled in contiguous row blocks: one
-block per CPU and at most one per 2**14 cells, the first formatted by the
-process itself and each other by a forked child that sends its UTF-8 back
-through a pipe (_fill).  Every row template takes the same number of cells,
-so the blocks joined by the row separator are the one-call text; a block
-whose child fails or cannot start is formatted by the parent, and every
-child is reaped before the table is returned.  The table travels as those
-UTF-8 blocks, with the header, the separators and the tail between them: a
-child's block stays as read from its pipe, the parent encodes its own once,
-and no whole-table string or bytes is built (_emit writes the blocks in
-order).  At its peak the parent holds the table's cells, its own block as a
-string and as bytes, and the other blocks as bytes: about twice the size of
-the output.  figure renders all of its files before it writes the first
-one, so a malformed manifest leaves no file behind.
+the bytes written.  The table is a stream of UTF-8 row chunks of 2**14
+formatted cells each, with the header, the separators and the tail between
+them, and _emit writes each part as it arrives.  A table with at least
+2 * 2**14 cells left to format, in a process allowed on two or more CPUs,
+deals its chunks to one process per CPU and at most one per 2**14 cells:
+chunk j to process j mod workers, process 0 being the writer itself and
+each other a forked child that sends its chunks through a pipe as
+length-prefixed records (_deal).  The writer writes the chunks in order, its
+own as it formats them and a child's once the whole record has arrived.
+A child that fails, is killed or cannot start costs only time: the writer
+reaps it and formats its remaining chunks, with the same bytes.  Every child
+is reaped before the stream ends, also when a write fails or stdout closes.
+The writer holds one chunk at a time, so a table's memory does not grow
+with its output: the peak is the evaluation's, not the table's.  figure
+checks and evaluates every curve before it opens its first file, so a
+malformed manifest leaves no file behind.
 
 errors, factorizer and params (math and cmath only) are imported at the top,
 numpy, solutions and verify by each function that uses them: factorize and
@@ -61,30 +62,35 @@ import math
 import os
 import sys
 import warnings
-from functools import partial
 from importlib import resources
 from pathlib import Path
-from typing import Sequence
+from typing import BinaryIO, Iterator, Sequence
 
 from .errors import ParameterDomainError, PoleError, UnsupportedDomainError
 from .factorizer import Sign, factorize_compound, factorize_kdvb, verify_factorization
 from .params import PhysicalParams, ReducedParams
 
 
-def _render(names: list[str], columns: list, pole: np.ndarray, fmt: str) -> list[bytes]:
+def _render(names: list[str], columns: list, pole: np.ndarray, fmt: str) -> Iterator[bytes]:
     """CSV or JSON table of ``columns`` (coordinates ``names``, re_u, im_u) plus pole_flag.
 
     The rows are the cells of ``pole`` in C order.  re_u and im_u have its
     shape, each coordinate broadcasts to it, and the rows along its last axis
-    form a group.  Returned as UTF-8 blocks [head, block, sep, block, ..., tail]
-    (see _fill) that joined are byte for byte format(value, ".17g") per CSV
-    cell, or json.dumps(rows, indent=2).
+    form a group.  Yields the table as UTF-8 parts [head, chunk, sep, chunk,
+    ..., tail] that joined are byte for byte format(value, ".17g") per CSV
+    cell, or json.dumps(rows, indent=2).  A chunk is the rows of
+    _CELLS_PER_PROCESS formatted cells (at least one row).
     A coordinate constant along the last axis is written into each group's
     row templates, one that varies along it in a table of several groups is
     formatted once per element (its strings go in as %s cells), and a value
     column that holds one bit pattern on every non-pole row is written into
-    the templates.  The other cells go through one %-format; "%.0s" swallows
-    the NaN values of pole rows.
+    the templates.  The other cells go through one %-format per chunk; "%.0s"
+    swallows the NaN values of pole rows.  Everything a chunk needs is
+    prepared before the first one: the group templates, the group's strings
+    of a repeated coordinate, and memoryviews of the pole mask, of each
+    column left to format and of the rows where JSON spells a non-finite
+    value.  So a chunk is formatted without numpy, by this process or by a
+    forked child (_deal).
     """
     import numpy as np
     m, width = len(names), pole.shape[-1]
@@ -96,7 +102,7 @@ def _render(names: list[str], columns: list, pole: np.ndarray, fmt: str) -> list
         text, value, empty, null = (lambda v: format(v, ".17g")), "%.17g", "%.0s", ""
     fixed = {j: np.broadcast_to(c, pole.shape[:-1] + (1,)).reshape(-1).tolist()
              for j, c in enumerate(columns[:m]) if np.shape(c)[-1:] in ((), (1,))}
-    repeated = {j for j in range(m)
+    repeated = {j: [text(v) for v in np.reshape(columns[j], -1).tolist()] for j in range(m)
                 if j not in fixed and groups > 1 and np.size(columns[j]) == width}
     constant: dict[int, str] = {}
     for j in (m, m + 1):
@@ -112,37 +118,70 @@ def _render(names: list[str], columns: list, pole: np.ndarray, fmt: str) -> list
 
     ok = [constant.get(j, value) for j in (m, m + 1)]
     flagged = [null if j in constant else empty for j in (m, m + 1)]
-    rows: list[str] = []
+    good: list[str] = []
     bad: list[str] = []
     for g in range(groups):
         coords = [text(fixed[j][g]) if j in fixed else "%s" if j in repeated else value
                   for j in range(m)]
-        rows += [template([*coords, *ok, "0"])] * width
+        good.append(template([*coords, *ok, "0"]))
         bad.append(template([*coords, *flagged, "1"]))
-    for r in np.flatnonzero(pole).tolist():
-        rows[r] = bad[r // width]
 
     formatted = [j for j in range(m + 2) if j not in fixed and j not in constant]
-    cells: list = [None] * (pole.size * len(formatted))
+    shared = [(k, repeated[j]) for k, j in enumerate(formatted) if j in repeated]
+    stored = {}  # cell of a row -> (its column, the rows whose value json.dumps spells)
     for k, j in enumerate(formatted):
-        if j in repeated:
-            part = [text(v) for v in np.reshape(columns[j], -1).tolist()] * groups
-        else:
+        if j not in repeated:
             column = np.broadcast_to(columns[j], pole.shape).reshape(-1)
-            part = column.tolist()
-            if fmt == "json":
-                for r in np.flatnonzero(~np.isfinite(column)).tolist():
-                    part[r] = json.dumps(part[r])  # NaN and Infinity as json spells them
-        cells[k::len(formatted)] = part
+            special = memoryview(~np.isfinite(column) if fmt == "json" else b"")
+            stored[k] = memoryview(column), special
+    flags = memoryview(pole.reshape(-1))
+    n, width_cells = pole.size, len(formatted)
+    per = max(1, _CELLS_PER_PROCESS // max(1, width_cells))  # rows a chunk
+
+    def chunk(c: int) -> bytes:
+        """UTF-8 of chunk c, rows c*per up to (c+1)*per or the end, without separators."""
+        a, b = c * per, min(n, (c + 1) * per)
+        rows: list[str] = []
+        parts: dict[int, list] = {k: [] for k, _ in shared}
+        for g in range(a // width, (b - 1) // width + 1):
+            lo, hi = max(a - g * width, 0), min(b - g * width, width)
+            rows += [good[g]] * (hi - lo)
+            for k, strings in shared:
+                parts[k] += strings[lo:hi]
+        for r in _set_rows(flags, a, b):
+            rows[r] = bad[(a + r) // width]
+        for k, (column, special) in stored.items():
+            part = parts[k] = column[a:b].tolist()
+            for r in _set_rows(special, a, b):
+                part[r] = json.dumps(part[r])  # NaN and Infinity as json spells them
+        cells: list = [None] * (len(rows) * width_cells)
+        for k, part in parts.items():
+            cells[k::width_cells] = part
+        return (sep.join(rows) % tuple(cells)).encode()
+
     if fmt == "json":
         head, sep, tail = "[\n", ",\n", "\n]\n"
     else:
         head, sep, tail = ",".join(keys) + "\n", "\n", "\n"
-    table = [head.encode()]
-    for block in _fill(rows, cells, len(formatted), sep):
-        table += [block, sep.encode()]
-    table[-1] = tail.encode()
-    return table
+    workers = 1
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        workers = max(1, min(len(os.sched_getaffinity(0)), n * width_cells // _CELLS_PER_PROCESS))
+    yield head.encode()
+    between = sep.encode()
+    for c, block in enumerate(_deal(chunk, -(-n // per), workers)):
+        if c:
+            yield between
+        yield block
+    yield tail.encode()
+
+
+def _set_rows(mask: memoryview, a: int, b: int) -> Iterator[int]:
+    """Each r in [0, b - a) where the boolean ``mask`` is true at a + r, in order."""
+    found = mask[a:b].tobytes()
+    r = found.find(1)
+    while r >= 0:
+        yield r
+        r = found.find(1, r + 1)
 
 
 # A table needs this many cells per process to format in parallel.  Measured
@@ -152,22 +191,52 @@ def _render(names: list[str], columns: list, pole: np.ndarray, fmt: str) -> list
 # fork costs both processes, breaks even at about 16,000.  At twice that,
 # 2 * 2**14 cells, two blocks take 18-20 ms against 22-27 ms for one.  This
 # assumes the second CPU runs beside the first: where a shared host
-# time-slices both on one core, a fork loses at any size.
+# time-slices both on one core, a fork loses at any size.  It is also the
+# size of the chunk the table is formatted and written in: the writer holds
+# one chunk at a time, whatever the size of the table.
 _CELLS_PER_PROCESS = 2**14
 
 
-def _fill_block(rows: list[str], cells: list, width: int, sep: str, a: int, b: int) -> bytes:
-    """UTF-8 of rows a..b-1 of sep.join(rows) % tuple(cells); a row takes ``width`` cells."""
-    return (sep.join(rows[a:b]) % tuple(cells[a * width:b * width])).encode()
+def _deal(task, count: int, workers: int) -> Iterator[bytes]:
+    """task(0), ..., task(count - 1) in order, task(j) run by process j mod ``workers``.
+
+    Process 0 is this one, which yields its results as it makes them.  Each
+    other is a forked child that runs its tasks in order and sends each
+    result through its pipe as a length-prefixed record; its result is
+    yielded once the whole record has arrived, so no part of a record is.
+    A child that fails, is killed or cannot start costs only time: its
+    process is reaped and its remaining tasks are run here.  Every child is
+    reaped before the iterator ends, also when the consumer closes it early.
+    """
+    children: dict[int, tuple[int, BinaryIO]] = {}  # process -> (pid, read end of its pipe)
+    try:
+        for k in range(1, workers):
+            if (child := _fork(task, range(k, count, workers), children.values())) is not None:
+                children[k] = child
+        for j in range(count):
+            child = children.get(j % workers)
+            record = _record(child[1]) if child else None
+            if record is None:
+                if child:
+                    _reap(*children.pop(j % workers))
+                record = task(j)
+            yield record
+    finally:
+        for child in children.values():
+            _reap(*child)
 
 
-def _fork_block(block):
-    """(pid, read end of its pipe) of a child that writes the bytes block() returns, or None.
+def _fork(task, jobs: range, pipes) -> tuple[int, BinaryIO] | None:
+    """(pid, read end of its pipe) of a child that sends task(j) for each j in ``jobs``, or None.
 
-    The child touches only the table's Python lists: it runs no numpy code
-    and writes nothing to stdout.  It leaves by os._exit, 0 when the whole
-    block went into the pipe and 1 on any exception, so it never returns into
-    the caller.  None when the process cannot fork.
+    Each result goes as its length (8 bytes, little-endian) and its bytes.
+    The child first closes its copies of ``pipes``, the (pid, read end) of
+    its elder siblings, so that a sibling's writes fail once the parent
+    closes its read end.  The writer's tasks touch only Python objects and
+    memoryviews, so the child runs no numpy code; it writes nothing to
+    stdout.  It leaves by os._exit, 0 when every result went into the pipe and 1 on any
+    exception, so it never returns into the caller.  None when the process
+    cannot fork.
     """
     r, w = os.pipe()
     try:
@@ -187,8 +256,14 @@ def _fork_block(block):
         code = 1
         try:
             os.close(r)
-            with open(w, "wb") as pipe:
-                pipe.write(block())
+            for _, pipe in pipes:
+                pipe.close()
+            with open(w, "wb") as out:
+                for j in jobs:
+                    record = task(j)
+                    out.write(len(record).to_bytes(8, "little"))
+                    out.write(record)
+                    out.flush()
             code = 0
         finally:
             os._exit(code)
@@ -196,57 +271,40 @@ def _fork_block(block):
     return pid, open(r, "rb")
 
 
-def _fill(rows: list[str], cells: list, width: int, sep: str) -> list[bytes]:
-    """UTF-8 of sep.join(rows) % tuple(cells) in row blocks, one process per CPU at most.
+def _record(pipe: BinaryIO) -> bytes | None:
+    """The next whole record from a child's pipe, or None when the pipe ends before it does."""
+    head = pipe.read(8)
+    if len(head) == 8:
+        size = int.from_bytes(head, "little")
+        record = pipe.read(size)
+        if len(record) == size:
+            return record
+    return None
 
-    Every row template takes ``width`` cells (a pole row's "%.0s" takes its
-    NaN), so block [a, b) is rows[a:b] filled with cells[a*width:b*width],
-    and the blocks joined by ``sep`` are the one-call text by construction.
-    A table of fewer than 2 * _CELLS_PER_PROCESS = 32,768 cells (every
-    figure table but the 51 x 401 phase sweep of figures 5 and 6), a single
-    CPU, or a platform without os.fork or os.sched_getaffinity is one block,
-    from one call.  Otherwise the parent forks one child per block after the
-    first, formats the first block, reads each child's block from its pipe to
-    EOF, as bytes, and reaps every child.  A block whose child could not
-    start or exited nonzero is formatted by the parent.
+
+def _reap(pid: int, pipe: BinaryIO) -> None:
+    """Close the read end of a child's pipe, so that its next write fails, and wait for it."""
+    pipe.close()
+    os.waitpid(pid, 0)
+
+
+def _emit(table: Iterator[bytes], output: str | Path | None) -> None:
+    """Write the table's UTF-8 parts as they come, to the file ``output`` or to stdout.
+
+    The file is opened "wb" and gets the parts as they are.  stdout gets
+    each part decoded, so a text stream put in place of sys.stdout (a
+    StringIO) takes it too.  The table is closed on the way out, also when
+    a write fails, so every child formatting it is reaped.
     """
-    workers = 1
-    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
-        workers = min(len(os.sched_getaffinity(0)), len(cells) // _CELLS_PER_PROCESS)
-    if workers < 2:
-        return [(sep.join(rows) % tuple(cells)).encode()]
-    ends = [len(rows) * k // workers for k in range(workers + 1)]
-    blocks = [partial(_fill_block, rows, cells, width, sep, a, b) for a, b in zip(ends, ends[1:])]
-    children = {}  # block -> (pid, read end of its pipe) of the child formatting it
-    done: dict[int, bytes] = {}
-    statuses: dict[int, int] = {}
     try:
-        for k in range(1, workers):
-            if (child := _fork_block(blocks[k])) is not None:
-                children[k] = child
-        done[0] = blocks[0]()
-        for k, (_, pipe) in children.items():
-            done[k] = pipe.read()
+        if output is None:
+            for part in table:
+                sys.stdout.write(part.decode())
+        else:
+            with open(output, "wb") as fh:
+                fh.writelines(table)
     finally:
-        for k, (pid, pipe) in children.items():
-            pipe.close()
-            statuses[k] = os.waitpid(pid, 0)[1]
-    return [done[k] if k in done and not statuses.get(k) else blocks[k]() for k in range(workers)]
-
-
-def _emit(table: list[bytes], output: str | Path | None) -> None:
-    """Write the table's UTF-8 blocks in order, to the file ``output`` or to stdout.
-
-    The file is opened "wb" and gets the blocks as they are.  stdout gets
-    each block decoded, so a text stream put in place of sys.stdout (a
-    StringIO) takes it too.  No whole-table string or bytes is built.
-    """
-    if output is None:
-        for block in table:
-            sys.stdout.write(block.decode())
-    else:
-        with open(output, "wb") as fh:
-            fh.writelines(table)
+        table.close()
 
 
 def _grid(lo: float, hi: float, steps: int | None, name: str) -> np.ndarray:
@@ -261,7 +319,7 @@ def _grid(lo: float, hi: float, steps: int | None, name: str) -> np.ndarray:
     return np.linspace(lo, hi, steps)
 
 
-def _profile(sol: WaveSolution, grid: np.ndarray, t: float | None, fmt: str) -> list[bytes]:
+def _profile(sol: WaveSolution, grid: np.ndarray, t: float | None, fmt: str) -> Iterator[bytes]:
     """Evaluate ``sol`` on ``grid`` (theta, or x at time t) and render the table."""
     from .solutions import evaluate_grid
     values, pole = evaluate_grid(sol, grid, t)
@@ -269,7 +327,7 @@ def _profile(sol: WaveSolution, grid: np.ndarray, t: float | None, fmt: str) -> 
     return _render(names, [*coords, values.real, values.imag], pole, fmt)
 
 
-def _sweep(fam: Family, a: tuple, theta: tuple, fmt: str) -> list[bytes]:
+def _sweep(fam: Family, a: tuple, theta: tuple, fmt: str) -> Iterator[bytes]:
     """Check the sweep, evaluate U(theta; i*a*pi) of ``fam`` over (a, theta) and render it.
 
     ``a`` and ``theta`` are (min, max, steps) of each grid.  The phase sweep
@@ -508,7 +566,7 @@ def cmd_figure(args: argparse.Namespace) -> int:
         raise ParameterDomainError(f"manifest field 'family' names no family: {family!r}")
     fam = Family(family)
     output = _field(entry, "output", str)
-    tables: list[tuple[str, list[bytes]]] = []  # (file name, its blocks)
+    tables: list[tuple[str, Iterator[bytes]]] = []  # (file name, its parts)
 
     def bounds(name: str) -> tuple[float, float, int]:
         return (_field(entry, f"{name}_min", float), _field(entry, f"{name}_max", float),

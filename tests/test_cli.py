@@ -433,15 +433,15 @@ def _writer_case(case):
     return _profile_case(flags, sol, np.linspace(lo, hi, 5), t)
 
 
-def _table(names, columns, pole, fmt, blocks=None):
-    """The bytes of _render's table, after checking its parts: [head, block, sep, ..., tail].
+def _table(names, columns, pole, fmt, chunks=None):
+    """The bytes of _render's table, after checking its parts: [head, chunk, sep, ..., tail].
 
-    ``blocks``, when given, is the number of row blocks the table must have.
+    ``chunks``, when given, is the number of row chunks the table must have.
     """
-    table = _render(names, columns, pole, fmt)
+    table = list(_render(names, columns, pole, fmt))
     assert all(type(part) is bytes for part in table) and len(table) % 2 == 1
-    assert blocks is None or len(table) == 2 * blocks + 1
-    assert len(set(table[2:-1:2])) <= 1  # one row separator between the blocks
+    assert chunks is None or len(table) == 2 * chunks + 1
+    assert len(set(table[2:-1:2])) <= 1  # one row separator between the chunks
     return b"".join(table)
 
 
@@ -562,7 +562,7 @@ def test_figure_7_matches_per_cell_formatting_of_evaluate_grid(tmp_path, capsys)
 
 
 # ---------------------------------------------------------------------------
-# the parallel fill: row blocks formatted in forked children
+# the streaming fill: row chunks dealt to forked children, written in order
 
 
 def _counting_forks(mp):
@@ -584,9 +584,10 @@ def _assert_no_children_left():
 
 @given(table=_tables(), cpus=st.integers(2, 4))
 @settings(max_examples=60, deadline=None)
-def test_fill_in_row_blocks_matches_per_cell_formatting_property(table, cpus):
-    # with 4 cells per process as the cutoff (a row takes at most 4, so no block
-    # is empty), a drawn table of 8 or more cells is split into up to cpus blocks
+def test_chunks_dealt_to_forked_children_match_per_cell_formatting_property(table, cpus):
+    # with 4 cells per process as the cutoff and the chunk (a row takes at most 3),
+    # a drawn table of 8 or more cells is dealt in chunks of 1 to 4 rows to up to
+    # cpus processes
     names, columns, pole = table
     reference_json, reference_csv = _reference(names, *_flat(columns, pole))
     with pytest.MonkeyPatch.context() as mp:
@@ -603,13 +604,18 @@ def test_fill_in_row_blocks_matches_per_cell_formatting_property(table, cpus):
 _CELLS_PER_ROW = {"sweep": 3, "non-finite": 3, "physical": 2, "boundary": 2}
 
 
+def _chunks(rows, cells_per_row):
+    """The number of chunks of a table: a chunk is the rows of _CELLS_PER_PROCESS cells."""
+    return -(-rows // (cli._CELLS_PER_PROCESS // cells_per_row))
+
+
 @functools.lru_cache(maxsize=None)
 def _big_table(case):
     """(names, columns, pole, JSON, CSV) of a table of 40,000 rows, or of the boundary table.
 
     The 40,000 rows are 80,000 or 120,000 formatted cells (_CELLS_PER_ROW).
     "boundary" is the first _CELLS_PER_PROCESS rows of the physical table:
-    exactly 2 * _CELLS_PER_PROCESS cells, the smallest table filled in blocks.
+    exactly 2 * _CELLS_PER_PROCESS cells, the smallest table dealt to two processes.
     """
     if case == "boundary":
         names, (x, t, re_u, im_u), pole, _, _ = _big_table("physical")
@@ -645,55 +651,74 @@ def _big_table(case):
 
 @pytest.mark.parametrize("case, cpus", [
     ("sweep", 2), ("sweep", 3), ("non-finite", 2), ("non-finite", 3),
-    ("physical", 5),  # 80,000 cells: the cell count, not the CPU count, caps the blocks
+    ("physical", 5),  # 80,000 cells: the cell count, not the CPU count, caps the processes
     ("boundary", 2),  # exactly 2 * _CELLS_PER_PROCESS cells
 ])
-def test_big_table_formats_in_blocks_on_every_cpu(case, cpus, monkeypatch):
+def test_big_table_is_dealt_in_chunks_to_every_cpu(case, cpus, monkeypatch):
     names, columns, pole, reference_json, reference_csv = _big_table(case)
-    blocks = min(cpus, pole.size * _CELLS_PER_ROW[case] // cli._CELLS_PER_PROCESS)
-    assert blocks >= 2
+    workers = min(cpus, pole.size * _CELLS_PER_ROW[case] // cli._CELLS_PER_PROCESS)
+    chunks = _chunks(pole.size, _CELLS_PER_ROW[case])
+    assert 2 <= workers <= chunks
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     forks = _counting_forks(monkeypatch)
-    assert _table(names, columns, pole, "json", blocks) == reference_json.encode()
-    assert _table(names, columns, pole, "csv", blocks) == reference_csv.encode()
-    assert len(forks) == 2 * (blocks - 1)
+    assert _table(names, columns, pole, "json", chunks) == reference_json.encode()
+    assert _table(names, columns, pole, "csv", chunks) == reference_csv.encode()
+    assert len(forks) == 2 * (workers - 1)
     _assert_no_children_left()
 
 
-def _failing_children(failure, mp):
-    """Count the forks, and make every forked block fail; returns the count list.
+_FAILURES = ["raises", "killed", "killed-after-a-chunk", "cannot-fork"]
 
-    ``failure`` is "raises" or "killed" (in the child only), "cannot-fork"
-    (os.fork raises BlockingIOError), or "none".
+
+def _failing_children(failure, mp):
+    """Count the forks, and make every forked child fail; returns (forks, records).
+
+    ``failure`` is "raises" or "killed" (in the child, at its first chunk),
+    "killed-after-a-chunk" (at its second chunk, once it has sent its first),
+    "cannot-fork" (os.fork raises BlockingIOError), or "none".  ``records``
+    lists each chunk the parent took whole from a child's pipe.
     """
     forks = _counting_forks(mp)
-    parent, fill_block = os.getpid(), cli._fill_block
+    parent, deal, record = os.getpid(), cli._deal, cli._record
+    records = []
 
-    def child_fails(*args):
-        if os.getpid() != parent:
-            if failure == "killed":
-                os.kill(os.getpid(), signal.SIGKILL)
-            raise RuntimeError("the block fails in the child only")
-        return fill_block(*args)
+    def failing_deal(task, count, workers):
+        def child_fails(j):
+            if os.getpid() != parent:
+                if failure == "killed" or failure == "killed-after-a-chunk" and j >= workers:
+                    os.kill(os.getpid(), signal.SIGKILL)
+                if failure != "killed-after-a-chunk":
+                    raise RuntimeError("the chunk fails in the child only")
+            return task(j)
+
+        return deal(child_fails, count, workers)
+
+    def counted_record(pipe):
+        if (chunk := record(pipe)) is not None:
+            records.append(chunk)
+        return chunk
 
     def no_fork():
         forks.append(1)
         raise BlockingIOError(11, "Resource temporarily unavailable")
 
     if failure != "none":
-        mp.setattr(cli, "_fill_block", child_fails)
+        mp.setattr(cli, "_deal", failing_deal)
     if failure == "cannot-fork":
         mp.setattr(os, "fork", no_fork)
-    return forks
+    mp.setattr(cli, "_record", counted_record)
+    return forks, records
 
 
-@pytest.mark.parametrize("failure", ["raises", "killed", "cannot-fork"])
-def test_a_block_whose_child_fails_is_formatted_by_the_parent(failure, monkeypatch):
+@pytest.mark.parametrize("failure", _FAILURES)
+def test_the_chunks_of_a_child_that_fails_are_formatted_by_the_parent(failure, monkeypatch):
+    # 8 chunks dealt to 3 processes: the children's are 1, 4, 7 and 2, 5
     names, columns, pole, reference_json, reference_csv = _big_table("sweep")
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-    forks = _failing_children(failure, monkeypatch)
-    assert _table(names, columns, pole, "json", 3) == reference_json.encode()
-    assert _table(names, columns, pole, "csv", 3) == reference_csv.encode()
+    forks, records = _failing_children(failure, monkeypatch)
+    assert _table(names, columns, pole, "json", 8) == reference_json.encode()
+    assert len(records) == (2 if failure == "killed-after-a-chunk" else 0)
+    assert _table(names, columns, pole, "csv", 8) == reference_csv.encode()
     assert len(forks) == 4
     _assert_no_children_left()
 
@@ -713,7 +738,7 @@ def test_fork_warning_of_a_multi_threaded_process_is_ignored_around_the_fork(mon
     names, columns, pole, _, reference_csv = _big_table("physical")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert _table(names, columns, pole, "csv", 2) == reference_csv.encode()
+        assert _table(names, columns, pole, "csv", 5) == reference_csv.encode()
     assert caught == []
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -736,25 +761,26 @@ def test_no_fork_below_the_cutoff_or_on_one_cpu(tmp_path, monkeypatch, capsys):
     k = (2 * cli._CELLS_PER_PROCESS - 1) // 6  # two a of k theta, 3 cells a row: 32,766 cells
     short = [a[:2], theta[:k], re_u[:2, :k], im_u[:2, :k]], pole[:2, :k]
     _, reference_short = _reference(names, *_flat(*short))
-    assert _table(names, *short, "csv", 1) == reference_short.encode()
+    assert _table(names, *short, "csv", 2) == reference_short.encode()  # two chunks, one process
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    assert _table(names, [a, theta, re_u, im_u], pole, "csv", 1) == reference_csv.encode()
+    assert _table(names, [a, theta, re_u, im_u], pole, "csv", 8) == reference_csv.encode()
 
 
 _FIGURE_SHA256 = json.loads((Path(__file__).parent / "data" / "figure_sha256.json").read_text())
 
 
-@pytest.mark.parametrize("failure", ["none", "raises", "killed", "cannot-fork"])
+@pytest.mark.parametrize("failure", ["none", *_FAILURES])
 @pytest.mark.parametrize("number", [5, 6])
 def test_phase_sweep_figure_forks_once_on_two_cpus_and_writes_the_pinned_bytes(
         number, failure, tmp_path, monkeypatch, capsys):
-    # the 51 x 401 sweep is 61,353 cells: two blocks on 2 CPUs, one on one CPU;
-    # a child that fails, or cannot start, costs only time
+    # the 51 x 401 sweep is 61,353 cells in 4 chunks: dealt to two processes on
+    # 2 CPUs, all formatted by one on one CPU; a child that fails, or cannot
+    # start, costs only time
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     code, _, err = run(capsys, "figure", str(number), "--outdir", str(tmp_path / "one-cpu"))
     assert (code, err) == (0, "")
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    forks = _failing_children(failure, monkeypatch)
+    forks, _ = _failing_children(failure, monkeypatch)
     code, _, err = run(capsys, "figure", str(number), "--outdir", str(tmp_path / "two-cpus"))
     assert (code, err, len(forks)) == (0, "", 1)
     [one_cpu], [two_cpus] = (list((tmp_path / d).iterdir()) for d in ("one-cpu", "two-cpus"))
@@ -763,12 +789,13 @@ def test_phase_sweep_figure_forks_once_on_two_cpus_and_writes_the_pinned_bytes(
     _assert_no_children_left()
 
 
-# through the pole at theta = 0; theta and re_u are 80,002 cells, so 2 blocks on 2 CPUs
+# through the pole at theta = 0; theta and re_u are 80,002 cells: 5 chunks of 8,192
+# rows (the last 7,233), dealt to 2 processes on 2 CPUs
 _BIG = ["evaluate", "--family", "kdvb-singular", "--theta-min=-1", "--theta-max", "1",
         "--theta-steps", "40001"]
 
 
-@pytest.mark.parametrize("failure", ["none", "raises", "killed", "cannot-fork"])
+@pytest.mark.parametrize("failure", ["none", *_FAILURES])
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_output_file_stdout_and_one_cpu_write_the_same_bytes(fmt, failure, tmp_path, monkeypatch,
                                                              capsys):
@@ -776,7 +803,7 @@ def test_output_file_stdout_and_one_cpu_write_the_same_bytes(fmt, failure, tmp_p
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     one_cpu = run(capsys, *argv)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    forks = _failing_children(failure, monkeypatch)
+    forks, records = _failing_children(failure, monkeypatch)
     stdout = run(capsys, *argv)
     output = tmp_path / f"table.{fmt}"
     to_file = run(capsys, *argv, "--output", str(output))
@@ -784,14 +811,15 @@ def test_output_file_stdout_and_one_cpu_write_the_same_bytes(fmt, failure, tmp_p
     assert output.read_bytes() == stdout[1].encode() == one_cpu[1].encode()
     assert (",,1\n" if fmt == "csv" else '"pole_flag": 1') in one_cpu[1]
     assert len(forks) == 2
+    assert len(records) == {"none": 4, "killed-after-a-chunk": 2}.get(failure, 0)
     _assert_no_children_left()
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_stdout_bytes_of_a_table_in_blocks_are_the_output_file_bytes(fmt, tmp_path):
     # in a fresh interpreter, where sys.stdout is a real text stream over a pipe:
-    # the decoded blocks re-encode to the file's bytes.  Two CPUs and _BIG's 80,002
-    # cells make two blocks, the second from a forked child
+    # the decoded chunks re-encode to the file's bytes.  Two CPUs and _BIG's 80,002
+    # cells deal its chunks to two processes, every other one to a forked child
     script = ("import os, sys; os.sched_getaffinity = lambda pid: {0, 1}; "
               "from kdvbwaves.cli import main; sys.exit(main(sys.argv[1:]))")
     argv = [sys.executable, "-c", script, *_BIG, "--format", fmt]
@@ -805,10 +833,11 @@ def test_stdout_bytes_of_a_table_in_blocks_are_the_output_file_bytes(fmt, tmp_pa
 
 
 def test_output_that_is_a_directory_exits_2_and_leaves_no_child(tmp_path, monkeypatch, capsys):
+    # the file is opened before the first chunk is formatted, so nothing forks
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     forks = _counting_forks(monkeypatch)
     code, out, err = run(capsys, *_BIG, "--output", str(tmp_path))
-    assert (code, out, len(forks)) == (2, "", 1) and err.startswith("error: ")
+    assert (code, out, len(forks)) == (2, "", 0) and err.startswith("error: ")
     _assert_no_children_left()
 
 
@@ -826,39 +855,57 @@ class _PipeClosedAfter(io.StringIO):
         return super().write(text)
 
 
-def test_stdout_closed_between_blocks_exits_141_and_leaves_no_child(monkeypatch, capsys):
+@pytest.mark.parametrize("chunks", [0, 1, 2, 4])
+def test_stdout_closed_after_k_chunks_exits_141_and_leaves_no_child(chunks, monkeypatch, capsys):
+    # the header and k of _BIG's 5 chunks go through, with the k - 1 separators
+    # between them; the next write meets the closed pipe.  At k = 0 the header's
+    # write fails before the first chunk is formatted, so nothing forks
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     forks = _counting_forks(monkeypatch)
-    stdout = _PipeClosedAfter(2)  # the header and the first block go through
+    stdout = _PipeClosedAfter(2 * chunks)
     monkeypatch.setattr(sys, "stdout", stdout)
     code = main(_BIG)
-    assert (code, capsys.readouterr().err, len(forks)) == (141, "", 1)
+    assert (code, capsys.readouterr().err, len(forks)) == (141, "", 1 if chunks else 0)
     written = stdout.getvalue()
-    assert written.startswith("theta,re_u,im_u,pole_flag\n-1,") and written.count("\n") == 20_000
+    assert written.count("\n") == 8_192 * chunks and not written.endswith("\n")
+    assert written.startswith("theta,re_u,im_u,pole_flag\n-1," if chunks else "")
     _assert_no_children_left()
 
 
-def test_parent_peak_memory_of_a_big_export_is_about_twice_the_file(tmp_path, monkeypatch):
-    # the parent holds its block as one string and one UTF-8 copy, then every
-    # block as bytes, and never the whole table as one string: its traced peak
-    # is 2.06 times the file; a whole-table string, and its encoding, made it 3.01
-    coeffs = dict(s=2.0, mu=1.0, alpha=3.0, beta=2.0)
-    v = locked_rational_velocity(PhysicalParams(v=0.0, **coeffs))
-    output = tmp_path / "rational.json"
-    argv = ["evaluate", "--family", "rational-plus", "--x-min=-3", "--x-max", "3",
-            "--x-steps", "100000", "--s", "2", "--mu", "1", "--alpha", "3", "--beta", "2",
-            "--v", repr(v), "--k0", "1", "--format", "json", "--output", str(output)]
-    assert main([*argv[:7], "3", *argv[8:]]) == 0  # a 3-point run: the imports are done
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    forks = _counting_forks(monkeypatch)
+def _traced_peak(call):
+    """(call's result, the peak of the memory tracemalloc traces while it runs)."""
     tracemalloc.start()
     try:
-        code = main(argv)
-        peak = tracemalloc.get_traced_memory()[1]
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (code, len(forks)) == (0, 1)
-    assert peak < 2.3 * output.stat().st_size
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_parent_peak_memory_of_a_big_export_is_that_of_its_evaluation(fmt, cpus, tmp_path,
+                                                                      monkeypatch):
+    # the parent holds one chunk at a time, its cells, its text and its bytes,
+    # or a child's record: far less than the evaluation's temporaries.  So the
+    # export's traced peak is the evaluation's, plus 1 MiB for the command
+    # around it.  Holding every block at once made it 2.06 times the file
+    coeffs = dict(s=2.0, mu=1.0, alpha=3.0, beta=2.0)
+    params = PhysicalParams(v=locked_rational_velocity(PhysicalParams(v=0.0, **coeffs)), **coeffs)
+    output = tmp_path / f"rational.{fmt}"
+    argv = ["evaluate", "--family", "rational-plus", "--x-min=-3", "--x-max", "3",
+            "--x-steps", "100000", "--s", "2", "--mu", "1", "--alpha", "3", "--beta", "2",
+            "--v", repr(params.v), "--k0", "1", "--format", fmt, "--output", str(output)]
+    assert main([*argv[:7], "3", *argv[8:]]) == 0  # a 3-point run: the imports are done
+    sol = rational_solution_from_physical(Family.RATIONAL_PLUS, params, 1.0)
+    grid = functools.partial(cli._grid, -3.0, 3.0, 100_000, "x")
+    _, evaluation = _traced_peak(lambda: evaluate_grid(sol, grid(), 0.0))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    forks = _counting_forks(monkeypatch)
+    code, export = _traced_peak(lambda: main(argv))
+    assert (code, len(forks)) == (0, cpus - 1)
+    assert export <= evaluation + 2**20
+    assert output.stat().st_size > 4 * 2**20
     _assert_no_children_left()
 
 

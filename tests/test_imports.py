@@ -98,13 +98,13 @@ print(json.dumps([before, sorted(namespace), kdvbwaves.__all__, sorted(same)]))
 
 
 @pytest.mark.parametrize("call, printed", [
-    ("cli._render(['a', 'theta'], [np.arange(2.0)[:, None], np.arange(2.0), np.ones((2, 2)), "
-     "np.zeros((2, 2))], np.zeros((2, 2), bool), 'csv')",
+    ("list(cli._render(['a', 'theta'], [np.arange(2.0)[:, None], np.arange(2.0), "
+     "np.ones((2, 2)), np.zeros((2, 2))], np.zeros((2, 2), bool), 'csv'))",
      "[b'a,theta,re_u,im_u,pole_flag\\n', b'0,0,1,0,0\\n0,1,1,0,0\\n1,0,1,0,0\\n1,1,1,0,0', "
      "b'\\n']"),
-    ("cli._fill(['%s,%s', '%s,%s'], [1, 2, 3, 4], 2, '\\n')", "[b'1,2\\n3,4']"),
+    ("list(cli._deal(lambda j: b'%d' % j, 3, 2))", "[b'0', b'1', b'2']"),
     ("cli._grid(0.0, 1.0, 3, 'theta')", "array([0. , 0.5, 1. ])"),
-], ids=["_render", "_fill", "_grid"])
+], ids=["_render", "_deal", "_grid"])
 def test_cli_helpers_work_as_the_first_call_after_import(call, printed):
     # numpy is imported here for the arguments only: cli's globals never bind it
     proc = _fresh(f"import numpy as np\nimport kdvbwaves.cli as cli\nprint(repr({call}))")
