@@ -729,10 +729,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return code
     except BrokenPipeError:
         return 141  # 128 + SIGPIPE: the reader closed stdout, which is not an error to report
-    except (ParameterDomainError, UnsupportedDomainError, PoleError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ParameterDomainError, UnsupportedDomainError, PoleError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -29,8 +29,8 @@ genuinely complex-valued solutions, and is what the phase sweep samples.
 Branch pairing.  The +- label of the compound kinks and the A = +-sqrt(q/2)
 branch of the degenerate families run in OPPOSITE directions: the D -> 0
 limit of the plus kink equals the constant built from A = -sqrt(q/2), and
-vice versa.  This is the unique pairing that makes the limit claim true; it
-is encoded in ``_paired_branch`` and asserted by tests.
+vice versa.  This is the unique pairing that makes the limit claim true;
+the family table ``_FAMILIES`` records it, and tests assert it.
 
 Pole policy.  Cells within ~1e-9 of a pole (POLE_TOL, in the argument of
 tanh/coth or in theta for the rational pole) are flagged in a mask with a
@@ -148,6 +148,9 @@ def compound_discriminant_root(p: float, q: float) -> float:
         raise ParameterDomainError("compound families require q != 0")
     square = 18.0 * p + 6.0 / q - 3.0
     scale = abs(18.0 * p) + abs(6.0 / q) + 3.0
+    if not math.isfinite(scale):  # else inf <= inf would snap it to 0
+        raise ParameterDomainError(
+            f"p = {p!r}, q = {q!r} leave the float range: 18p + 6/q - 3 must be finite")
     if abs(square) <= _DISCRIMINANT_SNAP * scale:
         return 0.0
     if square < 0:
@@ -155,24 +158,6 @@ def compound_discriminant_root(p: float, q: float) -> float:
             "18p + 6/q - 3 < 0: oscillatory regime, no real-discriminant solution family"
         )
     return math.sqrt(square)
-
-
-def _paired_branch(family: Family) -> Sign:
-    """Factorization branch that generates a given family.
-
-    The compound plus kink is generated by A = -sqrt(q/2) and the minus kink
-    by A = +sqrt(q/2): this opposite pairing is the unique one under which
-    the Delta -> 0 limit of each kink reaches the constant built from the
-    same branch.  The rational/constant labels follow A directly.
-    """
-    return {
-        Family.KDVB_REGULAR: Sign.MINUS,
-        Family.KDVB_SINGULAR: Sign.PLUS,
-        Family.COMPOUND_TANH_PLUS: Sign.MINUS,
-        Family.COMPOUND_TANH_MINUS: Sign.PLUS,
-        Family.RATIONAL_PLUS: Sign.PLUS,
-        Family.RATIONAL_MINUS: Sign.MINUS,
-    }[family]
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +170,7 @@ def universal_solution(family: Family, theta0: complex = 0j, delta: float = 0.0)
         raise ParameterDomainError(f"not a KdVB universal family: {family}")
     require_finite(delta=delta, theta0=theta0)
     _require_resolvable_phase(complex(theta0).imag / 10.0)
-    fact = factorize_kdvb(delta, _paired_branch(family))
+    fact = factorize_kdvb(delta, _FAMILIES[family][2])
     reduced = ReducedParams(p=fact.p, q=0.0, delta=delta, k=fact.k, theta0=theta0)
     return WaveSolution(family=family, reduced=reduced, sign=fact.sign)
 
@@ -208,7 +193,7 @@ def compound_solution(family: Family, p: float, q: float, theta0: complex = 0j) 
     if q < 0:
         raise UnsupportedDomainError("compound kinks require q > 0 for a real amplitude")
     _require_resolvable_phase(root * complex(theta0).imag / 6.0)
-    fact = factorize_compound(ReducedParams(p=p, q=q), _paired_branch(family))
+    fact = factorize_compound(ReducedParams(p=p, q=q), _FAMILIES[family][2])
     reduced = ReducedParams(p=p, q=q, k=fact.k, theta0=theta0)
     return WaveSolution(family=family, reduced=reduced, sign=fact.sign, Delta=root)
 
@@ -256,8 +241,7 @@ def rational_solution(family: Family, q: float, k0: float, sign: Sign = Sign.PLU
     if family is Family.CONSTANT and k0 != 0:
         raise ParameterDomainError("the constant family is the k0 = 0 member; got k0 != 0")
     p = (1.0 - 2.0 / q) / 6.0
-    if family is not Family.CONSTANT:
-        sign = _paired_branch(family)
+    sign = _FAMILIES[family][2] or sign
     fact = factorize_compound(ReducedParams(p=p, q=q), sign)
     if not math.isfinite(k0 / fact.A):  # the kernel's weight
         raise ParameterDomainError(
@@ -354,7 +338,7 @@ def _compound_kernel(sol: WaveSolution, zeta: np.ndarray, rate: float):
 
 def _compound_slopes(sol: WaveSolution, T: np.ndarray):
     """First three derivatives of b*Delta*T, with T = tanh(Delta*zeta/6)."""
-    b, root, S = _compound_b(sol), sol.Delta, 1.0 - T * T
+    b, root, S = _compound_b(sol), np.float64(sol.Delta), 1.0 - T * T  # powers overflow to inf
     return (
         b * root**2 * S / 6.0,
         -b * root**3 * T * S / 18.0,
@@ -391,13 +375,21 @@ def _rational_slopes(sol: WaveSolution, g: np.ndarray):
     return k0 * k0 / (A * g * g), -2.0 * k0_cubed / (A * g**3), 6.0 * k0_fourth / (A * g**4)
 
 
-def _family_kernel(sol: WaveSolution):
-    """(kernel, slopes) of the solution's family."""
-    if sol.family in _KDVB_FAMILIES:
-        return _kdvb_kernel, _kdvb_slopes
-    if sol.family in _COMPOUND_FAMILIES:
-        return _compound_kernel, _compound_slopes
-    return _rational_kernel, _rational_slopes
+# Each family's kernel, its slopes and the factorization branch that generates
+# it (None for the constant, whose branch is the caller's).  The compound plus
+# kink is generated by A = -sqrt(q/2) and the minus kink by A = +sqrt(q/2):
+# this opposite pairing is the unique one under which the Delta -> 0 limit of
+# each kink reaches the constant built from the same branch.  The rational
+# labels follow A directly.
+_FAMILIES = {
+    Family.KDVB_REGULAR: (_kdvb_kernel, _kdvb_slopes, Sign.MINUS),
+    Family.KDVB_SINGULAR: (_kdvb_kernel, _kdvb_slopes, Sign.PLUS),
+    Family.COMPOUND_TANH_PLUS: (_compound_kernel, _compound_slopes, Sign.MINUS),
+    Family.COMPOUND_TANH_MINUS: (_compound_kernel, _compound_slopes, Sign.PLUS),
+    Family.RATIONAL_PLUS: (_rational_kernel, _rational_slopes, Sign.PLUS),
+    Family.RATIONAL_MINUS: (_rational_kernel, _rational_slopes, Sign.MINUS),
+    Family.CONSTANT: (_rational_kernel, _rational_slopes, None),
+}
 
 
 def _shifted(sol: WaveSolution, grid, t) -> tuple[np.ndarray, float]:
@@ -431,12 +423,16 @@ def evaluate_grid(
     are U(theta).  Otherwise it holds physical x at time t, and the values
     are u = to_physical_amplitude(w) at theta = to_reduced_coordinate(x, t),
     with w = U + delta the first-integral unknown.  ``pole`` flags the cells
-    within the pole tolerance of a pole; their values are NaN + NaN*i.
+    within the pole tolerance of a pole; their values are NaN + NaN*i.  A
+    physical value that leaves the float range at a cell off the poles is a
+    ParameterDomainError.
     """
     zeta, rate = _shifted(sol, grid, t)
-    values, pole, _ = _family_kernel(sol)[0](sol, zeta, rate)
+    values, pole, _ = _FAMILIES[sol.family][0](sol, zeta, rate)
     if t is not None:
-        values = to_physical_amplitude(values + (sol.reduced.delta or 0.0), sol.physical)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            values = to_physical_amplitude(values + (sol.reduced.delta or 0.0), sol.physical)
+        _finite_off_poles(sol, (values,), pole)
     return np.where(pole, _NAN, values), pole
 
 
@@ -469,9 +465,9 @@ def eval_solution_physical(sol: WaveSolution, x: float, t: float) -> complex:
 
 def _jet(sol: WaveSolution, grid, t):
     zeta, rate = _shifted(sol, grid, t)
-    kernel, slopes = _family_kernel(sol)
+    kernel, slopes, _ = _FAMILIES[sol.family]
     U, pole, argument = kernel(sol, zeta, rate)
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # checked below
         jet = tuple(np.where(pole, _NAN, d)
                     for d in (U + (sol.reduced.delta or 0.0), *slopes(sol, argument)))
     return _finite_off_poles(sol, jet, pole), pole
@@ -481,7 +477,7 @@ def _finite_off_poles(sol: WaveSolution, jet: tuple, pole: np.ndarray) -> tuple:
     """``jet``, or a ParameterDomainError where a component is not finite off the poles."""
     if not all((np.isfinite(d) | pole).all() for d in jet):
         raise ParameterDomainError(
-            f"the {sol.family.value} jet leaves the float range at a point off the poles")
+            f"the {sol.family.value} solution leaves the float range at a point off the poles")
     return jet
 
 

@@ -180,7 +180,7 @@ def _pde_terms(
 
 def _kink_width(sol: WaveSolution) -> float | None:
     pp = sol.physical
-    if sol.family in (Family.KDVB_REGULAR, Family.KDVB_SINGULAR):
+    if sol.family in _KDVB_FAMILIES:
         return abs(10.0 * pp.s / pp.mu)
     if sol.Delta:  # compound kink; Delta == 0 or None has no width scale
         return abs(6.0 * pp.s / (pp.mu * sol.Delta))
@@ -223,6 +223,8 @@ def physical_discriminant_root(params: PhysicalParams) -> float:
         + abs(9.0 * params.s * params.alpha**2 / (2.0 * params.beta * params.mu**2))
         + 3.0
     )
+    if not math.isfinite(scale):  # else inf <= inf would snap it to 0
+        raise ParameterDomainError("the discriminant leaves the float range: it must be finite")
     if abs(square) <= _DISCRIMINANT_SNAP * scale:
         return 0.0
     if square < 0:
@@ -734,19 +736,6 @@ class SuiteResult:
         return all(c.passed for c in self.checks)
 
 
-SCOPES = (
-    "all",
-    "factorization",
-    "kdvb-regular",
-    "kdvb-singular",
-    "compound-tanh-plus",
-    "compound-tanh-minus",
-    "rational-plus",
-    "rational-minus",
-    "constant",
-    "compound-rational",
-)
-
 # frozen probe coefficient sets; chosen so truncation error is measurable but
 # far from roundoff on the acceptance meshes
 _KDVB_PROBE = PhysicalParams(s=1.0, mu=6.0, alpha=1.0, beta=0.0, v=0.2)
@@ -926,6 +915,8 @@ _BLOCKS = (
     (("rational-minus", "compound-rational"), partial(_rational, Family.RATIONAL_MINUS, -1.0)),
     (("constant", "compound-rational"), _constant),
 )
+# "all", each block's own scope in transcript order, then the one they share
+SCOPES = ("all", *(scopes[0] for scopes, _ in _BLOCKS), "compound-rational")
 
 
 def _outcome(tolerance, name: str, measured: float, bound, detail: str = "") -> CheckOutcome:

@@ -366,6 +366,31 @@ def test_overflow_inside_the_kernel_writes_the_right_rows_without_a_warning(argv
     assert out.splitlines() == ["theta,re_u,im_u,pole_flag", *rows]
 
 
+_AMPLITUDE_OVERFLOW = ["--family", "kdvb-regular", "--s", "1", "--mu", "1", "--alpha", "1e-160",
+                       "--v", "2e150", "--x-min", "0", "--x-max", "1", "--x-steps", "2"]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv, message", [
+    # the amplitude 2*mu^2/(alpha*s) = 2e160 times w = U + delta ~ 1e150 overflows: this
+    # wrote inf (CSV) or Infinity (JSON) rows with pole_flag 0, after a RuntimeWarning
+    ([*_AMPLITUDE_OVERFLOW, "--format", "csv"], "float range at a point off the poles"),
+    ([*_AMPLITUDE_OVERFLOW, "--format", "json"], "float range at a point off the poles"),
+    # 18p overflows, and inf <= 1e-13 * inf snapped the discriminant root to 0: this wrote
+    # the constant 0, whose first-integral residual is 7.5e306
+    (["--family", "compound-tanh-plus", "--p", "1.5e307", "--q", "2", "--theta-min=-1",
+      "--theta-max", "1", "--theta-steps", "3"], "18p + 6/q - 3 must be finite"),
+    (["--family", "compound-tanh-plus", "--s", "1", "--mu", "1", "--alpha", "1", "--beta", "1.5",
+      "--v", "1.5e307", "--x-min=-1", "--x-max", "1", "--x-steps", "3"],
+     "18p + 6/q - 3 must be finite"),
+], ids=["amplitude-csv", "amplitude-json", "discriminant-reduced", "discriminant-physical"])
+def test_evaluate_out_of_the_float_range_exits_2_with_one_error_line(argv, message, capsys):
+    # each of these exited 0
+    code, out, err = run(capsys, "evaluate", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+
 def _reference(names, columns, pole):
     """(JSON, CSV) of a table, cell by cell: json.dumps of the row dicts, format(v, ".17g")."""
     rows = []

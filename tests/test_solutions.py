@@ -6,7 +6,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kdvbwaves import (
     Family,
@@ -34,7 +34,7 @@ from kdvbwaves import (
     to_reduced_coordinate,
     universal_solution,
 )
-from kdvbwaves.solutions import POLE_TOL, reduce_kdvb_phase
+from kdvbwaves.solutions import _COMPOUND_FAMILIES, _KDVB_FAMILIES, POLE_TOL, reduce_kdvb_phase
 from kdvbwaves.verify import (
     _compound_formula,
     _kdvb_formula,
@@ -292,6 +292,27 @@ def test_locked_velocity_zeroes_the_discriminant():
     assert physical_discriminant_root(params) == 0.0
 
 
+@pytest.mark.parametrize("p, q", [(1.5e307, 2.0), (-1.5e307, 2.0), (0.5, 1e-310)])
+def test_discriminant_that_leaves_the_float_range_is_a_domain_error(p, q):
+    # 18p or 6/q overflows, so square and scale are both inf, and inf <= 1e-13 * inf
+    # snapped the root to 0: a constant that solves nothing
+    with pytest.raises(ParameterDomainError, match=r"18p \+ 6/q - 3 must be finite"):
+        compound_discriminant_root(p, q)
+    with pytest.raises(ParameterDomainError, match=r"18p \+ 6/q - 3 must be finite"):
+        compound_solution(Family.COMPOUND_TANH_PLUS, p, q)
+    # below the bound the root is the plain square root: 6/q - 3 = 0 at q = 2
+    assert compound_discriminant_root(1e306, 2.0) == math.sqrt(18.0 * 1e306)
+
+
+def test_physical_discriminant_that_leaves_the_float_range_is_a_domain_error():
+    # v*s/mu^2 = 1.5e307 and q = 2: the physical route snapped the same way
+    params = PhysicalParams(s=1.0, mu=1.0, alpha=1.0, beta=1.5, v=1.5e307)
+    with pytest.raises(ParameterDomainError, match="float range"):
+        physical_discriminant_root(params)
+    with pytest.raises(ParameterDomainError, match=r"18p \+ 6/q - 3 must be finite"):
+        compound_solution_from_physical(Family.COMPOUND_TANH_PLUS, params)
+
+
 def test_compound_kink_midpoint_and_tails():
     sol = compound_solution(Family.COMPOUND_TANH_PLUS, 1.0, 1.0)
     D = sol.Delta
@@ -443,6 +464,44 @@ def test_physical_jet_whose_chain_rule_scale_overflows_is_a_domain_error(s, mu):
         Family.KDVB_REGULAR, PhysicalParams(s=s, mu=mu, alpha=1.0, beta=0.0, v=0.2))
     with pytest.raises(ParameterDomainError, match=r"\(mu/s\)\*\*3 must be finite"):
         physical_jet(sol, np.array([0.0]), 0.0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_physical_values_that_leave_the_float_range_are_a_domain_error():
+    # the amplitude 2*mu^2/(alpha*s) = 2e160 times w = U + delta ~ 1e150 overflows; the
+    # values were inf with pole False, after a RuntimeWarning
+    sol = kdvb_solution_from_physical(
+        Family.KDVB_REGULAR, PhysicalParams(s=1.0, mu=1.0, alpha=1e-160, beta=0.0, v=2e150))
+    with pytest.raises(ParameterDomainError, match="float range at a point off the poles"):
+        evaluate_grid(sol, np.array([0.0, 1.0]), 0.0)
+    with pytest.raises(ParameterDomainError, match="float range at a point off the poles"):
+        eval_solution_physical(sol, 0.0, 0.0)
+    with pytest.raises(ParameterDomainError, match="float range at a point off the poles"):
+        physical_jet(sol, np.array([0.0]), 0.0)
+    # reduced values of the same solution stay finite: U + delta is 1e150
+    assert np.isfinite(evaluate_grid(sol, np.array([0.0, 1.0]))[0]).all()
+
+
+@pytest.mark.filterwarnings("error")
+def test_compound_jet_whose_root_power_overflows_is_a_domain_error():
+    # Delta = sqrt(18p + ...) ~ 4.2e150, so Delta**3 overflows: a bare OverflowError from
+    # a Python float power, in both jets
+    sol = compound_solution(Family.COMPOUND_TANH_PLUS, 1e300, 2.0)
+    with pytest.raises(ParameterDomainError, match="float range at a point off the poles"):
+        solution_jet(sol, np.array([1.0, -3.0]))
+    phys = compound_solution_from_physical(
+        Family.COMPOUND_TANH_PLUS, PhysicalParams(s=1.0, mu=1.0, alpha=1.0, beta=1.5, v=1e300))
+    with pytest.raises(ParameterDomainError, match="float range at a point off the poles"):
+        physical_jet(phys, np.array([1.0]), 0.0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_rational_jet_on_a_pole_whose_stand_in_underflows_warns_nothing():
+    # the pole cell's stand-in g = A ~ 7e-78 makes A*g**4 underflow to 0, and the
+    # division by it warned "divide by zero encountered in divide"
+    sol = rational_solution(Family.RATIONAL_PLUS, 1e-154, 1.0)
+    jet, pole = solution_jet(sol, np.array([1e-310]))
+    assert pole.tolist() == [True] and all(np.isnan(d).all() for d in jet)
 
 
 def test_rational_locks_p_to_q():
@@ -944,3 +1003,79 @@ def test_array_kernel_pole_tolerance_matches_scalar(mode, name, pole, tol):
 def test_array_kernel_physical_mode_requires_coefficients():
     with pytest.raises(ParameterDomainError):
         evaluate_grid(universal_solution(Family.KDVB_REGULAR), KERNEL_GRID, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# every input ends in a finite value, a pole flag or a domain error
+
+# zeros, units, plain values, and magnitudes at and past the edges of the float range
+_EDGES = [0.0, -0.0, 1.0, -1.0, 0.5, 2.0, 3.0, -2.5, 0.1, 1e308, -1e308, 1.5e307, -1.5e307,
+          1e154, -1e154, 1e-154, 1e200, 1e-200, 1e100, 7e77, 1e-310, 5e-324]
+_DOMAIN_ERRORS = (ParameterDomainError, UnsupportedDomainError, PoleError)
+
+
+def _edge_solution(family, physical, c, locked, sign):
+    """A solution of ``family`` from the values c: reduced, or physical with k0 = c[7].
+
+    The reduced constructors take c[0], c[1] and a phase c[2] + i*pi*c[3].  The
+    physical ones take (s, mu, alpha, beta, v) = c[:5] and xi0 = c[5] + i*pi*c[6];
+    ``locked`` moves v to the rational families' locked velocity.
+    """
+    kdvb, compound = family in _KDVB_FAMILIES, family in _COMPOUND_FAMILIES
+    if not physical:
+        phase = complex(c[2], math.pi * c[3])
+        if kdvb:
+            return universal_solution(family, theta0=phase, delta=c[0])
+        if compound:
+            return compound_solution(family, c[0], c[1], theta0=phase)
+        if family is Family.CONSTANT:
+            return constant_solution(sign, c[0])
+        return rational_solution(family, c[0], c[1])
+    params = PhysicalParams(*c[:5], xi0=complex(c[5], math.pi * c[6]))
+    if kdvb:
+        return kdvb_solution_from_physical(family, params)
+    if compound:
+        return compound_solution_from_physical(family, params)
+    if locked:
+        params = PhysicalParams(*c[:4], locked_rational_velocity(params), params.xi0)
+    return rational_solution_from_physical(
+        family, params, 0.0 if family is Family.CONSTANT else c[7], sign)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(family=st.sampled_from(list(Family)), physical=st.booleans(),
+       c=st.lists(st.sampled_from(_EDGES), min_size=8, max_size=8), locked=st.booleans(),
+       sign=st.sampled_from(list(Sign)), grid=st.lists(st.sampled_from(_EDGES), min_size=3,
+                                                        max_size=3), t=st.sampled_from(_EDGES))
+# an amplitude that overflows off the poles, an 18p that overflows the discriminant (reduced
+# and physical), a compound jet whose Delta**3 overflows, and a rational pole whose stand-in
+# underflows in the jet: each used to give inf, a wrong value, an OverflowError or a warning
+@example(Family.KDVB_REGULAR, True, [1.0, 1.0, 1e-160, 0.0, 2e150, 0.0, 0.0, 0.0], False,
+         Sign.PLUS, [0.0, 1.0, 0.5], 0.0)
+@example(Family.COMPOUND_TANH_PLUS, False, [1.5e307, 2.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0], False,
+         Sign.PLUS, [-1.0, 0.0, 1.0], 0.0)
+@example(Family.COMPOUND_TANH_PLUS, True, [1.0, 1.0, 1.0, 1.5, 1.5e307, 0.0, 0.0, 0.0], False,
+         Sign.PLUS, [-1.0, 0.0, 1.0], 0.0)
+@example(Family.COMPOUND_TANH_PLUS, False, [1e300, 2.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0], False,
+         Sign.PLUS, [1.0, -3.0, 0.0], 0.0)
+@example(Family.RATIONAL_PLUS, False, [1e-154, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0], False,
+         Sign.PLUS, [1e-310, 0.0, 1.0], 0.0)
+def test_every_solution_is_finite_off_the_poles_or_a_domain_error(
+        family, physical, c, locked, sign, grid, t):
+    grid = np.array(grid)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            sol = _edge_solution(family, physical, c, locked, sign)
+        except _DOMAIN_ERRORS:
+            return
+        evaluators = [lambda: evaluate_grid(sol, grid), lambda: solution_jet(sol, grid)]
+        if physical:
+            evaluators += [lambda: evaluate_grid(sol, grid, t), lambda: physical_jet(sol, grid, t)]
+        for evaluate in evaluators:
+            try:
+                values, pole = evaluate()
+            except _DOMAIN_ERRORS:
+                continue
+            for d in values if isinstance(values, tuple) else (values,):
+                assert (np.isfinite(d) | pole).all()
