@@ -20,27 +20,17 @@ from .params import (
     to_reduced_coordinate,
 )
 
-# public name -> its module, for the two modules that import numpy: __getattr__
-# imports the module on the name's first use (PEP 562), so factorization alone loads neither
-_LAZY = dict.fromkeys((
-    "Family", "WaveSolution", "compound_discriminant_root", "compound_solution",
-    "compound_solution_from_physical", "constant_solution", "eval_solution",
-    "eval_solution_physical", "evaluate_grid", "kdvb_solution_from_physical",
-    "locked_rational_velocity", "physical_jet", "rational_solution",
-    "rational_solution_from_physical", "solution_jet", "sweep_rows", "universal_solution",
-), "solutions") | dict.fromkeys((
-    "EquationTag", "ResidualReport", "check_first_integral_consistency",
-    "oracle_integrate_bernoulli", "oracle_integrate_riccati", "rational_form_audit",
-    "residual_first_integral", "residual_pde", "verification_suite",
-), "verify")
-
 
 def __getattr__(name: str):
-    if name not in _LAZY:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(f".{_LAZY[name]}", __name__), name)
-    globals()[name] = value
-    return value
+    # the public names of the two modules that import numpy, resolved on first use
+    # (PEP 562), so factorization alone loads neither; verify imports solutions anyway
+    if name in __all__:
+        for module in ("solutions", "verify"):
+            value = getattr(import_module(f".{module}", __name__), name, None)
+            if value is not None:
+                globals()[name] = value
+                return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 __version__ = "0.1.0"
@@ -61,7 +51,6 @@ __all__ = [
     "compound_discriminant_root",
     "compound_solution",
     "compound_solution_from_physical",
-    "constant_solution",
     "eval_solution",
     "eval_solution_physical",
     "evaluate_grid",

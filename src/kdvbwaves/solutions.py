@@ -250,11 +250,6 @@ def rational_solution(family: Family, q: float, k0: float, sign: Sign = Sign.PLU
     return WaveSolution(family=family, reduced=reduced, sign=sign, Delta=0.0, k0=k0)
 
 
-def constant_solution(sign: Sign, q: float) -> WaveSolution:
-    """The constant solution -(A+1)/(6A^2) on branch A = sign*sqrt(q/2)."""
-    return rational_solution(Family.CONSTANT, q, 0.0, sign=sign)
-
-
 def rational_solution_from_physical(
     family: Family, params: PhysicalParams, k0: float, sign: Sign = Sign.PLUS
 ) -> WaveSolution:
@@ -349,14 +344,19 @@ def _compound_slopes(sol: WaveSolution, T: np.ndarray):
 def _rational_kernel(sol: WaveSolution, zeta: np.ndarray, rate: float):
     A = sol.sign.factor * math.sqrt(sol.reduced.q / 2.0)
     k0 = sol.k0 or 0.0
-    # absolute in theta whatever the coordinate
-    pole = np.abs(zeta - (-A / k0)) < POLE_TOL if k0 else np.zeros(zeta.shape, bool)
     const = -(A + 1.0) / (6.0 * A * A)  # added, not subtracted: Im stays +0 at k0 = 0
-    # |g| = inf far out, where the value is const; (k0/A)/g overflows only on a pole
-    # cell's stand-in g = A (off the poles |g| is about |k0| * POLE_TOL or more): a NaN cell
-    with np.errstate(over="ignore"):
+    # (k0/A)/g overflows only on a pole cell's stand-in g = A (off the poles |g| is about
+    # |k0| * POLE_TOL or more): a NaN cell.  Where k0*zeta overflows, g is not finite
+    # (so k0 != 0) and the quotient is taken divided through by k0 instead
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # absolute in theta whatever the coordinate; a distance that overflows is no pole
+        pole = np.abs(zeta - (-A / k0)) < POLE_TOL if k0 else np.zeros(zeta.shape, bool)
         g = A + k0 * np.where(pole, 0.0, zeta)
-        return -(k0 / A) / g + const, pole, g
+        value = -(k0 / A) / g
+        far = ~np.isfinite(g)
+        if far.any():  # zeta may be 0-d: no assignment into value
+            value = np.where(far, -1.0 / (A * (A / k0 + zeta)), value)
+        return value + const, pole, g
 
 
 def _rational_slopes(sol: WaveSolution, g: np.ndarray):
@@ -424,7 +424,7 @@ def evaluate_grid(
     are u = to_physical_amplitude(w) at theta = to_reduced_coordinate(x, t),
     with w = U + delta the first-integral unknown.  ``pole`` flags the cells
     within the pole tolerance of a pole; their values are NaN + NaN*i.  A
-    physical value that leaves the float range at a cell off the poles is a
+    value that leaves the float range at a cell off the poles is a
     ParameterDomainError.
     """
     zeta, rate = _shifted(sol, grid, t)
@@ -432,7 +432,7 @@ def evaluate_grid(
     if t is not None:
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
             values = to_physical_amplitude(values + (sol.reduced.delta or 0.0), sol.physical)
-        _finite_off_poles(sol, (values,), pole)
+    _finite_off_poles(sol, (values,), pole)
     return np.where(pole, _NAN, values), pole
 
 

@@ -19,7 +19,6 @@ from kdvbwaves import (
     Sign,
     compound_solution,
     compound_solution_from_physical,
-    constant_solution,
     eval_solution,
     factorize_compound,
     factorize_kdvb,
@@ -89,7 +88,8 @@ def test_criterion_2_first_integral_exactness():
             grid = GRID200 if k0 != -2.0 else np.linspace(1.0, 10.0, 200)
             cases.append((f"rational {fam.value} k0={k0}", rational_solution(fam, 0.5, k0), grid))
     for sign in (Sign.PLUS, Sign.MINUS):
-        cases.append((f"constant {sign.value}", constant_solution(sign, 0.5), GRID200))
+        constant = rational_solution(Family.CONSTANT, 0.5, 0.0, sign)
+        cases.append((f"constant {sign.value}", constant, GRID200))
     worst = 0.0
     worst_name = ""
     for name, sol, grid in cases:
@@ -169,7 +169,7 @@ def test_criterion_6_degenerate_limit_and_branch_pairing():
         (Family.COMPOUND_TANH_PLUS, Sign.MINUS),
         (Family.COMPOUND_TANH_MINUS, Sign.PLUS),
     ):
-        limit = eval_solution(constant_solution(paired, q), 0.0)
+        limit = eval_solution(rational_solution(Family.CONSTANT, q, 0.0, paired), 0.0)
         gaps = []
         for root in (0.1, 0.05, 0.025):
             kink = compound_solution(fam, p0 + root * root / 18.0, q)
@@ -260,7 +260,7 @@ def test_criterion_8_negative_controls(capsys):
         ("compound minus", compound_solution(Family.COMPOUND_TANH_MINUS, 1.0, 1.0), GRID200),
         ("rational plus", rational_solution(Family.RATIONAL_PLUS, 0.5, 1.0), GRID200),
         ("rational minus", rational_solution(Family.RATIONAL_MINUS, 0.5, -1.0), GRID200),
-        ("constant", constant_solution(Sign.PLUS, 0.5), GRID200),
+        ("constant", rational_solution(Family.CONSTANT, 0.5, 0.0, Sign.PLUS), GRID200),
     ]
     worst_ratio = math.inf
     worst_name = ""

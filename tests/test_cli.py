@@ -334,6 +334,31 @@ def test_figure_manifest_phase_is_reduced_by_its_exact_period(tmp_path, capsys):
     assert texts == [out, out] and code == 0
 
 
+def test_figure_manifest_takes_an_integer_where_a_number_is_asked_for(tmp_path, capsys):
+    entry = json.loads((resources.files("kdvbwaves") / "figures.json").read_text())["1"]
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({"1": {**entry, "theta_min": -80}}))
+    assert '"theta_min": -80,' in manifest.read_text()
+    code, _, err = run(capsys, "figure", "1", "--manifest", str(manifest),
+                       "--outdir", str(tmp_path))
+    written = tmp_path / entry["output"]
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(written.read_bytes()).hexdigest() == _FIGURE_SHA256[written.name]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["factorize", "--eq", "compound"], "compound factorization requires q != 0 (pass --q)"),
+    (["evaluate", "--family", "rational-plus", "--theta-min", "0", "--theta-max", "1",
+      "--theta-steps", "3"], "rational families need --q"),
+    (["evaluate", "--family", "kdvb-regular", "--theta-steps", "3"],
+     "reduced mode needs --theta-min and --theta-max"),
+    (["evaluate", "--family", "kdvb-regular", "--s", "1", "--mu", "1", "--alpha", "1", "--v", "0",
+      "--x-steps", "3"], "physical mode needs --x-min and --x-max"),
+], ids=["factorize-compound-q", "rational-q", "theta-bounds", "x-bounds"])
+def test_a_missing_flag_exits_2_naming_it(argv, message, capsys):
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("family", ["compound-tanh-plus", "compound-tanh-minus"])
 def test_compound_phase_beyond_pole_resolution_exits_2(family, capsys):
     # the period in a is 6/Delta, not a float: once the float spacing at Im z
@@ -354,10 +379,11 @@ def test_compound_phase_beyond_pole_resolution_exits_2(family, capsys):
     (["--family", "compound-tanh-plus", "--p", "0.5", "--q", "2", "--theta-min=-1e308",
       "--theta-max", "1e154", "--theta-steps", "3"],
      ["-1e+308,-0.5,0,0", "-5.0000000000000001e+307,-0.5,0,0", "1e+154,0.5,0,0"]),
-    # the pole row's stand-in value -(k0/A)/A overflows before the row is flagged
+    # the pole row's stand-in value -(k0/A)/A overflows before the row is flagged, and
+    # k0*theta overflows on the other row, which held the constant -0.56903559372884904
     (["--family", "rational-plus", "--q", "1", "--k0=-1e308", "--theta-min=1e-310",
       "--theta-max=-2.5", "--theta-steps", "2"],
-     ["9.9999999999999694e-311,,,1", "-2.5,-0.56903559372884904,0,0"]),
+     ["9.9999999999999694e-311,,,1", "-2.5,-0.0033501687796110291,0,0"]),
 ], ids=["compound-kink-far-tail", "rational-pole-stand-in"])
 def test_overflow_inside_the_kernel_writes_the_right_rows_without_a_warning(argv, rows, capsys):
     # both wrote these rows and exited 0, after numpy RuntimeWarnings on stderr

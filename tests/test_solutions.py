@@ -1,7 +1,10 @@
 """Tests for the closed-form families, their jets, and the phase sweep."""
 
+import functools
+import importlib.util
 import math
 import warnings
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -18,7 +21,6 @@ from kdvbwaves import (
     compound_discriminant_root,
     compound_solution,
     compound_solution_from_physical,
-    constant_solution,
     eval_solution,
     eval_solution_physical,
     evaluate_grid,
@@ -34,6 +36,7 @@ from kdvbwaves import (
     to_reduced_coordinate,
     universal_solution,
 )
+from kdvbwaves import solutions as solutions_module
 from kdvbwaves.solutions import _COMPOUND_FAMILIES, _KDVB_FAMILIES, POLE_TOL, reduce_kdvb_phase
 from kdvbwaves.verify import (
     _compound_formula,
@@ -93,6 +96,54 @@ def _reference_value(sol, theta):
     value, on_pole = _reference(sol, theta)
     assert not on_pole
     return value
+
+
+@functools.cache
+def _closed_forms():
+    """perfbench/closed_forms.py: the benchmark's 30-digit closed forms and their error bound."""
+    path = Path(__file__).parents[1] / "perfbench" / "closed_forms.py"
+    spec = importlib.util.spec_from_file_location("closed_forms", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _reduced_bound(sol, theta, u):
+    """closed_forms' bound on a compound or rational value u at a real theta, theta0 = 0.
+
+    It is taken of the terms' scale, |u| and |dU/dtheta| * |theta|.
+    """
+    with mpmath.workdps(50):
+        theta = mpmath.mpf(theta)
+        if sol.family in _COMPOUND_FAMILIES:
+            q, D = mpmath.mpf(sol.reduced.q), mpmath.mpf(sol.Delta)
+            b = 1 / (3 * mpmath.sqrt(2 * q))
+            T = mpmath.tanh(D * theta / 6)
+            scale, slope = 1 / (3 * q) + b * (1 + D), b * D**2 * (1 - T * T) / 6
+        else:
+            A = sol.sign.factor * mpmath.sqrt(mpmath.mpf(sol.reduced.q) / 2)
+            k0 = mpmath.mpf(sol.k0)
+            g = A + k0 * theta
+            scale, slope = abs((A + 1) / (6 * A * A)) + abs(k0 / A / g), k0 * k0 / (A * g * g)
+        return _closed_forms()._bound(scale, u, abs(slope) * abs(theta))
+
+
+def test_values_pinned_by_the_cli_tests_match_the_reference():
+    # each finite cell that tests/test_cli.py pins by literal for evaluate and sweep, with
+    # the solution its argv builds and the (theta, U) its row prints; pinned from the
+    # program's own output, the rational cell held -0.56903559372884904, 1.9e14 bounds off
+    kink = compound_solution(Family.COMPOUND_TANH_PLUS, 0.5, 2.0)
+    rational = rational_solution(Family.RATIONAL_PLUS, 1.0, -1e308)
+    cells = [(kink, -1e308, -0.5), (kink, -5.0000000000000001e307, -0.5), (kink, 1e154, 0.5),
+             (rational, -2.5, -0.0033501687796110291)]
+    off = []
+    for sol, theta, value in cells:
+        u = _reference_value(sol, theta)
+        if not abs(value - u) <= _reduced_bound(sol, theta, u):
+            off.append((sol.family, theta, value, u))
+    # the sweep's row at a = 1e15 and theta = -1: a is taken by its exact period 10
+    u, bound = _closed_forms().kdvb_reduced(False, -1.0, math.fmod(1e15, 10.0))
+    assert off == [] and abs(0.048635863194158913 - complex(u)) <= bound
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +364,22 @@ def test_physical_discriminant_that_leaves_the_float_range_is_a_domain_error():
         compound_solution_from_physical(Family.COMPOUND_TANH_PLUS, params)
 
 
+@pytest.mark.parametrize("params, error, message", [
+    # mu**2 overflows, and underflows to 0: a bare OverflowError and ZeroDivisionError
+    (PhysicalParams(s=1.0, mu=1e200, alpha=1.0, beta=1.0, v=1.0), ParameterDomainError,
+     "the discriminant leaves the float range"),
+    (PhysicalParams(s=1.0, mu=1e-200, alpha=1.0, beta=1.0, v=1.0), ParameterDomainError,
+     "the discriminant leaves the float range"),
+    (PhysicalParams(s=2.0, mu=1.0, alpha=3.0, beta=0.0, v=1.0), ParameterDomainError,
+     "compound families require beta != 0"),
+    (PhysicalParams(s=2.0, mu=1.0, alpha=3.0, beta=2.0, v=-5.0), UnsupportedDomainError,
+     "negative discriminant: no real compound kink at this velocity"),
+], ids=["mu-squared-overflows", "mu-squared-underflows", "beta-zero", "negative-square"])
+def test_physical_discriminant_root_outside_its_domain(params, error, message):
+    with pytest.raises(error, match=message):
+        physical_discriminant_root(params)
+
+
 def test_compound_kink_midpoint_and_tails():
     sol = compound_solution(Family.COMPOUND_TANH_PLUS, 1.0, 1.0)
     D = sol.Delta
@@ -384,8 +451,8 @@ def test_rational_pole_raises_with_location():
 
 def test_constant_family_values_by_branch():
     q = 0.5
-    plus = constant_solution(Sign.PLUS, q)
-    minus = constant_solution(Sign.MINUS, q)
+    plus = rational_solution(Family.CONSTANT, q, 0.0, Sign.PLUS)
+    minus = rational_solution(Family.CONSTANT, q, 0.0, Sign.MINUS)
     assert eval_solution(plus, 0.0) == pytest.approx(-1.0)  # -(1.5)/(6*0.25)
     assert eval_solution(minus, 0.0) == pytest.approx(-(-0.5 + 1.0) / (6.0 * 0.25))
 
@@ -457,6 +524,48 @@ def test_rational_jet_that_leaves_the_float_range_off_the_poles_is_a_domain_erro
     assert not pole.any() and np.isfinite(values).all()
 
 
+@pytest.mark.filterwarnings("error")
+def test_rational_values_where_k0_times_zeta_overflows_match_the_reference():
+    # g = A + k0*zeta leaves the float range off the poles, and the value is taken divided
+    # through by k0: the first cell was the constant alone, -0.56903559372884904, and the
+    # second NaN + NaN*i with pole False, after a RuntimeWarning
+    v = locked_rational_velocity(PhysicalParams(s=2.0, mu=3.0, alpha=-1.0, beta=1.0, v=0.0))
+    locked = PhysicalParams(s=2.0, mu=3.0, alpha=-1.0, beta=1.0, v=v, xi0=1e200 - math.pi * 1j)
+    for sol, theta in (
+        (rational_solution(Family.RATIONAL_PLUS, 1.0, -1e308), -2.5),
+        (rational_solution_from_physical(Family.RATIONAL_MINUS, locked, 1e308, Sign.MINUS), 3.0),
+    ):
+        (value,), (pole,) = evaluate_grid(sol, np.array([theta]))
+        assert not pole and abs(value - _reference_value(sol, theta)) < ULPS * EPS
+
+
+@pytest.mark.filterwarnings("error")
+def test_rational_cells_where_k0_times_zeta_overflows_at_a_scalar_coordinate():
+    # a scalar coordinate gives 0-d arrays: the mend took the far cells by item assignment,
+    # a TypeError on the numpy scalar the 0-d quotient is
+    value, pole = evaluate_grid(rational_solution(Family.RATIONAL_PLUS, 1.0, -1e308), -2.5)
+    assert not pole and abs(value - -0.0033501687796111553) < ULPS * EPS
+    # a complex g = inf makes the slopes NaN: a domain error, at a scalar as on a grid
+    v = locked_rational_velocity(PhysicalParams(s=2.0, mu=3.0, alpha=-1.0, beta=1.0, v=0.0))
+    locked = PhysicalParams(s=2.0, mu=3.0, alpha=-1.0, beta=1.0, v=v)
+    sol = rational_solution(Family.RATIONAL_PLUS, 0.5, 1e76)
+    phys = rational_solution_from_physical(Family.RATIONAL_PLUS, locked, 1e76)
+    for jet in (lambda: solution_jet(sol, 1e300), lambda: physical_jet(phys, 1e300, 0.0)):
+        with pytest.raises(ParameterDomainError, match="float range at a point off the poles"):
+            jet()
+
+
+@pytest.mark.filterwarnings("error")
+def test_rational_pole_distance_that_overflows_is_no_pole():
+    # A/k0 is about 2.4e299, so theta + A/k0 overflows in the pole search: the cell was
+    # right, after a RuntimeWarning
+    sol = rational_solution(Family.RATIONAL_PLUS, 1e200, 3e-200)
+    theta = 1.7976931348623157e308
+    (value,), (pole,) = evaluate_grid(sol, np.array([theta]))
+    reference = _reference_value(sol, theta)
+    assert not pole and abs(value - reference) < ULPS * EPS * abs(reference)
+
+
 @pytest.mark.parametrize("s, mu", [(1.0, 1e110), (1e-110, 1.0)])
 def test_physical_jet_whose_chain_rule_scale_overflows_is_a_domain_error(s, mu):
     # (mu/s)**3 leaves the float range: this raised OverflowError from a Python float power
@@ -480,6 +589,28 @@ def test_physical_values_that_leave_the_float_range_are_a_domain_error():
         physical_jet(sol, np.array([0.0]), 0.0)
     # reduced values of the same solution stay finite: U + delta is 1e150
     assert np.isfinite(evaluate_grid(sol, np.array([0.0, 1.0]))[0]).all()
+
+
+@pytest.mark.filterwarnings("error")
+def test_reduced_values_that_leave_the_float_range_are_a_domain_error(monkeypatch):
+    # a stand-in kernel that gives inf at every cell: reduced mode and the sweep passed
+    # the cells off the poles on as inf with pole False; physical mode already raised
+    kernel, slopes, sign = solutions_module._FAMILIES[Family.KDVB_SINGULAR]
+
+    def infinite(sol, zeta, rate):
+        values, pole, T = kernel(sol, zeta, rate)
+        return np.full(values.shape, complex(math.inf, 0.0)), pole, T
+
+    monkeypatch.setitem(solutions_module._FAMILIES, Family.KDVB_SINGULAR,
+                        (infinite, slopes, sign))
+    sol = universal_solution(Family.KDVB_SINGULAR)
+    with pytest.raises(ParameterDomainError, match="float range at a point off the poles"):
+        evaluate_grid(sol, np.array([0.0, 1.0]))
+    with pytest.raises(ParameterDomainError, match="float range at a point off the poles"):
+        sweep_rows(Family.KDVB_SINGULAR, np.array([0.0]), np.array([0.0, 1.0]))
+    # the pole cell alone is flagged, whatever the kernel gave there
+    values, pole = evaluate_grid(sol, np.array([0.0]))
+    assert pole.all() and np.isnan(values).all()
 
 
 @pytest.mark.filterwarnings("error")
@@ -510,19 +641,24 @@ def test_rational_locks_p_to_q():
     assert sol.Delta == 0.0
 
 
+def test_rational_constructor_rejects_a_family_that_is_not_rational():
+    with pytest.raises(ParameterDomainError, match="not a rational-type family"):
+        rational_solution(Family.KDVB_REGULAR, 0.5, 1.0)
+
+
 def test_degenerate_limit_pairing_is_opposite_signed():
     # the plus kink collapses onto the A = -sqrt(q/2) constant, not the
     # A = +sqrt(q/2) one; quadratic in the discriminant root
     q = 0.5
     p0 = (1.0 - 2.0 / q) / 6.0
-    paired = eval_solution(constant_solution(Sign.MINUS, q), 0.0)
-    unpaired = eval_solution(constant_solution(Sign.PLUS, q), 0.0)
+    paired = eval_solution(rational_solution(Family.CONSTANT, q, 0.0, Sign.MINUS), 0.0)
+    unpaired = eval_solution(rational_solution(Family.CONSTANT, q, 0.0, Sign.PLUS), 0.0)
     for root in (0.1, 0.02):
         kink = compound_solution(Family.COMPOUND_TANH_PLUS, p0 + root * root / 18.0, q)
         val = eval_solution(kink, 1.0)
         assert abs(val - paired) < 1.0 * root**2
         assert abs(val - unpaired) > 0.1
-    minus_paired = eval_solution(constant_solution(Sign.PLUS, q), 0.0)
+    minus_paired = eval_solution(rational_solution(Family.CONSTANT, q, 0.0, Sign.PLUS), 0.0)
     for root in (0.1, 0.02):
         kink = compound_solution(Family.COMPOUND_TANH_MINUS, p0 + root * root / 18.0, q)
         assert abs(eval_solution(kink, 1.0) - minus_paired) < 1.0 * root**2
@@ -586,7 +722,7 @@ _OFF_LOCK = PhysicalParams(s=1.0, mu=1.0, alpha=1.0, beta=1.0, v=5.0)
     lambda: universal_solution(Family.KDVB_REGULAR, 0j, 3.0, physical=_OFF_LOCK),
     lambda: compound_solution(Family.COMPOUND_TANH_PLUS, -0.08, 4.0 / 27.0, physical=FIG7),
     lambda: rational_solution(Family.RATIONAL_PLUS, 0.5, 1.0, physical=_OFF_LOCK),
-    lambda: constant_solution(Sign.PLUS, 0.5, physical=_OFF_LOCK),
+    lambda: rational_solution(Family.CONSTANT, 0.5, 0.0, Sign.PLUS, physical=_OFF_LOCK),
 ], ids=["universal", "compound", "rational", "constant"])
 def test_reduced_constructors_take_no_physical_coefficients(build):
     # physical= attached coefficients unchecked: the rational solution above
@@ -741,7 +877,7 @@ def _all_families():
          rational_solution_from_physical(Family.RATIONAL_PLUS, locked, 1.0)),
         (rational_solution(Family.RATIONAL_MINUS, 0.5, -2.0),
          rational_solution_from_physical(Family.RATIONAL_MINUS, locked, 0.5)),
-        (constant_solution(Sign.MINUS, 0.5),
+        (rational_solution(Family.CONSTANT, 0.5, 0.0, Sign.MINUS),
          rational_solution_from_physical(Family.CONSTANT, locked, 0.0, Sign.MINUS)),
     ]
 
@@ -894,7 +1030,7 @@ def _reduced_kernel_cases():
         "compound-degenerate": compound_solution(Family.COMPOUND_TANH_PLUS, -0.5, 0.5),
         "rational-plus": rational_solution(Family.RATIONAL_PLUS, 0.5, 1.0),
         "rational-minus": rational_solution(Family.RATIONAL_MINUS, 0.5, 2.0),
-        "constant": constant_solution(Sign.MINUS, 0.5),
+        "constant": rational_solution(Family.CONSTANT, 0.5, 0.0, Sign.MINUS),
     }
 
 
@@ -1029,7 +1165,7 @@ def _edge_solution(family, physical, c, locked, sign):
         if compound:
             return compound_solution(family, c[0], c[1], theta0=phase)
         if family is Family.CONSTANT:
-            return constant_solution(sign, c[0])
+            return rational_solution(family, c[0], 0.0, sign)
         return rational_solution(family, c[0], c[1])
     params = PhysicalParams(*c[:5], xi0=complex(c[5], math.pi * c[6]))
     if kdvb:

@@ -13,12 +13,13 @@ from kdvbwaves import (
     Family,
     ParameterDomainError,
     PhysicalParams,
+    ReducedParams,
     ResidualReport,
     Sign,
+    WaveSolution,
     check_first_integral_consistency,
     compound_solution,
     compound_solution_from_physical,
-    constant_solution,
     eval_solution,
     factorize_compound,
     kdvb_solution_from_physical,
@@ -65,7 +66,7 @@ def test_first_integral_residual_vanishes_for_all_families():
         compound_solution(Family.COMPOUND_TANH_PLUS, 1.0, 1.0),
         compound_solution(Family.COMPOUND_TANH_MINUS, 0.5, 2.0),
         rational_solution(Family.RATIONAL_PLUS, 0.5, 1.0),
-        constant_solution(Sign.PLUS, 0.5),
+        rational_solution(Family.CONSTANT, 0.5, 0.0, Sign.PLUS),
     ]
     for sol in sols:
         report = residual_first_integral(sol, GRID)
@@ -89,6 +90,13 @@ def test_first_integral_detects_perturbation():
     dirty = residual_first_integral(sol, GRID, scale=1.01).max_abs
     assert dirty > 1e-5
     assert dirty > 1e3 * max(clean, 1e-300)
+
+
+def test_first_integral_needs_an_integration_constant():
+    # every constructor fixes k; a solution built by hand may leave it None
+    sol = WaveSolution(Family.KDVB_REGULAR, ReducedParams(p=0.24, q=0.0), Sign.MINUS)
+    with pytest.raises(ParameterDomainError, match="solution has no integration constant k"):
+        residual_first_integral(sol, GRID)
 
 
 @pytest.mark.parametrize("max_abs, mean_abs", [(1.0, 2.0), (math.nan, 1.0)])
@@ -350,7 +358,7 @@ def test_riccati_oracle_diverges_off_the_paired_branch():
 
 
 def test_riccati_constant_is_an_equilibrium():
-    sol = constant_solution(Sign.PLUS, 0.5)
+    sol = rational_solution(Family.CONSTANT, 0.5, 0.0, Sign.PLUS)
     fact = factorize_compound(sol.reduced, sol.sign)
     U0 = -1.0  # the plus-branch constant at q = 1/2
     traj = oracle_integrate_riccati(fact, U0, (0.0, 20.0), 0.01)
@@ -396,7 +404,7 @@ _RICCATI = [
     for sign in (Sign.MINUS, Sign.PLUS)
 ] + [
     factorize_compound(rational_solution(Family.RATIONAL_MINUS, 0.5, -1.0).reduced, Sign.MINUS),
-    factorize_compound(constant_solution(Sign.PLUS, 0.5).reduced, Sign.PLUS),
+    factorize_compound(rational_solution(Family.CONSTANT, 0.5, 0.0, Sign.PLUS).reduced, Sign.PLUS),
     CompoundFactorization(A=1e200, B=1.0, C=0.0, p=0.0, q=1.0, k=0.0, sign=Sign.PLUS),
     CompoundFactorization(A=0.0, B=1e308, C=-1.0, p=0.0, q=1.0, k=0.0, sign=Sign.PLUS),
 ]
@@ -798,8 +806,7 @@ def test_suite_perturbation_fails_residual_checks():
 
 _CONSTRUCTORS = (
     "universal_solution", "kdvb_solution_from_physical", "compound_solution",
-    "compound_solution_from_physical", "constant_solution", "rational_solution",
-    "rational_solution_from_physical",
+    "compound_solution_from_physical", "rational_solution", "rational_solution_from_physical",
 )
 
 
@@ -825,5 +832,5 @@ def test_family_scope_builds_only_its_own_solutions(monkeypatch):
     for name in _CONSTRUCTORS:
         monkeypatch.setattr(verify_module, name, recording(getattr(verify_module, name)))
     assert verification_suite(scope="kdvb-singular").all_passed
-    # constant_solution takes a Sign first, which would fail this as well
+    # every constructor takes the family first, the constant's (rational_solution) too
     assert families and set(families) == {Family.KDVB_SINGULAR}
