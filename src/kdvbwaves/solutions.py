@@ -276,14 +276,14 @@ def rational_solution_from_physical(
 #
 # One kernel per family, on shifted coordinates zeta = theta - theta0.  It
 # returns the values, the pole mask and the family's argument: T = tanh or
-# coth for the kinks, g = A + k0*zeta for the rational family.  The family's
-# slopes differentiate its value polynomial through that argument (tanh and
-# coth both satisfy dT/dz = 1 - T^2), so the jet shares the kernel's argument
-# and pole mask.  ``rate`` = |d zeta / dx| of the caller's coordinate widens
-# the pole tolerance in the argument z of tanh/coth to POLE_TOL * max(1,
-# |dz/dx|); the rational pole's stays POLE_TOL in theta.  Pole cells are
-# computed at a stand-in argument off every pole, then overwritten with NaN:
-# nothing divides by 0.
+# coth for the kinks, the pair (g, zeta) with g = A + k0*zeta for the rational
+# family.  The family's slopes differentiate its value polynomial through that
+# argument (tanh and coth both satisfy dT/dz = 1 - T^2), so the jet shares the
+# kernel's argument and pole mask.  ``rate`` = |d zeta / dx| of the caller's
+# coordinate widens the pole tolerance in the argument z of tanh/coth to
+# POLE_TOL * max(1, |dz/dx|); the rational pole's stays POLE_TOL in theta.
+# Pole cells are computed at a stand-in argument off every pole, then
+# overwritten with NaN: nothing divides by 0.
 
 _NAN = complex(math.nan, math.nan)
 
@@ -356,15 +356,18 @@ def _rational_kernel(sol: WaveSolution, zeta: np.ndarray, rate: float):
         far = ~np.isfinite(g)
         if far.any():  # zeta may be 0-d: no assignment into value
             value = np.where(far, -1.0 / (A * (A / k0 + zeta)), value)
-        return value + const, pole, g
+        return value + const, pole, (g, zeta)
 
 
-def _rational_slopes(sol: WaveSolution, g: np.ndarray):
-    """First three derivatives of -(k0/A)/g, with g = A + k0*zeta.
+def _rational_slopes(sol: WaveSolution, argument: tuple[np.ndarray, np.ndarray]):
+    """First three derivatives of -(k0/A)/g, with (g, zeta) the kernel's argument.
 
-    A k0 whose fourth power leaves the float range (|k0| above about 1.2e77)
+    Where g = A + k0*zeta is not finite they are taken divided through by
+    k0**n, as powers of 1/(A/k0 + zeta), as the kernel takes the value.  A
+    k0 whose fourth power leaves the float range (|k0| above about 1.2e77)
     has no finite third derivative anywhere: a ParameterDomainError.
     """
+    g, zeta = argument
     A = sol.sign.factor * math.sqrt(sol.reduced.q / 2.0)
     k0 = sol.k0 or 0.0
     try:
@@ -372,7 +375,13 @@ def _rational_slopes(sol: WaveSolution, g: np.ndarray):
     except OverflowError:
         raise ParameterDomainError(
             f"k0 = {k0!r} leaves the float range of the jet: k0**4 must be finite") from None
-    return k0 * k0 / (A * g * g), -2.0 * k0_cubed / (A * g**3), 6.0 * k0_fourth / (A * g**4)
+    slopes = k0 * k0 / (A * g * g), -2.0 * k0_cubed / (A * g**3), 6.0 * k0_fourth / (A * g**4)
+    far = ~np.isfinite(g)
+    if not far.any():
+        return slopes
+    r = 1.0 / (A / k0 + zeta)  # not finite on a pole cell, whose g is finite
+    divided = r**2 / A, -2.0 * r**3 / A, 6.0 * r**4 / A
+    return tuple(np.where(far, f, d) for f, d in zip(divided, slopes))
 
 
 # Each family's kernel, its slopes and the factorization branch that generates

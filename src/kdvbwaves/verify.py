@@ -10,13 +10,16 @@ Three mutually independent error channels:
    second spelling of the closed forms, kept here as the oracle: scalar
    cmath code with its own pole search, its own branch A and its own
    discriminant root (physical_discriminant_root, spelled in physical
-   coefficients), independent of the kernels in solutions.  A formula is
-   built once per solution, so each sample pays only for its own argument,
-   pole distance, tanh and value.  Analytic and FD modes of the PDE residual
-   are separate code paths on purpose; their disagreement is itself a test
-   failure.  One reducer (_report) turns every residual array and its pole
-   mask into a ResidualReport; the residuals are computed with numpy's
-   overflow and invalid warnings off, since a non-finite residual is a FAIL.
+   coefficients), independent of the kernels in solutions and of the maps
+   in params.  A formula reads only the solution's physical coefficients,
+   family, k0 and branch, and relies on the constructors' domain checks.
+   It is built once per solution, so each sample pays only for its own
+   argument, pole distance, tanh and value.  Analytic and FD modes of the
+   PDE residual are separate code paths on purpose; their disagreement is
+   itself a test failure.  One reducer (_report) turns every residual array
+   and its pole mask into a ResidualReport; the residuals are computed with
+   numpy's overflow and invalid warnings off, since a non-finite residual
+   is a FAIL.
 
 2. A classical fixed-step Runge-Kutta oracle for the compatible first-order
    equations (Bernoulli and Riccati): one scalar driver (_rk4) that calls,
@@ -55,13 +58,7 @@ from .factorizer import (
     factorize_kdvb,
     verify_factorization,
 )
-from .params import (
-    PhysicalParams,
-    ReducedParams,
-    reduce,
-    to_physical_amplitude,
-    to_reduced_coordinate,
-)
+from .params import PhysicalParams, ReducedParams
 from .solutions import (
     _COMPOUND_FAMILIES,
     _DISCRIMINANT_SNAP,
@@ -256,10 +253,6 @@ def _kdvb_formula(family: Family, params: PhysicalParams) -> Callable[[float, fl
 
 def _compound_formula(family: Family, params: PhysicalParams) -> Callable[[float, float], complex]:
     """u = -alpha/(2*beta) +- (mu/sqrt(6*beta*s)) * [1 + D*tanh(mu*D*(x - v*t - xi0)/(6*s))]."""
-    if params.beta == 0:
-        raise ParameterDomainError("compound families require beta != 0")
-    if params.beta * params.s <= 0:
-        raise UnsupportedDomainError("compound kinks require beta*s > 0 (q > 0)")
     s, mu, alpha, beta, v, xi0 = (
         params.s, params.mu, params.alpha, params.beta, params.v, params.xi0
     )
@@ -296,20 +289,13 @@ def _rational_formula(
     theta = mu*(x - v*t - xi0)/s and A = +-sqrt(q/2), the branch taken from
     the family for rational-plus/minus and from ``sign`` for the constant.
     """
-    if family is Family.CONSTANT and k0 != 0:
-        raise ParameterDomainError("the constant family is the k0 = 0 member; got k0 != 0")
-    if not (params.beta > 0 and params.s > 0):
-        raise ParameterDomainError("the physical rational family requires beta > 0 and s > 0")
-    v_lock = locked_rational_velocity(params)
-    if abs(params.v - v_lock) > 1e-12 * max(1.0, abs(v_lock)):
-        raise ParameterDomainError(
-            f"rational family exists only at the locked velocity {v_lock!r}; got {params.v!r}"
-        )
+    s, mu, alpha, v, xi0 = params.s, params.mu, params.alpha, params.v, params.xi0
     if family is not Family.CONSTANT:
         sign = Sign.PLUS if family is Family.RATIONAL_PLUS else Sign.MINUS
-    A = sign.factor * math.sqrt(reduce(params).q / 2.0)
-    const = -(params.alpha / (2.0 * params.beta)) * (A + 1.0)
-    v, flat, weight = params.v, complex(const), -(k0 / A)
+    q = 4.0 * params.beta * mu**2 / (3.0 * s * alpha**2)
+    A = sign.factor * math.sqrt(q / 2.0)
+    const = -(alpha / (2.0 * params.beta)) * (A + 1.0)
+    flat, weight, amp = complex(const), -(k0 / A), 2.0 * mu**2 / (alpha * s)
     theta_pole = -A / k0 if k0 else math.nan  # the constant member has no pole
 
     def u(x: float, t: float) -> complex:
@@ -317,13 +303,13 @@ def _rational_formula(
             raise ParameterDomainError("x - v*t must not be NaN")
         if k0 == 0:
             return flat
-        theta = to_reduced_coordinate(x, t, params)
+        theta = mu * (x - v * t - xi0) / s
         if not cmath.isfinite(theta):  # an infinite x or t: the asymptote
             return flat
         if abs(theta - theta_pole) < POLE_TOL:
-            x_pole = (params.s / params.mu) * theta_pole + v * t + params.xi0
+            x_pole = (s / mu) * theta_pole + v * t + xi0
             raise PoleError(f"rational solution pole at x = {x_pole}", x_pole)
-        return const + to_physical_amplitude(weight / (A + k0 * theta), params)
+        return const + amp * (weight / (A + k0 * theta))
 
     return u
 
@@ -331,18 +317,17 @@ def _rational_formula(
 def _physical_formula(sol: WaveSolution) -> Callable[[float, float], complex]:
     """The direct physical formula of a solution, as a scalar function u(x, t).
 
-    The dispatch on the family selects the formula.  What depends on the
-    solution alone is computed here, once: the domain checks, the discriminant
-    root, amplitudes and base value, Im z, its nearest pole and the pole
-    tolerance (for the rational families, the locked-velocity check and the
-    branch A).  Per point the formula computes only x - v*t - Re xi0 and its
-    NaN check, z, the pole distance, tanh and the value.  Hoisted factors keep
-    the order of operations of the formula as written (mu*root*d/(6s) stays
-    (mu*root)*d/(6s), never d*(mu*root/(6s))), because the finite-difference
-    stencils magnify a one-ulp change.
+    The dispatch on the family selects the formula, which reads only the
+    physical coefficients, family, k0 and branch, and relies on the
+    constructors' domain checks.  What depends on the solution alone is
+    computed here, once: the discriminant root, amplitudes and base value,
+    Im z, its nearest pole and the pole tolerance (for the rational families,
+    q and the branch A).  Per point the formula computes only x - v*t - Re xi0
+    and its NaN check, z, the pole distance, tanh and the value.  Hoisted
+    factors keep the order of operations of the formula as written
+    (mu*root*d/(6s) stays (mu*root)*d/(6s), never d*(mu*root/(6s))), because
+    the finite-difference stencils magnify a one-ulp change.
     """
-    if sol.physical is None:
-        raise ParameterDomainError("solution carries no physical coefficients")
     f = sol.family
     if f in _KDVB_FAMILIES:
         return _kdvb_formula(f, sol.physical)
@@ -469,11 +454,17 @@ class Trajectory:
 def _mesh(span: tuple[float, float], step: float) -> tuple[float, int, float]:
     """(t0, n, h) of a run over span: its start, its step count and the step that fits."""
     t0, t1 = span
+    if not all(map(math.isfinite, (t0, t1, step))):
+        raise ParameterDomainError("integration span and step must be finite")
     if step <= 0:
         raise ParameterDomainError("integration step must be positive")
     if not t1 > t0:
         raise ParameterDomainError("integration span must be increasing")
-    n = max(1, round((t1 - t0) / step))
+    count = (t1 - t0) / step
+    if not math.isfinite(count):
+        raise ParameterDomainError(
+            f"integration span {span!r} over step {step!r} leaves the float range")
+    n = max(1, round(count))
     return t0, n, (t1 - t0) / n
 
 

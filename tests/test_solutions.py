@@ -4,6 +4,7 @@ import functools
 import importlib.util
 import math
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import mpmath
@@ -42,7 +43,6 @@ from kdvbwaves.verify import (
     _compound_formula,
     _kdvb_formula,
     _physical_formula,
-    _rational_formula,
     physical_discriminant_root,
 )
 
@@ -426,11 +426,18 @@ def test_compound_rejects_bad_domains():
         compound_solution(Family.COMPOUND_TANH_PLUS, -10.0, 1.0)  # oscillatory
     with pytest.raises(ParameterDomainError):
         compound_solution(Family.KDVB_REGULAR, 1.0, 1.0)
+    # the physical constructor holds every rejection verify's direct formula relies on;
+    # the CLI maps both error classes to exit 2
     negative_q = PhysicalParams(s=-2.0, mu=1.0, alpha=3.0, beta=2.0, v=-10.0)
     with pytest.raises(UnsupportedDomainError):
         compound_solution_from_physical(Family.COMPOUND_TANH_PLUS, negative_q)
-    with pytest.raises(UnsupportedDomainError):
-        _compound_formula(Family.COMPOUND_TANH_PLUS, negative_q)
+    for fam in _COMPOUND_FAMILIES:
+        with pytest.raises(ParameterDomainError, match="q != 0"):  # beta = 0
+            compound_solution_from_physical(fam, replace(FIG7, beta=0.0))
+        for s, beta in ((-2.0, 2.0), (2.0, -2.0)):  # beta*s < 0
+            for v in (-10.0, -0.04, 10.0):
+                with pytest.raises(UnsupportedDomainError):
+                    compound_solution_from_physical(fam, replace(FIG7, s=s, beta=beta, v=v))
 
 
 # ---------------------------------------------------------------------------
@@ -461,8 +468,9 @@ def test_constant_family_rejects_nonzero_k0():
     with pytest.raises(ParameterDomainError):
         rational_solution(Family.CONSTANT, 0.5, 1.0)
     locked = PhysicalParams(s=2.0, mu=1.0, alpha=3.0, beta=2.0, v=locked_rational_velocity(FIG7))
-    with pytest.raises(ParameterDomainError):
-        _rational_formula(Family.CONSTANT, locked, 1.0, Sign.PLUS)
+    for sign in Sign:
+        with pytest.raises(ParameterDomainError, match="k0 = 0 member"):
+            rational_solution_from_physical(Family.CONSTANT, locked, 1.0, sign)
 
 
 @pytest.mark.parametrize("s, mu, alpha, beta", [
@@ -507,10 +515,10 @@ def test_rational_jet_whose_k0_to_the_fourth_overflows_is_a_domain_error(k0):
     assert not pole.any() and all(np.isfinite(d).all() for d in jet)
 
 
-@pytest.mark.parametrize("k0, theta", [(1e77, 1.0), (-1e77, 1.0), (1e70, 1e300), (1e70, -1e300)])
+@pytest.mark.parametrize("k0, theta", [(1e77, 1.0), (-1e77, 1.0)])
 def test_rational_jet_that_leaves_the_float_range_off_the_poles_is_a_domain_error(k0, theta):
-    # 6*k0**4 overflows at k0 = 1e77 (g**4 too: inf/inf), and g = A + k0*theta overflows at
-    # theta = 1e300; both used to give NaN cells with pole False and numpy RuntimeWarnings
+    # 6*k0**4 overflows at k0 = 1e77 (g**4 too: inf/inf); it used to give NaN cells with
+    # pole False and numpy RuntimeWarnings
     locked = PhysicalParams(s=2.0, mu=1.0, alpha=3.0, beta=2.0, v=locked_rational_velocity(FIG7))
     sol = rational_solution(Family.RATIONAL_PLUS, 0.5, k0)
     phys = rational_solution_from_physical(Family.RATIONAL_PLUS, locked, k0)
@@ -519,7 +527,7 @@ def test_rational_jet_that_leaves_the_float_range_off_the_poles_is_a_domain_erro
         solution_jet(sol, np.array([theta]))
     with pytest.raises(ParameterDomainError, match="float range at a point off the poles"):
         physical_jet(phys, np.array([x]), 0.0)
-    # the values stay finite: const = -(A + 1)/(6*A*A) = -1 far out, -3 at theta = 1
+    # the values stay finite: -3 at theta = 1
     values, pole = evaluate_grid(sol, np.array([theta]))
     assert not pole.any() and np.isfinite(values).all()
 
@@ -545,14 +553,57 @@ def test_rational_cells_where_k0_times_zeta_overflows_at_a_scalar_coordinate():
     # a TypeError on the numpy scalar the 0-d quotient is
     value, pole = evaluate_grid(rational_solution(Family.RATIONAL_PLUS, 1.0, -1e308), -2.5)
     assert not pole and abs(value - -0.0033501687796111553) < ULPS * EPS
-    # a complex g = inf makes the slopes NaN: a domain error, at a scalar as on a grid
-    v = locked_rational_velocity(PhysicalParams(s=2.0, mu=3.0, alpha=-1.0, beta=1.0, v=0.0))
-    locked = PhysicalParams(s=2.0, mu=3.0, alpha=-1.0, beta=1.0, v=v)
-    sol = rational_solution(Family.RATIONAL_PLUS, 0.5, 1e76)
-    phys = rational_solution_from_physical(Family.RATIONAL_PLUS, locked, 1e76)
-    for jet in (lambda: solution_jet(sol, 1e300), lambda: physical_jet(phys, 1e300, 0.0)):
-        with pytest.raises(ParameterDomainError, match="float range at a point off the poles"):
-            jet()
+
+
+def _reference_rational_jet(sol, zeta):
+    """(w, w', w'', w''') of a rational solution at a shifted coordinate zeta, at 50 digits."""
+    with mpmath.workdps(50):
+        A = sol.sign.factor * mpmath.sqrt(mpmath.mpf(sol.reduced.q) / 2)
+        k0 = mpmath.mpf(sol.k0)
+        g = A + k0 * mpmath.mpc(zeta)
+        return [-(k0 / A) / g - (A + 1) / (6 * A**2), k0**2 / (A * g**2),
+                -2 * k0**3 / (A * g**3), 6 * k0**4 / (A * g**4)]
+
+
+def _reference_rational_physical_jet(sol, x, t):
+    """(u, u_x, u_xx, u_xxx, u_t) of a physical rational solution at (x, t), at 50 digits."""
+    pp = sol.physical
+    with mpmath.workdps(50):
+        s, mu, alpha, v = (mpmath.mpf(c) for c in (pp.s, pp.mu, pp.alpha, pp.v))
+        zeta = mu * (mpmath.mpf(x) - v * mpmath.mpf(t) - mpmath.mpc(pp.xi0)) / s
+        amp, m = 2 * mu**2 / (alpha * s), mu / s
+        u = [amp * m**n * d for n, d in enumerate(_reference_rational_jet(sol, zeta))]
+        return [*u, -v * u[1]]
+
+
+def _within_ulps(got, want):
+    """Each complex of ``got`` within ULPS ulps of the mpmath value of ``want`` (a zero: exact)."""
+    want = [complex(w) for w in want]
+    return all(abs(complex(g) - w) <= ULPS * EPS * abs(w) for g, w in zip(got, want, strict=True))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("k0, coordinate", [(1e76, 1e300), (1e76, -1e300), (-1e76, 1e300),
+                                            (1e70, 1e300), (1e70, -1e300)], ids=repr)
+def test_rational_jet_where_k0_times_zeta_overflows_matches_the_reference(k0, coordinate):
+    # g = A + k0*zeta leaves the float range off the poles, and the slopes are taken divided
+    # through by k0**n: they were NaN (a complex g = inf in g**n), so both jets raised a
+    # ParameterDomainError, though the value is finite and every slope underflows to zero
+    sol = rational_solution(Family.RATIONAL_PLUS, 0.5, k0)
+    for theta in (coordinate, np.array([coordinate, 1.0])):  # a scalar and a grid
+        jet, pole = solution_jet(sol, theta)
+        assert not np.any(pole)
+        for cell, at in enumerate(np.atleast_1d(theta)):
+            got = [np.atleast_1d(d)[cell] for d in jet]
+            assert _within_ulps(got, _reference_rational_jet(sol, at))
+    # the physical jet at the locked velocity, at a real and a complex phase
+    for xi0 in (0j, complex(0.5, -0.7)):
+        locked = replace(FIG7, v=locked_rational_velocity(FIG7), xi0=xi0)
+        phys = rational_solution_from_physical(Family.RATIONAL_PLUS, locked, k0)
+        jet, pole = physical_jet(phys, coordinate, 0.25)
+        want = _reference_rational_physical_jet(phys, coordinate, 0.25)
+        assert not pole and _within_ulps(jet, want)
+        assert complex(jet[0]) == complex(evaluate_grid(phys, coordinate, 0.25)[0])
 
 
 @pytest.mark.filterwarnings("error")
@@ -668,8 +719,17 @@ def test_rational_physical_requires_locked_velocity():
     params = PhysicalParams(s=2.0, mu=1.0, alpha=3.0, beta=2.0, v=-1.0)
     with pytest.raises(ParameterDomainError):
         rational_solution_from_physical(Family.RATIONAL_PLUS, params, 1.0)
-    with pytest.raises(ParameterDomainError):
-        _rational_formula(Family.RATIONAL_PLUS, params, 1.0, Sign.PLUS)
+    # the constructor holds every rejection verify's direct formula relies on, each a
+    # ParameterDomainError (exit 2 in the CLI), at the locked velocity and off it
+    for fam in (Family.RATIONAL_PLUS, Family.RATIONAL_MINUS, Family.CONSTANT):
+        k0 = 0.0 if fam is Family.CONSTANT else 1.0
+        with pytest.raises(ParameterDomainError, match="locked velocity"):
+            rational_solution_from_physical(fam, params, k0)
+        for s, beta in ((2.0, 0.0), (2.0, -2.0), (-2.0, 2.0), (-2.0, -2.0)):
+            off = replace(params, s=s, beta=beta)
+            off = replace(off, v=locked_rational_velocity(off)) if beta else off
+            with pytest.raises(ParameterDomainError, match="beta > 0 and s > 0"):
+                rational_solution_from_physical(fam, off, k0)
 
 
 def test_rational_physical_matches_manual_exact_spelling():

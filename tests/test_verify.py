@@ -216,8 +216,10 @@ def test_physical_dispatch_agrees_with_direct_formulas():
     sol = compound_solution_from_physical(Family.COMPOUND_TANH_PLUS, fig7)
     assert _physical_formula(sol)(1.0, 0.5) == _compound_formula(
         Family.COMPOUND_TANH_PLUS, fig7)(1.0, 0.5)
-    with pytest.raises(ParameterDomainError):
-        _physical_formula(universal_solution(Family.KDVB_REGULAR))  # no physical coefficients
+    # a solution without physical coefficients never reaches the formulas: the FD residual
+    # rejects it first
+    with pytest.raises(ParameterDomainError, match="physically-anchored"):
+        residual_pde(universal_solution(Family.KDVB_REGULAR), [(0.0, 0.0)], mode="fd")
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +339,24 @@ def test_bernoulli_oracle_validates_inputs():
         oracle_integrate_bernoulli(Sign.MINUS, 1.0, (0.0, 1.0), 0.0)
     with pytest.raises(ParameterDomainError):
         oracle_integrate_bernoulli(Sign.MINUS, 1.0, (1.0, 1.0), 0.1)
+
+
+@pytest.mark.parametrize("span, step, message", [
+    ((0.0, 1.0), math.nan, "must be finite"),  # was a bare ValueError from round(nan)
+    ((0.0, 1.0), math.inf, "must be finite"),
+    ((0.0, math.inf), 0.1, "must be finite"),  # was a bare OverflowError from round(inf)
+    ((-math.inf, 1.0), 0.1, "must be finite"),
+    ((math.nan, 1.0), 0.1, "must be finite"),
+    ((0.0, 1e308), 1e-308, "leaves the float range"),  # span/step overflows
+    ((-1e308, 1e308), 1.0, "leaves the float range"),  # the span itself overflows
+], ids=repr)
+def test_oracle_mesh_that_is_not_finite_is_a_domain_error(span, step, message):
+    sol = compound_solution(Family.COMPOUND_TANH_PLUS, 1.0, 1.0)
+    fact = factorize_compound(sol.reduced, sol.sign)
+    with pytest.raises(ParameterDomainError, match=message):
+        oracle_integrate_riccati(fact, 0.1, span, step)
+    with pytest.raises(ParameterDomainError, match=message):
+        oracle_integrate_bernoulli(Sign.MINUS, 0.1, span, step)
 
 
 def test_riccati_oracle_reproduces_compound_kink():
