@@ -47,8 +47,9 @@ errors, factorizer and params (math and cmath only) are imported at the top,
 numpy, solutions and verify by each function that uses them: factorize and
 --help load none of the three, evaluate, sweep and figure numpy and solutions.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or domain error, 141 when
-the reader closes stdout early (128 + SIGPIPE; nothing is printed).
+Exit codes: 0 success, 1 verification failure, 2 usage or domain error (or a
+grid too big to allocate), 141 when the reader closes stdout early (128 +
+SIGPIPE; nothing is printed).
 Output is deterministic: fixed grids, no timestamps, floats printed with 17
 significant digits in CSV, shortest round-trip form in JSON.  Values on a
 pole are emitted as empty cells (CSV) or nulls (JSON) with pole_flag=1.
@@ -66,7 +67,7 @@ from importlib import resources
 from pathlib import Path
 from typing import BinaryIO, Iterator, Sequence
 
-from .errors import ParameterDomainError, PoleError, UnsupportedDomainError
+from .errors import ParameterDomainError, UnsupportedDomainError
 from .factorizer import Sign, factorize_compound, factorize_kdvb, verify_factorization
 from .params import PhysicalParams, ReducedParams
 
@@ -729,7 +730,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return code
     except BrokenPipeError:
         return 141  # 128 + SIGPIPE: the reader closed stdout, which is not an error to report
-    except (ParameterDomainError, UnsupportedDomainError, PoleError, OSError) as exc:
+    except (ParameterDomainError, UnsupportedDomainError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

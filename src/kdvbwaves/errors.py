@@ -7,8 +7,10 @@ mapping) can react differently:
   (zero coefficients, empty grids, bad ranges).
 * ``UnsupportedDomainError`` -- inputs are mathematically meaningful but
   outside the implemented theory (q < 0, oscillatory discriminant).
-* ``PoleError``              -- an evaluation landed on (or numerically at)
-  a pole of a singular closed form; carries the pole location.
+* ``PoleError``              -- a per-point evaluation (eval_solution,
+  eval_solution_physical) landed on (or numerically at) a pole of a
+  singular closed form; carries the coordinate evaluated.  Nothing else
+  raises it: array evaluation flags a pole cell instead.
 """
 
 from __future__ import annotations
@@ -28,10 +30,9 @@ class PoleError(ArithmeticError):
     Attributes
     ----------
     location : complex
-        In the variable the caller used (reduced theta or physical x): for
-        eval_solution and eval_solution_physical, the coordinate evaluated,
-        which lies within the pole tolerance of the pole; for verify's
-        direct physical formulas, the pole itself.
+        The coordinate evaluated, in the variable the caller used (reduced
+        theta for eval_solution, physical x for eval_solution_physical),
+        which lies within the pole tolerance of the pole.
     """
 
     def __init__(self, message: str, location: complex):

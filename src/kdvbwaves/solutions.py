@@ -362,10 +362,12 @@ def _rational_kernel(sol: WaveSolution, zeta: np.ndarray, rate: float):
 def _rational_slopes(sol: WaveSolution, argument: tuple[np.ndarray, np.ndarray]):
     """First three derivatives of -(k0/A)/g, with (g, zeta) the kernel's argument.
 
-    Where g = A + k0*zeta is not finite they are taken divided through by
+    Where A*g**n (n = 2, 3, 4) leaves the float range, for g = A + k0*zeta
+    itself or for a power of a finite g, they are taken divided through by
     k0**n, as powers of 1/(A/k0 + zeta), as the kernel takes the value.  A
-    k0 whose fourth power leaves the float range (|k0| above about 1.2e77)
-    has no finite third derivative anywhere: a ParameterDomainError.
+    k0 whose fourth power leaves the float range (|k0| above about 1.16e77)
+    is a ParameterDomainError; so, through the caller's check, is a cell
+    whose A*g**n stay finite while 6*k0**4 does not (|k0| above about 7.4e76).
     """
     g, zeta = argument
     A = sol.sign.factor * math.sqrt(sol.reduced.q / 2.0)
@@ -375,9 +377,10 @@ def _rational_slopes(sol: WaveSolution, argument: tuple[np.ndarray, np.ndarray])
     except OverflowError:
         raise ParameterDomainError(
             f"k0 = {k0!r} leaves the float range of the jet: k0**4 must be finite") from None
-    slopes = k0 * k0 / (A * g * g), -2.0 * k0_cubed / (A * g**3), 6.0 * k0_fourth / (A * g**4)
-    far = ~np.isfinite(g)
-    if not far.any():
+    scaled = A * g * g, A * g**3, A * g**4
+    slopes = k0 * k0 / scaled[0], -2.0 * k0_cubed / scaled[1], 6.0 * k0_fourth / scaled[2]
+    far = ~(np.isfinite(scaled[0]) & np.isfinite(scaled[1]) & np.isfinite(scaled[2]))
+    if not (k0 and far.any()):  # k0 = 0 (the constant) has no divided-through form
         return slopes
     r = 1.0 / (A / k0 + zeta)  # not finite on a pole cell, whose g is finite
     divided = r**2 / A, -2.0 * r**3 / A, 6.0 * r**4 / A

@@ -14,12 +14,12 @@ Three mutually independent error channels:
    in params.  A formula reads only the solution's physical coefficients,
    family, k0 and branch, and relies on the constructors' domain checks.
    It is built once per solution, so each sample pays only for its own
-   argument, pole distance, tanh and value.  Analytic and FD modes of the
-   PDE residual are separate code paths on purpose; their disagreement is
-   itself a test failure.  One reducer (_report) turns every residual array
-   and its pole mask into a ResidualReport; the residuals are computed with
-   numpy's overflow and invalid warnings off, since a non-finite residual
-   is a FAIL.
+   argument, pole distance, tanh and value, or returns None at a pole.
+   Analytic and FD modes of the PDE residual are separate code paths on
+   purpose; their disagreement is itself a test failure.  One reducer
+   (_report) turns every residual array and its pole mask into a
+   ResidualReport; the residuals are computed with numpy's overflow and
+   invalid warnings off, since a non-finite residual is a FAIL.
 
 2. A classical fixed-step Runge-Kutta oracle for the compatible first-order
    equations (Bernoulli and Riccati): one scalar driver (_rk4) that calls,
@@ -50,7 +50,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ParameterDomainError, PoleError, UnsupportedDomainError
+from .errors import ParameterDomainError, UnsupportedDomainError
 from .factorizer import (
     CompoundFactorization,
     Sign,
@@ -188,8 +188,8 @@ def _kink_width(sol: WaveSolution) -> float | None:
 #
 # A second spelling of each closed form, independent of the array kernels
 # in solutions: scalar cmath arithmetic on the physical coordinates, with
-# its own pole search.  An infinite x (for the rational family, x or t)
-# gives the asymptote; a NaN x - v*t is a ParameterDomainError.
+# its own pole search.  A formula returns None at a pole and the asymptote at
+# an infinite x (rational: x or t); _physical_samples rejects a NaN x - v*t.
 
 
 def _nearest_pole(im: float, offset: float) -> complex:
@@ -224,7 +224,7 @@ def physical_discriminant_root(params: PhysicalParams) -> float:
     return math.sqrt(square)
 
 
-def _kdvb_formula(family: Family, params: PhysicalParams) -> Callable[[float, float], complex]:
+def _kdvb_formula(family: Family, params: PhysicalParams) -> Callable[..., complex | None]:
     """u = v/alpha + (3*mu^2/(25*alpha*s)) * {[1 + T(mu*(x - v*t - xi0)/(10*s))]^2 - 2}.
 
     T = tanh, or coth for the singular family.
@@ -237,21 +237,18 @@ def _kdvb_formula(family: Family, params: PhysicalParams) -> Callable[[float, fl
     tol = POLE_TOL * max(1.0, abs(mu / ten_s))
     base, amp = v / alpha, 3.0 * mu**2 / (25.0 * alpha * s)
 
-    def u(x: float, t: float) -> complex:
+    def u(x: float, t: float) -> complex | None:
         d = x - v * t - xi0_re  # by parts: a real infinite x keeps Im z finite
-        if math.isnan(d):
-            raise ParameterDomainError("x - v*t must not be NaN")
         z = complex(mu * d / ten_s, im_z)
         if abs(z - pole) < tol:
-            x_pole = (ten_s / mu) * pole + v * t + xi0
-            raise PoleError(f"pole of the singular kink at x = {x_pole}", x_pole)
+            return None
         T = 1.0 / cmath.tanh(z) if singular else cmath.tanh(z)
         return base + amp * ((1.0 + T) ** 2 - 2.0)
 
     return u
 
 
-def _compound_formula(family: Family, params: PhysicalParams) -> Callable[[float, float], complex]:
+def _compound_formula(family: Family, params: PhysicalParams) -> Callable[..., complex | None]:
     """u = -alpha/(2*beta) +- (mu/sqrt(6*beta*s)) * [1 + D*tanh(mu*D*(x - v*t - xi0)/(6*s))]."""
     s, mu, alpha, beta, v, xi0 = (
         params.s, params.mu, params.alpha, params.beta, params.v, params.xi0
@@ -266,16 +263,13 @@ def _compound_formula(family: Family, params: PhysicalParams) -> Callable[[float
     pole = _nearest_pole(im_z, 0.5)
     tol = POLE_TOL * max(1.0, abs(mu_root / six_s))
 
-    def u(x: float, t: float) -> complex:
+    def u(x: float, t: float) -> complex | None:
         d = x - v * t - xi0_re  # by parts: a real infinite x keeps Im z finite
-        if math.isnan(d):
-            raise ParameterDomainError("x - v*t must not be NaN")
         if root == 0.0:
             return base + amp
         z = complex(mu_root * d / six_s, im_z)
         if abs(z - pole) < tol:
-            x_pole = (six_s / mu_root) * pole + v * t + xi0
-            raise PoleError(f"compound kink pole at x = {x_pole}", x_pole)
+            return None
         return base + amp * (1.0 + root * cmath.tanh(z))
 
     return u
@@ -283,7 +277,7 @@ def _compound_formula(family: Family, params: PhysicalParams) -> Callable[[float
 
 def _rational_formula(
     family: Family, params: PhysicalParams, k0: float, sign: Sign
-) -> Callable[[float, float], complex]:
+) -> Callable[..., complex | None]:
     """u = -(alpha/(2*beta))*(A + 1) - (2*mu^2/(alpha*s)) * (k0/A)/(A + k0*theta).
 
     theta = mu*(x - v*t - xi0)/s and A = +-sqrt(q/2), the branch taken from
@@ -298,23 +292,20 @@ def _rational_formula(
     flat, weight, amp = complex(const), -(k0 / A), 2.0 * mu**2 / (alpha * s)
     theta_pole = -A / k0 if k0 else math.nan  # the constant member has no pole
 
-    def u(x: float, t: float) -> complex:
-        if math.isnan(x - v * t):
-            raise ParameterDomainError("x - v*t must not be NaN")
+    def u(x: float, t: float) -> complex | None:
         if k0 == 0:
             return flat
         theta = mu * (x - v * t - xi0) / s
         if not cmath.isfinite(theta):  # an infinite x or t: the asymptote
             return flat
         if abs(theta - theta_pole) < POLE_TOL:
-            x_pole = (s / mu) * theta_pole + v * t + xi0
-            raise PoleError(f"rational solution pole at x = {x_pole}", x_pole)
+            return None
         return const + amp * (weight / (A + k0 * theta))
 
     return u
 
 
-def _physical_formula(sol: WaveSolution) -> Callable[[float, float], complex]:
+def _physical_formula(sol: WaveSolution) -> Callable[..., complex | None]:
     """The direct physical formula of a solution, as a scalar function u(x, t).
 
     The dispatch on the family selects the formula, which reads only the
@@ -322,8 +313,8 @@ def _physical_formula(sol: WaveSolution) -> Callable[[float, float], complex]:
     constructors' domain checks.  What depends on the solution alone is
     computed here, once: the discriminant root, amplitudes and base value,
     Im z, its nearest pole and the pole tolerance (for the rational families,
-    q and the branch A).  Per point the formula computes only x - v*t - Re xi0
-    and its NaN check, z, the pole distance, tanh and the value.  Hoisted
+    q and the branch A).  Per point the formula computes only x - v*t - Re xi0,
+    z, the pole distance, tanh and the value, or None at a pole.  Hoisted
     factors keep the order of operations of the formula as written
     (mu*root*d/(6s) stays (mu*root)*d/(6s), never d*(mu*root/(6s))), because
     the finite-difference stencils magnify a one-ulp change.
@@ -341,19 +332,16 @@ def _physical_samples(sol: WaveSolution, x: np.ndarray, t: np.ndarray):
 
     The formula is built once per call (_physical_formula) and evaluated
     point by point on purpose: this keeps the finite-difference channel
-    independent of the array kernels.  A PoleError becomes a flag, its value
-    NaN.
+    independent of the array kernels.  A NaN x - v*t is a ParameterDomainError,
+    and a pole (the formula's None) a flag with the value NaN.
     """
+    with np.errstate(over="ignore", invalid="ignore"):  # inf is the asymptote; inf - inf is not
+        if np.isnan(x - sol.physical.v * t).any():
+            raise ParameterDomainError("x - v*t must not be NaN")
     u, nan = _physical_formula(sol), complex(math.nan, math.nan)
-    values = []
-    pole = np.zeros(x.shape, bool)
-    for i, (xi, ti) in enumerate(zip(x.tolist(), t.tolist())):
-        try:
-            values.append(u(xi, ti))
-        except PoleError:
-            values.append(nan)
-            pole[i] = True
-    return np.array(values, dtype=complex), pole
+    values = [u(xi, ti) for xi, ti in zip(x.tolist(), t.tolist())]
+    pole = np.array([value is None for value in values], bool)
+    return np.array([nan if value is None else value for value in values], complex), pole
 
 
 def residual_pde(
@@ -628,28 +616,27 @@ def _shifted_reciprocal_pde_residual(
     return _report(residual, x, near, EquationTag.PDE_COMPOUND_KDVB).max_abs
 
 
-def rational_form_audit(params: PhysicalParams, k0: float = 1.0) -> list[AuditFinding]:
+def rational_form_audit(params: PhysicalParams) -> list[AuditFinding]:
     """Measure which spellings of the physical rational solution are exact.
 
     Candidates, all sharing the constant part -(alpha/(2*beta))*(1 + eps):
 
     * locked-velocity form -- the exact image of the reduced rational
-      solution: rational term -6*alpha*s*k0 / (2*beta*s + k0*sqrt(6*s*beta*alpha^2)*X).
+      solution: rational term -6*alpha*s / (2*beta*s + sqrt(6*s*beta*alpha^2)*X).
     * mu-weighted variant -- same shape with mu where the exact form has s:
-      -6*alpha*mu*k0 / (2*beta*mu + k0*sqrt(6*s*beta*alpha^2)*X).
-    * epsilon variant -- -(alpha/(2*beta)) * 6*eps*k0 / (eps + k0*X) with
+      -6*alpha*mu / (2*beta*mu + sqrt(6*s*beta*alpha^2)*X).
+    * epsilon variant -- -(alpha/(2*beta)) * 6*eps / (eps + X) with
       eps = mu*sqrt(2*beta/(3*s*alpha^2)).
     * epsilon-variant velocity -- v = (alpha/(2*beta))^2 * (eps^2 - 1),
       against the locked v = mu^2/(6*s) - alpha^2/(4*beta).
 
     Each finding reports a measured number, so the verdicts are evidence,
-    not opinion.  Uses the plus branch (A = +sqrt(q/2)); requires mu > 0 so
-    that eps = +sqrt(q/2).
+    not opinion.  Uses the plus branch (A = +sqrt(q/2)) with k0 = 1, which
+    the rational terms above are written at; requires mu > 0 so that
+    eps = +sqrt(q/2).
     """
     if not (params.beta > 0 and params.s > 0 and params.mu > 0):
         raise ParameterDomainError("audit requires beta > 0, s > 0, mu > 0")
-    if k0 == 0:
-        raise ParameterDomainError("k0 = 0 degenerates every variant to the same constant")
     s, mu, alpha, beta = params.s, params.mu, params.alpha, params.beta
     v_lock = locked_rational_velocity(params)
     pp = PhysicalParams(s=s, mu=mu, alpha=alpha, beta=beta, v=v_lock, xi0=params.xi0)
@@ -657,7 +644,7 @@ def rational_form_audit(params: PhysicalParams, k0: float = 1.0) -> list[AuditFi
     offset = -(alpha / (2.0 * beta)) * (1.0 + eps)
     root6 = math.sqrt(6.0 * s * beta * alpha**2)
 
-    # sampling: to the right of the pole of the plus branch for k0 > 0
+    # sampling: to the right of the pole of the plus branch
     x, t = np.linspace(2.0, 12.0, 41), 0.7
 
     def finding(name: str, measured: float, threshold: float, detail: str) -> AuditFinding:
@@ -669,23 +656,23 @@ def rational_form_audit(params: PhysicalParams, k0: float = 1.0) -> list[AuditFi
 
     # mutual identity of the two non-exact spellings (they should coincide)
     X = x - pp.v * t
-    g_mu, g_eps = 2.0 * beta * mu + k0 * root6 * X, eps + k0 * X
+    g_mu, g_eps = 2.0 * beta * mu + root6 * X, eps + X
     near = np.minimum(np.abs(g_mu), np.abs(g_eps)) < 1e-6
-    u_mu = offset - 6.0 * alpha * mu * k0 / np.where(near, 1.0, g_mu)
-    u_eps = offset - (alpha / (2.0 * beta)) * 6.0 * eps * k0 / np.where(near, 1.0, g_eps)
+    u_mu = offset - 6.0 * alpha * mu / np.where(near, 1.0, g_mu)
+    u_eps = offset - (alpha / (2.0 * beta)) * 6.0 * eps / np.where(near, 1.0, g_eps)
     gap = float(np.max(np.abs(u_mu - u_eps)[~near], initial=0.0))
     v_eps = (alpha / (2.0 * beta)) ** 2 * (eps**2 - 1.0)
     return [
         finding("locked-velocity-form",
-                residual(-6.0 * alpha * s * k0, 2.0 * beta * s, k0 * root6), 1e-9,
+                residual(-6.0 * alpha * s, 2.0 * beta * s, root6), 1e-9,
                 "exact image of the reduced rational solution; PDE residual should vanish"),
         finding("mu-weighted-variant",
-                residual(-6.0 * alpha * mu * k0, 2.0 * beta * mu, k0 * root6), 1e-9,
+                residual(-6.0 * alpha * mu, 2.0 * beta * mu, root6), 1e-9,
                 "rational term weighted by mu instead of s; algebraically equal to the "
                 "exact form only when mu == s or k0 == 0"),
-        # epsilon variant: -(alpha/(2 beta)) * 6 eps k0 / (eps + k0 X)
+        # epsilon variant: -(alpha/(2 beta)) * 6 eps / (eps + X)
         finding("epsilon-variant",
-                residual(-(alpha / (2.0 * beta)) * 6.0 * eps * k0, eps, k0), 1e-9,
+                residual(-(alpha / (2.0 * beta)) * 6.0 * eps, eps, 1.0), 1e-9,
                 "epsilon-parameterized spelling; PDE residual measured directly"),
         finding("epsilon-equals-mu-weighted", gap, 1e-10,
                 "the two alternate spellings are one and the same function"),
@@ -935,5 +922,5 @@ def verification_suite(
         if scope == "all" or scope in scopes
         for row in block(1.0 + perturb)
     ]
-    audit = rational_form_audit(_LOCKED, k0=1.0) if scope == "compound-rational" else []
+    audit = rational_form_audit(_LOCKED) if scope == "compound-rational" else []
     return SuiteResult(checks=checks, audit=audit)

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import resource
 import signal
 import struct
 import subprocess
@@ -1258,6 +1259,30 @@ def test_closed_stdout_exits_141_without_a_message(argv, monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdout", _ClosedStdout())
     code = main(argv)
     assert (code, capsys.readouterr().err) == (141, "")
+
+
+def _address_space_of_3_gib():
+    # the grid's allocation fails at once in the child: nothing large is ever allocated
+    resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+
+@pytest.mark.parametrize("argv", [
+    # one float64 coordinate vector of 1e13 points: 72.8 TiB
+    ["evaluate", "--family", "kdvb-regular", "--theta-min", "0", "--theta-max", "1",
+     "--theta-steps", "10000000000000"],
+    # a 1e5 x 1e5 complex grid: 149 GiB
+    ["sweep", "--a-min=-5", "--a-max", "0", "--a-steps", "100000",
+     "--theta-min", "0", "--theta-max", "1", "--theta-steps", "100000"],
+], ids=["evaluate", "sweep"])
+def test_grid_too_big_to_allocate_exits_2_with_one_error_line(argv):
+    # numpy's MemoryError was a traceback and exit 1, the code of a failed check
+    proc = subprocess.run(
+        [sys.executable, "-m", "kdvbwaves.cli", *argv], capture_output=True, text=True,
+        timeout=60, preexec_fn=_address_space_of_3_gib,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
 
 
 def test_pipe_closed_before_the_first_write_ends_quietly():

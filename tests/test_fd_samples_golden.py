@@ -36,7 +36,7 @@ from kdvbwaves import (
     locked_rational_velocity,
     rational_solution_from_physical,
 )
-from kdvbwaves.verify import _physical_samples, physical_discriminant_root
+from kdvbwaves.verify import _physical_formula, _physical_samples, physical_discriminant_root
 
 FIXTURE = Path(__file__).parent / "data" / "fd_samples_golden.json"
 INF = math.inf
@@ -185,6 +185,21 @@ def _fixture() -> dict:
 @pytest.mark.parametrize("name", sorted(_cases()))
 def test_physical_samples_match_golden_bits(name):
     assert _record(*_cases()[name]) == _fixture()[name]
+
+
+def test_each_formula_returns_none_exactly_on_the_flagged_nodes():
+    # the pole flag is the direct formula's None: the kink, singular kink,
+    # compound kink and rational formulas, on every pole case of the fixture
+    seen = set()
+    for name, record in _fixture().items():
+        if any(record.get("pole", ())):
+            factory, xs, ts = _cases()[name]
+            sol = factory()
+            u = _physical_formula(sol)
+            assert [u(x, t) is None for x, t in zip(xs, ts)] == record["pole"], name
+            seen.add(sol.family)
+    assert seen == {Family.KDVB_REGULAR, Family.KDVB_SINGULAR, Family.COMPOUND_TANH_PLUS,
+                    Family.RATIONAL_PLUS, Family.RATIONAL_MINUS}
 
 
 def test_fixture_covers_poles_asymptotes_and_errors():

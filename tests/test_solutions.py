@@ -607,6 +607,25 @@ def test_rational_jet_where_k0_times_zeta_overflows_matches_the_reference(k0, co
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("q, theta", [(0.5, 1e10), (8.0, 1.1e7)], ids=repr)
+def test_rational_jet_where_a_power_of_a_finite_g_overflows_matches_the_reference(q, theta):
+    # g = A + k0*zeta is finite, but g**4 (q = 0.5: the complex power is inf + NaN*i) or
+    # A*g**4 (q = 8, A = 2) leaves the float range, and the slopes are taken divided
+    # through by k0**n: the first raised a ParameterDomainError, the second gave a third
+    # slope of 0.0
+    sol = rational_solution(Family.RATIONAL_PLUS, q, 1e70)
+    jet, pole = solution_jet(sol, np.array([theta, 1.0]))
+    assert not pole.any()
+    for cell, at in enumerate((theta, 1.0)):
+        assert _within_ulps([d[cell] for d in jet], _reference_rational_jet(sol, at))
+    # the physical jet at the locked velocity: theta = mu*x/s = x/2 at t = 0
+    locked = replace(FIG7, v=locked_rational_velocity(FIG7))
+    phys = rational_solution_from_physical(Family.RATIONAL_PLUS, locked, 1e70)
+    jet, pole = physical_jet(phys, 2.0 * theta, 0.0)
+    assert not pole and _within_ulps(jet, _reference_rational_physical_jet(phys, 2.0 * theta, 0.0))
+
+
+@pytest.mark.filterwarnings("error")
 def test_rational_pole_distance_that_overflows_is_no_pole():
     # A/k0 is about 2.4e299, so theta + A/k0 overflows in the pole search: the cell was
     # right, after a RuntimeWarning
@@ -1131,7 +1150,7 @@ def _kernel_and_reference(mode, name, grid):
     """((values, pole) of evaluate_grid, (values, pole) of the reference) on grid.
 
     The reference pole set is where the 50-digit spelling finds a pole
-    (reduced) or where verify's direct formula raises PoleError (physical);
+    (reduced) or where verify's direct formula returns None (physical);
     the kernel runs with every warning turned into an error.
     """
     if mode == "reduced":
@@ -1142,10 +1161,8 @@ def _kernel_and_reference(mode, name, grid):
         t, formula = 0.0, _physical_formula(sol)
 
         def call(c):
-            try:
-                return formula(c, 0.0), False
-            except PoleError:
-                return None, True
+            value = formula(c, 0.0)
+            return value, value is None
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -1256,6 +1273,9 @@ def _edge_solution(family, physical, c, locked, sign):
          Sign.PLUS, [1.0, -3.0, 0.0], 0.0)
 @example(Family.RATIONAL_PLUS, False, [1e-154, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0], False,
          Sign.PLUS, [1e-310, 0.0, 1.0], 0.0)
+# a k0 = 0 jet whose A*g**4 overflows has no divided-through form: it must not divide by k0
+@example(Family.RATIONAL_PLUS, False, [1e200, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0], False,
+         Sign.PLUS, [0.0, 0.0, 0.0], 0.0)
 def test_every_solution_is_finite_off_the_poles_or_a_domain_error(
         family, physical, c, locked, sign, grid, t):
     grid = np.array(grid)

@@ -43,6 +43,7 @@ from kdvbwaves.verify import (
     _compound_formula,
     _kdvb_formula,
     _physical_formula,
+    _physical_samples,
     _rational_formula,
     _report,
     _rk4,
@@ -164,18 +165,20 @@ def test_physical_infinite_coordinates_give_the_asymptotes(xi0):
             expected = -3.0 / 4.0 + sign * amp * (1.0 + end * root)
             assert _compound_formula(fam, compound)(end * inf, 0.25) == pytest.approx(
                 expected, abs=1e-14)
-    # NaN has no asymptote: a domain error, not a ValueError from round(nan)
-    for fam, params, formula in ((Family.KDVB_REGULAR, kdvb, _kdvb_formula),
-                                 (Family.KDVB_SINGULAR, kdvb, _kdvb_formula),
-                                 (Family.COMPOUND_TANH_MINUS, compound, _compound_formula)):
-        for x, t in ((nan, 0.0), (0.0, nan), (inf, inf if params.v > 0 else -inf)):
+    # NaN has no asymptote: the sampler's domain error, not a ValueError from
+    # round(nan); at v > 0, x = t = inf is x - v*t = inf - inf
+    for sol in (kdvb_solution_from_physical(Family.KDVB_REGULAR, kdvb),
+                kdvb_solution_from_physical(Family.KDVB_SINGULAR, kdvb),
+                compound_solution_from_physical(Family.COMPOUND_TANH_MINUS, compound)):
+        for x, t in ((nan, 0.0), (0.0, nan), (inf, inf if sol.physical.v > 0 else -inf)):
             with pytest.raises(ParameterDomainError, match="must not be NaN"):
-                formula(fam, params)(x, t)
+                _physical_samples(sol, np.array([0.0, x]), np.array([0.0, t]))
     # also where the degenerate kink (D = 0) is constant in the coordinate
     flat = PhysicalParams(s=2.0, mu=1.0, alpha=3.0, beta=2.0, v=-25.0 / 24.0, xi0=xi0)
     assert physical_discriminant_root(flat) == 0.0
     with pytest.raises(ParameterDomainError, match="must not be NaN"):
-        _compound_formula(Family.COMPOUND_TANH_PLUS, flat)(nan, 0.0)
+        _physical_samples(compound_solution_from_physical(Family.COMPOUND_TANH_PLUS, flat),
+                          np.array([nan]), np.array([0.0]))
 
 
 RATIONAL_K0 = ((Family.RATIONAL_PLUS, 1.0), (Family.RATIONAL_MINUS, -2.0))
@@ -193,21 +196,20 @@ def test_rational_physical_infinite_coordinates_give_the_constant(xi0):
     for fam, k0 in RATIONAL_K0:
         A = (1.0 if fam is Family.RATIONAL_PLUS else -1.0) * math.sqrt(q / 2.0)
         const = -(3.0 / (2.0 * 2.0)) * (A + 1.0)
-        direct = _rational_formula(fam, params, k0, Sign.PLUS)
-        dispatched = _physical_formula(rational_solution_from_physical(fam, params, k0))
+        sol = rational_solution_from_physical(fam, params, k0)
+        direct, dispatched = _rational_formula(fam, params, k0, Sign.PLUS), _physical_formula(sol)
         for x, t in ((inf, 0.0), (-inf, 0.0), (0.0, inf), (0.0, -inf), (inf, inf), (1e308, 0.5)):
             assert direct(x, t) == pytest.approx(const, abs=1e-15)
             assert dispatched(x, t) == pytest.approx(const, abs=1e-15)
         # far out, but finite: the formula itself, approaching the constant
         assert abs(direct(1e8, 0.0) - const) < 1e-7
         for x, t in ((nan, 0.0), (0.0, nan), (inf, -inf)):
-            for u in (direct, dispatched):
-                with pytest.raises(ParameterDomainError, match="must not be NaN"):
-                    u(x, t)
-    constant = _physical_formula(
-        rational_solution_from_physical(Family.CONSTANT, params, 0.0, Sign.MINUS))
+            with pytest.raises(ParameterDomainError, match="must not be NaN"):
+                _physical_samples(sol, np.array([x]), np.array([t]))
+    flat = rational_solution_from_physical(Family.CONSTANT, params, 0.0, Sign.MINUS)
     with pytest.raises(ParameterDomainError, match="must not be NaN"):
-        constant(nan, 0.0)
+        _physical_samples(flat, np.array([nan]), np.array([0.0]))
+    constant = _physical_formula(flat)
     assert constant(-inf, 0.0) == constant(0.0, 0.0)
 
 
@@ -744,7 +746,7 @@ def test_audit_flags_the_published_variants():
         s=2.0, mu=1.0, alpha=3.0, beta=2.0,
         v=locked_rational_velocity(COMPOUND_PROBE),
     )
-    findings = {f.name: f for f in rational_form_audit(params, k0=1.0)}
+    findings = {f.name: f for f in rational_form_audit(params)}
     assert findings["locked-velocity-form"].verdict == "CONSISTENT"
     assert findings["locked-velocity-form"].measured < 1e-9
     assert findings["mu-weighted-variant"].verdict == "DISCREPANT"
@@ -759,7 +761,7 @@ def test_audit_variants_coincide_when_mu_equals_s():
     params = PhysicalParams(
         s=2.0, mu=2.0, alpha=3.0, beta=2.0, v=locked_rational_velocity(base)
     )
-    findings = {f.name: f for f in rational_form_audit(params, k0=1.0)}
+    findings = {f.name: f for f in rational_form_audit(params)}
     assert findings["mu-weighted-variant"].verdict == "CONSISTENT"
     assert findings["epsilon-variant"].verdict == "CONSISTENT"
     # the velocity spelling is still off by 1/beta even at mu == s
@@ -767,15 +769,9 @@ def test_audit_variants_coincide_when_mu_equals_s():
 
 
 def test_audit_rejects_degenerate_inputs():
-    params = PhysicalParams(
-        s=2.0, mu=1.0, alpha=3.0, beta=2.0,
-        v=locked_rational_velocity(COMPOUND_PROBE),
-    )
-    with pytest.raises(ParameterDomainError):
-        rational_form_audit(params, k0=0.0)
     bad = PhysicalParams(s=2.0, mu=1.0, alpha=3.0, beta=-2.0, v=0.0)
     with pytest.raises(ParameterDomainError):
-        rational_form_audit(bad, k0=1.0)
+        rational_form_audit(bad)
 
 
 # ---------------------------------------------------------------------------
