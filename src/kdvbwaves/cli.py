@@ -11,7 +11,8 @@ Subcommands:
 * verify    -- run the named verification checks and exit nonzero when any
   residual exceeds its tolerance.
 * figure    -- reproduce the data behind one of the seven published plots
-  from the frozen manifest (figures.json next to this module).
+  from its entry in figures.json, program data next to this module; each
+  entry spells the evaluate or sweep command that writes the same table.
 
 evaluate, sweep and figure build a WaveSolution with the constructors of
 the solutions module, evaluate it on the whole grid in one evaluate_grid
@@ -40,8 +41,7 @@ reaps it and formats its remaining chunks, with the same bytes.  Every child
 is reaped before the stream ends, also when a write fails or stdout closes.
 The writer holds one chunk at a time, so a table's memory does not grow
 with its output: the peak is the evaluation's, not the table's.  figure
-checks and evaluates every curve before it opens its first file, so a
-malformed manifest leaves no file behind.
+evaluates every table of its entry before it opens its first file.
 
 errors, factorizer and params (math and cmath only) are imported at the top,
 numpy, solutions and verify by each function that uses them: factorize and
@@ -331,13 +331,10 @@ def _profile(sol: WaveSolution, grid: np.ndarray, t: float | None, fmt: str) -> 
 def _sweep(fam: Family, a: tuple, theta: tuple, fmt: str) -> Iterator[bytes]:
     """Check the sweep, evaluate U(theta; i*a*pi) of ``fam`` over (a, theta) and render it.
 
-    ``a`` and ``theta`` are (min, max, steps) of each grid.  The phase sweep
-    is defined for the KdVB families, a grid of several a needs a_min < a_max
-    and a single a needs a_min == a_max.
+    ``a`` and ``theta`` are (min, max, steps) of each grid.  A grid of
+    several a needs a_min < a_max and a single a needs a_min == a_max.
     """
-    from .solutions import _KDVB_FAMILIES, sweep_rows
-    if fam not in _KDVB_FAMILIES:
-        raise ParameterDomainError("the phase sweep is defined for the kdvb families")
+    from .solutions import sweep_rows
     a_min, a_max, _ = a
     a_values = _grid(*a, "a")
     if a_values.size > 1 and not a_min < a_max:
@@ -378,12 +375,7 @@ def cmd_factorize(args: argparse.Namespace) -> int:
         if args.q is None:
             raise ParameterDomainError("compound factorization requires q != 0 (pass --q)")
         fact = factorize_compound(ReducedParams(p=args.p, q=args.q), sign)
-        samples = [
-            complex(a, b)
-            for a in _linspace(-3.0, 3.0, 8)
-            for b in _linspace(-3.0, 3.0, 8)
-            if abs(complex(a, b)) > 1e-3
-        ]
+        samples = [complex(a, b) for a in _linspace(-3.0, 3.0, 8) for b in _linspace(-3.0, 3.0, 8)]
         report = {
             "equation": "compound",
             "sign": sign.value,
@@ -522,72 +514,34 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # figure
 
 
-def _load_manifest(path: str | None) -> dict:
-    if path is not None:
-        text = Path(path).read_text(encoding="utf-8")
-    else:
-        text = resources.files("kdvbwaves").joinpath("figures.json").read_text(encoding="utf-8")
-    try:
-        manifest = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParameterDomainError(f"the figure manifest is not valid JSON: {exc}") from exc
-    if type(manifest) is not dict:
-        raise ParameterDomainError("the figure manifest must be a JSON object")
-    return manifest
-
-
-_KINDS = {str: "a string", int: "an integer", float: "a finite number", dict: "an object",
-          list: "a list"}
-
-
-def _field(entry: object, key: str, kind: type, default: object = None):
-    """entry[key] as a ``kind`` (str, int, finite float, dict or list), else exit 2.
-
-    An int is accepted where a float is asked for; a bool is never a number.
-    An ``entry`` that is not a dict has no fields.
-    """
-    value = entry.get(key, default) if type(entry) is dict else None
-    if kind is float and type(value) is int:
-        value = float(value)
-    if type(value) is not kind or (kind is float and not math.isfinite(value)):
-        raise ParameterDomainError(f"manifest field {key!r} must be {_KINDS[kind]}; got {value!r}")
-    return value
-
-
 def cmd_figure(args: argparse.Namespace) -> int:
-    """Render every output of the figure, then write them: a bad manifest writes no file."""
+    """Render every table of the figure's entry in figures.json, then write them.
+
+    figures.json is program data, checked by the tests rather than on each
+    run.  An entry is a reduced profile, a sweep or a set of physical
+    curves, each table the one an evaluate or sweep command writes.
+    """
     from .solutions import Family, universal_solution
-    manifest = _load_manifest(args.manifest)
-    key = str(args.figure)
-    if key not in manifest:
-        raise ParameterDomainError(f"figure {key!r} is not in the manifest")
-    entry = _field(manifest, key, dict)
-    family = _field(entry, "family", str)
-    if family not in {fam.value for fam in Family}:
-        raise ParameterDomainError(f"manifest field 'family' names no family: {family!r}")
-    fam = Family(family)
-    output = _field(entry, "output", str)
+    text = resources.files("kdvbwaves").joinpath("figures.json").read_text(encoding="utf-8")
+    entry = json.loads(text)[str(args.figure)]
+    fam, output = Family(entry["family"]), entry["output"]
     tables: list[tuple[str, Iterator[bytes]]] = []  # (file name, its parts)
 
     def bounds(name: str) -> tuple[float, float, int]:
-        return (_field(entry, f"{name}_min", float), _field(entry, f"{name}_max", float),
-                _field(entry, f"{name}_steps", int))
+        return entry[f"{name}_min"], entry[f"{name}_max"], entry[f"{name}_steps"]
 
-    if _field(entry, "command", str) == "sweep":
+    if entry["command"] == "sweep":
         tables.append((output, _sweep(fam, bounds("a"), bounds("theta"), "csv")))
     elif "curves" in entry:
-        coeff = _field(entry, "coefficients", dict)
-        s, mu, alpha, beta = (_field(coeff, name, float) for name in ("s", "mu", "alpha", "beta"))
-        t = _field(entry, "t", float)
+        coeff = entry["coefficients"]
         x = _grid(*bounds("x"), "x")
-        for curve in _field(entry, "curves", list):
-            params = PhysicalParams(s=s, mu=mu, alpha=alpha, beta=beta, v=_field(curve, "v", float),
-                                    xi0=complex(_field(coeff, "xi0", float, 0.0)))
-            name = output.replace("{label}", _field(curve, "label", str))
-            tables.append((name, _profile(_physical_solution(fam, params), x, t, "csv")))
+        for curve in entry["curves"]:
+            params = PhysicalParams(s=coeff["s"], mu=coeff["mu"], alpha=coeff["alpha"],
+                                    beta=coeff["beta"], v=curve["v"], xi0=complex(coeff["xi0"]))
+            name = output.replace("{label}", curve["label"])
+            tables.append((name, _profile(_physical_solution(fam, params), x, entry["t"], "csv")))
     else:
-        phase_a = _field(entry, "phase_a", float)
-        sol = universal_solution(fam, theta0=_phase(fam, phase_a))
+        sol = universal_solution(fam, theta0=_phase(fam, entry["phase_a"]))
         tables.append((output, _profile(sol, _grid(*bounds("theta"), "theta"), None, "csv")))
 
     outdir = Path(args.outdir)
@@ -669,7 +623,6 @@ def _verify_arguments(v: argparse.ArgumentParser) -> None:
 def _figure_arguments(g: argparse.ArgumentParser) -> None:
     g.add_argument("figure", type=int, choices=range(1, 8), metavar="N",
                    help="figure id, 1-7")
-    g.add_argument("--manifest", default=None, help="override the packaged manifest")
     g.add_argument("--outdir", default=".", help="directory for the output files")
     g.set_defaults(func=cmd_figure)
 

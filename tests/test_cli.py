@@ -34,6 +34,7 @@ from kdvbwaves import (
 )
 from kdvbwaves import cli
 from kdvbwaves.cli import _render, main
+from kdvbwaves.solutions import _KDVB_FAMILIES
 
 
 def run(capsys, *argv):
@@ -323,30 +324,6 @@ def test_kdvb_phase_is_reduced_by_its_exact_period(family, a, capsys):
         assert want[0] == 0 and "-0," not in want[1] and "-0.0," not in want[1]
 
 
-def test_figure_manifest_phase_is_reduced_by_its_exact_period(tmp_path, capsys):
-    texts = []
-    for phase_a in (2.0, 1e16 + 2.0):  # both exact doubles, 2 apart mod 10
-        manifest = tmp_path / "m.json"
-        manifest.write_text(json.dumps({"1": {**_TINY, "phase_a": phase_a}}))
-        assert run(capsys, "figure", "1", "--manifest", str(manifest),
-                   "--outdir", str(tmp_path))[0] == 0
-        texts.append((tmp_path / "tiny.csv").read_text())
-    code, out, _ = run(capsys, "evaluate", "--family", "kdvb-regular", *_THETA, "--phase-a=2")
-    assert texts == [out, out] and code == 0
-
-
-def test_figure_manifest_takes_an_integer_where_a_number_is_asked_for(tmp_path, capsys):
-    entry = json.loads((resources.files("kdvbwaves") / "figures.json").read_text())["1"]
-    manifest = tmp_path / "m.json"
-    manifest.write_text(json.dumps({"1": {**entry, "theta_min": -80}}))
-    assert '"theta_min": -80,' in manifest.read_text()
-    code, _, err = run(capsys, "figure", "1", "--manifest", str(manifest),
-                       "--outdir", str(tmp_path))
-    written = tmp_path / entry["output"]
-    assert (code, err) == (0, "")
-    assert hashlib.sha256(written.read_bytes()).hexdigest() == _FIGURE_SHA256[written.name]
-
-
 @pytest.mark.parametrize("argv, message", [
     (["factorize", "--eq", "compound"], "compound factorization requires q != 0 (pass --q)"),
     (["evaluate", "--family", "rational-plus", "--theta-min", "0", "--theta-max", "1",
@@ -580,11 +557,14 @@ def test_writer_property_matches_per_cell_formatting(table):
     assert _table(names, columns, pole, "csv") == reference_csv.encode()
 
 
+_MANIFEST = json.loads((resources.files("kdvbwaves") / "figures.json").read_text())
+
+
 def _figure_files(number, outdir, capsys):
+    """Write figure ``number`` into ``outdir`` and return its entry of the packaged manifest."""
     code, _, _ = run(capsys, "figure", str(number), "--outdir", str(outdir))
     assert code == 0
-    manifest = json.loads((resources.files("kdvbwaves") / "figures.json").read_text())
-    return manifest[str(number)]
+    return _MANIFEST[str(number)]
 
 
 @pytest.mark.parametrize("number", [5, 6])
@@ -1008,16 +988,7 @@ def test_sweep_reduces_a_by_its_exact_period(capsys):
     assert [r[1:] for r in rows] == [r[1:] for r in sweep("0")]
 
 
-_SWEEP = {"command": "sweep", "family": "kdvb-regular", "theta_min": 0.0, "theta_max": 1.0,
-          "theta_steps": 3, "output": "sweep.csv"}
 _SPAN = "--a-max - --a-min overflows: the grid span must be finite"
-
-
-def _manifest_sweep(tmp_path, capsys, **fields):
-    """(exit code, stdout, stderr) of figure 1 from a manifest whose entry is a sweep."""
-    manifest = tmp_path / "m.json"
-    manifest.write_text(json.dumps({"1": {**_SWEEP, **fields}}))
-    return run(capsys, "figure", "1", "--manifest", str(manifest), "--outdir", str(tmp_path))
 
 
 @pytest.mark.parametrize("a_min, a_max, a_steps, message", [
@@ -1027,33 +998,17 @@ def _manifest_sweep(tmp_path, capsys, **fields):
     (-1e308, 1e308, 3, _SPAN),
     (-1e308, 1e308, 1, _SPAN),
 ])
-def test_sweep_and_figure_reject_bad_a_ranges_with_one_message(a_min, a_max, a_steps, message,
-                                                              tmp_path, capsys):
-    # the sweep command and a manifest sweep share one check of the a range
+def test_sweep_rejects_bad_a_ranges(a_min, a_max, a_steps, message, capsys):
     flags = [f"--a-min={a_min!r}", f"--a-max={a_max!r}", f"--a-steps={a_steps}"]
     code, out, err = run(capsys, "sweep", *flags, *_THETA)
     assert (code, out, err) == (2, "", f"error: {message}\n")
-    code, out, err = _manifest_sweep(tmp_path, capsys, a_min=a_min, a_max=a_max, a_steps=a_steps)
-    assert (code, out, err) == (2, "", f"error: {message}\n")
-    assert not (tmp_path / "sweep.csv").exists()
 
 
-@pytest.mark.parametrize("family", ["compound-tanh-plus", "rational-minus", "constant"])
-def test_figure_sweep_of_a_family_without_a_phase_sweep_exits_2(family, tmp_path, capsys):
-    # it used to exit 2 with "not a KdVB universal family: Family.COMPOUND_TANH_PLUS"
-    code, out, err = _manifest_sweep(tmp_path, capsys, family=family, a_min=-5.0, a_max=0.0,
-                                     a_steps=3)
-    assert (code, out, err) == (2, "", "error: the phase sweep is defined for the kdvb families\n")
-
-
-def test_figure_sweep_of_one_a_writes_the_sweep_commands_rows(tmp_path, capsys):
+def test_sweep_of_one_a_writes_one_row_per_theta(capsys):
     # a_steps 1 with a_min == a_max used to exit 2 ("phase sweep needs at least 2 steps")
-    code, _, err = _manifest_sweep(tmp_path, capsys, a_min=-2.5, a_max=-2.5, a_steps=1)
-    assert (code, err) == (0, "")
-    code, out, _ = run(capsys, "sweep", "--a-min=-2.5", "--a-max=-2.5", "--a-steps", "1",
-                       "--theta-min", "0", "--theta-max", "1", "--theta-steps", "3")
-    assert code == 0 and (tmp_path / "sweep.csv").read_text() == out
-    assert len(parse_csv(out)[1]) == 3
+    code, out, err = run(capsys, "sweep", "--a-min=-2.5", "--a-max=-2.5", "--a-steps", "1",
+                         "--theta-min", "0", "--theta-max", "1", "--theta-steps", "3")
+    assert (code, err) == (0, "") and len(parse_csv(out)[1]) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -1131,100 +1086,131 @@ def test_figure_seven_writes_six_curves(tmp_path, capsys):
     assert "fig7_compound_kink_v-1.04.csv" in files
 
 
-def test_figure_accepts_custom_manifest(tmp_path, capsys):
-    manifest = tmp_path / "m.json"
-    manifest.write_text(json.dumps({
-        "1": {
-            "command": "evaluate", "family": "kdvb-regular", "phase_a": 0.0,
-            "theta_min": -1.0, "theta_max": 1.0, "theta_steps": 3,
-            "output": "tiny.csv",
-        }
-    }))
-    code, _, _ = run(capsys, "figure", "1", "--manifest", str(manifest),
-                     "--outdir", str(tmp_path))
-    assert code == 0
-    assert (tmp_path / "tiny.csv").exists()
-    code, _, err = run(capsys, "figure", "2", "--manifest", str(manifest),
-                       "--outdir", str(tmp_path))
-    assert code == 2 and "not in the manifest" in err
+# the fields that figure reads from each kind of entry, with their JSON types
+_ENTRY_FIELDS = {
+    "profile": {"phase_a": float, "theta_min": float, "theta_max": float, "theta_steps": int},
+    "sweep": {"a_min": float, "a_max": float, "a_steps": int,
+              "theta_min": float, "theta_max": float, "theta_steps": int},
+    "curves": {"coefficients": dict, "t": float, "x_min": float, "x_max": float, "x_steps": int,
+               "curves": list},
+}
 
 
-_TINY = {"command": "evaluate", "family": "kdvb-regular", "phase_a": 0.0,
-         "theta_min": -1.0, "theta_max": 1.0, "theta_steps": 3, "output": "tiny.csv"}
+def _kind(entry):
+    return "sweep" if entry["command"] == "sweep" else "curves" if "curves" in entry else "profile"
 
 
-@pytest.mark.parametrize("text", [
-    '{"1": ',                                            # not JSON
-    "[1, 2]",                                            # not an object
-    '{"1": 5}',                                          # entry not an object
-    json.dumps({"1": {k: v for k, v in _TINY.items() if k != "theta_max"}}),
-    json.dumps({"1": {k: v for k, v in _TINY.items() if k != "family"}}),
-    json.dumps({"1": {**_TINY, "family": "kdvb-bogus"}}),
-    json.dumps({"1": {**_TINY, "theta_steps": "3"}}),
-    json.dumps({"1": {**_TINY, "theta_steps": 2.5}}),
-    json.dumps({"1": {**_TINY, "phase_a": True}}),
-    json.dumps({"1": {**_TINY, "output": ["tiny.csv"]}}),
-    json.dumps({"1": {**_TINY, "theta_min": "-1"}}),
-    '{"1": {"command": "evaluate", "family": "kdvb-regular", "phase_a": NaN, '
-    '"theta_min": -1, "theta_max": 1, "theta_steps": 3, "output": "tiny.csv"}}',
-    json.dumps({"1": {**_TINY, "command": "sweep", "a_min": 0.0, "a_max": 1.0}}),
-    json.dumps({"1": {**_TINY, "family": "compound-tanh-plus", "t": 0.0, "x_min": -1.0,
-                      "x_max": 1.0, "x_steps": 3, "coefficients": {"s": 2.0, "mu": 1.0},
-                      "curves": [{"label": "a", "v": -0.04}]}}),
-    json.dumps({"1": {**_TINY, "family": "compound-tanh-plus", "t": 0.0, "x_min": -1.0,
-                      "x_max": 1.0, "x_steps": 3,
-                      "coefficients": {"s": 2.0, "mu": 1.0, "alpha": 3.0, "beta": 2.0},
-                      "curves": [{"label": "a"}]}}),
-    json.dumps({"1": {**_TINY, "family": "compound-tanh-plus", "t": 0.0, "x_min": -1.0,
-                      "x_max": 1.0, "x_steps": 3,
-                      "coefficients": {"s": 2.0, "mu": 1.0, "alpha": 3.0, "beta": 2.0},
-                      "curves": "a"}}),
-])
-def test_figure_rejects_malformed_manifest(text, tmp_path, capsys):
-    manifest = tmp_path / "m.json"
-    manifest.write_text(text)
-    code, out, err = run(capsys, "figure", "1", "--manifest", str(manifest),
-                         "--outdir", str(tmp_path))
-    assert (code, out) == (2, "") and err.startswith("error: ")
+def _typed(record, fields):
+    """Whether ``record`` holds every field with its type: a float finite, a bool no number."""
+    return type(record) is dict and all(
+        type(record.get(key)) is kind and (kind is not float or math.isfinite(record[key]))
+        for key, kind in fields.items())
 
 
-_CURVES = {"command": "evaluate", "family": "compound-tanh-plus", "t": 0.0, "x_min": -1.0,
-           "x_max": 1.0, "x_steps": 3, "output": "f7_{label}.csv",
-           "coefficients": {"s": 2.0, "mu": 1.0, "alpha": 3.0, "beta": 2.0}}
+def _check_entry(entry):
+    """Assert that a manifest entry holds every field that figure reads for its kind."""
+    assert _typed(entry, {"command": str, "family": str, "output": str})
+    assert entry["command"] in ("evaluate", "sweep")
+    assert entry["family"] in {f.value for f in Family}
+    family, kind = Family(entry["family"]), _kind(entry)
+    assert _typed(entry, _ENTRY_FIELDS[kind])
+    if kind == "curves":
+        coefficients = dict.fromkeys(("s", "mu", "alpha", "beta", "xi0"), float)
+        assert _typed(entry["coefficients"], coefficients)
+        assert entry["curves"] and all(_typed(c, {"label": str, "v": float})
+                                       for c in entry["curves"])
+        assert "{label}" in entry["output"]
+    else:  # a profile and a sweep are of a KdVB family
+        assert family in _KDVB_FAMILIES
 
 
-@pytest.mark.parametrize("second", [
-    5,                                   # not an object
-    {"label": "b"},                      # no velocity
-    {"label": "b", "v": -9.0},           # negative discriminant: no kink at this velocity
-    {"v": -0.5},                         # no label
-])
-def test_figure_writes_nothing_when_a_later_curve_is_malformed(second, tmp_path, capsys):
-    # the first curve's file used to be written before the second curve failed
-    manifest = tmp_path / "m.json"
-    manifest.write_text(json.dumps({"7": {**_CURVES, "curves": [{"label": "a", "v": -0.04},
-                                                                second]}}))
-    outdir = tmp_path / "out"
-    outdir.mkdir()
-    code, out, err = run(capsys, "figure", "7", "--manifest", str(manifest),
-                         "--outdir", str(outdir))
-    assert (code, out) == (2, "") and err.startswith("error: ")
-    assert list(outdir.iterdir()) == []
+def test_packaged_manifest_holds_the_seven_figures():
+    assert list(_MANIFEST) == ["_comment", *map(str, range(1, 8))]
+    assert all(type(line) is str for line in _MANIFEST["_comment"])
 
 
-@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("number", range(1, 8))
+def test_packaged_manifest_holds_what_figure_reads(number):
+    # figure indexes its entry without checking it, so the program data is checked here
+    _check_entry(_MANIFEST[str(number)])
+
+
+_PROFILE, _SWEEP, _CURVES = _MANIFEST["1"], _MANIFEST["5"], _MANIFEST["7"]
+
+
+def _without(entry, key):
+    return {k: v for k, v in entry.items() if k != key}
+
+
 @pytest.mark.parametrize("entry", [
-    {**_TINY, "theta_min": -1e308, "theta_max": 1e308},
-    {**_TINY, "command": "sweep", "a_min": -1e308, "a_max": 1e308, "a_steps": 3},
-    {**_CURVES, "x_min": -1e308, "x_max": 1e308, "curves": [{"label": "a", "v": -0.04}]},
+    5,                                                   # not an object
+    _without(_PROFILE, "theta_max"),
+    _without(_PROFILE, "family"),
+    {**_PROFILE, "family": "kdvb-bogus"},
+    {**_PROFILE, "family": "compound-tanh-plus"},        # a profile of no KdVB family
+    {**_PROFILE, "command": "factorize"},
+    {**_PROFILE, "theta_steps": "3"},
+    {**_PROFILE, "theta_steps": 2.5},
+    {**_PROFILE, "phase_a": True},
+    {**_PROFILE, "phase_a": math.nan},
+    {**_PROFILE, "theta_min": "-1"},
+    {**_PROFILE, "output": ["fig1.csv"]},
+    _without(_SWEEP, "a_steps"),
+    {**_SWEEP, "family": "compound-tanh-plus"},
+    {**_SWEEP, "family": "rational-minus"},
+    {**_SWEEP, "family": "constant"},
+    {**_CURVES, "coefficients": {"s": 2.0, "mu": 1.0}},
+    {**_CURVES, "curves": "a"},
+    {**_CURVES, "curves": []},
+    {**_CURVES, "curves": [{"label": "a", "v": -0.04}, 5]},
+    {**_CURVES, "curves": [{"label": "a", "v": -0.04}, {"label": "b"}]},
+    {**_CURVES, "curves": [{"label": "a", "v": -0.04}, {"v": -0.5}]},
+    {**_CURVES, "output": "fig7.csv"},                   # every curve would write one file
 ])
-def test_figure_rejects_overflowing_grid_span(entry, tmp_path, capsys):
-    manifest = tmp_path / "m.json"
-    manifest.write_text(json.dumps({"1": entry}))
-    outdir = tmp_path / "out"
-    code, out, err = run(capsys, "figure", "1", "--manifest", str(manifest),
-                         "--outdir", str(outdir))
-    assert (code, out) == (2, "") and "overflows" in err and not outdir.exists()
+def test_manifest_check_rejects_a_malformed_entry(entry):
+    with pytest.raises(AssertionError):
+        _check_entry(entry)
+
+
+def test_figure_has_no_manifest_option(capsys):
+    # figure renders only its packaged manifest: another one is a usage error
+    with pytest.raises(SystemExit) as err:
+        main(["figure", "1", "--manifest", "m.json"])
+    out, stderr = capsys.readouterr()
+    assert err.value.code == 2 and out == ""
+    assert "unrecognized arguments: --manifest m.json" in stderr and "Traceback" not in stderr
+
+
+def _commands(entry):
+    """(file name, argv) of the evaluate or sweep command that writes each table of ``entry``."""
+    def flags(record, *keys):
+        return [f"--{key.replace('_', '-')}={record[key]!r}" for key in keys]
+
+    def grid(name):
+        return flags(entry, f"{name}_min", f"{name}_max", f"{name}_steps")
+
+    family = ["--family", entry["family"]]
+    if _kind(entry) == "sweep":
+        return [(entry["output"], ["sweep", *family, *grid("a"), *grid("theta")])]
+    if _kind(entry) == "profile":
+        return [(entry["output"], ["evaluate", *family, *flags(entry, "phase_a"), *grid("theta")])]
+    coefficients = flags(entry["coefficients"], "s", "mu", "alpha", "beta", "xi0")
+    return [(entry["output"].replace("{label}", curve["label"]),
+             ["evaluate", *family, *coefficients, *flags(curve, "v"), *flags(entry, "t"),
+              *grid("x")])
+            for curve in entry["curves"]]
+
+
+@pytest.mark.parametrize("number", range(1, 8))
+def test_each_figure_is_the_command_its_entry_spells(number, tmp_path, capsys):
+    # custom figure data is one evaluate or sweep command with --output: the
+    # files figure N writes are the bytes of the commands its entry spells
+    entry = _figure_files(number, tmp_path / "figure", capsys)
+    commands = _commands(entry)
+    assert sorted(p.name for p in (tmp_path / "figure").iterdir()) == sorted(n for n, _ in commands)
+    for name, argv in commands:
+        assert run(capsys, *argv, "--output", str(tmp_path / name)) == (0, "", "")
+        assert (tmp_path / name).read_bytes() == (tmp_path / "figure" / name).read_bytes()
 
 
 def test_figure_rejects_out_of_range_id():
