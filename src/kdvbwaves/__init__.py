@@ -4,7 +4,7 @@ independent residual and Runge-Kutta verification of every family."""
 
 from importlib import import_module
 
-from .errors import ParameterDomainError, PoleError, UnsupportedDomainError
+from .errors import ParameterDomainError
 from .factorizer import (
     CompoundFactorization,
     Sign,
@@ -41,11 +41,9 @@ __all__ = [
     "Family",
     "ParameterDomainError",
     "PhysicalParams",
-    "PoleError",
     "ReducedParams",
     "ResidualReport",
     "Sign",
-    "UnsupportedDomainError",
     "WaveSolution",
     "check_first_integral_consistency",
     "compound_discriminant_root",

@@ -47,7 +47,8 @@ errors, factorizer and params (math and cmath only) are imported at the top,
 numpy, solutions and verify by each function that uses them: factorize and
 --help load none of the three, evaluate, sweep and figure numpy and solutions.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or domain error (or a
+Exit codes: 0 success, 1 verification failure, 2 usage or domain error (a
+ParameterDomainError, the package's one exception class, an OSError, or a
 grid too big to allocate), 141 when the reader closes stdout early (128 +
 SIGPIPE; nothing is printed).
 Output is deterministic: fixed grids, no timestamps, floats printed with 17
@@ -67,7 +68,7 @@ from importlib import resources
 from pathlib import Path
 from typing import BinaryIO, Iterator, Sequence
 
-from .errors import ParameterDomainError, UnsupportedDomainError
+from .errors import ParameterDomainError
 from .factorizer import Sign, factorize_compound, factorize_kdvb, verify_factorization
 from .params import PhysicalParams, ReducedParams
 
@@ -317,7 +318,9 @@ def _grid(lo: float, hi: float, steps: int | None, name: str) -> np.ndarray:
     if not math.isfinite(hi - lo):
         raise ParameterDomainError(
             f"--{name}-max - --{name}-min overflows: the grid span must be finite")
-    return np.linspace(lo, hi, steps)
+    # the last point, (steps - 1) * step, can round past the float range; linspace sets it to hi
+    with np.errstate(over="ignore"):
+        return np.linspace(lo, hi, steps)
 
 
 def _profile(sol: WaveSolution, grid: np.ndarray, t: float | None, fmt: str) -> Iterator[bytes]:
@@ -677,13 +680,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    for name, value in vars(args).items():
+        if value == []:  # argparse up to at least Python 3.12.1 reads --opt=-- as no value
+            parser.error(f"argument --{name.replace('_', '-')}: expected one argument")
     try:
         code = args.func(args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:
         return 141  # 128 + SIGPIPE: the reader closed stdout, which is not an error to report
-    except (ParameterDomainError, UnsupportedDomainError, OSError, MemoryError) as exc:
+    except (ParameterDomainError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

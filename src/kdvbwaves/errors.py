@@ -1,40 +1,17 @@
-"""Error types shared across the package.
+"""The package's one error type.
 
-Three failure modes are distinguished so callers (and the CLI exit-code
-mapping) can react differently:
-
-* ``ParameterDomainError``   -- inputs violate a documented precondition
-  (zero coefficients, empty grids, bad ranges).
-* ``UnsupportedDomainError`` -- inputs are mathematically meaningful but
-  outside the implemented theory (q < 0, oscillatory discriminant).
-* ``PoleError``              -- a per-point evaluation (eval_solution,
-  eval_solution_physical) landed on (or numerically at) a pole of a
-  singular closed form; carries the coordinate evaluated.  Nothing else
-  raises it: array evaluation flags a pole cell instead.
+Any input ends in a finite value, a flagged pole, or a ParameterDomainError.
+A pole is part of a singular solution, not a failure: evaluate_grid flags
+its cell, and the per-point entry points return None there.  Inputs that
+violate a documented precondition (zero coefficients, empty grids, bad
+ranges, values that leave the float range) and regimes outside the
+implemented theory (q < 0, an oscillatory discriminant) both raise
+ParameterDomainError; the CLI reports either as one ``error:`` line and
+exit 2.
 """
 
 from __future__ import annotations
 
 
 class ParameterDomainError(ValueError):
-    """A parameter violates a precondition of the requested operation."""
-
-
-class UnsupportedDomainError(ValueError):
-    """The parameter regime is outside the implemented solution theory."""
-
-
-class PoleError(ArithmeticError):
-    """Evaluation requested at (or numerically on top of) a pole.
-
-    Attributes
-    ----------
-    location : complex
-        The coordinate evaluated, in the variable the caller used (reduced
-        theta for eval_solution, physical x for eval_solution_physical),
-        which lies within the pole tolerance of the pole.
-    """
-
-    def __init__(self, message: str, location: complex):
-        super().__init__(message)
-        self.location = location
+    """The inputs lie outside the domain of the requested operation."""

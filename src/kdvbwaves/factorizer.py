@@ -40,7 +40,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .errors import ParameterDomainError, UnsupportedDomainError
+from .errors import ParameterDomainError
 from .params import ReducedParams, require_finite
 
 
@@ -160,7 +160,7 @@ def factorize_compound(reduced: ReducedParams, sign: Sign) -> CompoundFactorizat
     if q == 0:
         raise ParameterDomainError("compound factorization requires q != 0")
     if q < 0:
-        raise UnsupportedDomainError(
+        raise ParameterDomainError(
             "compound factorization requires q > 0 for a real branch "
             "coefficient; q < 0 (beta*s < 0) is unsupported"
         )

@@ -32,11 +32,13 @@ limit of the plus kink equals the constant built from A = -sqrt(q/2), and
 vice versa.  This is the unique pairing that makes the limit claim true;
 the family table ``_FAMILIES`` records it, and tests assert it.
 
-Pole policy.  Cells within ~1e-9 of a pole (POLE_TOL, in the argument of
-tanh/coth or in theta for the rational pole) are flagged in a mask with a
-NaN value, so singular families still produce plottable grids; the two
-scalar entry points raise PoleError there instead.  A coordinate whose
-shifted value theta - theta0 is not finite is a ParameterDomainError.
+Pole policy.  A pole is part of a singular solution, not an error.  Cells
+within ~1e-9 of a pole (POLE_TOL, in the argument of tanh/coth or in theta
+for the rational pole) are flagged in a mask with a NaN value, so singular
+families still produce plottable grids; the two scalar entry points return
+None there instead.  A coordinate whose shifted value theta - theta0 is not
+finite is a ParameterDomainError, as is every other input outside the
+implemented theory.
 
 Construction.  Every constructor fixes the dependent quantities (k, delta,
 the discriminant root, the branch) from the coefficients.  Only the three
@@ -61,7 +63,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ParameterDomainError, PoleError, UnsupportedDomainError
+from .errors import ParameterDomainError
 from .factorizer import Sign, factorize_compound, factorize_kdvb
 from .params import (
     PhysicalParams,
@@ -141,7 +143,7 @@ class WaveSolution:
 def compound_discriminant_root(p: float, q: float) -> float:
     """sqrt(18p + 6/q - 3), snapped to 0.0 when the square is float noise.
 
-    Raises UnsupportedDomainError for genuinely negative squares: the
+    Raises ParameterDomainError for genuinely negative squares: the
     oscillatory regime has no implemented closed form.
     """
     if q == 0:
@@ -154,7 +156,7 @@ def compound_discriminant_root(p: float, q: float) -> float:
     if abs(square) <= _DISCRIMINANT_SNAP * scale:
         return 0.0
     if square < 0:
-        raise UnsupportedDomainError(
+        raise ParameterDomainError(
             "18p + 6/q - 3 < 0: oscillatory regime, no real-discriminant solution family"
         )
     return math.sqrt(square)
@@ -191,7 +193,7 @@ def compound_solution(family: Family, p: float, q: float, theta0: complex = 0j) 
     require_finite(p=p, q=q, theta0=theta0)
     root = compound_discriminant_root(p, q)  # validates q and the regime
     if q < 0:
-        raise UnsupportedDomainError("compound kinks require q > 0 for a real amplitude")
+        raise ParameterDomainError("compound kinks require q > 0 for a real amplitude")
     _require_resolvable_phase(root * complex(theta0).imag / 6.0)
     fact = factorize_compound(ReducedParams(p=p, q=q), _FAMILIES[family][2])
     reduced = ReducedParams(p=p, q=q, k=fact.k, theta0=theta0)
@@ -237,7 +239,7 @@ def rational_solution(family: Family, q: float, k0: float, sign: Sign = Sign.PLU
     if q == 0:
         raise ParameterDomainError("rational families require q != 0")
     if q < 0:
-        raise UnsupportedDomainError("rational families require q > 0 for a real branch")
+        raise ParameterDomainError("rational families require q > 0 for a real branch")
     if family is Family.CONSTANT and k0 != 0:
         raise ParameterDomainError("the constant family is the k0 = 0 member; got k0 != 0")
     p = (1.0 - 2.0 / q) / 6.0
@@ -448,29 +450,25 @@ def evaluate_grid(
     return np.where(pole, _NAN, values), pole
 
 
-def _at_point(sol: WaveSolution, coordinate, t) -> complex:
+def _at_point(sol: WaveSolution, coordinate, t) -> complex | None:
     # a one-cell grid, not a 0-d array: numpy arithmetic on the 0-d results
     # would take its scalar complex division, a last bit off the grid's
     (value,), (pole,) = evaluate_grid(sol, np.array([coordinate]), t)
-    if pole:
-        raise PoleError(
-            f"{sol.family.value} solution: {coordinate!r} lies within the pole tolerance "
-            "of a pole", coordinate)
-    return complex(value)
+    return None if pole else complex(value)
 
 
-def eval_solution(sol: WaveSolution, theta: complex) -> complex:
+def eval_solution(sol: WaveSolution, theta: complex) -> complex | None:
     """U(theta) at one reduced coordinate: evaluate_grid's cell, bit for bit.
 
-    Raises PoleError, located at theta, where evaluate_grid flags the cell.
+    None where evaluate_grid flags the cell as a pole.
     """
     return _at_point(sol, theta, None)
 
 
-def eval_solution_physical(sol: WaveSolution, x: float, t: float) -> complex:
+def eval_solution_physical(sol: WaveSolution, x: float, t: float) -> complex | None:
     """u(x, t) of a physically-anchored solution: evaluate_grid's cell, bit for bit.
 
-    Raises PoleError, located at x, where evaluate_grid flags the cell.
+    None where evaluate_grid flags the cell as a pole.
     """
     return _at_point(sol, x, t)
 

@@ -52,7 +52,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ParameterDomainError, UnsupportedDomainError
+from .errors import ParameterDomainError
 from .factorizer import (
     CompoundFactorization,
     Sign,
@@ -95,18 +95,11 @@ class EquationTag(enum.Enum):
 @dataclass(frozen=True)
 class ResidualReport:
     max_abs: float
-    mean_abs: float
     worst_point: complex
     n_samples: int
     equation: EquationTag
     n_poles: int = 0
     warning: str | None = None
-
-    def __post_init__(self) -> None:
-        nan = math.isnan(self.max_abs) and math.isnan(self.mean_abs)  # a NaN residual
-        if not (nan or self.max_abs >= self.mean_abs >= 0.0):
-            raise ValueError(
-                "residual statistics must satisfy max_abs >= mean_abs >= 0, or both be NaN")
 
 
 def _report(
@@ -118,10 +111,9 @@ def _report(
 ) -> ResidualReport:
     """Statistics of |residual| over the points off the pole mask.
 
-    The worst point is the first maximum.  The mean is capped at the maximum,
-    because the float mean of equal values can round above them.  A NaN
-    residual counts as the maximum: the worst point is the first NaN, and
-    max_abs and mean_abs are NaN, which passes no tolerance.
+    The worst point is the first maximum.  A NaN residual counts as the
+    maximum: the worst point is the first NaN, and max_abs is NaN, which
+    passes no tolerance.
     """
     keep = ~pole
     n = int(np.count_nonzero(keep))
@@ -129,11 +121,8 @@ def _report(
         raise ParameterDomainError("every grid point sat on a pole; nothing to verify")
     r, points = np.abs(residual[keep]), points[keep]
     i = int(np.argmax(r))
-    with np.errstate(over="ignore"):  # a sum past the float range still caps to max_abs
-        mean_abs = min(float(np.mean(r)), float(r[i]))
     return ResidualReport(
         max_abs=float(r[i]),
-        mean_abs=mean_abs,
         worst_point=complex(points[i]),
         n_samples=n,
         equation=equation,
@@ -222,7 +211,7 @@ def physical_discriminant_root(params: PhysicalParams) -> float:
     if abs(square) <= _DISCRIMINANT_SNAP * scale:
         return 0.0
     if square < 0:
-        raise UnsupportedDomainError("negative discriminant: no real compound kink at this velocity")
+        raise ParameterDomainError("negative discriminant: no real compound kink at this velocity")
     return math.sqrt(square)
 
 

@@ -337,6 +337,25 @@ def test_a_missing_flag_exits_2_naming_it(argv, message, capsys):
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
+_OSCILLATORY = "18p + 6/q - 3 < 0: oscillatory regime, no real-discriminant solution family"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["factorize", "--eq", "compound", "--q", "-1"],
+     "compound factorization requires q > 0 for a real branch coefficient; "
+     "q < 0 (beta*s < 0) is unsupported"),
+    (["evaluate", "--family", "compound-tanh-plus", "--p", "-1", "--q", "2", "--theta-min=-1",
+      "--theta-max", "1", "--theta-steps", "3"], _OSCILLATORY),
+    (["evaluate", "--family", "rational-plus", "--q", "-1", "--theta-min", "0", "--theta-max", "1",
+      "--theta-steps", "2"], "rational families require q > 0 for a real branch"),
+    (["evaluate", "--family", "compound-tanh-plus", "--s", "2", "--mu", "1", "--alpha", "3",
+      "--beta", "2", "--v", "-5", "--x-min=-1", "--x-max", "1", "--x-steps", "3"], _OSCILLATORY),
+], ids=["factorize-negative-q", "reduced-oscillatory", "rational-negative-q",
+        "physical-oscillatory"])
+def test_a_regime_without_a_real_solution_exits_2_with_its_message(argv, message, capsys):
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("family", ["compound-tanh-plus", "compound-tanh-minus"])
 def test_compound_phase_beyond_pole_resolution_exits_2(family, capsys):
     # the period in a is 6/Delta, not a float: once the float spacing at Im z

@@ -7,7 +7,9 @@ by the parser that added every subcommand's arguments up front.  The parser
 of ``build_parser`` adds a subcommand's arguments only when the command line
 selects that subcommand, and must reproduce the fixture byte for byte.  The
 property checks the same on generated command lines, against a parser with
-every subcommand filled in.
+every subcommand filled in.  A second property runs such command lines, drawn
+with edge floats and small grids, and checks that each ends in a table of
+finite values and flagged poles, a verify failure (exit 1), or exit 2.
 
 ``python tests/test_cli_parser.py`` rewrites the fixture from the code on
 the import path; do that only for an intended change of the output.
@@ -17,15 +19,20 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import io
 import json
+import math
 import os
+import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from kdvbwaves import cli
+from test_solutions import _EDGES
 
 FIXTURE = Path(__file__).parent / "data" / "parser_transcripts.json"
 COMMANDS = ["factorize", "evaluate", "sweep", "verify", "figure"]
@@ -109,31 +116,38 @@ def test_an_unselected_subcommand_gets_no_arguments():
     assert filled == {name: name == "verify" for name in COMMANDS}
 
 
-def _values(draw, action: argparse.Action) -> str:
+def _values(draw, action: argparse.Action, floats=st.floats(), ints=st.integers(-3, 12)) -> str:
     """A string for one argument: mostly one of its choices or a number of its type, else junk."""
     if draw(st.integers(0, 31)) == 0:
         return draw(st.sampled_from(["", "x", "-1", "nan", "1e400", "--", "-v"]))
     if action.choices is not None:
         return draw(st.sampled_from([str(c) for c in action.choices]))
     if action.type is int:
-        return str(draw(st.integers(-3, 12)))
+        return str(draw(ints))
     if action.type is float:
-        return repr(draw(st.floats()))
+        return repr(draw(floats))
     return draw(st.text(max_size=5))
 
 
 @st.composite
-def command_lines(draw) -> list[str]:
-    """argv built from the actions of the full parser, with some options missing or unknown."""
+def command_lines(draw, values=_values, groups=None, others=8) -> list[str]:
+    """argv built from the actions of the full parser, with some options missing or unknown.
+
+    ``values(draw, action)`` gives the string for one argument.  A command line
+    draws one of its command's ``groups`` (sets of option dests).  Those options
+    and the required arguments come 15 times in 16, the others ``others`` times.
+    """
     subparsers = _subcommands(full_parser()).choices
     command = draw(st.sampled_from([*COMMANDS, "bogus", "--help"]))
+    wanted = draw(st.sampled_from((groups or {}).get(command, [set()])))
     argv = [command]
     for action in subparsers.get(command, argparse.ArgumentParser())._actions:
+        often = action.required or not action.option_strings or action.dest in wanted
         if isinstance(action, argparse._HelpAction):
             if draw(st.integers(0, 19)) == 0:
                 argv.append("--help")
-        elif draw(st.integers(0, 15)) < (15 if action.required or not action.option_strings else 8):
-            value = _values(draw, action)
+        elif draw(st.integers(0, 15)) < (15 if often else others):
+            value = values(draw, action)
             if not action.option_strings:
                 argv.append(value)
             elif draw(st.booleans()):  # --opt=value also carries a value that starts with "-"
@@ -149,6 +163,86 @@ def command_lines(draw) -> list[str]:
 @given(argv=command_lines())
 def test_parser_parses_like_the_full_parser(argv):
     assert outcome(cli.build_parser(), argv) == outcome(full_parser(), argv)
+
+
+# floats at and past the edges of the float range, subnormals, signed zeros and the
+# non-finite values, beside the edge values of the solutions' own property
+_FLOATS = [*_EDGES, 1e-308, -5e-324, 2.2250738585072014e-308, -1e-310, math.inf, -math.inf,
+           1.7976931348623157e308, -1.7976931348623157e308, math.nan]
+# the options of evaluate's two grid modes, each drawn as a whole
+_MODES = {"evaluate": [{"theta_min", "theta_max", "theta_steps", "p", "q"},
+                       {"x_min", "x_max", "x_steps", "s", "mu", "alpha", "beta", "v"}]}
+# what --output and --outdir name, relative to the working directory: a file, a path under a
+# directory that does not exist, the directory itself, and no name
+_PATHS = ["out.csv", "out.json", "new/out", ".", ""]
+
+
+def _runnable_values(draw, action: argparse.Action) -> str:
+    """_values with edge floats, grids of 0 to 6 steps, and paths inside the working directory."""
+    if action.dest in ("output", "outdir"):
+        return draw(st.sampled_from(_PATHS))
+    return _values(draw, action, floats=st.sampled_from(_FLOATS), ints=st.integers(0, 6))
+
+
+def _reject(constant: str):
+    raise AssertionError(f"JSON output holds {constant}")
+
+
+def _check_table(text: str) -> None:
+    """Every row of an evaluate, sweep or figure table: finite coordinates, and finite values
+    with pole_flag 0 or empty values with pole_flag 1."""
+    if text.startswith("["):
+        rows = json.loads(text, parse_constant=_reject)
+        cells = [[*row.values()] for row in rows]
+    else:
+        header, *rows = list(csv.reader(text.splitlines()))
+        assert header[-3:] == ["re_u", "im_u", "pole_flag"]
+        cells = [[None if c == "" else float(c) for c in row[:-1]] + [int(row[-1])]
+                 for row in rows]
+    assert cells
+    for *coordinates, re_u, im_u, flag in cells:
+        assert all(math.isfinite(c) for c in coordinates)
+        if flag == 0:
+            assert math.isfinite(re_u) and math.isfinite(im_u)
+        else:
+            assert (flag, re_u, im_u) == (1, None, None)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=command_lines(values=_runnable_values, groups=_MODES, others=4))
+# finds of a 20,000-draw run: the last point of a grid whose span is near the float range
+# overflowed inside linspace (a RuntimeWarning), and argparse up to at least Python 3.12.1
+# reads --a-max=-- as an empty list, which _grid met as a TypeError
+@example(argv=["sweep", "--a-min=-1.7976931348623157e+308", "--a-max", "-2.5", "--a-steps", "4",
+               "--theta-min", "0.0", "--theta-max=-inf", "--theta-steps", "0"])
+@example(argv=["sweep", "--a-min", "-1", "--a-max=--", "--a-steps", "1", "--theta-min=-inf",
+               "--theta-max", "-1", "--theta-steps", "0"])
+def test_every_command_line_ends_in_a_value_a_pole_flag_or_exit_2(argv, tmp_path):
+    here = Path(tempfile.mkdtemp(dir=tmp_path))
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(here)  # --output and --outdir name paths under tmp_path
+    try:
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("error")
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse: a usage error, or --help
+                code = exc.code
+    finally:
+        os.chdir(cwd)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2) and "Traceback" not in err
+    assert code != 1 or argv[0] == "verify"
+    if code == 0 and argv[0] in ("evaluate", "sweep") and out and not out.startswith("usage:"):
+        _check_table(out)
+    if code == 0 and argv[0] == "factorize" and out.startswith("{"):
+        json.loads(out, parse_constant=_reject)
+    for path in here.rglob("*"):
+        if path.is_file():
+            _check_table(path.read_text(encoding="utf-8"))
 
 
 if __name__ == "__main__":

@@ -10,7 +10,6 @@ from kdvbwaves import (
     ParameterDomainError,
     ReducedParams,
     Sign,
-    UnsupportedDomainError,
     factorize_compound,
     factorize_kdvb,
     verify_factorization,
@@ -78,7 +77,7 @@ def test_compound_reference_coefficients():
 def test_compound_rejects_q_zero_and_negative():
     with pytest.raises(ParameterDomainError):
         factorize_compound(ReducedParams(p=0.0, q=0.0), Sign.PLUS)
-    with pytest.raises(UnsupportedDomainError):
+    with pytest.raises(ParameterDomainError, match="requires q > 0 for a real branch"):
         factorize_compound(ReducedParams(p=0.0, q=-1.0), Sign.PLUS)
 
 

@@ -93,7 +93,7 @@ print(json.dumps([before, sorted(namespace), kdvbwaves.__all__, sorted(same)]))
     proc = _fresh(script)
     assert (proc.returncode, proc.stderr) == (0, "")
     before, names, public, same = json.loads(proc.stdout)
-    assert before == [] and len(public) == 38
+    assert before == [] and len(public) == 36
     assert names == sorted(public) == same
 
 

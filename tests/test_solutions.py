@@ -16,9 +16,7 @@ from kdvbwaves import (
     Family,
     ParameterDomainError,
     PhysicalParams,
-    PoleError,
     Sign,
-    UnsupportedDomainError,
     compound_discriminant_root,
     compound_solution,
     compound_solution_from_physical,
@@ -244,24 +242,18 @@ def test_phase_too_coarse_to_place_a_pole_is_a_domain_error():
 def test_singular_solution_value_and_pole():
     singular = universal_solution(Family.KDVB_SINGULAR)
     assert eval_solution(singular, 1.0) == pytest.approx(7.3040372724671894)
-    with pytest.raises(PoleError) as err:
-        eval_solution(singular, 0.0)
-    assert err.value.location == 0.0
+    assert eval_solution(singular, 0.0) is None
 
 
 def test_pole_location_respects_phase_shift():
-    # the location is the coordinate evaluated, within the tolerance of the pole
+    # every coordinate within the tolerance of the shifted pole has no value
     sol = universal_solution(Family.KDVB_SINGULAR, theta0=3.0)
     for theta in (3.0, 3.0 + 5.0 * POLE_TOL, 3.0 - 5.0 * POLE_TOL):  # z = (theta - 3)/10
-        with pytest.raises(PoleError) as err:
-            eval_solution(sol, theta)
-        assert err.value.location == theta
+        assert eval_solution(sol, theta) is None
     phys = kdvb_solution_from_physical(
         Family.KDVB_SINGULAR, PhysicalParams(s=1.0, mu=6.0, alpha=1.0, beta=0.0, v=0.2, xi0=0.3))
     for x in (0.38, 0.38 + POLE_TOL):  # pole at x = v*t + xi0; z = 0.6*(x - 0.38)
-        with pytest.raises(PoleError) as err:
-            eval_solution_physical(phys, x, 0.4)
-        assert err.value.location == x
+        assert eval_solution_physical(phys, x, 0.4) is None
 
 
 def test_phase_shift_identity_tanh_to_coth():
@@ -326,7 +318,7 @@ def test_discriminant_snaps_to_zero_near_degeneracy():
 
 
 def test_discriminant_rejects_oscillatory_regime():
-    with pytest.raises(UnsupportedDomainError):
+    with pytest.raises(ParameterDomainError, match="oscillatory regime"):
         compound_discriminant_root(-10.0, 1.0)
 
 
@@ -372,7 +364,7 @@ def test_physical_discriminant_that_leaves_the_float_range_is_a_domain_error():
      "the discriminant leaves the float range"),
     (PhysicalParams(s=2.0, mu=1.0, alpha=3.0, beta=0.0, v=1.0), ParameterDomainError,
      "compound families require beta != 0"),
-    (PhysicalParams(s=2.0, mu=1.0, alpha=3.0, beta=2.0, v=-5.0), UnsupportedDomainError,
+    (PhysicalParams(s=2.0, mu=1.0, alpha=3.0, beta=2.0, v=-5.0), ParameterDomainError,
      "negative discriminant: no real compound kink at this velocity"),
 ], ids=["mu-squared-overflows", "mu-squared-underflows", "beta-zero", "negative-square"])
 def test_physical_discriminant_root_outside_its_domain(params, error, message):
@@ -422,21 +414,20 @@ def test_compound_physical_equals_transformed_reduced():
 def test_compound_rejects_bad_domains():
     with pytest.raises(ParameterDomainError):
         compound_solution(Family.COMPOUND_TANH_PLUS, 1.0, 0.0)
-    with pytest.raises(UnsupportedDomainError):
-        compound_solution(Family.COMPOUND_TANH_PLUS, -10.0, 1.0)  # oscillatory
+    with pytest.raises(ParameterDomainError, match="oscillatory regime"):
+        compound_solution(Family.COMPOUND_TANH_PLUS, -10.0, 1.0)
     with pytest.raises(ParameterDomainError):
         compound_solution(Family.KDVB_REGULAR, 1.0, 1.0)
-    # the physical constructor holds every rejection verify's direct formula relies on;
-    # the CLI maps both error classes to exit 2
+    # the physical constructor holds every rejection verify's direct formula relies on
     negative_q = PhysicalParams(s=-2.0, mu=1.0, alpha=3.0, beta=2.0, v=-10.0)
-    with pytest.raises(UnsupportedDomainError):
+    with pytest.raises(ParameterDomainError, match="oscillatory regime|q > 0"):
         compound_solution_from_physical(Family.COMPOUND_TANH_PLUS, negative_q)
     for fam in _COMPOUND_FAMILIES:
         with pytest.raises(ParameterDomainError, match="q != 0"):  # beta = 0
             compound_solution_from_physical(fam, replace(FIG7, beta=0.0))
         for s, beta in ((-2.0, 2.0), (2.0, -2.0)):  # beta*s < 0
             for v in (-10.0, -0.04, 10.0):
-                with pytest.raises(UnsupportedDomainError):
+                with pytest.raises(ParameterDomainError, match="oscillatory regime|q > 0"):
                     compound_solution_from_physical(fam, replace(FIG7, s=s, beta=beta, v=v))
 
 
@@ -450,10 +441,8 @@ def test_rational_reference_value():
     assert val == pytest.approx(-(1.0 / 0.5) / (0.5 + 1.0) - 1.0)
 
 
-def test_rational_pole_raises_with_location():
-    with pytest.raises(PoleError) as err:
-        eval_solution(rational_solution(Family.RATIONAL_PLUS, 0.5, 1.0), -0.5)
-    assert err.value.location == -0.5
+def test_rational_pole_has_no_value():
+    assert eval_solution(rational_solution(Family.RATIONAL_PLUS, 0.5, 1.0), -0.5) is None
 
 
 def test_constant_family_values_by_branch():
@@ -1224,7 +1213,6 @@ def test_array_kernel_physical_mode_requires_coefficients():
 # zeros, units, plain values, and magnitudes at and past the edges of the float range
 _EDGES = [0.0, -0.0, 1.0, -1.0, 0.5, 2.0, 3.0, -2.5, 0.1, 1e308, -1e308, 1.5e307, -1.5e307,
           1e154, -1e154, 1e-154, 1e200, 1e-200, 1e100, 7e77, 1e-310, 5e-324]
-_DOMAIN_ERRORS = (ParameterDomainError, UnsupportedDomainError, PoleError)
 
 
 def _edge_solution(family, physical, c, locked, sign):
@@ -1283,7 +1271,7 @@ def test_every_solution_is_finite_off_the_poles_or_a_domain_error(
         warnings.simplefilter("error")
         try:
             sol = _edge_solution(family, physical, c, locked, sign)
-        except _DOMAIN_ERRORS:
+        except ParameterDomainError:
             return
         evaluators = [lambda: evaluate_grid(sol, grid), lambda: solution_jet(sol, grid)]
         if physical:
@@ -1291,7 +1279,7 @@ def test_every_solution_is_finite_off_the_poles_or_a_domain_error(
         for evaluate in evaluators:
             try:
                 values, pole = evaluate()
-            except _DOMAIN_ERRORS:
+            except ParameterDomainError:
                 continue
             for d in values if isinstance(values, tuple) else (values,):
                 assert (np.isfinite(d) | pole).all()

@@ -14,7 +14,6 @@ from kdvbwaves import (
     ParameterDomainError,
     PhysicalParams,
     ReducedParams,
-    ResidualReport,
     Sign,
     WaveSolution,
     check_first_integral_consistency,
@@ -73,7 +72,6 @@ def test_first_integral_residual_vanishes_for_all_families():
         report = residual_first_integral(sol, GRID)
         assert report.max_abs < 1e-9, sol.family
         assert report.equation is EquationTag.ODE_FIRST_INTEGRAL
-        assert report.max_abs >= report.mean_abs
 
 
 def test_first_integral_excludes_poles_with_a_count():
@@ -100,25 +98,14 @@ def test_first_integral_needs_an_integration_constant():
         residual_first_integral(sol, GRID)
 
 
-@pytest.mark.parametrize("max_abs, mean_abs", [(1.0, 2.0), (math.nan, 1.0)])
-def test_residual_report_validates_statistics(max_abs, mean_abs):
-    # a NaN maximum is legal only with a NaN mean, as _report makes it
-    with pytest.raises(ValueError):
-        ResidualReport(
-            max_abs=max_abs, mean_abs=mean_abs, worst_point=0j, n_samples=1,
-            equation=EquationTag.ODE_FIRST_INTEGRAL,
-        )
-
-
 @given(
     value=st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
     n=st.integers(min_value=1, max_value=500),
 )
-def test_constant_residual_mean_never_exceeds_max(value, n):
-    # the float mean of n equal values can round above them; the reducer caps it
+def test_constant_residual_reports_its_value_at_the_first_point(value, n):
     report = _report(np.full(n, value), np.arange(n, dtype=float), np.zeros(n, bool),
                      EquationTag.ODE_FIRST_INTEGRAL)
-    assert report.mean_abs <= report.max_abs == value
+    assert report.max_abs == value
     assert (report.n_samples, report.worst_point) == (n, 0j)
 
 
@@ -126,7 +113,7 @@ def test_reducer_skips_poles_and_reports_the_first_worst_point():
     residual = np.array([1.0, -3.0, np.nan, 3.0, 2.0])
     pole = np.array([False, False, True, False, False])
     report = _report(residual, np.arange(5.0) + 1j, pole, EquationTag.ODE_THIRD_ORDER, "w")
-    assert (report.max_abs, report.mean_abs) == (3.0, 2.25)
+    assert report.max_abs == 3.0
     assert (report.worst_point, report.n_samples, report.n_poles) == (1 + 1j, 4, 1)
     assert report.warning == "w"
 
@@ -135,7 +122,7 @@ def test_reducer_reports_a_nan_residual_as_the_maximum():
     # like verify_factorization: a NaN residual can never pass a tolerance
     residual = np.array([1.0, np.nan, 5.0, np.nan])
     report = _report(residual, np.arange(4.0) + 1j, np.zeros(4, bool), EquationTag.PDE_KDVB)
-    assert math.isnan(report.max_abs) and math.isnan(report.mean_abs)
+    assert math.isnan(report.max_abs)
     assert (report.worst_point, report.n_samples) == (1 + 1j, 4)
 
 
