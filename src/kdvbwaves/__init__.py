@@ -7,6 +7,7 @@ from importlib import import_module
 from .errors import ParameterDomainError
 from .factorizer import (
     CompoundFactorization,
+    Family,
     Sign,
     factorize_compound,
     factorize_kdvb,

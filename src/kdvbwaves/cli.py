@@ -43,9 +43,10 @@ The writer holds one chunk at a time, so a table's memory does not grow
 with its output: the peak is the evaluation's, not the table's.  figure
 evaluates every table of its entry before it opens its first file.
 
-errors, factorizer and params (math and cmath only) are imported at the top,
-numpy, solutions and verify by each function that uses them: factorize and
---help load none of the three, evaluate, sweep and figure numpy and solutions.
+errors, factorizer (with the family tags and verify's scopes) and params, on
+math and cmath only, are imported at the top, numpy, solutions and verify by
+each function that uses them: factorize and every --help load none of the
+three, evaluate, sweep and figure numpy and solutions.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or domain error (a
 ParameterDomainError, the package's one exception class, an OSError, or a
@@ -62,6 +63,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 import warnings
 from importlib import resources
@@ -69,7 +71,8 @@ from pathlib import Path
 from typing import BinaryIO, Iterator, Sequence
 
 from .errors import ParameterDomainError
-from .factorizer import Sign, factorize_compound, factorize_kdvb, verify_factorization
+from .factorizer import (_COMPOUND_FAMILIES, _KDVB_FAMILIES, SCOPES, Family, Sign,
+                         factorize_compound, factorize_kdvb, verify_factorization)
 from .params import PhysicalParams, ReducedParams
 
 
@@ -412,15 +415,14 @@ def cmd_factorize(args: argparse.Namespace) -> int:
 
 def _phase(fam: Family, a: float) -> complex:
     """theta0 = i*a*pi, with a reduced by its period 10 for the KdVB families."""
-    from .solutions import _KDVB_FAMILIES, reduce_kdvb_phase
+    from .solutions import reduce_kdvb_phase
     if fam in _KDVB_FAMILIES:
         a = float(reduce_kdvb_phase(a))
     return complex(0.0, a * math.pi)
 
 
 def _reduced_solution(args: argparse.Namespace, fam: Family) -> WaveSolution:
-    from .solutions import (_COMPOUND_FAMILIES, _KDVB_FAMILIES, compound_solution,
-                            rational_solution, universal_solution)
+    from .solutions import compound_solution, rational_solution, universal_solution
     theta0 = _phase(fam, args.phase_a)
     if fam in _KDVB_FAMILIES:
         return universal_solution(fam, theta0=theta0)
@@ -446,8 +448,8 @@ def _physical_coefficients(args: argparse.Namespace) -> PhysicalParams:
 def _physical_solution(
     fam: Family, params: PhysicalParams, k0: float = 0.0, sign: Sign = Sign.PLUS
 ) -> WaveSolution:
-    from .solutions import (_COMPOUND_FAMILIES, _KDVB_FAMILIES, compound_solution_from_physical,
-                            kdvb_solution_from_physical, rational_solution_from_physical)
+    from .solutions import (compound_solution_from_physical, kdvb_solution_from_physical,
+                            rational_solution_from_physical)
     if fam in _KDVB_FAMILIES:
         return kdvb_solution_from_physical(fam, params)
     if fam in _COMPOUND_FAMILIES:
@@ -456,7 +458,6 @@ def _physical_solution(
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    from .solutions import Family
     fam = Family(args.family)
     has_theta = any(v is not None for v in (args.theta_min, args.theta_max, args.theta_steps))
     has_x = any(v is not None for v in (args.x_min, args.x_max, args.x_steps))
@@ -484,7 +485,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    from .solutions import Family
     a = (args.a_min, args.a_max, args.a_steps)
     theta = (args.theta_min, args.theta_max, args.theta_steps)
     _emit(_sweep(Family(args.family), a, theta, args.format), args.output)
@@ -524,7 +524,7 @@ def cmd_figure(args: argparse.Namespace) -> int:
     run.  An entry is a reduced profile, a sweep or a set of physical
     curves, each table the one an evaluate or sweep command writes.
     """
-    from .solutions import Family, universal_solution
+    from .solutions import universal_solution
     text = resources.files("kdvbwaves").joinpath("figures.json").read_text(encoding="utf-8")
     entry = json.loads(text)[str(args.figure)]
     fam, output = Family(entry["family"]), entry["output"]
@@ -571,7 +571,6 @@ def _factorize_arguments(f: argparse.ArgumentParser) -> None:
 
 
 def _evaluate_arguments(e: argparse.ArgumentParser) -> None:
-    from .solutions import Family
     e.add_argument("--family", choices=[fam.value for fam in Family], required=True)
     e.add_argument("--theta-min", type=float, default=None)
     e.add_argument("--theta-max", type=float, default=None)
@@ -599,7 +598,6 @@ def _evaluate_arguments(e: argparse.ArgumentParser) -> None:
 
 
 def _sweep_arguments(s: argparse.ArgumentParser) -> None:
-    from .solutions import _KDVB_FAMILIES
     s.add_argument("--family", choices=[fam.value for fam in _KDVB_FAMILIES],
                    default="kdvb-regular")
     s.add_argument("--a-min", type=float, required=True)
@@ -614,7 +612,6 @@ def _sweep_arguments(s: argparse.ArgumentParser) -> None:
 
 
 def _verify_arguments(v: argparse.ArgumentParser) -> None:
-    from .verify import SCOPES
     v.add_argument("--scope", choices=SCOPES, default="all")
     v.add_argument("--tolerance", type=float, default=None,
                    help="override every check threshold at once")
@@ -630,50 +627,43 @@ def _figure_arguments(g: argparse.ArgumentParser) -> None:
     g.set_defaults(func=cmd_figure)
 
 
-# subcommand -> (its --help line, the function that adds its arguments), in --help order
+def _arguments(add) -> argparse.ArgumentParser:
+    """A parser without -h that holds the arguments ``add`` adds to it, for parents=."""
+    parent = argparse.ArgumentParser(add_help=False)
+    add(parent)
+    return parent
+
+
+# subcommand -> (its --help line, a parser with its arguments), in --help order; each
+# argument is built once, here, and every parser of build_parser takes it from here
 _SUBCOMMANDS = {
-    "factorize": ("coefficient report for a factorization", _factorize_arguments),
-    "evaluate": ("sample a solution family onto a grid", _evaluate_arguments),
-    "sweep": ("sample the complex-phase surface", _sweep_arguments),
-    "verify": ("run the verification suite", _verify_arguments),
-    "figure": ("reproduce the data behind a published figure", _figure_arguments),
+    "factorize": ("coefficient report for a factorization", _arguments(_factorize_arguments)),
+    "evaluate": ("sample a solution family onto a grid", _arguments(_evaluate_arguments)),
+    "sweep": ("sample the complex-phase surface", _arguments(_sweep_arguments)),
+    "verify": ("run the verification suite", _arguments(_verify_arguments)),
+    "figure": ("reproduce the data behind a published figure", _arguments(_figure_arguments)),
 }
 
-
-class _Subcommands(argparse._SubParsersAction):
-    """The subcommand action: a subparser gets its arguments when the command line selects it."""
-
-    def fill(self, name: str) -> None:
-        """Add subcommand ``name``'s arguments to its parser, unless it has them already."""
-        sub = self.choices[name]
-        if sub.get_default("func") is None:
-            _SUBCOMMANDS[name][1](sub)
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        self.fill(values[0])  # argparse has already checked values[0] against the choices
-        super().__call__(parser, namespace, values, option_string)
+# a string float() reads that starts with "-": a value, since no option looks like a number;
+# argparse's own test takes -1 and -.5, but reads -1e3 or -inf as an unknown option
+_NEGATIVE_NUMBER = re.compile(r"-(?:(?:\d(?:_?\d)*)?\.\d(?:_?\d)*|\d(?:_?\d)*\.?)"
+                              r"(?:[eE][-+]?\d(?:_?\d)*)?\s*\Z|-(?i:inf|infinity|nan)\s*\Z")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The kdvbwaves parser: five subcommands, each adding its arguments when selected.
+    """A new kdvbwaves parser, whose five subcommands copy their arguments from _SUBCOMMANDS.
 
-    Every subcommand is registered with its help line up front, which is all
-    that the top-level help, usage and "invalid choice" messages read.  A
-    subcommand's own arguments are added when the command line selects it,
-    before its parser reads anything, so a command pays for one subcommand's
-    arguments, not for all five.  Help, usage, error messages and parse
-    results are byte for byte those of a parser built with every argument.
-    Filling on selection, rather than taking the command as an argument,
-    keeps build_parser a zero-argument call, which perfbench/tracing.py
-    wraps as such.
+    A subcommand reads a separate argument that float() reads as a value, also
+    when it starts with "-": --theta-min -1e3 is --theta-min=-1e3.
     """
     parser = argparse.ArgumentParser(
         prog="kdvbwaves",
         description="closed-form travelling waves of the (compound) KdV-Burgers equation",
     )
-    sub = parser.add_subparsers(dest="command", required=True, action=_Subcommands)
-    for name, (text, _) in _SUBCOMMANDS.items():
-        sub.add_parser(name, help=text)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (text, arguments) in _SUBCOMMANDS.items():
+        command = sub.add_parser(name, help=text, parents=[arguments])
+        command._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 
 

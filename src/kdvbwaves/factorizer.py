@@ -29,7 +29,8 @@ the full second-order ODE.  Two ansaetze close these conditions:
   Riccati equation.
 
 Both branches of each square root are carried as explicit sign tags; no
-implicit sign conventions.
+implicit sign conventions.  The family tags and the verification scopes sit
+beside the sign tag, so the command-line parser reads them without numpy.
 """
 
 from __future__ import annotations
@@ -53,6 +54,25 @@ class Sign(enum.Enum):
     @property
     def factor(self) -> float:
         return 1.0 if self is Sign.PLUS else -1.0
+
+
+class Family(enum.Enum):
+    """Tags for the closed-form solution families."""
+
+    KDVB_REGULAR = "kdvb-regular"
+    KDVB_SINGULAR = "kdvb-singular"
+    COMPOUND_TANH_PLUS = "compound-tanh-plus"
+    COMPOUND_TANH_MINUS = "compound-tanh-minus"
+    RATIONAL_PLUS = "rational-plus"
+    RATIONAL_MINUS = "rational-minus"
+    CONSTANT = "constant"
+
+
+_KDVB_FAMILIES = (Family.KDVB_REGULAR, Family.KDVB_SINGULAR)
+_COMPOUND_FAMILIES = (Family.COMPOUND_TANH_PLUS, Family.COMPOUND_TANH_MINUS)
+_RATIONAL_FAMILIES = (Family.RATIONAL_PLUS, Family.RATIONAL_MINUS)
+# verify's scopes: everything, the factorization, each family, the compound-rational triple
+SCOPES = ("all", "factorization", *(fam.value for fam in Family), "compound-rational")
 
 
 @dataclass(frozen=True)

@@ -57,14 +57,14 @@ oracle its finite-difference residual samples.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ParameterDomainError
-from .factorizer import Sign, factorize_compound, factorize_kdvb
+from .factorizer import (_COMPOUND_FAMILIES, _KDVB_FAMILIES, _RATIONAL_FAMILIES, Family, Sign,
+                         factorize_compound, factorize_kdvb)
 from .params import (
     PhysicalParams,
     ReducedParams,
@@ -97,23 +97,6 @@ def _require_resolvable_phase(im_z: float) -> None:
 # so that a velocity supplied through a lossy channel (CLI flag, JSON) still
 # lands on the degenerate family it was aimed at.
 _DISCRIMINANT_SNAP = 1e-13
-
-
-class Family(enum.Enum):
-    """Tags for the closed-form solution families."""
-
-    KDVB_REGULAR = "kdvb-regular"
-    KDVB_SINGULAR = "kdvb-singular"
-    COMPOUND_TANH_PLUS = "compound-tanh-plus"
-    COMPOUND_TANH_MINUS = "compound-tanh-minus"
-    RATIONAL_PLUS = "rational-plus"
-    RATIONAL_MINUS = "rational-minus"
-    CONSTANT = "constant"
-
-
-_KDVB_FAMILIES = (Family.KDVB_REGULAR, Family.KDVB_SINGULAR)
-_COMPOUND_FAMILIES = (Family.COMPOUND_TANH_PLUS, Family.COMPOUND_TANH_MINUS)
-_RATIONAL_FAMILIES = (Family.RATIONAL_PLUS, Family.RATIONAL_MINUS)
 
 
 @dataclass(frozen=True)

@@ -54,7 +54,11 @@ import numpy as np
 
 from .errors import ParameterDomainError
 from .factorizer import (
+    _COMPOUND_FAMILIES,
+    _KDVB_FAMILIES,
+    SCOPES,
     CompoundFactorization,
+    Family,
     Sign,
     factorize_compound,
     factorize_kdvb,
@@ -62,11 +66,8 @@ from .factorizer import (
 )
 from .params import PhysicalParams, ReducedParams
 from .solutions import (
-    _COMPOUND_FAMILIES,
     _DISCRIMINANT_SNAP,
-    _KDVB_FAMILIES,
     POLE_TOL,
-    Family,
     WaveSolution,
     compound_solution,
     compound_solution_from_physical,
@@ -874,8 +875,6 @@ _BLOCKS = (
     (("rational-minus", "compound-rational"), partial(_rational, Family.RATIONAL_MINUS, -1.0)),
     (("constant", "compound-rational"), _constant),
 )
-# "all", each block's own scope in transcript order, then the one they share
-SCOPES = ("all", *(scopes[0] for scopes, _ in _BLOCKS), "compound-rational")
 
 
 def _outcome(tolerance, name: str, measured: float, bound, detail: str = "") -> CheckOutcome:

@@ -1,15 +1,14 @@
-"""Byte fixture and equivalence property for the command-line parser.
+"""Byte fixture, negative numbers and a run property for the command-line parser.
 
 tests/data/parser_transcripts.json holds, for ``--help`` (top level and each
 subcommand) and for malformed command lines, the exit code and the exact
-stdout and stderr of ``kdvbwaves`` on an 80-column terminal.  It was written
-by the parser that added every subcommand's arguments up front.  The parser
-of ``build_parser`` adds a subcommand's arguments only when the command line
-selects that subcommand, and must reproduce the fixture byte for byte.  The
-property checks the same on generated command lines, against a parser with
-every subcommand filled in.  A second property runs such command lines, drawn
-with edge floats and small grids, and checks that each ends in a table of
-finite values and flagged poles, a verify failure (exit 1), or exit 2.
+stdout and stderr of ``kdvbwaves`` on an 80-column terminal, and the parser
+of ``build_parser`` must reproduce it byte for byte.  A separate value that
+float() reads and that starts with "-" (-1e3, -inf) is read as the
+``--opt=value`` form reads it, not as an unknown option.  A property runs
+command lines built from the parser's own arguments, drawn with edge floats
+and small grids, and checks that each ends in a table of finite values and
+flagged poles, a verify failure (exit 1), or exit 2.
 
 ``python tests/test_cli_parser.py`` rewrites the fixture from the code on
 the import path; do that only for an intended change of the output.
@@ -95,74 +94,49 @@ def test_parser_output_matches_golden_bytes(case):
     assert transcript(CASES[case]) == golden[case]
 
 
-def _subcommands(parser: argparse.ArgumentParser) -> argparse._SubParsersAction:
-    (action,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return action
+_NEGATIVE = ["-1e3", "-1e+308", "-inf", "-nan", "-.5"]
+# a command line of each command that parses, and some of its float options
+_ARGV = {
+    "evaluate": (["evaluate", "--family", "kdvb-regular", "--theta-max", "1", "--theta-steps", "2"],
+                 ["--theta-min", "--phase-a", "--v"]),
+    "sweep": (["sweep", "--a-max", "1", "--a-steps", "2", "--theta-min", "0", "--theta-max", "1",
+               "--theta-steps", "2"], ["--a-min"]),
+}
 
 
-def full_parser() -> argparse.ArgumentParser:
-    """build_parser() with every subcommand's arguments added before any parse."""
-    parser = cli.build_parser()
-    action = _subcommands(parser)
-    for name in COMMANDS:
-        action.fill(name)
-    return parser
+@pytest.mark.parametrize("value", _NEGATIVE)
+@pytest.mark.parametrize("command, option", [(c, o) for c, (_, opts) in _ARGV.items() for o in opts])
+def test_a_separate_negative_float_parses_like_the_equals_form(command, option, value):
+    argv = _ARGV[command][0]
+    separate = outcome(cli.build_parser(), [*argv, option, value])
+    assert separate == outcome(cli.build_parser(), [*argv, f"{option}={value}"])
+    assert isinstance(separate[0], str)  # a namespace, not an exit
 
 
-def test_an_unselected_subcommand_gets_no_arguments():
-    parser = cli.build_parser()
-    parser.parse_args(["verify", "--scope", "constant"])
-    filled = {name: len(sub._actions) > 1 for name, sub in _subcommands(parser).choices.items()}
-    assert filled == {name: name == "verify" for name in COMMANDS}
+@pytest.mark.parametrize("token", ["-x", "--bogus"])
+def test_a_dash_token_that_is_no_float_is_still_an_option(token):
+    argv = _ARGV["evaluate"][0]
+    assert outcome(cli.build_parser(), [*argv, "--theta-min", token])[0] == ("exit", 2)
+    (_, code), _, err = outcome(cli.build_parser(), [*argv, token])
+    assert code == 2 and err.endswith(f"error: unrecognized arguments: {token}\n")
 
 
-def _values(draw, action: argparse.Action, floats=st.floats(), ints=st.integers(-3, 12)) -> str:
-    """A string for one argument: mostly one of its choices or a number of its type, else junk."""
-    if draw(st.integers(0, 31)) == 0:
-        return draw(st.sampled_from(["", "x", "-1", "nan", "1e400", "--", "-v"]))
-    if action.choices is not None:
-        return draw(st.sampled_from([str(c) for c in action.choices]))
-    if action.type is int:
-        return str(draw(ints))
-    if action.type is float:
-        return repr(draw(floats))
-    return draw(st.text(max_size=5))
-
-
-@st.composite
-def command_lines(draw, values=_values, groups=None, others=8) -> list[str]:
-    """argv built from the actions of the full parser, with some options missing or unknown.
-
-    ``values(draw, action)`` gives the string for one argument.  A command line
-    draws one of its command's ``groups`` (sets of option dests).  Those options
-    and the required arguments come 15 times in 16, the others ``others`` times.
-    """
-    subparsers = _subcommands(full_parser()).choices
-    command = draw(st.sampled_from([*COMMANDS, "bogus", "--help"]))
-    wanted = draw(st.sampled_from((groups or {}).get(command, [set()])))
-    argv = [command]
-    for action in subparsers.get(command, argparse.ArgumentParser())._actions:
-        often = action.required or not action.option_strings or action.dest in wanted
-        if isinstance(action, argparse._HelpAction):
-            if draw(st.integers(0, 19)) == 0:
-                argv.append("--help")
-        elif draw(st.integers(0, 15)) < (15 if often else others):
-            value = values(draw, action)
-            if not action.option_strings:
-                argv.append(value)
-            elif draw(st.booleans()):  # --opt=value also carries a value that starts with "-"
-                argv.append(f"{draw(st.sampled_from(action.option_strings))}={value}")
-            else:
-                argv += [draw(st.sampled_from(action.option_strings)), value]
-    if draw(st.integers(0, 7)) == 0:
-        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(["--bogus", "-x", "1"])))
-    return argv
-
-
-@settings(max_examples=300, deadline=None)
-@given(argv=command_lines())
-def test_parser_parses_like_the_full_parser(argv):
-    assert outcome(cli.build_parser(), argv) == outcome(full_parser(), argv)
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(tail=st.text("0123456789._eE+-infatyINFATY \t\u0663", max_size=8) | st.text(max_size=4))
+@example(tail="Infinity")
+@example(tail="nAn")
+@example(tail="1_0.0_1e-1_0")
+@example(tail="1__0")
+@example(tail="1e3\n")
+@example(tail="1E+3")
+def test_the_negative_number_test_reads_what_float_reads(tail):
+    token = "-" + tail
+    try:
+        float(token)
+        reads = True
+    except ValueError:
+        reads = False
+    assert bool(cli._NEGATIVE_NUMBER.match(token)) == reads
 
 
 # floats at and past the edges of the float range, subnormals, signed zeros and the
@@ -177,11 +151,52 @@ _MODES = {"evaluate": [{"theta_min", "theta_max", "theta_steps", "p", "q"},
 _PATHS = ["out.csv", "out.json", "new/out", ".", ""]
 
 
-def _runnable_values(draw, action: argparse.Action) -> str:
-    """_values with edge floats, grids of 0 to 6 steps, and paths inside the working directory."""
+def _values(draw, action: argparse.Action) -> str:
+    """A string for one argument: mostly one of its choices or a number of its type, else junk.
+
+    Floats are edge values, grids have 0 to 6 steps, and paths lie inside the working directory.
+    """
     if action.dest in ("output", "outdir"):
         return draw(st.sampled_from(_PATHS))
-    return _values(draw, action, floats=st.sampled_from(_FLOATS), ints=st.integers(0, 6))
+    if draw(st.integers(0, 31)) == 0:
+        return draw(st.sampled_from(["", "x", "-1", "nan", "1e400", "--", "-v"]))
+    if action.choices is not None:
+        return draw(st.sampled_from([str(c) for c in action.choices]))
+    if action.type is int:
+        return str(draw(st.integers(0, 6)))
+    if action.type is float:
+        return repr(draw(st.sampled_from(_FLOATS)))
+    return draw(st.text(max_size=5))
+
+
+@st.composite
+def command_lines(draw) -> list[str]:
+    """argv built from the actions of build_parser's parser, some options missing or unknown.
+
+    A command line draws one of its command's _MODES (sets of option dests).
+    Those options and the required arguments come 15 times in 16, the others 4 times.
+    """
+    (action,) = (a for a in cli.build_parser()._actions if a.dest == "command")
+    subparsers = action.choices
+    command = draw(st.sampled_from([*COMMANDS, "bogus", "--help"]))
+    wanted = draw(st.sampled_from(_MODES.get(command, [set()])))
+    argv = [command]
+    for action in subparsers.get(command, argparse.ArgumentParser())._actions:
+        often = action.required or not action.option_strings or action.dest in wanted
+        if isinstance(action, argparse._HelpAction):
+            if draw(st.integers(0, 19)) == 0:
+                argv.append("--help")
+        elif draw(st.integers(0, 15)) < (15 if often else 4):
+            value = _values(draw, action)
+            if not action.option_strings:
+                argv.append(value)
+            elif draw(st.booleans()):  # --opt=value also carries a value that starts with "-"
+                argv.append(f"{draw(st.sampled_from(action.option_strings))}={value}")
+            else:
+                argv += [draw(st.sampled_from(action.option_strings)), value]
+    if draw(st.integers(0, 7)) == 0:
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(["--bogus", "-x", "1"])))
+    return argv
 
 
 def _reject(constant: str):
@@ -210,7 +225,7 @@ def _check_table(text: str) -> None:
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(argv=command_lines(values=_runnable_values, groups=_MODES, others=4))
+@given(argv=command_lines())
 # finds of a 20,000-draw run: the last point of a grid whose span is near the float range
 # overflowed inside linspace (a RuntimeWarning), and argparse up to at least Python 3.12.1
 # reads --a-max=-- as an empty list, which _grid met as a TypeError

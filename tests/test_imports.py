@@ -1,10 +1,11 @@
 """What each command imports, checked in a fresh interpreter.
 
-``factorize`` and ``--help`` run on ``math`` and ``cmath`` alone: they must
-leave numpy, ``kdvbwaves.solutions`` and ``kdvbwaves.verify`` unimported and
-write the same bytes as before.  The package resolves the names of those two
-modules on first use, and ``cli`` imports them in the functions that use
-them, so every name and every private helper works whatever ran first.
+``factorize``, every ``--help`` and ``from kdvbwaves import Family`` run on
+``math`` and ``cmath`` alone: they must leave numpy, ``kdvbwaves.solutions``
+and ``kdvbwaves.verify`` unimported, and the commands write the same bytes as
+before.  The package resolves the names of those two modules on first use,
+and ``cli`` imports them in the functions that use them, so every name and
+every private helper works whatever ran first.
 """
 
 from __future__ import annotations
@@ -21,13 +22,15 @@ import pytest
 from kdvbwaves import cli
 
 TRANSCRIPTS = Path(__file__).parent / "data" / "parser_transcripts.json"
+HELP_CASES = sorted(case for case in json.loads(TRANSCRIPTS.read_text(encoding="utf-8"))
+                    if case.split()[0] == "help")
 HEAVY = ("numpy", "kdvbwaves.solutions", "kdvbwaves.verify")
 
-# runs cli.main on argv[2:], then writes its exit code and the HEAVY modules
-# it loaded to the file argv[1]
+# imports Family, runs cli.main on argv[2:], then writes its exit code and the
+# HEAVY modules they loaded to the file argv[1]
 _RUN_MAIN = f"""
 import json, sys
-from kdvbwaves import cli
+from kdvbwaves import Family, cli
 try:
     code = cli.main(sys.argv[2:])
 except SystemExit as exc:
@@ -52,7 +55,7 @@ def _main_in_fresh_interpreter(tmp_path, argv: list[str]) -> tuple[dict, str, st
     return json.loads(report.read_text()), proc.stdout, proc.stderr
 
 
-@pytest.mark.parametrize("case", ["help", "help factorize"])
+@pytest.mark.parametrize("case", HELP_CASES)
 def test_help_imports_no_numpy_and_matches_its_transcript(case, tmp_path):
     want = json.loads(TRANSCRIPTS.read_text(encoding="utf-8"))[case]
     report, out, err = _main_in_fresh_interpreter(tmp_path, want["argv"])

@@ -791,6 +791,14 @@ def test_suite_unknown_scope_rejected():
     assert "all" in SCOPES
 
 
+def test_blocks_follow_the_scopes():
+    # SCOPES is spelled from Family, not read off _BLOCKS: each block is selected by its own
+    # scope, in SCOPES' order, and by no scope but that and the shared last one
+    blocks = verify_module._BLOCKS
+    assert [scopes[0] for scopes, _ in blocks] == list(SCOPES[1:-1])
+    assert all(scopes[1:] in ((), (SCOPES[-1],)) for scopes, _ in blocks)
+
+
 def test_suite_impossible_tolerance_fails():
     # the constant family's residuals are exactly 0.0 and would pass even
     # this, so use a scope whose residuals are merely tiny
