@@ -46,7 +46,8 @@ evaluates every table of its entry before it opens its first file.
 errors, factorizer (with the family tags and verify's scopes) and params, on
 math and cmath only, are imported at the top, numpy, solutions and verify by
 each function that uses them: factorize and every --help load none of the
-three, evaluate, sweep and figure numpy and solutions.
+three, evaluate, sweep and figure numpy and solutions.  main parses every
+command line with one parser, _PARSER, built once at import.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or domain error (a
 ParameterDomainError, the package's one exception class, an OSError, or a
@@ -627,21 +628,13 @@ def _figure_arguments(g: argparse.ArgumentParser) -> None:
     g.set_defaults(func=cmd_figure)
 
 
-def _arguments(add) -> argparse.ArgumentParser:
-    """A parser without -h that holds the arguments ``add`` adds to it, for parents=."""
-    parent = argparse.ArgumentParser(add_help=False)
-    add(parent)
-    return parent
-
-
-# subcommand -> (its --help line, a parser with its arguments), in --help order; each
-# argument is built once, here, and every parser of build_parser takes it from here
+# subcommand -> (its --help line, the function that adds its arguments), in --help order
 _SUBCOMMANDS = {
-    "factorize": ("coefficient report for a factorization", _arguments(_factorize_arguments)),
-    "evaluate": ("sample a solution family onto a grid", _arguments(_evaluate_arguments)),
-    "sweep": ("sample the complex-phase surface", _arguments(_sweep_arguments)),
-    "verify": ("run the verification suite", _arguments(_verify_arguments)),
-    "figure": ("reproduce the data behind a published figure", _arguments(_figure_arguments)),
+    "factorize": ("coefficient report for a factorization", _factorize_arguments),
+    "evaluate": ("sample a solution family onto a grid", _evaluate_arguments),
+    "sweep": ("sample the complex-phase surface", _sweep_arguments),
+    "verify": ("run the verification suite", _verify_arguments),
+    "figure": ("reproduce the data behind a published figure", _figure_arguments),
 }
 
 # a string float() reads that starts with "-": a value, since no option looks like a number;
@@ -651,7 +644,7 @@ _NEGATIVE_NUMBER = re.compile(r"-(?:(?:\d(?:_?\d)*)?\.\d(?:_?\d)*|\d(?:_?\d)*\.?
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """A new kdvbwaves parser, whose five subcommands copy their arguments from _SUBCOMMANDS.
+    """A new kdvbwaves parser with the five subcommands of _SUBCOMMANDS.
 
     A subcommand reads a separate argument that float() reads as a value, also
     when it starts with "-": --theta-min -1e3 is --theta-min=-1e3.
@@ -661,18 +654,21 @@ def build_parser() -> argparse.ArgumentParser:
         description="closed-form travelling waves of the (compound) KdV-Burgers equation",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (text, arguments) in _SUBCOMMANDS.items():
-        command = sub.add_parser(name, help=text, parents=[arguments])
+    for name, (text, add) in _SUBCOMMANDS.items():
+        command = sub.add_parser(name, help=text)
+        add(command)
         command._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 
 
+_PARSER = build_parser()  # main's, built once: parse_args keeps no state between calls
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     for name, value in vars(args).items():
         if value == []:  # argparse up to at least Python 3.12.1 reads --opt=-- as no value
-            parser.error(f"argument --{name.replace('_', '-')}: expected one argument")
+            _PARSER.error(f"argument --{name.replace('_', '-')}: expected one argument")
     try:
         code = args.func(args)
         sys.stdout.flush()

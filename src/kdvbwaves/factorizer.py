@@ -143,9 +143,6 @@ class CompoundFactorization:
         """F(U) = p*U - U^2 - q*U^3 - k with this factorization's own k."""
         return self.p * U - U * U - self.q * U**3 - self.k
 
-    def riccati_rhs(self, U: complex) -> complex:
-        return self.A * U * U + self.B * U + self.C
-
 
 def factorize_kdvb(delta: float, sign: Sign) -> KdvbFactorization:
     """Factorize the displaced KdVB ODE for a given displacement.

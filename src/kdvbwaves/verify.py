@@ -550,7 +550,7 @@ def oracle_integrate_riccati(
 ) -> Trajectory:
     """RK4 trajectory of the compatible Riccati equation U' = A*U^2 + B*U + C.
 
-    Each step spells fact.riccati_rhs inline, without its attribute lookups.
+    Each step spells the right-hand side inline, with A, B and C read once.
     """
     A, B, C = fact.A, fact.B, fact.C
     t0, n, h = _mesh(theta_span, step)
@@ -896,8 +896,9 @@ def verification_suite(
     equilibrium bounds.  The fixed ranges stay: the ratio checks, the phase
     identity and the blow-up check.  ``perturb`` scales the closed forms by
     1 + perturb before the residual checks, turning them into negative
-    controls.  The rational-form audit runs only under the compound-rational
-    scope and ignores the perturbation.
+    controls.  A block that raises is one failed check, named after it, and
+    the rest still run.  The rational-form audit runs only under the
+    compound-rational scope and ignores the perturbation.
     """
     if scope not in SCOPES:
         raise ParameterDomainError(f"unknown scope {scope!r}; expected one of {SCOPES}")
@@ -905,11 +906,14 @@ def verification_suite(
         raise ParameterDomainError(f"perturb must be finite; got {perturb!r}")
     if tolerance is not None and not 0.0 <= tolerance < math.inf:
         raise ParameterDomainError(f"tolerance must be finite and >= 0; got {tolerance!r}")
-    checks = [
-        _outcome(tolerance, *row)
-        for scopes, block in _BLOCKS
-        if scope == "all" or scope in scopes
-        for row in block(1.0 + perturb)
-    ]
+    checks = []
+    for scopes, block in _BLOCKS:
+        if scope != "all" and scope not in scopes:
+            continue
+        try:
+            checks += [_outcome(tolerance, *row) for row in block(1.0 + perturb)]
+        except Exception as exc:  # the input was checked above: this is the product failing
+            reason = f"{type(exc).__name__}: {exc}"
+            checks.append(_outcome(tolerance, f"block {scopes[0]}", math.nan, 0.0, reason))
     audit = rational_form_audit(_LOCKED) if scope == "compound-rational" else []
     return SuiteResult(checks=checks, audit=audit)

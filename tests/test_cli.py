@@ -33,7 +33,9 @@ from kdvbwaves import (
     universal_solution,
 )
 from kdvbwaves import cli
+from kdvbwaves import verify as verify_module
 from kdvbwaves.cli import _render, main
+from kdvbwaves.errors import ParameterDomainError
 from kdvbwaves.solutions import _KDVB_FAMILIES
 
 
@@ -1073,6 +1075,35 @@ def test_verify_accepts_zero_tolerance(capsys):
     # 0 is a legal (if harsh) threshold: the exact constant checks still pass
     code, out, _ = run(capsys, "verify", "--scope", "constant", "--tolerance", "0")
     assert code == 0 and "FAIL" not in out
+
+
+@pytest.mark.parametrize("name, exc, blocks", [
+    ("factorize_kdvb", ZeroDivisionError("float division by zero"), ["factorization"]),
+    ("compound_solution_from_physical", ParameterDomainError("leaves the float range"),
+     ["compound-tanh-plus", "compound-tanh-minus"]),
+])
+def test_a_verify_block_that_raises_is_one_failed_check(name, exc, blocks, monkeypatch, capsys):
+    # a product function that raises inside a block: that block's one FAIL line, the other
+    # blocks' lines as they are, exit 1 and nothing on stderr
+    def product(*args, **kwargs):
+        raise exc
+
+    names = [scopes[0] for scopes, _ in verify_module._BLOCKS]
+    expected = [[f"block {block}"] if block in blocks else
+                [c.name for c in verify_module.verification_suite(scope=block).checks]
+                for block in names]
+    monkeypatch.setattr(verify_module, name, product)
+    code, out, err = run(capsys, "verify", "--scope", "all")
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    checks = [line[6:line.index("  max_abs=")].rstrip()
+              for line in lines if line.startswith("CHECK ")]
+    assert checks == [check for rows in expected for check in rows]
+    failed = [k for k, line in enumerate(lines) if line.endswith("FAIL")]
+    assert [lines[k].split()[2] for k in failed] == blocks
+    for k in failed:
+        assert lines[k].endswith("max_abs=nan  tol=0.0e+00  FAIL")
+        assert lines[k + 1] == f"      {type(exc).__name__}: {exc}"
 
 
 def test_verify_audit_report_lines(capsys):

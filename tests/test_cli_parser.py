@@ -3,7 +3,9 @@
 tests/data/parser_transcripts.json holds, for ``--help`` (top level and each
 subcommand) and for malformed command lines, the exit code and the exact
 stdout and stderr of ``kdvbwaves`` on an 80-column terminal, and the parser
-of ``build_parser`` must reproduce it byte for byte.  A separate value that
+of ``build_parser`` must reproduce it byte for byte; so must ``cli.main``,
+which parses every command line of a process with one parser built at
+import, whatever it parsed before.  A separate value that
 float() reads and that starts with "-" (-1e3, -inf) is read as the
 ``--opt=value`` form reads it, not as an unknown option.  A property runs
 command lines built from the parser's own arguments, drawn with edge floats
@@ -92,6 +94,34 @@ def test_parser_output_matches_golden_bytes(case):
     golden = json.loads(FIXTURE.read_text(encoding="utf-8"))
     assert sorted(golden) == sorted(CASES)
     assert transcript(CASES[case]) == golden[case]
+
+
+def main_transcript(argv: list[str]) -> dict:
+    """transcript(argv) through cli.main; a command that runs returns its exit code."""
+    with captured() as (out, err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return {"argv": argv, "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def test_main_parses_every_case_alike_with_the_parser_built_at_import(monkeypatch):
+    # each case twice, with an exit 2, a --help and a command that runs between any two:
+    # parse_args leaves nothing behind in the parser that the next command line reads
+    def rebuild():
+        raise AssertionError("main built a parser")
+
+    monkeypatch.setattr(cli, "build_parser", rebuild)
+    golden = json.loads(FIXTURE.read_text(encoding="utf-8"))
+    runs = ["factorize", "--eq", "kdvb", "--delta", "-1e3", "--format", "json"]
+    first = main_transcript(runs)
+    assert first["exit"] == 0 and first["stderr"] == ""
+    for case in sorted(golden) * 2:
+        for argv, expected in ((CASES["unknown option"], golden["unknown option"]),
+                               (CASES["help"], golden["help"]), (runs, first),
+                               (CASES[case], golden[case])):
+            assert main_transcript(argv) == expected
 
 
 _NEGATIVE = ["-1e3", "-1e+308", "-inf", "-nan", "-.5"]

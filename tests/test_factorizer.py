@@ -147,12 +147,6 @@ def test_compound_f1_rejects_zero():
         fact.f1_at(0.0)
 
 
-def test_riccati_rhs_equals_f1_times_u():
-    fact = factorize_compound(ReducedParams(p=0.5, q=1.0), Sign.MINUS)
-    for U in (0.3, -1.2, 2.0 + 1.5j):
-        assert fact.riccati_rhs(U) == pytest.approx(fact.f1_at(U) * U, rel=1e-14)
-
-
 # ---------------------------------------------------------------------------
 # verify_factorization plumbing
 

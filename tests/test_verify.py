@@ -403,6 +403,11 @@ def _assert_same_bits(traj, reference):
     assert np.array_equal(traj.values.view(np.uint64), values.view(np.uint64))
 
 
+def _riccati_rhs(fact):
+    """U' = A*U^2 + B*U + C of ``fact``, spelled as the textbook reference evaluates it."""
+    return lambda U: fact.A * U * U + fact.B * U + fact.C
+
+
 _INF, _NAN = math.inf, math.nan
 # the kink, rational and constant branches of the suite, plus coefficients
 # large enough to overflow within one step
@@ -437,7 +442,7 @@ def test_riccati_oracle_matches_textbook_rk4_bit_for_bit(which, run):
     U0, span, step = run
     _assert_same_bits(
         oracle_integrate_riccati(fact, U0, span, step),
-        _reference_rk4(fact.riccati_rhs, U0, span, step),
+        _reference_rk4(_riccati_rhs(fact), U0, span, step),
     )
 
 
@@ -460,7 +465,7 @@ def test_bernoulli_oracle_matches_textbook_rk4_bit_for_bit(sign, run):
 
 def test_reference_runs_reach_blow_up_and_non_finite_states():
     # the bit-for-bit cases above cover truncation and every non-finite state kind
-    runs = [_reference_rk4(fact.riccati_rhs, *run) for fact in _RICCATI for run in _RICCATI_RUNS]
+    runs = [_reference_rk4(_riccati_rhs(fact), *run) for fact in _RICCATI for run in _RICCATI_RUNS]
     assert any(blew and len(th) < 100 and np.isfinite(v[-1]) for th, v, blew in runs)
     last = [v[-1] for _, v, blew in runs if blew]
     assert any(np.isnan(u.real) and np.isnan(u.imag) for u in last)
@@ -520,7 +525,7 @@ def test_riccati_real_starts_match_textbook_rk4_bit_for_bit(which, U0, run):
     span, step = run
     _assert_same_bits(
         oracle_integrate_riccati(fact, U0, span, step),
-        _reference_rk4(fact.riccati_rhs, U0, span, step),
+        _reference_rk4(_riccati_rhs(fact), U0, span, step),
     )
 
 
@@ -531,7 +536,7 @@ def test_zero_equilibrium_keeps_the_complex_sign_of_zero():
     traj = oracle_integrate_riccati(fact, -0.0, (0.0, 1.0), 0.5)
     assert not traj.blew_up and np.all(traj.values == 0.0)
     assert [math.copysign(1.0, u.real) for u in traj.values] == [-1.0, 1.0, 1.0]
-    _assert_same_bits(traj, _reference_rk4(fact.riccati_rhs, -0.0, (0.0, 1.0), 0.5))
+    _assert_same_bits(traj, _reference_rk4(_riccati_rhs(fact), -0.0, (0.0, 1.0), 0.5))
 
 
 def _bernoulli_reference(sign, U0, span, step):
@@ -574,7 +579,7 @@ _SPANS = st.tuples(
 def test_riccati_real_starts_match_textbook_rk4_property(fact, U0, run):
     span, step = run
     _assert_same_bits(oracle_integrate_riccati(fact, U0, span, step),
-                      _reference_rk4(fact.riccati_rhs, U0, span, step))
+                      _reference_rk4(_riccati_rhs(fact), U0, span, step))
 
 
 @settings(deadline=None, max_examples=150)
@@ -606,10 +611,10 @@ def test_riccati_equilibria_match_textbook_rk4_property(A, B, U0, run):
     C = -(A * U0 * U0 + B * U0)
     assume(math.isfinite(C))
     fact = CompoundFactorization(A=A, B=B, C=C, p=0.0, q=1.0, k=0.0, sign=Sign.PLUS)
-    assert fact.riccati_rhs(U0) == 0.0
+    assert _riccati_rhs(fact)(U0) == 0.0
     span, step = run
     _assert_same_bits(oracle_integrate_riccati(fact, U0, span, step),
-                      _reference_rk4(fact.riccati_rhs, U0, span, step))
+                      _reference_rk4(_riccati_rhs(fact), U0, span, step))
 
 
 # Each oracle hands _rk4 one whole RK4 step, its right-hand side inline.  At
@@ -671,7 +676,7 @@ _NEGATIVE_STAGE_STATE = float(_bernoulli_reference(*_NEGATIVE_STAGE_RUN)[1][7].r
 @given(fact=st.sampled_from(_RICCATI + _ZERO_EQUILIBRIA), U=_STATES, run=_SPANS)
 def test_riccati_step_is_one_textbook_rk4_step_property(fact, U, run):
     advance, h = _advance(oracle_integrate_riccati, fact, 0.3, *run)
-    _assert_textbook_step(advance, h, U, fact.riccati_rhs, fact.riccati_rhs)
+    _assert_textbook_step(advance, h, U, _riccati_rhs(fact), _riccati_rhs(fact))
 
 
 @settings(deadline=None, max_examples=300)
@@ -721,7 +726,7 @@ def test_run_that_converges_onto_a_float_fixed_point_stops_there(monkeypatch):
     traj = oracle_integrate_riccati(fact, 0.3, (0.0, 200.0), 0.5)
     assert len(traj.values) == 401 and abs(traj.values[-1] - 1.0) <= 2.0**-52
     assert len(calls) == 73
-    _assert_same_bits(traj, _reference_rk4(fact.riccati_rhs, 0.3, (0.0, 200.0), 0.5))
+    _assert_same_bits(traj, _reference_rk4(_riccati_rhs(fact), 0.3, (0.0, 200.0), 0.5))
 
 
 # ---------------------------------------------------------------------------
