@@ -15,9 +15,9 @@ Subcommands:
   entry spells the evaluate or sweep command that writes the same table.
 
 evaluate, sweep and figure build a WaveSolution with the constructors of
-the solutions module, evaluate it on the whole grid in one evaluate_grid
-call, and write the table through one column writer (_render).  The caller
-hands the writer the grid's shape: re_u, im_u and the pole mask at the
+the solutions module, evaluate it on the whole grid with evaluate_grid or
+sweep_rows, and write the table through one column writer (_render).  The
+caller hands the writer the grid's shape: re_u, im_u and the pole mask at the
 table's shape, whose cells in C order are the rows, and each coordinate at a
 shape that broadcasts to it (the physical t a scalar, the sweep's a an (m, 1)
 column against its (k,) theta).  The rows along the last axis form a group:
@@ -40,8 +40,12 @@ A child that fails, is killed or cannot start costs only time: the writer
 reaps it and formats its remaining chunks, with the same bytes.  Every child
 is reaped before the stream ends, also when a write fails or stdout closes.
 The writer holds one chunk at a time, so a table's memory does not grow
-with its output: the peak is the evaluation's, not the table's.  figure
-evaluates every table of its entry before it opens its first file.
+with its output.  The evaluation holds the values and the pole mask (17
+bytes a row) and, on a grid bigger than one block, one block's kernel
+temporaries; the writer then tests the value columns for one bit pattern in
+place, without copying them.  So an export's peak is its grid, values and
+mask plus one block or one chunk.  figure evaluates every table of its
+entry before it opens its first file.
 
 errors, factorizer (with the family tags and verify's scopes) and params, on
 math and cmath only, are imported at the top, numpy, solutions and verify by
@@ -111,11 +115,14 @@ def _render(names: list[str], columns: list, pole: np.ndarray, fmt: str) -> Iter
     repeated = {j: [text(v) for v in np.reshape(columns[j], -1).tolist()] for j in range(m)
                 if j not in fixed and groups > 1 and np.size(columns[j]) == width}
     constant: dict[int, str] = {}
+    # the first row off the poles; where every row is on one, no row shows the constant
+    first = int(np.argmin(pole))
     for j in (m, m + 1):
-        rest = columns[j][~pole]
-        bits = rest.view(np.uint64)
-        if bits.size and (bits == bits[0]).all():
-            constant[j] = text(float(rest[0]))
+        # the bits compared where they are: a copy of the column would cost 8 bytes a row
+        bits = columns[j].view(np.uint64)
+        same = np.equal(bits, bits.flat[first])
+        if np.logical_or(same, pole, out=same).all():
+            constant[j] = text(float(columns[j].flat[first]))
 
     def template(cells: list[str]) -> str:
         if fmt == "json":

@@ -47,7 +47,8 @@ them, so a WaveSolution never carries coefficients it does not solve.
 
 One evaluation path.  Each family's closed form is written once, as its
 array kernel.  evaluate_grid gives the values and the pole mask, and
-sweep_rows the same pair over a phase sweep; on the same argument and mask,
+sweep_rows the same pair over a phase sweep, a big grid in blocks of
+_CELLS_PER_BLOCK cells.  On the same argument and mask,
 solution_jet gives (w, w', w'', w''') and physical_jet its chain-rule image.
 eval_solution and eval_solution_physical are evaluate_grid at one point.
 The independent second spelling, the direct physical formulas with their
@@ -411,26 +412,64 @@ def _shifted(sol: WaveSolution, grid, t) -> tuple[np.ndarray, float]:
     return zeta, rate
 
 
+# Cells evaluate_grid and sweep_rows take through a kernel at once.  A kernel
+# call's temporaries peak at 65-80 bytes a cell (numpy 2.4), so at this size
+# 100,000 points trace at 47 bytes a point, against 89 in one call.  2**15 is
+# the smallest power of two above the largest grid of figure and verify (figure
+# 5's 51 x 401 sweep), which so keep one call: taking every grid through the
+# blocks cost figure 4 % of its time.
+_CELLS_PER_BLOCK = 2**15
+
+
 def evaluate_grid(
     sol: WaveSolution, grid: np.ndarray, t: float | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(values, pole) of a solution on an array of coordinates, in one pass.
+    """(values, pole) of a solution on an array of coordinates.
 
     With ``t`` None, ``grid`` holds reduced coordinates theta and the values
-    are U(theta).  Otherwise it holds physical x at time t, and the values
-    are u = to_physical_amplitude(w) at theta = to_reduced_coordinate(x, t),
-    with w = U + delta the first-integral unknown.  ``pole`` flags the cells
-    within the pole tolerance of a pole; their values are NaN + NaN*i.  A
-    value that leaves the float range at a cell off the poles is a
-    ParameterDomainError.
+    are U(theta).  Otherwise it holds physical x at the time t, a float, and
+    the values are u = to_physical_amplitude(w) at theta =
+    to_reduced_coordinate(x, t), with w = U + delta the first-integral
+    unknown.  ``pole`` flags the cells within the pole tolerance of a pole;
+    their values are NaN + NaN*i.  A coordinate whose theta - theta0 is not
+    finite is a ParameterDomainError, and so, where every coordinate is
+    finite, is a value that leaves the float range at a cell off the poles.
+    A grid of more than _CELLS_PER_BLOCK cells goes through the kernel in
+    blocks, so the evaluation holds the values and the mask, 17 bytes a
+    cell, and one block's temporaries; the bits are those of one call.
     """
-    zeta, rate = _shifted(sol, grid, t)
-    values, pole, _ = _FAMILIES[sol.family][0](sol, zeta, rate)
+    grid = np.asarray(grid)
+    if grid.size <= _CELLS_PER_BLOCK:
+        values, pole = _kernel_values(sol, grid, t)
+        _finite_off_poles(sol, (values,), pole)
+        return values, pole
+    cells = grid.reshape(-1)
+    return _evaluate_blocks(sol, grid.shape, lambda lo, hi: cells[lo:hi], t)
+
+
+def _kernel_values(sol: WaveSolution, grid: np.ndarray, t) -> tuple[np.ndarray, np.ndarray]:
+    """(values, pole) of one kernel call on ``grid``, NaN on the poles; not checked for range."""
+    # the shifted coordinate and the kernel's argument are freed before the amplitude map
+    values, pole = _FAMILIES[sol.family][0](sol, *_shifted(sol, grid, t))[:2]
     if t is not None:
-        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        with np.errstate(over="ignore", invalid="ignore"):  # checked by the caller
             values = to_physical_amplitude(values + (sol.reduced.delta or 0.0), sol.physical)
-    _finite_off_poles(sol, (values,), pole)
     return np.where(pole, _NAN, values), pole
+
+
+def _evaluate_blocks(sol: WaveSolution, shape: tuple, cells, t) -> tuple[np.ndarray, np.ndarray]:
+    """evaluate_grid on a grid of ``shape`` whose cells lo..hi-1 in C order are cells(lo, hi).
+
+    The values are checked once every block is made, so a coordinate that is
+    not finite is the error anywhere in the grid, as from one call.
+    """
+    values, pole = np.empty(shape, complex), np.empty(shape, bool)
+    out, flags, size = values.reshape(-1), pole.reshape(-1), values.size
+    for lo in range(0, size, _CELLS_PER_BLOCK):
+        hi = min(lo + _CELLS_PER_BLOCK, size)
+        out[lo:hi], flags[lo:hi] = _kernel_values(sol, cells(lo, hi), t)
+    _finite_off_poles(sol, (values,), pole)
+    return values, pole
 
 
 def _at_point(sol: WaveSolution, coordinate, t) -> complex | None:
@@ -532,11 +571,20 @@ def sweep_rows(
     contract: pole cells are flagged and hold NaN + NaN*i.  At a = 0 the
     imaginary part vanishes; at a = -5 the regular family equals the singular
     one at real phase (tanh(z - i*pi/2) = coth(z)).  a is reduced by its
-    period (reduce_kdvb_phase) before it enters theta0.
+    period (reduce_kdvb_phase) before it enters theta0.  A grid of more than
+    _CELLS_PER_BLOCK cells goes in blocks, each forming its own theta - theta0.
     """
     a_values = np.asarray(a_values, dtype=float)
     theta_grid = np.asarray(theta_grid, dtype=float)
     if theta_grid.size == 0 or a_values.size == 0:
         raise ParameterDomainError("sweep grid must be non-empty")
     theta0 = 1j * math.pi * reduce_kdvb_phase(a_values)
-    return evaluate_grid(universal_solution(family), theta_grid - theta0[:, None])
+    sol, width = universal_solution(family), theta_grid.size
+    if theta0.size * width <= _CELLS_PER_BLOCK:
+        return evaluate_grid(sol, theta_grid - theta0[:, None])
+
+    def cells(lo: int, hi: int) -> np.ndarray:
+        row, column = np.divmod(np.arange(lo, hi), width)
+        return theta_grid[column] - theta0[row]
+
+    return _evaluate_blocks(sol, (theta0.size, width), cells, None)

@@ -991,6 +991,139 @@ def test_physical_jet_is_the_chain_rule_image(index):
 
 
 # ---------------------------------------------------------------------------
+# blocks
+
+_BLOCK = solutions_module._CELLS_PER_BLOCK
+_PIECE = 9_999  # odd, so coprime to the block: no piece edge falls on a block edge
+
+
+def _bits(values, pole):
+    """(values, pole) as bytes and shapes, for a bit-for-bit comparison."""
+    return values.shape, pole.shape, values.tobytes(), pole.tobytes()
+
+
+def _one_call(sol, grid, t=None):
+    """evaluate_grid with a block as big as ``grid``: one kernel call on the whole of it."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solutions_module, "_CELLS_PER_BLOCK", np.size(grid))
+        return evaluate_grid(sol, grid, t)
+
+
+def _by_pieces(sol, cells, t=None):
+    """evaluate_grid over consecutive _PIECE-cell pieces of the flat ``cells``, concatenated."""
+    pieces = [evaluate_grid(sol, cells[lo:lo + _PIECE], t) for lo in range(0, cells.size, _PIECE)]
+    return np.concatenate([v for v, _ in pieces]), np.concatenate([p for _, p in pieces])
+
+
+def _pole_coordinate(sol, physical):
+    """A grid coordinate on a pole of _all_families()'s solution at t = 0, or None.
+
+    kdvb-regular's reduced phase -5i*pi puts a pole at theta = 0, kdvb-singular's
+    are at theta0 = 0.2 and at x = xi0; a rational one is at zeta = -A/k0, with
+    theta0 = 0 (reduced) or x = s*zeta/mu (physical, xi0 = 0).
+    """
+    if sol.family is Family.KDVB_REGULAR:
+        return None if physical else 0.0
+    if sol.family is Family.KDVB_SINGULAR:
+        return sol.physical.xi0.real if physical else sol.reduced.theta0.real
+    if sol.family in (Family.RATIONAL_PLUS, Family.RATIONAL_MINUS):
+        zeta = -sol.sign.factor * math.sqrt(sol.reduced.q / 2.0) / sol.k0
+        return sol.physical.s * zeta / sol.physical.mu if physical else zeta
+    return None
+
+
+@pytest.mark.parametrize("physical", [False, True], ids=["reduced", "physical"])
+@pytest.mark.parametrize("index", range(7))
+def test_a_grid_in_blocks_gives_the_bits_of_its_pieces_and_of_one_call(index, physical):
+    # sizes about the block edge; pole cells on each side of the first edge, where it falls
+    sol = _all_families()[index][physical]
+    t = 0.0 if physical else None
+    pole_at = _pole_coordinate(sol, physical)
+    for size in (_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1):
+        grid = np.linspace(-30.0, 30.0, size)
+        if pole_at is not None:
+            grid[_BLOCK - 2:_BLOCK + 1] = pole_at
+        values, pole = evaluate_grid(sol, grid, t)
+        assert _bits(values, pole) == _bits(*_by_pieces(sol, grid, t))
+        assert _bits(values, pole) == _bits(*_one_call(sol, grid, t))
+        if pole_at is not None:
+            assert pole[_BLOCK - 2:_BLOCK + 1].all() and np.isnan(values[_BLOCK - 2:]).any()
+
+
+def test_blocks_of_a_two_dimensional_grid_and_of_a_zero_dimensional_one():
+    sol = _all_families()[1][0]
+    grid = np.linspace(-30.0, 30.0, 7 * (_BLOCK // 2 + 1))
+    grid[_BLOCK] = _pole_coordinate(sol, False)
+    grid = grid.reshape(7, -1)
+    values, pole = evaluate_grid(sol, grid)
+    assert values.shape == pole.shape == grid.shape and pole.any()
+    assert _bits(values.reshape(-1), pole.reshape(-1)) == _bits(*_by_pieces(sol, grid.reshape(-1)))
+    (value,), (flag,) = evaluate_grid(sol, np.array([0.7]))
+    value0, flag0 = evaluate_grid(sol, np.float64(0.7))
+    assert value0.shape == flag0.shape == () and flag0 == flag
+    assert complex(value0) == pytest.approx(complex(value), rel=1e-15)
+
+
+@pytest.mark.filterwarnings("error")
+def test_the_rational_far_branch_in_one_block_only():
+    # k0*zeta overflows where |zeta| > 1.8e8: in the second of three blocks only
+    sol = rational_solution(Family.RATIONAL_PLUS, 0.5, 1e300)
+    grid = np.linspace(-1.0, 1.0, 2 * _BLOCK + 1)
+    grid[_BLOCK + 5:_BLOCK + 499] = np.linspace(-1e10, 1e10, 494)
+    values, pole = evaluate_grid(sol, grid)
+    assert _bits(values, pole) == _bits(*_by_pieces(sol, grid))
+    assert _bits(values, pole) == _bits(*_one_call(sol, grid))
+    assert np.isfinite(values[~pole]).all() and not pole[_BLOCK + 5:_BLOCK + 499].any()
+
+
+@pytest.mark.parametrize("thetas", [801, _BLOCK + 1], ids=["rows-in-a-block", "rows-over-blocks"])
+def test_a_sweep_in_blocks_gives_the_bits_of_its_pieces(thetas):
+    # more cells than a block: each block forms its own theta - theta0
+    a = np.linspace(-5.0, 0.0, 101 if thetas == 801 else 3)
+    theta = np.linspace(-40.0, 40.0, thetas)
+    values, pole = sweep_rows(Family.KDVB_REGULAR, a, theta)
+    assert values.shape == (a.size, thetas) and pole[0].any()
+    cells = (theta - 1j * math.pi * reduce_kdvb_phase(a)[:, None]).reshape(-1)
+    flat = values.reshape(-1), pole.reshape(-1)
+    assert _bits(*flat) == _bits(*_by_pieces(universal_solution(Family.KDVB_REGULAR), cells))
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_coordinate_error_anywhere_comes_before_a_value_error():
+    # the amplitude overflows at every cell: a non-finite x in the last block is still the
+    # error, as from one call over the whole grid
+    sol = kdvb_solution_from_physical(
+        Family.KDVB_REGULAR, PhysicalParams(s=1.0, mu=1.0, alpha=1e-160, beta=0.0, v=2e150))
+    grid = np.zeros(2 * _BLOCK + 1)
+    with pytest.raises(ParameterDomainError, match="float range at a point off the poles"):
+        evaluate_grid(sol, grid, 0.0)
+    grid[-1] = math.nan
+    with pytest.raises(ParameterDomainError, match="theta = mu.* must be finite at every point"):
+        evaluate_grid(sol, grid, 0.0)
+
+
+def test_a_grid_of_at_most_one_block_is_one_kernel_call(monkeypatch):
+    kernel, slopes, sign = solutions_module._FAMILIES[Family.KDVB_REGULAR]
+    shapes = []
+
+    def counting(sol, zeta, rate):
+        shapes.append(zeta.shape)
+        return kernel(sol, zeta, rate)
+
+    monkeypatch.setitem(solutions_module._FAMILIES, Family.KDVB_REGULAR, (counting, slopes, sign))
+    sol = universal_solution(Family.KDVB_REGULAR)
+    square = (64, _BLOCK // 64)
+    for shape, calls in [((), [()]), ((_BLOCK,), [(_BLOCK,)]), (square, [square]),
+                         ((_BLOCK + 1,), [(_BLOCK,), (1,)])]:
+        shapes.clear()
+        evaluate_grid(sol, np.zeros(shape))
+        assert shapes == calls
+    shapes.clear()
+    sweep_rows(Family.KDVB_REGULAR, np.linspace(-5.0, 0.0, 51), np.linspace(-40.0, 40.0, 401))
+    assert shapes == [(51, 401)]  # figure 5's sweep
+
+
+# ---------------------------------------------------------------------------
 # phase sweep
 
 
