@@ -14,10 +14,12 @@ Subcommands:
   from its entry in figures.json, program data next to this module; each
   entry spells the evaluate or sweep command that writes the same table.
 
-evaluate, sweep and figure build a WaveSolution with the constructors of
-the solutions module, evaluate it on the whole grid with evaluate_grid or
-sweep_rows, and write the table through one column writer (_render).  The
-caller hands the writer the grid's shape: re_u, im_u and the pole mask at the
+evaluate and sweep each have one table builder (_evaluate_table,
+_sweep_table) that takes the parsed flags, evaluates the solution on the
+whole grid with evaluate_grid or sweep_rows, and returns the table of one
+column writer (_render).  figure calls the same builders, on each table's
+fields laid over the defaults of its command's flags.  The builder hands
+the writer the grid's shape: re_u, im_u and the pole mask at the
 table's shape, whose cells in C order are the rows, and each coordinate at a
 shape that broadcasts to it (the physical t a scalar, the sweep's a an (m, 1)
 column against its (k,) theta).  The rows along the last axis form a group:
@@ -334,33 +336,6 @@ def _grid(lo: float, hi: float, steps: int | None, name: str) -> np.ndarray:
         return np.linspace(lo, hi, steps)
 
 
-def _profile(sol: WaveSolution, grid: np.ndarray, t: float | None, fmt: str) -> Iterator[bytes]:
-    """Evaluate ``sol`` on ``grid`` (theta, or x at time t) and render the table."""
-    from .solutions import evaluate_grid
-    values, pole = evaluate_grid(sol, grid, t)
-    names, coords = (["theta"], [grid]) if t is None else (["x", "t"], [grid, t])
-    return _render(names, [*coords, values.real, values.imag], pole, fmt)
-
-
-def _sweep(fam: Family, a: tuple, theta: tuple, fmt: str) -> Iterator[bytes]:
-    """Check the sweep, evaluate U(theta; i*a*pi) of ``fam`` over (a, theta) and render it.
-
-    ``a`` and ``theta`` are (min, max, steps) of each grid.  A grid of
-    several a needs a_min < a_max and a single a needs a_min == a_max.
-    """
-    from .solutions import sweep_rows
-    a_min, a_max, _ = a
-    a_values = _grid(*a, "a")
-    if a_values.size > 1 and not a_min < a_max:
-        raise ParameterDomainError("phase sweep needs a_min < a_max")
-    if a_values.size == 1 and a_min != a_max:
-        raise ParameterDomainError("a single-row sweep needs --a-min == --a-max")
-    theta_grid = _grid(*theta, "theta")
-    values, pole = sweep_rows(fam, a_values, theta_grid)
-    return _render(["a", "theta"], [a_values[:, None], theta_grid, values.real, values.imag],
-                   pole, fmt)
-
-
 # ---------------------------------------------------------------------------
 # factorize
 
@@ -443,29 +418,25 @@ def _reduced_solution(args: argparse.Namespace, fam: Family) -> WaveSolution:
     return rational_solution(fam, args.q, args.k0, sign=Sign(args.branch))
 
 
-def _physical_coefficients(args: argparse.Namespace) -> PhysicalParams:
+def _physical_solution(args: argparse.Namespace, fam: Family) -> WaveSolution:
+    from .solutions import (compound_solution_from_physical, kdvb_solution_from_physical,
+                            rational_solution_from_physical)
     missing = [name for name in ("s", "mu", "alpha", "v") if getattr(args, name) is None]
     if missing:
         flags = ", ".join(f"--{name}" for name in missing)
         raise ParameterDomainError(f"physical mode needs {flags}")
-    return PhysicalParams(
-        s=args.s, mu=args.mu, alpha=args.alpha, beta=args.beta, v=args.v, xi0=complex(args.xi0)
-    )
-
-
-def _physical_solution(
-    fam: Family, params: PhysicalParams, k0: float = 0.0, sign: Sign = Sign.PLUS
-) -> WaveSolution:
-    from .solutions import (compound_solution_from_physical, kdvb_solution_from_physical,
-                            rational_solution_from_physical)
+    params = PhysicalParams(s=args.s, mu=args.mu, alpha=args.alpha, beta=args.beta, v=args.v,
+                            xi0=complex(args.xi0))
     if fam in _KDVB_FAMILIES:
         return kdvb_solution_from_physical(fam, params)
     if fam in _COMPOUND_FAMILIES:
         return compound_solution_from_physical(fam, params)
-    return rational_solution_from_physical(fam, params, k0, sign)
+    return rational_solution_from_physical(fam, params, args.k0, Sign(args.branch))
 
 
-def cmd_evaluate(args: argparse.Namespace) -> int:
+def _evaluate_table(args: argparse.Namespace) -> Iterator[bytes]:
+    """Evaluate the family of evaluate's flags on their grid and render the table."""
+    from .solutions import evaluate_grid
     fam = Family(args.family)
     has_theta = any(v is not None for v in (args.theta_min, args.theta_max, args.theta_steps))
     has_x = any(v is not None for v in (args.x_min, args.x_max, args.x_steps))
@@ -474,17 +445,24 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             "specify exactly one grid: --theta-min/--theta-max/--theta-steps "
             "(reduced mode) or --x-min/--x-max/--x-steps (physical mode)"
         )
+    if args.phase_a and (has_x or fam not in _KDVB_FAMILIES + _COMPOUND_FAMILIES):
+        raise ParameterDomainError("--phase-a sets the phase only in reduced mode of the kink "
+                                   "families; physical mode takes --xi0")
     if has_theta:
         if args.theta_min is None or args.theta_max is None:
             raise ParameterDomainError("reduced mode needs --theta-min and --theta-max")
         grid = _grid(args.theta_min, args.theta_max, args.theta_steps, "theta")
-        _emit(_profile(_reduced_solution(args, fam), grid, None, args.format), args.output)
-    else:
-        if args.x_min is None or args.x_max is None:
-            raise ParameterDomainError("physical mode needs --x-min and --x-max")
-        grid = _grid(args.x_min, args.x_max, args.x_steps, "x")
-        sol = _physical_solution(fam, _physical_coefficients(args), args.k0, Sign(args.branch))
-        _emit(_profile(sol, grid, args.t, args.format), args.output)
+        values, pole = evaluate_grid(_reduced_solution(args, fam), grid, None)
+        return _render(["theta"], [grid, values.real, values.imag], pole, args.format)
+    if args.x_min is None or args.x_max is None:
+        raise ParameterDomainError("physical mode needs --x-min and --x-max")
+    grid = _grid(args.x_min, args.x_max, args.x_steps, "x")
+    values, pole = evaluate_grid(_physical_solution(args, fam), grid, args.t)
+    return _render(["x", "t"], [grid, args.t, values.real, values.imag], pole, args.format)
+
+
+def cmd_evaluate(args: argparse.Namespace) -> int:
+    _emit(_evaluate_table(args), args.output)
     return 0
 
 
@@ -492,10 +470,25 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 # sweep
 
 
+def _sweep_table(args: argparse.Namespace) -> Iterator[bytes]:
+    """Check sweep's grids, evaluate U(theta; i*a*pi) over (a, theta) and render the table.
+
+    A grid of several a needs a_min < a_max and a single a needs a_min == a_max.
+    """
+    from .solutions import sweep_rows
+    a = _grid(args.a_min, args.a_max, args.a_steps, "a")
+    if a.size > 1 and not args.a_min < args.a_max:
+        raise ParameterDomainError("phase sweep needs a_min < a_max")
+    if a.size == 1 and args.a_min != args.a_max:
+        raise ParameterDomainError("a single-row sweep needs --a-min == --a-max")
+    theta = _grid(args.theta_min, args.theta_max, args.theta_steps, "theta")
+    values, pole = sweep_rows(Family(args.family), a, theta)
+    return _render(["a", "theta"], [a[:, None], theta, values.real, values.imag], pole,
+                   args.format)
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
-    a = (args.a_min, args.a_max, args.a_steps)
-    theta = (args.theta_min, args.theta_max, args.theta_steps)
-    _emit(_sweep(Family(args.family), a, theta, args.format), args.output)
+    _emit(_sweep_table(args), args.output)
     return 0
 
 
@@ -525,36 +518,34 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # figure
 
 
+def _figure_flags(entry: dict) -> list[tuple[str, argparse.Namespace]]:
+    """(file name, flags) of each table of a figures.json entry.
+
+    The flags are the entry's fields, and for a set of curves its
+    coefficients and the curve's fields, over the defaults of its command's
+    flags in _PARSER.  The entry's output names the file.
+    """
+    command = next(a for a in _PARSER._actions if a.dest == "command").choices[entry["command"]]
+    defaults = {a.dest: a.default for a in command._actions if a.dest != "help"}
+    tables = []
+    for curve in entry.get("curves", [{}]):  # an entry without curves is one table
+        fields = {**entry, **entry.get("coefficients", {}), **curve}
+        flags = {k: v for k, v in fields.items() if k in defaults and k != "output"}
+        name = entry["output"].replace("{label}", curve.get("label", ""))
+        tables.append((name, argparse.Namespace(**{**defaults, **flags})))
+    return tables
+
+
 def cmd_figure(args: argparse.Namespace) -> int:
     """Render every table of the figure's entry in figures.json, then write them.
 
     figures.json is program data, checked by the tests rather than on each
-    run.  An entry is a reduced profile, a sweep or a set of physical
-    curves, each table the one an evaluate or sweep command writes.
+    run.  Each table is built by the table builder of the entry's command.
     """
-    from .solutions import universal_solution
     text = resources.files("kdvbwaves").joinpath("figures.json").read_text(encoding="utf-8")
     entry = json.loads(text)[str(args.figure)]
-    fam, output = Family(entry["family"]), entry["output"]
-    tables: list[tuple[str, Iterator[bytes]]] = []  # (file name, its parts)
-
-    def bounds(name: str) -> tuple[float, float, int]:
-        return entry[f"{name}_min"], entry[f"{name}_max"], entry[f"{name}_steps"]
-
-    if entry["command"] == "sweep":
-        tables.append((output, _sweep(fam, bounds("a"), bounds("theta"), "csv")))
-    elif "curves" in entry:
-        coeff = entry["coefficients"]
-        x = _grid(*bounds("x"), "x")
-        for curve in entry["curves"]:
-            params = PhysicalParams(s=coeff["s"], mu=coeff["mu"], alpha=coeff["alpha"],
-                                    beta=coeff["beta"], v=curve["v"], xi0=complex(coeff["xi0"]))
-            name = output.replace("{label}", curve["label"])
-            tables.append((name, _profile(_physical_solution(fam, params), x, entry["t"], "csv")))
-    else:
-        sol = universal_solution(fam, theta0=_phase(fam, entry["phase_a"]))
-        tables.append((output, _profile(sol, _grid(*bounds("theta"), "theta"), None, "csv")))
-
+    build = _evaluate_table if entry["command"] == "evaluate" else _sweep_table
+    tables = [(name, build(flags)) for name, flags in _figure_flags(entry)]
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     for name, table in tables:

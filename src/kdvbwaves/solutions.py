@@ -162,7 +162,9 @@ def universal_solution(family: Family, theta0: complex = 0j, delta: float = 0.0)
 
 
 def kdvb_solution_from_physical(family: Family, params: PhysicalParams) -> WaveSolution:
-    """Universal kink whose displacement is fixed by the physical velocity."""
+    """Universal kink whose displacement is fixed by the physical velocity (beta = 0)."""
+    if params.beta != 0:
+        raise ParameterDomainError("KdVB families require beta = 0; beta != 0 is a compound family")
     base = reduce(params)
     # p = 2*delta + 6/25 inverts to the displacement the velocity demands
     delta = (base.p - 6.0 / 25.0) / 2.0

@@ -241,7 +241,7 @@ _X = ["--x-min", "-1", "--x-max", "1", "--x-steps", "3",
     ["--family", "rational-plus", *_THETA, "--q", "nan", "--k0", "1"],
     ["--family", "rational-minus", *_THETA, "--q", "0.5", "--k0", "nan"],
     ["--family", "compound-tanh-plus", *_X, "--t", "nan"],
-    ["--family", "kdvb-regular", *_X, "--t=-inf"],
+    ["--family", "kdvb-regular", *_X, "--beta", "0", "--t=-inf"],  # a KdVB family needs beta = 0
     ["--family", "compound-tanh-plus", *_X, "--v", "nan"],
     ["--family", "kdvb-regular", *_X, "--xi0", "inf"],
     ["--family", "kdvb-singular", *_X, "--s", "nan"],
@@ -325,6 +325,33 @@ def test_kdvb_phase_is_reduced_by_its_exact_period(family, a, capsys):
         assert run(capsys, "evaluate", "--family", family, *_THETA, f"--phase-a={a}",
                    "--format", fmt) == want
         assert want[0] == 0 and "-0," not in want[1] and "-0.0," not in want[1]
+
+
+_PHYSICAL_KDVB = ["--s", "1", "--mu", "6", "--alpha", "1", "--v", "0.2", "--x-min", "0",
+                  "--x-max", "1", "--x-steps", "2"]
+_LOCKED_V = repr(locked_rational_velocity(PhysicalParams(s=2.0, mu=1.0, alpha=3.0, beta=2.0,
+                                                         v=0.0)))
+_IGNORED_PHASE = ("--phase-a sets the phase only in reduced mode of the kink families; "
+                  "physical mode takes --xi0")
+
+
+@pytest.mark.parametrize("argv, flag, message", [
+    (["--family", "kdvb-regular", *_PHYSICAL_KDVB], ["--beta", "2"],
+     "KdVB families require beta = 0; beta != 0 is a compound family"),
+    (["--family", "rational-plus", "--q", "0.5", "--k0", "1", *_THETA], ["--phase-a", "0.5"],
+     _IGNORED_PHASE),
+    (["--family", "constant", "--q", "0.5", *_THETA], ["--phase-a", "0.5"], _IGNORED_PHASE),
+    (["--family", "kdvb-regular", *_PHYSICAL_KDVB], ["--phase-a", "0.5"], _IGNORED_PHASE),
+    (["--family", "compound-tanh-plus", *_X], ["--phase-a", "0.5"], _IGNORED_PHASE),
+    (["--family", "rational-minus", *_X[:-2], "--v", _LOCKED_V, "--k0", "1"], ["--phase-a", "0.5"],
+     _IGNORED_PHASE),
+], ids=["kdvb-beta", "rational-reduced-phase", "constant-reduced-phase", "kdvb-physical-phase",
+        "compound-physical-phase", "rational-physical-phase"])
+def test_a_flag_the_table_cannot_honour_exits_2(argv, flag, message, capsys):
+    # each wrote the table without the flag and exited 0: a KdVB kink with beta = 2
+    # (which does not solve the compound PDE beta describes) or the a = 0 table
+    assert run(capsys, "evaluate", *argv)[0] == 0
+    assert run(capsys, "evaluate", *argv, *flag) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -1180,14 +1207,14 @@ def test_figure_seven_writes_six_curves(tmp_path, capsys):
     assert "fig7_compound_kink_v-1.04.csv" in files
 
 
-# the fields that figure reads from each kind of entry, with their JSON types
-_ENTRY_FIELDS = {
-    "profile": {"phase_a": float, "theta_min": float, "theta_max": float, "theta_steps": int},
-    "sweep": {"a_min": float, "a_max": float, "a_steps": int,
-              "theta_min": float, "theta_max": float, "theta_steps": int},
-    "curves": {"coefficients": dict, "t": float, "x_min": float, "x_max": float, "x_steps": int,
-               "curves": list},
-}
+# keys of the manifest's own, not flags of the entry's command
+_MANIFEST_KEYS = ("title", "command", "output", "curves", "coefficients", "label")
+
+
+def _flags_of(command):
+    """dest -> action of each flag of subcommand ``command`` in the parser main uses."""
+    parser = next(a for a in cli._PARSER._actions if a.dest == "command").choices[command]
+    return {a.dest: a for a in parser._actions if a.option_strings and a.dest != "help"}
 
 
 def _kind(entry):
@@ -1202,20 +1229,33 @@ def _typed(record, fields):
 
 
 def _check_entry(entry):
-    """Assert that a manifest entry holds every field that figure reads for its kind."""
-    assert _typed(entry, {"command": str, "family": str, "output": str})
+    """Assert that a manifest entry spells its commands: each key a flag of the command, typed.
+
+    The flags and their types are read from the parser; which flags each kind
+    of entry must spell is what _commands spells.
+    """
+    assert _typed(entry, {"command": str, "output": str})
     assert entry["command"] in ("evaluate", "sweep")
-    assert entry["family"] in {f.value for f in Family}
-    family, kind = Family(entry["family"]), _kind(entry)
-    assert _typed(entry, _ENTRY_FIELDS[kind])
-    if kind == "curves":
-        coefficients = dict.fromkeys(("s", "mu", "alpha", "beta", "xi0"), float)
-        assert _typed(entry["coefficients"], coefficients)
-        assert entry["curves"] and all(_typed(c, {"label": str, "v": float})
-                                       for c in entry["curves"])
+    records = [entry]
+    if _kind(entry) == "curves":
+        assert _typed(entry, {"coefficients": dict, "curves": list}) and entry["curves"]
+        assert all(_typed(c, {"label": str}) for c in entry["curves"])
         assert "{label}" in entry["output"]
-    else:  # a profile and a sweep are of a KdVB family
-        assert family in _KDVB_FAMILIES
+        records += [entry["coefficients"], *entry["curves"]]
+    flags = _flags_of(entry["command"])
+    for record in records:
+        for key, value in record.items():
+            if key not in _MANIFEST_KEYS:
+                assert key in flags, f"{key!r} is no flag of {entry['command']}"
+                action = flags[key]
+                assert _typed(record, {key: action.type or str})
+                assert action.choices is None or value in action.choices
+    try:
+        _commands(entry)
+    except KeyError as missing:
+        raise AssertionError(f"the entry spells no {missing}") from None
+    if _kind(entry) == "profile":
+        assert Family(entry["family"]) in _KDVB_FAMILIES
 
 
 def test_packaged_manifest_holds_the_seven_figures():
@@ -1260,6 +1300,13 @@ def _without(entry, key):
     {**_CURVES, "curves": [{"label": "a", "v": -0.04}, {"label": "b"}]},
     {**_CURVES, "curves": [{"label": "a", "v": -0.04}, {"v": -0.5}]},
     {**_CURVES, "output": "fig7.csv"},                   # every curve would write one file
+    {**_PROFILE, "phase-a": -2.5},                       # a misspelt flag
+    {**_without(_PROFILE, "phase_a"), "phase-a": -2.5},
+    {**_PROFILE, "theta_step": 801},
+    {**_SWEEP, "phase_a": -2.5},                         # a flag of evaluate, not of sweep
+    {**_CURVES, "coefficients": {**_CURVES["coefficients"], "gamma": 1.0}},
+    {**_CURVES, "coefficients": {**_CURVES["coefficients"], "s": 2}},
+    {**_CURVES, "curves": [{"label": "a", "v": -0.04, "velocity": -0.5}]},
 ])
 def test_manifest_check_rejects_a_malformed_entry(entry):
     with pytest.raises(AssertionError):
@@ -1305,6 +1352,36 @@ def test_each_figure_is_the_command_its_entry_spells(number, tmp_path, capsys):
     for name, argv in commands:
         assert run(capsys, *argv, "--output", str(tmp_path / name)) == (0, "", "")
         assert (tmp_path / name).read_bytes() == (tmp_path / "figure" / name).read_bytes()
+
+
+@pytest.mark.parametrize("number", range(1, 8))
+def test_figure_flags_are_the_parsed_command_its_entry_spells(number):
+    # figure lays each table's fields over its command's defaults instead of parsing an argv
+    entry = _MANIFEST[str(number)]
+    tables, commands = cli._figure_flags(entry), _commands(entry)
+    assert [name for name, _ in tables] == [name for name, _ in commands]
+    for (_, flags), (_, argv) in zip(tables, commands):
+        parsed = cli._PARSER.parse_args(argv)
+        for dest in _flags_of(entry["command"]):
+            mine, theirs = getattr(flags, dest), getattr(parsed, dest)
+            assert type(mine) is type(theirs) and mine == theirs, dest
+
+
+def test_figure_whose_later_table_raises_exits_2_and_writes_nothing(tmp_path, monkeypatch, capsys):
+    # every table is evaluated before the first file is opened
+    real, calls = solutions_module.compound_solution_from_physical, []
+
+    def fifth_fails(family, params):
+        calls.append(params.v)
+        if len(calls) == 5:
+            raise ParameterDomainError("the fifth curve fails")
+        return real(family, params)
+
+    monkeypatch.setattr(solutions_module, "compound_solution_from_physical", fifth_fails)
+    outdir = tmp_path / "figure"
+    assert run(capsys, "figure", "7", "--outdir", str(outdir)) == (
+        2, "", "error: the fifth curve fails\n")
+    assert len(calls) == 5 and not outdir.exists()
 
 
 def test_figure_rejects_out_of_range_id():

@@ -829,6 +829,14 @@ def test_from_physical_solution_is_the_reduction_of_its_coefficients(family):
     assert np.allclose(u, want, rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.parametrize("family", _KDVB_FAMILIES, ids=lambda f: f.value)
+def test_kdvb_from_physical_rejects_a_nonzero_beta(family):
+    # it returned the beta = 0 kink, which does not solve the compound PDE beta = 2 describes
+    params = PhysicalParams(s=1.0, mu=6.0, alpha=1.0, beta=2.0, v=0.2)
+    with pytest.raises(ParameterDomainError, match="require beta = 0"):
+        kdvb_solution_from_physical(family, params)
+
+
 # ---------------------------------------------------------------------------
 # scalar entry points
 
