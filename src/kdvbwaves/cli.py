@@ -14,6 +14,9 @@ Subcommands:
   from its entry in figures.json, program data next to this module; each
   entry spells the evaluate or sweep command that writes the same table.
 
+evaluate and factorize exit 2 on a flag that their mode and family do not
+read (one table, _READS) set away from its default, or a needed one left out.
+
 evaluate and sweep each have one table builder (_evaluate_table,
 _sweep_table) that takes the parsed flags, evaluates the solution on the
 whole grid with evaluate_grid or sweep_rows, and returns the table of one
@@ -322,9 +325,9 @@ def _emit(table: Iterator[bytes], output: str | Path | None) -> None:
         table.close()
 
 
-def _grid(lo: float, hi: float, steps: int | None, name: str) -> np.ndarray:
+def _grid(lo: float, hi: float, steps: int, name: str) -> np.ndarray:
     import numpy as np
-    if steps is None or steps < 1:
+    if steps < 1:
         raise ParameterDomainError(f"--{name}-steps must request at least one grid point")
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ParameterDomainError(f"--{name}-min and --{name}-max must be finite")
@@ -334,6 +337,34 @@ def _grid(lo: float, hi: float, steps: int | None, name: str) -> np.ndarray:
     # the last point, (steps - 1) * step, can round past the float range; linspace sets it to hi
     with np.errstate(over="ignore"):
         return np.linspace(lo, hi, steps)
+
+
+# The flags a command reads in each mode, for all its families ("") and for each kind of
+# family (the family's name up to its first "-").  evaluate is in physical mode when it is
+# given an --x-* flag; factorize has one mode, in which the kind is its --eq.
+_READS = {
+    "evaluate": {
+        "reduced": {"": "theta_min theta_max theta_steps", "kdvb": "phase_a",
+                    "compound": "p q phase_a", "rational": "q k0", "constant": "q k0 branch"},
+        "physical": {"": "x_min x_max x_steps s mu alpha v t beta xi0",
+                     "rational": "k0", "constant": "k0 branch"}},
+    "factorize": {"": {"kdvb": "delta", "compound": "p q"}}}
+
+
+def _check_flags(args: argparse.Namespace, command: str, mode: str, kind: str, unread: str,
+                 needs: str) -> None:
+    """Raise ParameterDomainError, unread.format(flags), for flags of _READS[command] that
+    ``mode`` and ``kind`` do not read set != their parser default (so a NaN is set); else
+    needs.format(flags) for flags they read whose default is None left out."""
+    table, defaults = _READS[command], _DEFAULTS[command]
+    reads = f"{table[mode].get('', '')} {table[mode].get(kind, '')}".split()
+    named = dict.fromkeys(" ".join(s for m in table.values() for s in m.values()).split())
+    missing = [n for n in reads if getattr(args, n) is None]
+    ignored = [n for n in named if n not in reads and getattr(args, n) != defaults[n]]
+    if ignored or missing:
+        *rest, last = [f"--{n.replace('_', '-')}" for n in ignored or missing]
+        flags = f"{', '.join(rest)} and {last}" if rest else last
+        raise ParameterDomainError((unread if ignored else needs).format(flags))
 
 
 # ---------------------------------------------------------------------------
@@ -347,6 +378,8 @@ def _linspace(lo: float, hi: float, n: int) -> list[float]:
 
 
 def cmd_factorize(args: argparse.Namespace) -> int:
+    _check_flags(args, "factorize", "", args.eq, f"factorize --eq {args.eq} does not read {{}}",
+                 "compound factorization requires q != 0 (pass {})")
     sign = Sign(args.sign)
     if args.eq == "kdvb":
         fact = factorize_kdvb(args.delta, sign)
@@ -361,8 +394,6 @@ def cmd_factorize(args: argparse.Namespace) -> int:
             "k": fact.k,
         }
     else:
-        if args.q is None:
-            raise ParameterDomainError("compound factorization requires q != 0 (pass --q)")
         fact = factorize_compound(ReducedParams(p=args.p, q=args.q), sign)
         samples = [complex(a, b) for a in _linspace(-3.0, 3.0, 8) for b in _linspace(-3.0, 3.0, 8)]
         report = {
@@ -410,21 +441,13 @@ def _reduced_solution(args: argparse.Namespace, fam: Family) -> WaveSolution:
     if fam in _KDVB_FAMILIES:
         return universal_solution(fam, theta0=theta0)
     if fam in _COMPOUND_FAMILIES:
-        if args.p is None or args.q is None:
-            raise ParameterDomainError("compound families need --p and --q")
         return compound_solution(fam, args.p, args.q, theta0=theta0)
-    if args.q is None:
-        raise ParameterDomainError("rational families need --q")
     return rational_solution(fam, args.q, args.k0, sign=Sign(args.branch))
 
 
 def _physical_solution(args: argparse.Namespace, fam: Family) -> WaveSolution:
     from .solutions import (compound_solution_from_physical, kdvb_solution_from_physical,
                             rational_solution_from_physical)
-    missing = [name for name in ("s", "mu", "alpha", "v") if getattr(args, name) is None]
-    if missing:
-        flags = ", ".join(f"--{name}" for name in missing)
-        raise ParameterDomainError(f"physical mode needs {flags}")
     params = PhysicalParams(s=args.s, mu=args.mu, alpha=args.alpha, beta=args.beta, v=args.v,
                             xi0=complex(args.xi0))
     if fam in _KDVB_FAMILIES:
@@ -438,24 +461,13 @@ def _evaluate_table(args: argparse.Namespace) -> Iterator[bytes]:
     """Evaluate the family of evaluate's flags on their grid and render the table."""
     from .solutions import evaluate_grid
     fam = Family(args.family)
-    has_theta = any(v is not None for v in (args.theta_min, args.theta_max, args.theta_steps))
-    has_x = any(v is not None for v in (args.x_min, args.x_max, args.x_steps))
-    if has_theta == has_x:
-        raise ParameterDomainError(
-            "specify exactly one grid: --theta-min/--theta-max/--theta-steps "
-            "(reduced mode) or --x-min/--x-max/--x-steps (physical mode)"
-        )
-    if args.phase_a and (has_x or fam not in _KDVB_FAMILIES + _COMPOUND_FAMILIES):
-        raise ParameterDomainError("--phase-a sets the phase only in reduced mode of the kink "
-                                   "families; physical mode takes --xi0")
-    if has_theta:
-        if args.theta_min is None or args.theta_max is None:
-            raise ParameterDomainError("reduced mode needs --theta-min and --theta-max")
+    mode = "reduced" if (args.x_min, args.x_max, args.x_steps) == (None,) * 3 else "physical"
+    _check_flags(args, "evaluate", mode, fam.value.split("-")[0],
+                 f"{fam.value} in {mode} mode does not read {{}}", f"{mode} mode needs {{}}")
+    if mode == "reduced":
         grid = _grid(args.theta_min, args.theta_max, args.theta_steps, "theta")
         values, pole = evaluate_grid(_reduced_solution(args, fam), grid, None)
         return _render(["theta"], [grid, values.real, values.imag], pole, args.format)
-    if args.x_min is None or args.x_max is None:
-        raise ParameterDomainError("physical mode needs --x-min and --x-max")
     grid = _grid(args.x_min, args.x_max, args.x_steps, "x")
     values, pole = evaluate_grid(_physical_solution(args, fam), grid, args.t)
     return _render(["x", "t"], [grid, args.t, values.real, values.imag], pole, args.format)
@@ -523,10 +535,9 @@ def _figure_flags(entry: dict) -> list[tuple[str, argparse.Namespace]]:
 
     The flags are the entry's fields, and for a set of curves its
     coefficients and the curve's fields, over the defaults of its command's
-    flags in _PARSER.  The entry's output names the file.
+    flags in _DEFAULTS.  The entry's output names the file.
     """
-    command = next(a for a in _PARSER._actions if a.dest == "command").choices[entry["command"]]
-    defaults = {a.dest: a.default for a in command._actions if a.dest != "help"}
+    defaults = _DEFAULTS[entry["command"]]
     tables = []
     for curve in entry.get("curves", [{}]):  # an entry without curves is one table
         fields = {**entry, **entry.get("coefficients", {}), **curve}
@@ -660,6 +671,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _PARSER = build_parser()  # main's, built once: parse_args keeps no state between calls
+# subcommand -> {flag: its parser default}, for _check_flags and _figure_flags
+_DEFAULTS = {name: {a.dest: a.default for a in sub._actions if a.dest != "help"} for name, sub
+             in next(a for a in _PARSER._actions if a.dest == "command").choices.items()}
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -158,7 +158,9 @@ def test_evaluate_rejects_ambiguous_grids(capsys):
     code, _, err = run(capsys, "evaluate", "--family", "kdvb-regular",
                        "--theta-min", "0", "--theta-max", "1", "--theta-steps", "5",
                        "--x-min", "0", "--x-max", "1", "--x-steps", "5")
-    assert code == 2 and "exactly one grid" in err
+    # an --x-* flag puts evaluate in physical mode, which reads no --theta-* flag
+    assert code == 2 and err == ("error: kdvb-regular in physical mode does not read "
+                                 "--theta-min, --theta-max and --theta-steps\n")
     code, _, _ = run(capsys, "evaluate", "--family", "kdvb-regular")
     assert code == 2
 
@@ -331,33 +333,113 @@ _PHYSICAL_KDVB = ["--s", "1", "--mu", "6", "--alpha", "1", "--v", "0.2", "--x-mi
                   "--x-max", "1", "--x-steps", "2"]
 _LOCKED_V = repr(locked_rational_velocity(PhysicalParams(s=2.0, mu=1.0, alpha=3.0, beta=2.0,
                                                          v=0.0)))
-_IGNORED_PHASE = ("--phase-a sets the phase only in reduced mode of the kink families; "
-                  "physical mode takes --xi0")
+_THETA_2 = ["--theta-min", "0", "--theta-max", "1", "--theta-steps", "2"]
+
+
+def _unread(family, mode, flags):
+    return f"{family} in {mode} mode does not read {flags}"
 
 
 @pytest.mark.parametrize("argv, flag, message", [
-    (["--family", "kdvb-regular", *_PHYSICAL_KDVB], ["--beta", "2"],
+    (["evaluate", "--family", "kdvb-regular", *_PHYSICAL_KDVB], ["--beta", "2"],
      "KdVB families require beta = 0; beta != 0 is a compound family"),
-    (["--family", "rational-plus", "--q", "0.5", "--k0", "1", *_THETA], ["--phase-a", "0.5"],
-     _IGNORED_PHASE),
-    (["--family", "constant", "--q", "0.5", *_THETA], ["--phase-a", "0.5"], _IGNORED_PHASE),
-    (["--family", "kdvb-regular", *_PHYSICAL_KDVB], ["--phase-a", "0.5"], _IGNORED_PHASE),
-    (["--family", "compound-tanh-plus", *_X], ["--phase-a", "0.5"], _IGNORED_PHASE),
-    (["--family", "rational-minus", *_X[:-2], "--v", _LOCKED_V, "--k0", "1"], ["--phase-a", "0.5"],
-     _IGNORED_PHASE),
+    (["evaluate", "--family", "rational-plus", "--q", "0.5", "--k0", "1", *_THETA],
+     ["--phase-a", "0.5"], _unread("rational-plus", "reduced", "--phase-a")),
+    (["evaluate", "--family", "constant", "--q", "0.5", *_THETA], ["--phase-a", "0.5"],
+     _unread("constant", "reduced", "--phase-a")),
+    (["evaluate", "--family", "kdvb-regular", *_PHYSICAL_KDVB], ["--phase-a", "0.5"],
+     _unread("kdvb-regular", "physical", "--phase-a")),
+    (["evaluate", "--family", "compound-tanh-plus", *_X], ["--phase-a", "0.5"],
+     _unread("compound-tanh-plus", "physical", "--phase-a")),
+    (["evaluate", "--family", "rational-minus", *_X[:-2], "--v", _LOCKED_V, "--k0", "1"],
+     ["--phase-a", "0.5"], _unread("rational-minus", "physical", "--phase-a")),
+    *((["evaluate", "--family", "kdvb-regular", *_THETA_2], flag,
+       _unread("kdvb-regular", "reduced", names))
+      for flag, names in ((["--k0", "5"], "--k0"), (["--t", "5"], "--t"), (["--q", "3"], "--q"),
+                          (["--s", "7", "--mu", "2"], "--s and --mu"))),
+    *((["evaluate", "--family", "compound-tanh-plus", *_X], flag,
+       _unread("compound-tanh-plus", "physical", names))
+      for flag, names in ((["--p", "5", "--q", "3"], "--p and --q"), (["--k0", "4"], "--k0"),
+                          (["--branch", "minus"], "--branch"))),
+    *((["evaluate", "--family", "rational-plus", "--q", "0.5", *_THETA_2], flag,
+       _unread("rational-plus", "reduced", names))
+      for flag, names in ((["--branch", "minus"], "--branch"), (["--t", "3"], "--t"))),
+    (["factorize", "--eq", "kdvb"], ["--q", "3"], "factorize --eq kdvb does not read --q"),
+    (["factorize", "--eq", "compound", "--q", "2"], ["--delta", "1"],
+     "factorize --eq compound does not read --delta"),
 ], ids=["kdvb-beta", "rational-reduced-phase", "constant-reduced-phase", "kdvb-physical-phase",
-        "compound-physical-phase", "rational-physical-phase"])
+        "compound-physical-phase", "rational-physical-phase", "kdvb-reduced-k0", "kdvb-reduced-t",
+        "kdvb-reduced-q", "kdvb-reduced-s-mu", "compound-physical-p-q", "compound-physical-k0",
+        "compound-physical-branch", "rational-reduced-branch", "rational-reduced-t",
+        "factorize-kdvb-q", "factorize-compound-delta"])
 def test_a_flag_the_table_cannot_honour_exits_2(argv, flag, message, capsys):
-    # each wrote the table without the flag and exited 0: a KdVB kink with beta = 2
-    # (which does not solve the compound PDE beta describes) or the a = 0 table
-    assert run(capsys, "evaluate", *argv)[0] == 0
-    assert run(capsys, "evaluate", *argv, *flag) == (2, "", f"error: {message}\n")
+    # each wrote the table or the report without the flag and exited 0: a KdVB kink
+    # with beta = 2 (which does not solve the compound PDE beta describes), the a = 0
+    # table, or the output of the command without a flag its family does not read
+    assert run(capsys, *argv)[0] == 0
+    assert run(capsys, *argv, *flag) == (2, "", f"error: {message}\n")
+
+
+_FLAG_BASES = {  # (family, mode) -> (flags that evaluate a table, the flags it accepts)
+    **{(family, "reduced"): (extra + _THETA, knobs) for family, extra, knobs in (
+        ("kdvb-regular", [], 7), ("kdvb-singular", [], 7),
+        ("compound-tanh-plus", ["--p", "1", "--q", "1"], 9),
+        ("compound-tanh-minus", ["--p", "1", "--q", "1"], 9),
+        ("rational-plus", ["--q", "0.5", "--k0", "1"], 8),
+        ("rational-minus", ["--q", "0.5", "--k0", "1"], 8),
+        ("constant", ["--q", "0.5"], 9))},
+    **{(family, "physical"): (flags, knobs) for family, flags, knobs in (
+        ("kdvb-regular", _PHYSICAL_KDVB, 13), ("kdvb-singular", _PHYSICAL_KDVB, 13),
+        ("compound-tanh-plus", _X, 13), ("compound-tanh-minus", _X, 13),
+        ("rational-plus", [*_X[:-2], "--v", _LOCKED_V, "--k0", "1"], 14),
+        ("rational-minus", [*_X[:-2], "--v", _LOCKED_V, "--k0", "1"], 14),
+        ("constant", [*_X[:-2], "--v", _LOCKED_V], 15))},
+}
+
+
+@pytest.mark.parametrize("family, mode", list(_FLAG_BASES), ids=map("-".join, _FLAG_BASES))
+def test_each_evaluate_flag_is_read_or_left_at_its_default(family, mode, capsys, tmp_path,
+                                                           monkeypatch):
+    # every flag of evaluate's parser set to a value no base command holds: a table
+    # flag that family and mode do not read is exit 2 naming it; any other flag is
+    # read, so it changes the output or the family's constructor rejects its value
+    monkeypatch.chdir(tmp_path)  # --output writes its file here
+    flags, knobs = _FLAG_BASES[family, mode]
+    base = ["evaluate", "--family", family, *flags]
+    code, base_out, _ = run(capsys, *base)
+    assert code == 0
+    table = cli._READS["evaluate"]
+    named = " ".join(kind for modes in table.values() for kind in modes.values()).split()
+    reads = f"{table[mode]['']} {table[mode].get(family.split('-')[0], '')}".split()
+    evaluate = next(a for a in cli._PARSER._actions if a.dest == "command").choices["evaluate"]
+    accepted = 1  # --family
+    for action in evaluate._actions:
+        if action.dest in ("help", "family"):
+            continue
+        flag = action.option_strings[0]
+        value = (next(c for c in action.choices if c != action.default) if action.choices
+                 else "4" if action.type is int else "0.25")
+        code, out, err = run(capsys, *base, flag, value)
+        if mode == "reduced" and flag.startswith("--x-"):
+            # an --x-* flag is physical mode, which reads no --theta-* flag (nor --p, --q)
+            theta = _unread(family, "physical", "--theta-min, --theta-max")
+            assert (code, out) == (2, "") and err.startswith(f"error: {theta}")
+            assert err.count("\n") == 1 and "--theta-steps" in err
+        elif action.dest in named and action.dest not in reads:
+            assert (code, out, err) == (2, "", f"error: {_unread(family, mode, flag)}\n")
+        else:
+            accepted += 1
+            if (family, flag) == ("constant", "--xi0"):  # a shift leaves a constant as it is
+                continue
+            assert code == 0 and out != base_out or (code, out) == (2, ""), (flag, err)
+            assert "does not read" not in err and "mode needs" not in err, (flag, err)
+    assert accepted == knobs
 
 
 @pytest.mark.parametrize("argv, message", [
     (["factorize", "--eq", "compound"], "compound factorization requires q != 0 (pass --q)"),
     (["evaluate", "--family", "rational-plus", "--theta-min", "0", "--theta-max", "1",
-      "--theta-steps", "3"], "rational families need --q"),
+      "--theta-steps", "3"], "reduced mode needs --q"),
     (["evaluate", "--family", "kdvb-regular", "--theta-steps", "3"],
      "reduced mode needs --theta-min and --theta-max"),
     (["evaluate", "--family", "kdvb-regular", "--s", "1", "--mu", "1", "--alpha", "1", "--v", "0",

@@ -467,10 +467,11 @@ def test_constant_family_rejects_nonzero_k0():
     (1e-154, 1e300, 1.0, 1.0),  # mu**2 overflows
     (1e-10, 1e154, 1.0, 1.0),  # mu**2/(6s) overflows to inf
     (1e-10, 1e154, 1e154, 1e-10),  # inf - inf is NaN
+    (2.0, 1.0, 3.0, 0.0),  # alpha**2/(4*beta) divides by zero: no cubic term, no lock
 ], ids=repr)
 def test_locked_velocity_out_of_float_range_is_a_domain_error(s, mu, alpha, beta):
     params = PhysicalParams(s=s, mu=mu, alpha=alpha, beta=beta, v=0.0)
-    with pytest.raises(ParameterDomainError, match="float range"):
+    with pytest.raises(ParameterDomainError, match="float range" if beta else "require beta != 0"):
         locked_rational_velocity(params)
 
 
