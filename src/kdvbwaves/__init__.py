@@ -5,14 +5,7 @@ independent residual and Runge-Kutta verification of every family."""
 from importlib import import_module
 
 from .errors import ParameterDomainError
-from .factorizer import (
-    CompoundFactorization,
-    Family,
-    Sign,
-    factorize_compound,
-    factorize_kdvb,
-    verify_factorization,
-)
+from .factorizer import Family, Sign, factorize_compound, factorize_kdvb
 from .params import (
     PhysicalParams,
     ReducedParams,
@@ -37,17 +30,12 @@ def __getattr__(name: str):
 __version__ = "0.1.0"
 
 __all__ = [
-    "CompoundFactorization",
-    "EquationTag",
     "Family",
     "ParameterDomainError",
     "PhysicalParams",
     "ReducedParams",
-    "ResidualReport",
     "Sign",
     "WaveSolution",
-    "check_first_integral_consistency",
-    "compound_discriminant_root",
     "compound_solution",
     "compound_solution_from_physical",
     "eval_solution",
@@ -57,14 +45,10 @@ __all__ = [
     "factorize_kdvb",
     "kdvb_solution_from_physical",
     "locked_rational_velocity",
-    "oracle_integrate_bernoulli",
-    "oracle_integrate_riccati",
     "physical_jet",
-    "rational_form_audit",
     "rational_solution",
     "rational_solution_from_physical",
     "reduce",
-    "residual_first_integral",
     "residual_pde",
     "solution_jet",
     "sweep_rows",
@@ -72,5 +56,4 @@ __all__ = [
     "to_reduced_coordinate",
     "universal_solution",
     "verification_suite",
-    "verify_factorization",
 ]

@@ -383,38 +383,22 @@ def cmd_factorize(args: argparse.Namespace) -> int:
     sign = Sign(args.sign)
     if args.eq == "kdvb":
         fact = factorize_kdvb(args.delta, sign)
+        keys = ("delta", "A", "B", "p", "k")
         samples: list[complex] = _linspace(0.05, 9.95, 64)
-        report: dict[str, object] = {
-            "equation": "kdvb",
-            "sign": sign.value,
-            "delta": args.delta,
-            "A": fact.A,
-            "B": fact.B,
-            "p": fact.p,
-            "k": fact.k,
-        }
     else:
         fact = factorize_compound(ReducedParams(p=args.p, q=args.q), sign)
+        keys = ("p", "q", "A", "B", "C", "k")
         samples = [complex(a, b) for a in _linspace(-3.0, 3.0, 8) for b in _linspace(-3.0, 3.0, 8)]
-        report = {
-            "equation": "compound",
-            "sign": sign.value,
-            "p": args.p,
-            "q": args.q,
-            "A": fact.A,
-            "B": fact.B,
-            "C": fact.C,
-            "k": fact.k,
-        }
     check = verify_factorization(fact.f1_at, fact.f2_at, fact.F_at, fact.f1U_prime_at, samples)
-    report["product_condition_max_residual"] = check.max_product
-    report["closure_condition_max_residual"] = check.max_closure
+    # the keys before A are the flags, which the factorization stores as given
+    report = {"equation": args.eq, "sign": sign.value, **{key: getattr(fact, key) for key in keys},
+              "product_condition_max_residual": check.max_product,
+              "closure_condition_max_residual": check.max_closure}
     if args.format == "json":
         print(json.dumps(report, indent=2))
         return 0
-    head = f"factorization of the {args.eq} reduction (branch {sign.value}"
-    head += f", delta = {args.delta!r})" if args.eq == "kdvb" else f", p = {args.p!r}, q = {args.q!r})"
-    print(head)
+    given = ", ".join(f"{key} = {report[key]!r}" for key in keys[:keys.index("A")])
+    print(f"factorization of the {args.eq} reduction (branch {sign.value}, {given})")
     for key in ("A", "B", "C", "p", "q", "delta", "k"):
         if key in report:
             print(f"  {key} = {report[key]!r}")

@@ -116,6 +116,8 @@ def _report(
     maximum: the worst point is the first NaN, and max_abs is NaN, which
     passes no tolerance.
     """
+    if pole.size == 0:
+        raise ParameterDomainError("empty grid; nothing to verify")
     keep = ~pole
     n = int(np.count_nonzero(keep))
     if n == 0:

@@ -24,17 +24,19 @@ from kdvbwaves import (
     factorize_kdvb,
     kdvb_solution_from_physical,
     locked_rational_velocity,
-    oracle_integrate_bernoulli,
-    oracle_integrate_riccati,
     rational_solution,
-    residual_first_integral,
     residual_pde,
     universal_solution,
     verification_suite,
-    verify_factorization,
 )
 from kdvbwaves.cli import main
-from kdvbwaves.verify import physical_discriminant_root
+from kdvbwaves.factorizer import verify_factorization
+from kdvbwaves.verify import (
+    oracle_integrate_bernoulli,
+    oracle_integrate_riccati,
+    physical_discriminant_root,
+    residual_first_integral,
+)
 
 GRID200 = np.linspace(-50.0, 50.0, 200)
 

@@ -12,9 +12,9 @@ from kdvbwaves import (
     Sign,
     factorize_compound,
     factorize_kdvb,
-    verify_factorization,
 )
 from kdvbwaves.cli import _linspace
+from kdvbwaves.factorizer import verify_factorization
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -25,6 +26,24 @@ TRANSCRIPTS = Path(__file__).parent / "data" / "parser_transcripts.json"
 HELP_CASES = sorted(case for case in json.loads(TRANSCRIPTS.read_text(encoding="utf-8"))
                     if case.split()[0] == "help")
 HEAVY = ("numpy", "kdvbwaves.solutions", "kdvbwaves.verify")
+# kdvbwaves.__all__: the names README's Library section documents
+PUBLIC = [
+    "Family", "ParameterDomainError", "PhysicalParams", "ReducedParams", "Sign", "WaveSolution",
+    "compound_solution", "compound_solution_from_physical", "eval_solution",
+    "eval_solution_physical", "evaluate_grid", "factorize_compound", "factorize_kdvb",
+    "kdvb_solution_from_physical", "locked_rational_velocity", "physical_jet",
+    "rational_solution", "rational_solution_from_physical", "reduce", "residual_pde",
+    "solution_jet", "sweep_rows", "to_physical_amplitude", "to_reduced_coordinate",
+    "universal_solution", "verification_suite",
+]
+# the verification internals, reached only by module path
+INTERNAL = {
+    **dict.fromkeys(["EquationTag", "ResidualReport", "check_first_integral_consistency",
+                     "oracle_integrate_bernoulli", "oracle_integrate_riccati",
+                     "rational_form_audit", "residual_first_integral"], "kdvbwaves.verify"),
+    **dict.fromkeys(["CompoundFactorization", "verify_factorization"], "kdvbwaves.factorizer"),
+    "compound_discriminant_root": "kdvbwaves.solutions",
+}
 
 # imports Family, runs cli.main on argv[2:], then writes its exit code and the
 # HEAVY modules they loaded to the file argv[1]
@@ -91,13 +110,33 @@ exec("from kdvbwaves import *", namespace)
 del namespace["__builtins__"]
 same = [name for name, obj in namespace.items()
         if getattr(importlib.import_module(obj.__module__), name) is obj]
-print(json.dumps([before, sorted(namespace), kdvbwaves.__all__, sorted(same)]))
+internal = {{}}
+for name, module in {INTERNAL!r}.items():
+    try:
+        exec(f"from kdvbwaves import {{name}}", {{}})
+        internal[name] = "imported from the package"
+    except ImportError:
+        internal[name] = getattr(importlib.import_module(module), name).__module__
+print(json.dumps([before, sorted(namespace), kdvbwaves.__all__, sorted(same), internal]))
 """
     proc = _fresh(script)
     assert (proc.returncode, proc.stderr) == (0, "")
-    before, names, public, same = json.loads(proc.stdout)
-    assert before == [] and len(public) == 36
+    before, names, public, same, internal = json.loads(proc.stdout)
+    assert before == [] and public == PUBLIC
     assert names == sorted(public) == same
+    # each verification internal is an ImportError from the package and defined in its module
+    assert internal == INTERNAL
+
+
+def test_readme_library_example_runs_and_names_every_public_name(capsys):
+    import kdvbwaves
+
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    library = readme[readme.index("\n## Library\n"):readme.index("\n## Exit codes\n")]
+    example = library.split("```python\n")[1].split("\n```")[0]
+    exec(compile(example, "README.md", "exec"), {})
+    assert len(capsys.readouterr().out.split()) == 3
+    assert [name for name in kdvbwaves.__all__ if not re.search(rf"\b{name}\b", library)] == []
 
 
 @pytest.mark.parametrize("call, printed", [

@@ -17,7 +17,6 @@ from kdvbwaves import (
     ParameterDomainError,
     PhysicalParams,
     Sign,
-    compound_discriminant_root,
     compound_solution,
     compound_solution_from_physical,
     eval_solution,
@@ -36,7 +35,13 @@ from kdvbwaves import (
     universal_solution,
 )
 from kdvbwaves import solutions as solutions_module
-from kdvbwaves.solutions import _COMPOUND_FAMILIES, _KDVB_FAMILIES, POLE_TOL, reduce_kdvb_phase
+from kdvbwaves.solutions import (
+    _COMPOUND_FAMILIES,
+    _KDVB_FAMILIES,
+    POLE_TOL,
+    compound_discriminant_root,
+    reduce_kdvb_phase,
+)
 from kdvbwaves.verify import (
     _compound_formula,
     _kdvb_formula,

@@ -9,27 +9,21 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from kdvbwaves import (
-    EquationTag,
     Family,
     ParameterDomainError,
     PhysicalParams,
     ReducedParams,
     Sign,
     WaveSolution,
-    check_first_integral_consistency,
     compound_solution,
     compound_solution_from_physical,
     eval_solution,
     factorize_compound,
     kdvb_solution_from_physical,
     locked_rational_velocity,
-    oracle_integrate_bernoulli,
-    oracle_integrate_riccati,
-    rational_form_audit,
     rational_solution,
     rational_solution_from_physical,
     reduce,
-    residual_first_integral,
     residual_pde,
     universal_solution,
     verification_suite,
@@ -39,6 +33,7 @@ from kdvbwaves.factorizer import CompoundFactorization
 from kdvbwaves.verify import (
     BLOWUP_THRESHOLD,
     SCOPES,
+    EquationTag,
     _compound_formula,
     _kdvb_formula,
     _physical_formula,
@@ -46,7 +41,12 @@ from kdvbwaves.verify import (
     _rational_formula,
     _report,
     _rk4,
+    check_first_integral_consistency,
+    oracle_integrate_bernoulli,
+    oracle_integrate_riccati,
     physical_discriminant_root,
+    rational_form_audit,
+    residual_first_integral,
 )
 
 GRID = np.linspace(-50.0, 50.0, 200)
@@ -130,6 +130,20 @@ def test_all_pole_grid_is_an_error():
     sol = universal_solution(Family.KDVB_SINGULAR)
     with pytest.raises(ParameterDomainError):
         residual_first_integral(sol, [0.0])
+
+
+@pytest.mark.parametrize("reduce_empty", [
+    lambda sol, phys: residual_first_integral(sol, []),
+    lambda sol, phys: check_first_integral_consistency(sol, []),
+    lambda sol, phys: residual_pde(phys, [], mode="fd"),
+    lambda sol, phys: residual_pde(phys, [], mode="analytic"),
+], ids=["first-integral", "consistency", "pde-fd", "pde-analytic"])
+def test_empty_grid_is_an_error_that_names_it(reduce_empty):
+    # no grid point is not a grid of poles
+    sol = universal_solution(Family.KDVB_SINGULAR)
+    phys = compound_solution_from_physical(Family.COMPOUND_TANH_PLUS, COMPOUND_PROBE)
+    with pytest.raises(ParameterDomainError, match="^empty grid; nothing to verify$"):
+        reduce_empty(sol, phys)
 
 
 # ---------------------------------------------------------------------------
