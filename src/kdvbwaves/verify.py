@@ -114,7 +114,8 @@ def _report(
 
     The worst point is the first maximum.  A NaN residual counts as the
     maximum: the worst point is the first NaN, and max_abs is NaN, which
-    passes no tolerance.
+    passes no tolerance.  An empty grid, or one whose every point is a pole,
+    raises ParameterDomainError.
     """
     if pole.size == 0:
         raise ParameterDomainError("empty grid; nothing to verify")

@@ -1,22 +1,26 @@
 """Run tier-1 under a line tracer: every statement of src/kdvbwaves runs, or is listed.
 
-    PYTHONPATH=src python tests/line_coverage.py [pytest arguments]
+    PYTHONPATH=src python tests/line_coverage.py
 
 Tier-1 runs in this process under ``sys.settrace``, recording the lines that
 run in the files of ``src/kdvbwaves``; the statements come from ``ast``.  A
 statement counts as run when any line of it does (for a ``def``, any line of
-its body), and only the outermost statement that never runs is reported.
-The step fails when tier-1 fails, when a statement that never runs is not in
-UNEXECUTED, and when a statement in UNEXECUTED does run, so the list cannot
-go stale.  Entries name the file, the enclosing function and the statement's
-first line, never a line number.  Standard library only besides pytest; it
-takes about twice as long as tier-1.
+its body).  Of the statements that never run, only the outermost is reported,
+and of consecutive siblings that never run only the first (a ``def`` ends
+such a run).  The step fails when tier-1
+fails, when a reported statement is not in UNEXECUTED, when a statement in
+UNEXECUTED is not reported (so the list cannot go stale), and when an entry's
+first line is shared by another statement of its function (so it names one
+statement).  Entries name the file, the enclosing function and the
+statement's first line, never a line number.  Standard library only besides
+pytest; it takes about twice as long as tier-1.
 """
 
 from __future__ import annotations
 
 import ast
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -28,13 +32,12 @@ _SCRIPT = "the console script and python -m kdvbwaves.cli, which tier-1 starts o
 # (file, enclosing function, first line of the statement, why no tier-1 test runs it in process)
 UNEXECUTED = (
     ("cli.py", "_fork", "code = 1", _CHILD),
-    ("cli.py", "_fork", "try:", _CHILD),
     ("cli.py", "<module>", "def entrypoint() -> None:", _SCRIPT),
     ("cli.py", "<module>", "entrypoint()", _SCRIPT),
 )
 
 
-def run_traced(args: list[str]) -> tuple[int, dict[str, set[int]]]:
+def run_traced() -> tuple[int, dict[str, set[int]]]:
     """pytest's exit code and the lines run in each file of the package, by file name."""
     hits: dict[str, set[int]] = {}
     files: dict[str, set[int] | None] = {}  # co_filename -> its hit set, None outside the package
@@ -56,10 +59,13 @@ def run_traced(args: list[str]) -> tuple[int, dict[str, set[int]]]:
 
     sys.settrace(trace)
     try:
-        code = pytest.main(["-q", "--continue-on-collection-errors", *args])
+        code = pytest.main(["-q", "--continue-on-collection-errors"])
     finally:
         sys.settrace(None)
     return int(code), hits
+
+
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def _is_constant(node: ast.stmt) -> bool:
@@ -84,48 +90,60 @@ def _children(node: ast.stmt):
                 yield from child.body
 
 
-def unexecuted(path: Path, hits: set[int]) -> list[tuple[str, str, int]]:
-    """(enclosing function, first line, line number) of each outermost statement that never ran."""
+def survey(path: Path, hits: set[int]) -> tuple[Counter, list[tuple[str, str, int]]]:
+    """How many statements share each (enclosing function, first line), and
+    (enclosing function, first line, line number) of each statement reported as never run."""
     source = path.read_text(encoding="utf-8")
     text = source.splitlines()
+    keys: Counter = Counter()
     found = []
 
-    def walk(statements, scope: str) -> None:
+    def walk(statements, scope: str, report: bool) -> None:
+        previous_ran = True
         for node in statements:
             if isinstance(node, (ast.Global, ast.Nonlocal)) or _is_constant(node):
                 continue
-            if hits.isdisjoint(_lines(node)):
-                found.append((scope, text[node.lineno - 1].strip(), node.lineno))
-                continue
+            key = (scope, text[node.lineno - 1].strip())
+            keys[key] += 1
+            ran = not hits.isdisjoint(_lines(node))
+            if report and not ran and previous_ran:
+                found.append((*key, node.lineno))
+            # a def whose body never runs still binds its name, so the next sibling may run
+            previous_ran = ran or isinstance(node, _DEFS)
             inner = scope
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if isinstance(node, _DEFS):
                 inner = node.name if scope == "<module>" else f"{scope}.{node.name}"
-            walk(_children(node), inner)
+            walk(_children(node), inner, report and ran)
 
-    walk(ast.parse(source, str(path)).body, "<module>")
-    return found
+    walk(ast.parse(source, str(path)).body, "<module>", True)
+    return keys, found
 
 
-def main(args: list[str]) -> int:
-    code, hits = run_traced(args)
+def main() -> int:
+    code, hits = run_traced()
     listed = {(file, scope, statement) for file, scope, statement, _ in UNEXECUTED}
     seen = set()
     unlisted = []
+    shared = []
     for path in sorted(PACKAGE.glob("*.py")):
-        for scope, statement, lineno in unexecuted(path, hits.get(path.name, set())):
-            key = (path.name, scope, statement)
-            seen.add(key)
-            if key not in listed:
+        keys, found = survey(path, hits.get(path.name, set()))
+        for scope, statement, lineno in found:
+            seen.add((path.name, scope, statement))
+            if (path.name, scope, statement) not in listed:
                 unlisted.append(f"{path.relative_to(ROOT)}:{lineno}: {scope}: {statement}")
+        shared += [f"{file}: {scope}: {statement}" for file, scope, statement in sorted(listed)
+                   if file == path.name and keys[scope, statement] > 1]
     stale = [f"{file}: {scope}: {statement}" for file, scope, statement in sorted(listed - seen)]
     for line in unlisted:
         print(f"never run and not listed: {line}")
     for line in stale:
-        print(f"listed but run: {line}")
+        print(f"listed but not reported as never run: {line}")
+    for line in shared:
+        print(f"listed but not the only statement with that first line in its function: {line}")
     print(f"line coverage: {len(unlisted)} unlisted statement(s) never run, "
-          f"{len(stale)} listed statement(s) run, tier-1 exit {code}")
-    return 1 if code or unlisted or stale else 0
-
+          f"{len(stale)} listed statement(s) not reported, {len(shared)} listed statement(s) "
+          f"not unique, tier-1 exit {code}")
+    return 1 if code or unlisted or stale or shared else 0
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
