@@ -17,40 +17,10 @@ Subcommands:
 evaluate and factorize exit 2 on a flag that their mode and family do not
 read (one table, _READS) set away from its default, or a needed one left out.
 
-evaluate and sweep each have one table builder (_evaluate_table,
-_sweep_table) that takes the parsed flags, evaluates the solution on the
-whole grid with evaluate_grid or sweep_rows, and returns the table of one
-column writer (_render).  figure calls the same builders, on each table's
-fields laid over the defaults of its command's flags.  The builder hands
-the writer the grid's shape: re_u, im_u and the pole mask at the
-table's shape, whose cells in C order are the rows, and each coordinate at a
-shape that broadcasts to it (the physical t a scalar, the sweep's a an (m, 1)
-column against its (k,) theta).  The rows along the last axis form a group:
-a whole profile, or one a of a sweep.  A coordinate constant along that axis
-(t, a) is formatted once per group, into the group's row templates; one that
-varies along it in a table of several groups (the sweep's theta) once per
-element of a group; and a value column that holds one bit pattern on every
-non-pole row (im_u of a real profile) once.  Every other cell goes through
-one %-format.  The choice is made from the shapes alone and never changes
-the bytes written.  The table is a stream of UTF-8 row chunks of 2**14
-formatted cells each, with the header, the separators and the tail between
-them, and _emit writes each part as it arrives.  A table with at least
-2 * 2**14 cells left to format, in a process allowed on two or more CPUs,
-deals its chunks to one process per CPU and at most one per 2**14 cells:
-chunk j to process j mod workers, process 0 being the writer itself and
-each other a forked child that sends its chunks through a pipe as
-length-prefixed records (_deal).  The writer writes the chunks in order, its
-own as it formats them and a child's once the whole record has arrived.
-A child that fails, is killed or cannot start costs only time: the writer
-reaps it and formats its remaining chunks, with the same bytes.  Every child
-is reaped before the stream ends, also when a write fails or stdout closes.
-The writer holds one chunk at a time, so a table's memory does not grow
-with its output.  The evaluation holds the values and the pole mask (17
-bytes a row) and, on a grid bigger than one block, one block's kernel
-temporaries; the writer then tests the value columns for one bit pattern in
-place, without copying them.  So an export's peak is its grid, values and
-mask plus one block or one chunk.  figure evaluates every table of its
-entry before it opens its first file.
+evaluate and sweep each build their table with one builder (_evaluate_table,
+_sweep_table), which figure calls too, and write it with _emit.  _render
+formats a table in chunks, _deal deals the chunks to forked processes where
+that pays (_CELLS_PER_PROCESS), and the docstrings of these say how.
 
 errors, factorizer (with the family tags and verify's scopes) and params, on
 math and cmath only, are imported at the top, numpy, solutions and verify by
@@ -309,15 +279,15 @@ def _reap(pid: int, pipe: BinaryIO) -> None:
 def _emit(table: Iterator[bytes], output: str | Path | None) -> None:
     """Write the table's UTF-8 parts as they come, to the file ``output`` or to stdout.
 
-    The file is opened "wb" and gets the parts as they are.  stdout gets
-    each part decoded, so a text stream put in place of sys.stdout (a
-    StringIO) takes it too.  The table is closed on the way out, also when
-    a write fails, so every child formatting it is reaped.
+    Both get the same bytes by the same writelines: the file opened "wb", or
+    sys.stdout's binary buffer once its text layer is flushed, so that text
+    written before stays in front.  The table is closed on the way out, also
+    when a write fails, so every child formatting it is reaped.
     """
     try:
         if output is None:
-            for part in table:
-                sys.stdout.write(part.decode())
+            sys.stdout.flush()
+            sys.stdout.buffer.writelines(table)
         else:
             with open(output, "wb") as fh:
                 fh.writelines(table)
@@ -495,7 +465,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     from .verify import verification_suite
     result = verification_suite(scope=args.scope, tolerance=args.tolerance, perturb=args.perturb)
-    width = max(len(c.name) for c in result.checks) if result.checks else 0
+    width = max(len(c.name) for c in result.checks)
     for c in result.checks:
         status = "PASS" if c.passed else "FAIL"
         print(f"CHECK {c.name:<{width}}  max_abs={c.max_abs:.6e}  tol={c.tol:.1e}  {status}")
@@ -679,7 +649,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 def entrypoint() -> None:
     code = main()
     if code == 141:
-        # the text still buffered for the closed pipe goes to devnull, so exit reports nothing
+        # what is still buffered for the closed pipe goes to devnull, so exit reports nothing
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     sys.exit(code)
 

@@ -205,7 +205,6 @@ class FactorizationCheck:
 
     max_product: float
     max_closure: float
-    n_samples: int
 
 
 def verify_factorization(
@@ -235,7 +234,7 @@ def verify_factorization(
     if not products:
         raise ParameterDomainError("empty sample set")
     return FactorizationCheck(max_product=_max_residual(products),
-                              max_closure=_max_residual(closures), n_samples=len(products))
+                              max_closure=_max_residual(closures))
 
 
 def _max_residual(residuals: list[float]) -> float:

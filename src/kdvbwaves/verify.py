@@ -44,7 +44,6 @@ check suite (verification_suite) is one ordered table of per-family blocks.
 from __future__ import annotations
 
 import cmath
-import enum
 import math
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -84,21 +83,11 @@ from .solutions import (
 BLOWUP_THRESHOLD = 1e12
 
 
-class EquationTag(enum.Enum):
-    """Which governing equation a residual report refers to."""
-
-    PDE_KDVB = "pde-kdvb"
-    PDE_COMPOUND_KDVB = "pde-compound-kdvb"
-    ODE_THIRD_ORDER = "ode-third-order"
-    ODE_FIRST_INTEGRAL = "ode-first-integral"
-
-
 @dataclass(frozen=True)
 class ResidualReport:
     max_abs: float
     worst_point: complex
     n_samples: int
-    equation: EquationTag
     n_poles: int = 0
     warning: str | None = None
 
@@ -107,7 +96,6 @@ def _report(
     residual: np.ndarray,
     points: np.ndarray,
     pole: np.ndarray,
-    equation: EquationTag,
     warning: str | None = None,
 ) -> ResidualReport:
     """Statistics of |residual| over the points off the pole mask.
@@ -129,7 +117,6 @@ def _report(
         max_abs=float(r[i]),
         worst_point=complex(points[i]),
         n_samples=n,
-        equation=equation,
         n_poles=pole.size - n,
         warning=warning,
     )
@@ -153,7 +140,7 @@ def residual_first_integral(
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite residual is a FAIL
         w, w1, w2, _ = (scale * d for d in jet)
         residual = w2 - w1 + (p * w - w * w - q * w**3) - k
-    return _report(residual, theta, pole, EquationTag.ODE_FIRST_INTEGRAL)
+    return _report(residual, theta, pole)
 
 
 def _pde_terms(
@@ -362,7 +349,6 @@ def residual_pde(
         raise ParameterDomainError(f"unknown residual mode: {mode!r}")
     if mode == "fd" and h <= 0:
         raise ParameterDomainError("finite-difference step must be positive")
-    tag = EquationTag.PDE_KDVB if pp.beta == 0 else EquationTag.PDE_COMPOUND_KDVB
 
     warning = None
     width = _kink_width(sol)
@@ -392,7 +378,7 @@ def residual_pde(
             uxxx = (up2 - 2 * up1 + 2 * um1 - um2) / (2 * h**3)
             ut = (-tp2 + 8 * tp1 - 8 * tm1 + tm2) / (12 * h)
         residual = _pde_terms(pp, u, ux, uxx, uxxx, ut)
-    return _report(residual, x + 1j * t, pole, tag, warning)
+    return _report(residual, x + 1j * t, pole, warning)
 
 
 def check_first_integral_consistency(
@@ -416,7 +402,7 @@ def check_first_integral_consistency(
         lhs = w3 - w2 + p * w1 - 2.0 * w * w1 - 3.0 * q * w * w * w1
         rhs = w3 - w2 + (p - 2.0 * w - 3.0 * q * w * w) * w1
         residual = lhs - rhs
-    return _report(residual, theta, pole, EquationTag.ODE_THIRD_ORDER)
+    return _report(residual, theta, pole)
 
 
 # ---------------------------------------------------------------------------
@@ -608,7 +594,7 @@ def _shifted_reciprocal_pde_residual(
     uxxx = -6.0 * c * e**3 / g**4
     ut = c * e * params.v / g**2
     residual = _pde_terms(params, u, ux, uxx, uxxx, ut)
-    return _report(residual, x, near, EquationTag.PDE_COMPOUND_KDVB).max_abs
+    return _report(residual, x, near).max_abs
 
 
 def rational_form_audit(params: PhysicalParams) -> list[AuditFinding]:

@@ -1010,7 +1010,7 @@ def test_output_file_stdout_and_one_cpu_write_the_same_bytes(fmt, failure, tmp_p
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_stdout_bytes_of_a_table_in_blocks_are_the_output_file_bytes(fmt, tmp_path):
     # in a fresh interpreter, where sys.stdout is a real text stream over a pipe:
-    # the decoded chunks re-encode to the file's bytes.  Two CPUs and _BIG's 80,002
+    # its binary layer gets the file's bytes.  Two CPUs and _BIG's 80,002
     # cells deal its chunks to two processes, every other one to a forked child
     script = ("import os, sys; os.sched_getaffinity = lambda pid: {0, 1}; "
               "from kdvbwaves.cli import main; sys.exit(main(sys.argv[1:]))")
@@ -1033,18 +1033,30 @@ def test_output_that_is_a_directory_exits_2_and_leaves_no_child(tmp_path, monkey
     _assert_no_children_left()
 
 
-class _PipeClosedAfter(io.StringIO):
-    """A stdout whose reader goes away after ``writes`` writes."""
+class _PipeClosedAfter(io.BufferedIOBase):
+    """stdout's binary layer, whose reader goes away after ``writes`` writes.
+
+    ``written`` keeps the bytes of the writes that went through.
+    """
 
     def __init__(self, writes):
         super().__init__()
-        self.writes = writes
+        self.writes, self.written = writes, bytearray()
 
-    def write(self, text):
+    def writable(self):
+        return True
+
+    def write(self, data):
         if not self.writes:
             raise BrokenPipeError(32, "Broken pipe")
         self.writes -= 1
-        return super().write(text)
+        self.written += data
+        return len(data)
+
+
+def _stdout_over(binary):
+    """A stand-in for sys.stdout: a UTF-8 text layer that passes each write on to ``binary``."""
+    return io.TextIOWrapper(binary, encoding="utf-8", write_through=True)
 
 
 @pytest.mark.parametrize("chunks", [0, 1, 2, 4])
@@ -1054,13 +1066,37 @@ def test_stdout_closed_after_k_chunks_exits_141_and_leaves_no_child(chunks, monk
     # write fails before the first chunk is formatted, so nothing forks
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     forks = _counting_forks(monkeypatch)
-    stdout = _PipeClosedAfter(2 * chunks)
-    monkeypatch.setattr(sys, "stdout", stdout)
+    pipe = _PipeClosedAfter(2 * chunks)
+    monkeypatch.setattr(sys, "stdout", _stdout_over(pipe))
     code = main(_BIG)
     assert (code, capsys.readouterr().err, len(forks)) == (141, "", 1 if chunks else 0)
-    written = stdout.getvalue()
-    assert written.count("\n") == 8_192 * chunks and not written.endswith("\n")
-    assert written.startswith("theta,re_u,im_u,pole_flag\n-1," if chunks else "")
+    written = bytes(pipe.written)
+    assert written.count(b"\n") == 8_192 * chunks and not written.endswith(b"\n")
+    assert written.startswith(b"theta,re_u,im_u,pole_flag\n-1," if chunks else b"")
+    _assert_no_children_left()
+
+
+class _TextRefused(io.TextIOWrapper):
+    """A stdout whose text layer refuses every write; its binary buffer keeps what it gets."""
+
+    def write(self, text):
+        raise AssertionError(f"{len(text)} characters written to stdout's text layer")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv", [
+    _BIG,
+    ["sweep", "--family", "kdvb-singular", "--a-min=-1", "--a-max", "1", "--a-steps", "3",
+     *_THETA],
+], ids=["evaluate", "sweep"])
+def test_a_table_on_stdout_is_the_output_file_written_to_its_binary_layer(argv, fmt, tmp_path,
+                                                                           monkeypatch, capsys):
+    output = tmp_path / f"table.{fmt}"
+    assert run(capsys, *argv, "--format", fmt, "--output", str(output)) == (0, "", "")
+    buffer = io.BytesIO()
+    monkeypatch.setattr(sys, "stdout", _TextRefused(buffer, encoding="utf-8"))
+    assert main([*argv, "--format", fmt]) == 0
+    assert buffer.getvalue() == output.read_bytes()
     _assert_no_children_left()
 
 
@@ -1486,16 +1522,11 @@ def test_exit_code_contract(tmp_path, capsys):
     assert (ok, fail, usage) == (0, 1, 2)
 
 
-class _ClosedStdout(io.StringIO):
-    def write(self, text):
-        raise BrokenPipeError(32, "Broken pipe")
-
-
 @pytest.mark.parametrize("argv", [["verify", "--scope", "kdvb-regular"],
                                   ["evaluate", "--family", "kdvb-regular", *_THETA]])
 def test_closed_stdout_exits_141_without_a_message(argv, monkeypatch, capsys):
     # a reader that went away is not a domain error: no "error: ..." line, no exit 2
-    monkeypatch.setattr(sys, "stdout", _ClosedStdout())
+    monkeypatch.setattr(sys, "stdout", _stdout_over(_PipeClosedAfter(0)))
     code = main(argv)
     assert (code, capsys.readouterr().err) == (141, "")
 

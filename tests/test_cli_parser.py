@@ -265,7 +265,8 @@ def _check_table(text: str) -> None:
                "--theta-max", "-1", "--theta-steps", "0"])
 def test_every_command_line_ends_in_a_value_a_pole_flag_or_exit_2(argv, tmp_path):
     here = Path(tempfile.mkdtemp(dir=tmp_path))
-    out, err = io.StringIO(), io.StringIO()
+    # stdout as the console gives it: a text layer over a binary buffer, which gets the tables
+    out, err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", write_through=True), io.StringIO()
     cwd = os.getcwd()
     os.chdir(here)  # --output and --outdir name paths under tmp_path
     try:
@@ -278,7 +279,7 @@ def test_every_command_line_ends_in_a_value_a_pole_flag_or_exit_2(argv, tmp_path
                 code = exc.code
     finally:
         os.chdir(cwd)
-    out, err = out.getvalue(), err.getvalue()
+    out, err = out.buffer.getvalue().decode(), err.getvalue()
     assert code in (0, 1, 2) and "Traceback" not in err
     assert code != 1 or argv[0] == "verify"
     if code == 0 and argv[0] in ("evaluate", "sweep") and out and not out.startswith("usage:"):

@@ -38,7 +38,7 @@ PUBLIC = [
 ]
 # the verification internals, reached only by module path
 INTERNAL = {
-    **dict.fromkeys(["EquationTag", "ResidualReport", "check_first_integral_consistency",
+    **dict.fromkeys(["ResidualReport", "check_first_integral_consistency",
                      "oracle_integrate_bernoulli", "oracle_integrate_riccati",
                      "rational_form_audit", "residual_first_integral"], "kdvbwaves.verify"),
     **dict.fromkeys(["CompoundFactorization", "verify_factorization"], "kdvbwaves.factorizer"),

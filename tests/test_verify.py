@@ -33,7 +33,6 @@ from kdvbwaves.factorizer import CompoundFactorization
 from kdvbwaves.verify import (
     BLOWUP_THRESHOLD,
     SCOPES,
-    EquationTag,
     _compound_formula,
     _kdvb_formula,
     _physical_formula,
@@ -71,7 +70,6 @@ def test_first_integral_residual_vanishes_for_all_families():
     for sol in sols:
         report = residual_first_integral(sol, GRID)
         assert report.max_abs < 1e-9, sol.family
-        assert report.equation is EquationTag.ODE_FIRST_INTEGRAL
 
 
 def test_first_integral_excludes_poles_with_a_count():
@@ -103,8 +101,7 @@ def test_first_integral_needs_an_integration_constant():
     n=st.integers(min_value=1, max_value=500),
 )
 def test_constant_residual_reports_its_value_at_the_first_point(value, n):
-    report = _report(np.full(n, value), np.arange(n, dtype=float), np.zeros(n, bool),
-                     EquationTag.ODE_FIRST_INTEGRAL)
+    report = _report(np.full(n, value), np.arange(n, dtype=float), np.zeros(n, bool))
     assert report.max_abs == value
     assert (report.n_samples, report.worst_point) == (n, 0j)
 
@@ -112,7 +109,7 @@ def test_constant_residual_reports_its_value_at_the_first_point(value, n):
 def test_reducer_skips_poles_and_reports_the_first_worst_point():
     residual = np.array([1.0, -3.0, np.nan, 3.0, 2.0])
     pole = np.array([False, False, True, False, False])
-    report = _report(residual, np.arange(5.0) + 1j, pole, EquationTag.ODE_THIRD_ORDER, "w")
+    report = _report(residual, np.arange(5.0) + 1j, pole, "w")
     assert report.max_abs == 3.0
     assert (report.worst_point, report.n_samples, report.n_poles) == (1 + 1j, 4, 1)
     assert report.warning == "w"
@@ -121,7 +118,7 @@ def test_reducer_skips_poles_and_reports_the_first_worst_point():
 def test_reducer_reports_a_nan_residual_as_the_maximum():
     # like verify_factorization: a NaN residual can never pass a tolerance
     residual = np.array([1.0, np.nan, 5.0, np.nan])
-    report = _report(residual, np.arange(4.0) + 1j, np.zeros(4, bool), EquationTag.PDE_KDVB)
+    report = _report(residual, np.arange(4.0) + 1j, np.zeros(4, bool))
     assert math.isnan(report.max_abs)
     assert (report.worst_point, report.n_samples) == (1 + 1j, 4)
 
@@ -236,14 +233,12 @@ def test_pde_residual_fd_and_analytic_agree():
     an = residual_pde(sol, grid, mode="analytic")
     assert fd.max_abs < 1e-5
     assert an.max_abs < 1e-9
-    assert fd.equation is EquationTag.PDE_KDVB
 
 
-def test_pde_residual_tags_compound_equation():
+def test_pde_residual_vanishes_for_a_compound_solution():
     sol = compound_solution_from_physical(Family.COMPOUND_TANH_PLUS, COMPOUND_PROBE)
     grid = [(x, 0.0) for x in np.linspace(-2.0, 2.0, 11)]
     report = residual_pde(sol, grid, mode="analytic")
-    assert report.equation is EquationTag.PDE_COMPOUND_KDVB
     assert report.max_abs < 1e-9
 
 
@@ -306,7 +301,6 @@ def test_consistency_holds_for_solutions_and_non_solutions():
     # a scaled (non-solution) w still satisfies the identity
     scaled = check_first_integral_consistency(sol, GRID, scale=1.3)
     assert scaled.max_abs < 1e-9
-    assert exact.equation is EquationTag.ODE_THIRD_ORDER
 
 
 # ---------------------------------------------------------------------------
