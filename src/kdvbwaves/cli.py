@@ -304,6 +304,8 @@ def _grid(lo: float, hi: float, steps: int, name: str) -> np.ndarray:
     if not math.isfinite(hi - lo):
         raise ParameterDomainError(
             f"--{name}-max - --{name}-min overflows: the grid span must be finite")
+    if steps == 1 and lo != hi:
+        raise ParameterDomainError(f"--{name}-steps 1 needs --{name}-min == --{name}-max")
     # the last point, (steps - 1) * step, can round past the float range; linspace sets it to hi
     with np.errstate(over="ignore"):
         return np.linspace(lo, hi, steps)
@@ -316,8 +318,8 @@ _READS = {
     "evaluate": {
         "reduced": {"": "theta_min theta_max theta_steps", "kdvb": "phase_a",
                     "compound": "p q phase_a", "rational": "q k0", "constant": "q k0 branch"},
-        "physical": {"": "x_min x_max x_steps s mu alpha v t beta xi0",
-                     "rational": "k0", "constant": "k0 branch"}},
+        "physical": {"": "x_min x_max x_steps s mu alpha v t beta", "kdvb": "xi0",
+                     "compound": "xi0", "rational": "k0 xi0", "constant": "k0 branch"}},
     "factorize": {"": {"kdvb": "delta", "compound": "p q"}}}
 
 
@@ -439,14 +441,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def _sweep_table(args: argparse.Namespace) -> Iterator[bytes]:
     """Check sweep's grids, evaluate U(theta; i*a*pi) over (a, theta) and render the table.
 
-    A grid of several a needs a_min < a_max and a single a needs a_min == a_max.
+    A grid of several a needs a_min < a_max (_grid checks a grid of one a).
     """
     from .solutions import sweep_rows
     a = _grid(args.a_min, args.a_max, args.a_steps, "a")
     if a.size > 1 and not args.a_min < args.a_max:
         raise ParameterDomainError("phase sweep needs a_min < a_max")
-    if a.size == 1 and args.a_min != args.a_max:
-        raise ParameterDomainError("a single-row sweep needs --a-min == --a-max")
     theta = _grid(args.theta_min, args.theta_max, args.theta_steps, "theta")
     values, pole = sweep_rows(Family(args.family), a, theta)
     return _render(["a", "theta"], [a[:, None], theta, values.real, values.imag], pole,

@@ -885,9 +885,10 @@ def verification_suite(
     equilibrium bounds.  The fixed ranges stay: the ratio checks, the phase
     identity and the blow-up check.  ``perturb`` scales the closed forms by
     1 + perturb before the residual checks, turning them into negative
-    controls.  A block that raises is one failed check, named after it, and
-    the rest still run.  The rational-form audit runs only under the
-    compound-rational scope and ignores the perturbation.
+    controls; the factorization scope has none, so a nonzero perturb there
+    is a ParameterDomainError.  A block that raises is one failed check,
+    named after it, and the rest still run.  The rational-form audit runs
+    only under the compound-rational scope and ignores the perturbation.
     """
     if scope not in SCOPES:
         raise ParameterDomainError(f"unknown scope {scope!r}; expected one of {SCOPES}")
@@ -895,6 +896,8 @@ def verification_suite(
         raise ParameterDomainError(f"perturb must be finite; got {perturb!r}")
     if tolerance is not None and not 0.0 <= tolerance < math.inf:
         raise ParameterDomainError(f"tolerance must be finite and >= 0; got {tolerance!r}")
+    if perturb and scope == "factorization":
+        raise ParameterDomainError("scope factorization scales no closed form: perturb must be 0")
     checks = []
     for scopes, block in _BLOCKS:
         if scope != "all" and scope not in scopes:

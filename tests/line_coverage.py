@@ -3,7 +3,8 @@
     PYTHONPATH=src python tests/line_coverage.py
 
 Tier-1 runs in this process under ``sys.settrace``, recording the lines that
-run in the files of ``src/kdvbwaves``; the statements come from ``ast``.  A
+run in the files of ``src/kdvbwaves``, in this process and in the children
+it forks; the statements come from ``ast``.  A
 statement counts as run when any line of it does (for a ``def``, any line of
 its body).  Of the statements that never run, only the outermost is reported,
 and of consecutive siblings that never run only the first (a ``def`` ends
@@ -19,7 +20,9 @@ pytest; it takes about twice as long as tier-1.
 from __future__ import annotations
 
 import ast
+import os
 import sys
+import tempfile
 from collections import Counter
 from pathlib import Path
 
@@ -27,18 +30,39 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "kdvbwaves"
-_CHILD = "the forked writer child: it leaves by os._exit, so its lines are never reported back"
-_SCRIPT = "the console script and python -m kdvbwaves.cli, which tier-1 starts only as subprocesses"
 # (file, enclosing function, first line of the statement, why no tier-1 test runs it in process)
 UNEXECUTED = (
-    ("cli.py", "_fork", "code = 1", _CHILD),
-    ("cli.py", "<module>", "def entrypoint() -> None:", _SCRIPT),
-    ("cli.py", "<module>", "entrypoint()", _SCRIPT),
+    ("cli.py", "<module>", "entrypoint()",
+     "python -m kdvbwaves.cli, which tier-1 starts only as a subprocess"),
 )
 
 
+def _report_forked_children(hits: dict[str, set[int]], folder: str) -> None:
+    """Make each child forked from now on write the lines it ran to a file in ``folder``.
+
+    The child inherits the tracer and ``hits``, which it empties; it leaves by
+    os._exit, which skips every cleanup, so it writes its lines with os.write
+    just before, one "file line" record a line.
+    """
+    def in_child() -> None:
+        for lines in hits.values():
+            lines.clear()
+        leave = os._exit
+
+        def report_and_leave(code: int) -> None:
+            text = "".join(f"{name} {n}\n" for name, lines in hits.items() for n in lines)
+            fd = os.open(os.path.join(folder, str(os.getpid())),
+                         os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+            os.write(fd, text.encode())
+            os.close(fd)
+            leave(code)
+        os._exit = report_and_leave
+    os.register_at_fork(after_in_child=in_child)
+
+
 def run_traced() -> tuple[int, dict[str, set[int]]]:
-    """pytest's exit code and the lines run in each file of the package, by file name."""
+    """pytest's exit code and the lines run in each file of the package, by file name,
+    forked children's included."""
     hits: dict[str, set[int]] = {}
     files: dict[str, set[int] | None] = {}  # co_filename -> its hit set, None outside the package
 
@@ -57,11 +81,17 @@ def run_traced() -> tuple[int, dict[str, set[int]]]:
             return line
         return line
 
-    sys.settrace(trace)
-    try:
-        code = pytest.main(["-q", "--continue-on-collection-errors"])
-    finally:
-        sys.settrace(None)
+    with tempfile.TemporaryDirectory() as folder:
+        _report_forked_children(hits, folder)
+        sys.settrace(trace)
+        try:
+            code = pytest.main(["-q", "--continue-on-collection-errors"])
+        finally:
+            sys.settrace(None)
+        for report in Path(folder).iterdir():
+            for record in report.read_text(encoding="utf-8").splitlines():
+                name, n = record.split()
+                hits.setdefault(name, set()).add(int(n))
     return int(code), hits
 
 

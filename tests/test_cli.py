@@ -13,6 +13,7 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+import types
 import warnings
 from importlib import resources
 from pathlib import Path
@@ -152,6 +153,25 @@ def test_evaluate_rejects_empty_grid(capsys):
     code, _, err = run(capsys, "evaluate", "--family", "kdvb-regular",
                        "--theta-min", "0", "--theta-max", "1", "--theta-steps", "0")
     assert code == 2 and "grid point" in err
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["evaluate", "--family", "kdvb-regular"], "theta"),
+    (["evaluate", "--family", "kdvb-regular", "--s", "1", "--mu", "6", "--alpha", "1",
+      "--v", "0.2"], "x"),
+    (["sweep", "--a-min=-1", "--a-max", "0", "--a-steps", "2"], "theta"),
+], ids=["evaluate-theta", "evaluate-x", "sweep-theta"])
+def test_one_grid_point_needs_equal_ends(argv, name, capsys):
+    # one point between two ends wrote the row of the min alone and exited 0
+    def grid(hi):
+        return [f"--{name}-min", "0.5", f"--{name}-max", hi, f"--{name}-steps", "1"]
+
+    message = f"error: --{name}-steps 1 needs --{name}-min == --{name}-max\n"
+    assert run(capsys, *argv, *grid("2")) == (2, "", message)
+    code, out, err = run(capsys, *argv, *grid("0.5"))
+    rows = parse_csv(out)[1]
+    assert (code, err) == (0, "") and len(rows) == (2 if argv[0] == "sweep" else 1)
+    assert {row[-4 if name == "theta" else -5] for row in rows} == {"0.5"}
 
 
 def test_evaluate_rejects_ambiguous_grids(capsys):
@@ -353,6 +373,8 @@ def _unread(family, mode, flags):
      _unread("compound-tanh-plus", "physical", "--phase-a")),
     (["evaluate", "--family", "rational-minus", *_X[:-2], "--v", _LOCKED_V, "--k0", "1"],
      ["--phase-a", "0.5"], _unread("rational-minus", "physical", "--phase-a")),
+    (["evaluate", "--family", "constant", *_X[:-2], "--v", _LOCKED_V], ["--xi0", "0.5"],
+     _unread("constant", "physical", "--xi0")),
     *((["evaluate", "--family", "kdvb-regular", *_THETA_2], flag,
        _unread("kdvb-regular", "reduced", names))
       for flag, names in ((["--k0", "5"], "--k0"), (["--t", "5"], "--t"), (["--q", "3"], "--q"),
@@ -368,14 +390,16 @@ def _unread(family, mode, flags):
     (["factorize", "--eq", "compound", "--q", "2"], ["--delta", "1"],
      "factorize --eq compound does not read --delta"),
 ], ids=["kdvb-beta", "rational-reduced-phase", "constant-reduced-phase", "kdvb-physical-phase",
-        "compound-physical-phase", "rational-physical-phase", "kdvb-reduced-k0", "kdvb-reduced-t",
-        "kdvb-reduced-q", "kdvb-reduced-s-mu", "compound-physical-p-q", "compound-physical-k0",
+        "compound-physical-phase", "rational-physical-phase", "constant-physical-xi0",
+        "kdvb-reduced-k0", "kdvb-reduced-t", "kdvb-reduced-q", "kdvb-reduced-s-mu",
+        "compound-physical-p-q", "compound-physical-k0",
         "compound-physical-branch", "rational-reduced-branch", "rational-reduced-t",
         "factorize-kdvb-q", "factorize-compound-delta"])
 def test_a_flag_the_table_cannot_honour_exits_2(argv, flag, message, capsys):
     # each wrote the table or the report without the flag and exited 0: a KdVB kink
     # with beta = 2 (which does not solve the compound PDE beta describes), the a = 0
-    # table, or the output of the command without a flag its family does not read
+    # table, the unshifted constant, or the output of the command without a flag its
+    # family does not read
     assert run(capsys, *argv)[0] == 0
     assert run(capsys, *argv, *flag) == (2, "", f"error: {message}\n")
 
@@ -393,7 +417,7 @@ _FLAG_BASES = {  # (family, mode) -> (flags that evaluate a table, the flags it 
         ("compound-tanh-plus", _X, 13), ("compound-tanh-minus", _X, 13),
         ("rational-plus", [*_X[:-2], "--v", _LOCKED_V, "--k0", "1"], 14),
         ("rational-minus", [*_X[:-2], "--v", _LOCKED_V, "--k0", "1"], 14),
-        ("constant", [*_X[:-2], "--v", _LOCKED_V], 15))},
+        ("constant", [*_X[:-2], "--v", _LOCKED_V], 14))},
 }
 
 
@@ -429,8 +453,6 @@ def test_each_evaluate_flag_is_read_or_left_at_its_default(family, mode, capsys,
             assert (code, out, err) == (2, "", f"error: {_unread(family, mode, flag)}\n")
         else:
             accepted += 1
-            if (family, flag) == ("constant", "--xi0"):  # a shift leaves a constant as it is
-                continue
             assert code == 0 and out != base_out or (code, out) == (2, ""), (flag, err)
             assert "does not read" not in err and "mode needs" not in err, (flag, err)
     assert accepted == knobs
@@ -1204,7 +1226,7 @@ _SPAN = "--a-max - --a-min overflows: the grid span must be finite"
 @pytest.mark.parametrize("a_min, a_max, a_steps, message", [
     (1.0, 0.0, 5, "phase sweep needs a_min < a_max"),
     (0.5, 0.5, 3, "phase sweep needs a_min < a_max"),
-    (0.0, 1.0, 1, "a single-row sweep needs --a-min == --a-max"),
+    (0.0, 1.0, 1, "--a-steps 1 needs --a-min == --a-max"),
     (-1e308, 1e308, 3, _SPAN),
     (-1e308, 1e308, 1, _SPAN),
 ])
@@ -1581,6 +1603,21 @@ def test_table_bytes_to_a_closed_pipe_end_quietly(argv):
     finally:
         os.close(write)
     assert (proc.returncode, proc.stderr) == (141, "")
+
+
+@pytest.mark.parametrize("code", [0, 1, 2, 141])
+def test_entrypoint_exits_with_main_code_and_silences_stdout_after_141(code, monkeypatch):
+    # in process, with main and the two descriptor calls replaced: after 141, what is
+    # still buffered for the closed pipe goes to devnull, so the exit reports nothing
+    calls = []
+    monkeypatch.setattr(cli, "main", lambda: code)
+    monkeypatch.setattr(os, "open", lambda path, flags: calls.append(("open", path, flags)) or 7)
+    monkeypatch.setattr(os, "dup2", lambda fd, fd2: calls.append(("dup2", fd, fd2)))
+    monkeypatch.setattr(sys, "stdout", types.SimpleNamespace(fileno=lambda: 5))
+    with pytest.raises(SystemExit) as exit_:
+        cli.entrypoint()
+    assert exit_.value.code == code
+    assert calls == ([("open", os.devnull, os.O_WRONLY), ("dup2", 7, 5)] if code == 141 else [])
 
 
 def test_console_script_is_installed():

@@ -263,6 +263,17 @@ def _check_table(text: str) -> None:
                "--theta-min", "0.0", "--theta-max=-inf", "--theta-steps", "0"])
 @example(argv=["sweep", "--a-min", "-1", "--a-max=--", "--a-steps", "1", "--theta-min=-inf",
                "--theta-max", "-1", "--theta-steps", "0"])
+# a table on stdout, which no derandomized draw writes: each command in each format,
+# with a pole row
+@example(argv=["evaluate", "--family", "kdvb-singular", "--theta-min=-1", "--theta-max", "1",
+               "--theta-steps", "5"])
+@example(argv=["evaluate", "--family", "rational-plus", "--q", "0.5", "--k0", "1",
+               "--theta-min=-2", "--theta-max", "2", "--theta-steps", "9", "--format", "json"])
+@example(argv=["sweep", "--a-min=-5", "--a-max", "0", "--a-steps", "2", "--theta-min=-1",
+               "--theta-max", "1", "--theta-steps", "3"])
+@example(argv=["sweep", "--family", "kdvb-singular", "--a-min", "0", "--a-max", "0",
+               "--a-steps", "1", "--theta-min", "0", "--theta-max", "1", "--theta-steps", "2",
+               "--format", "json"])
 def test_every_command_line_ends_in_a_value_a_pole_flag_or_exit_2(argv, tmp_path):
     here = Path(tempfile.mkdtemp(dir=tmp_path))
     # stdout as the console gives it: a text layer over a binary buffer, which gets the tables

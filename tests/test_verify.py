@@ -798,6 +798,14 @@ def test_suite_audit_only_in_compound_rational_scope():
     assert len(result.audit) == 5
 
 
+def test_suite_perturbation_of_the_factorization_scope_is_rejected():
+    # it checks no closed form: a perturbation there passed every check, a control that
+    # cannot fail; scope all still reads it
+    with pytest.raises(ParameterDomainError, match="^scope factorization scales no closed form"):
+        verification_suite(scope="factorization", perturb=0.01)
+    assert verification_suite(scope="factorization", perturb=0.0).all_passed
+
+
 def test_suite_unknown_scope_rejected():
     with pytest.raises(ParameterDomainError):
         verification_suite(scope="everything")
