@@ -63,31 +63,33 @@ def _render(names: list[str], columns: list, pole: np.ndarray, fmt: str) -> Iter
     shape, each coordinate broadcasts to it, and the rows along its last axis
     form a group.  Yields the table as UTF-8 parts [head, chunk, sep, chunk,
     ..., tail] that joined are byte for byte format(value, ".17g") per CSV
-    cell, or json.dumps(rows, indent=2).  A chunk is the rows of
-    _CELLS_PER_PROCESS formatted cells (at least one row).
+    cell, or json.dumps(rows, indent=2).  A chunk is at least one row, and at
+    most _CELLS_PER_PROCESS formatted cells and _BYTES_PER_CHUNK bytes, a row
+    taken as its template and 20 bytes a formatted cell.
     A coordinate constant along the last axis is written into each group's
     row templates, one that varies along it in a table of several groups is
-    formatted once per element (its strings go in as %s cells), and a value
+    formatted once per element (its bytes go in as %s cells), and a value
     column that holds one bit pattern on every non-pole row is written into
-    the templates.  The other cells go through one %-format per chunk; "%.0s"
-    swallows the NaN values of pole rows.  Everything a chunk needs is
-    prepared before the first one: the group templates, the group's strings
-    of a repeated coordinate, and memoryviews of the pole mask, of each
-    column left to format and of the rows where JSON spells a non-finite
-    value.  So a chunk is formatted without numpy, by this process or by a
-    forked child (_deal).
+    the templates.  The other cells go through one bytes %-format per chunk,
+    %.17g or %a (repr); "%.0a" swallows the NaN values of pole rows, and a
+    JSON row with a NaN or an Infinity gets its cells as _JsonFloat.
+    Everything a chunk needs is prepared before the first one: the group
+    templates, the group's bytes of a repeated coordinate, and memoryviews of
+    the pole mask, of each column left to format and of the rows JSON spells
+    a NaN or an Infinity in (none where there are no such rows).  So a chunk
+    is formatted without numpy, by this process or by a forked child (_deal).
     """
     import numpy as np
     m, width = len(names), pole.shape[-1]
     groups = pole.size // width
     keys = [*names, "re_u", "im_u", "pole_flag"]
     if fmt == "json":
-        text, value, empty, null = json.dumps, "%s", "null%.0s", "null"
+        text, value, empty, null = json.dumps, "%a", "null%.0a", "null"
     else:
-        text, value, empty, null = (lambda v: format(v, ".17g")), "%.17g", "%.0s", ""
+        text, value, empty, null = (lambda v: format(v, ".17g")), "%.17g", "%.0a", ""
     fixed = {j: np.broadcast_to(c, pole.shape[:-1] + (1,)).reshape(-1).tolist()
              for j, c in enumerate(columns[:m]) if np.shape(c)[-1:] in ((), (1,))}
-    repeated = {j: [text(v) for v in np.reshape(columns[j], -1).tolist()] for j in range(m)
+    repeated = {j: [text(v).encode() for v in np.reshape(columns[j], -1).tolist()] for j in range(m)
                 if j not in fixed and groups > 1 and np.size(columns[j]) == width}
     constant: dict[int, str] = {}
     # the first row off the poles; where every row is on one, no row shows the constant
@@ -106,30 +108,32 @@ def _render(names: list[str], columns: list, pole: np.ndarray, fmt: str) -> Iter
 
     ok = [constant.get(j, value) for j in (m, m + 1)]
     flagged = [null if j in constant else empty for j in (m, m + 1)]
-    good: list[str] = []
-    bad: list[str] = []
+    good: list[bytes] = []
+    bad: list[bytes] = []
     for g in range(groups):
         coords = [text(fixed[j][g]) if j in fixed else "%s" if j in repeated else value
                   for j in range(m)]
-        good.append(template([*coords, *ok, "0"]))
-        bad.append(template([*coords, *flagged, "1"]))
+        good.append(template([*coords, *ok, "0"]).encode())
+        bad.append(template([*coords, *flagged, "1"]).encode())
 
     formatted = [j for j in range(m + 2) if j not in fixed and j not in constant]
     shared = [(k, repeated[j]) for k, j in enumerate(formatted) if j in repeated]
-    stored = {}  # cell of a row -> (its column, the rows whose value json.dumps spells)
-    for k, j in enumerate(formatted):
-        if j not in repeated:
-            column = np.broadcast_to(columns[j], pole.shape).reshape(-1)
-            special = memoryview(~np.isfinite(column) if fmt == "json" else b"")
-            stored[k] = memoryview(column), special
+    stored = {k: memoryview(np.broadcast_to(columns[j], pole.shape).reshape(-1))
+              for k, j in enumerate(formatted) if j not in repeated}
+    # JSON's rows that write a NaN or an Infinity, which %a misspells; a pole row writes no value
+    special = np.ones(pole.size if fmt == "json" else 0, bool)  # the other rows, then inverted
+    for k, column in stored.items() if fmt == "json" else ():
+        special &= np.isfinite(column) | (pole.reshape(-1) if formatted[k] >= m else False)
     flags = memoryview(pole.reshape(-1))
+    special = memoryview(b"" if special.all() else np.logical_not(special, out=special))
     n, width_cells = pole.size, len(formatted)
-    per = max(1, _CELLS_PER_PROCESS // max(1, width_cells))  # rows a chunk
+    per = max(1, min(_CELLS_PER_PROCESS // max(1, width_cells),  # rows a chunk
+                     _BYTES_PER_CHUNK // (len(good[0]) + 20 * width_cells)))
 
     def chunk(c: int) -> bytes:
-        """UTF-8 of chunk c, rows c*per up to (c+1)*per or the end, without separators."""
+        """Chunk c, rows c*per up to (c+1)*per or the end, without separators."""
         a, b = c * per, min(n, (c + 1) * per)
-        rows: list[str] = []
+        rows: list[bytes] = []
         parts: dict[int, list] = {k: [] for k, _ in shared}
         for g in range(a // width, (b - 1) // width + 1):
             lo, hi = max(a - g * width, 0), min(b - g * width, width)
@@ -138,29 +142,33 @@ def _render(names: list[str], columns: list, pole: np.ndarray, fmt: str) -> Iter
                 parts[k] += strings[lo:hi]
         for r in _set_rows(flags, a, b):
             rows[r] = bad[(a + r) // width]
-        for k, (column, special) in stored.items():
-            part = parts[k] = column[a:b].tolist()
-            for r in _set_rows(special, a, b):
-                part[r] = json.dumps(part[r])  # NaN and Infinity as json spells them
+        for k, column in stored.items():
+            parts[k] = column[a:b].tolist()
+        for r in _set_rows(special, a, b):
+            for k in stored:
+                parts[k][r] = _JsonFloat(parts[k][r])
         cells: list = [None] * (len(rows) * width_cells)
         for k, part in parts.items():
             cells[k::width_cells] = part
-        return (sep.join(rows) % tuple(cells)).encode()
+        return sep.join(rows) % tuple(cells)
 
     if fmt == "json":
-        head, sep, tail = "[\n", ",\n", "\n]\n"
+        head, sep, tail = b"[\n", b",\n", b"\n]\n"
     else:
-        head, sep, tail = ",".join(keys) + "\n", "\n", "\n"
+        head, sep, tail = (",".join(keys) + "\n").encode(), b"\n", b"\n"
     workers = 1
     if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
         workers = max(1, min(len(os.sched_getaffinity(0)), n * width_cells // _CELLS_PER_PROCESS))
-    yield head.encode()
-    between = sep.encode()
+    yield head
     for c, block in enumerate(_deal(chunk, -(-n // per), workers)):
         if c:
-            yield between
+            yield sep
         yield block
-    yield tail.encode()
+    yield tail
+
+
+class _JsonFloat(float):
+    __repr__ = json.dumps  # so %a writes NaN, Infinity and -Infinity as json.dumps does
 
 
 def _set_rows(mask: memoryview, a: int, b: int) -> Iterator[int]:
@@ -179,10 +187,11 @@ def _set_rows(mask: memoryview, a: int, b: int) -> Iterator[int]:
 # fork costs both processes, breaks even at about 16,000.  At twice that,
 # 2 * 2**14 cells, two blocks take 18-20 ms against 22-27 ms for one.  This
 # assumes the second CPU runs beside the first: where a shared host
-# time-slices both on one core, a fork loses at any size.  It is also the
-# size of the chunk the table is formatted and written in: the writer holds
-# one chunk at a time, whatever the size of the table.
+# time-slices both on one core, a fork loses at any size.  With
+# _BYTES_PER_CHUNK it bounds the chunk the table is formatted and written in:
+# the writer holds one chunk at a time, whatever the size of the table.
 _CELLS_PER_PROCESS = 2**14
+_BYTES_PER_CHUNK = 2**19
 
 
 def _deal(task, count: int, workers: int) -> Iterator[bytes]:

@@ -48,7 +48,7 @@ them, so a WaveSolution never carries coefficients it does not solve.
 One evaluation path.  Each family's closed form is written once, as its
 array kernel.  evaluate_grid gives the values and the pole mask, and
 sweep_rows the same pair over a phase sweep, a big grid in blocks of
-_CELLS_PER_BLOCK cells.  On the same argument and mask,
+_CELLS_PER_KERNEL cells.  On the same argument and mask,
 solution_jet gives (w, w', w'', w''') and physical_jet its chain-rule image.
 eval_solution and eval_solution_physical are evaluate_grid at one point.
 The independent second spelling, the direct physical formulas with their
@@ -414,13 +414,14 @@ def _shifted(sol: WaveSolution, grid, t) -> tuple[np.ndarray, float]:
     return zeta, rate
 
 
-# Cells evaluate_grid and sweep_rows take through a kernel at once.  A kernel
-# call's temporaries peak at 65-80 bytes a cell (numpy 2.4), so at this size
-# 100,000 points trace at 47 bytes a point, against 89 in one call.  2**15 is
-# the smallest power of two above the largest grid of figure and verify (figure
-# 5's 51 x 401 sweep), which so keep one call: taking every grid through the
-# blocks cost figure 4 % of its time.
+# Cells evaluate_grid and sweep_rows take through a kernel in one call: 2**15
+# is the smallest power of two above the largest grid of figure and verify
+# (figure 5's 51 x 401 sweep), which so keep one call; blocking every grid
+# cost figure 4 %.  A bigger grid goes in blocks of _CELLS_PER_KERNEL, whose
+# temporaries (65-80 bytes a cell, numpy 2.4) stay in cache: 10**5 points take
+# 7.1 ms against 7.4 in 2**15-cell blocks, and 30 bytes a point against 47.
 _CELLS_PER_BLOCK = 2**15
+_CELLS_PER_KERNEL = 2**13
 
 
 def evaluate_grid(
@@ -436,9 +437,9 @@ def evaluate_grid(
     their values are NaN + NaN*i.  A coordinate whose theta - theta0 is not
     finite is a ParameterDomainError, and so, where every coordinate is
     finite, is a value that leaves the float range at a cell off the poles.
-    A grid of more than _CELLS_PER_BLOCK cells goes through the kernel in
-    blocks, so the evaluation holds the values and the mask, 17 bytes a
-    cell, and one block's temporaries; the bits are those of one call.
+    A bigger grid than _CELLS_PER_BLOCK goes in blocks of _CELLS_PER_KERNEL
+    cells, so the evaluation holds the values and the mask, 17 bytes a cell,
+    and one block's temporaries; the bits are those of one call.
     """
     grid = np.asarray(grid)
     if grid.size <= _CELLS_PER_BLOCK:
@@ -467,8 +468,8 @@ def _evaluate_blocks(sol: WaveSolution, shape: tuple, cells, t) -> tuple[np.ndar
     """
     values, pole = np.empty(shape, complex), np.empty(shape, bool)
     out, flags, size = values.reshape(-1), pole.reshape(-1), values.size
-    for lo in range(0, size, _CELLS_PER_BLOCK):
-        hi = min(lo + _CELLS_PER_BLOCK, size)
+    for lo in range(0, size, _CELLS_PER_KERNEL):
+        hi = min(lo + _CELLS_PER_KERNEL, size)
         out[lo:hi], flags[lo:hi] = _kernel_values(sol, cells(lo, hi), t)
     _finite_off_poles(sol, (values,), pole)
     return values, pole

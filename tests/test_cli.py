@@ -812,22 +812,42 @@ def test_chunks_dealt_to_forked_children_match_per_cell_formatting_property(tabl
     _assert_no_children_left()
 
 
-# cells the fill formats per row: the sweep's theta text and its two values, x
-# and re_u of the physical table (t is a scalar, im_u one bit pattern), and all
-# three columns of the non-finite one
-_CELLS_PER_ROW = {"sweep": 3, "non-finite": 3, "physical": 2, "boundary": 2}
+# the cells the fill formats in a row, each with its placeholder (None for the
+# value's, %.17g or %a): the sweep's theta bytes and its two values, x and re_u
+# of the physical table (t is a scalar, im_u one bit pattern), and all three
+# columns of the non-finite one
+_FORMATTED = {"sweep": {"theta": "%s", "re_u": None, "im_u": None},
+              "non-finite": dict.fromkeys(["theta", "re_u", "im_u"]),
+              "physical": dict.fromkeys(["x", "re_u"]), "boundary": dict.fromkeys(["x", "re_u"])}
 
 
-def _chunks(rows, cells_per_row):
-    """The number of chunks of a table: a chunk is the rows of _CELLS_PER_PROCESS cells."""
-    return -(-rows // (cli._CELLS_PER_PROCESS // cells_per_row))
+def _chunks(table, fmt, formatted):
+    """The number of row chunks of ``table``, a table's text as ``fmt`` with the ``formatted`` cells.
+
+    A chunk is the rows of at most _CELLS_PER_PROCESS formatted cells and of at
+    most _BYTES_PER_CHUNK bytes, a row taken as its template plus 20 bytes a
+    formatted cell.  The template is the first row, which is off the poles,
+    with the text of each formatted cell replaced by its placeholder.
+    """
+    if fmt == "json":
+        first = table[2:table.index("\n  }") + 4]
+        lines = (line.strip().rstrip(",").split(": ") for line in first.splitlines()[1:-1])
+        cells, rows = {key.strip('"'): text for key, text in lines}, table.count("\n  }")
+    else:
+        header, first, _ = table.split("\n", 2)
+        cells, rows = dict(zip(header.split(","), first.split(","))), table.count("\n") - 1
+    value = "%a" if fmt == "json" else "%.17g"
+    template = len(first) + sum(len(p or value) - len(cells[k]) for k, p in formatted.items())
+    per = min(cli._CELLS_PER_PROCESS // len(formatted),
+              cli._BYTES_PER_CHUNK // (template + 20 * len(formatted)))
+    return -(-rows // per)
 
 
 @functools.lru_cache(maxsize=None)
 def _big_table(case):
     """(names, columns, pole, JSON, CSV) of a table of 40,000 rows, or of the boundary table.
 
-    The 40,000 rows are 80,000 or 120,000 formatted cells (_CELLS_PER_ROW).
+    The 40,000 rows are 80,000 or 120,000 formatted cells (_FORMATTED).
     "boundary" is the first _CELLS_PER_PROCESS rows of the physical table:
     exactly 2 * _CELLS_PER_PROCESS cells, the smallest table dealt to two processes.
     """
@@ -870,13 +890,14 @@ def _big_table(case):
 ])
 def test_big_table_is_dealt_in_chunks_to_every_cpu(case, cpus, monkeypatch):
     names, columns, pole, reference_json, reference_csv = _big_table(case)
-    workers = min(cpus, pole.size * _CELLS_PER_ROW[case] // cli._CELLS_PER_PROCESS)
-    chunks = _chunks(pole.size, _CELLS_PER_ROW[case])
-    assert 2 <= workers <= chunks
+    workers = min(cpus, pole.size * len(_FORMATTED[case]) // cli._CELLS_PER_PROCESS)
+    json_chunks = _chunks(reference_json, "json", _FORMATTED[case])
+    csv_chunks = _chunks(reference_csv, "csv", _FORMATTED[case])
+    assert 2 <= workers <= min(json_chunks, csv_chunks)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     forks = _counting_forks(monkeypatch)
-    assert _table(names, columns, pole, "json", chunks) == reference_json.encode()
-    assert _table(names, columns, pole, "csv", chunks) == reference_csv.encode()
+    assert _table(names, columns, pole, "json", json_chunks) == reference_json.encode()
+    assert _table(names, columns, pole, "csv", csv_chunks) == reference_csv.encode()
     assert len(forks) == 2 * (workers - 1)
     _assert_no_children_left()
 
@@ -926,13 +947,15 @@ def _failing_children(failure, mp):
 
 @pytest.mark.parametrize("failure", _FAILURES)
 def test_the_chunks_of_a_child_that_fails_are_formatted_by_the_parent(failure, monkeypatch):
-    # 8 chunks dealt to 3 processes: the children's are 1, 4, 7 and 2, 5
+    # the chunks dealt to 3 processes: as CSV 8, the children's 1, 4, 7 and 2, 5
     names, columns, pole, reference_json, reference_csv = _big_table("sweep")
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     forks, records = _failing_children(failure, monkeypatch)
-    assert _table(names, columns, pole, "json", 8) == reference_json.encode()
+    chunks = _chunks(reference_json, "json", _FORMATTED["sweep"])
+    assert _table(names, columns, pole, "json", chunks) == reference_json.encode()
     assert len(records) == (2 if failure == "killed-after-a-chunk" else 0)
-    assert _table(names, columns, pole, "csv", 8) == reference_csv.encode()
+    chunks = _chunks(reference_csv, "csv", _FORMATTED["sweep"])
+    assert _table(names, columns, pole, "csv", chunks) == reference_csv.encode()
     assert len(forks) == 4
     _assert_no_children_left()
 
@@ -1003,8 +1026,8 @@ def test_phase_sweep_figure_forks_once_on_two_cpus_and_writes_the_pinned_bytes(
     _assert_no_children_left()
 
 
-# through the pole at theta = 0; theta and re_u are 80,002 cells: 5 chunks of 8,192
-# rows (the last 7,233), dealt to 2 processes on 2 CPUs
+# through the pole at theta = 0; theta and re_u are 80,002 cells: as CSV 5 chunks of
+# 8,192 rows (the last 7,233), dealt to 2 processes on 2 CPUs
 _BIG = ["evaluate", "--family", "kdvb-singular", "--theta-min=-1", "--theta-max", "1",
         "--theta-steps", "40001"]
 
@@ -1025,7 +1048,9 @@ def test_output_file_stdout_and_one_cpu_write_the_same_bytes(fmt, failure, tmp_p
     assert output.read_bytes() == stdout[1].encode() == one_cpu[1].encode()
     assert (",,1\n" if fmt == "csv" else '"pole_flag": 1') in one_cpu[1]
     assert len(forks) == 2
-    assert len(records) == {"none": 4, "killed-after-a-chunk": 2}.get(failure, 0)
+    # the child formats every other chunk, of the output file and of stdout
+    children = _chunks(one_cpu[1], fmt, dict.fromkeys(["theta", "re_u"])) // 2
+    assert len(records) == {"none": 2 * children, "killed-after-a-chunk": 2}.get(failure, 0)
     _assert_no_children_left()
 
 
@@ -1134,14 +1159,15 @@ def _traced_peak(call):
 
 # Traced bytes a grid point may cost an evaluation: the grid (8), the values
 # (16), the pole mask (1) and a share of one block's temporaries.  On the
-# 100,000-point export below it measures 46.7; evaluating the whole grid at
-# once measured 89.
-_EVALUATION_BYTES_PER_POINT = 60
-# What the writer may hold above that: one chunk of _CELLS_PER_PROCESS cells,
-# as its cells, its text and its bytes, or a child's record, and JSON's masks
-# of the rows it spells as NaN or Infinity.  A JSON export measures 1.8 MB
-# above its evaluation, a CSV export 1.4 KiB.
-_CHUNK_ALLOWANCE = 2 * 2**20
+# 100,000-point export below it measures 30.4; in blocks of 2**15 cells it
+# measured 46.7, evaluating the whole grid at once 89.
+_EVALUATION_BYTES_PER_POINT = 40
+# What the writer may hold above that: one chunk of at most _CELLS_PER_PROCESS
+# cells and about _BYTES_PER_CHUNK bytes, as its cells and its bytes, or a
+# child's record, and JSON's one mask of the rows it spells with a NaN or an
+# Infinity.  A CSV export measures 1.41 MiB above its evaluation, a JSON
+# export 1.38 MiB.
+_CHUNK_ALLOWANCE = 2**20
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
@@ -1151,7 +1177,9 @@ def test_parent_peak_memory_of_a_big_export_is_its_evaluation_and_one_chunk(fmt,
     # the evaluation holds the values and the pole mask, and a big grid's
     # kernel temporaries one block at a time.  The writer then holds one chunk
     # at a time.  Holding every block at once made the export 2.06 times the
-    # file; the whole-grid kernel made it 8.49 MiB, against 7.72 MiB allowed here
+    # file, the whole-grid kernel 8.49 MiB, and blocks of 2**15 cells with
+    # chunks of 2**14 cells 4.45 MiB as CSV and 6.22 MiB as JSON, against 4.81
+    # MiB allowed here
     coeffs = dict(s=2.0, mu=1.0, alpha=3.0, beta=2.0)
     params = PhysicalParams(v=locked_rational_velocity(PhysicalParams(v=0.0, **coeffs)), **coeffs)
     output = tmp_path / f"rational.{fmt}"
@@ -1170,6 +1198,9 @@ def test_parent_peak_memory_of_a_big_export_is_its_evaluation_and_one_chunk(fmt,
     assert (code, len(forks)) == (0, cpus - 1)
     assert export <= bound + _CHUNK_ALLOWANCE
     assert output.stat().st_size > 4 * 2**20
+    if fmt == "json":  # a chunk is sized by its bytes too, so a JSON row's length costs little
+        csv = [*argv[:-3], "csv", "--output", str(tmp_path / "rational.csv")]
+        assert export <= _traced_peak(lambda: main(csv))[1] + 2**19
     _assert_no_children_left()
 
 

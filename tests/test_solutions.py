@@ -1127,8 +1127,10 @@ def test_a_grid_of_at_most_one_block_is_one_kernel_call(monkeypatch):
     monkeypatch.setitem(solutions_module._FAMILIES, Family.KDVB_REGULAR, (counting, slopes, sign))
     sol = universal_solution(Family.KDVB_REGULAR)
     square = (64, _BLOCK // 64)
+    kernel_block = solutions_module._CELLS_PER_KERNEL
+    blocks = [(kernel_block,)] * (_BLOCK // kernel_block) + [(1,)]
     for shape, calls in [((), [()]), ((_BLOCK,), [(_BLOCK,)]), (square, [square]),
-                         ((_BLOCK + 1,), [(_BLOCK,), (1,)])]:
+                         ((_BLOCK + 1,), blocks)]:
         shapes.clear()
         evaluate_grid(sol, np.zeros(shape))
         assert shapes == calls

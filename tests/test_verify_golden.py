@@ -12,8 +12,11 @@ at theta = 0.25 from the coth pole, where one ulp of tanh (numpy's complex
 tanh against cmath's) moves the residual by 3.6e-14 relative; a 50-digit
 mpmath evaluation puts both spellings within 2.1e-14 of the exact value.
 
-``python tests/test_verify_golden.py`` rewrites the fixture from the code on
-the import path; do that only for an intended change of the suite.
+``python tests/test_verify_golden.py`` rewrites, from the code on the import
+path, the entries of the fixture that fail this comparison and prints their
+names: a record whose values differ, or a whole transcript whose exit code,
+names or verdicts do.  Do that only for an intended change of the suite; the
+diff is then that change.
 """
 
 from __future__ import annotations
@@ -73,23 +76,49 @@ def _fixture() -> dict:
     return json.loads(FIXTURE.read_text(encoding="utf-8"))
 
 
+def _stale(want: dict, got: dict, default_tol: dict) -> dict:
+    """Where the transcript ``got`` fails the comparison with ``want``; empty where it passes.
+
+    {"transcript": None} when the exit code, or the names and verdicts of the
+    checks or of the audit in order, differ; else "<part> <name>": (part, i)
+    for each record whose tol or measured value does, part "checks" or "audit".
+    """
+    if got["exit"] != want["exit"] or any([r[:2] for r in got[part]] != [r[:2] for r in want[part]]
+                                          for part in ("checks", "audit")):
+        return {"transcript": None}
+    stale = {f"checks {name}": ("checks", i) for i, ((name, _, measured, tol), (_, _, ref, ref_tol))
+             in enumerate(zip(got["checks"], want["checks"]))
+             if tol != ref_tol or not math.isclose(measured, ref, rel_tol=REL_TOL,
+                                                   abs_tol=1e-3 * default_tol[name])}
+    stale.update({f"audit {name}": ("audit", i) for i, ((name, _, measured), (_, _, ref))
+                  in enumerate(zip(got["audit"], want["audit"]))
+                  if not math.isclose(measured, ref, rel_tol=0.0, abs_tol=1e-3 * AUDIT_TOL[name])})
+    return stale
+
+
+def _default_tol(golden: dict, scope: str) -> dict:
+    return {name: tol for name, _, _, tol in golden["default"][scope]["checks"]}
+
+
 @pytest.mark.parametrize("run", sorted(RUNS))
 @pytest.mark.parametrize("scope", SCOPES)
 def test_verify_matches_golden(scope, run):
     golden = _fixture()
     want, got = golden[run][scope], transcript(scope, RUNS[run])
-    default_tol = {name: tol for name, _, _, tol in golden["default"][scope]["checks"]}
-    assert got["exit"] == want["exit"]
-    assert [c[:2] for c in got["checks"]] == [c[:2] for c in want["checks"]]
-    assert [f[:2] for f in got["audit"]] == [f[:2] for f in want["audit"]]
-    for (name, _, measured, tol), (_, _, ref, ref_tol) in zip(got["checks"], want["checks"]):
-        assert tol == ref_tol, name
-        assert math.isclose(measured, ref, rel_tol=REL_TOL, abs_tol=1e-3 * default_tol[name]), name
-    for (name, _, measured), (_, _, ref) in zip(got["audit"], want["audit"]):
-        assert math.isclose(measured, ref, rel_tol=0.0, abs_tol=1e-3 * AUDIT_TOL[name]), name
+    assert list(_stale(want, got, _default_tol(golden, scope))) == []
 
 
 if __name__ == "__main__":
-    records = {run: {s: transcript(s, extra) for s in SCOPES} for run, extra in RUNS.items()}
+    golden = _fixture() if FIXTURE.exists() else {}
+    for run, extra in RUNS.items():
+        for scope in SCOPES:
+            got, want = transcript(scope, extra), golden.setdefault(run, {}).get(scope)
+            stale = _stale(want, got, _default_tol(golden, scope)) if want else {"transcript": None}
+            for label, where in stale.items():
+                print(f"{run} {scope}: {label}")
+                if where is None:
+                    golden[run][scope] = got
+                else:
+                    want[where[0]][where[1]] = got[where[0]][where[1]]
     FIXTURE.parent.mkdir(exist_ok=True)
-    FIXTURE.write_text(json.dumps(records, indent=1) + "\n", encoding="utf-8")
+    FIXTURE.write_text(json.dumps(golden, indent=1) + "\n", encoding="utf-8")
