@@ -33,8 +33,9 @@ ParameterDomainError, the package's one exception class, an OSError, or a
 grid too big to allocate), 141 when the reader closes stdout early (128 +
 SIGPIPE; nothing is printed).
 Output is deterministic: fixed grids, no timestamps, floats printed with 17
-significant digits in CSV, shortest round-trip form in JSON.  Values on a
-pole are emitted as empty cells (CSV) or nulls (JSON) with pole_flag=1.
+significant digits in CSV, shortest round-trip form in JSON.  Every cell off
+a pole is finite, or the command exits 2; values on a pole are emitted as
+empty cells (CSV) or nulls (JSON) with pole_flag=1.
 """
 
 from __future__ import annotations
@@ -61,32 +62,32 @@ def _render(names: list[str], columns: list, pole: np.ndarray, fmt: str) -> Iter
 
     The rows are the cells of ``pole`` in C order.  re_u and im_u have its
     shape, each coordinate broadcasts to it, and the rows along its last axis
-    form a group.  Yields the table as UTF-8 parts [head, chunk, sep, chunk,
-    ..., tail] that joined are byte for byte format(value, ".17g") per CSV
-    cell, or json.dumps(rows, indent=2).  A chunk is at least one row, and at
-    most _CELLS_PER_PROCESS formatted cells and _BYTES_PER_CHUNK bytes, a row
-    taken as its template and 20 bytes a formatted cell.
+    form a group.  Every coordinate cell, and every value cell off the poles,
+    is finite: each passed the check of solutions._shifted or
+    _finite_off_poles.  So each format spells a cell one way, by its % spec:
+    %.17g in CSV, and %a, the float's repr, in JSON.  Yields the table as
+    UTF-8 parts [head, chunk, sep, chunk, ..., tail] that joined are byte for
+    byte format(value, ".17g") per CSV cell, or json.dumps(rows, indent=2).
+    A chunk is at least one row, and at most _CELLS_PER_PROCESS formatted
+    cells and _BYTES_PER_CHUNK bytes, a row taken as its template and 20
+    bytes a formatted cell.
     A coordinate constant along the last axis is written into each group's
     row templates, one that varies along it in a table of several groups is
     formatted once per element (its bytes go in as %s cells), and a value
     column that holds one bit pattern on every non-pole row is written into
-    the templates.  The other cells go through one bytes %-format per chunk,
-    %.17g or %a (repr); "%.0a" swallows the NaN values of pole rows, and a
-    JSON row with a NaN or an Infinity gets its cells as _JsonFloat.
-    Everything a chunk needs is prepared before the first one: the group
-    templates, the group's bytes of a repeated coordinate, and memoryviews of
-    the pole mask, of each column left to format and of the rows JSON spells
-    a NaN or an Infinity in (none where there are no such rows).  So a chunk
-    is formatted without numpy, by this process or by a forked child (_deal).
+    the templates.  The other cells go through one bytes %-format per chunk;
+    "%.0a" swallows the NaN values of pole rows.  Everything a chunk needs is
+    prepared before the first one: the group templates, the group's bytes of
+    a repeated coordinate, and memoryviews of the pole mask and of each
+    column left to format.  So a chunk is formatted without numpy, by this
+    process or by a forked child (_deal).
     """
     import numpy as np
     m, width = len(names), pole.shape[-1]
     groups = pole.size // width
     keys = [*names, "re_u", "im_u", "pole_flag"]
-    if fmt == "json":
-        text, value, empty, null = json.dumps, "%a", "null%.0a", "null"
-    else:
-        text, value, empty, null = (lambda v: format(v, ".17g")), "%.17g", "%.0a", ""
+    value, empty, null = ("%a", "null%.0a", "null") if fmt == "json" else ("%.17g", "%.0a", "")
+    text = value.__mod__
     fixed = {j: np.broadcast_to(c, pole.shape[:-1] + (1,)).reshape(-1).tolist()
              for j, c in enumerate(columns[:m]) if np.shape(c)[-1:] in ((), (1,))}
     repeated = {j: [text(v).encode() for v in np.reshape(columns[j], -1).tolist()] for j in range(m)
@@ -120,12 +121,7 @@ def _render(names: list[str], columns: list, pole: np.ndarray, fmt: str) -> Iter
     shared = [(k, repeated[j]) for k, j in enumerate(formatted) if j in repeated]
     stored = {k: memoryview(np.broadcast_to(columns[j], pole.shape).reshape(-1))
               for k, j in enumerate(formatted) if j not in repeated}
-    # JSON's rows that write a NaN or an Infinity, which %a misspells; a pole row writes no value
-    special = np.ones(pole.size if fmt == "json" else 0, bool)  # the other rows, then inverted
-    for k, column in stored.items() if fmt == "json" else ():
-        special &= np.isfinite(column) | (pole.reshape(-1) if formatted[k] >= m else False)
     flags = memoryview(pole.reshape(-1))
-    special = memoryview(b"" if special.all() else np.logical_not(special, out=special))
     n, width_cells = pole.size, len(formatted)
     per = max(1, min(_CELLS_PER_PROCESS // max(1, width_cells),  # rows a chunk
                      _BYTES_PER_CHUNK // (len(good[0]) + 20 * width_cells)))
@@ -144,9 +140,6 @@ def _render(names: list[str], columns: list, pole: np.ndarray, fmt: str) -> Iter
             rows[r] = bad[(a + r) // width]
         for k, column in stored.items():
             parts[k] = column[a:b].tolist()
-        for r in _set_rows(special, a, b):
-            for k in stored:
-                parts[k][r] = _JsonFloat(parts[k][r])
         cells: list = [None] * (len(rows) * width_cells)
         for k, part in parts.items():
             cells[k::width_cells] = part
@@ -165,10 +158,6 @@ def _render(names: list[str], columns: list, pole: np.ndarray, fmt: str) -> Iter
             yield sep
         yield block
     yield tail
-
-
-class _JsonFloat(float):
-    __repr__ = json.dumps  # so %a writes NaN, Infinity and -Infinity as json.dumps does
 
 
 def _set_rows(mask: memoryview, a: int, b: int) -> Iterator[int]:
@@ -305,6 +294,7 @@ def _emit(table: Iterator[bytes], output: str | Path | None) -> None:
 
 
 def _grid(lo: float, hi: float, steps: int, name: str) -> np.ndarray:
+    """np.linspace(lo, hi, steps); finite ends and span, equal ends exactly when steps == 1."""
     import numpy as np
     if steps < 1:
         raise ParameterDomainError(f"--{name}-steps must request at least one grid point")
@@ -313,8 +303,10 @@ def _grid(lo: float, hi: float, steps: int, name: str) -> np.ndarray:
     if not math.isfinite(hi - lo):
         raise ParameterDomainError(
             f"--{name}-max - --{name}-min overflows: the grid span must be finite")
-    if steps == 1 and lo != hi:
-        raise ParameterDomainError(f"--{name}-steps 1 needs --{name}-min == --{name}-max")
+    if (steps == 1) != (lo == hi):
+        relation = "==" if steps == 1 else "!="
+        raise ParameterDomainError(
+            f"--{name}-steps {steps} needs --{name}-min {relation} --{name}-max")
     # the last point, (steps - 1) * step, can round past the float range; linspace sets it to hi
     with np.errstate(over="ignore"):
         return np.linspace(lo, hi, steps)
@@ -448,14 +440,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _sweep_table(args: argparse.Namespace) -> Iterator[bytes]:
-    """Check sweep's grids, evaluate U(theta; i*a*pi) over (a, theta) and render the table.
-
-    A grid of several a needs a_min < a_max (_grid checks a grid of one a).
-    """
+    """Check sweep's grids, evaluate U(theta; i*a*pi) over (a, theta) and render the table."""
     from .solutions import sweep_rows
     a = _grid(args.a_min, args.a_max, args.a_steps, "a")
-    if a.size > 1 and not args.a_min < args.a_max:
-        raise ParameterDomainError("phase sweep needs a_min < a_max")
     theta = _grid(args.theta_min, args.theta_max, args.theta_steps, "theta")
     values, pole = sweep_rows(Family(args.family), a, theta)
     return _render(["a", "theta"], [a[:, None], theta, values.real, values.imag], pole,

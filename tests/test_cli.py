@@ -160,14 +160,18 @@ def test_evaluate_rejects_empty_grid(capsys):
     (["evaluate", "--family", "kdvb-regular", "--s", "1", "--mu", "6", "--alpha", "1",
       "--v", "0.2"], "x"),
     (["sweep", "--a-min=-1", "--a-max", "0", "--a-steps", "2"], "theta"),
-], ids=["evaluate-theta", "evaluate-x", "sweep-theta"])
+    (["sweep", "--theta-min=-1", "--theta-max", "0", "--theta-steps", "2"], "a"),
+], ids=["evaluate-theta", "evaluate-x", "sweep-theta", "sweep-a"])
 def test_one_grid_point_needs_equal_ends(argv, name, capsys):
-    # one point between two ends wrote the row of the min alone and exited 0
-    def grid(hi):
-        return [f"--{name}-min", "0.5", f"--{name}-max", hi, f"--{name}-steps", "1"]
+    # one point between two ends wrote the row of the min alone and exited 0, and
+    # several points between equal ends wrote the same row each time (sweep's a exited 2)
+    def grid(hi, steps="1"):
+        return [f"--{name}-min", "0.5", f"--{name}-max", hi, f"--{name}-steps", steps]
 
     message = f"error: --{name}-steps 1 needs --{name}-min == --{name}-max\n"
     assert run(capsys, *argv, *grid("2")) == (2, "", message)
+    message = f"error: --{name}-steps 3 needs --{name}-min != --{name}-max\n"
+    assert run(capsys, *argv, *grid("0.5", "3")) == (2, "", message)
     code, out, err = run(capsys, *argv, *grid("0.5"))
     rows = parse_csv(out)[1]
     assert (code, err) == (0, "") and len(rows) == (2 if argv[0] == "sweep" else 1)
@@ -597,6 +601,25 @@ def _flat(columns, pole):
     return [np.broadcast_to(c, pole.shape).reshape(-1) for c in columns], pole.reshape(-1)
 
 
+def _made_finite(names, columns, pole):
+    """``columns`` with each cell that is not finite off the poles made finite by nan_to_num.
+
+    evaluate and sweep hand the writer only such tables, so JSON's %a meets no
+    NaN or infinity; CSV's %.17g spells inf and nan as format() does, and its
+    tests keep them.  re_u and im_u stay strided views, as evaluate_grid gives them.
+    """
+    m = len(names)
+    values = np.empty(pole.shape, complex)
+    values.real, values.imag = (np.where(pole, c, np.nan_to_num(c, nan=0.5)) for c in columns[m:])
+    return [*(np.nan_to_num(c, nan=0.5) for c in columns[:m]), values.real, values.imag]
+
+
+def _references(names, columns, pole):
+    """(JSON, CSV) of a table as the writer must write them: JSON's made finite off the poles."""
+    reference_json, _ = _reference(names, *_flat(_made_finite(names, columns, pole), pole))
+    return reference_json, _reference(names, *_flat(columns, pole))[1]
+
+
 def _profile_case(flags, sol, grid, t=None):
     values, pole = evaluate_grid(sol, grid, t)
     names, coords = (["theta"], [grid]) if t is None else (["x", "t"], [grid, t])
@@ -616,11 +639,11 @@ def _writer_case(case):
         return _profile_case(["--family", "kdvb-regular", "--phase-a", "0.3", *theta], sol,
                              np.linspace(-1.0, 1.0, 5))
     if case == "all-pole":
-        # one theta run, every row on the pole
+        # five theta within the pole tolerance of 0, every row on the pole
         sol = universal_solution(Family.KDVB_SINGULAR)
-        flags = ["--family", "kdvb-singular", "--theta-min", "0", "--theta-max", "0",
+        flags = ["--family", "kdvb-singular", "--theta-min=-1e-10", "--theta-max", "1e-10",
                  "--theta-steps", "5"]
-        return _profile_case(flags, sol, np.zeros(5))
+        return _profile_case(flags, sol, np.linspace(-1e-10, 1e-10, 5))
     if case == "one-row":
         flags = ["--family", "kdvb-regular", "--theta-min", "1", "--theta-max", "1",
                  "--theta-steps", "1"]
@@ -734,8 +757,9 @@ _SWEEP_POLES = np.array([False, True, False] * 4 + [True, False, False]).reshape
 @settings(max_examples=300, deadline=None)
 def test_writer_property_matches_per_cell_formatting(table):
     names, columns, pole = table
-    reference_json, reference_csv = _reference(names, *_flat(columns, pole))
-    assert _table(names, columns, pole, "json") == reference_json.encode()
+    reference_json, reference_csv = _references(names, columns, pole)
+    finite = _made_finite(names, columns, pole)
+    assert _table(names, finite, pole, "json") == reference_json.encode()
     assert _table(names, columns, pole, "csv") == reference_csv.encode()
 
 
@@ -803,11 +827,12 @@ def test_chunks_dealt_to_forked_children_match_per_cell_formatting_property(tabl
     # a drawn table of 8 or more cells is dealt in chunks of 1 to 4 rows to up to
     # cpus processes
     names, columns, pole = table
-    reference_json, reference_csv = _reference(names, *_flat(columns, pole))
+    reference_json, reference_csv = _references(names, columns, pole)
+    finite = _made_finite(names, columns, pole)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "_CELLS_PER_PROCESS", 4)
         mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-        assert _table(names, columns, pole, "json") == reference_json.encode()
+        assert _table(names, finite, pole, "json") == reference_json.encode()
         assert _table(names, columns, pole, "csv") == reference_csv.encode()
     _assert_no_children_left()
 
@@ -847,7 +872,9 @@ def _chunks(table, fmt, formatted):
 def _big_table(case):
     """(names, columns, pole, JSON, CSV) of a table of 40,000 rows, or of the boundary table.
 
-    The 40,000 rows are 80,000 or 120,000 formatted cells (_FORMATTED).
+    JSON is the text of the table made finite off the poles (_made_finite), which
+    only the non-finite table changes.  The 40,000 rows are 80,000 or 120,000
+    formatted cells (_FORMATTED).
     "boundary" is the first _CELLS_PER_PROCESS rows of the physical table:
     exactly 2 * _CELLS_PER_PROCESS cells, the smallest table dealt to two processes.
     """
@@ -855,7 +882,7 @@ def _big_table(case):
         names, (x, t, re_u, im_u), pole, _, _ = _big_table("physical")
         n = cli._CELLS_PER_PROCESS
         columns, pole = [x[:n], t, re_u[:n], im_u[:n]], pole[:n]
-        return (names, columns, pole, *_reference(names, *_flat(columns, pole)))
+        return (names, columns, pole, *_references(names, columns, pole))
     rng = np.random.default_rng(7)
     n = 40_000
     shape = (5, n // 5) if case == "sweep" else (n,)
@@ -874,13 +901,13 @@ def _big_table(case):
         coords, names = [np.linspace(-20.0, 20.0, n), 0.25], ["x", "t"]
         values.imag = 0.0
     else:
-        # non-finite values off the poles: Infinity and NaN in JSON, inf and nan in CSV
+        # non-finite values off the poles, inf and nan in CSV
         coords, names = [np.linspace(-1.0, 1.0, n)], ["theta"]
         values.real[[3, 20_001, n - 1]] = [math.inf, -math.inf, math.nan]
         values.imag[[4, 30_000]] = [math.nan, -math.inf]
     values[pole] = complex(math.nan, math.nan)
     columns = [*coords, values.real, values.imag]
-    return (names, columns, pole, *_reference(names, *_flat(columns, pole)))
+    return (names, columns, pole, *_references(names, columns, pole))
 
 
 @pytest.mark.parametrize("case, cpus", [
@@ -896,7 +923,8 @@ def test_big_table_is_dealt_in_chunks_to_every_cpu(case, cpus, monkeypatch):
     assert 2 <= workers <= min(json_chunks, csv_chunks)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     forks = _counting_forks(monkeypatch)
-    assert _table(names, columns, pole, "json", json_chunks) == reference_json.encode()
+    finite = _made_finite(names, columns, pole)
+    assert _table(names, finite, pole, "json", json_chunks) == reference_json.encode()
     assert _table(names, columns, pole, "csv", csv_chunks) == reference_csv.encode()
     assert len(forks) == 2 * (workers - 1)
     _assert_no_children_left()
@@ -1164,9 +1192,8 @@ def _traced_peak(call):
 _EVALUATION_BYTES_PER_POINT = 40
 # What the writer may hold above that: one chunk of at most _CELLS_PER_PROCESS
 # cells and about _BYTES_PER_CHUNK bytes, as its cells and its bytes, or a
-# child's record, and JSON's one mask of the rows it spells with a NaN or an
-# Infinity.  A CSV export measures 1.41 MiB above its evaluation, a JSON
-# export 1.38 MiB.
+# child's record.  A CSV export measures 1.41 MiB above its evaluation, a
+# JSON export 1.38 MiB.
 _CHUNK_ALLOWANCE = 2**20
 
 
@@ -1255,8 +1282,7 @@ _SPAN = "--a-max - --a-min overflows: the grid span must be finite"
 
 
 @pytest.mark.parametrize("a_min, a_max, a_steps, message", [
-    (1.0, 0.0, 5, "phase sweep needs a_min < a_max"),
-    (0.5, 0.5, 3, "phase sweep needs a_min < a_max"),
+    (0.5, 0.5, 3, "--a-steps 3 needs --a-min != --a-max"),
     (0.0, 1.0, 1, "--a-steps 1 needs --a-min == --a-max"),
     (-1e308, 1e308, 3, _SPAN),
     (-1e308, 1e308, 1, _SPAN),
@@ -1265,6 +1291,19 @@ def test_sweep_rejects_bad_a_ranges(a_min, a_max, a_steps, message, capsys):
     flags = [f"--a-min={a_min!r}", f"--a-max={a_max!r}", f"--a-steps={a_steps}"]
     code, out, err = run(capsys, "sweep", *flags, *_THETA)
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_sweep_of_descending_a_writes_the_ascending_rows_in_descending_a(capsys):
+    # a_min > a_max exited 2 ("phase sweep needs a_min < a_max"), where theta and x descend
+    def rows(a_min, a_max):
+        code, out, err = run(capsys, "sweep", f"--a-min={a_min}", f"--a-max={a_max}",
+                             "--a-steps", "5", *_THETA)
+        assert (code, err) == (0, "")
+        return parse_csv(out)[1]
+
+    descending, ascending = rows(1, 0), rows(0, 1)
+    assert [row[0] for row in descending[::3]] == ["1", "0.75", "0.5", "0.25", "0"]
+    assert descending == [row for k in range(4, -1, -1) for row in ascending[3 * k:3 * k + 3]]
 
 
 def test_sweep_of_one_a_writes_one_row_per_theta(capsys):

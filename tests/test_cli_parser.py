@@ -10,7 +10,8 @@ float() reads and that starts with "-" (-1e3, -inf) is read as the
 ``--opt=value`` form reads it, not as an unknown option.  A property runs
 command lines built from the parser's own arguments, drawn with edge floats
 and small grids, and checks that each ends in a table of finite values and
-flagged poles, a verify failure (exit 1), or exit 2.
+flagged poles, a verify failure (exit 1), or exit 2, and that the writer is
+handed finite cells only: every coordinate, and every value off the poles.
 
 ``python tests/test_cli_parser.py`` rewrites the fixture from the code on
 the import path; do that only for an intended change of the output.
@@ -29,6 +30,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
@@ -233,6 +235,22 @@ def _reject(constant: str):
     raise AssertionError(f"JSON output holds {constant}")
 
 
+_RENDER = cli._render
+
+
+def _render_finite_cells(names, columns, pole, fmt):
+    """cli._render, once every coordinate cell and every value cell off the poles is finite.
+
+    The writer spells a cell by its format's % spec alone, which JSON can do
+    for finite cells only; evaluate_grid and sweep_rows promise no other.
+    """
+    m = len(names)
+    assert all(np.isfinite(c).all() for c in columns[:m]), "a coordinate cell is not finite"
+    assert all((np.isfinite(c) | pole).all() for c in columns[m:]), \
+        "a value cell off the poles is not finite"
+    return _RENDER(names, columns, pole, fmt)
+
+
 def _check_table(text: str) -> None:
     """Every row of an evaluate, sweep or figure table: finite coordinates, and finite values
     with pole_flag 0 or empty values with pole_flag 1."""
@@ -274,6 +292,11 @@ def _check_table(text: str) -> None:
 @example(argv=["sweep", "--family", "kdvb-singular", "--a-min", "0", "--a-max", "0",
                "--a-steps", "1", "--theta-min", "0", "--theta-max", "1", "--theta-steps", "2",
                "--format", "json"])
+# an amplitude 2*mu**2/(alpha*s) = 2e160 that overflows at every point, which the
+# writer would meet as an infinite value cell off the poles
+@example(argv=["evaluate", "--family", "kdvb-regular", "--s", "1", "--mu", "1", "--alpha",
+               "1e-160", "--v", "2e150", "--x-min", "0", "--x-max", "1", "--x-steps", "2",
+               "--format", "json"])
 def test_every_command_line_ends_in_a_value_a_pole_flag_or_exit_2(argv, tmp_path):
     here = Path(tempfile.mkdtemp(dir=tmp_path))
     # stdout as the console gives it: a text layer over a binary buffer, which gets the tables
@@ -282,7 +305,8 @@ def test_every_command_line_ends_in_a_value_a_pole_flag_or_exit_2(argv, tmp_path
     os.chdir(here)  # --output and --outdir name paths under tmp_path
     try:
         with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
-                contextlib.redirect_stderr(err):
+                contextlib.redirect_stderr(err), pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "_render", _render_finite_cells)
             warnings.simplefilter("error")
             try:
                 code = cli.main(argv)
