@@ -68,9 +68,8 @@ def _render(names: list[str], columns: list, pole: np.ndarray, fmt: str) -> Iter
     %.17g in CSV, and %a, the float's repr, in JSON.  Yields the table as
     UTF-8 parts [head, chunk, sep, chunk, ..., tail] that joined are byte for
     byte format(value, ".17g") per CSV cell, or json.dumps(rows, indent=2).
-    A chunk is at least one row, and at most _CELLS_PER_PROCESS formatted
-    cells and _BYTES_PER_CHUNK bytes, a row taken as its template and 20
-    bytes a formatted cell.
+    A chunk is at least one row, and at most _BYTES_PER_CHUNK bytes, a row
+    taken as its template and 20 bytes a formatted cell.
     A coordinate constant along the last axis is written into each group's
     row templates, one that varies along it in a table of several groups is
     formatted once per element (its bytes go in as %s cells), and a value
@@ -123,8 +122,7 @@ def _render(names: list[str], columns: list, pole: np.ndarray, fmt: str) -> Iter
               for k, j in enumerate(formatted) if j not in repeated}
     flags = memoryview(pole.reshape(-1))
     n, width_cells = pole.size, len(formatted)
-    per = max(1, min(_CELLS_PER_PROCESS // max(1, width_cells),  # rows a chunk
-                     _BYTES_PER_CHUNK // (len(good[0]) + 20 * width_cells)))
+    per = max(1, _BYTES_PER_CHUNK // (len(good[0]) + 20 * width_cells))  # rows a chunk
 
     def chunk(c: int) -> bytes:
         """Chunk c, rows c*per up to (c+1)*per or the end, without separators."""
@@ -176,11 +174,17 @@ def _set_rows(mask: memoryview, a: int, b: int) -> Iterator[int]:
 # fork costs both processes, breaks even at about 16,000.  At twice that,
 # 2 * 2**14 cells, two blocks take 18-20 ms against 22-27 ms for one.  This
 # assumes the second CPU runs beside the first: where a shared host
-# time-slices both on one core, a fork loses at any size.  With
-# _BYTES_PER_CHUNK it bounds the chunk the table is formatted and written in:
-# the writer holds one chunk at a time, whatever the size of the table.
+# time-slices both on one core, a fork loses at any size.
 _CELLS_PER_PROCESS = 2**14
-_BYTES_PER_CHUNK = 2**19
+# A table is formatted and written in chunks of about this many bytes, one at
+# a time, whatever its size.  A chunk's lists and bytes then stay in the sizes
+# the allocator keeps for reuse: with chunks of 2**19 bytes (about 1 MiB of
+# lists and bytes each) a 10**5-point table's _render took 2,700 minor page
+# faults in the command as CSV and 4,100 as JSON on two CPUs, and 270 at
+# 2**16.  A row is estimated at 20 bytes or more a formatted cell, and 2**16
+# <= 20 * _CELLS_PER_PROCESS, so a table has at least as many chunks as
+# processes.
+_BYTES_PER_CHUNK = 2**16
 
 
 def _deal(task, count: int, workers: int) -> Iterator[bytes]:

@@ -820,17 +820,28 @@ def _assert_no_children_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-@given(table=_tables(), cpus=st.integers(2, 4))
+@given(table=_tables(), cpus=st.integers(2, 4), cutoff=st.sampled_from([4, 16]))
 @settings(max_examples=60, deadline=None)
-def test_chunks_dealt_to_forked_children_match_per_cell_formatting_property(table, cpus):
-    # with 4 cells per process as the cutoff and the chunk (a row takes at most 3),
-    # a drawn table of 8 or more cells is dealt in chunks of 1 to 4 rows to up to
-    # cpus processes
+def test_chunks_dealt_to_forked_children_match_per_cell_formatting_property(table, cpus, cutoff):
+    # with 4 or 16 cells per process as the cutoff and chunks of 20 times as many
+    # bytes, a drawn table of 2 * cutoff or more formatted cells is dealt in chunks
+    # of a few rows to up to cpus processes.  A row is estimated at 20 bytes a
+    # formatted cell or more, so while the chunk bytes are at most 20 times the
+    # cutoff, as in the CLI, a table has at least as many chunks as processes
+    assert cli._BYTES_PER_CHUNK <= 20 * cli._CELLS_PER_PROCESS
     names, columns, pole = table
     reference_json, reference_csv = _references(names, columns, pole)
     finite = _made_finite(names, columns, pole)
+    deal = cli._deal
+
+    def dealt(task, count, workers):
+        assert workers <= count
+        return deal(task, count, workers)
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, "_CELLS_PER_PROCESS", 4)
+        mp.setattr(cli, "_CELLS_PER_PROCESS", cutoff)
+        mp.setattr(cli, "_BYTES_PER_CHUNK", 20 * cutoff)
+        mp.setattr(cli, "_deal", dealt)
         mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
         assert _table(names, finite, pole, "json") == reference_json.encode()
         assert _table(names, columns, pole, "csv") == reference_csv.encode()
@@ -846,13 +857,14 @@ _FORMATTED = {"sweep": {"theta": "%s", "re_u": None, "im_u": None},
               "physical": dict.fromkeys(["x", "re_u"]), "boundary": dict.fromkeys(["x", "re_u"])}
 
 
-def _chunks(table, fmt, formatted):
-    """The number of row chunks of ``table``, a table's text as ``fmt`` with the ``formatted`` cells.
+def _rows_per_chunk(table, fmt, formatted):
+    """(rows, rows a chunk) of ``table``, a table's text as ``fmt`` with the ``formatted`` cells.
 
-    A chunk is the rows of at most _CELLS_PER_PROCESS formatted cells and of at
-    most _BYTES_PER_CHUNK bytes, a row taken as its template plus 20 bytes a
-    formatted cell.  The template is the first row, which is off the poles,
-    with the text of each formatted cell replaced by its placeholder.
+    A chunk is the rows of at most _BYTES_PER_CHUNK bytes, a row taken as its
+    template plus 20 bytes a formatted cell.  The template is the first row,
+    which is off the poles, with the text of each formatted cell replaced by
+    its placeholder.  The rows are those of ``table``, which may be cut short
+    after its first row.
     """
     if fmt == "json":
         first = table[2:table.index("\n  }") + 4]
@@ -863,8 +875,12 @@ def _chunks(table, fmt, formatted):
         cells, rows = dict(zip(header.split(","), first.split(","))), table.count("\n") - 1
     value = "%a" if fmt == "json" else "%.17g"
     template = len(first) + sum(len(p or value) - len(cells[k]) for k, p in formatted.items())
-    per = min(cli._CELLS_PER_PROCESS // len(formatted),
-              cli._BYTES_PER_CHUNK // (template + 20 * len(formatted)))
+    return rows, cli._BYTES_PER_CHUNK // (template + 20 * len(formatted))
+
+
+def _chunks(table, fmt, formatted):
+    """The number of row chunks of ``table``, as _rows_per_chunk reads it."""
+    rows, per = _rows_per_chunk(table, fmt, formatted)
     return -(-rows // per)
 
 
@@ -975,7 +991,8 @@ def _failing_children(failure, mp):
 
 @pytest.mark.parametrize("failure", _FAILURES)
 def test_the_chunks_of_a_child_that_fails_are_formatted_by_the_parent(failure, monkeypatch):
-    # the chunks dealt to 3 processes: as CSV 8, the children's 1, 4, 7 and 2, 5
+    # the chunks dealt to 3 processes: as CSV 49, the children's 1, 4, ..., 46 and
+    # 2, 5, ..., 47
     names, columns, pole, reference_json, reference_csv = _big_table("sweep")
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     forks, records = _failing_children(failure, monkeypatch)
@@ -1003,7 +1020,8 @@ def test_fork_warning_of_a_multi_threaded_process_is_ignored_around_the_fork(mon
     names, columns, pole, _, reference_csv = _big_table("physical")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert _table(names, columns, pole, "csv", 5) == reference_csv.encode()
+        chunks = _chunks(reference_csv, "csv", _FORMATTED["physical"])
+        assert _table(names, columns, pole, "csv", chunks) == reference_csv.encode()
     assert caught == []
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -1026,9 +1044,11 @@ def test_no_fork_below_the_cutoff_or_on_one_cpu(tmp_path, monkeypatch, capsys):
     k = (2 * cli._CELLS_PER_PROCESS - 1) // 6  # two a of k theta, 3 cells a row: 32,766 cells
     short = [a[:2], theta[:k], re_u[:2, :k], im_u[:2, :k]], pole[:2, :k]
     _, reference_short = _reference(names, *_flat(*short))
-    assert _table(names, *short, "csv", 2) == reference_short.encode()  # two chunks, one process
+    chunks = _chunks(reference_short, "csv", _FORMATTED["sweep"])  # 14 chunks, one process
+    assert _table(names, *short, "csv", chunks) == reference_short.encode()
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    assert _table(names, [a, theta, re_u, im_u], pole, "csv", 8) == reference_csv.encode()
+    chunks = _chunks(reference_csv, "csv", _FORMATTED["sweep"])
+    assert _table(names, [a, theta, re_u, im_u], pole, "csv", chunks) == reference_csv.encode()
 
 
 _FIGURE_SHA256 = json.loads((Path(__file__).parent / "data" / "figure_sha256.json").read_text())
@@ -1038,7 +1058,7 @@ _FIGURE_SHA256 = json.loads((Path(__file__).parent / "data" / "figure_sha256.jso
 @pytest.mark.parametrize("number", [5, 6])
 def test_phase_sweep_figure_forks_once_on_two_cpus_and_writes_the_pinned_bytes(
         number, failure, tmp_path, monkeypatch, capsys):
-    # the 51 x 401 sweep is 61,353 cells in 4 chunks: dealt to two processes on
+    # the 51 x 401 sweep is 61,353 cells in 25 chunks: dealt to two processes on
     # 2 CPUs, all formatted by one on one CPU; a child that fails, or cannot
     # start, costs only time
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
@@ -1054,8 +1074,8 @@ def test_phase_sweep_figure_forks_once_on_two_cpus_and_writes_the_pinned_bytes(
     _assert_no_children_left()
 
 
-# through the pole at theta = 0; theta and re_u are 80,002 cells: as CSV 5 chunks of
-# 8,192 rows (the last 7,233), dealt to 2 processes on 2 CPUs
+# through the pole at theta = 0; theta and re_u are 80,002 cells: as CSV 34 chunks of
+# 1,191 rows (the last 700), dealt to 2 processes on 2 CPUs
 _BIG = ["evaluate", "--family", "kdvb-singular", "--theta-min=-1", "--theta-max", "1",
         "--theta-steps", "40001"]
 
@@ -1136,7 +1156,7 @@ def _stdout_over(binary):
 
 @pytest.mark.parametrize("chunks", [0, 1, 2, 4])
 def test_stdout_closed_after_k_chunks_exits_141_and_leaves_no_child(chunks, monkeypatch, capsys):
-    # the header and k of _BIG's 5 chunks go through, with the k - 1 separators
+    # the header and k of _BIG's 34 chunks go through, with the k - 1 separators
     # between them; the next write meets the closed pipe.  At k = 0 the header's
     # write fails before the first chunk is formatted, so nothing forks
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
@@ -1146,8 +1166,13 @@ def test_stdout_closed_after_k_chunks_exits_141_and_leaves_no_child(chunks, monk
     code = main(_BIG)
     assert (code, capsys.readouterr().err, len(forks)) == (141, "", 1 if chunks else 0)
     written = bytes(pipe.written)
-    assert written.count(b"\n") == 8_192 * chunks and not written.endswith(b"\n")
-    assert written.startswith(b"theta,re_u,im_u,pole_flag\n-1," if chunks else b"")
+    assert not written.endswith(b"\n")
+    if chunks:
+        assert written.startswith(b"theta,re_u,im_u,pole_flag\n-1,")
+        _, per = _rows_per_chunk(written.decode(), "csv", dict.fromkeys(["theta", "re_u"]))
+        assert written.count(b"\n") == per * chunks
+    else:
+        assert written == b""
     _assert_no_children_left()
 
 
@@ -1190,11 +1215,12 @@ def _traced_peak(call):
 # 100,000-point export below it measures 30.4; in blocks of 2**15 cells it
 # measured 46.7, evaluating the whole grid at once 89.
 _EVALUATION_BYTES_PER_POINT = 40
-# What the writer may hold above that: one chunk of at most _CELLS_PER_PROCESS
-# cells and about _BYTES_PER_CHUNK bytes, as its cells and its bytes, or a
-# child's record.  A CSV export measures 1.41 MiB above its evaluation, a
-# JSON export 1.38 MiB.
-_CHUNK_ALLOWANCE = 2**20
+# What the writer may hold above that: one chunk of about _BYTES_PER_CHUNK
+# bytes, as its cells and its bytes, or a child's record.  That is less than
+# the evaluation's block temporaries it follows, so a CSV export measures
+# 0.002 MiB above its evaluation, and so does a JSON export; chunks of 2**19
+# bytes measured 1.41 and 1.38 MiB.
+_CHUNK_ALLOWANCE = 2**18
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
@@ -1204,9 +1230,10 @@ def test_parent_peak_memory_of_a_big_export_is_its_evaluation_and_one_chunk(fmt,
     # the evaluation holds the values and the pole mask, and a big grid's
     # kernel temporaries one block at a time.  The writer then holds one chunk
     # at a time.  Holding every block at once made the export 2.06 times the
-    # file, the whole-grid kernel 8.49 MiB, and blocks of 2**15 cells with
-    # chunks of 2**14 cells 4.45 MiB as CSV and 6.22 MiB as JSON, against 4.81
-    # MiB allowed here
+    # file, the whole-grid kernel 8.49 MiB, blocks of 2**15 cells with chunks
+    # of 2**14 cells 4.45 MiB as CSV and 6.22 MiB as JSON, and chunks of 2**19
+    # bytes 4.31 and 4.29 MiB, against 4.06 MiB allowed here; it measures 2.90
+    # MiB
     coeffs = dict(s=2.0, mu=1.0, alpha=3.0, beta=2.0)
     params = PhysicalParams(v=locked_rational_velocity(PhysicalParams(v=0.0, **coeffs)), **coeffs)
     output = tmp_path / f"rational.{fmt}"
@@ -1225,10 +1252,37 @@ def test_parent_peak_memory_of_a_big_export_is_its_evaluation_and_one_chunk(fmt,
     assert (code, len(forks)) == (0, cpus - 1)
     assert export <= bound + _CHUNK_ALLOWANCE
     assert output.stat().st_size > 4 * 2**20
-    if fmt == "json":  # a chunk is sized by its bytes too, so a JSON row's length costs little
+    if fmt == "json":  # a chunk is sized by its bytes, so a JSON row's length costs little
         csv = [*argv[:-3], "csv", "--output", str(tmp_path / "rational.csv")]
-        assert export <= _traced_peak(lambda: main(csv))[1] + 2**19
+        assert export <= _traced_peak(lambda: main(csv))[1] + 2**16
     _assert_no_children_left()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("case", ["profile", "figure-5"])
+def test_a_chunk_is_at_most_2_16_bytes_and_4_a_formatted_cell(case, fmt, monkeypatch):
+    # a chunk's rows are estimated at their template plus 20 bytes a formatted
+    # cell, and a %.17g or repr cell is at most 24 bytes (-2.2250738585072014e-308),
+    # so a chunk exceeds 2**16 bytes by at most 4 bytes a formatted cell.  A row
+    # here has three: theta and both values (a sweep's a is in its group's row
+    # template).  Chunks of 2**16 bytes stay in the sizes the allocator reuses;
+    # those of 2**19 were handed back to the system and faulted in again
+    if case == "profile":  # 100,000 rows
+        grid = np.linspace(-40.0, 40.0, 100_000)
+        sol = universal_solution(Family.KDVB_REGULAR, theta0=-2.5j * math.pi)
+        values, pole = evaluate_grid(sol, grid)
+        names, columns = ["theta"], [grid, values.real, values.imag]
+    else:  # the 51 x 401 phase sweep
+        entry = _MANIFEST["5"]
+        a = np.linspace(entry["a_min"], entry["a_max"], entry["a_steps"])
+        theta = np.linspace(entry["theta_min"], entry["theta_max"], entry["theta_steps"])
+        values, pole = sweep_rows(Family(entry["family"]), a, theta)
+        names, columns = ["a", "theta"], [a[:, None], theta, values.real, values.imag]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    chunks = list(_render(names, columns, pole, fmt))[1:-1:2]
+    rows = [chunk.count(b"\n") + 1 if fmt == "csv" else chunk.count(b"\n  }") for chunk in chunks]
+    assert len(chunks) > 1 and sum(rows) == pole.size
+    assert all(len(chunk) <= 2**16 + 4 * 3 * k for chunk, k in zip(chunks, rows))
 
 
 # ---------------------------------------------------------------------------
