@@ -30,8 +30,8 @@ command line with one parser, _PARSER, built once at import.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or domain error (a
 ParameterDomainError, the package's one exception class, an OSError, or a
-grid too big to allocate), 141 when the reader closes stdout early (128 +
-SIGPIPE; nothing is printed).
+grid too big to allocate or for any array to hold), 141 when the reader
+closes stdout early (128 + SIGPIPE; nothing is printed).
 Output is deterministic: fixed grids, no timestamps, floats printed with 17
 significant digits in CSV, shortest round-trip form in JSON.  Every cell off
 a pole is finite, or the command exits 2; values on a pole are emitted as
@@ -297,11 +297,18 @@ def _emit(table: Iterator[bytes], output: str | Path | None) -> None:
         table.close()
 
 
+def _require_array(cells: int, flags: str) -> None:
+    """ParameterDomainError where ``cells`` complex values (16 bytes) pass sys.maxsize bytes."""
+    if cells > sys.maxsize // 16:
+        raise ParameterDomainError(f"a grid of {cells} cells ({flags}) is more than an array holds")
+
+
 def _grid(lo: float, hi: float, steps: int, name: str) -> np.ndarray:
     """np.linspace(lo, hi, steps); finite ends and span, equal ends exactly when steps == 1."""
     import numpy as np
     if steps < 1:
         raise ParameterDomainError(f"--{name}-steps must request at least one grid point")
+    _require_array(steps, f"--{name}-steps")
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ParameterDomainError(f"--{name}-min and --{name}-max must be finite")
     if not math.isfinite(hi - lo):
@@ -446,6 +453,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def _sweep_table(args: argparse.Namespace) -> Iterator[bytes]:
     """Check sweep's grids, evaluate U(theta; i*a*pi) over (a, theta) and render the table."""
     from .solutions import sweep_rows
+    if min(args.a_steps, args.theta_steps) > 0:  # else _grid names the step count too few
+        _require_array(args.a_steps * args.theta_steps, "--a-steps * --theta-steps")
     a = _grid(args.a_min, args.a_max, args.a_steps, "a")
     theta = _grid(args.theta_min, args.theta_max, args.theta_steps, "theta")
     values, pole = sweep_rows(Family(args.family), a, theta)

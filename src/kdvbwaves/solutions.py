@@ -47,8 +47,8 @@ them, so a WaveSolution never carries coefficients it does not solve.
 
 One evaluation path.  Each family's closed form is written once, as its
 array kernel.  evaluate_grid gives the values and the pole mask, and
-sweep_rows the same pair over a phase sweep, a big grid in blocks of
-_CELLS_PER_KERNEL cells.  On the same argument and mask,
+sweep_rows the same pair over a phase sweep, each grid in blocks of whole
+rows of at most _CELLS_PER_KERNEL cells.  On the same argument and mask,
 solution_jet gives (w, w', w'', w''') and physical_jet its chain-rule image.
 eval_solution and eval_solution_physical are evaluate_grid at one point.
 The independent second spelling, the direct physical formulas with their
@@ -414,13 +414,10 @@ def _shifted(sol: WaveSolution, grid, t) -> tuple[np.ndarray, float]:
     return zeta, rate
 
 
-# Cells evaluate_grid and sweep_rows take through a kernel in one call: 2**15
-# is the smallest power of two above the largest grid of figure and verify
-# (figure 5's 51 x 401 sweep), which so keep one call; blocking every grid
-# cost figure 4 %.  A bigger grid goes in blocks of _CELLS_PER_KERNEL, whose
-# temporaries (65-80 bytes a cell, numpy 2.4) stay in cache: 10**5 points take
-# 7.1 ms against 7.4 in 2**15-cell blocks, and 30 bytes a point against 47.
-_CELLS_PER_BLOCK = 2**15
+# Cells a kernel takes in one call.  A block's temporaries (65-80 bytes a
+# cell, numpy 2.4) then stay in cache, and an evaluation holds the values and
+# the mask, 17 bytes a cell, and one block's temporaries: 10**5 points take
+# 7.1 ms and trace at 30 bytes a point.
 _CELLS_PER_KERNEL = 2**13
 
 
@@ -437,17 +434,13 @@ def evaluate_grid(
     their values are NaN + NaN*i.  A coordinate whose theta - theta0 is not
     finite is a ParameterDomainError, and so, where every coordinate is
     finite, is a value that leaves the float range at a cell off the poles.
-    A bigger grid than _CELLS_PER_BLOCK goes in blocks of _CELLS_PER_KERNEL
-    cells, so the evaluation holds the values and the mask, 17 bytes a cell,
-    and one block's temporaries; the bits are those of one call.
+    The grid goes in blocks as rows of its last axis, a 0-d one as one row of
+    one cell, so a cell's bits do not depend on the grid's shape or size.
     """
     grid = np.asarray(grid)
-    if grid.size <= _CELLS_PER_BLOCK:
-        values, pole = _kernel_values(sol, grid, t)
-        _finite_off_poles(sol, (values,), pole)
-        return values, pole
-    cells = grid.reshape(-1)
-    return _evaluate_blocks(sol, grid.shape, lambda lo, hi: cells[lo:hi], t)
+    rows = grid.reshape(math.prod(grid.shape[:-1]), grid.shape[-1] if grid.ndim else 1)
+    values, pole = _evaluate_blocks(sol, rows.shape, lambda r, c: rows[r, c], t)
+    return values.reshape(grid.shape), pole.reshape(grid.shape)
 
 
 def _kernel_values(sol: WaveSolution, grid: np.ndarray, t) -> tuple[np.ndarray, np.ndarray]:
@@ -461,24 +454,26 @@ def _kernel_values(sol: WaveSolution, grid: np.ndarray, t) -> tuple[np.ndarray, 
 
 
 def _evaluate_blocks(sol: WaveSolution, shape: tuple, cells, t) -> tuple[np.ndarray, np.ndarray]:
-    """evaluate_grid on a grid of ``shape`` whose cells lo..hi-1 in C order are cells(lo, hi).
+    """evaluate_grid on a grid of ``shape`` (height, width) whose block [r, c] is cells(r, c).
 
-    The values are checked once every block is made, so a coordinate that is
-    not finite is the error anywhere in the grid, as from one call.
+    A block is as many whole rows as fit in _CELLS_PER_KERNEL cells, or a
+    piece of one longer row; an empty grid is one empty block.  The values
+    are checked once every block is made, so a coordinate that is not finite
+    is the error anywhere in the grid.
     """
     values, pole = np.empty(shape, complex), np.empty(shape, bool)
-    out, flags, size = values.reshape(-1), pole.reshape(-1), values.size
-    for lo in range(0, size, _CELLS_PER_KERNEL):
-        hi = min(lo + _CELLS_PER_KERNEL, size)
-        out[lo:hi], flags[lo:hi] = _kernel_values(sol, cells(lo, hi), t)
+    height, width = shape
+    per = max(1, _CELLS_PER_KERNEL // max(width, 1))  # rows a block
+    for r0 in range(0, max(height, 1), per):
+        for c0 in range(0, max(width, 1), _CELLS_PER_KERNEL):
+            block = slice(r0, r0 + per), slice(c0, c0 + _CELLS_PER_KERNEL)
+            values[block], pole[block] = _kernel_values(sol, cells(*block), t)
     _finite_off_poles(sol, (values,), pole)
     return values, pole
 
 
 def _at_point(sol: WaveSolution, coordinate, t) -> complex | None:
-    # a one-cell grid, not a 0-d array: numpy arithmetic on the 0-d results
-    # would take its scalar complex division, a last bit off the grid's
-    (value,), (pole,) = evaluate_grid(sol, np.array([coordinate]), t)
+    value, pole = evaluate_grid(sol, coordinate, t)
     return None if pole else complex(value)
 
 
@@ -574,20 +569,13 @@ def sweep_rows(
     contract: pole cells are flagged and hold NaN + NaN*i.  At a = 0 the
     imaginary part vanishes; at a = -5 the regular family equals the singular
     one at real phase (tanh(z - i*pi/2) = coth(z)).  a is reduced by its
-    period (reduce_kdvb_phase) before it enters theta0.  A grid of more than
-    _CELLS_PER_BLOCK cells goes in blocks, each forming its own theta - theta0.
+    period (reduce_kdvb_phase) before it enters theta0.  Each block of rows
+    and columns forms its own theta - theta0.
     """
     a_values = np.asarray(a_values, dtype=float)
     theta_grid = np.asarray(theta_grid, dtype=float)
     if theta_grid.size == 0 or a_values.size == 0:
         raise ParameterDomainError("sweep grid must be non-empty")
     theta0 = 1j * math.pi * reduce_kdvb_phase(a_values)
-    sol, width = universal_solution(family), theta_grid.size
-    if theta0.size * width <= _CELLS_PER_BLOCK:
-        return evaluate_grid(sol, theta_grid - theta0[:, None])
-
-    def cells(lo: int, hi: int) -> np.ndarray:
-        row, column = np.divmod(np.arange(lo, hi), width)
-        return theta_grid[column] - theta0[row]
-
-    return _evaluate_blocks(sol, (theta0.size, width), cells, None)
+    return _evaluate_blocks(universal_solution(family), (theta0.size, theta_grid.size),
+                            lambda r, c: theta_grid[c] - theta0[r, None], None)

@@ -552,6 +552,32 @@ def test_evaluate_out_of_the_float_range_exits_2_with_one_error_line(argv, messa
     assert err.startswith("error: ") and err.count("\n") == 1 and message in err
 
 
+_REDUCED_GRID = ["evaluate", "--family", "kdvb-regular", "--theta-min", "0", "--theta-max", "1"]
+_SWEEP_ENDS = ["sweep", "--a-min", "0", "--a-max", "1", "--theta-min", "0", "--theta-max", "1"]
+
+
+@pytest.mark.parametrize("argv, flags", [
+    ([*_REDUCED_GRID, "--theta-steps", str(10**20)], "--theta-steps"),
+    ([*_REDUCED_GRID, "--theta-steps", str(2**63 - 1)], "--theta-steps"),
+    (["evaluate", "--family", "kdvb-regular", "--s", "1", "--mu", "1", "--alpha", "1", "--v", "0",
+      "--x-min", "0", "--x-max", "1", "--x-steps", str(2**62)], "--x-steps"),
+    ([*_SWEEP_ENDS, "--a-steps", str(2**62), "--theta-steps", "1"], "--a-steps * --theta-steps"),
+    ([*_SWEEP_ENDS, "--a-steps", str(2**31), "--theta-steps", str(2**31)],
+     "--a-steps * --theta-steps"),
+], ids=["1e20", "2**63-1", "2**62", "a-2**62", "2**31-by-2**31"])
+def test_a_grid_no_array_can_hold_exits_2_before_it_is_built(argv, flags, capsys, monkeypatch):
+    # these were a ValueError or an IndexError from np.linspace, or, for the sweep whose two
+    # grids fit, from np.empty: a traceback and exit 1
+    def allocating(*args, **kwargs):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(np, "linspace", allocating)
+    monkeypatch.setattr(np, "empty", allocating)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: a grid of ") and err.count("\n") == 1 and f"({flags})" in err
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_a_coordinate_error_in_a_later_block_wins_over_a_value_error_in_the_first(fmt, tmp_path,
@@ -560,7 +586,7 @@ def test_a_coordinate_error_in_a_later_block_wins_over_a_value_error_in_the_firs
     # v*t = -1.6e308 overflows for x past about 2e307: in the last nine of ten blocks,
     # not in the first.  One call over the whole grid checked theta first
     output = tmp_path / f"table.{fmt}"
-    steps = 10 * solutions_module._CELLS_PER_BLOCK
+    steps = 10 * solutions_module._CELLS_PER_KERNEL
     code, out, err = run(capsys, "evaluate", *_AMPLITUDE_OVERFLOW[:-6], "--t=-8e157",
                          "--x-min", "0", "--x-max", "1e308", "--x-steps", str(steps),
                          "--format", fmt, "--output", str(output))
@@ -569,16 +595,23 @@ def test_a_coordinate_error_in_a_later_block_wins_over_a_value_error_in_the_firs
     assert not output.exists()
 
 
-def test_figures_and_verify_take_every_grid_through_the_kernel_in_one_call(tmp_path, monkeypatch):
-    # each of their grids is at most one block (the largest, figure 5's 51 x 401
-    # sweep, 20,451 cells), so they run the operations of an unblocked evaluation
-    def blocked(*args):
-        raise AssertionError("a grid went through the kernel in blocks")
+def test_no_kernel_call_of_figure_or_verify_sees_more_than_a_block(tmp_path, monkeypatch):
+    # figure 5's 51 x 401 sweep, 20,451 cells, goes in blocks of whole rows like every grid;
+    # verify's jets take their grids whole, and each is smaller than a block
+    sizes = []
 
-    monkeypatch.setattr(solutions_module, "_evaluate_blocks", blocked)
+    def counted(kernel):
+        def counting(sol, zeta, rate):
+            sizes.append(zeta.size)
+            return kernel(sol, zeta, rate)
+        return counting
+
+    for family, (kernel, slopes, sign) in list(solutions_module._FAMILIES.items()):
+        monkeypatch.setitem(solutions_module._FAMILIES, family, (counted(kernel), slopes, sign))
     for number in range(1, 8):
         assert main(["figure", str(number), "--outdir", str(tmp_path)]) == 0
-    assert main(["verify", "--scope", "all"]) == 0  # a block that raises is a FAIL line, exit 1
+    assert main(["verify", "--scope", "all"]) == 0
+    assert max(sizes) <= solutions_module._CELLS_PER_KERNEL
 
 
 def _reference(names, columns, pole):

@@ -1007,7 +1007,7 @@ def test_physical_jet_is_the_chain_rule_image(index):
 # ---------------------------------------------------------------------------
 # blocks
 
-_BLOCK = solutions_module._CELLS_PER_BLOCK
+_BLOCK = solutions_module._CELLS_PER_KERNEL
 _PIECE = 9_999  # odd, so coprime to the block: no piece edge falls on a block edge
 
 
@@ -1019,7 +1019,7 @@ def _bits(values, pole):
 def _one_call(sol, grid, t=None):
     """evaluate_grid with a block as big as ``grid``: one kernel call on the whole of it."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solutions_module, "_CELLS_PER_BLOCK", np.size(grid))
+        mp.setattr(solutions_module, "_CELLS_PER_KERNEL", np.size(grid))
         return evaluate_grid(sol, grid, t)
 
 
@@ -1072,10 +1072,22 @@ def test_blocks_of_a_two_dimensional_grid_and_of_a_zero_dimensional_one():
     values, pole = evaluate_grid(sol, grid)
     assert values.shape == pole.shape == grid.shape and pole.any()
     assert _bits(values.reshape(-1), pole.reshape(-1)) == _bits(*_by_pieces(sol, grid.reshape(-1)))
-    (value,), (flag,) = evaluate_grid(sol, np.array([0.7]))
-    value0, flag0 = evaluate_grid(sol, np.float64(0.7))
-    assert value0.shape == flag0.shape == () and flag0 == flag
-    assert complex(value0) == pytest.approx(complex(value), rel=1e-15)
+    # a 0-d grid is one row of one cell: the one-cell grid's bits, and so eval_solution's,
+    # also at a complex phase, where numpy's scalar complex arithmetic, which 0-d results
+    # would take, differs from its array arithmetic in the last bit of some KdVB values
+    phased = [universal_solution(fam, theta0=1j * a * math.pi)
+              for fam, a in [(Family.KDVB_REGULAR, -2.5), (Family.KDVB_SINGULAR, -1.1)]]
+    solutions = [(s, None) for s in phased] + [
+        (s, t) for pair in _all_families() for s, t in zip(pair, (None, 0.25))]
+    for sol, t in solutions:
+        for x in np.linspace(-12.3, 12.9, 100):
+            value, flag = evaluate_grid(sol, np.float64(x), t)
+            assert value.shape == flag.shape == ()
+            assert _bits(value.reshape(1), flag.reshape(1)) == _bits(
+                *evaluate_grid(sol, np.array([x]), t))
+            point = eval_solution(sol, x) if t is None else eval_solution_physical(sol, x, t)
+            assert (point is None) == bool(flag)
+            assert point is None or np.complex128(point).tobytes() == value.tobytes()
 
 
 @pytest.mark.filterwarnings("error")
@@ -1116,7 +1128,7 @@ def test_a_coordinate_error_anywhere_comes_before_a_value_error():
         evaluate_grid(sol, grid, 0.0)
 
 
-def test_a_grid_of_at_most_one_block_is_one_kernel_call(monkeypatch):
+def test_the_kernel_sees_whole_rows_of_a_block_or_pieces_of_one_row(monkeypatch):
     kernel, slopes, sign = solutions_module._FAMILIES[Family.KDVB_REGULAR]
     shapes = []
 
@@ -1126,17 +1138,17 @@ def test_a_grid_of_at_most_one_block_is_one_kernel_call(monkeypatch):
 
     monkeypatch.setitem(solutions_module._FAMILIES, Family.KDVB_REGULAR, (counting, slopes, sign))
     sol = universal_solution(Family.KDVB_REGULAR)
-    square = (64, _BLOCK // 64)
-    kernel_block = solutions_module._CELLS_PER_KERNEL
-    blocks = [(kernel_block,)] * (_BLOCK // kernel_block) + [(1,)]
-    for shape, calls in [((), [()]), ((_BLOCK,), [(_BLOCK,)]), (square, [square]),
-                         ((_BLOCK + 1,), blocks)]:
+    for shape, calls in [((), [(1, 1)]), ((0,), [(1, 0)]), ((_BLOCK + 1,), [(1, _BLOCK), (1, 1)]),
+                         ((3, 5, 2000), [(4, 2000)] * 3 + [(3, 2000)])]:
         shapes.clear()
         evaluate_grid(sol, np.zeros(shape))
         assert shapes == calls
     shapes.clear()
     sweep_rows(Family.KDVB_REGULAR, np.linspace(-5.0, 0.0, 51), np.linspace(-40.0, 40.0, 401))
-    assert shapes == [(51, 401)]  # figure 5's sweep
+    assert shapes == [(20, 401), (20, 401), (11, 401)]  # figure 5's sweep
+    shapes.clear()
+    sweep_rows(Family.KDVB_REGULAR, np.linspace(-5.0, 0.0, 3), np.linspace(-40.0, 40.0, 20_001))
+    assert shapes == [(1, _BLOCK), (1, _BLOCK), (1, 20_001 - 2 * _BLOCK)] * 3
 
 
 # ---------------------------------------------------------------------------
