@@ -63,8 +63,8 @@ def _render(names: list[str], columns: list, pole: np.ndarray, fmt: str) -> Iter
     The rows are the cells of ``pole`` in C order.  re_u and im_u have its
     shape, each coordinate broadcasts to it, and the rows along its last axis
     form a group.  Every coordinate cell, and every value cell off the poles,
-    is finite: each passed the check of solutions._shifted or
-    _finite_off_poles.  So each format spells a cell one way, by its % spec:
+    is finite: each passed solutions._shifted's check or the range check of
+    _evaluate_blocks.  So each format spells a cell one way, by its % spec:
     %.17g in CSV, and %a, the float's repr, in JSON.  Yields the table as
     UTF-8 parts [head, chunk, sep, chunk, ..., tail] that joined are byte for
     byte format(value, ".17g") per CSV cell, or json.dumps(rows, indent=2).

@@ -45,11 +45,11 @@ the discriminant root, the branch) from the coefficients.  Only the three
 *_from_physical constructors attach physical coefficients, after reducing
 them, so a WaveSolution never carries coefficients it does not solve.
 
-One evaluation path.  Each family's closed form is written once, as its
-array kernel.  evaluate_grid gives the values and the pole mask, and
-sweep_rows the same pair over a phase sweep, each grid in blocks of whole
-rows of at most _CELLS_PER_KERNEL cells.  On the same argument and mask,
-solution_jet gives (w, w', w'', w''') and physical_jet its chain-rule image.
+One kernel driver.  Each family's closed form is written once, as its array
+kernel, and _evaluate_blocks alone calls the kernels, in blocks of whole rows
+of at most _CELLS_PER_KERNEL cells.  Each caller gives the form of a block's
+result: evaluate_grid's values (and sweep_rows' over a phase sweep),
+solution_jet's (w, w', w'', w''') and physical_jet's chain-rule image.
 eval_solution and eval_solution_physical are evaluate_grid at one point.
 The independent second spelling, the direct physical formulas with their
 own discriminant root (physical_discriminant_root), lives in verify as the
@@ -60,6 +60,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -262,16 +263,16 @@ def rational_solution_from_physical(
 # ---------------------------------------------------------------------------
 # array kernels and jets
 #
-# One kernel per family, on shifted coordinates zeta = theta - theta0.  It
-# returns the values, the pole mask and the family's argument: T = tanh or
-# coth for the kinks, the pair (g, zeta) with g = A + k0*zeta for the rational
-# family.  The family's slopes differentiate its value polynomial through that
-# argument (tanh and coth both satisfy dT/dz = 1 - T^2), so the jet shares the
-# kernel's argument and pole mask.  ``rate`` = |d zeta / dx| of the caller's
-# coordinate widens the pole tolerance in the argument z of tanh/coth to
-# POLE_TOL * max(1, |dz/dx|); the rational pole's stays POLE_TOL in theta.
-# Pole cells are computed at a stand-in argument off every pole, then
-# overwritten with NaN: nothing divides by 0.
+# One kernel per family, on a 2-d block of shifted coordinates zeta = theta -
+# theta0.  It returns the values, the pole mask and the family's argument: T =
+# tanh or coth for the kinks, the pair (g, zeta) with g = A + k0*zeta for the
+# rational family.  The family's slopes differentiate its value polynomial
+# through that argument (tanh and coth both satisfy dT/dz = 1 - T^2), so the
+# jet shares the kernel's argument and pole mask.  ``rate`` = |d zeta / dx| of
+# the caller's coordinate widens the pole tolerance in the argument z of
+# tanh/coth to POLE_TOL * max(1, |dz/dx|); the rational pole's stays POLE_TOL
+# in theta.  Pole cells are computed at a stand-in argument off every pole,
+# then overwritten with NaN: nothing divides by 0.
 
 _NAN = complex(math.nan, math.nan)
 
@@ -342,7 +343,7 @@ def _rational_kernel(sol: WaveSolution, zeta: np.ndarray, rate: float):
         g = A + k0 * np.where(pole, 0.0, zeta)
         value = -(k0 / A) / g
         far = ~np.isfinite(g)
-        if far.any():  # zeta may be 0-d: no assignment into value
+        if far.any():
             value = np.where(far, -1.0 / (A * (A / k0 + zeta)), value)
         return value + const, pole, (g, zeta)
 
@@ -404,9 +405,9 @@ def _shifted(sol: WaveSolution, grid, t) -> tuple[np.ndarray, float]:
         raise ParameterDomainError("solution carries no physical coefficients")
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         if t is None:
-            zeta, rate, what = np.asarray(grid) - sol.reduced.theta0, 1.0, "theta - theta0"
+            zeta, rate, what = grid - sol.reduced.theta0, 1.0, "theta - theta0"
         else:
-            zeta = to_reduced_coordinate(np.asarray(grid), t, pp)
+            zeta = to_reduced_coordinate(grid, t, pp)
             rate, what = abs(pp.mu / pp.s), "theta = mu*(x - v*t - xi0)/s"
     zeta = np.asarray(zeta, dtype=complex)
     if not np.isfinite(zeta).all():
@@ -419,6 +420,42 @@ def _shifted(sol: WaveSolution, grid, t) -> tuple[np.ndarray, float]:
 # the mask, 17 bytes a cell, and one block's temporaries: 10**5 points take
 # 7.1 ms and trace at 30 bytes a point.
 _CELLS_PER_KERNEL = 2**13
+
+
+def _rows(a: np.ndarray) -> np.ndarray:
+    """``a`` as rows of its last axis, a 0-d one as one row of one cell."""
+    return a.reshape(math.prod(a.shape[:-1]), a.shape[-1] if a.ndim else 1)
+
+
+def _evaluate_blocks(sol: WaveSolution, shape: tuple, cells, form) -> tuple[tuple, np.ndarray]:
+    """(components, pole) on a grid of ``shape``: the one caller of the kernels.
+
+    Block [r, c] of the grid's _rows has the coordinates and times cells(r, c)
+    and the components form(U, argument) of the kernel's values and argument.
+    A block is as many whole rows as fit in _CELLS_PER_KERNEL cells, or a piece
+    of one longer row, so a cell's bits do not depend on the grid's shape; an
+    empty grid is one empty block.  Pole cells are NaN + NaN*i.  The range is
+    checked once every block is made, so a coordinate that is not finite is
+    the error anywhere in the grid.
+    """
+    flags, columns, kernel = _rows(np.empty(shape, bool)), (), _FAMILIES[sol.family][0]
+    height, width = flags.shape
+    per = max(1, _CELLS_PER_KERNEL // max(width, 1))  # rows a block
+    for r0 in range(0, max(height, 1), per):
+        for c0 in range(0, max(width, 1), _CELLS_PER_KERNEL):
+            block = slice(r0, r0 + per), slice(c0, c0 + _CELLS_PER_KERNEL)
+            U, flags[block], argument = kernel(sol, *_shifted(sol, *cells(*block)))
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # checked below
+                parts = form(U, argument)
+            columns = columns or tuple(np.empty(flags.shape, complex) for _ in parts)
+            for column, part in zip(columns, parts):  # NaN in place: no temporary
+                column[block] = part
+                column[block][flags[block]] = _NAN
+            del U, argument, parts, part  # before the next block's are made
+    if not all((np.isfinite(c) | flags).all() for c in columns):
+        raise ParameterDomainError(
+            f"the {sol.family.value} solution leaves the float range at a point off the poles")
+    return tuple(c.reshape(shape) for c in columns), flags.reshape(shape)
 
 
 def evaluate_grid(
@@ -434,47 +471,14 @@ def evaluate_grid(
     their values are NaN + NaN*i.  A coordinate whose theta - theta0 is not
     finite is a ParameterDomainError, and so, where every coordinate is
     finite, is a value that leaves the float range at a cell off the poles.
-    The grid goes in blocks as rows of its last axis, a 0-d one as one row of
-    one cell, so a cell's bits do not depend on the grid's shape or size.
+    The grid goes through _evaluate_blocks, a 0-d one as a block of one cell.
     """
-    grid = np.asarray(grid)
-    rows = grid.reshape(math.prod(grid.shape[:-1]), grid.shape[-1] if grid.ndim else 1)
-    values, pole = _evaluate_blocks(sol, rows.shape, lambda r, c: rows[r, c], t)
-    return values.reshape(grid.shape), pole.reshape(grid.shape)
-
-
-def _kernel_values(sol: WaveSolution, grid: np.ndarray, t) -> tuple[np.ndarray, np.ndarray]:
-    """(values, pole) of one kernel call on ``grid``, NaN on the poles; not checked for range."""
-    # the shifted coordinate and the kernel's argument are freed before the amplitude map
-    values, pole = _FAMILIES[sol.family][0](sol, *_shifted(sol, grid, t))[:2]
-    if t is not None:
-        with np.errstate(over="ignore", invalid="ignore"):  # checked by the caller
-            values = to_physical_amplitude(values + (sol.reduced.delta or 0.0), sol.physical)
-    return np.where(pole, _NAN, values), pole
-
-
-def _evaluate_blocks(sol: WaveSolution, shape: tuple, cells, t) -> tuple[np.ndarray, np.ndarray]:
-    """evaluate_grid on a grid of ``shape`` (height, width) whose block [r, c] is cells(r, c).
-
-    A block is as many whole rows as fit in _CELLS_PER_KERNEL cells, or a
-    piece of one longer row; an empty grid is one empty block.  The values
-    are checked once every block is made, so a coordinate that is not finite
-    is the error anywhere in the grid.
-    """
-    values, pole = np.empty(shape, complex), np.empty(shape, bool)
-    height, width = shape
-    per = max(1, _CELLS_PER_KERNEL // max(width, 1))  # rows a block
-    for r0 in range(0, max(height, 1), per):
-        for c0 in range(0, max(width, 1), _CELLS_PER_KERNEL):
-            block = slice(r0, r0 + per), slice(c0, c0 + _CELLS_PER_KERNEL)
-            values[block], pole[block] = _kernel_values(sol, cells(*block), t)
-    _finite_off_poles(sol, (values,), pole)
+    rows, delta = _rows(grid := np.asarray(grid)), sol.reduced.delta or 0.0
+    # U + delta in place, so the amplitude map holds no more than the kernel did
+    form = (lambda U, _: (U,)) if t is None else lambda U, _: (
+        to_physical_amplitude(np.add(U, delta, out=U), sol.physical),)
+    (values,), pole = _evaluate_blocks(sol, grid.shape, lambda r, c: (rows[r, c], t), form)
     return values, pole
-
-
-def _at_point(sol: WaveSolution, coordinate, t) -> complex | None:
-    value, pole = evaluate_grid(sol, coordinate, t)
-    return None if pole else complex(value)
 
 
 def eval_solution(sol: WaveSolution, theta: complex) -> complex | None:
@@ -482,7 +486,8 @@ def eval_solution(sol: WaveSolution, theta: complex) -> complex | None:
 
     None where evaluate_grid flags the cell as a pole.
     """
-    return _at_point(sol, theta, None)
+    value, pole = evaluate_grid(sol, theta)
+    return None if pole else complex(value)
 
 
 def eval_solution_physical(sol: WaveSolution, x: float, t: float) -> complex | None:
@@ -490,60 +495,51 @@ def eval_solution_physical(sol: WaveSolution, x: float, t: float) -> complex | N
 
     None where evaluate_grid flags the cell as a pole.
     """
-    return _at_point(sol, x, t)
+    value, pole = evaluate_grid(sol, x, t)
+    return None if pole else complex(value)
 
 
-def _jet(sol: WaveSolution, grid, t):
-    zeta, rate = _shifted(sol, grid, t)
-    kernel, slopes, _ = _FAMILIES[sol.family]
-    U, pole, argument = kernel(sol, zeta, rate)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # checked below
-        jet = tuple(np.where(pole, _NAN, d)
-                    for d in (U + (sol.reduced.delta or 0.0), *slopes(sol, argument)))
-    return _finite_off_poles(sol, jet, pole), pole
-
-
-def _finite_off_poles(sol: WaveSolution, jet: tuple, pole: np.ndarray) -> tuple:
-    """``jet``, or a ParameterDomainError where a component is not finite off the poles."""
-    if not all((np.isfinite(d) | pole).all() for d in jet):
-        raise ParameterDomainError(
-            f"the {sol.family.value} solution leaves the float range at a point off the poles")
-    return jet
+def _jet(sol: WaveSolution, U: np.ndarray, argument) -> tuple[np.ndarray, ...]:
+    """solution_jet's form: (w, w', w'', w''') from the kernel's values and argument."""
+    return (U + (sol.reduced.delta or 0.0), *_FAMILIES[sol.family][1](sol, argument))
 
 
 def solution_jet(sol: WaveSolution, theta) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     """((w, w', w'', w'''), pole) of the first-integral unknown at reduced coordinates.
 
     w = U + delta for the KdVB families and w = U elsewhere; derivatives are
-    in theta.  ``theta`` is an array or a scalar (0-d results).  As in
-    evaluate_grid, ``pole`` flags the cells on a pole, and every component
-    is NaN + NaN*i there.  A component that leaves the float range at a cell
-    off the poles is a ParameterDomainError.
+    in theta.  ``theta`` is an array or a scalar (0-d results).  The jet goes
+    through _evaluate_blocks like evaluate_grid's values: w and ``pole`` are its
+    U + delta and mask, bit for bit.  A component that leaves the float range
+    at a cell off the poles is a ParameterDomainError.
     """
-    return _jet(sol, theta, None)
+    rows = _rows(theta := np.asarray(theta))
+    return _evaluate_blocks(sol, theta.shape, lambda r, c: (rows[r, c], None), partial(_jet, sol))
 
 
 def physical_jet(sol: WaveSolution, x, t) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     """((u, u_x, u_xx, u_xxx, u_t), pole) at (x, t), by the chain rule on the jet.
 
     u = to_physical_amplitude(w(theta)) with theta = to_reduced_coordinate(x, t)
-    linear in x and t, so the n-th x-derivative carries (mu/s)^n and
-    u_t = -v * u_x (travelling wave).  x and t broadcast; u and ``pole``
-    equal evaluate_grid's at time t.  As in solution_jet, a component that
-    leaves the float range at a cell off the poles is a ParameterDomainError.
+    linear in x and t, so the n-th x-derivative carries (mu/s)^n and u_t =
+    -v * u_x (travelling wave).  x and t broadcast, and their cells go through
+    _evaluate_blocks: u and ``pole`` are evaluate_grid's at time t, and a
+    component that leaves the float range off the poles is a ParameterDomainError.
     """
-    jet, pole = _jet(sol, x, t)  # raises for a solution without physical coefficients
-    pp = sol.physical
-    m = pp.mu / pp.s
-    try:
-        scales = [m**n for n in range(4)]
-    except OverflowError:
-        raise ParameterDomainError(
-            f"mu/s = {m!r} leaves the float range of the jet: (mu/s)**3 must be finite") from None
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        u, ux, uxx, uxxx = (to_physical_amplitude(d * k, pp) for d, k in zip(jet, scales))
-        jet = (u, ux, uxx, uxxx, -pp.v * ux)
-    return _finite_off_poles(sol, jet, pole), pole
+    x, t = np.broadcast_arrays(x, t)
+    xs, ts, pp = _rows(x), _rows(t), sol.physical
+
+    def chain_rule(U, argument):  # called once _shifted has found pp
+        m = pp.mu / pp.s
+        try:
+            u, ux, uxx, uxxx = (to_physical_amplitude(d * m**n, pp)
+                                for n, d in enumerate(_jet(sol, U, argument)))
+        except OverflowError:
+            raise ParameterDomainError(f"mu/s = {m!r} leaves the float range of the jet: "
+                                       "(mu/s)**3 must be finite") from None
+        return u, ux, uxx, uxxx, -pp.v * ux
+
+    return _evaluate_blocks(sol, x.shape, lambda r, c: (xs[r, c], ts[r, c]), chain_rule)
 
 
 # ---------------------------------------------------------------------------
@@ -577,5 +573,7 @@ def sweep_rows(
     if theta_grid.size == 0 or a_values.size == 0:
         raise ParameterDomainError("sweep grid must be non-empty")
     theta0 = 1j * math.pi * reduce_kdvb_phase(a_values)
-    return _evaluate_blocks(universal_solution(family), (theta0.size, theta_grid.size),
-                            lambda r, c: theta_grid[c] - theta0[r, None], None)
+    (values,), pole = _evaluate_blocks(universal_solution(family), (theta0.size, theta_grid.size),
+                                       lambda r, c: (theta_grid[c] - theta0[r, None], None),
+                                       lambda U, _: (U,))
+    return values, pole

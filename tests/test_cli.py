@@ -597,7 +597,7 @@ def test_a_coordinate_error_in_a_later_block_wins_over_a_value_error_in_the_firs
 
 def test_no_kernel_call_of_figure_or_verify_sees_more_than_a_block(tmp_path, monkeypatch):
     # figure 5's 51 x 401 sweep, 20,451 cells, goes in blocks of whole rows like every grid;
-    # verify's jets take their grids whole, and each is smaller than a block
+    # verify's jets go in the same blocks
     sizes = []
 
     def counted(kernel):

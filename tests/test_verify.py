@@ -29,7 +29,7 @@ from kdvbwaves import (
     verification_suite,
 )
 from kdvbwaves import verify as verify_module
-from kdvbwaves.factorizer import CompoundFactorization
+from kdvbwaves.factorizer import CompoundFactorization, KdvbFactorization
 from kdvbwaves.verify import (
     BLOWUP_THRESHOLD,
     SCOPES,
@@ -790,6 +790,17 @@ def test_suite_scope_filters_checks():
     assert result.all_passed
     names = [c.name for c in result.checks]
     assert all("factorization" in n for n in names)
+
+
+def test_a_factorization_whose_conditions_are_nan_fails_its_check(monkeypatch):
+    # verify_factorization reports a NaN residual as NaN; the check then folded the
+    # factorizations with max(), which drops a NaN unless it comes first, and passed
+    # at 4.440892e-16
+    monkeypatch.setattr(KdvbFactorization, "F_at", lambda self, U: complex(math.nan, 0.0))
+    checks = {c.name: c for c in verification_suite(scope="factorization").checks}
+    kdvb = checks["factorization-kdvb-conditions"]
+    assert math.isnan(kdvb.max_abs) and not kdvb.passed
+    assert checks["factorization-compound-conditions"].passed
 
 
 def test_suite_audit_only_in_compound_rational_scope():
