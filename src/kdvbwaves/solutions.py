@@ -493,8 +493,10 @@ def eval_solution(sol: WaveSolution, theta: complex) -> complex | None:
 def eval_solution_physical(sol: WaveSolution, x: float, t: float) -> complex | None:
     """u(x, t) of a physically-anchored solution: evaluate_grid's cell, bit for bit.
 
-    None where evaluate_grid flags the cell as a pole.
+    None where evaluate_grid flags the cell as a pole; t None is a domain error.
     """
+    if t is None:
+        raise ParameterDomainError("t must be a time, not None")
     value, pole = evaluate_grid(sol, x, t)
     return None if pole else complex(value)
 
@@ -523,9 +525,11 @@ def physical_jet(sol: WaveSolution, x, t) -> tuple[tuple[np.ndarray, ...], np.nd
     u = to_physical_amplitude(w(theta)) with theta = to_reduced_coordinate(x, t)
     linear in x and t, so the n-th x-derivative carries (mu/s)^n and u_t =
     -v * u_x (travelling wave).  x and t broadcast, and their cells go through
-    _evaluate_blocks: u and ``pole`` are evaluate_grid's at time t, and a
-    component that leaves the float range off the poles is a ParameterDomainError.
+    _evaluate_blocks: u and ``pole`` are evaluate_grid's at time t.  A component
+    that leaves the float range off the poles, or t None, is a ParameterDomainError.
     """
+    if t is None:
+        raise ParameterDomainError("t must be a time, not None")
     x, t = np.broadcast_arrays(x, t)
     xs, ts, pp = _rows(x), _rows(t), sol.physical
 

@@ -16,10 +16,10 @@ Three mutually independent error channels:
    It is built once per solution, so each sample pays only for its own
    argument, pole distance, tanh and value, or returns None at a pole.
    Analytic and FD modes of the PDE residual are separate code paths on
-   purpose; their disagreement is itself a test failure.  One reducer
-   (_report) turns every residual array and its pole mask into a
-   ResidualReport; the residuals are computed with numpy's overflow and
-   invalid warnings off, since a non-finite residual is a FAIL.
+   purpose, over one domain (theta finite at every point and node): their
+   disagreement is a test failure.  One reducer (_report) turns every
+   residual array and its pole mask into a ResidualReport; residuals are
+   computed with numpy's overflow and invalid warnings off (non-finite: FAIL).
 
 2. A classical fixed-step Runge-Kutta oracle for the compatible first-order
    equations (Bernoulli and Riccati): one scalar driver (_rk4) that calls,
@@ -171,8 +171,8 @@ def _kink_width(sol: WaveSolution) -> float | None:
 #
 # A second spelling of each closed form, independent of the array kernels
 # in solutions: scalar cmath arithmetic on the physical coordinates, with
-# its own pole search.  A formula returns None at a pole and the asymptote at
-# an infinite x (rational: x or t); _physical_samples rejects a NaN x - v*t.
+# its own pole search.  A formula returns None at a pole; _physical_samples
+# gives it only nodes where theta is finite, the domain of the product's maps.
 
 
 def _nearest_pole(im: float, offset: float) -> complex:
@@ -221,7 +221,7 @@ def _kdvb_formula(family: Family, params: PhysicalParams) -> Callable[..., compl
     base, amp = v / alpha, 3.0 * mu**2 / (25.0 * alpha * s)
 
     def u(x: float, t: float) -> complex | None:
-        d = x - v * t - xi0_re  # by parts: a real infinite x keeps Im z finite
+        d = x - v * t - xi0_re  # by parts: Im z is fixed once per formula
         z = complex(mu * d / ten_s, im_z)
         if abs(z - pole) < tol:
             return None
@@ -247,7 +247,7 @@ def _compound_formula(family: Family, params: PhysicalParams) -> Callable[..., c
     tol = POLE_TOL * max(1.0, abs(mu_root / six_s))
 
     def u(x: float, t: float) -> complex | None:
-        d = x - v * t - xi0_re  # by parts: a real infinite x keeps Im z finite
+        d = x - v * t - xi0_re  # by parts: Im z is fixed once per formula
         if root == 0.0:
             return base + amp
         z = complex(mu_root * d / six_s, im_z)
@@ -279,8 +279,6 @@ def _rational_formula(
         if k0 == 0:
             return flat
         theta = mu * (x - v * t - xi0) / s
-        if not cmath.isfinite(theta):  # an infinite x or t: the asymptote
-            return flat
         if abs(theta - theta_pole) < POLE_TOL:
             return None
         return const + amp * (weight / (A + k0 * theta))
@@ -313,14 +311,14 @@ def _physical_formula(sol: WaveSolution) -> Callable[..., complex | None]:
 def _physical_samples(sol: WaveSolution, x: np.ndarray, t: np.ndarray):
     """(values, pole) of the solution's direct physical formula at each (x, t).
 
-    The formula is built once per call (_physical_formula) and evaluated
-    point by point on purpose: this keeps the finite-difference channel
-    independent of the array kernels.  A NaN x - v*t is a ParameterDomainError,
-    and a pole (the formula's None) a flag with the value NaN.
+    The formula is built once per call (_physical_formula) and evaluated point
+    by point on purpose, independent of the array kernels.  A node whose theta
+    (spelled as params.to_reduced_coordinate spells it) is not finite is a
+    ParameterDomainError, as in the product; a pole (None) is flagged as NaN.
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # inf is the asymptote; inf - inf is not
-        if np.isnan(x - sol.physical.v * t).any():
-            raise ParameterDomainError("x - v*t must not be NaN")
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow or NaN fails the check
+        if not np.isfinite((pp := sol.physical).mu * (x - pp.v * t - pp.xi0) / pp.s).all():
+            raise ParameterDomainError("theta = mu*(x - v*t - xi0)/s must be finite at every point")
     u, nan = _physical_formula(sol), complex(math.nan, math.nan)
     values = [u(xi, ti) for xi, ti in zip(x.tolist(), t.tolist())]
     pole = np.array([value is None for value in values], bool)
@@ -337,22 +335,21 @@ def residual_pde(
     """PDE residual u_t - s*u_xxx + mu*u_xx + alpha*u*u_x + beta*u^2*u_x.
 
     mode "fd": five-point central stencils over the direct physical formulas,
-    sampled at the nine nodes around each point; fourth-order in
-    u_x/u_xx/u_t and second-order in u_xxx (so the observed convergence is
-    O(h^2)).  A point counts as a pole when any of its nodes is one.
-    mode "analytic": the chain-rule jet (physical_jet).  A warning is
-    attached when h under-resolves the kink width.
+    sampled at the nine nodes around each point, with 0 < h**3 < inf; fourth-order
+    in u_x/u_xx/u_t and second-order in u_xxx (observed convergence O(h^2)).  A
+    point counts as a pole when any of its nodes is one, and a warning is attached
+    when h under-resolves the kink width.  mode "analytic": the chain-rule jet
+    (physical_jet).  Both raise where theta is not finite (fd: at any node).
     """
     pp = sol.physical
     if pp is None:
         raise ParameterDomainError("PDE residual needs a physically-anchored solution")
     if mode not in ("fd", "analytic"):
         raise ParameterDomainError(f"unknown residual mode: {mode!r}")
-    if mode == "fd" and h <= 0:
-        raise ParameterDomainError("finite-difference step must be positive")
+    if mode == "fd" and not 0 < h * h * h < math.inf:
+        raise ParameterDomainError("finite-difference step h must have 0 < h**3 < inf")
 
-    warning = None
-    width = _kink_width(sol)
+    warning, width = None, _kink_width(sol)
     if mode == "fd" and width is not None and h > width / 10.0:
         warning = (
             f"step h={h:g} is coarse relative to the kink width {width:g}; "
@@ -371,11 +368,10 @@ def residual_pde(
                 np.concatenate([x - 2 * h, x - h, x, x + h, x + 2 * h, x, x, x, x]),
                 np.concatenate([t, t, t, t, t, t - 2 * h, t - h, t + h, t + 2 * h]),
             )
-            um2, um1, u0, up1, up2, tm2, tm1, tp1, tp2 = scale * values.reshape(9, -1)
+            um2, um1, u, up1, up2, tm2, tm1, tp1, tp2 = scale * values.reshape(9, -1)
             pole = pole.reshape(9, -1).any(axis=0)
-            u = u0
             ux = (-up2 + 8 * up1 - 8 * um1 + um2) / (12 * h)
-            uxx = (-up2 + 16 * up1 - 30 * u0 + 16 * um1 - um2) / (12 * h * h)
+            uxx = (-up2 + 16 * up1 - 30 * u + 16 * um1 - um2) / (12 * h * h)
             uxxx = (up2 - 2 * up1 + 2 * um1 - um2) / (2 * h**3)
             ut = (-tp2 + 8 * tp1 - 8 * tm1 + tm2) / (12 * h)
         residual = _pde_terms(pp, u, ux, uxx, uxxx, ut)

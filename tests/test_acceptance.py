@@ -8,6 +8,7 @@ scorecard of the build.
 import csv
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from kdvbwaves import (
     verification_suite,
 )
 from kdvbwaves.cli import main
-from kdvbwaves.factorizer import verify_factorization
+from kdvbwaves.factorizer import KdvbFactorization, _max_residual, verify_factorization
 from kdvbwaves.verify import (
     oracle_integrate_bernoulli,
     oracle_integrate_riccati,
@@ -55,7 +56,7 @@ def test_criterion_1_factorization_exactness():
         for sign in (Sign.MINUS, Sign.PLUS):
             f = factorize_kdvb(delta, sign)
             c = verify_factorization(f.f1_at, f.f2_at, f.F_at, f.f1U_prime_at, real_samples)
-            worst_kdvb = max(worst_kdvb, c.max_product, c.max_closure)
+            worst_kdvb = _max_residual([worst_kdvb, c.max_product, c.max_closure])
     complex_samples = [
         complex(a, b)
         for a, b in zip(rng.uniform(-5.0, 5.0, 100), rng.uniform(-5.0, 5.0, 100))
@@ -69,7 +70,7 @@ def test_criterion_1_factorization_exactness():
                 c = verify_factorization(
                     f.f1_at, f.f2_at, f.F_at, f.f1U_prime_at, complex_samples
                 )
-                worst_compound = max(worst_compound, c.max_product, c.max_closure)
+                worst_compound = _max_residual([worst_compound, c.max_product, c.max_closure])
     elapsed = time.perf_counter() - t0
     ok = worst_kdvb < 1e-12 and worst_compound < 1e-12 and elapsed < 1.0
     report(1, ok, f"factorization residuals: kdvb {worst_kdvb:.2e}, "
@@ -96,12 +97,34 @@ def test_criterion_2_first_integral_exactness():
     worst_name = ""
     for name, sol, grid in cases:
         r = residual_first_integral(sol, grid)
-        if r.max_abs > worst:
+        if r.max_abs > worst or math.isnan(r.max_abs):  # a NaN is the worst and stays it
             worst, worst_name = r.max_abs, name
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-9 and elapsed < 1.0
     report(2, ok, f"first-integral residual over {len(cases)} family cases: "
                   f"worst {worst:.2e} ({worst_name}) < 1e-9, {elapsed:.2f}s")
+
+
+def test_criterion_1_fails_on_a_nan_residual(monkeypatch, capsys):
+    # negative control: a NaN residual fails the criterion (max() keeps a NaN only in front)
+    monkeypatch.setattr(KdvbFactorization, "F_at", lambda self, U: complex(math.nan))
+    with pytest.raises(AssertionError):
+        test_criterion_1_factorization_exactness()
+    assert "ACCEPTANCE 1: FAIL - factorization residuals: kdvb nan" in capsys.readouterr().out
+
+
+def test_criterion_2_fails_on_a_nan_residual(monkeypatch, capsys):
+    # negative control: a NaN residual fails the criterion (NaN > worst is False)
+    original = residual_first_integral
+
+    def nan_for_singular(sol, grid, scale=1.0):
+        r = original(sol, grid, scale)
+        return replace(r, max_abs=math.nan) if sol.family is Family.KDVB_SINGULAR else r
+
+    monkeypatch.setitem(globals(), "residual_first_integral", nan_for_singular)
+    with pytest.raises(AssertionError):
+        test_criterion_2_first_integral_exactness()
+    assert "worst nan (singular)" in capsys.readouterr().out
 
 
 def test_criterion_3_pde_finite_difference_exactness():
@@ -270,7 +293,7 @@ def test_criterion_8_negative_controls(capsys):
         clean = residual_first_integral(sol, grid).max_abs
         dirty = residual_first_integral(sol, grid, scale=1.01).max_abs
         ratio = dirty / max(clean, 1e-300)
-        if ratio < worst_ratio:
+        if ratio < worst_ratio or math.isnan(ratio):
             worst_ratio, worst_name = ratio, name
     pde_sol = kdvb_solution_from_physical(
         Family.KDVB_REGULAR, PhysicalParams(s=1.0, mu=6.0, alpha=1.0, beta=0.0, v=0.2)
@@ -285,6 +308,21 @@ def test_criterion_8_negative_controls(capsys):
     report(8, ok, f"1%-perturbed residuals grow by >= 1e3: worst first-integral ratio "
                   f"{worst_ratio:.1e} ({worst_name}), PDE ratio {pde_ratio:.1e}; "
                   f"perturbed verify exit code {exit_code}")
+
+
+def test_criterion_8_fails_on_a_nan_residual(monkeypatch, capsys):
+    # negative control: a NaN perturbed residual fails the criterion (NaN < worst is False)
+    original = residual_first_integral
+
+    def nan_for_perturbed_singular(sol, grid, scale=1.0):
+        r = original(sol, grid, scale)
+        singular = sol.family is Family.KDVB_SINGULAR and scale == 1.01
+        return replace(r, max_abs=math.nan) if singular else r
+
+    monkeypatch.setitem(globals(), "residual_first_integral", nan_for_perturbed_singular)
+    with pytest.raises(AssertionError):
+        test_criterion_8_negative_controls(capsys)
+    assert "worst first-integral ratio nan (singular)" in capsys.readouterr().out
 
 
 def test_criterion_9_rational_form_audit(capsys):

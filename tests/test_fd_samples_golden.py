@@ -7,18 +7,23 @@ raises.  The test requires the same hex strings, so every value must match
 bit for bit (signed zeros included; a NaN matches any NaN).
 
 The cases cover all seven families, real and complex xi0, negative s and
-mu, grid nodes on a pole and next to it, huge finite x, x or t = +-inf
-(the asymptotes) and NaN coordinates (a domain error).  The rational
-families are sampled at finite coordinates only: their infinite and NaN
-coordinates are covered by the dedicated tests in tests/test_verify.py.
+mu, grid nodes on a pole and next to it, huge finite x and t where theta =
+mu*(x - v*t - xi0)/s stays finite, and NaN or infinite coordinates, which
+are a domain error: the sampler takes the product's domain, where theta is
+finite at every node.  The rational families are sampled at finite
+coordinates only: their infinite and NaN coordinates are covered by the
+dedicated tests in tests/test_verify.py.
 
-``python tests/test_fd_samples_golden.py`` rewrites the fixture from the
-code on the import path; do that only for an intended change of the direct
-physical formulas.
+``python tests/test_fd_samples_golden.py`` rewrites, from the code on the
+import path, the cases of the fixture whose record changed, and prints each
+with its count of changed positions (dropped, added or with other bits).
+Do that only for an intended change of the direct physical formulas; the
+diff is then that change.
 """
 
 from __future__ import annotations
 
+import difflib
 import json
 import math
 from pathlib import Path
@@ -40,7 +45,8 @@ from kdvbwaves.verify import _physical_formula, _physical_samples, physical_disc
 
 FIXTURE = Path(__file__).parent / "data" / "fd_samples_golden.json"
 INF = math.inf
-X_FAR = [1e3, -1e3, 1e308, -1e308, INF, -INF]
+X_FAR = [1e3, -1e3]
+X_HUGE = [1e308, -1e308]  # theta is finite here only for |mu/s| < 1.79: not KDVB's 6
 KDVB = dict(s=1.0, mu=6.0, alpha=1.0, beta=0.0, v=0.2)
 COMPOUND = dict(s=2.0, mu=1.0, alpha=3.0, beta=2.0, v=1.0)
 LOCKED = dict(s=2.0, mu=1.0, alpha=3.0, beta=2.0)
@@ -96,7 +102,7 @@ def _cases() -> dict:
         ),
         "kdvb-regular t nodes": (
             lambda: _kdvb(reg, 0.3 + 0.4j),
-            [0.5] * 6, [0.0, -0.0, 1e300, -1e300, INF, -INF],
+            [0.5] * 4, [0.0, -0.0, 1e300, -1e300],
         ),
         "kdvb-singular pole at v*t": (
             lambda: _kdvb(sing), *_cross(base + _near(0.0) + X_FAR, [0.0]),
@@ -112,9 +118,11 @@ def _cases() -> dict:
             lambda: _kdvb(sing, -0.7 + 0.25j, s=-1.5, mu=-4.0, alpha=2.0, v=-0.3),
             *_cross(base + X_FAR, ts),
         ),
-        "compound-tanh-plus real xi0": (lambda: _compound(plus, 0.5), *_cross(base + X_FAR, ts)),
+        "compound-tanh-plus real xi0": (
+            lambda: _compound(plus, 0.5), *_cross(base + X_FAR + X_HUGE, ts),
+        ),
         "compound-tanh-minus complex xi0": (
-            lambda: _compound(minus, 0.5 - 0.8j), *_cross(base + X_FAR, ts),
+            lambda: _compound(minus, 0.5 - 0.8j), *_cross(base + X_FAR + X_HUGE, ts),
         ),
         "compound-tanh-plus pole on the axis": (
             _compound_pole_on_axis, *_cross(base + _near(0.5), [0.0]),
@@ -125,27 +133,27 @@ def _cases() -> dict:
         ),
         "compound-tanh-minus negative s and beta": (
             lambda: _compound(minus, -1.25 + 0.5j, s=-2.0, beta=-2.0, v=-1.0),
-            *_cross(base + X_FAR, ts),
+            *_cross(base + X_FAR + X_HUGE, ts),
         ),
         "compound-tanh-plus degenerate": (
             lambda: compound_solution_from_physical(plus, _locked(0.4 - 0.3j)),
-            *_cross(base + X_FAR, ts),
+            *_cross(base + X_FAR + X_HUGE, ts),
         ),
         "rational-plus real xi0": (
             lambda: rational_solution_from_physical(Family.RATIONAL_PLUS, _locked(0.2), 1.0),
-            *_cross(base + [1e3, -1e3, 1e308, -1e308], ts),
+            *_cross(base + X_FAR + X_HUGE, ts),
         ),
         "rational-minus complex xi0": (
             lambda: rational_solution_from_physical(Family.RATIONAL_MINUS, _locked(0.2 + 0.3j), -1.0),
-            *_cross(base + [1e3, -1e3], ts),
+            *_cross(base + X_FAR, ts),
         ),
         "constant plus": (
             lambda: rational_solution_from_physical(Family.CONSTANT, _locked(0.1j), 0.0, Sign.PLUS),
-            *_cross(base + X_FAR, ts),
+            *_cross(base + X_FAR + X_HUGE, ts),
         ),
         "constant minus": (
             lambda: rational_solution_from_physical(Family.CONSTANT, _locked(), 0.0, Sign.MINUS),
-            *_cross(base + X_FAR, ts),
+            *_cross(base + X_FAR + X_HUGE, ts),
         ),
     }
     for fam, k0, t in ((Family.RATIONAL_PLUS, 2.5, 0.0), (Family.RATIONAL_MINUS, -1.0, 0.75)):
@@ -154,8 +162,8 @@ def _cases() -> dict:
 
         x_pole = _rational_pole_x(factory(), t)
         cases[f"{fam.value} pole node"] = (factory, _near(x_pole) + base, [t] * (10 + len(base)))
-    # a NaN coordinate has no asymptote: a domain error; so is x = t = inf at v > 0
-    # (x - v*t = inf - inf), while the degenerate probe's v < 0 gives the asymptote
+    # theta is not finite at a NaN or infinite coordinate: a domain error, whether
+    # x - v*t is NaN (x = t = inf at v > 0) or infinite (the degenerate probe's v < 0)
     nan = math.nan
     for label, factory in (
         ("kdvb-regular", lambda: _kdvb(reg, 0.3)),
@@ -202,14 +210,41 @@ def test_each_formula_returns_none_exactly_on_the_flagged_nodes():
                     Family.RATIONAL_PLUS, Family.RATIONAL_MINUS}
 
 
-def test_fixture_covers_poles_asymptotes_and_errors():
-    records = _fixture().values()
+def test_fixture_covers_poles_far_nodes_and_errors():
+    """Pole cases, far but finite nodes, and one domain error per NaN or infinite probe.
+
+    The 9 errors are x = NaN, t = NaN and x = t = inf for each of three probes:
+    theta is not finite at one of the nodes, so there is neither a value nor a
+    pole flag to record.
+    """
+    fixture = _fixture()
+    records = fixture.values()
     assert sum(any(r.get("pole", ())) for r in records) >= 5
-    assert sum(1 for r in records if "error" in r) == 8
-    assert set(_fixture()) == set(_cases())
+    assert sum(1 for r in records if "error" in r) == 9
+    assert set(fixture) == set(_cases())
+    xs = {x for name, (_, case_xs, _) in _cases().items() if "values" in fixture[name]
+          for x in case_xs}
+    assert {1e308, -1e308} <= xs and not {INF, -INF} & xs
+
+
+def _changed(want: dict, got: dict) -> int:
+    """Positions dropped, added or with other bits from record ``want`` to ``got``."""
+    old, new = ([(*v, p) for v, p in zip(r.get("values", ()), r.get("pole", ()))]
+                for r in (want, got))
+    ops = difflib.SequenceMatcher(None, old, new, autojunk=False).get_opcodes()
+    return sum(max(i2 - i1, j2 - j1) for tag, i1, i2, j1, j2 in ops if tag != "equal")
 
 
 if __name__ == "__main__":
+    golden = _fixture() if FIXTURE.exists() else {}
+    for name, case in _cases().items():
+        got, want = _record(*case), golden.get(name, {})
+        if got != want:
+            print(f"{name}: {_changed(want, got)} positions changed"
+                  + (f", now {got['error']}" if "error" in got else ""))
+            golden[name] = got
+    for name in set(golden) - set(_cases()):
+        print(f"{name}: removed")
+        del golden[name]
     FIXTURE.parent.mkdir(exist_ok=True)
-    records = {name: _record(*case) for name, case in sorted(_cases().items())}
-    FIXTURE.write_text(json.dumps(records, indent=1) + "\n", encoding="utf-8")
+    FIXTURE.write_text(json.dumps(dict(sorted(golden.items())), indent=1) + "\n", encoding="utf-8")

@@ -191,6 +191,26 @@ def test_non_finite_coordinates_are_domain_errors(index):
                     call()
 
 
+@pytest.mark.parametrize("index", range(7))
+def test_physical_entry_points_reject_a_missing_time(index):
+    # t None is no time: read as a reduced call it would give U at theta = x;
+    # one rule and one message for both physical entry points
+    _, phys = _all_families()[index]
+    with pytest.raises(ParameterDomainError, match="t must be a time, not None"):
+        eval_solution_physical(phys, 1.0, None)
+    for x in (1.0, np.array([0.0, 1.0])):
+        with pytest.raises(ParameterDomainError, match="t must be a time, not None"):
+            physical_jet(phys, x, None)
+    # a complex time is a time: the jet's u and pole are evaluate_grid's, as at any t
+    x = np.array([0.0, 1.0])
+    (u, *_), pole = physical_jet(phys, x, 0.5j)
+    values, flags = evaluate_grid(phys, x, 0.5j)
+    np.testing.assert_array_equal(u, values)
+    np.testing.assert_array_equal(pole, flags)
+    expected = [None if f else complex(v) for v, f in zip(values, flags)]
+    assert [eval_solution_physical(phys, xi, 0.5j) for xi in x] == expected
+
+
 def test_overflowing_coordinate_map_is_a_domain_error():
     # mu/s = 600 takes x = 1e306 past the float range: this used to give NaN
     # values with pole flag 0 and a RuntimeWarning

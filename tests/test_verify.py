@@ -148,44 +148,57 @@ def test_empty_grid_is_an_error_that_names_it(reduce_empty):
 
 
 @pytest.mark.parametrize("xi0", [0j, 0.3j, complex(0.5, -0.7)])
-def test_physical_infinite_coordinates_give_the_asymptotes(xi0):
-    # the direct physical formulas used to die in round(nan) here: Im z became NaN
+def test_physical_samples_reject_a_node_without_a_finite_theta(xi0):
+    # the sampler takes the product's domain: a NaN or infinite coordinate, or one
+    # whose theta = mu*(x - v*t - xi0)/s overflows, has no value and no pole flag
     inf, nan = math.inf, math.nan
     kdvb = PhysicalParams(s=1.0, mu=6.0, alpha=1.0, beta=0.0, v=0.2, xi0=xi0)
-    c = 3.0 * 6.0**2 / 25.0
-    for fam in (Family.KDVB_REGULAR, Family.KDVB_SINGULAR):
-        assert _kdvb_formula(fam, kdvb)(inf, 0.7) == pytest.approx(0.2 + 2.0 * c, abs=1e-14)
-        assert _kdvb_formula(fam, kdvb)(-inf, 0.7) == pytest.approx(0.2 - 2.0 * c, abs=1e-14)
     compound = PhysicalParams(s=2.0, mu=1.0, alpha=3.0, beta=2.0, v=-0.04, xi0=xi0)
-    root, amp = physical_discriminant_root(compound), 1.0 / math.sqrt(6.0 * 2.0 * 2.0)
-    for fam, sign in ((Family.COMPOUND_TANH_PLUS, 1.0), (Family.COMPOUND_TANH_MINUS, -1.0)):
-        for end in (1.0, -1.0):
-            expected = -3.0 / 4.0 + sign * amp * (1.0 + end * root)
-            assert _compound_formula(fam, compound)(end * inf, 0.25) == pytest.approx(
-                expected, abs=1e-14)
-    # NaN has no asymptote: the sampler's domain error, not a ValueError from
-    # round(nan); at v > 0, x = t = inf is x - v*t = inf - inf
     for sol in (kdvb_solution_from_physical(Family.KDVB_REGULAR, kdvb),
                 kdvb_solution_from_physical(Family.KDVB_SINGULAR, kdvb),
+                compound_solution_from_physical(Family.COMPOUND_TANH_PLUS, compound),
                 compound_solution_from_physical(Family.COMPOUND_TANH_MINUS, compound)):
-        for x, t in ((nan, 0.0), (0.0, nan), (inf, inf if sol.physical.v > 0 else -inf)):
-            with pytest.raises(ParameterDomainError, match="must not be NaN"):
+        for x, t in ((nan, 0.0), (0.0, nan), (inf, 0.7), (-inf, 0.7), (0.0, inf), (inf, inf),
+                     (inf, -inf)):
+            with pytest.raises(ParameterDomainError, match="must be finite"):
                 _physical_samples(sol, np.array([0.0, x]), np.array([0.0, t]))
+        # mu/s = 6 takes x = 1e308 out of the float range; mu/s = 1/2 keeps it
+        far = np.array([1e308, -1e308])
+        if sol.family in (Family.KDVB_REGULAR, Family.KDVB_SINGULAR):
+            with pytest.raises(ParameterDomainError, match="must be finite"):
+                _physical_samples(sol, far, np.zeros(2))
+    # the asymptotes, at the farthest nodes whose theta is finite
+    c = 3.0 * 6.0**2 / 25.0
+    for fam in (Family.KDVB_REGULAR, Family.KDVB_SINGULAR):
+        values, pole = _physical_samples(kdvb_solution_from_physical(fam, kdvb),
+                                         np.array([1e307, -1e307]), np.full(2, 0.7))
+        assert not pole.any()
+        assert values == pytest.approx([0.2 + 2.0 * c, 0.2 - 2.0 * c], abs=1e-14)
+        assert _kdvb_formula(fam, kdvb)(1e307, 0.7) == values[0]
+    root, amp = physical_discriminant_root(compound), 1.0 / math.sqrt(6.0 * 2.0 * 2.0)
+    for fam, sign in ((Family.COMPOUND_TANH_PLUS, 1.0), (Family.COMPOUND_TANH_MINUS, -1.0)):
+        values, pole = _physical_samples(compound_solution_from_physical(fam, compound),
+                                         np.array([1e308, -1e308]), np.full(2, 0.25))
+        assert not pole.any()
+        expected = [-3.0 / 4.0 + sign * amp * (1.0 + end * root) for end in (1.0, -1.0)]
+        assert values == pytest.approx(expected, abs=1e-14)
+        assert _compound_formula(fam, compound)(-1e308, 0.25) == values[1]
     # also where the degenerate kink (D = 0) is constant in the coordinate
     flat = PhysicalParams(s=2.0, mu=1.0, alpha=3.0, beta=2.0, v=-25.0 / 24.0, xi0=xi0)
     assert physical_discriminant_root(flat) == 0.0
-    with pytest.raises(ParameterDomainError, match="must not be NaN"):
-        _physical_samples(compound_solution_from_physical(Family.COMPOUND_TANH_PLUS, flat),
-                          np.array([nan]), np.array([0.0]))
+    for x in (nan, inf):
+        with pytest.raises(ParameterDomainError, match="must be finite"):
+            _physical_samples(compound_solution_from_physical(Family.COMPOUND_TANH_PLUS, flat),
+                              np.array([x]), np.array([0.0]))
 
 
 RATIONAL_K0 = ((Family.RATIONAL_PLUS, 1.0), (Family.RATIONAL_MINUS, -2.0))
 
 
 @pytest.mark.parametrize("xi0", [0j, 0.3j, complex(0.5, -0.7)])
-def test_rational_physical_infinite_coordinates_give_the_constant(xi0):
-    # the direct formula used to return nan+nanj here: theta = mu*(x - v*t - xi0)/s
-    # is a complex product, so an infinite x made its imaginary part NaN
+def test_rational_physical_samples_reject_a_node_without_a_finite_theta(xi0):
+    # theta = mu*(x - v*t - xi0)/s is a complex product, so an infinite x makes
+    # it non-finite whatever its real part does: a domain error, as in the product
     inf, nan = math.inf, math.nan
     v = locked_rational_velocity(PhysicalParams(s=2.0, mu=1.0, alpha=3.0, beta=2.0, v=0.0))
     params = PhysicalParams(s=2.0, mu=1.0, alpha=3.0, beta=2.0, v=v, xi0=xi0)
@@ -196,19 +209,22 @@ def test_rational_physical_infinite_coordinates_give_the_constant(xi0):
         const = -(3.0 / (2.0 * 2.0)) * (A + 1.0)
         sol = rational_solution_from_physical(fam, params, k0)
         direct, dispatched = _rational_formula(fam, params, k0, Sign.PLUS), _physical_formula(sol)
-        for x, t in ((inf, 0.0), (-inf, 0.0), (0.0, inf), (0.0, -inf), (inf, inf), (1e308, 0.5)):
+        # far out, but finite: the formula itself, approaching the constant
+        for x, t in ((1e308, 0.5),):
             assert direct(x, t) == pytest.approx(const, abs=1e-15)
             assert dispatched(x, t) == pytest.approx(const, abs=1e-15)
-        # far out, but finite: the formula itself, approaching the constant
+            assert _physical_samples(sol, np.array([x]), np.array([t]))[0][0] == direct(x, t)
         assert abs(direct(1e8, 0.0) - const) < 1e-7
-        for x, t in ((nan, 0.0), (0.0, nan), (inf, -inf)):
-            with pytest.raises(ParameterDomainError, match="must not be NaN"):
+        for x, t in ((nan, 0.0), (0.0, nan), (inf, 0.0), (-inf, 0.0), (0.0, inf), (0.0, -inf),
+                     (inf, inf), (inf, -inf)):
+            with pytest.raises(ParameterDomainError, match="must be finite"):
                 _physical_samples(sol, np.array([x]), np.array([t]))
     flat = rational_solution_from_physical(Family.CONSTANT, params, 0.0, Sign.MINUS)
-    with pytest.raises(ParameterDomainError, match="must not be NaN"):
-        _physical_samples(flat, np.array([nan]), np.array([0.0]))
+    for x in (nan, -inf):
+        with pytest.raises(ParameterDomainError, match="must be finite"):
+            _physical_samples(flat, np.array([x]), np.array([0.0]))
     constant = _physical_formula(flat)
-    assert constant(-inf, 0.0) == constant(0.0, 0.0)
+    assert constant(-1e308, 0.0) == constant(0.0, 0.0)
 
 
 def test_physical_dispatch_agrees_with_direct_formulas():
@@ -267,6 +283,10 @@ def test_pde_residual_detects_perturbation():
     assert dirty > 1e3 * max(clean, 1e-300)
 
 
+# (x, t) where theta = mu*(x - v*t - xi0)/s of KDVB_PROBE (mu/s = 6) is not finite
+_NO_THETA = [(math.inf, 0.0), (-math.inf, 0.0), (0.0, math.inf), (math.nan, 0.0), (1e308, 0.0)]
+
+
 def test_pde_residual_requires_physical_anchor():
     sol = universal_solution(Family.KDVB_REGULAR)
     with pytest.raises(ParameterDomainError):
@@ -274,8 +294,38 @@ def test_pde_residual_requires_physical_anchor():
     anchored = kdvb_solution_from_physical(Family.KDVB_REGULAR, KDVB_PROBE)
     with pytest.raises(ParameterDomainError):
         residual_pde(anchored, [(0.0, 0.0)], mode="nonsense")
-    with pytest.raises(ParameterDomainError):
-        residual_pde(anchored, [(0.0, 0.0)], h=-1e-3, mode="fd")
+    for h in (-1e-3, 0.0, math.inf, math.nan, 1e200):  # 1e200**3 overflows
+        with pytest.raises(ParameterDomainError, match="step"):
+            residual_pde(anchored, [(0.0, 0.0)], h=h, mode="fd")
+    # no residual where theta is not finite: an asymptote there would let a
+    # non-solution pass (scale=1.01 reads 5.3e-9 at the asymptote, 0.216 at x = 0)
+    for xt in _NO_THETA:
+        with pytest.raises(ParameterDomainError, match="must be finite"):
+            residual_pde(anchored, [(0.0, 0.0), xt], mode="fd", scale=1.01)
+
+
+_FINITE_THETA = [(1e307, 0.0), (0.0, 1e300), (-3.0, 0.5)]
+
+
+@pytest.mark.parametrize("xt", _NO_THETA + _FINITE_THETA)
+@pytest.mark.parametrize("family", [Family.KDVB_REGULAR, Family.KDVB_SINGULAR,
+                                    Family.COMPOUND_TANH_PLUS])
+def test_pde_residual_fd_raises_exactly_where_analytic_raises(family, xt):
+    # one domain for both modes: theta finite at every point (every FD node)
+    compound = family is Family.COMPOUND_TANH_PLUS
+    sol = (compound_solution_from_physical(family, COMPOUND_PROBE) if compound
+           else kdvb_solution_from_physical(family, KDVB_PROBE))
+    outcomes = []
+    for mode in ("fd", "analytic"):
+        try:
+            residual_pde(sol, [xt], mode=mode)
+        except ParameterDomainError as exc:
+            outcomes.append(str(exc))
+        else:
+            outcomes.append(None)
+    assert outcomes[0] == outcomes[1]
+    # mu/s = 6 takes x = 1e308 out of the float range, COMPOUND_PROBE's mu/s = 1/2 does not
+    assert (outcomes[0] is None) == (xt in _FINITE_THETA or compound and xt == (1e308, 0.0))
 
 
 def test_beta_zero_pde_residual_drops_the_cubic_term():
