@@ -570,12 +570,15 @@ def sweep_rows(
     imaginary part vanishes; at a = -5 the regular family equals the singular
     one at real phase (tanh(z - i*pi/2) = coth(z)).  a is reduced by its
     period (reduce_kdvb_phase) before it enters theta0.  Each block of rows
-    and columns forms its own theta - theta0.
+    and columns forms its own theta - theta0.  Both grids must be 1-D and
+    non-empty, and every a finite.
     """
     a_values = np.asarray(a_values, dtype=float)
     theta_grid = np.asarray(theta_grid, dtype=float)
-    if theta_grid.size == 0 or a_values.size == 0:
-        raise ParameterDomainError("sweep grid must be non-empty")
+    if a_values.ndim != 1 or theta_grid.ndim != 1 or not a_values.size or not theta_grid.size:
+        raise ParameterDomainError("sweep grids of a and theta must be 1-D and non-empty")
+    if not np.isfinite(a_values).all():  # else i*pi*inf is NaN, with a warning
+        raise ParameterDomainError("a must be finite at every point")
     theta0 = 1j * math.pi * reduce_kdvb_phase(a_values)
     (values,), pole = _evaluate_blocks(universal_solution(family), (theta0.size, theta_grid.size),
                                        lambda r, c: (theta_grid[c] - theta0[r, None], None),

@@ -346,6 +346,10 @@ def residual_pde(
         raise ParameterDomainError("PDE residual needs a physically-anchored solution")
     if mode not in ("fd", "analytic"):
         raise ParameterDomainError(f"unknown residual mode: {mode!r}")
+    try:
+        h = float(h)  # an int, a Fraction or a numpy scalar steps as the float it rounds to
+    except OverflowError:
+        h = math.inf  # an int beyond the float range fails the step check below
     if mode == "fd" and not 0 < h * h * h < math.inf:
         raise ParameterDomainError("finite-difference step h must have 0 < h**3 < inf")
 
@@ -732,9 +736,13 @@ def _fd_convergence(label: str, phys: WaveSolution, xt: list) -> list[tuple]:
 
 
 def _factorization(scale: float) -> list[tuple]:
-    rng = np.random.default_rng(2718)
-    real = rng.uniform(0.01, 10.0, 100).tolist()
-    z = [complex(a, b) for a, b in zip(*rng.uniform(-10.0, 10.0, (2, 100)))]
+    # The probe sets here and in the phase identity are fixed grids: verify draws no
+    # random numbers.  They are not thinned, since fewer samples would loosen the
+    # check: 100 reals, and an 11 x 11 complex grid that keeps 80 samples in
+    # 0.01 <= |c| <= 10 (a 10 x 10 grid would keep 60).
+    real = np.linspace(0.01, 10.0, 100).tolist()
+    axis = np.linspace(-10.0, 10.0, 11).tolist()
+    z = [complex(a, b) for a in axis for b in axis]
     signs = (Sign.MINUS, Sign.PLUS)
     cases = (
         ("kdvb", real, [factorize_kdvb(d, sign) for d in (-2.0, 0.0, 1.0, 3.7) for sign in signs]),
@@ -761,7 +769,7 @@ def _kdvb_regular(scale: float) -> list[tuple]:
     ends = [oracle_integrate_bernoulli(Sign.MINUS, 3.0 / 50.0, (0.0, end), h).endpoint
             for end, h in ((40.0, 0.01), (10.0, 0.5), (10.0, 0.25))]
     # half-period phase identity between the two universal families
-    pts = np.random.default_rng(31).uniform(-40.0, 40.0, 200)
+    pts = np.linspace(-40.0, 40.0, 200)
     pts = pts[np.abs(pts) > 0.5]  # keep clear of the shared pole at theta = 0
     shifted, _ = evaluate_grid(universal_solution(reg, theta0=5j * math.pi), pts)
     singular, _ = evaluate_grid(universal_solution(Family.KDVB_SINGULAR), pts)

@@ -13,13 +13,15 @@ fails, when a reported statement is not in UNEXECUTED, when a statement in
 UNEXECUTED is not reported (so the list cannot go stale), and when an entry's
 first line is shared by another statement of its function (so it names one
 statement).  Entries name the file, the enclosing function and the
-statement's first line, never a line number.  Standard library only besides
+statement's first line, never a line number.  It stops before tier-1 runs when
+kdvbwaves does not import from src/kdvbwaves.  Standard library only besides
 pytest; it takes about twice as long as tier-1.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib.util
 import os
 import sys
 import tempfile
@@ -150,6 +152,12 @@ def survey(path: Path, hits: set[int]) -> tuple[Counter, list[tuple[str, str, in
 
 
 def main() -> int:
+    # find_spec locates the package without running it, so its module lines are traced
+    spec = importlib.util.find_spec("kdvbwaves")
+    if spec is None or Path(spec.origin).resolve().parent != PACKAGE:
+        print(f"kdvbwaves does not import from {PACKAGE} ({spec.origin if spec else 'not found'}): "
+              "run PYTHONPATH=src python tests/line_coverage.py")
+        return 2
     code, hits = run_traced()
     listed = {(file, scope, statement) for file, scope, statement, _ in UNEXECUTED}
     seen = set()

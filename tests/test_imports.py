@@ -5,7 +5,8 @@
 and ``kdvbwaves.verify`` unimported, and the commands write the same bytes as
 before.  The package resolves the names of those two modules on first use,
 and ``cli`` imports them in the functions that use them, so every name and
-every private helper works whatever ran first.
+every private helper works whatever ran first.  ``verify`` draws no random
+numbers, so it leaves ``numpy.random`` unimported.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ TRANSCRIPTS = Path(__file__).parent / "data" / "parser_transcripts.json"
 HELP_CASES = sorted(case for case in json.loads(TRANSCRIPTS.read_text(encoding="utf-8"))
                     if case.split()[0] == "help")
 HEAVY = ("numpy", "kdvbwaves.solutions", "kdvbwaves.verify")
+# reported too: no command draws random numbers, verify's probe sets are fixed grids
+LOADED = (*HEAVY, "numpy.random")
 # kdvbwaves.__all__: the names README's Library section documents
 PUBLIC = [
     "Family", "ParameterDomainError", "PhysicalParams", "ReducedParams", "Sign", "WaveSolution",
@@ -46,7 +49,7 @@ INTERNAL = {
 }
 
 # imports Family, runs cli.main on argv[2:], then writes its exit code and the
-# HEAVY modules they loaded to the file argv[1]
+# LOADED modules they loaded to the file argv[1]
 _RUN_MAIN = f"""
 import json, sys
 from kdvbwaves import Family, cli
@@ -55,7 +58,7 @@ try:
 except SystemExit as exc:
     code = exc.code
 sys.stdout.flush()
-loaded = [name for name in {HEAVY!r} if name in sys.modules]
+loaded = [name for name in {LOADED!r} if name in sys.modules]
 with open(sys.argv[1], "w") as fh:
     json.dump({{"exit": code, "loaded": loaded}}, fh)
 """
@@ -92,6 +95,11 @@ def test_factorize_imports_no_numpy_and_writes_the_numpy_grid_report(argv, tmp_p
     monkeypatch.setattr(cli, "_linspace", lambda lo, hi, n: np.linspace(lo, hi, n).tolist())
     assert cli.main(argv) == 0
     assert out == capsys.readouterr().out
+
+
+def test_verify_imports_no_random_number_generator(tmp_path):
+    report, out, err = _main_in_fresh_interpreter(tmp_path, ["verify", "--scope", "all"])
+    assert report == {"exit": 0, "loaded": list(HEAVY)} and err == ""
 
 
 @pytest.mark.parametrize("lo, hi, n", [(0.05, 9.95, 64), (-3.0, 3.0, 8)])

@@ -1293,6 +1293,26 @@ def test_sweep_rejects_empty_grids():
         sweep_rows(Family.KDVB_REGULAR, np.array([0.0]), np.array([]))
 
 
+_THETA = np.linspace(-1.0, 1.0, 3)
+
+
+@pytest.mark.parametrize("a, theta, message", [
+    (np.array([0.5, math.inf]), _THETA, "a must be finite"),
+    (np.array([-math.inf]), _THETA, "a must be finite"),
+    (np.array([math.nan, 0.5]), _THETA, "a must be finite"),
+    (0.5, _THETA, "1-D"),
+    (np.array([0.5]), 1.0, "1-D"),
+    (np.zeros((2, 2)), _THETA, "1-D"),
+    (np.array([0.0, 0.5]), np.zeros((3, 2)), "1-D"),
+], ids=["inf", "-inf", "nan", "scalar a", "scalar theta", "2-D a", "2-D theta"])
+def test_sweep_rejects_grids_outside_its_domain(a, theta, message):
+    # the domain error comes before i*pi*a is formed: no warning, IndexError or broadcast error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterDomainError, match=message):
+            sweep_rows(Family.KDVB_REGULAR, a, theta)
+
+
 # ---------------------------------------------------------------------------
 # array kernel against the scalar references
 #

@@ -3,6 +3,8 @@
 import cmath
 import math
 import struct
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -294,9 +296,17 @@ def test_pde_residual_requires_physical_anchor():
     anchored = kdvb_solution_from_physical(Family.KDVB_REGULAR, KDVB_PROBE)
     with pytest.raises(ParameterDomainError):
         residual_pde(anchored, [(0.0, 0.0)], mode="nonsense")
-    for h in (-1e-3, 0.0, math.inf, math.nan, 1e200):  # 1e200**3 overflows
+    for h in (-1e-3, 0.0, math.inf, math.nan, 1e200, 10**400):  # 1e200**3 overflows
         with pytest.raises(ParameterDomainError, match="step"):
             residual_pde(anchored, [(0.0, 0.0)], h=h, mode="fd")
+    # h is read as float(h): a Fraction (whose format has no "g" before Python 3.12) and an
+    # int64 whose cube overflows int64 give the report of the float they round to
+    for h in (Fraction(1, 2), np.int64(2**62)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = residual_pde(anchored, [(0.0, 0.0), (1.0, 0.5)], h=h, mode="fd")
+        want = residual_pde(anchored, [(0.0, 0.0), (1.0, 0.5)], h=float(h), mode="fd")
+        assert repr(got) == repr(want) and "coarse" in got.warning
     # no residual where theta is not finite: an asymptote there would let a
     # non-solution pass (scale=1.01 reads 5.3e-9 at the asymptote, 0.216 at x = 0)
     for xt in _NO_THETA:
