@@ -148,11 +148,12 @@ def factorize_kdvb(delta: float, sign: Sign) -> KdvbFactorization:
     """Factorize the displaced KdVB ODE for a given displacement.
 
     delta is a free real parameter; the factorization exists for every value
-    and fixes p = 2*delta + 6/25 and k = p*delta - delta^2.  A NaN or
-    infinite delta is a ParameterDomainError, and so is a delta whose p or
-    k is not finite.
+    and fixes p = 2*delta + 6/25 and k = p*delta - delta^2, computed with
+    float(delta).  A NaN or infinite delta, or an int beyond the float range,
+    is a ParameterDomainError, and so is a delta whose p or k is not finite.
     """
     require_finite(delta=delta)
+    delta = float(delta)
     A = sign.factor * math.sqrt(2.0 / 3.0)
     B = 2.0 / 5.0
     p = 2.0 * delta + 6.0 / 25.0

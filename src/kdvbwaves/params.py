@@ -30,14 +30,23 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 
 from .errors import ParameterDomainError
 
 
+def _finite(v: complex) -> bool:
+    try:
+        return cmath.isfinite(v)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
 def require_finite(**values: complex | None) -> None:
-    """Raise ParameterDomainError naming every value that is NaN or infinite (None passes)."""
-    bad = [name for name, v in values.items() if v is not None and not cmath.isfinite(v)]
+    """Raise ParameterDomainError naming every value that is NaN, infinite or an int
+    beyond the float range (None passes)."""
+    bad = [name for name, v in values.items() if v is not None and not _finite(v)]
     if bad:
         raise ParameterDomainError(f"{', '.join(bad)} must be finite")
 
@@ -47,7 +56,8 @@ class PhysicalParams:
     """Coefficients of the physical PDE plus wave velocity and phase.
 
     beta == 0 selects the plain KdV-Burgers equation; s, mu and alpha must
-    be nonzero for the reduction to exist.  Every field must be finite.
+    be nonzero for the reduction to exist.  Every field must be finite, and
+    every one but the phase xi0 real.
     """
 
     s: float
@@ -58,6 +68,10 @@ class PhysicalParams:
     xi0: complex = 0j
 
     def __post_init__(self) -> None:
+        for name in ("s", "mu", "alpha", "beta", "v"):
+            value = getattr(self, name)
+            if isinstance(value, numbers.Complex) and not isinstance(value, numbers.Real):
+                raise ParameterDomainError(f"{name} must be real; got {value!r}")
         require_finite(s=self.s, mu=self.mu, alpha=self.alpha, beta=self.beta, v=self.v,
                        xi0=self.xi0)
         if self.s == 0:

@@ -17,7 +17,9 @@ w'' - w' + (p*w - w^2 - q*w^3) = k for their respective parameter locks:
 
 * rational-plus / rational-minus -- the degenerate D = 0 families,
       U(theta) = -(k0/A)/(A + k0*theta) - (A+1)/(6A^2),   A = +-sqrt(q/2),
-  existing only on the velocity lock 6p = 1 - 2/q.
+  existing only on the velocity lock 6p = 1 - 2/q.  Like the kinks in
+  tanh, it is evaluated as a polynomial in one argument: U = const - r/A
+  with r = 1/(A/k0 + theta).
 
 * constant -- the k0 = 0 member of the rational family, also the D -> 0
   pointwise limit of the compound kinks.
@@ -158,7 +160,7 @@ def universal_solution(family: Family, theta0: complex = 0j, delta: float = 0.0)
     require_finite(delta=delta, theta0=theta0)
     _require_resolvable_phase(complex(theta0).imag / 10.0)
     fact = factorize_kdvb(delta, _FAMILIES[family][2])
-    reduced = ReducedParams(p=fact.p, q=0.0, delta=delta, k=fact.k, theta0=theta0)
+    reduced = ReducedParams(p=fact.p, q=0.0, delta=fact.delta, k=fact.k, theta0=theta0)
     return WaveSolution(family=family, reduced=reduced, sign=fact.sign)
 
 
@@ -232,7 +234,7 @@ def rational_solution(family: Family, q: float, k0: float, sign: Sign = Sign.PLU
     p = (1.0 - 2.0 / q) / 6.0
     sign = _FAMILIES[family][2] or sign
     fact = factorize_compound(ReducedParams(p=p, q=q), sign)
-    if not math.isfinite(k0 / fact.A):  # the kernel's weight
+    if not math.isfinite(k0 / fact.A):  # verify's oracle forms the weight -(k0/A)
         raise ParameterDomainError(
             f"k0 = {k0!r} leaves the float range: k0/A with A = {fact.A!r} must be finite")
     reduced = ReducedParams(p=p, q=q, k=fact.k, theta0=0j)
@@ -265,9 +267,10 @@ def rational_solution_from_physical(
 #
 # One kernel per family, on a 2-d block of shifted coordinates zeta = theta -
 # theta0.  It returns the values, the pole mask and the family's argument: T =
-# tanh or coth for the kinks, the pair (g, zeta) with g = A + k0*zeta for the
-# rational family.  The family's slopes differentiate its value polynomial
-# through that argument (tanh and coth both satisfy dT/dz = 1 - T^2), so the
+# tanh or coth for the kinks, r = 1/(A/k0 + zeta) for the rational family (0
+# for the constant, its k0 -> 0 limit, and where A/k0 + zeta overflows).  The
+# family's slopes differentiate its value polynomial through that argument
+# (tanh and coth both satisfy dT/dz = 1 - T^2, and dr/dzeta = -r^2), so the
 # jet shares the kernel's argument and pole mask.  ``rate`` = |d zeta / dx| of
 # the caller's coordinate widens the pole tolerance in the argument z of
 # tanh/coth to POLE_TOL * max(1, |dz/dx|); the rational pole's stays POLE_TOL
@@ -331,49 +334,21 @@ def _compound_slopes(sol: WaveSolution, T: np.ndarray):
 
 
 def _rational_kernel(sol: WaveSolution, zeta: np.ndarray, rate: float):
-    A = sol.sign.factor * math.sqrt(sol.reduced.q / 2.0)
-    k0 = sol.k0 or 0.0
-    const = -(A + 1.0) / (6.0 * A * A)  # added, not subtracted: Im stays +0 at k0 = 0
-    # (k0/A)/g overflows only on a pole cell's stand-in g = A (off the poles |g| is about
-    # |k0| * POLE_TOL or more): a NaN cell.  Where k0*zeta overflows, g is not finite
-    # (so k0 != 0) and the quotient is taken divided through by k0 instead
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        # absolute in theta whatever the coordinate; a distance that overflows is no pole
-        pole = np.abs(zeta - (-A / k0)) < POLE_TOL if k0 else np.zeros(zeta.shape, bool)
-        g = A + k0 * np.where(pole, 0.0, zeta)
-        value = -(k0 / A) / g
-        far = ~np.isfinite(g)
-        if far.any():
-            value = np.where(far, -1.0 / (A * (A / k0 + zeta)), value)
-        return value + const, pole, (g, zeta)
+    A, k0 = sol.sign.factor * math.sqrt(sol.reduced.q / 2.0), sol.k0
+    const = -(A + 1.0) / (6.0 * A * A)
+    if not k0:  # the constant, no pole; np.full keeps a const of -0 (q = 2, A = -1)
+        return np.full(zeta.shape, const, complex), np.zeros(zeta.shape, bool), np.zeros(zeta.shape)
+    with np.errstate(over="ignore"):  # a d that overflows is a far cell, no pole, with r = 0
+        d = A / k0 + zeta
+    pole = np.abs(d) < POLE_TOL  # absolute in theta whatever the coordinate
+    r = 1.0 / np.where(pole, 1.0, d)
+    return const - r / A, pole, r
 
 
-def _rational_slopes(sol: WaveSolution, argument: tuple[np.ndarray, np.ndarray]):
-    """First three derivatives of -(k0/A)/g, with (g, zeta) the kernel's argument.
-
-    Where A*g**n (n = 2, 3, 4) leaves the float range, for g = A + k0*zeta
-    itself or for a power of a finite g, they are taken divided through by
-    k0**n, as powers of 1/(A/k0 + zeta), as the kernel takes the value.  A
-    k0 whose fourth power leaves the float range (|k0| above about 1.16e77)
-    is a ParameterDomainError; so, through the caller's check, is a cell
-    whose A*g**n stay finite while 6*k0**4 does not (|k0| above about 7.4e76).
-    """
-    g, zeta = argument
-    A = sol.sign.factor * math.sqrt(sol.reduced.q / 2.0)
-    k0 = sol.k0 or 0.0
-    try:
-        k0_cubed, k0_fourth = k0**3, k0**4
-    except OverflowError:
-        raise ParameterDomainError(
-            f"k0 = {k0!r} leaves the float range of the jet: k0**4 must be finite") from None
-    scaled = A * g * g, A * g**3, A * g**4
-    slopes = k0 * k0 / scaled[0], -2.0 * k0_cubed / scaled[1], 6.0 * k0_fourth / scaled[2]
-    far = ~(np.isfinite(scaled[0]) & np.isfinite(scaled[1]) & np.isfinite(scaled[2]))
-    if not (k0 and far.any()):  # k0 = 0 (the constant) has no divided-through form
-        return slopes
-    r = 1.0 / (A / k0 + zeta)  # not finite on a pole cell, whose g is finite
-    divided = r**2 / A, -2.0 * r**3 / A, 6.0 * r**4 / A
-    return tuple(np.where(far, f, d) for f, d in zip(divided, slopes))
+def _rational_slopes(sol: WaveSolution, r: np.ndarray):
+    """First three derivatives of const - r/A, with dr/dzeta = -r**2."""
+    A, r2 = sol.sign.factor * math.sqrt(sol.reduced.q / 2.0), r * r
+    return r2 / A, -2.0 * r * r2 / A, 6.0 * r2 * r2 / A
 
 
 # Each family's kernel, its slopes and the factorization branch that generates
@@ -468,11 +443,14 @@ def evaluate_grid(
     the values are u = to_physical_amplitude(w) at theta =
     to_reduced_coordinate(x, t), with w = U + delta the first-integral
     unknown.  ``pole`` flags the cells within the pole tolerance of a pole;
-    their values are NaN + NaN*i.  A coordinate whose theta - theta0 is not
-    finite is a ParameterDomainError, and so, where every coordinate is
-    finite, is a value that leaves the float range at a cell off the poles.
-    The grid goes through _evaluate_blocks, a 0-d one as a block of one cell.
+    their values are NaN + NaN*i.  A t that is not 0-d (physical_jet takes
+    arrays of times) and a coordinate whose theta - theta0 is not finite are
+    a ParameterDomainError, and so, where every coordinate is finite, is a
+    value that leaves the float range at a cell off the poles.  The grid
+    goes through _evaluate_blocks, a 0-d one as a block of one cell.
     """
+    if np.ndim(t):
+        raise ParameterDomainError(f"t must be one time; got an array of shape {np.shape(t)}")
     rows, delta = _rows(grid := np.asarray(grid)), sol.reduced.delta or 0.0
     # U + delta in place, so the amplitude map holds no more than the kernel did
     form = (lambda U, _: (U,)) if t is None else lambda U, _: (
@@ -526,11 +504,16 @@ def physical_jet(sol: WaveSolution, x, t) -> tuple[tuple[np.ndarray, ...], np.nd
     linear in x and t, so the n-th x-derivative carries (mu/s)^n and u_t =
     -v * u_x (travelling wave).  x and t broadcast, and their cells go through
     _evaluate_blocks: u and ``pole`` are evaluate_grid's at time t.  A component
-    that leaves the float range off the poles, or t None, is a ParameterDomainError.
+    that leaves the float range off the poles, t None, or an x and t that do not
+    broadcast is a ParameterDomainError.
     """
     if t is None:
         raise ParameterDomainError("t must be a time, not None")
-    x, t = np.broadcast_arrays(x, t)
+    try:
+        x, t = np.broadcast_arrays(x, t)
+    except ValueError:
+        raise ParameterDomainError(
+            f"x of shape {np.shape(x)} and t of shape {np.shape(t)} do not broadcast") from None
     xs, ts, pp = _rows(x), _rows(t), sol.physical
 
     def chain_rule(U, argument):  # called once _shifted has found pp

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -187,6 +188,10 @@ def test_verify_factorization_catches_a_broken_derivative():
     lambda: factorize_compound(ReducedParams(p=math.nan, q=2.0), Sign.PLUS),
     lambda: factorize_compound(ReducedParams(p=0.0, q=math.inf), Sign.MINUS),
     lambda: factorize_compound(ReducedParams(p=math.inf, q=math.nan), Sign.MINUS),
+    # ints beyond the float range ended in a bare OverflowError
+    lambda: factorize_kdvb(10**400, Sign.PLUS),
+    lambda: factorize_compound(ReducedParams(p=-(10**400), q=2.0), Sign.PLUS),
+    lambda: factorize_compound(ReducedParams(p=0.0, q=10**400), Sign.MINUS),
 ])
 def test_non_finite_coefficients_are_domain_errors(build):
     with pytest.raises(ParameterDomainError, match="must be finite"):
@@ -204,6 +209,18 @@ def test_kdvb_delta_whose_p_or_k_overflows_is_a_domain_error(delta, sign):
 def test_kdvb_keeps_large_finite_coefficients():
     fact = factorize_kdvb(1e150, Sign.MINUS)
     assert math.isfinite(fact.p) and math.isfinite(fact.k)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("delta", [np.int64(2**62), 2**62, np.int64(-3), np.float64(0.1), 0.1],
+                         ids=repr)
+def test_kdvb_computes_with_the_float_of_delta(delta):
+    # np.int64 squared in k = p*delta - delta**2 overflowed with a RuntimeWarning; a float
+    # keeps its bits
+    fact = factorize_kdvb(delta, Sign.PLUS)
+    assert type(fact.delta) is float and fact.delta == float(delta)
+    assert (fact.p, fact.k) == (2.0 * fact.delta + 6.0 / 25.0,
+                                fact.p * fact.delta - fact.delta * fact.delta)
 
 
 @pytest.mark.parametrize("nan_at", [0, 1, 2])

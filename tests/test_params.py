@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -52,12 +53,28 @@ def test_zero_coefficients_rejected(bad):
 
 
 @pytest.mark.parametrize("bad", ["s", "mu", "alpha", "beta", "v", "xi0"])
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400, -10**400],
+                         ids=["nan", "inf", "-inf", "10**400", "-10**400"])
 def test_non_finite_physical_coefficients_rejected(bad, value):
+    # an int beyond the float range ended in a bare OverflowError from cmath.isfinite
     kwargs = dict(s=1.0, mu=1.0, alpha=1.0, beta=0.0, v=0.0, xi0=0j)
-    kwargs[bad] = complex(0.0, value) if bad == "xi0" else value
-    with pytest.raises(ParameterDomainError, match=bad):
+    kwargs[bad] = complex(0.0, value) if bad == "xi0" and isinstance(value, float) else value
+    with pytest.raises(ParameterDomainError, match=f"{bad} must be finite"):
         PhysicalParams(**kwargs)
+
+
+@pytest.mark.parametrize("bad", ["s", "mu", "alpha", "beta", "v"])
+@pytest.mark.parametrize("value", [1j, 1.0 + 0j, complex(2.0, -0.5), np.complex128(1.0),
+                                   np.complex64(0.5 + 1j)], ids=repr)
+def test_complex_physical_coefficients_rejected(bad, value):
+    # alpha = 1j gave imaginary kdvb-regular values with no error; other fields ended in
+    # TypeError.  Only the phase xi0 may be complex
+    kwargs = dict(s=1.0, mu=6.0, alpha=1.0, beta=0.0, v=0.2, xi0=0.5 - 1j)
+    kwargs[bad] = value
+    with pytest.raises(ParameterDomainError, match=f"{bad} must be real"):
+        PhysicalParams(**kwargs)
+    for real in (2.5, np.float64(2.5), np.int64(3), 3):
+        assert getattr(PhysicalParams(**{**kwargs, bad: real}), bad) == real
 
 
 @pytest.mark.parametrize("coefficients", [

@@ -3,6 +3,7 @@
 import functools
 import importlib.util
 import math
+import re
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -237,9 +238,19 @@ def test_non_finite_constructor_inputs_are_domain_errors():
         lambda: compound_solution(Family.COMPOUND_TANH_PLUS, 1.0, 1.0, theta0=-inf),
         lambda: rational_solution(Family.RATIONAL_PLUS, nan, 1.0),
         lambda: rational_solution(Family.RATIONAL_MINUS, 0.5, inf),
+        # ints beyond the float range ended in a bare OverflowError
+        lambda: universal_solution(Family.KDVB_REGULAR, delta=10**400),
+        lambda: universal_solution(Family.KDVB_SINGULAR, theta0=-(10**400)),
+        lambda: compound_solution(Family.COMPOUND_TANH_PLUS, 10**400, 1.0),
+        lambda: rational_solution(Family.RATIONAL_PLUS, 0.5, -(10**400)),
     ):
         with pytest.raises(ParameterDomainError, match="must be finite"):
             build()
+    # the displacement is stored as the float the factorization computed with
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        delta = universal_solution(Family.KDVB_REGULAR, delta=np.int64(2**62)).reduced.delta
+    assert type(delta) is float and delta == 2.0**62
     sol = kdvb_solution_from_physical(
         Family.KDVB_REGULAR, PhysicalParams(s=1.0, mu=6.0, alpha=1.0, beta=0.0, v=0.2))
     with pytest.raises(ParameterDomainError, match="must be finite"):
@@ -511,48 +522,51 @@ def test_rational_k0_whose_weight_overflows_is_a_domain_error(family, k0):
     assert rational_solution(family, 0.5, k0 / 4.0).k0 == k0 / 4.0
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("k0", [1.2e77, -2e77, 1e200, -1e308 / 4.0])
-def test_rational_jet_whose_k0_to_the_fourth_overflows_is_a_domain_error(k0):
-    # k0**4 leaves the float range above |k0| ~ 1.16e77; it used to raise OverflowError
+def test_rational_jet_whose_k0_to_the_fourth_overflows_matches_the_reference(k0):
+    # k0**4 leaves the float range above |k0| ~ 1.16e77: both jets raised a
+    # ParameterDomainError, though as powers of r = 1/(A/k0 + theta) every slope is finite
     locked = PhysicalParams(s=2.0, mu=1.0, alpha=3.0, beta=2.0, v=locked_rational_velocity(FIG7))
     sol = rational_solution(Family.RATIONAL_PLUS, 0.5, k0)
     phys = rational_solution_from_physical(Family.RATIONAL_PLUS, locked, k0)
-    with pytest.raises(ParameterDomainError, match=r"k0\*\*4 must be finite"):
-        solution_jet(sol, np.array([1.0]))
-    with pytest.raises(ParameterDomainError, match=r"k0\*\*4 must be finite"):
-        physical_jet(phys, np.array([1.0]), 0.0)
-    # below the bound the jet keeps its bits: with A = 1/2, g = A + k0*theta
-    # rounds to k0 at theta = 1, and the jet is (-1/A - 1, 1/A, -2/A, 6/A) to rounding
+    jet, pole = solution_jet(sol, np.array([1.0]))
+    assert not pole.any() and _within_ulps([d[0] for d in jet], _reference_rational_jet(sol, 1.0))
+    jet, pole = physical_jet(phys, np.array([1.0]), 0.0)
+    want = _reference_rational_physical_jet(phys, 1.0, 0.0)
+    assert not pole.any() and _within_ulps([d[0] for d in jet], want)
+    # with A = 1/2, A/k0 + theta rounds to 1 at theta = 1: the jet is (-1/A - 1, 1/A, -2/A,
+    # 6/A), exactly; through g = A + k0*theta it was (-3, 1.9999999999999998, -4,
+    # 12.000000000000004) at k0 = 1e76
     (w, *slopes), pole = solution_jet(rational_solution(Family.RATIONAL_PLUS, 0.5, 1e76), 1.0)
-    assert not pole and [complex(d) for d in (w, *slopes)] == [
-        -3.0, 1.9999999999999998, -4.0, 12.000000000000004]
-    jet, pole = physical_jet(rational_solution_from_physical(Family.RATIONAL_PLUS, locked, 1e76),
-                             np.array([1.0]), 0.0)
-    assert not pole.any() and all(np.isfinite(d).all() for d in jet)
+    assert not pole and [complex(d) for d in (w, *slopes)] == [-3.0, 2.0, -4.0, 12.0]
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("k0, theta", [(1e77, 1.0), (-1e77, 1.0)])
-def test_rational_jet_that_leaves_the_float_range_off_the_poles_is_a_domain_error(k0, theta):
-    # 6*k0**4 overflows at k0 = 1e77 (g**4 too: inf/inf); it used to give NaN cells with
-    # pole False and numpy RuntimeWarnings
+def test_rational_jet_whose_six_k0_to_the_fourth_overflows_matches_the_reference(k0, theta):
+    # 6*k0**4 overflows at k0 = 1e77 (g**4 too: inf/inf): the jets raised a
+    # ParameterDomainError, and before that gave NaN cells with pole False
     locked = PhysicalParams(s=2.0, mu=1.0, alpha=3.0, beta=2.0, v=locked_rational_velocity(FIG7))
     sol = rational_solution(Family.RATIONAL_PLUS, 0.5, k0)
     phys = rational_solution_from_physical(Family.RATIONAL_PLUS, locked, k0)
     x = 2.0 * theta  # theta = mu*(x - v*t)/s at t = 0
-    with pytest.raises(ParameterDomainError, match="float range at a point off the poles"):
-        solution_jet(sol, np.array([theta]))
-    with pytest.raises(ParameterDomainError, match="float range at a point off the poles"):
-        physical_jet(phys, np.array([x]), 0.0)
-    # the values stay finite: -3 at theta = 1
+    jet, pole = solution_jet(sol, np.array([theta]))
+    assert not pole.any() and _within_ulps([d[0] for d in jet], _reference_rational_jet(sol, theta))
+    jet, pole = physical_jet(phys, np.array([x]), 0.0)
+    want = _reference_rational_physical_jet(phys, x, 0.0)
+    assert not pole.any() and _within_ulps([d[0] for d in jet], want)
+    # the values are the jets' first components, bit for bit
     values, pole = evaluate_grid(sol, np.array([theta]))
-    assert not pole.any() and np.isfinite(values).all()
+    (w, *_), _ = solution_jet(sol, np.array([theta]))
+    assert not pole.any() and values.tobytes() == w.tobytes()
 
 
 @pytest.mark.filterwarnings("error")
 def test_rational_values_where_k0_times_zeta_overflows_match_the_reference():
-    # g = A + k0*zeta leaves the float range off the poles, and the value is taken divided
-    # through by k0: the first cell was the constant alone, -0.56903559372884904, and the
-    # second NaN + NaN*i with pole False, after a RuntimeWarning
+    # g = A + k0*zeta leaves the float range off the poles, A/k0 + zeta does not: through
+    # g the first cell was the constant alone, -0.56903559372884904, and the second
+    # NaN + NaN*i with pole False, after a RuntimeWarning
     v = locked_rational_velocity(PhysicalParams(s=2.0, mu=3.0, alpha=-1.0, beta=1.0, v=0.0))
     locked = PhysicalParams(s=2.0, mu=3.0, alpha=-1.0, beta=1.0, v=v, xi0=1e200 - math.pi * 1j)
     for sol, theta in (
@@ -602,8 +616,8 @@ def _within_ulps(got, want):
 @pytest.mark.parametrize("k0, coordinate", [(1e76, 1e300), (1e76, -1e300), (-1e76, 1e300),
                                             (1e70, 1e300), (1e70, -1e300)], ids=repr)
 def test_rational_jet_where_k0_times_zeta_overflows_matches_the_reference(k0, coordinate):
-    # g = A + k0*zeta leaves the float range off the poles, and the slopes are taken divided
-    # through by k0**n: they were NaN (a complex g = inf in g**n), so both jets raised a
+    # g = A + k0*zeta leaves the float range off the poles, r = 1/(A/k0 + zeta) does not:
+    # through g the slopes were NaN (a complex g = inf in g**n), so both jets raised a
     # ParameterDomainError, though the value is finite and every slope underflows to zero
     sol = rational_solution(Family.RATIONAL_PLUS, 0.5, k0)
     for theta in (coordinate, np.array([coordinate, 1.0])):  # a scalar and a grid
@@ -626,9 +640,8 @@ def test_rational_jet_where_k0_times_zeta_overflows_matches_the_reference(k0, co
 @pytest.mark.parametrize("q, theta", [(0.5, 1e10), (8.0, 1.1e7)], ids=repr)
 def test_rational_jet_where_a_power_of_a_finite_g_overflows_matches_the_reference(q, theta):
     # g = A + k0*zeta is finite, but g**4 (q = 0.5: the complex power is inf + NaN*i) or
-    # A*g**4 (q = 8, A = 2) leaves the float range, and the slopes are taken divided
-    # through by k0**n: the first raised a ParameterDomainError, the second gave a third
-    # slope of 0.0
+    # A*g**4 (q = 8, A = 2) leaves the float range, where the powers of r stay in it:
+    # through g the first raised a ParameterDomainError, the second gave a third slope of 0.0
     sol = rational_solution(Family.RATIONAL_PLUS, q, 1e70)
     jet, pole = solution_jet(sol, np.array([theta, 1.0]))
     assert not pole.any()
@@ -714,7 +727,7 @@ def test_compound_jet_whose_root_power_overflows_is_a_domain_error():
 
 @pytest.mark.filterwarnings("error")
 def test_rational_jet_on_a_pole_whose_stand_in_underflows_warns_nothing():
-    # the pole cell's stand-in g = A ~ 7e-78 makes A*g**4 underflow to 0, and the
+    # with A ~ 7e-78, a pole cell's stand-in g = A made A*g**4 underflow to 0, and the
     # division by it warned "divide by zero encountered in divide"
     sol = rational_solution(Family.RATIONAL_PLUS, 1e-154, 1.0)
     jet, pole = solution_jet(sol, np.array([1e-310]))
@@ -1112,11 +1125,12 @@ def test_blocks_of_a_two_dimensional_grid_and_of_a_zero_dimensional_one():
 
 
 @pytest.mark.filterwarnings("error")
-def test_the_rational_far_branch_in_one_block_only():
-    # k0*zeta overflows where |zeta| > 1.8e8: in the second of three blocks only
-    sol = rational_solution(Family.RATIONAL_PLUS, 0.5, 1e300)
+def test_rational_far_cells_in_one_block_only():
+    # A/k0 + zeta overflows, and r = 0, where zeta > 1.3e307 (A/k0 ~ 1.67e308): in the
+    # second of three blocks only
+    sol = rational_solution(Family.RATIONAL_PLUS, 0.5, 3e-309)
     grid = np.linspace(-1.0, 1.0, 2 * _BLOCK + 1)
-    grid[_BLOCK + 5:_BLOCK + 499] = np.linspace(-1e10, 1e10, 494)
+    grid[_BLOCK + 5:_BLOCK + 499] = np.linspace(-8e307, 8e307, 494)
     values, pole = evaluate_grid(sol, grid)
     assert _bits(values, pole) == _bits(*_by_pieces(sol, grid))
     assert _bits(values, pole) == _bits(*_one_call(sol, grid))
@@ -1419,6 +1433,26 @@ def test_array_kernel_matches_scalar(mode, name):
     assert np.all(np.abs(values[~pole] - want[~pole]) <= ULPS * EPS * scale)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("mode, name", [case for case in KERNEL_CASES if "rational" in case[1]])
+def test_rational_jet_matches_mpmath_on_the_kernel_grid(mode, name):
+    # every component off the poles within ULPS ulps of the 50-digit jet, measured like
+    # the values above against the larger of its own magnitude and the tails'
+    if mode == "reduced":
+        sol, t = _reduced_kernel_cases()[name], None
+        jet, pole = solution_jet(sol, KERNEL_GRID)
+        reference = functools.partial(_reference_rational_jet, sol)
+    else:
+        sol, t = _physical_kernel_cases()[name], 0.0
+        jet, pole = physical_jet(sol, KERNEL_GRID, t)
+        reference = functools.partial(_reference_rational_physical_jet, sol, t=t)
+    assert pole.tobytes() == evaluate_grid(sol, KERNEL_GRID, t)[1].tobytes()
+    want = np.array([[complex(w) for w in reference(c)] for c in KERNEL_GRID[~pole].tolist()]).T
+    for got, column in zip(jet, want, strict=True):
+        scale = np.maximum(np.abs(column), max(abs(column[0]), abs(column[-1])))
+        assert np.all(np.abs(got[~pole] - column) <= ULPS * EPS * scale)
+
+
 def test_array_kernel_cases_put_nodes_on_poles():
     with_pole = {"regular+5ipi", "singular", "compound-plus", "rational-plus"}
     for name, sol in _reduced_kernel_cases().items():
@@ -1451,6 +1485,40 @@ def test_array_kernel_pole_tolerance_matches_scalar(mode, name, pole, tol):
 def test_array_kernel_physical_mode_requires_coefficients():
     with pytest.raises(ParameterDomainError):
         evaluate_grid(universal_solution(Family.KDVB_REGULAR), KERNEL_GRID, 0.0)
+
+
+_KDVB_PHYSICAL = PhysicalParams(s=1.0, mu=6.0, alpha=1.0, beta=0.0, v=0.2)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("cells", [3, _BLOCK, _BLOCK + 1])
+def test_evaluate_grid_takes_one_time(cells):
+    # each block sliced x but passed the whole t: past one block an array t ended in a
+    # bare broadcast ValueError, and within one it gave values
+    sol = kdvb_solution_from_physical(Family.KDVB_REGULAR, _KDVB_PHYSICAL)
+    x = np.linspace(-1.0, 1.0, cells)
+    for t in (np.full(cells, 0.3), [0.3], np.array([0.3])):
+        with pytest.raises(ParameterDomainError, match="t must be one time; got an array"):
+            evaluate_grid(sol, x, t)
+    with pytest.raises(ParameterDomainError, match="t must be one time"):
+        eval_solution_physical(sol, 0.1, np.array([0.3]))
+    # an array of times is physical_jet's; a 0-d or complex t stays one time
+    (u, *_), pole = physical_jet(sol, x, np.full(cells, 0.3))
+    values, flags = evaluate_grid(sol, x, 0.3)
+    assert u.tobytes() == values.tobytes() and pole.tobytes() == flags.tobytes()
+    for t in (np.float64(0.3), np.array(0.3), complex(0.3, 0.0)):
+        assert np.array_equal(evaluate_grid(sol, x, t)[0], values)
+
+
+@pytest.mark.parametrize("x, t", [(np.zeros(2), np.zeros(3)), (np.zeros(3), np.zeros(0)),
+                                  (np.zeros((2, 3)), np.zeros(2))],
+                         ids=["(2,)-(3,)", "(3,)-(0,)", "(2, 3)-(2,)"])
+def test_physical_jet_of_shapes_that_do_not_broadcast_is_a_domain_error(x, t):
+    # a bare ValueError from np.broadcast_arrays
+    sol = kdvb_solution_from_physical(Family.KDVB_REGULAR, _KDVB_PHYSICAL)
+    message = rf"x of shape {re.escape(str(x.shape))} and t of shape {re.escape(str(t.shape))}"
+    with pytest.raises(ParameterDomainError, match=message + " do not broadcast"):
+        physical_jet(sol, x, t)
 
 
 # ---------------------------------------------------------------------------
@@ -1507,7 +1575,7 @@ def _edge_solution(family, physical, c, locked, sign):
          Sign.PLUS, [1.0, -3.0, 0.0], 0.0)
 @example(Family.RATIONAL_PLUS, False, [1e-154, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0], False,
          Sign.PLUS, [1e-310, 0.0, 1.0], 0.0)
-# a k0 = 0 jet whose A*g**4 overflows has no divided-through form: it must not divide by k0
+# the constant's jet (k0 = 0) at q = 1e200: it must not divide by k0
 @example(Family.RATIONAL_PLUS, False, [1e200, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0], False,
          Sign.PLUS, [0.0, 0.0, 0.0], 0.0)
 def test_every_solution_is_finite_off_the_poles_or_a_domain_error(
